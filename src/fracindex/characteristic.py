@@ -4,11 +4,6 @@ Bundles are declared by formal degree-2 Chern roots, by Chern classes, or
 (for real bundles) by Pontryagin classes.  Multiplicative genera are
 evaluated either root by root or through the log of the one-root series
 and Newton power sums, and the two routes agree exactly.
-
-The cotangent-space integration convention lives here too: a compactly
-supported symbol class is represented by its base-manifold reduction, and
-integrating the reduction over the cotangent space is by definition the
-base integral of the underlying class (positive orientation).
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from fracindex.cohomology import CohClass, ManifoldModel, scalar_class
-from fracindex.scalars import PowerSeries, Scalar, genus_series
+from fracindex.scalars import PowerSeries, genus_series
 
 
 class BundleError(ValueError):
@@ -288,40 +283,6 @@ def tensor_line(name: str, a: BundleData, b: BundleData) -> BundleData:
     if a.rank != 1 or b.rank != 1 or a.roots is None or b.roots is None:
         raise BundleError("tensor_line expects root-presented line bundles")
     return BundleData(name, 1, roots=[a.roots[0] + b.roots[0]])
-
-
-# ---------------------------------------------------------------------------
-# cotangent-space reduction
-
-
-class ThomReducedClass:
-    """A compactly supported class on the cotangent space, recorded through
-    its base reduction.  Integration over the cotangent space is defined as
-    the base integral of the reduction (positive orientation)."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: CohClass) -> None:
-        object.__setattr__(self, "base", base)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThomReducedClass is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ThomReducedClass):
-            return NotImplemented
-        return self.base == other.base
-
-    def __repr__(self):
-        return f"ThomReducedClass({self.base!r})"
-
-
-def thom_reduce(base: CohClass) -> ThomReducedClass:
-    return ThomReducedClass(base)
-
-
-def integrate_tstar(reduced: ThomReducedClass) -> Scalar:
-    return reduced.base.integrate()
 
 
 # ---------------------------------------------------------------------------

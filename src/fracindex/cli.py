@@ -1,0 +1,70 @@
+"""The fracindex command.
+
+    fracindex run <file.json | builtin:NAME> [--format human|machine] [--check]
+
+Runs every task of one scenario document and writes the results to
+standard output.  With --check, the document's expect block is compared
+against the results and each mismatch is written to standard error.
+
+Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
+scenario cannot be read, parsed or run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from typing import Sequence
+
+from fracindex.scenarios import (
+    ScenarioError,
+    builtin_scenario_text,
+    check_expectations,
+    emit,
+    load_scenario,
+    parse_scenario,
+    run,
+)
+
+BUILTIN_PREFIX = "builtin:"
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="fracindex")
+    commands = parser.add_subparsers(dest="command", required=True)
+    run_cmd = commands.add_parser("run", help="run the tasks of one scenario")
+    run_cmd.add_argument("scenario", help=f"a scenario JSON file, or {BUILTIN_PREFIX}NAME")
+    run_cmd.add_argument("--format", choices=("human", "machine"), default="human")
+    run_cmd.add_argument(
+        "--check", action="store_true", help="compare the results with the expect block"
+    )
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        if args.scenario.startswith(BUILTIN_PREFIX):
+            scenario = parse_scenario(builtin_scenario_text(args.scenario[len(BUILTIN_PREFIX) :]))
+        else:
+            scenario = load_scenario(args.scenario)
+        results = run(scenario)
+    except (ScenarioError, OSError) as exc:
+        print(f"fracindex: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(emit(results, args.format))
+    if args.check:
+        mismatches = check_expectations(scenario, results)
+        for line in mismatches:
+            print(line, file=sys.stderr)
+        if mismatches:
+            return 1
+    return 0
+
+
+def main_entry() -> None:
+    sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

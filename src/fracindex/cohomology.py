@@ -36,6 +36,18 @@ class ExpressionError(ValueError):
     """A polynomial expression failed to parse or referenced unknown names."""
 
 
+def monomial_name(names: Iterable[str], exponents: Iterable[int]) -> str:
+    """Render an exponent tuple over the given names, as in "x^2*y"; the
+    empty product is "1"."""
+    parts = []
+    for name, e in zip(names, exponents):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
 def _is_scalar(value) -> bool:
     return isinstance(value, (int, Fraction, Cyclotomic))
 
@@ -199,13 +211,7 @@ class ManifoldModel:
         return done
 
     def monomial_name(self, mono: Monomial) -> str:
-        parts = []
-        for (name, _), e in zip(self.generators, mono):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return monomial_name(self.names, mono)
 
     # -- validation ------------------------------------------------------------
 
@@ -286,7 +292,9 @@ class CohClass:
             if _is_scalar(coeff) and coeff == 0:
                 continue
             for nmono, ncoeff in model.normal_form(tuple(mono)).items():
-                value = reduced.get(nmono, 0) + coeff * ncoeff
+                value = coeff * ncoeff
+                if nmono in reduced:
+                    value = reduced[nmono] + value
                 if value == 0:
                     reduced.pop(nmono, None)
                 else:

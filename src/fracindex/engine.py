@@ -1,16 +1,29 @@
 """The index distribution of a twisted symbol as exact moment data.
 
 A symbol enters as a family of base-reduced classes u_chi indexed by
-characters of the finite center; the distribution it induces on the group
-is supported on the center and is described, at each central element, by
-a moment table: the exact pairings of the local invariant distribution
-against monomials in the declared invariant generators.
+characters of the finite center; integrating a compactly supported symbol
+class over the cotangent space is, by convention, the base integral of its
+reduction (positive orientation).  The distribution the symbol induces on
+the group is supported on the center and is described, at each central
+element, by a moment table: the exact pairings of the local invariant
+distribution against monomials in the declared invariant generators.
 
-The two equivalent routes to the table at a central element gamma --
-integrating the bracket-weighted combination of the u_chi directly, or
-combining the per-character tables at the identity with bracket scalars --
-are both computed on every full run and compared exactly; a mismatch can
-only be an arithmetic bug, never bad input data.
+Every bracket is a power zeta_N^k of one primitive root of unity, N the
+exponent of the center, so class arithmetic stays rational and roots of
+unity enter only where a value is emitted.  Two independent routes lead
+to the table at a central element gamma, and every full run computes both
+and compares them exactly:
+
+- direct: the u_chi are summed into rational buckets U_k by bracket
+  exponent k, each a-hat^2 * U_k is formed rationally, and each integrand
+  coefficient is converted once from its bucket weights {k: w_k} to
+  sum_k w_k zeta^k; each moment is then the pairing of that integrand with
+  a monomial image, read from degree-complementary terms only;
+- recombined: rational per-character tables at the identity are grouped by
+  bracket exponent and each group is weighted by its bracket, a genuine
+  Cyclotomic, in field arithmetic.
+
+A mismatch can only be an arithmetic bug, never bad input data.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat
-from fracindex.cohomology import CohClass, ManifoldModel, scalar_class
+from fracindex.cohomology import CohClass, ManifoldModel, Monomial, monomial_name
 from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
@@ -27,10 +40,11 @@ from fracindex.groups import (
     TestJet,
     WeightSystem,
     bracket,
+    bracket_exponent,
     character_jet,
     chern_weil_eval,
 )
-from fracindex.scalars import Scalar, demote
+from fracindex.scalars import Scalar, demote, root_of_unity_sum
 
 #: Moment-table keys: exponent tuples over the declared generator order.
 MomentKey = tuple[int, ...]
@@ -134,15 +148,6 @@ class MomentTable:
         zero = (0,) * len(self.generator_names)
         return self.values.get(zero, Fraction(0))
 
-    def monomial_name(self, key: MomentKey) -> str:
-        parts = []
-        for name, e in zip(self.generator_names, key):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
     def scaled(self, factor: Scalar) -> "MomentTable":
         return MomentTable(
             self.gamma,
@@ -163,7 +168,9 @@ class MomentTable:
         )
 
     def __repr__(self):
-        body = ", ".join(f"{self.monomial_name(k)}: {v}" for k, v in self.values.items())
+        body = ", ".join(
+            f"{monomial_name(self.generator_names, k)}: {v}" for k, v in self.values.items()
+        )
         return f"MomentTable(gamma={self.gamma}, {{{body}}})"
 
 
@@ -205,9 +212,10 @@ class IndexDistribution:
 class IndexProblem:
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
-    square of the tangent a-hat class."""
+    square of the tangent a-hat class.  Monomial images are computed once
+    per problem and degree bound."""
 
-    __slots__ = ("model", "group", "generators", "symbol", "a_hat_squared")
+    __slots__ = ("model", "group", "generators", "symbol", "a_hat_squared", "_image_cache")
 
     def __init__(
         self,
@@ -237,6 +245,7 @@ class IndexProblem:
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "a_hat_squared", a_hat_squared)
+        object.__setattr__(self, "_image_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexProblem is immutable")
@@ -262,13 +271,23 @@ class IndexProblem:
 
     def reduced_integrand(self, gamma: Sequence[int]) -> CohClass:
         """The base-manifold integrand at a central element: the a-hat square
-        times the bracket-weighted sum of the symbol components."""
+        times the bracket-weighted sum of the symbol components.
+
+        The components are summed into rational buckets by bracket exponent,
+        and each coefficient is converted to the cyclotomic field once."""
         gamma = self.group.reduce(tuple(gamma))
-        acc = self.model.zero()
+        buckets: dict[int, CohClass] = {}
         for chi, u_chi in self.symbol.components.items():
-            weight = demote(bracket(self.group, chi, gamma))
-            acc = acc + u_chi * weight
-        return self.a_hat_squared * acc
+            k = bracket_exponent(self.group, chi, gamma)
+            buckets[k] = buckets[k] + u_chi if k in buckets else u_chi
+        weights: dict[Monomial, dict[int, Fraction]] = {}
+        for k, bucket in buckets.items():
+            for mono, coeff in (self.a_hat_squared * bucket).terms.items():
+                weights.setdefault(mono, {})[k] = coeff
+        order = self.group.exponent
+        return CohClass(
+            self.model, {mono: root_of_unity_sum(order, w) for mono, w in weights.items()}
+        )
 
     def pair_with_jet(self, gamma: Sequence[int], jet: TestJet) -> Scalar:
         """Pair the distribution at gamma against an invariant test jet."""
@@ -303,14 +322,43 @@ class IndexProblem:
         return keys
 
     def _monomial_images(self, max_degree: int) -> dict[MomentKey, CohClass]:
+        """The image class of every moment monomial, cached per degree bound.
+        Keys come in graded order, so each image is one product away from
+        the image of a lower key."""
+        cached = self._image_cache.get(max_degree)
+        if cached is not None:
+            return cached
         images: dict[MomentKey, CohClass] = {}
         for key in self._moment_keys(max_degree):
-            cls = self.model.one()
-            for gen, e in zip(self.generators, key):
-                if e:
-                    cls = cls * gen.image**e
-            images[key] = cls
+            i = next((i for i, e in enumerate(key) if e), None)
+            if i is None:
+                images[key] = self.model.one()
+            else:
+                lower = key[:i] + (key[i] - 1,) + key[i + 1 :]
+                images[key] = images[lower] * self.generators[i].image
+        self._image_cache[max_degree] = images
         return images
+
+    def _pairings(self, integrand: CohClass, max_degree: int) -> dict[MomentKey, Scalar]:
+        """The integral of integrand * image for every monomial image.
+
+        Relations are degree-homogeneous, so only products of
+        degree-complementary terms reach the fundamental class; the full
+        product is never formed."""
+        model = self.model
+        by_degree: dict[int, list[tuple[Monomial, Scalar]]] = {}
+        for mono, coeff in integrand.terms.items():
+            by_degree.setdefault(model.monomial_degree(mono), []).append((mono, coeff))
+        values: dict[MomentKey, Scalar] = {}
+        for key, image in self._monomial_images(max_degree).items():
+            top: dict[Monomial, Scalar] = {}
+            for m2, c2 in image.terms.items():
+                for m1, c1 in by_degree.get(model.dimension - model.monomial_degree(m2), ()):
+                    mono = tuple(a + b for a, b in zip(m1, m2))
+                    term = c1 * c2
+                    top[mono] = top[mono] + term if mono in top else term
+            values[key] = CohClass(model, top).integrate()
+        return values
 
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
         """The moment table at gamma: pairings against all generator
@@ -320,30 +368,29 @@ class IndexProblem:
             max_degree = self.default_degree()
         if max_degree < 0:
             raise EngineError("moment degree bound must be nonnegative")
-        integrand = self.reduced_integrand(gamma)
         names = [g.name for g in self.generators]
-        values = {
-            key: (integrand * image).integrate()
-            for key, image in self._monomial_images(max_degree).items()
-        }
+        values = self._pairings(self.reduced_integrand(gamma), max_degree)
         return MomentTable(self.group.reduce(tuple(gamma)), names, values)
 
     def _per_character_tables(self, max_degree: int) -> dict[Element, MomentTable]:
-        """Identity-route tables, one per symbol component."""
+        """Identity-route tables, one per symbol component; all rational."""
         names = [g.name for g in self.generators]
-        images = self._monomial_images(max_degree)
-        out: dict[Element, MomentTable] = {}
+        identity = self.group.identity()
+        tables: dict[Element, MomentTable] = {}
         for chi, u_chi in self.symbol.components.items():
-            integrand = self.a_hat_squared * u_chi
-            values = {key: (integrand * image).integrate() for key, image in images.items()}
-            out[chi] = MomentTable(self.group.identity(), names, values)
-        return out
+            values = self._pairings(self.a_hat_squared * u_chi, max_degree)
+            tables[chi] = MomentTable(identity, names, values)
+        return tables
 
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:
         """Moment tables at every central element.
 
-        Internally recomputes each table from the per-character tables and
-        bracket scalars and verifies exact agreement with the direct route;
+        Each table comes from the direct route: rational buckets of the
+        symbol components by bracket exponent, with one conversion to the
+        cyclotomic field per integrand coefficient.  It is then recomputed
+        from the rational per-character tables at the identity, summed by
+        bracket exponent and weighted by genuine bracket values in
+        cyclotomic field arithmetic, and the two must agree exactly;
         disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
@@ -352,19 +399,28 @@ class IndexProblem:
         tables: dict[Element, MomentTable] = {}
         for gamma in self.group.elements():
             direct = self.moments(gamma, max_degree)
-            recombined: dict[MomentKey, Scalar] = {
-                key: Fraction(0) for key in direct.values
-            }
+            groups: dict[int, tuple[Element, dict[MomentKey, Fraction]]] = {}
             for chi, table in per_character.items():
-                weight = demote(bracket(self.group, chi, gamma))
+                k = bracket_exponent(self.group, chi, gamma)
+                if k not in groups:
+                    groups[k] = (chi, dict(table.values))
+                    continue
+                sums = groups[k][1]
                 for key, value in table.values.items():
-                    recombined[key] = recombined[key] + value * weight
-            for key, value in recombined.items():
-                if demote(value) != direct.values[key]:
+                    sums[key] += value
+            recombined: dict[MomentKey, Scalar] = {}
+            for chi, sums in groups.values():
+                weight = bracket(self.group, chi, gamma)
+                for key, value in sums.items():
+                    term = weight * value
+                    recombined[key] = recombined[key] + term if key in recombined else term
+            for key, expected in direct.values.items():
+                value = demote(recombined.get(key, Fraction(0)))
+                if value != expected:
                     raise InternalConsistencyError(
                         "distribution routes disagree at gamma="
-                        f"{gamma}, monomial {direct.monomial_name(key)}: "
-                        f"direct {direct.values[key]!r} vs recombined {demote(value)!r}"
+                        f"{gamma}, monomial {monomial_name(direct.generator_names, key)}: "
+                        f"direct {expected!r} vs recombined {value!r}"
                     )
             tables[gamma] = direct
         return IndexDistribution(self.group, tables)

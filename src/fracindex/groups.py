@@ -95,17 +95,24 @@ class FiniteAbelianGroup:
         return f"FiniteAbelianGroup({body})"
 
 
-def bracket(group: FiniteAbelianGroup, character: Sequence[int], element: Sequence[int]) -> Cyclotomic:
-    """The duality pairing between a character and a group element: the
-    exact root of unity zeta_N^(sum_i k_i g_i N/n_i) with N the group
-    exponent."""
+def bracket_exponent(group: FiniteAbelianGroup, character: Sequence[int], element: Sequence[int]) -> int:
+    """The duality pairing between a character and a group element as an
+    exponent: the k in [0, N) with bracket = zeta_N^k, namely
+    sum_i k_i g_i N/n_i mod N with N the group exponent."""
     chi = group.reduce(character)
     g = group.reduce(element)
     n = group.exponent
     total = 0
     for k, e, order in zip(chi, g, group.cyclic_orders):
         total += k * e * (n // order)
-    return Cyclotomic.root_of_unity(n, total % n)
+    return total % n
+
+
+def bracket(group: FiniteAbelianGroup, character: Sequence[int], element: Sequence[int]) -> Cyclotomic:
+    """The duality pairing between a character and a group element: the
+    exact root of unity zeta_N^bracket_exponent with N the group
+    exponent."""
+    return Cyclotomic.root_of_unity(group.exponent, bracket_exponent(group, character, element))
 
 
 class InvariantGeneratorDecl:

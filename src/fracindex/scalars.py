@@ -13,18 +13,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Mapping, Union
 
 #: Rational scalars are plain stdlib fractions (always lowest terms,
 #: positive denominator, exact arithmetic).
 Rational = Fraction
 
 Scalar = Union[Fraction, "Cyclotomic"]
-
-
-def rational_from_string(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())
 
 
 def rational_to_string(q: Fraction) -> str:
@@ -110,6 +105,35 @@ def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def power_residues(order: int) -> tuple[tuple[int, ...], ...]:
+    """Row k, for 0 <= k < order, holds the coefficients (ascending) of
+    t^k modulo the order-th cyclotomic polynomial.
+
+    Phi_N is monic with integer coefficients, so every row is integral;
+    since Phi_N divides t^N - 1, t^k reduces like t^(k mod N).
+    """
+    modulus = [int(c) for c in cyclotomic_polynomial(order)]
+    row = [1] + [0] * (len(modulus) - 2)
+    rows = []
+    for _ in range(order):
+        rows.append(tuple(row))
+        top = row[-1]  # t * row overflows into t^deg = -(lower terms of Phi_N)
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * m for r, m in zip(row, modulus)]
+    return tuple(rows)
+
+
+def root_of_unity_sum(order: int, weights: Mapping[int, Fraction]) -> Scalar:
+    """sum_k weights[k] * zeta^k for zeta a primitive order-th root of
+    unity: a Fraction when the sum is rational, else a Cyclotomic."""
+    coeffs = [Fraction(0)] * order
+    for k, w in weights.items():
+        coeffs[k % order] += w
+    return demote(Cyclotomic(order, coeffs))
+
+
 class Cyclotomic:
     """An element of the cyclotomic field of the given order: a residue
     modulo the cyclotomic polynomial, stored as a Fraction coefficient
@@ -123,12 +147,18 @@ class Cyclotomic:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs) -> None:
-        modulus = cyclotomic_polynomial(order)
-        poly = _poly_trim([Fraction(c) for c in coeffs])
-        if len(poly) >= len(modulus):
-            _, poly = _poly_divmod(poly, list(modulus))
-        deg = len(modulus) - 1
-        poly = poly + [Fraction(0)] * (deg - len(poly))
+        residues = power_residues(order)
+        deg = len(residues[0])
+        poly = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        if len(poly) > deg:
+            for k in range(deg, len(poly)):
+                if poly[k]:
+                    for i, r in enumerate(residues[k % order]):
+                        if r:
+                            poly[i] += r * poly[k]
+            del poly[deg:]
+        else:
+            poly += [Fraction(0)] * (deg - len(poly))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(poly))
 
@@ -138,8 +168,7 @@ class Cyclotomic:
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> "Cyclotomic":
         """The primitive order-th root of unity raised to `exponent`."""
-        k = exponent % order
-        return cls(order, [Fraction(0)] * k + [Fraction(1)])
+        return cls(order, power_residues(order)[exponent % order])
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "Cyclotomic":

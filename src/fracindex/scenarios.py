@@ -21,6 +21,7 @@ from fracindex.cohomology import (
     ManifoldModel,
     ModelError,
     build_model,
+    monomial_name,
     parse_expression,
 )
 from fracindex.engine import (
@@ -134,7 +135,7 @@ def _payload_to_json(payload):
         return {
             "gamma": list(payload.gamma),
             "moments": [
-                [payload.monomial_name(key), scalar_to_json(value)]
+                [monomial_name(payload.generator_names, key), scalar_to_json(value)]
                 for key, value in payload.values.items()
             ],
         }
@@ -503,7 +504,7 @@ def _scalar_str(value: Scalar) -> str:
 
 def _table_lines(table: MomentTable, indent: int = 2) -> list[str]:
     pad = " " * indent
-    names = [table.monomial_name(key) for key in table.values]
+    names = [monomial_name(table.generator_names, key) for key in table.values]
     width = max((len(n) for n in names), default=1)
     return [
         f"{pad}{name.ljust(width)}  {_scalar_str(value)}"

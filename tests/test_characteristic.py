@@ -14,12 +14,10 @@ from fracindex.characteristic import (
     chern_character,
     direct_sum,
     evaluate_series,
-    integrate_tstar,
     newton_power_sums,
     pontryagin_from_chern,
     projective_tangent_bundle,
     tensor_line,
-    thom_reduce,
     todd_class,
 )
 from fracindex.cohomology import (
@@ -320,11 +318,11 @@ def test_bundle_accepts_consistent_chern_and_roots(cp2):
     assert bundle.chern_classes(2) == [2 * x, x * x]
 
 
-def test_thom_reduction_round_trip(cp1, cp2):
-    assert integrate_tstar(thom_reduce(cp1.one())) == 0
-    assert integrate_tstar(thom_reduce(parse_expression("x^2", cp2))) == 1
+def test_integrate_reads_fundamental_coefficient(cp1, cp2):
+    assert cp1.one().integrate() == 0
+    assert parse_expression("x^2", cp2).integrate() == 1
     td = todd_class(projective_tangent_bundle(cp1))
-    assert integrate_tstar(thom_reduce(td)) == 1
+    assert td.integrate() == 1
 
 
 def test_point_tangent_bundle():

@@ -418,3 +418,97 @@ def test_moment_table_scaled_and_at():
     scaled = table.scaled(Fraction(1, 2)).at((1,))
     assert scaled.gamma == (1,)
     assert scaled.values == {(0,): Fraction(1), (1,): Fraction(-1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the two distribution routes against the bracket-weighted oracle
+
+
+def _random_problem(cyclic_orders, seed):
+    """CP^3 with its a-hat square, generators of degrees 2 and 4, and a
+    random rational symbol on a random subset of the characters."""
+    cp3 = projective_space_model(3)
+    group = FiniteAbelianGroup(cyclic_orders)
+    rng = random.Random(seed)
+    components = {}
+    for chi in group.characters():
+        if rng.random() < 0.8:
+            components[chi] = CohClass(
+                cp3, {(d,): Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in range(4)}
+            )
+    gens = [
+        InvariantGeneratorDecl("L", 1, parse_expression("2/3*x", cp3)),
+        InvariantGeneratorDecl("Q", 2, parse_expression("-5*x^2", cp3)),
+    ]
+    genus = a_hat(projective_tangent_bundle(cp3))
+    return IndexProblem(cp3, group, gens, SymbolData(group, components), genus * genus)
+
+
+def _oracle_moment(problem, gamma, key):
+    """sum over characters of bracket(chi, gamma) * int(a_hat^2 u_chi image)
+    in Cyclotomic arithmetic."""
+    image = problem.model.one()
+    for gen, e in zip(problem.generators, key):
+        image = image * gen.image**e
+    total = Cyclotomic.from_rational(0, problem.group.exponent)
+    for chi, u_chi in problem.symbol.components.items():
+        value = (problem.a_hat_squared * u_chi * image).integrate()
+        total = total + bracket(problem.group, chi, gamma) * value
+    return total
+
+
+@pytest.mark.parametrize(
+    "cyclic_orders,seed",
+    [([5], 1), ([5], 2), ([8], 3), ([2, 2], 4), ([6, 4], 5), ([], 6)],
+)
+def test_full_distribution_matches_bracket_oracle(cyclic_orders, seed):
+    problem = _random_problem(cyclic_orders, seed)
+    distribution = problem.full_distribution()
+    keys = [(a, b) for a in range(4) for b in range(4) if a + b <= 3]
+    assert list(distribution.tables) == problem.group.elements()
+    for gamma, table in distribution.tables.items():
+        assert sorted(table.values) == sorted(keys)
+        for key, value in table.values.items():
+            assert value == _oracle_moment(problem, gamma, key)
+            assert isinstance(value, Fraction) == _oracle_moment(problem, gamma, key).is_rational()
+
+
+def test_perturbed_per_character_table_is_caught(monkeypatch):
+    problem = _random_problem([5], 7)
+    original = IndexProblem._per_character_tables
+
+    def perturbed(self, max_degree):
+        tables = original(self, max_degree)
+        chi, table = next(iter(tables.items()))
+        values = dict(table.values)
+        key = next(iter(values))
+        values[key] += Fraction(1, 7)
+        tables[chi] = MomentTable(table.gamma, table.generator_names, values)
+        return tables
+
+    monkeypatch.setattr(IndexProblem, "_per_character_tables", perturbed)
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        problem.full_distribution()
+
+
+def test_faulty_root_conversion_is_caught(monkeypatch):
+    import fracindex.engine as engine
+
+    problem = _random_problem([5], 8)
+    original = engine.root_of_unity_sum
+    monkeypatch.setattr(
+        engine,
+        "root_of_unity_sum",
+        lambda order, weights: original(order, {k + 1: w for k, w in weights.items()}),
+    )
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        problem.full_distribution()
+
+
+def test_monomial_images_are_computed_once_per_degree_bound():
+    problem = _random_problem([2, 2], 9)
+    problem.full_distribution()
+    images = problem._monomial_images(3)
+    problem.full_distribution(3)
+    assert problem._monomial_images(3) is images
+    assert problem._monomial_images(1) is not images

@@ -16,7 +16,9 @@ from fracindex.scalars import (
     cyclotomic_polynomial,
     demote,
     genus_series,
+    power_residues,
     rational_to_string,
+    root_of_unity_sum,
     scalar_to_json,
 )
 
@@ -139,6 +141,62 @@ def test_cyclotomic_field_axioms(data):
     assert a + (-a) == 0
     if not a.is_zero():
         assert a * a.inverse() == 1
+
+
+def _remainder_by_long_division(k: int, modulus: list[int]) -> list[int]:
+    """t^k mod a monic integer polynomial, one leading term at a time."""
+    rem = [0] * k + [1]
+    deg = len(modulus) - 1
+    for top in range(k, deg - 1, -1):
+        lead = rem[top]
+        if lead:
+            for j, m in enumerate(modulus):
+                rem[top - deg + j] -= lead * m
+    return (rem + [0] * deg)[:deg]
+
+
+@pytest.mark.parametrize("order", range(1, 37))
+def test_power_residues_match_long_division(order):
+    modulus = [int(c) for c in cyclotomic_polynomial(order)]
+    rows = power_residues(order)
+    assert len(rows) == order
+    for k, row in enumerate(rows):
+        assert list(row) == _remainder_by_long_division(k, modulus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.integers(1, 36).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.dictionaries(
+                st.integers(0, 2 * n),
+                st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_root_of_unity_sum_matches_field_arithmetic(data):
+    order, weights = data
+    expected = Cyclotomic.from_rational(0, order)
+    for k, w in weights.items():
+        expected = expected + Cyclotomic.root_of_unity(order, k) * w
+    value = root_of_unity_sum(order, weights)
+    assert value == expected
+    assert isinstance(value, Fraction) == expected.is_rational()
+
+
+@pytest.mark.parametrize("order", range(1, 37))
+def test_root_of_unity_sum_rational_values_are_fractions(order):
+    every_root = root_of_unity_sum(order, {k: Fraction(3, 2) for k in range(order)})
+    assert every_root == (Fraction(3, 2) if order == 1 else 0)
+    assert type(every_root) is Fraction
+    if order % 2 == 0:
+        value = root_of_unity_sum(order, {0: Fraction(1), order // 2: Fraction(1, 3)})
+        assert value == Fraction(2, 3) and type(value) is Fraction
+    if order > 2:
+        assert isinstance(root_of_unity_sum(order, {1: Fraction(1)}), Cyclotomic)
 
 
 def test_rational_field_axioms_sample():
