@@ -10,6 +10,10 @@ kept in normal form: every stored monomial is irreducible and every
 monomial of degree above the model dimension is zero.  Integration reads
 off the fundamental coefficient times the orientation.
 
+Every coefficient is rational.  Roots of unity never enter a class: the
+engine keeps one rational class per bracket exponent and converts only
+the values it emits.
+
 Models are immutable after validation and classes are immutable always;
 everything here is a pure function of its inputs.
 """
@@ -20,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from fracindex.scalars import Cyclotomic, Scalar, demote, rational_to_string
+from fracindex.scalars import rational_to_string
 
 #: Monomials are exponent tuples aligned with the model's generator order.
 Monomial = tuple[int, ...]
@@ -46,10 +50,6 @@ def monomial_name(names: Iterable[str], exponents: Iterable[int]) -> str:
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def _is_scalar(value) -> bool:
-    return isinstance(value, (int, Fraction, Cyclotomic))
 
 
 def _accumulate(table: dict, key, delta) -> None:
@@ -282,14 +282,19 @@ class ManifoldModel:
 
 class CohClass:
     """An element of a ManifoldModel in normal form: a mapping from reduced
-    monomials to nonzero Fraction or Cyclotomic coefficients."""
+    monomials to nonzero Fraction coefficients.  Coefficients are rational
+    only; any other coefficient raises TypeError."""
 
     __slots__ = ("model", "terms")
 
-    def __init__(self, model: ManifoldModel, terms: Mapping[Monomial, Scalar]) -> None:
-        reduced: dict[Monomial, Scalar] = {}
+    def __init__(self, model: ManifoldModel, terms: Mapping[Monomial, Fraction | int]) -> None:
+        reduced: dict[Monomial, Fraction] = {}
         for mono, coeff in terms.items():
-            if _is_scalar(coeff) and coeff == 0:
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(
+                    f"class coefficients must be rational, got {type(coeff).__name__}"
+                )
+            if not coeff:
                 continue
             for nmono, ncoeff in model.normal_form(tuple(mono)).items():
                 value = coeff * ncoeff
@@ -299,11 +304,10 @@ class CohClass:
                     reduced.pop(nmono, None)
                 else:
                     reduced[nmono] = value
-        clean = {}
-        for mono in sorted(reduced, key=lambda m: (model.monomial_degree(m), m)):
-            value = demote(reduced[mono])
-            if not (_is_scalar(value) and value == 0):
-                clean[mono] = value
+        clean = {
+            mono: reduced[mono]
+            for mono in sorted(reduced, key=lambda m: (model.monomial_degree(m), m))
+        }
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "terms", clean)
 
@@ -315,7 +319,7 @@ class CohClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Scalar:
+    def constant_term(self) -> Fraction:
         return self.terms.get(self.model.zero_monomial(), Fraction(0))
 
     def degree_part(self, degree: int) -> "CohClass":
@@ -330,9 +334,6 @@ class CohClass:
     def is_homogeneous(self, degree: int) -> bool:
         return all(self.model.monomial_degree(m) == degree for m in self.terms)
 
-    def has_rational_coefficients(self) -> bool:
-        return all(isinstance(c, Fraction) or isinstance(c, int) for c in self.terms.values())
-
     # -- ring operations ---------------------------------------------------------
 
     def _check_model(self, other: "CohClass") -> None:
@@ -340,7 +341,7 @@ class CohClass:
             raise ValueError("classes belong to different manifold models")
 
     def __add__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, (int, Fraction)):
             other = scalar_class(self.model, other)
         if not isinstance(other, CohClass):
             return NotImplemented
@@ -356,7 +357,7 @@ class CohClass:
         return CohClass(self.model, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, (int, Fraction)):
             other = scalar_class(self.model, other)
         if not isinstance(other, CohClass):
             return NotImplemented
@@ -366,12 +367,12 @@ class CohClass:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, (int, Fraction)):
             return CohClass(self.model, {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_model(other)
-        raw: dict[Monomial, Scalar] = {}
+        raw: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
@@ -395,7 +396,7 @@ class CohClass:
         return out
 
     def __eq__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, (int, Fraction)):
             other = scalar_class(self.model, other)
         if not isinstance(other, CohClass):
             return NotImplemented
@@ -408,7 +409,7 @@ class CohClass:
 
     def exponential(self) -> "CohClass":
         """sum_k self^k / k!, a finite sum; requires zero constant term."""
-        if not (_is_scalar(self.constant_term()) and self.constant_term() == 0):
+        if self.constant_term() != 0:
             raise ValueError("exponential requires a nilpotent class (zero constant term)")
         out = self.model.one()
         power = self.model.one()
@@ -424,9 +425,9 @@ class CohClass:
         """Multiplicative inverse via the finite geometric series; requires a
         nonzero constant term."""
         c0 = self.constant_term()
-        if _is_scalar(c0) and c0 == 0:
+        if c0 == 0:
             raise ValueError("class with zero constant term is not invertible")
-        c0_inv = Fraction(1) / c0 if isinstance(c0, (int, Fraction)) else c0.inverse()
+        c0_inv = 1 / c0
         nil = self * c0_inv - 1
         out = self.model.one()
         power = self.model.one()
@@ -438,24 +439,20 @@ class CohClass:
             sign = -sign
             out = out + power * sign
 
-    def integrate(self) -> Scalar:
+    def integrate(self) -> Fraction:
         """Pair against the fundamental class: the coefficient of the
         fundamental monomial times the orientation value."""
         coeff = self.terms.get(self.model.fundamental_monomial, Fraction(0))
-        return demote(coeff * self.model.orientation)
+        return coeff * self.model.orientation
 
     # -- rendering --------------------------------------------------------------
 
     def to_expression(self) -> str:
-        """Deterministic polynomial expression in the model's generators;
-        only classes with rational coefficients can be rendered."""
+        """Deterministic polynomial expression in the model's generators."""
         if self.is_zero():
             return "0"
         parts = []
         for mono, coeff in self.terms.items():
-            if not isinstance(coeff, (int, Fraction)):
-                raise ValueError("cannot render cyclotomic coefficients as an expression")
-            coeff = Fraction(coeff)
             mono_name = self.model.monomial_name(mono)
             if mono_name == "1":
                 parts.append(rational_to_string(coeff))
@@ -471,16 +468,10 @@ class CohClass:
         return out
 
     def __repr__(self):
-        try:
-            return f"CohClass({self.to_expression()})"
-        except ValueError:
-            body = ", ".join(
-                f"{self.model.monomial_name(m)}: {c!r}" for m, c in self.terms.items()
-            )
-            return f"CohClass({{{body}}})"
+        return f"CohClass({self.to_expression()})"
 
 
-def scalar_class(model: ManifoldModel, value: Scalar) -> CohClass:
+def scalar_class(model: ManifoldModel, value: Fraction | int) -> CohClass:
     return CohClass(model, {model.zero_monomial(): value})
 
 
@@ -601,37 +592,6 @@ def product_model(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
         fundamental,
         m1.orientation * m2.orientation,
     )
-
-
-def transport(cls: CohClass, target: ManifoldModel) -> CohClass:
-    """Re-express a class in a model whose generators include (a renaming
-    of) the source model's generators by position: used to push factor
-    classes into a product model.  Generators are matched left-to-right by
-    degree."""
-    src = cls.model
-    n = len(src.generators)
-    if len(target.generators) < n:
-        raise ValueError("target model has fewer generators than the source")
-    positions = list(range(n))
-    for i in positions:
-        if src.generators[i][1] != target.generators[i][1]:
-            raise ValueError("generator degrees do not line up for transport")
-    pad = len(target.generators) - n
-    return CohClass(target, {tuple(m) + (0,) * pad: c for m, c in cls.terms.items()})
-
-
-def transport_right(cls: CohClass, target: ManifoldModel) -> CohClass:
-    """Like transport, but matches the source generators to the rightmost
-    generators of the target: used for the second factor of a product."""
-    src = cls.model
-    n = len(src.generators)
-    pad = len(target.generators) - n
-    if pad < 0:
-        raise ValueError("target model has fewer generators than the source")
-    for i in range(n):
-        if src.generators[i][1] != target.generators[pad + i][1]:
-            raise ValueError("generator degrees do not line up for transport")
-    return CohClass(target, {(0,) * pad + tuple(m): c for m, c in cls.terms.items()})
 
 
 # ---------------------------------------------------------------------------

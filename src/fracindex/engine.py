@@ -9,16 +9,15 @@ element, by a moment table: the exact pairings of the local invariant
 distribution against monomials in the declared invariant generators.
 
 Every bracket is a power zeta_N^k of one primitive root of unity, N the
-exponent of the center, so class arithmetic stays rational and roots of
-unity enter only where a value is emitted.  Two independent routes lead
-to the table at a central element gamma, and every full run computes both
-and compares them exactly:
+exponent of the center, so every class stays rational and roots of unity
+enter only where a moment or pairing is emitted.  Two independent routes
+lead to the table at a central element gamma, and every full run computes
+both and compares them exactly:
 
 - direct: the u_chi are summed into rational buckets U_k by bracket
-  exponent k, each a-hat^2 * U_k is formed rationally, and each integrand
-  coefficient is converted once from its bucket weights {k: w_k} to
-  sum_k w_k zeta^k; each moment is then the pairing of that integrand with
-  a monomial image, read from degree-complementary terms only;
+  exponent k, and each a-hat^2 * U_k is paired rationally with every
+  monomial image; each moment is then converted once from its bucket
+  pairings {k: w_k} to sum_k w_k zeta^k;
 - recombined: rational per-character tables at the identity are grouped by
   bracket exponent and each group is weighted by its bracket, a genuine
   Cyclotomic, in field arithmetic.
@@ -67,8 +66,7 @@ class InternalConsistencyError(RuntimeError):
 
 class SymbolData:
     """A symbol presented by its base-reduced classes, one per character of
-    the finite center; only finitely many components, all with rational
-    coefficients."""
+    the finite center; only finitely many components."""
 
     __slots__ = ("group", "components", "label")
 
@@ -86,8 +84,6 @@ class SymbolData:
                 model = cls.model
             elif cls.model is not model:
                 raise EngineError("symbol components live on different models")
-            if not cls.has_rational_coefficients():
-                raise EngineError("symbol components must have rational coefficients")
             if chi in clean:
                 cls = clean[chi] + cls
             if not cls.is_zero():
@@ -132,10 +128,7 @@ class MomentTable:
         generator_names: Sequence[str],
         values: Mapping[MomentKey, Scalar],
     ) -> None:
-        ordered = {
-            key: demote(values[key])
-            for key in sorted(values, key=_moment_key_order)
-        }
+        ordered = {key: values[key] for key in sorted(values, key=_moment_key_order)}
         object.__setattr__(self, "gamma", tuple(gamma))
         object.__setattr__(self, "generator_names", tuple(generator_names))
         object.__setattr__(self, "values", ordered)
@@ -213,9 +206,18 @@ class IndexProblem:
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
     square of the tangent a-hat class.  Monomial images are computed once
-    per problem and degree bound."""
+    per problem and degree bound, and the integral of each basis monomial
+    against an image once per problem."""
 
-    __slots__ = ("model", "group", "generators", "symbol", "a_hat_squared", "_image_cache")
+    __slots__ = (
+        "model",
+        "group",
+        "generators",
+        "symbol",
+        "a_hat_squared",
+        "_image_cache",
+        "_dual_cache",
+    )
 
     def __init__(
         self,
@@ -246,6 +248,7 @@ class IndexProblem:
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "a_hat_squared", a_hat_squared)
         object.__setattr__(self, "_image_cache", {})
+        object.__setattr__(self, "_dual_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexProblem is immutable")
@@ -269,32 +272,25 @@ class IndexProblem:
 
     # -- the core pairings ----------------------------------------------------
 
-    def reduced_integrand(self, gamma: Sequence[int]) -> CohClass:
-        """The base-manifold integrand at a central element: the a-hat square
-        times the bracket-weighted sum of the symbol components.
-
-        The components are summed into rational buckets by bracket exponent,
-        and each coefficient is converted to the cyclotomic field once."""
+    def reduced_integrand(self, gamma: Sequence[int]) -> dict[int, CohClass]:
+        """The base-manifold integrand at a central element as rational
+        buckets: bracket exponent k -> the a-hat square times the sum U_k of
+        the symbol components whose bracket with gamma is zeta_N^k.  The
+        integrand itself is sum_k zeta_N^k times bucket k."""
         gamma = self.group.reduce(tuple(gamma))
-        buckets: dict[int, CohClass] = {}
+        sums: dict[int, CohClass] = {}
         for chi, u_chi in self.symbol.components.items():
             k = bracket_exponent(self.group, chi, gamma)
-            buckets[k] = buckets[k] + u_chi if k in buckets else u_chi
-        weights: dict[Monomial, dict[int, Fraction]] = {}
-        for k, bucket in buckets.items():
-            for mono, coeff in (self.a_hat_squared * bucket).terms.items():
-                weights.setdefault(mono, {})[k] = coeff
-        order = self.group.exponent
-        return CohClass(
-            self.model, {mono: root_of_unity_sum(order, w) for mono, w in weights.items()}
-        )
+            sums[k] = sums[k] + u_chi if k in sums else u_chi
+        return {k: self.a_hat_squared * u_k for k, u_k in sums.items()}
 
     def pair_with_jet(self, gamma: Sequence[int], jet: TestJet) -> Scalar:
         """Pair the distribution at gamma against an invariant test jet."""
-        integrand = self.reduced_integrand(gamma) * chern_weil_eval(
-            jet, self.generators, self.model
-        )
-        return demote(integrand.integrate())
+        image = chern_weil_eval(jet, self.generators, self.model)
+        weights = {
+            k: (bucket * image).integrate() for k, bucket in self.reduced_integrand(gamma).items()
+        }
+        return root_of_unity_sum(self.group.exponent, weights)
 
     def fractional_index(self, gamma: Sequence[int]) -> Scalar:
         """Pair against a unit bump at gamma: the point-mass coefficient,
@@ -339,38 +335,53 @@ class IndexProblem:
         self._image_cache[max_degree] = images
         return images
 
-    def _pairings(self, integrand: CohClass, max_degree: int) -> dict[MomentKey, Scalar]:
+    def _pairings(self, integrand: CohClass, max_degree: int) -> dict[MomentKey, Fraction]:
         """The integral of integrand * image for every monomial image.
 
-        Relations are degree-homogeneous, so only products of
-        degree-complementary terms reach the fundamental class; the full
-        product is never formed."""
+        Relations are degree-homogeneous, so only integrand terms of the
+        degree complementary to the image reach the fundamental class; each
+        such term contributes its coefficient times the integral of its
+        monomial against the image, computed once per problem."""
         model = self.model
-        by_degree: dict[int, list[tuple[Monomial, Scalar]]] = {}
+        by_degree: dict[int, list[tuple[Monomial, Fraction]]] = {}
         for mono, coeff in integrand.terms.items():
             by_degree.setdefault(model.monomial_degree(mono), []).append((mono, coeff))
-        values: dict[MomentKey, Scalar] = {}
+        values: dict[MomentKey, Fraction] = {}
         for key, image in self._monomial_images(max_degree).items():
-            top: dict[Monomial, Scalar] = {}
-            for m2, c2 in image.terms.items():
-                for m1, c1 in by_degree.get(model.dimension - model.monomial_degree(m2), ()):
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    term = c1 * c2
-                    top[mono] = top[mono] + term if mono in top else term
-            values[key] = CohClass(model, top).integrate()
+            degree = model.dimension - 2 * sum(
+                g.s_degree * e for g, e in zip(self.generators, key)
+            )
+            duals = self._dual_cache.setdefault(key, {})
+            total = Fraction(0)
+            for mono, coeff in by_degree.get(degree, ()):
+                dual = duals.get(mono)
+                if dual is None:
+                    dual = duals[mono] = (image * CohClass(model, {mono: 1})).integrate()
+                total += coeff * dual
+            values[key] = total
         return values
 
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
         """The moment table at gamma: pairings against all generator
         monomials of total degree up to the bound (default: half the model
-        dimension; higher monomials pair to zero by truncation)."""
+        dimension; higher monomials pair to zero by truncation).  Each
+        bucket is paired rationally, and each moment is converted to the
+        cyclotomic field once."""
         if max_degree is None:
             max_degree = self.default_degree()
         if max_degree < 0:
             raise EngineError("moment degree bound must be nonnegative")
-        names = [g.name for g in self.generators]
-        values = self._pairings(self.reduced_integrand(gamma), max_degree)
-        return MomentTable(self.group.reduce(tuple(gamma)), names, values)
+        gamma = self.group.reduce(tuple(gamma))
+        pairings = {
+            k: self._pairings(bucket, max_degree)
+            for k, bucket in self.reduced_integrand(gamma).items()
+        }
+        order = self.group.exponent
+        values = {
+            key: root_of_unity_sum(order, {k: p[key] for k, p in pairings.items()})
+            for key in self._monomial_images(max_degree)
+        }
+        return MomentTable(gamma, [g.name for g in self.generators], values)
 
     def _per_character_tables(self, max_degree: int) -> dict[Element, MomentTable]:
         """Identity-route tables, one per symbol component; all rational."""
@@ -386,8 +397,8 @@ class IndexProblem:
         """Moment tables at every central element.
 
         Each table comes from the direct route: rational buckets of the
-        symbol components by bracket exponent, with one conversion to the
-        cyclotomic field per integrand coefficient.  It is then recomputed
+        symbol components by bracket exponent, paired rationally, with one
+        conversion to the cyclotomic field per moment.  It is then recomputed
         from the rational per-character tables at the identity, summed by
         bracket exponent and weighted by genuine bracket values in
         cyclotomic field arithmetic, and the two must agree exactly;
@@ -436,10 +447,12 @@ class IndexProblem:
             )
         (chi_o,) = self.symbol.components
         base = self.moments(self.group.identity(), max_degree)
-        tables = {
-            gamma: base.scaled(demote(bracket(self.group, chi_o, gamma))).at(gamma)
-            for gamma in self.group.elements()
-        }
+        order = self.group.exponent
+        tables = {}
+        for gamma in self.group.elements():
+            k = bracket_exponent(self.group, chi_o, gamma)
+            values = {key: root_of_unity_sum(order, {k: v}) for key, v in base.values.items()}
+            tables[gamma] = MomentTable(gamma, base.generator_names, values)
         return IndexDistribution(self.group, tables)
 
     def atiyah_pairing(self, system: WeightSystem, label) -> Fraction:
@@ -451,11 +464,7 @@ class IndexProblem:
         u = self.symbol.component(self.group.identity())
         if u is None:
             u = self.model.zero()
-        value = (self.a_hat_squared * u * character_jet(system, label)).integrate()
-        value = demote(value)
-        if not isinstance(value, Fraction):
-            raise InternalConsistencyError("character pairing produced a non-rational value")
-        return value
+        return (self.a_hat_squared * u * character_jet(system, label)).integrate()
 
 
 def dirac_problem(

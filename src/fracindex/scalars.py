@@ -139,8 +139,10 @@ class Cyclotomic:
     modulo the cyclotomic polynomial, stored as a Fraction coefficient
     vector of length deg(Phi_order).
 
-    Arithmetic between different orders lifts both operands to the lcm
-    order.  Zero testing is exact; an element whose non-constant
+    Both operands of arithmetic live in one field: a rational operand is
+    promoted into the order, and an element of another order raises
+    ValueError (every value the engine emits lives in the field of the
+    group exponent).  Zero testing is exact; an element whose non-constant
     coefficients all vanish converts losslessly to a Fraction.
     """
 
@@ -187,36 +189,24 @@ class Cyclotomic:
             raise ValueError(f"{self!r} is not rational")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def lift(self, order: int) -> "Cyclotomic":
-        """Re-express in the cyclotomic field of a multiple of the order."""
-        if order == self.order:
-            return self
-        if order % self.order != 0:
-            raise ValueError(f"cannot lift order {self.order} into order {order}")
-        step = order // self.order
-        out: list[Fraction] = []
-        for k, c in enumerate(self.coeffs):
-            pos = k * step
-            if pos >= len(out):
-                out.extend([Fraction(0)] * (pos + 1 - len(out)))
-            out[pos] += c
-        return Cyclotomic(order, out)
-
     # -- arithmetic ----------------------------------------------------------
 
-    def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
+    def _pair(self, other) -> "Cyclotomic":
+        """The other operand in this element's field: a rational is promoted
+        into this order, and an element of another order is an error."""
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, 1)
-        elif not isinstance(other, Cyclotomic):
-            return NotImplemented, NotImplemented  # type: ignore[return-value]
-        n = math.lcm(self.order, other.order)
-        return self.lift(n), other.lift(n)
+            return Cyclotomic.from_rational(other, self.order)
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
+        if other.order != self.order:
+            raise ValueError(f"cyclotomic orders differ: {self.order} and {other.order}")
+        return other
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        other = self._pair(other)
+        if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return Cyclotomic(self.order, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
@@ -224,10 +214,10 @@ class Cyclotomic:
         return Cyclotomic(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        other = self._pair(other)
+        if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return Cyclotomic(self.order, [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -235,10 +225,10 @@ class Cyclotomic:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Cyclotomic(self.order, [c * other for c in self.coeffs])
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        other = self._pair(other)
+        if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(a.order, _poly_mul(list(a.coeffs), list(b.coeffs)))
+        return Cyclotomic(self.order, _poly_mul(list(self.coeffs), list(other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -279,8 +269,7 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.to_rational() == other
         if isinstance(other, Cyclotomic):
-            a, b = self._pair(other)
-            return a.coeffs == b.coeffs
+            return self.coeffs == self._pair(other).coeffs
         return NotImplemented
 
     def __hash__(self):

@@ -6,6 +6,11 @@ running produces exact, deterministically ordered results.
 The same document shape is used for the built-in scenarios, for user
 files, and for the optional "expect" blocks that turn any scenario into a
 regression check.
+
+The group exponent, the lcm of `group.cyclic_orders`, is capped at
+MAX_GROUP_EXPONENT (1000): every emitted value lives in the cyclotomic
+field of that order, whose residue table holds order * phi(order)
+integers, so time and memory grow with the square of the exponent.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ TASK_OPS = (
     "projective_dirac",
     "atiyah_pairing",
 )
+
+
+#: The largest accepted group exponent (see the module docstring).
+MAX_GROUP_EXPONENT = 1000
 
 
 class ScenarioError(ValueError):
@@ -158,6 +167,15 @@ def _need(mapping: Mapping[str, Any], key: str, context: str):
     return mapping[key]
 
 
+def _int_list(value: Any, path: str) -> tuple[int, ...]:
+    try:
+        if isinstance(value, list):
+            return tuple(int(v) for v in value)
+    except (TypeError, ValueError):
+        pass
+    raise ScenarioError(f"{path}: expected a list of ints, got {value!r}")
+
+
 def _expression(text: Any, model: ManifoldModel, context: str) -> CohClass:
     if not isinstance(text, str):
         raise ScenarioError(f"{context}: expected an expression string, got {text!r}")
@@ -218,10 +236,18 @@ def _build_bundles(
 def _build_group_block(
     spec: Mapping[str, Any], model: ManifoldModel
 ) -> tuple[FiniteAbelianGroup, list[InvariantGeneratorDecl], WeightSystem | None]:
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"group: expected an object, got {spec!r}")
+    orders = _int_list(spec.get("cyclic_orders", []), "group.cyclic_orders")
     try:
-        group = FiniteAbelianGroup(spec.get("cyclic_orders", []))
+        group = FiniteAbelianGroup(orders)
     except GroupError as exc:
-        raise ScenarioError(f"group: {exc}") from exc
+        raise ScenarioError(f"group.cyclic_orders: {exc}") from exc
+    if group.exponent > MAX_GROUP_EXPONENT:
+        raise ScenarioError(
+            f"group.cyclic_orders: group exponent {group.exponent} exceeds the cap of "
+            f"{MAX_GROUP_EXPONENT}"
+        )
 
     generators = []
     for gen_spec in spec.get("invariant_generators", []):
@@ -286,19 +312,22 @@ def _build_symbol(
 
 
 def _validate_task(
-    task: Mapping[str, Any],
+    task: Any,
+    path: str,
     scenario_name: str,
     group: FiniteAbelianGroup,
     bundles: Mapping[str, BundleData],
     tangent_name: str | None,
     weight_system: WeightSystem | None,
 ) -> None:
+    if not isinstance(task, dict):
+        raise ScenarioError(f"{path}: expected an object, got {task!r}")
     op = task.get("op")
     if op not in TASK_OPS:
         raise ScenarioError(f"{scenario_name}: unknown task op {op!r}")
     if op in ("fractional_index", "moments"):
         gamma = _need(task, "gamma", f"task {op}")
-        if not group.contains(tuple(int(g) for g in gamma)):
+        if not group.contains(_int_list(gamma, f"{path}.gamma")):
             raise ScenarioError(
                 f"task {op}: gamma {gamma} is outside the group's exponent ranges"
             )
@@ -342,8 +371,8 @@ def parse_scenario(text: str) -> Scenario:
     tasks = document.get("tasks", [])
     if not isinstance(tasks, list):
         raise ScenarioError(f"{name}: tasks must be a list")
-    for task in tasks:
-        _validate_task(task, name, group, bundles, tangent_name, weight_system)
+    for index, task in enumerate(tasks):
+        _validate_task(task, f"tasks[{index}]", name, group, bundles, tangent_name, weight_system)
 
     expect = document.get("expect")
     if expect is not None:

@@ -26,8 +26,6 @@ from fracindex.cohomology import (
     point_model,
     product_model,
     projective_space_model,
-    transport,
-    transport_right,
 )
 from fracindex.scalars import genus_series
 
@@ -244,9 +242,7 @@ def test_genus_multiplicative_across_products():
     prod = product_model(cp1, cp2)
     t1 = projective_tangent_bundle(cp1, "x")
     t2 = projective_tangent_bundle(cp2, "y")
-    roots = [transport(r, prod) for r in t1.roots] + [
-        transport_right(r, prod) for r in t2.roots
-    ]
+    roots = [parse_expression(r.to_expression(), prod) for r in t1.roots + t2.roots]
     tangent = BundleData("T", len(roots), roots=roots)
     assert todd_class(tangent).integrate() == (
         todd_class(t1).integrate() * todd_class(t2).integrate()
@@ -260,9 +256,7 @@ def test_todd_genus_cp1_cp1_is_one():
     cp1a = projective_space_model(1)
     cp1b = projective_space_model(1, "y")
     prod = product_model(cp1a, cp1b)
-    roots = [transport(r, prod) for r in projective_tangent_bundle(cp1a).roots] + [
-        transport_right(r, prod) for r in projective_tangent_bundle(cp1b, "y").roots
-    ]
+    roots = [prod.generator_class("x")] * 2 + [prod.generator_class("y")] * 2
     assert todd_class(BundleData("T", 4, roots=roots)).integrate() == 1
 
 

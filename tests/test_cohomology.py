@@ -17,8 +17,6 @@ from fracindex.cohomology import (
     product_model,
     projective_space_model,
     scalar_class,
-    transport,
-    transport_right,
 )
 from fracindex.scalars import Cyclotomic
 
@@ -177,7 +175,9 @@ def test_kunneth_integral_factorizes():
             },
         )
         b = CohClass(m2, {(k,): Fraction(rng.randint(-4, 4)) for k in range(2)})
-        lifted = transport(a, prod) * transport_right(b, prod)
+        lifted = parse_expression(a.to_expression(), prod) * parse_expression(
+            b.to_expression(), prod
+        )
         assert lifted.integrate() == a.integrate() * b.integrate()
 
 
@@ -253,17 +253,33 @@ def test_cp2_arithmetic_matches_list_oracle(cp2):
 # cyclotomic coefficients
 
 
-def test_mixed_coefficients_promote():
+def test_cyclotomic_scalars_do_not_act_on_classes():
     cp1 = projective_space_model(1)
+    cls = parse_expression("1 + x", cp1)
     zeta = Cyclotomic.root_of_unity(4)
-    cls = parse_expression("1 + x", cp1) * zeta
-    assert cls.integrate() == zeta
-    total = cls + parse_expression("x", cp1)
-    assert total.integrate() == zeta + 1
-    # adding the conjugate-scaled class brings values back to the rationals
-    back = cls * zeta
-    assert back.integrate() == Fraction(-1)
-    assert isinstance(back.integrate(), Fraction)
+    for combine in (
+        lambda: cls * zeta,
+        lambda: zeta * cls,
+        lambda: cls + zeta,
+        lambda: zeta - cls,
+    ):
+        with pytest.raises(TypeError):
+            combine()
+    # a rational-valued root of unity is still not a rational coefficient
+    with pytest.raises(TypeError):
+        cls * Cyclotomic.root_of_unity(2)
+
+
+def test_class_requires_rational_coefficients():
+    cp1 = projective_space_model(1)
+    with pytest.raises(TypeError, match="rational"):
+        CohClass(cp1, {(0,): Cyclotomic.root_of_unity(4)})
+    with pytest.raises(TypeError, match="rational"):
+        CohClass(cp1, {(1,): 0.5})
+    assert CohClass(cp1, {(0,): 2, (1,): Fraction(1, 2)}).terms == {
+        (0,): Fraction(2),
+        (1,): Fraction(1, 2),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from fracindex.groups import (
     TestJet,
     WeightSystem,
     bracket,
+    bracket_exponent,
 )
 from fracindex.scalars import Cyclotomic
 
@@ -62,17 +63,31 @@ def test_reduced_integrand_trivial_symbol():
     genus = a_hat(tangent)
     symbol = SymbolData(group, {(0,): cp2.one()})
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
-    assert problem.reduced_integrand((0,)) == genus * genus
+    assert problem.reduced_integrand((0,)) == {0: genus * genus}
+    assert problem.reduced_integrand((1,)) == {0: genus * genus}
 
 
 def test_reduced_integrand_dirac_identity_is_a_hat():
     cp2, problem = cp2_dirac_problem()
-    assert problem.reduced_integrand((0,)) == a_hat(projective_tangent_bundle(cp2))
+    assert problem.reduced_integrand((0,)) == {0: a_hat(projective_tangent_bundle(cp2))}
 
 
 def test_reduced_integrand_dirac_flips_sign():
+    # the a-hat class sits in the bucket of zeta_2^1 = -1
     cp2, problem = cp2_dirac_problem()
-    assert problem.reduced_integrand((1,)) == -a_hat(projective_tangent_bundle(cp2))
+    assert problem.reduced_integrand((1,)) == {1: a_hat(projective_tangent_bundle(cp2))}
+
+
+def test_reduced_integrand_buckets_components_by_bracket_exponent():
+    problem = _random_problem([6, 4], 10)
+    group, square = problem.group, problem.a_hat_squared
+    for gamma in group.elements():
+        buckets = problem.reduced_integrand(gamma)
+        expected = {}
+        for chi, u_chi in problem.symbol.components.items():
+            k = bracket_exponent(group, chi, gamma)
+            expected[k] = expected.get(k, problem.model.zero()) + square * u_chi
+        assert buckets == expected
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +115,16 @@ def test_point_trivial_symbol():
 
 def test_unit_bump_pairing_equals_mass():
     _, problem = cp2_dirac_problem()
-    for gamma in [(0,), (1,)]:
-        assert problem.fractional_index(gamma) == problem.moments(gamma).mass()
+    problems = [problem, _random_problem([5], 11), _random_problem([6, 4], 12)]
+    for problem in problems:
+        for gamma in problem.group.elements():
+            assert problem.fractional_index(gamma) == problem.moments(gamma).mass()
+    # the cyclotomic centers reach genuinely irrational brackets
+    assert any(
+        isinstance(problem.fractional_index(gamma), Cyclotomic)
+        for problem in problems[1:]
+        for gamma in problem.group.elements()
+    )
 
 
 def test_high_weight_jet_pairs_to_zero():
@@ -379,15 +402,6 @@ def test_trivial_center_degeneration():
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def test_symbol_requires_rational_coefficients():
-    cp1 = projective_space_model(1)
-    group = FiniteAbelianGroup([2])
-    zeta = Cyclotomic.root_of_unity(4)
-    cls = CohClass(cp1, {(0,): zeta})
-    with pytest.raises(EngineError, match="rational"):
-        SymbolData(group, {(0,): cls})
 
 
 def test_symbol_reduces_character_exponents():

@@ -83,12 +83,18 @@ def test_root_of_unity_has_exact_order(order):
         assert zeta**k != 1
 
 
-def test_mixed_order_arithmetic_lifts_to_lcm():
-    z2 = Cyclotomic.root_of_unity(2)
-    z3 = Cyclotomic.root_of_unity(3)
-    product = z2 * z3
-    assert product.order == 6
-    assert product == Cyclotomic.root_of_unity(6, 5)  # -zeta_3 = zeta_6^5
+def test_mixed_order_arithmetic_raises():
+    z4 = Cyclotomic.root_of_unity(4)
+    z6 = Cyclotomic.root_of_unity(6)
+    for combine in (
+        lambda: z4 * z6,
+        lambda: z4 + z6,
+        lambda: z4 - z6,
+        lambda: z4 == z6,
+        lambda: z4 * Cyclotomic.from_rational(1),
+    ):
+        with pytest.raises(ValueError, match="orders differ"):
+            combine()
 
 
 def test_rational_round_trip():
