@@ -14,6 +14,18 @@ Every coefficient is rational.  Roots of unity never enter a class: the
 engine keeps one rational class per bracket exponent and converts only
 the values it emits.
 
+Validation never walks the raw monomials.  Termination is decided on the
+one-step rewrite graph over the monomials of degree <= dimension built
+from the generators that some relation with a nonzero right side touches:
+every other exponent is constant along a rewrite chain, so dividing it out
+maps any cycle into that set, and a finite graph without a cycle admits no
+infinite chain.  Every left side is a pure power g_i^k_i, so the only
+critical pairs are the overlaps g_i^k_i * g_j^k_j; a terminating system
+whose critical pairs all reduce to one normal form is confluent (Newman's
+lemma with the critical-pair lemma, Baader & Nipkow, Term Rewriting and
+All That, ch. 6; for linear combinations, Bergman's diamond lemma, Adv.
+Math. 29, 1978).
+
 Models are immutable after validation and classes are immutable always;
 everything here is a pure function of its inputs.
 """
@@ -28,8 +40,6 @@ from fracindex.scalars import rational_to_string
 
 #: Monomials are exponent tuples aligned with the model's generator order.
 Monomial = tuple[int, ...]
-
-_REDUCTION_CAP = 100_000  # rewrite steps per normal form before giving up
 
 
 class ModelError(ValueError):
@@ -50,6 +60,18 @@ def monomial_name(names: Iterable[str], exponents: Iterable[int]) -> str:
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
+
+
+def _check_grading(dimension: int, generators: Iterable[tuple[str, int]]) -> None:
+    if dimension < 0 or dimension % 2 != 0:
+        raise ModelError(f"dimension must be even and nonnegative, got {dimension}")
+    seen: set[str] = set()
+    for name, degree in generators:
+        if degree <= 0 or degree % 2 != 0:
+            raise ModelError(f"generator {name!r} must have even positive degree, got {degree}")
+        if name in seen:
+            raise ModelError(f"duplicate generator name {name!r}")
+        seen.add(name)
 
 
 def _accumulate(table: dict, key, delta) -> None:
@@ -133,9 +155,13 @@ class ManifoldModel:
     def zero(self) -> "CohClass":
         return CohClass(self, {})
 
-    def monomials_up_to(self, max_degree: int) -> list[Monomial]:
-        """All raw monomials of degree <= max_degree, in (degree, lex) order."""
+    def monomials_up_to(
+        self, max_degree: int, support: Iterable[int] | None = None
+    ) -> list[Monomial]:
+        """All raw monomials of degree <= max_degree, in (degree, lex) order;
+        with `support`, only those in the generators of those indices."""
         out: list[Monomial] = []
+        free = set(range(len(self.generators)) if support is None else support)
 
         def walk(prefix: list[int], i: int, degree: int) -> None:
             if i == len(self.generators):
@@ -145,6 +171,8 @@ class ManifoldModel:
             e = 0
             while degree + e * gdeg <= max_degree:
                 walk(prefix + [e], i + 1, degree + e * gdeg)
+                if i not in free:
+                    break
                 e += 1
 
         walk([], 0, 0)
@@ -182,11 +210,10 @@ class ManifoldModel:
         cached = self._normal_cache.get(mono)
         if cached is not None:
             return cached
-        # iterative worklist; a step cap converts cyclic relation sets into a
-        # load-time error instead of an unbounded loop
+        # iterative worklist; validation has ruled out rewrite cycles, so it
+        # ends
         pending: dict[Monomial, Fraction] = {mono: Fraction(1)}
         done: dict[Monomial, Fraction] = {}
-        steps = 0
         while pending:
             current, coeff = pending.popitem()
             if self.monomial_degree(current) > self.dimension:
@@ -200,11 +227,6 @@ class ManifoldModel:
             if not hits:
                 _accumulate(done, current, coeff)
                 continue
-            steps += 1
-            if steps > _REDUCTION_CAP:
-                raise ModelError(
-                    "rewrite system does not terminate on " + self.monomial_name(mono)
-                )
             for rmono, rcoeff in self._rewrite_once(current, hits[0]).items():
                 _accumulate(pending, rmono, coeff * rcoeff)
         self._normal_cache[mono] = done
@@ -216,15 +238,7 @@ class ManifoldModel:
     # -- validation ------------------------------------------------------------
 
     def _validate(self) -> None:
-        if self.dimension < 0 or self.dimension % 2 != 0:
-            raise ModelError(f"dimension must be even and nonnegative, got {self.dimension}")
-        seen: set[str] = set()
-        for name, degree in self.generators:
-            if degree <= 0 or degree % 2 != 0:
-                raise ModelError(f"generator {name!r} must have even positive degree, got {degree}")
-            if name in seen:
-                raise ModelError(f"duplicate generator name {name!r}")
-            seen.add(name)
+        _check_grading(self.dimension, self.generators)
         for i, (power, rhs) in self.relations.items():
             if not (0 <= i < len(self.generators)):
                 raise ModelError(f"relation on unknown generator index {i}")
@@ -252,28 +266,83 @@ class ManifoldModel:
 
     def _check_confluence(self) -> None:
         """Reducing any monomial of degree <= dimension must terminate and
-        must not depend on which applicable relation fires first."""
-        for mono in self.monomials_up_to(self.dimension):
-            self.normal_form(mono)
-        for mono in self.monomials_up_to(self.dimension):
-            hits = self._applicable(mono)
-            if len(hits) < 2:
+        must not depend on which applicable relation fires first.
+
+        Termination is checked first, on the restricted rewrite graph of
+        `_check_termination`.  Then, by Newman's lemma with the critical-pair
+        lemma (Baader & Nipkow, Term Rewriting and All That, ch. 6) and
+        Bergman's diamond lemma (Adv. Math. 29, 1978), it suffices that the
+        two rewrites of each overlap g_i^k_i * g_j^k_j have one normal form:
+        a monomial where both relations apply is that overlap times a
+        monomial, and truncation above the dimension commutes with
+        multiplication.  An overlap above the dimension is zero on both
+        sides, since the relations are homogeneous.  Each generator has at
+        most one relation, so there are no other critical pairs."""
+        self._check_termination()
+        zero = self.zero_monomial()
+        indices = sorted(self.relations)
+        for a, i in enumerate(indices):
+            for j in indices[a + 1 :]:
+                overlap = list(zero)
+                overlap[i] = self.relations[i][0]
+                overlap[j] = self.relations[j][0]
+                overlap = tuple(overlap)
+                if self.monomial_degree(overlap) > self.dimension:
+                    continue
+                left = CohClass(self, self._rewrite_once(overlap, i))
+                if left != CohClass(self, self._rewrite_once(overlap, j)):
+                    raise ModelError(
+                        "relation set is not confluent at " + self.monomial_name(overlap)
+                    )
+
+    def _check_termination(self) -> None:
+        """Reject a rewrite cycle among the monomials of degree <= dimension.
+
+        Only relations with a nonzero right side make edges, and they change
+        only the exponents of the generators they touch; any cycle therefore
+        divides down to one among the monomials in those generators alone,
+        which is the graph searched here (depth first).  A relation whose
+        left side lies above the dimension never fires there."""
+        active = [
+            i
+            for i, (power, rhs) in self.relations.items()
+            if any(rhs.values()) and power * self.generators[i][1] <= self.dimension
+        ]
+        if not active:
+            return
+        touched = set(active)
+        for i in active:
+            for mono, coeff in self.relations[i][1].items():
+                if coeff:
+                    touched.update(g for g, e in enumerate(mono) if e)
+
+        def successors(mono: Monomial):
+            for i in active:
+                if mono[i] >= self.relations[i][0]:
+                    for rmono, coeff in self._rewrite_once(mono, i).items():
+                        if coeff:
+                            yield rmono
+
+        state: dict[Monomial, bool] = {}  # True while on the search path
+        for start in self.monomials_up_to(self.dimension, touched):
+            if start in state:
                 continue
-            results = []
-            for i in hits:
-                acc: dict[Monomial, Fraction] = {}
-                for rmono, rcoeff in self._rewrite_once(mono, i).items():
-                    for nmono, ncoeff in self.normal_form(rmono).items():
-                        value = acc.get(nmono, Fraction(0)) + rcoeff * ncoeff
-                        if value == 0:
-                            acc.pop(nmono, None)
-                        else:
-                            acc[nmono] = value
-                results.append(acc)
-            if any(r != results[0] for r in results[1:]):
-                raise ModelError(
-                    "relation set is not confluent at " + self.monomial_name(mono)
-                )
+            state[start] = True
+            path = [(start, successors(start))]
+            while path:
+                mono, pending = path[-1]
+                for nxt in pending:
+                    if state.get(nxt):
+                        raise ModelError(
+                            "rewrite system does not terminate on " + self.monomial_name(nxt)
+                        )
+                    if nxt not in state:
+                        state[nxt] = True
+                        path.append((nxt, successors(nxt)))
+                        break
+                else:
+                    state[mono] = False
+                    path.pop()
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in self.generators)
@@ -489,15 +558,19 @@ def build_model(
 
     relations are (lhs, rhs) expression pairs where lhs must be a pure
     power of one generator; fundamental is (monomial expression,
-    orientation value).
+    orientation value).  No term of this text may have a degree above the
+    dimension plus the largest generator degree: the first power of a
+    generator above the dimension lies within that bound, and a relation
+    beyond it could never fire.
     """
+    dimension = int(dimension)
     generators = tuple((str(n), int(d)) for n, d in generators)
+    _check_grading(dimension, generators)
     names = [n for n, _ in generators]
-    if len(set(names)) != len(names):
-        raise ModelError("duplicate generator name in declaration")
+    bound = dimension + max((d for _, d in generators), default=0)
 
     def raw_terms(text: str) -> dict[Monomial, Fraction]:
-        return parse_terms(text, names)
+        return parse_terms(text, generators, bound, truncate=False)
 
     relation_map: dict[int, tuple[int, dict[Monomial, Fraction]]] = {}
     for lhs, rhs in relations:
@@ -601,6 +674,12 @@ def product_model(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 #           term   := factor ('*' factor)*
 #           factor := atom ['^' INT]
 #           atom   := NUMBER ['/' NUMBER] | NAME | '(' expr ')'
+#
+# Every product keeps its terms within a degree bound (generator degrees
+# are positive, so a term above it stays above it in every later product),
+# and powers go by repeated squaring: "x^99999999" costs about 27 products.
+
+_MAX_POWER_BITS = 1 << 16  # a power of a constant term may not outgrow this
 
 
 class _Token:
@@ -644,11 +723,29 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, names: list[str]) -> None:
+    def __init__(
+        self, text: str, generators: Iterable[tuple[str, int]], max_degree: int, truncate: bool
+    ) -> None:
         self.text = text
-        self.names = names
+        self.names = [name for name, _ in generators]
+        self.degrees = [degree for _, degree in generators]
+        self.max_degree = max_degree
+        self.truncate = truncate
         self.tokens = _tokenize(text)
         self.pos = 0
+
+    def _within_bound(self, mono: Monomial) -> bool:
+        """Whether a term is kept: above the bound it is dropped when
+        truncating and rejected otherwise."""
+        degree = sum(e * d for e, d in zip(mono, self.degrees))
+        if degree <= self.max_degree:
+            return True
+        if self.truncate:
+            return False
+        raise ExpressionError(
+            f"term {monomial_name(self.names, mono)} of degree {degree} exceeds the degree "
+            f"bound {self.max_degree} in {self.text!r}"
+        )
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -703,6 +800,8 @@ class _Parser:
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 mono = tuple(x + y for x, y in zip(m1, m2))
+                if not self._within_bound(mono):
+                    continue
                 value = out.get(mono, Fraction(0)) + c1 * c2
                 if value == 0:
                     out.pop(mono, None)
@@ -720,9 +819,20 @@ class _Parser:
                 raise ExpressionError(
                     f"exponent must be a positive integer at position {exponent_token.pos}"
                 )
+            constant = base.get((0,) * len(self.names), Fraction(0))
+            bits = max(abs(constant.numerator), constant.denominator).bit_length()
+            if bits > 1 and exponent * bits > _MAX_POWER_BITS:
+                raise ExpressionError(
+                    f"exponent {exponent} at position {exponent_token.pos} is too large "
+                    f"for the constant term {constant}"
+                )
             out = {(0,) * len(self.names): Fraction(1)}
-            for _ in range(exponent):
-                out = self._multiply(out, base)
+            while exponent:
+                if exponent & 1:
+                    out = self._multiply(out, base)
+                exponent >>= 1
+                if exponent:
+                    base = self._multiply(base, base)
             return out
         return base
 
@@ -748,7 +858,7 @@ class _Parser:
                 )
             index = self.names.index(token.text)
             mono = tuple(1 if i == index else 0 for i in range(len(self.names)))
-            return {mono: Fraction(1)}
+            return {mono: Fraction(1)} if self._within_bound(mono) else {}
         if token.kind == "(":
             self.take()
             inner = self.expr()
@@ -759,12 +869,17 @@ class _Parser:
         )
 
 
-def parse_terms(text: str, names: Iterable[str]) -> dict[Monomial, Fraction]:
-    """Parse an expression into raw (unreduced) monomial terms."""
-    return _Parser(text, list(names)).parse()
+def parse_terms(
+    text: str, generators: Iterable[tuple[str, int]], max_degree: int, truncate: bool
+) -> dict[Monomial, Fraction]:
+    """Parse an expression into raw (unreduced) monomial terms of degree at
+    most max_degree; terms above it are dropped when `truncate` and raise
+    ExpressionError otherwise."""
+    return _Parser(text, generators, max_degree, truncate).parse()
 
 
 def parse_expression(text: str, model: ManifoldModel) -> CohClass:
     """Parse a polynomial expression in the model's generators and reduce
-    it to normal form."""
-    return CohClass(model, parse_terms(text, model.names))
+    it to normal form.  Terms above the model dimension are dropped while
+    parsing, as they vanish in the model."""
+    return CohClass(model, parse_terms(text, model.generators, model.dimension, truncate=True))

@@ -141,16 +141,6 @@ class MomentTable:
         zero = (0,) * len(self.generator_names)
         return self.values.get(zero, Fraction(0))
 
-    def scaled(self, factor: Scalar) -> "MomentTable":
-        return MomentTable(
-            self.gamma,
-            self.generator_names,
-            {k: v * factor for k, v in self.values.items()},
-        )
-
-    def at(self, gamma: Element) -> "MomentTable":
-        return MomentTable(gamma, self.generator_names, self.values)
-
     def __eq__(self, other):
         if not isinstance(other, MomentTable):
             return NotImplemented
@@ -188,10 +178,10 @@ class IndexDistribution:
         return self.table(gamma).mass()
 
     def total_mass(self) -> Scalar:
-        total: Scalar = Fraction(0)
-        for table in self.tables.values():
-            total = total + table.mass()
-        return demote(total)
+        masses = [table.mass() for table in self.tables.values()]
+        if not masses:
+            return Fraction(0)
+        return demote(sum(masses[1:], masses[0]))
 
     def __eq__(self, other):
         if not isinstance(other, IndexDistribution):

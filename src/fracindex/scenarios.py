@@ -7,10 +7,19 @@ The same document shape is used for the built-in scenarios, for user
 files, and for the optional "expect" blocks that turn any scenario into a
 regression check.
 
-The group exponent, the lcm of `group.cyclic_orders`, is capped at
-MAX_GROUP_EXPONENT (1000): every emitted value lives in the cyclotomic
-field of that order, whose residue table holds order * phi(order)
-integers, so time and memory grow with the square of the exponent.
+Three caps keep every document's run bounded:
+
+- The group exponent, the lcm of `group.cyclic_orders`, is capped at
+  MAX_GROUP_EXPONENT (1000): every emitted value lives in the cyclotomic
+  field of that order, whose residue table holds order * phi(order)
+  integers, so time and memory grow with the square of the exponent.
+- The group order, the product of `group.cyclic_orders`, is capped at
+  MAX_GROUP_ORDER (1000): a full distribution has one table per element,
+  and each table sums over every symbol component.
+- A task's `max_degree` may not exceed half the manifold dimension: an
+  invariant generator has s_degree >= 1, so every moment monomial of
+  higher total degree has an image above the dimension and pairs to zero,
+  while the number of monomials grows without bound.
 """
 
 from __future__ import annotations
@@ -55,8 +64,13 @@ TASK_OPS = (
 )
 
 
-#: The largest accepted group exponent (see the module docstring).
+#: The largest accepted group exponent and group order (see the module
+#: docstring).
 MAX_GROUP_EXPONENT = 1000
+MAX_GROUP_ORDER = 1000
+
+#: Task ops that read a `max_degree`.
+_MOMENT_OPS = ("moments", "full_distribution", "mms_projective", "projective_dirac")
 
 
 class ScenarioError(ValueError):
@@ -167,6 +181,32 @@ def _need(mapping: Mapping[str, Any], key: str, context: str):
     return mapping[key]
 
 
+def _int(value: Any, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{path}: expected an int, got {value!r}") from None
+
+
+def _pairs(value: Any, path: str, shape: str) -> list[list]:
+    """A list of two-element lists, as in [[name, degree], ...]."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a list, got {value!r}")
+    for index, item in enumerate(value):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ScenarioError(f"{path}[{index}]: expected {shape}, got {item!r}")
+    return value
+
+
+def _objects(value: Any, path: str) -> list[dict]:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a list, got {value!r}")
+    for index, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{path}[{index}]: expected an object, got {item!r}")
+    return value
+
+
 def _int_list(value: Any, path: str) -> tuple[int, ...]:
     try:
         if isinstance(value, list):
@@ -186,12 +226,29 @@ def _expression(text: Any, model: ManifoldModel, context: str) -> CohClass:
 
 
 def _build_manifold(spec: Mapping[str, Any]) -> ManifoldModel:
-    dimension = _need(spec, "dimension", "manifold")
-    generators = [(str(n), int(d)) for n, d in spec.get("generators", [])]
-    relations = [(str(a), str(b)) for a, b in spec.get("relations", [])]
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"manifold: expected an object, got {spec!r}")
+    dimension = _int(_need(spec, "dimension", "manifold"), "manifold.dimension")
+    generators = [
+        (str(n), _int(d, f"manifold.generators[{index}].degree"))
+        for index, (n, d) in enumerate(
+            _pairs(spec.get("generators", []), "manifold.generators", "[name, degree]")
+        )
+    ]
+    relations = [
+        (str(a), str(b))
+        for a, b in _pairs(spec.get("relations", []), "manifold.relations", "[lhs, rhs]")
+    ]
     fundamental = spec.get("fundamental")
     if fundamental is not None:
-        fundamental = (str(fundamental[0]), Fraction(str(fundamental[1])))
+        try:
+            monomial, orientation = fundamental
+            fundamental = (str(monomial), Fraction(str(orientation)))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ScenarioError(
+                "manifold.fundamental: expected [monomial, rational orientation], "
+                f"got {fundamental!r}"
+            ) from None
     try:
         return build_model(dimension, generators, relations, fundamental)
     except (ModelError, ExpressionError) as exc:
@@ -203,11 +260,11 @@ def _build_bundles(
 ) -> tuple[dict[str, BundleData], str | None]:
     bundles: dict[str, BundleData] = {}
     tangent_name = None
-    for spec in specs:
+    for index, spec in enumerate(_objects(specs, "bundles")):
         name = str(_need(spec, "name", "bundle"))
         if name in bundles:
             raise ScenarioError(f"bundle {name!r} declared twice")
-        rank = int(_need(spec, "rank", f"bundle {name!r}"))
+        rank = _int(_need(spec, "rank", f"bundle {name!r}"), f"bundles[{index}].rank")
         kwargs: dict[str, Any] = {}
         if "chern_roots" in spec:
             kwargs["roots"] = [
@@ -247,6 +304,11 @@ def _build_group_block(
         raise ScenarioError(
             f"group.cyclic_orders: group exponent {group.exponent} exceeds the cap of "
             f"{MAX_GROUP_EXPONENT}"
+        )
+    if group.order > MAX_GROUP_ORDER:
+        raise ScenarioError(
+            f"group.cyclic_orders: group order {group.order} exceeds the cap of "
+            f"{MAX_GROUP_ORDER}"
         )
 
     generators = []
@@ -295,7 +357,7 @@ def _build_symbol(
     specs: Sequence[Mapping[str, Any]], model: ManifoldModel, group: FiniteAbelianGroup
 ) -> SymbolData:
     components: dict[tuple[int, ...], CohClass] = {}
-    for spec in specs:
+    for spec in _objects(specs, "symbol"):
         character = tuple(int(k) for k in _need(spec, "character", "symbol component"))
         if not group.contains(character):
             raise ScenarioError(
@@ -319,6 +381,7 @@ def _validate_task(
     bundles: Mapping[str, BundleData],
     tangent_name: str | None,
     weight_system: WeightSystem | None,
+    max_moment_degree: int,
 ) -> None:
     if not isinstance(task, dict):
         raise ScenarioError(f"{path}: expected an object, got {task!r}")
@@ -331,8 +394,8 @@ def _validate_task(
             raise ScenarioError(
                 f"task {op}: gamma {gamma} is outside the group's exponent ranges"
             )
-    if op == "moments" and "max_degree" in task and int(task["max_degree"]) < 0:
-        raise ScenarioError("task moments: max_degree must be nonnegative")
+    if op in _MOMENT_OPS and "max_degree" in task:
+        _check_max_degree(task["max_degree"], f"{path}.max_degree", max_moment_degree)
     if op == "projective_dirac":
         name = task.get("tangent", tangent_name)
         if name is None:
@@ -349,6 +412,15 @@ def _validate_task(
             raise ScenarioError("task atiyah_pairing requires a trivial group")
         if "lambda" not in task:
             raise ScenarioError("task atiyah_pairing: missing key 'lambda'")
+
+
+def _check_max_degree(value: Any, path: str, cap: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected an int, got {value!r}")
+    if not 0 <= value <= cap:
+        raise ScenarioError(
+            f"{path}: {value} is outside 0..{cap} (half the manifold dimension)"
+        )
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -372,7 +444,10 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(tasks, list):
         raise ScenarioError(f"{name}: tasks must be a list")
     for index, task in enumerate(tasks):
-        _validate_task(task, f"tasks[{index}]", name, group, bundles, tangent_name, weight_system)
+        _validate_task(
+            task, f"tasks[{index}]", name, group, bundles, tangent_name, weight_system,
+            model.dimension // 2,
+        )
 
     expect = document.get("expect")
     if expect is not None:
@@ -401,7 +476,10 @@ def run(
 ) -> list[TaskResult]:
     """Execute the scenario's tasks in order.  `task_filter` selects tasks
     by op name or zero-based index; `max_degree` overrides the moment
-    cutoff of every moment-producing task."""
+    cutoff of every moment-producing task, within the same bounds as a
+    task's own `max_degree`."""
+    if max_degree is not None:
+        _check_max_degree(max_degree, "max_degree", scenario.model.dimension // 2)
     problem = scenario.problem()
     results: list[TaskResult] = []
     for index, task in enumerate(scenario.tasks):

@@ -85,3 +85,95 @@ def evaluate_series_at_x(series: list[Fraction], n: int) -> list[Fraction]:
     for k, c in enumerate(series[: n + 1]):
         out[k] += c
     return out
+
+
+# -- exhaustive rewrite-system validation -------------------------------------
+# The original model validator: normal-form every raw monomial of degree up
+# to the dimension with a first-hit strategy and a step cap, then compare
+# every way of starting the reduction.  It works on plain declarations
+# (dimension, generator degrees, {index: (power, {monomial: coeff})}).
+
+
+def _oracle_monomials(degrees: list[int], dimension: int) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = [()]
+    for degree in degrees:
+        out = [m + (e,) for m in out for e in range(dimension // degree + 1)]
+    return [m for m in out if sum(e * d for e, d in zip(m, degrees)) <= dimension]
+
+
+def _oracle_successors(mono, relations, index):
+    power, rhs = relations[index]
+    rest = list(mono)
+    rest[index] -= power
+    return {tuple(a + b for a, b in zip(rest, rmono)): coeff for rmono, coeff in rhs.items()}
+
+
+def exhaustive_normal_forms(
+    dimension: int, degrees: list[int], relations: dict, step_cap: int = 100_000
+) -> dict:
+    """Every monomial of degree <= dimension mapped to its normal form, or
+    ModelError mentioning "terminate" (more than step_cap rewrites in one
+    normal form) or "not confluent"."""
+    from fracindex.cohomology import ModelError
+
+    def degree(mono):
+        return sum(e * d for e, d in zip(mono, degrees))
+
+    def hits(mono):
+        return [i for i, (power, _) in sorted(relations.items()) if mono[i] >= power]
+
+    def normal_form(mono):
+        pending = {mono: Fraction(1)}
+        done: dict = {}
+        steps = 0
+        while pending:
+            current, coeff = pending.popitem()
+            if degree(current) > dimension:
+                continue
+            applicable = hits(current)
+            if not applicable:
+                done[current] = done.get(current, Fraction(0)) + coeff
+                continue
+            steps += 1
+            if steps > step_cap:
+                raise ModelError(f"rewrite system does not terminate on {mono}")
+            for rmono, rcoeff in _oracle_successors(current, relations, applicable[0]).items():
+                pending[rmono] = pending.get(rmono, Fraction(0)) + coeff * rcoeff
+        return {m: c for m, c in done.items() if c != 0}
+
+    monomials = _oracle_monomials(degrees, dimension)
+    forms = {mono: normal_form(mono) for mono in monomials}
+    for mono in monomials:
+        results = []
+        for i in hits(mono):
+            acc: dict = {}
+            for rmono, rcoeff in _oracle_successors(mono, relations, i).items():
+                if degree(rmono) <= dimension:
+                    for nmono, ncoeff in forms[rmono].items():
+                        acc[nmono] = acc.get(nmono, Fraction(0)) + rcoeff * ncoeff
+            results.append({m: c for m, c in acc.items() if c != 0})
+        if any(r != results[0] for r in results[1:]):
+            raise ModelError(f"relation set is not confluent at {mono}")
+    return forms
+
+
+def has_rewrite_cycle(dimension: int, degrees: list[int], relations: dict) -> bool:
+    """Whether the one-step rewrite graph on all monomials of degree <=
+    dimension (every applicable relation, every nonzero term) has a cycle:
+    peel off monomials whose successors are all peeled until none is left
+    or none can go."""
+    graph = {}
+    for mono in _oracle_monomials(degrees, dimension):
+        graph[mono] = {
+            rmono
+            for i, (power, _) in relations.items()
+            if mono[i] >= power
+            for rmono, coeff in _oracle_successors(mono, relations, i).items()
+            if coeff != 0
+        }
+    remaining = set(graph)
+    while True:
+        sinks = {m for m in remaining if not graph[m] & remaining}
+        if not sinks:
+            return bool(remaining)
+        remaining -= sinks

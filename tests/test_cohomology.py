@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracindex.cohomology import (
     CohClass,
     ExpressionError,
+    ManifoldModel,
     ModelError,
     build_model,
     parse_expression,
@@ -20,7 +24,7 @@ from fracindex.cohomology import (
 )
 from fracindex.scalars import Cyclotomic
 
-from oracles import cpn_integral, cpn_mul
+from oracles import cpn_integral, cpn_mul, exhaustive_normal_forms, has_rewrite_cycle
 
 
 @pytest.fixture
@@ -350,6 +354,88 @@ def test_confluent_multi_relation_model_loads():
     assert parse_expression("a^2 + b^2", model).integrate() == 2
 
 
+@st.composite
+def _small_rewrite_systems(draw):
+    """Up to three generators of degree 2 or 4, pure-power relations with
+    random homogeneous right sides (possibly the left side itself or zero),
+    and an irreducible fundamental monomial of degree <= 8."""
+    count = draw(st.integers(1, 3))
+    degrees = [draw(st.sampled_from([2, 4])) for _ in range(count)]
+    relations = {}
+    for i in range(count):
+        if not draw(st.booleans()):
+            continue
+        power = draw(st.integers(1, 3))
+        target = power * degrees[i]
+        candidates = [
+            m
+            for m in itertools.product(*(range(target // d + 1) for d in degrees))
+            if sum(e * d for e, d in zip(m, degrees)) == target
+        ]
+        chosen = draw(st.lists(st.sampled_from(candidates), max_size=3, unique=True))
+        rhs = {m: Fraction(draw(st.integers(-2, 2).filter(bool))) for m in chosen}
+        relations[i] = (power, rhs)
+    fundamental = tuple(
+        draw(st.integers(0, relations[i][0] - 1 if i in relations else 2)) for i in range(count)
+    )
+    dimension = sum(e * d for e, d in zip(fundamental, degrees))
+    assume(dimension <= 8)
+    return dimension, degrees, relations, fundamental
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_rewrite_systems())
+def test_critical_pair_validation_matches_exhaustive_oracle(system):
+    dimension, degrees, relations, fundamental = system
+    generators = [(f"g{i}", d) for i, d in enumerate(degrees)]
+    try:
+        model = ManifoldModel(dimension, generators, relations, fundamental, Fraction(1))
+        error = None
+    except ModelError as exc:
+        error = str(exc)
+    try:
+        # these models have at most 35 monomials of degree <= 8, so a
+        # terminating first-hit reduction takes far fewer than 2000 steps
+        forms = exhaustive_normal_forms(dimension, degrees, relations, step_cap=2_000)
+        oracle_error = None
+    except ModelError as exc:
+        oracle_error = str(exc)
+
+    if error is None:
+        assert oracle_error is None
+        for mono, form in forms.items():
+            assert model.normal_form(mono) == form
+    elif "not confluent" in error:
+        assert oracle_error is not None and "not confluent" in oracle_error
+    else:
+        # the check is exact on cycles; the oracle's first-hit strategy may
+        # step around one and load the model, or then find it not confluent
+        assert "terminate" in error
+        assert has_rewrite_cycle(dimension, degrees, relations)
+    if oracle_error is not None and "terminate" in oracle_error:
+        assert error is not None and "terminate" in error
+
+
+def test_validation_work_depends_on_relations_not_on_monomials(monkeypatch):
+    # the exhaustive walk would visit C(24, 12) = 2,704,156 raw monomials of
+    # (CP^1)^12; the critical-pair check only compares the two rewrites of
+    # each of the C(12, 2) = 66 overlaps, which are all zero here
+    calls = []
+    original = ManifoldModel.normal_form
+
+    def counted(self, mono):
+        calls.append(mono)
+        return original(self, mono)
+
+    monkeypatch.setattr(ManifoldModel, "normal_form", counted)
+    names = [f"x{i}" for i in range(1, 13)]
+    model = build_model(
+        24, [(n, 2) for n in names], [(f"{n}^2", "0") for n in names], ("*".join(names), 1)
+    )
+    assert len(calls) <= 1 + 66
+    assert parse_expression("*".join(names), model).integrate() == 1
+
+
 # ---------------------------------------------------------------------------
 # expression parsing
 
@@ -385,3 +471,30 @@ def test_expression_round_trip(cp2):
 def test_to_expression_deterministic(cp2):
     cls = parse_expression("x^2 + x + 1", cp2)
     assert cls.to_expression() == "1 + x + x^2"
+
+
+def test_huge_powers_truncate_at_the_dimension(cp2):
+    e = 99_999_999
+    assert parse_expression(f"x^{e}", cp2).is_zero()
+    assert parse_expression(f"(1+x)^{e}", cp2) == parse_expression(
+        f"1 + {e}*x + {e * (e - 1) // 2}*x^2", cp2
+    )
+    assert parse_expression(f"(1 - x)^{e} * (x + 1)^{e}", cp2) == parse_expression(
+        f"1 - {e}*x^2", cp2
+    )
+
+
+def test_power_of_a_large_constant_is_rejected(cp2):
+    assert parse_expression("2^100 * x", cp2).terms == {(1,): Fraction(2**100)}
+    with pytest.raises(ExpressionError, match="too large"):
+        parse_expression("3^99999999", cp2)
+    with pytest.raises(ExpressionError, match="too large"):
+        parse_expression("(1/2 + x)^99999999", cp2)
+
+
+def test_declaration_text_is_bounded_by_dimension_plus_generator_degree():
+    # CP^2 relations may reach degree 4 + 2; the usual x^3 -> 0 lies within
+    assert parse_expression("x^2", build_model(4, [("x", 2)], [("x^3", "0")], ("x^2", 1))) != 0
+    for relation in [("x^4", "0"), ("x^99999999", "0"), ("x^3", "(1+x)^99999999")]:
+        with pytest.raises(ExpressionError, match="exceeds the degree bound 6"):
+            build_model(4, [("x", 2)], [relation], ("x^2", 1))

@@ -17,6 +17,7 @@ from fracindex.cohomology import (
 )
 from fracindex.engine import (
     EngineError,
+    IndexDistribution,
     IndexProblem,
     InternalConsistencyError,
     MomentTable,
@@ -427,11 +428,26 @@ def test_problem_rejects_group_mismatch():
         IndexProblem(cp1, FiniteAbelianGroup([3]), (), symbol)
 
 
-def test_moment_table_scaled_and_at():
-    table = MomentTable((0,), ("P",), {(0,): Fraction(2), (1,): Fraction(-1)})
-    scaled = table.scaled(Fraction(1, 2)).at((1,))
-    assert scaled.gamma == (1,)
-    assert scaled.values == {(0,): Fraction(1), (1,): Fraction(-1, 2)}
+def test_total_mass_starts_from_the_first_mass(monkeypatch):
+    zeta = Cyclotomic.root_of_unity(4)
+    group = FiniteAbelianGroup([4])
+    tables = {(k,): MomentTable((k,), (), {(): zeta**k}) for k in range(4)}
+    assert IndexDistribution(group, tables).total_mass() == 0
+    assert IndexDistribution(group, {}).total_mass() == 0
+
+    # a single cyclotomic mass is returned as is, not promoted from a
+    # rational zero
+    built = []
+    original = Cyclotomic.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    single = IndexDistribution(group, {(1,): tables[(1,)]})
+    monkeypatch.setattr(Cyclotomic, "__init__", counted)
+    assert single.total_mass() == zeta
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fracindex.scalars import Cyclotomic
 from fracindex.scenarios import (
     BUILTIN_SCENARIOS,
     MAX_GROUP_EXPONENT,
+    MAX_GROUP_ORDER,
     ScenarioError,
     builtin_scenario_text,
     check_expectations,
@@ -60,6 +61,65 @@ def _cp2_document(**overrides) -> str:
 def test_malformed_fields_raise_path_qualified_errors(overrides, path):
     with pytest.raises(ScenarioError, match=re.escape(path) + ": expected"):
         parse_scenario(_cp2_document(**overrides))
+
+
+def _builtin_with(edit) -> str:
+    document = json.loads(builtin_scenario_text("cp2_projective_dirac"))
+    edit(document)
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "edit,path",
+    [
+        (lambda d: d["manifold"].update(dimension="four"), "manifold.dimension"),
+        (lambda d: d["bundles"][0].update(rank="x"), "bundles[0].rank"),
+        (lambda d: d["tasks"][2].update(max_degree="x"), "tasks[2].max_degree"),
+        (lambda d: d["tasks"][2].update(max_degree="2"), "tasks[2].max_degree"),
+        (lambda d: d["manifold"].update(generators=[["x"]]), "manifold.generators[0]"),
+        (lambda d: d["manifold"].update(relations=[["x^3"]]), "manifold.relations[0]"),
+        (lambda d: d["manifold"].update(fundamental=["x^2"]), "manifold.fundamental"),
+        (lambda d: d.update(symbol=[1]), "symbol[0]"),
+        (lambda d: d.update(bundles=[1]), "bundles[0]"),
+    ],
+)
+def test_malformed_builtin_fields_raise_path_qualified_errors(edit, path):
+    with pytest.raises(ScenarioError, match=re.escape(path) + ": expected"):
+        parse_scenario(_builtin_with(edit))
+
+
+@pytest.mark.parametrize("bound", [3, 1000000, -1])
+def test_max_degree_is_bounded_by_half_the_dimension(bound):
+    document = _builtin_with(lambda d: d["tasks"][2].update(max_degree=bound))
+    with pytest.raises(ScenarioError, match=r"tasks\[2\]\.max_degree: -?\d+ is outside 0\.\.2"):
+        parse_scenario(document)
+    scenario = parse_scenario(builtin_scenario_text("cp2_projective_dirac"))
+    with pytest.raises(ScenarioError, match=r"max_degree: -?\d+ is outside 0\.\.2"):
+        run(scenario, max_degree=bound)
+
+
+def test_max_degree_at_the_bound_runs():
+    scenario = parse_scenario(builtin_scenario_text("cp2_projective_dirac"))
+    expected = emit(run(scenario), "machine")
+    assert emit(run(scenario, max_degree=2), "machine") == expected
+
+
+def test_oversized_power_in_a_class_parses_to_zero():
+    document = _cp2_document(symbol=[{"character": [1], "class": "1 + x^99999999"}])
+    (result,) = run(parse_scenario(document))
+    assert result.payload == 0
+
+
+@pytest.mark.parametrize("orders", [[1000, 1000, 1000], [2, MAX_GROUP_ORDER], [10, 10, 11]])
+def test_group_order_above_the_cap_is_rejected(orders):
+    document = _cp2_document(group={"cyclic_orders": orders}, symbol=[], tasks=[])
+    with pytest.raises(ScenarioError, match=r"group\.cyclic_orders: group order \d+ exceeds"):
+        parse_scenario(document)
+
+
+def test_group_order_at_the_cap_parses():
+    document = _cp2_document(group={"cyclic_orders": [10, 10, 10]}, symbol=[], tasks=[])
+    assert parse_scenario(document).group.order == MAX_GROUP_ORDER
 
 
 @pytest.mark.parametrize("orders", [[MAX_GROUP_EXPONENT + 1], [32, 63], [997, 2]])
