@@ -4,11 +4,26 @@ Bundles are declared by formal degree-2 Chern roots, by Chern classes, or
 (for real bundles) by Pontryagin classes.  Multiplicative genera are
 evaluated either root by root or through the log of the one-root series
 and Newton power sums, and the two routes agree exactly.
+
+The root route works on the distinct roots with their multiplicities: a
+genus is the product of f(root)^count, computed by repeated squaring, the
+Chern character the sum of count * e^root, and the total Chern class the
+product of (1 + root)^count.  The tangent roots of CP^n are n+1 copies of
+one class, so the one-root series is evaluated once.
+
+The a-hat series is even, so its power-sum route needs only the power sums
+of the squared roots, and s_k(roots^2) = s_2k(roots): from Chern classes
+they are the even-indexed Newton power sums, with no detour through the
+Pontryagin classes; declared Pontryagin classes give them directly.
+
+A bundle's a-hat class is computed once and kept on the (immutable)
+bundle, so every problem built from the same bundle shares it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,7 +45,7 @@ class BundleData:
     bundle is presented by r zero roots.
     """
 
-    __slots__ = ("name", "rank", "roots", "chern", "pontryagin", "model")
+    __slots__ = ("name", "rank", "roots", "chern", "pontryagin", "model", "_a_hat")
 
     def __init__(
         self,
@@ -58,6 +73,7 @@ class BundleData:
                 f"bundle {name!r}: cannot infer the manifold model; pass model= explicitly"
             )
         object.__setattr__(self, "model", model)
+        object.__setattr__(self, "_a_hat", None)
         self._validate()
 
     def __setattr__(self, name, value):
@@ -94,7 +110,7 @@ class BundleData:
                         f"bundle {self.name!r}: p_{i} must be homogeneous of degree {4 * i}"
                     )
         if self.roots is not None and self.chern is not None:
-            elementary = _elementary_symmetric(self.roots, len(self.chern))
+            elementary = _elementary_symmetric(self.model, self.roots, len(self.chern))
             for i, declared in enumerate(self.chern):
                 if elementary[i] != declared:
                     raise BundleError(
@@ -110,19 +126,20 @@ class BundleData:
                 out.append(model.zero())
             return out
         if self.roots is not None:
-            return _elementary_symmetric(self.roots, count)
+            return _elementary_symmetric(self.model, self.roots, count)
         raise BundleError(f"bundle {self.name!r} has no Chern data")
 
     def __repr__(self):
         return f"BundleData({self.name!r}, rank={self.rank})"
 
 
-def _elementary_symmetric(roots: Sequence[CohClass], count: int) -> list[CohClass]:
-    model = roots[0].model
+def _elementary_symmetric(
+    model: ManifoldModel, roots: Sequence[CohClass], count: int
+) -> list[CohClass]:
     # e_k via the product of (1 + root); degrees separate the e_k
     total = model.one()
-    for root in roots:
-        total = total * (root + 1)
+    for root, multiplicity in Counter(roots).items():
+        total = total * (root + 1) ** multiplicity
     return [total.degree_part(2 * k) for k in range(1, count + 1)]
 
 
@@ -186,8 +203,8 @@ def _genus_from_roots(kind: str, bundle: BundleData) -> CohClass:
     model = bundle.model
     series = genus_series(kind, model.dimension // 2)
     out = model.one()
-    for root in bundle.roots:
-        out = out * evaluate_series(series, root)
+    for root, multiplicity in Counter(bundle.roots).items():
+        out = out * evaluate_series(series, root) ** multiplicity
     return out
 
 
@@ -205,27 +222,36 @@ def _genus_from_power_sums(series: PowerSeries, power_sums: Sequence[CohClass], 
 def a_hat(bundle: BundleData) -> CohClass:
     """The multiplicative genus with one-root series (x/2)/sinh(x/2).
 
-    Uses the roots when available, otherwise the Pontryagin classes; both
-    routes agree because the series is even and p_k = e_k(roots^2).
+    Uses the roots when available, otherwise the Pontryagin classes, or
+    else the Chern classes; the routes agree because the series is even and
+    s_k(roots^2) = s_2k(roots).  The class is computed on the first call
+    and kept on the bundle.
     """
+    if bundle._a_hat is None:
+        object.__setattr__(bundle, "_a_hat", _compute_a_hat(bundle))
+    return bundle._a_hat
+
+
+def _compute_a_hat(bundle: BundleData) -> CohClass:
     model = bundle.model
     if bundle.roots is not None:
         return _genus_from_roots("a_hat", bundle)
     max_p = model.dimension // 4
-    if bundle.pontryagin is None and bundle.chern is not None:
-        pontryagin = pontryagin_from_chern(bundle.chern, max_p) if max_p else []
-    elif bundle.pontryagin is not None:
-        pontryagin = list(bundle.pontryagin)
+    # power sums s_k(roots^2), k = 1..max_p
+    if bundle.pontryagin is not None:
+        if not bundle.pontryagin or max_p == 0:
+            return model.one()
+        square_sums = newton_power_sums(bundle.pontryagin, max_p)
+    elif bundle.chern is not None:
+        if max_p == 0:
+            return model.one()
+        square_sums = newton_power_sums(bundle.chern, 2 * max_p)[1::2]
     else:
         raise BundleError(
             f"bundle {bundle.name!r} needs roots, Chern or Pontryagin data for the a-hat genus"
         )
-    if not pontryagin or max_p == 0:
-        return model.one()
-    order = model.dimension // 2
-    log_series = genus_series("a_hat", order).log()
-    # even series: only the even log coefficients appear, against s_k(roots^2)
-    square_sums = newton_power_sums(pontryagin, max_p)
+    log_series = genus_series("a_hat", model.dimension // 2).log()
+    # even series: only the even log coefficients appear
     acc = model.zero()
     for k, cls in enumerate(square_sums, start=1):
         if log_series[2 * k] != 0:
@@ -255,8 +281,8 @@ def chern_character(bundle: BundleData) -> CohClass:
     model = bundle.model
     if bundle.roots is not None:
         out = scalar_class(model, Fraction(0))
-        for root in bundle.roots:
-            out = out + root.exponential()
+        for root, multiplicity in Counter(bundle.roots).items():
+            out = out + root.exponential() * multiplicity
         return out
     if bundle.chern is not None:
         order = model.dimension // 2

@@ -1,13 +1,18 @@
 """The fracindex command.
 
-    fracindex run <file.json | builtin:NAME> [--format human|machine] [--check]
+    fracindex run <file.json | builtin:NAME> [--task T] [--max-degree D]
+                  [--format human|machine] [--check]
 
-Runs every task of one scenario document and writes the results to
-standard output.  With --check, the document's expect block is compared
-against the results and each mismatch is written to standard error.
+Runs the tasks of one scenario document and writes the results to
+standard output.  --task T runs only the tasks whose op is T, or the one
+task at zero-based index T.  --max-degree D overrides the moment cutoff of
+every moment-producing task; D must lie in 0..dimension // 2.  With
+--check, the document's expect block is compared against the results and
+each mismatch is written to standard error.
 
 Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
-scenario cannot be read, parsed or run.
+scenario cannot be read, parsed or run (an out-of-range --max-degree
+included).
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ def _parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     run_cmd = commands.add_parser("run", help="run the tasks of one scenario")
     run_cmd.add_argument("scenario", help=f"a scenario JSON file, or {BUILTIN_PREFIX}NAME")
+    run_cmd.add_argument("--task", help="run only the tasks with this op, or the task at this index")
+    run_cmd.add_argument(
+        "--max-degree", type=int, help="moment cutoff for every moment-producing task"
+    )
     run_cmd.add_argument("--format", choices=("human", "machine"), default="human")
     run_cmd.add_argument(
         "--check", action="store_true", help="compare the results with the expect block"
@@ -48,7 +57,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             scenario = parse_scenario(builtin_scenario_text(args.scenario[len(BUILTIN_PREFIX) :]))
         else:
             scenario = load_scenario(args.scenario)
-        results = run(scenario)
+        results = run(scenario, args.task, args.max_degree)
     except (ScenarioError, OSError) as exc:
         print(f"fracindex: {exc}", file=sys.stderr)
         return 2

@@ -87,8 +87,8 @@ class ManifoldModel:
     fundamental class against which integration is defined.
 
     relations maps a generator index to (power, replacement terms); the
-    replacement is stored in raw monomial form and must be homogeneous of
-    the same degree as the rewritten power.
+    replacement is stored in raw monomial form without zero coefficients
+    and must be homogeneous of the same degree as the rewritten power.
     """
 
     __slots__ = (
@@ -114,7 +114,7 @@ class ManifoldModel:
             self,
             "relations",
             {
-                int(i): (int(k), {tuple(m): Fraction(c) for m, c in rhs.items()})
+                int(i): (int(k), {tuple(m): Fraction(c) for m, c in rhs.items() if c})
                 for i, (k, rhs) in relations.items()
             },
         )
@@ -245,10 +245,10 @@ class ManifoldModel:
             if power < 1:
                 raise ModelError("relation power must be positive")
             lhs_degree = power * self.generators[i][1]
-            for mono, coeff in rhs.items():
+            for mono in rhs:
                 if len(mono) != len(self.generators):
                     raise ModelError("relation term has the wrong arity")
-                if coeff != 0 and self.monomial_degree(mono) != lhs_degree:
+                if self.monomial_degree(mono) != lhs_degree:
                     raise ModelError(
                         f"relation on {self.generators[i][0]!r} is not degree-homogeneous: "
                         f"{self.monomial_name(mono)} has degree {self.monomial_degree(mono)}, "
@@ -306,22 +306,19 @@ class ManifoldModel:
         active = [
             i
             for i, (power, rhs) in self.relations.items()
-            if any(rhs.values()) and power * self.generators[i][1] <= self.dimension
+            if rhs and power * self.generators[i][1] <= self.dimension
         ]
         if not active:
             return
         touched = set(active)
         for i in active:
-            for mono, coeff in self.relations[i][1].items():
-                if coeff:
-                    touched.update(g for g, e in enumerate(mono) if e)
+            for mono in self.relations[i][1]:
+                touched.update(g for g, e in enumerate(mono) if e)
 
         def successors(mono: Monomial):
             for i in active:
                 if mono[i] >= self.relations[i][0]:
-                    for rmono, coeff in self._rewrite_once(mono, i).items():
-                        if coeff:
-                            yield rmono
+                    yield from self._rewrite_once(mono, i)
 
         state: dict[Monomial, bool] = {}  # True while on the search path
         for start in self.monomials_up_to(self.dimension, touched):
@@ -460,8 +457,9 @@ class CohClass:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -750,6 +748,15 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
+    @staticmethod
+    def _int(token: _Token) -> int:
+        try:
+            return int(token.text)
+        except ValueError:  # longer than the interpreter's int() digit limit
+            raise ExpressionError(
+                f"number of {len(token.text)} digits at position {token.pos} is too long"
+            ) from None
+
     def take(self, kind: str | None = None) -> _Token:
         token = self.tokens[self.pos]
         if kind is not None and token.kind != kind:
@@ -814,7 +821,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.take()
             exponent_token = self.take("number")
-            exponent = int(exponent_token.text)
+            exponent = self._int(exponent_token)
             if exponent < 1:
                 raise ExpressionError(
                     f"exponent must be a positive integer at position {exponent_token.pos}"
@@ -841,11 +848,11 @@ class _Parser:
         unit: Monomial = (0,) * len(self.names)
         if token.kind == "number":
             self.take()
-            value = Fraction(int(token.text))
+            value = Fraction(self._int(token))
             if self.peek().kind == "/":
                 self.take()
                 den_token = self.take("number")
-                den = int(den_token.text)
+                den = self._int(den_token)
                 if den == 0:
                     raise ExpressionError(f"zero denominator at position {den_token.pos}")
                 value /= den

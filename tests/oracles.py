@@ -177,3 +177,43 @@ def has_rewrite_cycle(dimension: int, degrees: list[int], relations: dict) -> bo
         if not sinks:
             return bool(remaining)
         remaining -= sinks
+
+
+# -- genera one root at a time -------------------------------------------------
+# The original root loop: one series evaluation and one product per root,
+# repeats included.  The one-root series come from the list oracles above,
+# not from PowerSeries.
+
+
+def _series_at(coeffs: list[Fraction], root):
+    out = root.model.zero()
+    power = root.model.one()
+    for c in coeffs:
+        out = out + power * c
+        power = power * root
+    return out
+
+
+def genus_root_by_root(kind: str, bundle):
+    """The class of a root-presented bundle, walking every root in turn:
+    the product of the one-root series for "a_hat" and "todd", the total
+    Chern class prod (1 + root) for "chern", and sum e^root for
+    "chern_character"."""
+    model = bundle.model
+    order = model.dimension // 2
+    if kind == "chern_character":
+        exp = [Fraction(1, math.factorial(k)) for k in range(order + 1)]
+        out = model.zero()
+        for root in bundle.roots:
+            out = out + _series_at(exp, root)
+        return out
+    if kind == "a_hat":
+        coeffs = a_hat_series_oracle(order)
+    elif kind == "todd":
+        coeffs = todd_series_oracle(order)
+    else:
+        coeffs = [Fraction(1), Fraction(1)]
+    out = model.one()
+    for root in bundle.roots:
+        out = out * _series_at(coeffs, root)
+    return out

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracindex import characteristic, scenarios
 
 from fracindex.characteristic import (
     BundleData,
@@ -29,7 +35,13 @@ from fracindex.cohomology import (
 )
 from fracindex.scalars import genus_series
 
-from oracles import a_hat_series_oracle, cpn_integral, cpn_mul, evaluate_series_at_x
+from oracles import (
+    a_hat_series_oracle,
+    cpn_integral,
+    cpn_mul,
+    evaluate_series_at_x,
+    genus_root_by_root,
+)
 
 
 @pytest.fixture
@@ -325,3 +337,147 @@ def test_point_tangent_bundle():
     assert a_hat(tangent) == 1
     assert todd_class(tangent) == 1
     assert chern_character(tangent) == 0
+
+
+# ---------------------------------------------------------------------------
+# distinct roots with multiplicities against the one-root-at-a-time loop
+
+
+_ROOT_MODELS = {
+    "cp4": projective_space_model(4),
+    "cp1^3": product_model(
+        product_model(projective_space_model(1), projective_space_model(1, "y")),
+        projective_space_model(1, "z"),
+    ),
+}
+
+
+@st.composite
+def root_multisets(draw):
+    """A model and a list of degree-2 roots drawn, with repeats, from a
+    small pool of random linear classes (the zero class included)."""
+    model = _ROOT_MODELS[draw(st.sampled_from(sorted(_ROOT_MODELS)))]
+    width = len(model.generators)
+    pool = draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), min_size=1, max_size=3)
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=7))
+    roots = []
+    for i in picks:
+        terms = {}
+        for g, coeff in enumerate(pool[i]):
+            terms[tuple(1 if j == g else 0 for j in range(width))] = Fraction(coeff)
+        roots.append(CohClass(model, terms))
+    return model, roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_multisets())
+def test_grouped_roots_match_the_root_by_root_loop(drawn):
+    model, roots = drawn
+    bundle = BundleData("R", len(roots), roots=roots, model=model)
+    assert a_hat(bundle) == genus_root_by_root("a_hat", bundle)
+    assert todd_class(bundle) == genus_root_by_root("todd", bundle)
+    assert chern_character(bundle) == genus_root_by_root("chern_character", bundle)
+    total = genus_root_by_root("chern", bundle)
+    count = model.dimension // 2
+    assert bundle.chern_classes(count) == [total.degree_part(2 * k) for k in range(1, count + 1)]
+
+
+def _cp8_dirac_document() -> str:
+    """The shape of the CP^16 benchmark workload on CP^8: one tangent
+    bundle by Chern roots, the same bundle by Chern classes, and one
+    projective_dirac task on each."""
+    n = 8
+    return json.dumps({
+        "name": "dirac_cp8",
+        "manifold": {
+            "dimension": 2 * n,
+            "generators": [["x", 2]],
+            "relations": [[f"x^{n + 1}", "0"]],
+            "fundamental": [f"x^{n}", "1"],
+        },
+        "bundles": [
+            {"name": "TM", "rank": n + 1, "chern_roots": ["x"] * (n + 1), "tangent": True},
+            {"name": "TMc", "rank": n + 1,
+             "chern": [f"{math.comb(n + 1, k)}*x^{k}" for k in range(1, n + 1)]},
+        ],
+        "group": {
+            "cyclic_orders": [2],
+            "invariant_generators": [
+                {"name": "P1", "s_degree": 2, "image": "3/2*x^2"},
+                {"name": "P2", "s_degree": 2, "image": "-5*x^2"},
+            ],
+        },
+        "tasks": [
+            {"op": "projective_dirac", "tangent": "TM"},
+            {"op": "projective_dirac", "tangent": "TMc"},
+        ],
+    })
+
+
+def test_genus_work_is_done_once_per_bundle_and_distinct_root(monkeypatch):
+    calls = {"evaluate_series": 0, "newton_power_sums": 0}
+    for name in calls:
+        original = getattr(characteristic, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(characteristic, name, counted)
+    scenario = scenarios.parse_scenario(_cp8_dirac_document())
+    first, second = scenarios.run(scenario)
+    # roots route: one series evaluation for nine equal roots, shared by the
+    # eager tangent problem and the first task; Chern route: one Newton call
+    assert calls == {"evaluate_series": 1, "newton_power_sums": 1}
+    assert first.payload_json() == second.payload_json()
+    bundle = scenario.bundles["TM"]
+    assert a_hat(bundle) is a_hat(bundle)
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_a_hat_genus_of_even_projective_space(k):
+    model = projective_space_model(2 * k)
+    tangent = projective_tangent_bundle(model)
+    by_chern = BundleData("TC", tangent.rank, chern=tangent.chern_classes(2 * k))
+    expected = Fraction((-1) ** k * math.comb(2 * k, k), 16**k)
+    assert a_hat(tangent).integrate() == expected
+    assert a_hat(by_chern).integrate() == expected
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_a_hat_class_by_roots_equals_by_chern_classes(n):
+    tangent = projective_tangent_bundle(projective_space_model(n))
+    by_chern = BundleData("TC", tangent.rank, chern=tangent.chern_classes(n))
+    assert a_hat(tangent) == a_hat(by_chern)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_todd_genus_of_projective_space_is_one(n):
+    assert todd_class(projective_tangent_bundle(projective_space_model(n))).integrate() == 1
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_todd_genus_of_products_of_projective_lines_is_one(k):
+    names = [f"x{i}" for i in range(k)]
+    model = projective_space_model(1, names[0])
+    for name in names[1:]:
+        model = product_model(model, projective_space_model(1, name))
+    roots = [model.generator_class(name) for name in names for _ in range(2)]
+    assert todd_class(BundleData("T", 2 * k, roots=roots)).integrate() == 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_euler_characteristic_of_line_bundles_on_projective_space(n):
+    model = projective_space_model(n)
+    td = todd_class(projective_tangent_bundle(model))
+    x = model.generator_class("x")
+    for j in range(-n - 3, 8):
+        ch = chern_character(BundleData(f"O({j})", 1, roots=[x * j]))
+        expected = Fraction(math.prod(range(j + 1, j + n + 1)), math.factorial(n))
+        assert (ch * td).integrate() == expected

@@ -28,6 +28,26 @@ def test_machine_format_matches_emit(capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_task_selects_by_op_and_by_index(capsys):
+    scenario = parse_scenario(builtin_scenario_text("cp2_projective_dirac"))
+    assert main(["run", "builtin:cp2_projective_dirac", "--task", "fractional_index",
+                 "--format", "machine", "--check"]) == 0
+    assert capsys.readouterr().out == emit(run(scenario, "fractional_index"), "machine")
+    assert main(["run", "builtin:cp2_projective_dirac", "--task", "2", "--max-degree", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "scenario: cp2_projective_dirac", "[2] moments gamma=(0)", "  1   -1/8", "  P1  3", "  E   3",
+    ]
+
+
+@pytest.mark.parametrize("bound", ["3", "-1"])
+def test_max_degree_above_half_the_dimension_exits_2(bound, capsys):
+    assert main(["run", "builtin:cp2_projective_dirac", "--max-degree", bound]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fracindex: max_degree: {bound} is outside 0..2 (half the manifold dimension)\n"
+
+
 def test_expectation_mismatch_exits_1(tmp_path, capsys):
     document = json.loads(builtin_scenario_text("point_trivial"))
     document["expect"] = [{"value": "2"}]

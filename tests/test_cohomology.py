@@ -462,6 +462,14 @@ def test_parse_errors_carry_position(cp2):
         parse_expression("x $ 2", cp2)
 
 
+@pytest.mark.parametrize(
+    "text", ["1" * 5000, "x^" + "1" * 5000, "1/" + "1" * 5000 + "*x", "(1 + x)^" + "2" * 5000]
+)
+def test_numbers_above_the_int_digit_limit_raise_expression_error(text):
+    with pytest.raises(ExpressionError, match="5000 digits at position \\d+ is too long"):
+        parse_expression(text, projective_space_model(1))
+
+
 def test_expression_round_trip(cp2):
     for text in ["0", "1", "x", "1 - 1/8*x^2", "3*x + 2", "-x^2"]:
         cls = parse_expression(text, cp2)
@@ -498,3 +506,9 @@ def test_declaration_text_is_bounded_by_dimension_plus_generator_degree():
     for relation in [("x^4", "0"), ("x^99999999", "0"), ("x^3", "(1+x)^99999999")]:
         with pytest.raises(ExpressionError, match="exceeds the degree bound 6"):
             build_model(4, [("x", 2)], [relation], ("x^2", 1))
+
+
+def test_zero_relation_terms_are_not_stored():
+    assert projective_space_model(2).relations == {0: (3, {})}
+    model = ManifoldModel(4, [("x", 2)], {0: (3, {(3,): Fraction(0)})}, (2,), Fraction(1))
+    assert model.relations == {0: (3, {})}

@@ -361,3 +361,28 @@ def test_unknown_genus_kind_rejected():
 def test_rational_to_string():
     assert rational_to_string(Fraction(-1, 8)) == "-1/8"
     assert rational_to_string(Fraction(4, 2)) == "2"
+
+
+# ---------------------------------------------------------------------------
+# sympy as a differential oracle (optional)
+
+
+def test_genus_series_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    order = 16
+    closed_forms = {
+        "a_hat": (x / 2) / sympy.sinh(x / 2),
+        "todd": x / (1 - sympy.exp(-x)),
+    }
+    for kind, expression in closed_forms.items():
+        expansion = sympy.series(expression, x, 0, order + 1).removeO()
+        expected = [Fraction(str(expansion.coeff(x, k))) for k in range(order + 1)]
+        assert list(genus_series(kind, order).coeffs) == expected
+
+
+def test_bernoulli_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    # sympy takes B_1 = +1/2; here B_1 = -1/2, and B_n^- = (-1)^n B_n^+
+    for n in range(31):
+        assert bernoulli(n) == (-1) ** n * Fraction(str(sympy.bernoulli(n)))

@@ -104,6 +104,28 @@ def test_max_degree_at_the_bound_runs():
     assert emit(run(scenario, max_degree=2), "machine") == expected
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["manifold"].update(relations=[["x^3", "1" * 5000 + "*x^3"]]), "manifold: "),
+        (lambda d: d["bundles"][0].update(chern_roots=["1" * 5000 + "*x"] * 3),
+         "bundle 'TM' root: "),
+        (lambda d: d["bundles"][0].update(chern_roots=["x^" + "1" * 5000] * 3),
+         "bundle 'TM' root: "),
+    ],
+)
+def test_numbers_above_the_int_digit_limit_raise_scenario_errors(edit, message):
+    with pytest.raises(ScenarioError, match=re.escape(message) + "number of 5000 digits"):
+        parse_scenario(_builtin_with(edit))
+
+
+def test_rank_zero_bundle_with_empty_roots_and_chern_classes_parses():
+    document = _builtin_with(
+        lambda d: d["bundles"].append({"name": "E", "rank": 0, "chern_roots": [], "chern": []})
+    )
+    assert parse_scenario(document).bundles["E"].rank == 0
+
+
 def test_oversized_power_in_a_class_parses_to_zero():
     document = _cp2_document(symbol=[{"character": [1], "class": "1 + x^99999999"}])
     (result,) = run(parse_scenario(document))
