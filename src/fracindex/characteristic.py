@@ -16,8 +16,9 @@ of the squared roots, and s_k(roots^2) = s_2k(roots): from Chern classes
 they are the even-indexed Newton power sums, with no detour through the
 Pontryagin classes; declared Pontryagin classes give them directly.
 
-A bundle's a-hat class is computed once and kept on the (immutable)
-bundle, so every problem built from the same bundle shares it.
+A bundle's a-hat class and its square are computed once and kept on the
+(immutable) bundle, so every problem built from the same bundle shares
+them.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class BundleData:
     bundle is presented by r zero roots.
     """
 
-    __slots__ = ("name", "rank", "roots", "chern", "pontryagin", "model", "_a_hat")
+    __slots__ = (
+        "name", "rank", "roots", "chern", "pontryagin", "model", "_a_hat", "_a_hat_squared"
+    )
 
     def __init__(
         self,
@@ -74,6 +77,7 @@ class BundleData:
             )
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "_a_hat", None)
+        object.__setattr__(self, "_a_hat_squared", None)
         self._validate()
 
     def __setattr__(self, name, value):
@@ -230,6 +234,15 @@ def a_hat(bundle: BundleData) -> CohClass:
     if bundle._a_hat is None:
         object.__setattr__(bundle, "_a_hat", _compute_a_hat(bundle))
     return bundle._a_hat
+
+
+def a_hat_squared(bundle: BundleData) -> CohClass:
+    """The square of the a-hat class, the tangent factor of every index
+    integrand; computed on the first call and kept on the bundle."""
+    if bundle._a_hat_squared is None:
+        genus = a_hat(bundle)
+        object.__setattr__(bundle, "_a_hat_squared", genus * genus)
+    return bundle._a_hat_squared
 
 
 def _compute_a_hat(bundle: BundleData) -> CohClass:

@@ -8,11 +8,14 @@ standard output.  --task T runs only the tasks whose op is T, or the one
 task at zero-based index T.  --max-degree D overrides the moment cutoff of
 every moment-producing task; D must lie in 0..dimension // 2.  With
 --check, the document's expect block is compared against the results and
-each mismatch is written to standard error.
+each mismatch is written to standard error.  The expect block holds each
+task's result at the task's own cutoff, so --check and --max-degree are
+refused together (exit 2, nothing run) rather than compared at a cutoff
+the block was not recorded at.
 
 Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
 scenario cannot be read, parsed or run (an out-of-range --max-degree
-included).
+included) or when --check is combined with --max-degree.
 """
 
 from __future__ import annotations
@@ -52,6 +55,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if args.check and args.max_degree is not None:
+        print(
+            "fracindex: --check compares with results recorded at each task's own cutoff "
+            "and cannot be combined with --max-degree",
+            file=sys.stderr,
+        )
+        return 2
     try:
         if args.scenario.startswith(BUILTIN_PREFIX):
             scenario = parse_scenario(builtin_scenario_text(args.scenario[len(BUILTIN_PREFIX) :]))

@@ -10,9 +10,16 @@ kept in normal form: every stored monomial is irreducible and every
 monomial of degree above the model dimension is zero.  Integration reads
 off the fundamental coefficient times the orientation.
 
-Every coefficient is rational.  Roots of unity never enter a class: the
-engine keeps one rational class per bracket exponent and converts only
-the values it emits.
+Every coefficient is rational, held as integer numerators over one
+positive denominator in lowest terms: class arithmetic is integer work
+with one gcd pass per result.  Every product goes through one kernel, a
+per-model table from a pair of monomials (m1, m2) to the normal form of
+m1 * m2 as integers over a denominator (1 for integral relations), the
+multiplication table of the quotient algebra (Cox, Little & O'Shea, Using
+Algebraic Geometry, ch. 2 section 4).  The table is filled as pairs are
+first multiplied, never by walking the basis.  Roots of unity never enter
+a class: the engine keeps one rational class per bracket exponent and
+converts only the values it emits.
 
 Validation never walks the raw monomials.  Termination is decided on the
 one-step rewrite graph over the monomials of degree <= dimension built
@@ -34,9 +41,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from fracindex.scalars import rational_to_string
+from fracindex.scalars import common_denominator, rational_to_string
 
 #: Monomials are exponent tuples aligned with the model's generator order.
 Monomial = tuple[int, ...]
@@ -75,11 +83,12 @@ def _check_grading(dimension: int, generators: Iterable[tuple[str, int]]) -> Non
 
 
 def _accumulate(table: dict, key, delta) -> None:
-    value = table.get(key, Fraction(0)) + delta
-    if value == 0:
-        table.pop(key, None)
-    else:
+    value = table.get(key)
+    value = delta if value is None else value + delta
+    if value:
         table[key] = value
+    else:
+        table.pop(key, None)
 
 
 class ManifoldModel:
@@ -98,6 +107,7 @@ class ManifoldModel:
         "fundamental_monomial",
         "orientation",
         "_normal_cache",
+        "_products",
     )
 
     def __init__(
@@ -121,6 +131,7 @@ class ManifoldModel:
         object.__setattr__(self, "fundamental_monomial", tuple(fundamental_monomial))
         object.__setattr__(self, "orientation", Fraction(orientation))
         object.__setattr__(self, "_normal_cache", {})
+        object.__setattr__(self, "_products", {})
         self._validate()
 
     def __setattr__(self, name, value):
@@ -160,22 +171,14 @@ class ManifoldModel:
     ) -> list[Monomial]:
         """All raw monomials of degree <= max_degree, in (degree, lex) order;
         with `support`, only those in the generators of those indices."""
-        out: list[Monomial] = []
         free = set(range(len(self.generators)) if support is None else support)
-
-        def walk(prefix: list[int], i: int, degree: int) -> None:
-            if i == len(self.generators):
-                out.append(tuple(prefix))
-                return
-            gdeg = self.generators[i][1]
-            e = 0
-            while degree + e * gdeg <= max_degree:
-                walk(prefix + [e], i + 1, degree + e * gdeg)
-                if i not in free:
-                    break
-                e += 1
-
-        walk([], 0, 0)
+        out: list[Monomial] = [()]
+        for i, (_, gdeg) in enumerate(self.generators):
+            out = [
+                m + (e,)
+                for m in out
+                for e in range((max_degree - self.monomial_degree(m)) // gdeg + 1 if i in free else 1)
+            ]
         out.sort(key=lambda m: (self.monomial_degree(m), m))
         return out
 
@@ -232,6 +235,13 @@ class ManifoldModel:
         self._normal_cache[mono] = done
         return done
 
+    def _product_entry(self, m1: Monomial, m2: Monomial) -> tuple[int, list]:
+        """The normal form of m1 * m2 as (d, [(m, n), ...]) with integer n:
+        the product is sum n * m / d, and d is 1 when the form is integral."""
+        form = self.normal_form(tuple([a + b for a, b in zip(m1, m2)]))
+        numerators, d = common_denominator(list(form.values()))
+        return d, list(zip(form, numerators))
+
     def monomial_name(self, mono: Monomial) -> str:
         return monomial_name(self.names, mono)
 
@@ -277,7 +287,8 @@ class ManifoldModel:
         monomial, and truncation above the dimension commutes with
         multiplication.  An overlap above the dimension is zero on both
         sides, since the relations are homogeneous.  Each generator has at
-        most one relation, so there are no other critical pairs."""
+        most one relation, so there are no other critical pairs.  Two
+        rewrites that agree term by term need no normal form."""
         self._check_termination()
         zero = self.zero_monomial()
         indices = sorted(self.relations)
@@ -289,8 +300,8 @@ class ManifoldModel:
                 overlap = tuple(overlap)
                 if self.monomial_degree(overlap) > self.dimension:
                     continue
-                left = CohClass(self, self._rewrite_once(overlap, i))
-                if left != CohClass(self, self._rewrite_once(overlap, j)):
+                left, right = self._rewrite_once(overlap, i), self._rewrite_once(overlap, j)
+                if left != right and CohClass(self, left) != CohClass(self, right):
                     raise ModelError(
                         "relation set is not confluent at " + self.monomial_name(overlap)
                     )
@@ -347,58 +358,54 @@ class ManifoldModel:
 
 
 class CohClass:
-    """An element of a ManifoldModel in normal form: a mapping from reduced
-    monomials to nonzero Fraction coefficients.  Coefficients are rational
-    only; any other coefficient raises TypeError."""
+    """An element of a ManifoldModel in normal form: the sum over reduced
+    monomials m of numerators[m] * m / denominator, in lowest terms (no
+    zero numerator, a positive denominator, 1 for the zero class), so equal
+    classes have equal fields.  `terms` is the read-only Fraction view in
+    (degree, monomial) order.  The constructor takes int or Fraction
+    coefficients on raw monomials; any other coefficient raises TypeError."""
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model", "numerators", "denominator")
 
     def __init__(self, model: ManifoldModel, terms: Mapping[Monomial, Fraction | int]) -> None:
-        reduced: dict[Monomial, Fraction] = {}
-        for mono, coeff in terms.items():
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError(
-                    f"class coefficients must be rational, got {type(coeff).__name__}"
-                )
-            if not coeff:
-                continue
-            for nmono, ncoeff in model.normal_form(tuple(mono)).items():
-                value = coeff * ncoeff
-                if nmono in reduced:
-                    value = reduced[nmono] + value
-                if value == 0:
-                    reduced.pop(nmono, None)
-                else:
-                    reduced[nmono] = value
-        clean = {
-            mono: reduced[mono]
-            for mono in sorted(reduced, key=lambda m: (model.monomial_degree(m), m))
-        }
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "terms", clean)
+        num: dict[Monomial, int] = {}
+        den = 1
+        if terms:
+            for coeff in terms.values():
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(
+                        f"class coefficients must be rational, got {type(coeff).__name__}"
+                    )
+            numerators, den = common_denominator(list(terms.values()))
+            raw = {tuple(m): n for m, n in zip(terms, numerators) if n}
+            num, scale = _product(model, {model.zero_monomial(): 1}, raw)
+            den *= scale
+        _lowest(model, num, den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("CohClass values are immutable")
 
     # -- structure -------------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        model, den = self.model, self.denominator
+        order = sorted(self.numerators, key=lambda m: (model.monomial_degree(m), m))
+        return MappingProxyType({m: Fraction(self.numerators[m], den) for m in order})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(self.model.zero_monomial(), Fraction(0))
+        return Fraction(self.numerators.get(self.model.zero_monomial(), 0), self.denominator)
 
     def degree_part(self, degree: int) -> "CohClass":
-        return CohClass(
-            self.model,
-            {m: c for m, c in self.terms.items() if self.model.monomial_degree(m) == degree},
-        )
-
-    def degrees(self) -> list[int]:
-        return sorted({self.model.monomial_degree(m) for m in self.terms})
+        degree_of = self.model.monomial_degree
+        part = {m: c for m, c in self.numerators.items() if degree_of(m) == degree}
+        return _lowest(self.model, part, self.denominator)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(self.model.monomial_degree(m) == degree for m in self.terms)
+        return all(self.model.monomial_degree(m) == degree for m in self.numerators)
 
     # -- ring operations ---------------------------------------------------------
 
@@ -412,15 +419,17 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_model(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return CohClass(self.model, terms)
+        den = math.lcm(self.denominator, other.denominator)
+        fa, fb = den // self.denominator, den // other.denominator
+        num = {m: c * fa for m, c in self.numerators.items()}
+        for m, c in other.numerators.items():
+            num[m] = num.get(m, 0) + c * fb
+        return _lowest(self.model, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CohClass(self.model, {m: -c for m, c in self.terms.items()})
+        return _lowest(self.model, {m: -c for m, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -434,18 +443,13 @@ class CohClass:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CohClass(self.model, {m: c * other for m, c in self.terms.items()})
+            num = {m: c * other.numerator for m, c in self.numerators.items()}
+            return _lowest(self.model, num, self.denominator * other.denominator)
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_model(other)
-        raw: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                if self.model.monomial_degree(mono) > self.model.dimension:
-                    continue
-                raw[mono] = raw.get(mono, 0) + c1 * c2
-        return CohClass(self.model, raw)
+        num, scale = _product(self.model, self.numerators, other.numerators)
+        return _lowest(self.model, num, self.denominator * other.denominator * scale)
 
     __rmul__ = __mul__
 
@@ -467,10 +471,12 @@ class CohClass:
             other = scalar_class(self.model, other)
         if not isinstance(other, CohClass):
             return NotImplemented
-        return self.model is other.model and self.terms == other.terms
+        return self.model is other.model and (self.numerators, self.denominator) == (
+            other.numerators, other.denominator
+        )
 
     def __hash__(self):
-        return hash((id(self.model), tuple(sorted(self.terms.items()))))
+        return hash((id(self.model), self.denominator, frozenset(self.numerators.items())))
 
     # -- the operations the index formulas need ------------------------------------
 
@@ -509,8 +515,9 @@ class CohClass:
     def integrate(self) -> Fraction:
         """Pair against the fundamental class: the coefficient of the
         fundamental monomial times the orientation value."""
-        coeff = self.terms.get(self.model.fundamental_monomial, Fraction(0))
-        return coeff * self.model.orientation
+        coeff = self.numerators.get(self.model.fundamental_monomial, 0)
+        orientation = self.model.orientation
+        return Fraction(coeff * orientation.numerator, self.denominator * orientation.denominator)
 
     # -- rendering --------------------------------------------------------------
 
@@ -536,6 +543,41 @@ class CohClass:
 
     def __repr__(self):
         return f"CohClass({self.to_expression()})"
+
+
+def _product(model: ManifoldModel, a: dict, b: dict) -> tuple[dict[Monomial, int], int]:
+    """The one product kernel: the integer numerators a * b reduced through
+    the model's product table, and the extra denominator that rational
+    structure constants bring (1 when they are integral).  The table maps
+    m1 -> m2 -> the normal form of m1 * m2 and is filled on first use."""
+    table = model._products
+    out: dict[Monomial, int] = {}
+    scale = 1
+    for m1, c1 in a.items():
+        row = table.setdefault(m1, {})
+        for m2, c2 in b.items():
+            d, pairs = row.get(m2) or row.setdefault(m2, model._product_entry(m1, m2))
+            if scale % d:
+                grow = d // math.gcd(scale, d)
+                out = {m: v * grow for m, v in out.items()}
+                scale *= grow
+            c = c1 * c2 * (scale // d)
+            for m, n in pairs:
+                out[m] = out.get(m, 0) + c * n
+    return out, scale
+
+
+def _lowest(model: ManifoldModel, num: dict, den: int, out: CohClass | None = None) -> CohClass:
+    """The class num / den (den > 0) in lowest terms, built into `out` or
+    into a new class."""
+    g = math.gcd(den, *num.values())
+    num = {m: c // g for m, c in num.items() if c}
+    if out is None:
+        out = object.__new__(CohClass)
+    object.__setattr__(out, "model", model)
+    object.__setattr__(out, "numerators", num)
+    object.__setattr__(out, "denominator", den // g)
+    return out
 
 
 def scalar_class(model: ManifoldModel, value: Fraction | int) -> CohClass:
@@ -787,12 +829,7 @@ class _Parser:
             op = self.take().kind
             rhs = self.term()
             for mono, coeff in rhs.items():
-                delta = coeff if op == "+" else -coeff
-                value = acc.get(mono, Fraction(0)) + delta
-                if value == 0:
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = value
+                _accumulate(acc, mono, coeff if op == "+" else -coeff)
         return acc
 
     def term(self) -> dict[Monomial, Fraction]:
@@ -807,13 +844,10 @@ class _Parser:
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 mono = tuple(x + y for x, y in zip(m1, m2))
-                if not self._within_bound(mono):
-                    continue
-                value = out.get(mono, Fraction(0)) + c1 * c2
-                if value == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = value
+                if self._within_bound(mono):
+                    value = out[mono] = c1 * c2 + out.get(mono, 0)
+                    if not value:
+                        del out[mono]
         return out
 
     def factor(self) -> dict[Monomial, Fraction]:

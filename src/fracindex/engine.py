@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from fracindex.characteristic import BundleData, a_hat
+from fracindex.characteristic import BundleData, a_hat, a_hat_squared
 from fracindex.cohomology import CohClass, ManifoldModel, Monomial, monomial_name
 from fracindex.groups import (
     Element,
@@ -43,7 +43,7 @@ from fracindex.groups import (
     character_jet,
     chern_weil_eval,
 )
-from fracindex.scalars import Scalar, demote, root_of_unity_sum
+from fracindex.scalars import Scalar, common_denominator, demote, root_of_unity_sum
 
 #: Moment-table keys: exponent tuples over the declared generator order.
 MomentKey = tuple[int, ...]
@@ -254,10 +254,7 @@ class IndexProblem:
     ) -> "IndexProblem":
         """Build the problem with the a-hat square computed from tangent
         bundle data; absent data means a flat tangent contribution."""
-        square = None
-        if tangent is not None:
-            genus = a_hat(tangent)
-            square = genus * genus
+        square = None if tangent is None else a_hat_squared(tangent)
         return cls(model, group, generators, symbol, square)
 
     # -- the core pairings ----------------------------------------------------
@@ -294,18 +291,11 @@ class IndexProblem:
         return self.model.dimension // 2
 
     def _moment_keys(self, max_degree: int) -> list[MomentKey]:
-        keys: list[MomentKey] = []
-
-        def walk(prefix: list[int], i: int, used: int) -> None:
-            if i == len(self.generators):
-                keys.append(tuple(prefix))
-                return
-            for e in range(max_degree - used + 1):
-                walk(prefix + [e], i + 1, used + e)
-
-        walk([], 0, 0)
-        keys.sort(key=_moment_key_order)
-        return keys
+        # no recursive closure: it would keep the problem alive in a cycle
+        keys: list[MomentKey] = [()]
+        for _ in self.generators:
+            keys = [key + (e,) for key in keys for e in range(max_degree - sum(key) + 1)]
+        return sorted(keys, key=_moment_key_order)
 
     def _monomial_images(self, max_degree: int) -> dict[MomentKey, CohClass]:
         """The image class of every moment monomial, cached per degree bound.
@@ -330,25 +320,28 @@ class IndexProblem:
 
         Relations are degree-homogeneous, so only integrand terms of the
         degree complementary to the image reach the fundamental class; each
-        such term contributes its coefficient times the integral of its
-        monomial against the image, computed once per problem."""
+        such term contributes its integer numerator times the integral of
+        its monomial against the image, computed once per problem, and each
+        pairing is reduced to lowest terms once."""
         model = self.model
-        by_degree: dict[int, list[tuple[Monomial, Fraction]]] = {}
-        for mono, coeff in integrand.terms.items():
-            by_degree.setdefault(model.monomial_degree(mono), []).append((mono, coeff))
+        by_degree: dict[int, list[tuple[Monomial, int]]] = {}
+        for mono, n in integrand.numerators.items():
+            by_degree.setdefault(model.monomial_degree(mono), []).append((mono, n))
+        den = integrand.denominator
         values: dict[MomentKey, Fraction] = {}
         for key, image in self._monomial_images(max_degree).items():
             degree = model.dimension - 2 * sum(
                 g.s_degree * e for g, e in zip(self.generators, key)
             )
             duals = self._dual_cache.setdefault(key, {})
-            total = Fraction(0)
-            for mono, coeff in by_degree.get(degree, ()):
+            num, dual_den = 0, 1
+            for mono, n in by_degree.get(degree, ()):
                 dual = duals.get(mono)
                 if dual is None:
                     dual = duals[mono] = (image * CohClass(model, {mono: 1})).integrate()
-                total += coeff * dual
-            values[key] = total
+                q = dual.denominator
+                num, dual_den = num * q + n * dual.numerator * dual_den, dual_den * q
+            values[key] = Fraction(num, den * dual_den)
         return values
 
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
@@ -400,20 +393,16 @@ class IndexProblem:
         tables: dict[Element, MomentTable] = {}
         for gamma in self.group.elements():
             direct = self.moments(gamma, max_degree)
-            groups: dict[int, tuple[Element, dict[MomentKey, Fraction]]] = {}
+            groups: dict[int, tuple[Element, list[MomentTable]]] = {}
             for chi, table in per_character.items():
                 k = bracket_exponent(self.group, chi, gamma)
-                if k not in groups:
-                    groups[k] = (chi, dict(table.values))
-                    continue
-                sums = groups[k][1]
-                for key, value in table.values.items():
-                    sums[key] += value
+                groups.setdefault(k, (chi, []))[1].append(table)
             recombined: dict[MomentKey, Scalar] = {}
-            for chi, sums in groups.values():
+            for chi, members in groups.values():
                 weight = bracket(self.group, chi, gamma)
-                for key, value in sums.items():
-                    term = weight * value
+                for key in direct.values:
+                    numerators, den = common_denominator([t.values[key] for t in members])
+                    term = weight * Fraction(sum(numerators), den)
                     recombined[key] = recombined[key] + term if key in recombined else term
             for key, expected in direct.values.items():
                 value = demote(recombined.get(key, Fraction(0)))
@@ -466,10 +455,9 @@ def dirac_problem(
     dimensional manifold: center of order two, symbol concentrated on the
     nontrivial character with base reduction the inverse a-hat class, so
     the net integrand at the identity is the a-hat class itself."""
-    genus = a_hat(tangent)
     group = FiniteAbelianGroup([2])
-    symbol = SymbolData(group, {(1,): genus.inverse()}, label="dirac")
-    return IndexProblem(model, group, generators, symbol, genus * genus)
+    symbol = SymbolData(group, {(1,): a_hat(tangent).inverse()}, label="dirac")
+    return IndexProblem(model, group, generators, symbol, a_hat_squared(tangent))
 
 
 def projective_dirac(

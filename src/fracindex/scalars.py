@@ -2,8 +2,14 @@
 and truncated formal power series.
 
 Everything here is exact.  Rational scalars are `fractions.Fraction`;
-cyclotomic scalars are residues modulo the N-th cyclotomic polynomial with
-Fraction coefficients.  No float ever enters or leaves this module.
+cyclotomic scalars are residues modulo the N-th cyclotomic polynomial,
+stored as integer numerators over one positive denominator in lowest
+terms.  Sums and products of cyclotomic scalars are integer work: t^k for
+k >= deg(Phi_N) folds in as the integer row k of `power_residues`, and
+one gcd pass reduces each result.  `root_of_unity_sum` puts its weights
+over one denominator and adds rows of the same table; it builds no
+Cyclotomic when the sum is rational (always, for N <= 2).  No float ever
+enters or leaves this module.
 
 All values are immutable; every operation is a pure function.
 """
@@ -29,27 +35,22 @@ def rational_to_string(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of rational values (ints or Fractions) over their
+    least common denominator; gcd(numerators, denominator) is 1."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction (ascending coefficients);
-# internal helpers shared by cyclotomic reduction and power series code
+# dense univariate polynomials over Fraction (ascending coefficients): the
+# exact division that builds the cyclotomic polynomials
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -66,26 +67,6 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
             rem[shift + j] -= c * bj
         _poly_trim(rem)
     return _poly_trim(quo), rem
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    zero = Fraction(0)
-    for i in range(n):
-        yield (a[i] if i < len(a) else zero), (b[i] if i < len(b) else zero)
 
 
 @lru_cache(maxsize=None)
@@ -127,42 +108,63 @@ def power_residues(order: int) -> tuple[tuple[int, ...], ...]:
 
 def root_of_unity_sum(order: int, weights: Mapping[int, Fraction]) -> Scalar:
     """sum_k weights[k] * zeta^k for zeta a primitive order-th root of
-    unity: a Fraction when the sum is rational, else a Cyclotomic."""
-    coeffs = [Fraction(0)] * order
-    for k, w in weights.items():
-        coeffs[k % order] += w
-    return demote(Cyclotomic(order, coeffs))
+    unity: the weights go over one common denominator and their integer
+    numerators add up rows of `power_residues`.  A rational sum (always,
+    when order <= 2 and the field is Q) is returned as a Fraction without
+    building a Cyclotomic."""
+    numerators, den = common_denominator(list(weights.values()))
+    poly = [0] * order
+    for k, n in zip(weights, numerators):
+        poly[k % order] += n
+    poly = _fold(order, poly)
+    if not any(poly[1:]):
+        return Fraction(poly[0], den)
+    return Cyclotomic(order, poly, den)
+
+
+def _fold(order: int, poly: list[int]) -> list[int]:
+    """Reduce integer coefficients (ascending) modulo the order-th
+    cyclotomic polynomial in place: t^k for k >= deg(Phi_order) adds row
+    k % order of `power_residues`."""
+    residues = power_residues(order)
+    deg = len(residues[0])
+    for k in range(deg, len(poly)):
+        if poly[k]:
+            for i, r in enumerate(residues[k % order]):
+                poly[i] += r * poly[k]
+    del poly[deg:]
+    poly += [0] * (deg - len(poly))
+    return poly
 
 
 class Cyclotomic:
     """An element of the cyclotomic field of the given order: a residue
-    modulo the cyclotomic polynomial, stored as a Fraction coefficient
-    vector of length deg(Phi_order).
+    modulo the cyclotomic polynomial, stored as deg(Phi_order) integer
+    numerators over one positive denominator, in lowest terms (a zero
+    element has denominator 1), so equal elements have equal fields.
+    `coeffs` is the Fraction view.
 
-    Both operands of arithmetic live in one field: a rational operand is
-    promoted into the order, and an element of another order raises
-    ValueError (every value the engine emits lives in the field of the
-    group exponent).  Zero testing is exact; an element whose non-constant
-    coefficients all vanish converts losslessly to a Fraction.
+    The constructor takes int or Fraction coefficients of any length over
+    an optional positive integer denominator; t^k for k >= deg(Phi_order)
+    is folded in through row k of `power_residues`.  Both operands of
+    arithmetic live in one field: a rational operand is promoted into the
+    order, and an element of another order raises ValueError (every value
+    the engine emits lives in the field of the group exponent).  Zero
+    testing is exact; an element whose non-constant numerators all vanish
+    converts losslessly to a Fraction.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "numerators", "denominator")
 
-    def __init__(self, order: int, coeffs) -> None:
-        residues = power_residues(order)
-        deg = len(residues[0])
-        poly = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(poly) > deg:
-            for k in range(deg, len(poly)):
-                if poly[k]:
-                    for i, r in enumerate(residues[k % order]):
-                        if r:
-                            poly[i] += r * poly[k]
-            del poly[deg:]
-        else:
-            poly += [Fraction(0)] * (deg - len(poly))
+    def __init__(self, order: int, coeffs, denominator: int = 1) -> None:
+        poly, scale = list(coeffs), 1
+        if not all(type(c) is int for c in poly):
+            poly, scale = common_denominator(poly)
+        poly = _fold(order, poly)
+        g = math.gcd(denominator * scale, *poly)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(poly))
+        object.__setattr__(self, "numerators", tuple([c // g for c in poly]))
+        object.__setattr__(self, "denominator", denominator * scale // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
@@ -178,16 +180,20 @@ class Cyclotomic:
 
     # -- conversions --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(n, self.denominator) for n in self.numerators])
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.numerators)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.numerators[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.numerators[0], self.denominator)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -206,76 +212,48 @@ class Cyclotomic:
         other = self._pair(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+        da, db = self.denominator, other.denominator
+        poly = [x * db + y * da for x, y in zip(self.numerators, other.numerators)]
+        return Cyclotomic(self.order, poly, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return Cyclotomic(self.order, [-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other):
-        other = self._pair(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Cyclotomic(self.order, [x - y for x, y in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [c * other for c in self.coeffs])
+            poly = [c * other.numerator for c in self.numerators]
+            return Cyclotomic(self.order, poly, self.denominator * other.denominator)
         other = self._pair(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, _poly_mul(list(self.coeffs), list(other.coeffs)))
+        a, b = self.numerators, other.numerators
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Cyclotomic(self.order, out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyclotomic":
-        if self.is_zero():
-            raise ZeroDivisionError("cyclotomic division by zero")
-        modulus = list(cyclotomic_polynomial(self.order))
-        g, s, _ = _poly_xgcd(_poly_trim(list(self.coeffs)), modulus)
-        # g is a nonzero constant since Phi_N is irreducible over Q
-        assert len(g) == 1, "gcd with the cyclotomic modulus must be constant"
-        return Cyclotomic(self.order, [c / g[0] for c in s])
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("cyclotomic division by zero")
-            return Cyclotomic(self.order, [c / other for c in self.coeffs])
-        if isinstance(other, Cyclotomic):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Cyclotomic.from_rational(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.to_rational() == other
-        if isinstance(other, Cyclotomic):
-            return self.coeffs == self._pair(other).coeffs
-        return NotImplemented
+        other = self._pair(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.numerators == other.numerators and self.denominator == other.denominator
 
     def __hash__(self):
         if self.is_rational():
             return hash(self.to_rational())
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.numerators, self.denominator))
 
     def __repr__(self):
         body = ", ".join(rational_to_string(c) for c in self.coeffs)

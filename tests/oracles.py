@@ -217,3 +217,119 @@ def genus_root_by_root(kind: str, bundle):
     for root in bundle.roots:
         out = out * _series_at(coeffs, root)
     return out
+
+
+# -- Fraction-dict class arithmetic --------------------------------------------
+# The class layer as it was before integer numerators: coefficients are
+# Fractions in plain dicts keyed by exponent tuples, every product term is
+# summed raw and then normal-formed monomial by monomial with a first-hit
+# worklist.  A model is a plain declaration (dimension, generator degrees,
+# {index: (power, {monomial: coeff})}, fundamental monomial, orientation).
+
+
+def _oracle_degree(degrees, mono) -> int:
+    return sum(e * d for e, d in zip(mono, degrees))
+
+
+def _oracle_add_into(table: dict, key, delta) -> None:
+    value = table.get(key, Fraction(0)) + delta
+    if value == 0:
+        table.pop(key, None)
+    else:
+        table[key] = value
+
+
+def oracle_normal_form(decl, mono) -> dict:
+    """The normal form of one raw monomial; the model must be valid."""
+    dimension, degrees, relations = decl[:3]
+    pending = {tuple(mono): Fraction(1)}
+    done: dict = {}
+    while pending:
+        current, coeff = pending.popitem()
+        if _oracle_degree(degrees, current) > dimension:
+            continue
+        hits = [i for i, (power, _) in sorted(relations.items()) if current[i] >= power]
+        if not hits:
+            _oracle_add_into(done, current, coeff)
+            continue
+        for rmono, rcoeff in _oracle_successors(current, relations, hits[0]).items():
+            _oracle_add_into(pending, rmono, coeff * rcoeff)
+    return done
+
+
+def oracle_reduce(decl, terms: dict) -> dict:
+    """A Fraction-dict class: the raw terms in normal form."""
+    out: dict = {}
+    for mono, coeff in terms.items():
+        if coeff:
+            for nmono, ncoeff in oracle_normal_form(decl, mono).items():
+                _oracle_add_into(out, nmono, Fraction(coeff) * ncoeff)
+    return out
+
+
+def oracle_add(decl, a: dict, b: dict) -> dict:
+    out = dict(a)
+    for mono, coeff in b.items():
+        _oracle_add_into(out, mono, coeff)
+    return out
+
+
+def oracle_mul(decl, a: dict, b: dict) -> dict:
+    raw: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            raw[mono] = raw.get(mono, Fraction(0)) + c1 * c2
+    return oracle_reduce(decl, raw)
+
+
+def oracle_pow(decl, a: dict, n: int) -> dict:
+    unit = tuple(0 for _ in decl[1])
+    out = {unit: Fraction(1)}
+    for _ in range(n):
+        out = oracle_mul(decl, out, a)
+    return out
+
+
+def oracle_inverse(decl, a: dict) -> dict:
+    """1/a by the geometric series in the nilpotent part; a needs a
+    nonzero constant term."""
+    unit = tuple(0 for _ in decl[1])
+    c0 = a[unit]
+    nil = {m: -c / c0 for m, c in a.items() if m != unit}
+    out = {unit: Fraction(1)}
+    power = {unit: Fraction(1)}
+    while True:
+        power = oracle_mul(decl, power, nil)
+        if not power:
+            return {m: c / c0 for m, c in out.items()}
+        out = oracle_add(decl, out, power)
+
+
+def oracle_integrate(decl, a: dict) -> Fraction:
+    fundamental, orientation = decl[3], decl[4]
+    return a.get(tuple(fundamental), Fraction(0)) * orientation
+
+
+# -- cyclotomic residues by long division ----------------------------------------
+
+
+def cyclotomic_residue(poly: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
+    """poly modulo a monic modulus by Fraction long division, padded to
+    deg(modulus) coefficients."""
+    rem = [Fraction(c) for c in poly]
+    deg = len(modulus) - 1
+    for top in range(len(rem) - 1, deg - 1, -1):
+        lead = rem[top]
+        if lead:
+            for j, m in enumerate(modulus):
+                rem[top - deg + j] -= lead * m
+    return (rem + [Fraction(0)] * deg)[:deg]
+
+
+def cyclotomic_product(a: list[Fraction], b: list[Fraction], modulus: list[Fraction]) -> list:
+    product = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    return cyclotomic_residue(product, modulus)

@@ -17,6 +17,7 @@ from fracindex.characteristic import (
     BundleData,
     BundleError,
     a_hat,
+    a_hat_squared,
     chern_character,
     direct_sum,
     evaluate_series,
@@ -33,6 +34,7 @@ from fracindex.cohomology import (
     product_model,
     projective_space_model,
 )
+from fracindex.engine import dirac_problem
 from fracindex.scalars import genus_series
 
 from oracles import (
@@ -434,6 +436,17 @@ def test_genus_work_is_done_once_per_bundle_and_distinct_root(monkeypatch):
     assert first.payload_json() == second.payload_json()
     bundle = scenario.bundles["TM"]
     assert a_hat(bundle) is a_hat(bundle)
+
+
+def test_a_hat_square_is_formed_once_per_bundle():
+    scenario = scenarios.parse_scenario(_cp8_dirac_document())
+    bundle = scenario.bundles["TM"]
+    square = a_hat_squared(bundle)
+    assert square == a_hat(bundle) * a_hat(bundle)
+    # the eager tangent problem and the Dirac problem share the one square
+    dirac = dirac_problem(scenario.model, bundle, scenario.generators)
+    assert scenario.problem().a_hat_squared is square
+    assert dirac.a_hat_squared is square
 
 
 # ---------------------------------------------------------------------------

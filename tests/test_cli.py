@@ -48,6 +48,17 @@ def test_max_degree_above_half_the_dimension_exits_2(bound, capsys):
     assert err == f"fracindex: max_degree: {bound} is outside 0..2 (half the manifold dimension)\n"
 
 
+@pytest.mark.parametrize("bound", ["1", "2"])
+def test_check_with_max_degree_is_refused(bound, capsys):
+    # the expect blocks hold each task's moments at its own cutoff, so a
+    # lower --max-degree would report every moment task as a mismatch
+    assert main(["run", "builtin:cp2_projective_dirac", "--max-degree", bound, "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fracindex: --check ") and "--max-degree" in err
+    assert main(["run", "builtin:cp2_projective_dirac", "--max-degree", bound]) == 0
+
+
 def test_expectation_mismatch_exits_1(tmp_path, capsys):
     document = json.loads(builtin_scenario_text("point_trivial"))
     document["expect"] = [{"value": "2"}]

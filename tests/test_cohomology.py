@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,18 @@ from fracindex.cohomology import (
 )
 from fracindex.scalars import Cyclotomic
 
-from oracles import cpn_integral, cpn_mul, exhaustive_normal_forms, has_rewrite_cycle
+from oracles import (
+    cpn_integral,
+    cpn_mul,
+    exhaustive_normal_forms,
+    has_rewrite_cycle,
+    oracle_add,
+    oracle_integrate,
+    oracle_inverse,
+    oracle_mul,
+    oracle_pow,
+    oracle_reduce,
+)
 
 
 @pytest.fixture
@@ -355,10 +367,11 @@ def test_confluent_multi_relation_model_loads():
 
 
 @st.composite
-def _small_rewrite_systems(draw):
+def _small_rewrite_systems(draw, rational=False):
     """Up to three generators of degree 2 or 4, pure-power relations with
     random homogeneous right sides (possibly the left side itself or zero),
-    and an irreducible fundamental monomial of degree <= 8."""
+    and an irreducible fundamental monomial of degree <= 8.  With
+    `rational`, right-side coefficients may be proper fractions."""
     count = draw(st.integers(1, 3))
     degrees = [draw(st.sampled_from([2, 4])) for _ in range(count)]
     relations = {}
@@ -374,6 +387,8 @@ def _small_rewrite_systems(draw):
         ]
         chosen = draw(st.lists(st.sampled_from(candidates), max_size=3, unique=True))
         rhs = {m: Fraction(draw(st.integers(-2, 2).filter(bool))) for m in chosen}
+        if rational:
+            rhs = {m: c / draw(st.integers(1, 3)) for m, c in rhs.items()}
         relations[i] = (power, rhs)
     fundamental = tuple(
         draw(st.integers(0, relations[i][0] - 1 if i in relations else 2)) for i in range(count)
@@ -414,6 +429,106 @@ def test_critical_pair_validation_matches_exhaustive_oracle(system):
         assert has_rewrite_cycle(dimension, degrees, relations)
     if oracle_error is not None and "terminate" in oracle_error:
         assert error is not None and "terminate" in error
+
+
+@st.composite
+def _one_relation_systems(draw):
+    """Two or three generators of degree 2 or 4 and one relation g0^k ->
+    rational combination of monomials with lower g0 exponent, which fires
+    below the dimension: structure constants with denominators."""
+    degrees = [draw(st.sampled_from([2, 4])) for _ in range(draw(st.integers(2, 3)))]
+    power = draw(st.integers(1, 3))
+    target = power * degrees[0]
+    candidates = [
+        m
+        for m in itertools.product(*(range(target // d + 1) for d in degrees))
+        if sum(e * d for e, d in zip(m, degrees)) == target and m[0] < power
+    ]
+    assume(candidates)
+    chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True))
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+    relations = {0: (power, {m: draw(coeff) for m in chosen})}
+    fundamental = (draw(st.integers(0, power - 1)),) + tuple(
+        draw(st.integers(0, 8 // d)) for d in degrees[1:]
+    )
+    dimension = sum(e * d for e, d in zip(fundamental, degrees))
+    assume(target <= dimension <= 8)
+    return dimension, degrees, relations, fundamental
+
+
+@st.composite
+def _models_with_classes(draw):
+    """A valid small model (relations may have rational right sides), its
+    plain declaration for the oracles, and two random classes given by
+    rational coefficients on raw monomials."""
+    systems = st.one_of(_small_rewrite_systems(rational=True), _one_relation_systems())
+    dimension, degrees, relations, fundamental = draw(systems)
+    orientation = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 4)))
+    generators = [(f"g{i}", d) for i, d in enumerate(degrees)]
+    try:
+        model = ManifoldModel(dimension, generators, relations, fundamental, orientation)
+    except ModelError:
+        assume(False)
+    decl = (dimension, degrees, relations, fundamental, orientation)
+    monomials = model.monomials_up_to(dimension)
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    classes = [
+        draw(st.dictionaries(st.sampled_from(monomials), coeff, max_size=5)) for _ in range(2)
+    ]
+    return model, decl, classes
+
+
+def _assert_lowest_terms(cls):
+    assert cls.denominator > 0
+    assert all(cls.numerators.values())
+    assert math.gcd(cls.denominator, *cls.numerators.values()) == 1
+    if cls.is_zero():
+        assert cls.denominator == 1
+    order = sorted(cls.numerators, key=lambda m: (cls.model.monomial_degree(m), m))
+    assert list(cls.terms) == order
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models_with_classes())
+def test_integer_class_arithmetic_matches_fraction_oracle(case):
+    model, decl, (ta, tb) = case
+    a, b = CohClass(model, ta), CohClass(model, tb)
+    ra, rb = oracle_reduce(decl, ta), oracle_reduce(decl, tb)
+    unit = model.zero_monomial()
+    q = Fraction(3, 2)
+    u = a - a.constant_term() + q  # a unit: constant term q
+    ru = oracle_add(decl, {m: c for m, c in ra.items() if m != unit}, {unit: q})
+    cases = [
+        (a, ra),
+        (b, rb),
+        (a * b, oracle_mul(decl, ra, rb)),
+        (a + b, oracle_add(decl, ra, rb)),
+        (a * Fraction(-2, 3), {m: c * Fraction(-2, 3) for m, c in ra.items()}),
+        (u, ru),
+        (u.inverse(), oracle_inverse(decl, ru)),
+        (u ** -2, oracle_pow(decl, oracle_inverse(decl, ru), 2)),
+    ]
+    cases += [(a**n, oracle_pow(decl, ra, n)) for n in range(4)]
+    for cls, expected in cases:
+        assert dict(cls.terms) == expected
+        assert cls.integrate() == oracle_integrate(decl, expected)
+        _assert_lowest_terms(cls)
+    # equality and hashing are structural
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert u * u.inverse() == 1
+    assert (a - a).denominator == 1 and (a - a).is_zero()
+
+
+def test_product_merges_structure_constant_denominators():
+    # x*x and y*y reduce over denominators 2 and 3, x*y is integral
+    model = build_model(
+        4, [("x", 2), ("y", 2)], [("x^2", "1/2*x*y"), ("y^2", "1/3*x*y")], ("x*y", 1)
+    )
+    s = parse_expression("x + y", model)
+    square = s * s
+    assert square == parse_expression("17/6*x*y", model)
+    assert (square.numerators, square.denominator) == ({(1, 1): 17}, 6)
+    assert (s * 6) * (s * 6) == parse_expression("102*x*y", model)
 
 
 def test_validation_work_depends_on_relations_not_on_monomials(monkeypatch):

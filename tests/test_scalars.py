@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from fracindex.scalars import (
 from oracles import (
     a_hat_series_oracle,
     bernoulli_oracle,
+    cyclotomic_product,
+    cyclotomic_residue,
     series_compose,
     series_mul,
     todd_series_oracle,
@@ -78,9 +81,10 @@ def test_root_of_unity_power_sum_vanishes(order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 8])
 def test_root_of_unity_has_exact_order(order):
     zeta = Cyclotomic.root_of_unity(order)
-    assert zeta**order == 1
-    for k in range(1, order):
-        assert zeta**k != 1
+    power = Cyclotomic.from_rational(1, order)
+    for k in range(1, order + 1):
+        power = power * zeta
+        assert (power == 1) == (k == order)
 
 
 def test_mixed_order_arithmetic_raises():
@@ -145,8 +149,38 @@ def test_cyclotomic_field_axioms(data):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert a + (-a) == 0
-    if not a.is_zero():
-        assert a * a.inverse() == 1
+
+
+def _assert_cyclotomic_lowest_terms(value):
+    assert value.denominator > 0
+    assert len(value.numerators) == len(cyclotomic_polynomial(value.order)) - 1
+    assert math.gcd(value.denominator, *value.numerators) == 1
+    if value.is_zero():
+        assert value.denominator == 1
+    if value.is_rational():
+        assert hash(value) == hash(value.to_rational())
+
+
+_vectors = st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(1, 36), a=_vectors, b=_vectors)
+def test_integer_cyclotomic_arithmetic_matches_long_division(order, a, b):
+    modulus = list(cyclotomic_polynomial(order))
+    x, y = Cyclotomic(order, a), Cyclotomic(order, b)
+    total = [p + q for p, q in itertools.zip_longest(a, b, fillvalue=Fraction(0))]
+    cases = [
+        (x, cyclotomic_residue(a, modulus)),
+        (x * y, cyclotomic_product(a, b, modulus)),
+        (x + y, cyclotomic_residue(total, modulus)),
+        (x * Fraction(-4, 6), [c * Fraction(-2, 3) for c in cyclotomic_residue(a, modulus)]),
+        (x - x, [Fraction(0)] * (len(modulus) - 1)),
+    ]
+    for value, expected in cases:
+        assert list(value.coeffs) == expected
+        _assert_cyclotomic_lowest_terms(value)
+    assert x * y == y * x and hash(x * y) == hash(y * x)
 
 
 def _remainder_by_long_division(k: int, modulus: list[int]) -> list[int]:
