@@ -9,7 +9,6 @@ from fracindex.scalars import (
     Rational,
     bernoulli,
     cyclotomic_polynomial,
-    demote,
     genus_series,
 )
 
@@ -19,7 +18,6 @@ __all__ = [
     "Rational",
     "bernoulli",
     "cyclotomic_polynomial",
-    "demote",
     "genus_series",
 ]
 

@@ -1,15 +1,15 @@
 """Characteristic classes from Chern-root or Pontryagin data.
 
 Bundles are declared by formal degree-2 Chern roots, by Chern classes, or
-(for real bundles) by Pontryagin classes.  Multiplicative genera are
-evaluated either root by root or through the log of the one-root series
-and Newton power sums, and the two routes agree exactly.
+(for real bundles) by Pontryagin classes.  The a-hat genus is evaluated
+either root by root or through the log of the one-root series and Newton
+power sums, and the two routes agree exactly.
 
 The root route works on the distinct roots with their multiplicities: a
-genus is the product of f(root)^count, computed by repeated squaring, the
-Chern character the sum of count * e^root, and the total Chern class the
-product of (1 + root)^count.  The tangent roots of CP^n are n+1 copies of
-one class, so the one-root series is evaluated once.
+genus is the product of f(root)^count, computed by repeated squaring, and
+the total Chern class the product of (1 + root)^count.  The tangent roots
+of CP^n are n+1 copies of one class, so the one-root series is evaluated
+once.
 
 The a-hat series is even, so its power-sum route needs only the power sums
 of the squared roots, and s_k(roots^2) = s_2k(roots): from Chern classes
@@ -23,20 +23,18 @@ them.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from fracindex.cohomology import CohClass, ManifoldModel, scalar_class
-from fracindex.scalars import PowerSeries, genus_series
+from fracindex.scalars import Frozen, PowerSeries, genus_series
 
 
 class BundleError(ValueError):
     """Bundle data is missing or inconsistent."""
 
 
-class BundleData:
+class BundleData(Frozen):
     """A vector bundle presented through characteristic-class data.
 
     Exactly the data needed by the genus and character computations:
@@ -79,9 +77,6 @@ class BundleData:
         object.__setattr__(self, "_a_hat", None)
         object.__setattr__(self, "_a_hat_squared", None)
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BundleData is immutable")
 
     def _validate(self) -> None:
         if self.rank < 0:
@@ -185,24 +180,6 @@ def newton_power_sums(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
     return sums
 
 
-def pontryagin_from_chern(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
-    """Pontryagin classes of the underlying real bundle of a complex bundle:
-    p_k = e_k(roots^2), computed from s_(2k)(roots) by the inverse Newton
-    identities.  For example p_1 = c_1^2 - 2 c_2."""
-    if not chern:
-        raise ValueError("need at least one Chern class (possibly zero) to fix the model")
-    model = chern[0].model
-    square_sums = newton_power_sums(chern, 2 * max_k)[1::2]  # s_2, s_4, ...
-    out: list[CohClass] = []
-    for k in range(1, max_k + 1):
-        acc = model.zero()
-        for i in range(1, k + 1):
-            prev = out[k - i - 1] if i < k else model.one()
-            acc = acc + prev * square_sums[i - 1] * ((-1) ** (i - 1))
-        out.append(acc * Fraction(1, k))
-    return out
-
-
 def _genus_from_roots(kind: str, bundle: BundleData) -> CohClass:
     model = bundle.model
     series = genus_series(kind, model.dimension // 2)
@@ -210,17 +187,6 @@ def _genus_from_roots(kind: str, bundle: BundleData) -> CohClass:
     for root, multiplicity in Counter(bundle.roots).items():
         out = out * evaluate_series(series, root) ** multiplicity
     return out
-
-
-def _genus_from_power_sums(series: PowerSeries, power_sums: Sequence[CohClass], model) -> CohClass:
-    """exp(sum_k log(series)_k s_k): the multiplicative-sequence expansion
-    driven by the log of the one-root series."""
-    log_series = series.log()
-    acc = model.zero()
-    for k, cls in enumerate(power_sums, start=1):
-        if log_series[k] != 0 and not cls.is_zero():
-            acc = acc + cls * log_series[k]
-    return acc.exponential()
 
 
 def a_hat(bundle: BundleData) -> CohClass:
@@ -270,58 +236,6 @@ def _compute_a_hat(bundle: BundleData) -> CohClass:
         if log_series[2 * k] != 0:
             acc = acc + cls * log_series[2 * k]
     return acc.exponential()
-
-
-def todd_class(bundle: BundleData) -> CohClass:
-    """The Todd class: product of x/(1-e^(-x)) over the Chern roots, or the
-    equivalent power-sum expansion when only Chern classes are given."""
-    model = bundle.model
-    if bundle.roots is not None:
-        return _genus_from_roots("todd", bundle)
-    if bundle.chern is not None:
-        order = model.dimension // 2
-        if order == 0:
-            return model.one()
-        series = genus_series("todd", order)
-        sums = newton_power_sums(bundle.chern, order)
-        return _genus_from_power_sums(series, sums, model)
-    raise BundleError(f"bundle {bundle.name!r} needs roots or Chern data for the Todd class")
-
-
-def chern_character(bundle: BundleData) -> CohClass:
-    """rank + sum over roots of (e^root - 1), equivalently
-    rank + sum_k s_k/k! from the Chern classes."""
-    model = bundle.model
-    if bundle.roots is not None:
-        out = scalar_class(model, Fraction(0))
-        for root, multiplicity in Counter(bundle.roots).items():
-            out = out + root.exponential() * multiplicity
-        return out
-    if bundle.chern is not None:
-        order = model.dimension // 2
-        sums = newton_power_sums(bundle.chern, order) if order else []
-        out = scalar_class(model, Fraction(bundle.rank))
-        for k, cls in enumerate(sums, start=1):
-            out = out + cls * Fraction(1, math.factorial(k))
-        return out
-    raise BundleError(f"bundle {bundle.name!r} needs roots or Chern data for the Chern character")
-
-
-def direct_sum(name: str, *bundles: BundleData) -> BundleData:
-    """Whitney sum of root-presented bundles on a common model."""
-    roots: list[CohClass] = []
-    for bundle in bundles:
-        if bundle.roots is None:
-            raise BundleError("direct_sum needs root-presented bundles")
-        roots.extend(bundle.roots)
-    return BundleData(name, sum(b.rank for b in bundles), roots=roots)
-
-
-def tensor_line(name: str, a: BundleData, b: BundleData) -> BundleData:
-    """Tensor product of two line bundles: the roots add."""
-    if a.rank != 1 or b.rank != 1 or a.roots is None or b.roots is None:
-        raise BundleError("tensor_line expects root-presented line bundles")
-    return BundleData(name, 1, roots=[a.roots[0] + b.roots[0]])
 
 
 # ---------------------------------------------------------------------------

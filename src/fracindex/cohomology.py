@@ -44,7 +44,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from fracindex.scalars import common_denominator, rational_to_string
+from fracindex.scalars import Frozen, common_denominator, rational_to_string
 
 #: Monomials are exponent tuples aligned with the model's generator order.
 Monomial = tuple[int, ...]
@@ -91,7 +91,7 @@ def _accumulate(table: dict, key, delta) -> None:
         table.pop(key, None)
 
 
-class ManifoldModel:
+class ManifoldModel(Frozen):
     """A finite cohomology ring: generators, rewrite relations, and a
     fundamental class against which integration is defined.
 
@@ -133,9 +133,6 @@ class ManifoldModel:
         object.__setattr__(self, "_normal_cache", {})
         object.__setattr__(self, "_products", {})
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ManifoldModel is immutable after construction")
 
     # -- basic structure -----------------------------------------------------
 
@@ -357,7 +354,7 @@ class ManifoldModel:
         return f"ManifoldModel(dim={self.dimension}, generators=[{gens}])"
 
 
-class CohClass:
+class CohClass(Frozen):
     """An element of a ManifoldModel in normal form: the sum over reduced
     monomials m of numerators[m] * m / denominator, in lowest terms (no
     zero numerator, a positive denominator, 1 for the zero class), so equal
@@ -381,9 +378,6 @@ class CohClass:
             num, scale = _product(model, {model.zero_monomial(): 1}, raw)
             den *= scale
         _lowest(model, num, den, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohClass values are immutable")
 
     # -- structure -------------------------------------------------------------
 

@@ -6,7 +6,10 @@ class over the cotangent space is, by convention, the base integral of its
 reduction (positive orientation).  The distribution the symbol induces on
 the group is supported on the center and is described, at each central
 element, by a moment table: the exact pairings of the local invariant
-distribution against monomials in the declared invariant generators.
+distribution against monomials in the declared invariant generators,
+whose curvature images come from `groups.chern_weil_eval` once per
+problem and degree bound.  The fractional index at gamma is the
+degree-zero entry of that table, the coefficient of the point mass.
 
 Every bracket is a power zeta_N^k of one primitive root of unity, N the
 exponent of the center, so every class stays rational and roots of unity
@@ -36,23 +39,15 @@ from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
     InvariantGeneratorDecl,
-    TestJet,
+    MomentKey,
     WeightSystem,
     bracket,
     bracket_exponent,
     character_jet,
     chern_weil_eval,
+    moment_key_order,
 )
-from fracindex.scalars import Scalar, common_denominator, demote, root_of_unity_sum
-
-#: Moment-table keys: exponent tuples over the declared generator order.
-MomentKey = tuple[int, ...]
-
-
-def _moment_key_order(key: MomentKey):
-    """Graded order: total degree first, then declaration precedence (an
-    earlier generator's power sorts before a later one's)."""
-    return (sum(key), tuple(-e for e in key))
+from fracindex.scalars import Frozen, Scalar, common_denominator, demote, root_of_unity_sum
 
 
 class EngineError(ValueError):
@@ -64,7 +59,7 @@ class InternalConsistencyError(RuntimeError):
     arithmetic fault in the engine, not a data problem."""
 
 
-class SymbolData:
+class SymbolData(Frozen):
     """A symbol presented by its base-reduced classes, one per character of
     the finite center; only finitely many components."""
 
@@ -94,9 +89,6 @@ class SymbolData:
         object.__setattr__(self, "components", dict(sorted(clean.items())))
         object.__setattr__(self, "label", label)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolData is immutable")
-
     def component(self, chi: Sequence[int]) -> CohClass | None:
         return self.components.get(self.group.reduce(tuple(chi)))
 
@@ -115,7 +107,7 @@ class SymbolData:
         return f"SymbolData({len(self.components)} components{label})"
 
 
-class MomentTable:
+class MomentTable(Frozen):
     """Exact pairings of the invariant distribution at one central element
     against monomials in the declared generators, keyed by exponent tuple
     and ordered by (total degree, lexicographic)."""
@@ -128,13 +120,10 @@ class MomentTable:
         generator_names: Sequence[str],
         values: Mapping[MomentKey, Scalar],
     ) -> None:
-        ordered = {key: values[key] for key in sorted(values, key=_moment_key_order)}
+        ordered = {key: values[key] for key in sorted(values, key=moment_key_order)}
         object.__setattr__(self, "gamma", tuple(gamma))
         object.__setattr__(self, "generator_names", tuple(generator_names))
         object.__setattr__(self, "values", ordered)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentTable is immutable")
 
     def mass(self) -> Scalar:
         """The degree-zero moment: the coefficient of the point mass."""
@@ -157,7 +146,7 @@ class MomentTable:
         return f"MomentTable(gamma={self.gamma}, {{{body}}})"
 
 
-class IndexDistribution:
+class IndexDistribution(Frozen):
     """The index distribution: one moment table per element of the finite
     center, ordered lexicographically by exponent tuple."""
 
@@ -167,9 +156,6 @@ class IndexDistribution:
         ordered = {gamma: tables[gamma] for gamma in sorted(tables)}
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "tables", ordered)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexDistribution is immutable")
 
     def table(self, gamma: Sequence[int]) -> MomentTable:
         return self.tables[self.group.reduce(tuple(gamma))]
@@ -192,7 +178,7 @@ class IndexDistribution:
         return f"IndexDistribution(over {self.group!r}, {len(self.tables)} tables)"
 
 
-class IndexProblem:
+class IndexProblem(Frozen):
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
     square of the tangent a-hat class.  Monomial images are computed once
@@ -240,9 +226,6 @@ class IndexProblem:
         object.__setattr__(self, "_image_cache", {})
         object.__setattr__(self, "_dual_cache", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexProblem is immutable")
-
     @classmethod
     def with_tangent(
         cls,
@@ -263,56 +246,31 @@ class IndexProblem:
         """The base-manifold integrand at a central element as rational
         buckets: bracket exponent k -> the a-hat square times the sum U_k of
         the symbol components whose bracket with gamma is zeta_N^k.  The
-        integrand itself is sum_k zeta_N^k times bucket k."""
-        gamma = self.group.reduce(tuple(gamma))
+        integrand itself is sum_k zeta_N^k times bucket k.  The exponents
+        of gamma need not be reduced."""
         sums: dict[int, CohClass] = {}
         for chi, u_chi in self.symbol.components.items():
             k = bracket_exponent(self.group, chi, gamma)
             sums[k] = sums[k] + u_chi if k in sums else u_chi
         return {k: self.a_hat_squared * u_k for k, u_k in sums.items()}
 
-    def pair_with_jet(self, gamma: Sequence[int], jet: TestJet) -> Scalar:
-        """Pair the distribution at gamma against an invariant test jet."""
-        image = chern_weil_eval(jet, self.generators, self.model)
-        weights = {
-            k: (bucket * image).integrate() for k, bucket in self.reduced_integrand(gamma).items()
-        }
-        return root_of_unity_sum(self.group.exponent, weights)
-
     def fractional_index(self, gamma: Sequence[int]) -> Scalar:
-        """Pair against a unit bump at gamma: the point-mass coefficient,
-        and at the identity the analytical index of the underlying
-        operator."""
-        return self.pair_with_jet(gamma, TestJet.unit_bump())
+        """The degree-zero moment at gamma: the point-mass coefficient, and
+        at the identity the analytical index of the underlying operator."""
+        return self.moments(gamma, 0).mass()
 
     # -- moment tables ----------------------------------------------------------
 
     def default_degree(self) -> int:
         return self.model.dimension // 2
 
-    def _moment_keys(self, max_degree: int) -> list[MomentKey]:
-        # no recursive closure: it would keep the problem alive in a cycle
-        keys: list[MomentKey] = [()]
-        for _ in self.generators:
-            keys = [key + (e,) for key in keys for e in range(max_degree - sum(key) + 1)]
-        return sorted(keys, key=_moment_key_order)
-
     def _monomial_images(self, max_degree: int) -> dict[MomentKey, CohClass]:
-        """The image class of every moment monomial, cached per degree bound.
-        Keys come in graded order, so each image is one product away from
-        the image of a lower key."""
-        cached = self._image_cache.get(max_degree)
-        if cached is not None:
-            return cached
-        images: dict[MomentKey, CohClass] = {}
-        for key in self._moment_keys(max_degree):
-            i = next((i for i, e in enumerate(key) if e), None)
-            if i is None:
-                images[key] = self.model.one()
-            else:
-                lower = key[:i] + (key[i] - 1,) + key[i + 1 :]
-                images[key] = images[lower] * self.generators[i].image
-        self._image_cache[max_degree] = images
+        """The image class of every moment monomial, in graded order,
+        computed once per degree bound."""
+        images = self._image_cache.get(max_degree)
+        if images is None:
+            images = chern_weil_eval(self.generators, max_degree, self.model)
+            self._image_cache[max_degree] = images
         return images
 
     def _pairings(self, integrand: CohClass, max_degree: int) -> dict[MomentKey, Fraction]:

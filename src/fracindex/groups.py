@@ -1,32 +1,32 @@
 """The group-theoretic inputs: the finite central subgroup, its character
 group and duality bracket, declared invariant-polynomial generators with
-their curvature images, invariant test jets, and weight systems for
-representation characters.
+their curvature images, and weight systems for representation characters.
 
-The engine never sees the Lie algebra itself; invariant polynomials enter
-only through their declared cohomology images, and representations only
-through integer weights paired with degree-2 line classes.
+The engine never sees the Lie algebra itself.  Invariant polynomials enter
+only through their declared cohomology images, and `chern_weil_eval` is
+the one place a polynomial in the generators is evaluated on the
+curvature.  Representations enter only through integer weights paired
+with degree-2 line classes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from fracindex.cohomology import CohClass, ManifoldModel, scalar_class
-from fracindex.scalars import Cyclotomic
+from fracindex.cohomology import CohClass, ManifoldModel
+from fracindex.scalars import Cyclotomic, Frozen
 
 #: Group elements and characters are exponent tuples over the cyclic factors.
 Element = tuple[int, ...]
 
 
 class GroupError(ValueError):
-    """A group, character or jet declaration violates an invariant."""
+    """A group, character or generator declaration violates an invariant."""
 
 
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Frozen):
     """A product of cyclic groups; elements are exponent tuples reduced
     modulo the cyclic orders.  The trivial group has no factors."""
 
@@ -37,9 +37,6 @@ class FiniteAbelianGroup:
         if any(n < 1 for n in orders):
             raise GroupError(f"cyclic orders must be positive, got {orders}")
         object.__setattr__(self, "cyclic_orders", orders)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteAbelianGroup is immutable")
 
     @property
     def order(self) -> int:
@@ -98,14 +95,16 @@ class FiniteAbelianGroup:
 def bracket_exponent(group: FiniteAbelianGroup, character: Sequence[int], element: Sequence[int]) -> int:
     """The duality pairing between a character and a group element as an
     exponent: the k in [0, N) with bracket = zeta_N^k, namely
-    sum_i k_i g_i N/n_i mod N with N the group exponent."""
-    chi = group.reduce(character)
-    g = group.reduce(element)
+    sum_i k_i g_i N/n_i mod N with N the group exponent.  Each term
+    depends only on k_i g_i mod n_i, so the entries need not be reduced."""
+    orders = group.cyclic_orders
+    for value in (character, element):
+        if len(value) != len(orders):
+            raise GroupError(
+                f"element {tuple(value)} has arity {len(value)}, expected {len(orders)}"
+            )
     n = group.exponent
-    total = 0
-    for k, e, order in zip(chi, g, group.cyclic_orders):
-        total += k * e * (n // order)
-    return total % n
+    return sum(k * g * (n // order) for k, g, order in zip(character, element, orders)) % n
 
 
 def bracket(group: FiniteAbelianGroup, character: Sequence[int], element: Sequence[int]) -> Cyclotomic:
@@ -115,7 +114,7 @@ def bracket(group: FiniteAbelianGroup, character: Sequence[int], element: Sequen
     return Cyclotomic.root_of_unity(group.exponent, bracket_exponent(group, character, element))
 
 
-class InvariantGeneratorDecl:
+class InvariantGeneratorDecl(Frozen):
     """A declared generator of the invariant polynomials, carrying its
     degree in the symmetric algebra and its image class under the
     curvature evaluation (connection independence is assumed, not
@@ -134,92 +133,43 @@ class InvariantGeneratorDecl:
         object.__setattr__(self, "s_degree", int(s_degree))
         object.__setattr__(self, "image", image)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantGeneratorDecl is immutable")
-
     def __repr__(self):
         return f"InvariantGeneratorDecl({self.name!r}, s_degree={self.s_degree})"
 
 
-class TestJet:
-    """The Taylor jet of an invariant test function, as a polynomial in the
-    declared generator names; a unit bump stands for a smooth invariant
-    function equal to 1 near the base point with small support, whose jet
-    is the constant 1.
+#: Moment keys: exponent tuples over the declared generator order.
+MomentKey = tuple[int, ...]
 
-    The averaging over the structure group is assumed already performed by
-    whoever supplies the jet.
-    """
 
-    __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("terms", "is_unit_bump")
-
-    def __init__(
-        self,
-        terms: Mapping[tuple[tuple[str, int], ...], Fraction] | None = None,
-        is_unit_bump: bool = False,
-    ) -> None:
-        clean: dict[tuple[tuple[str, int], ...], Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            key = tuple(sorted((str(n), int(e)) for n, e in mono if int(e) > 0))
-            clean[key] = clean.get(key, Fraction(0)) + coeff
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
-        object.__setattr__(self, "is_unit_bump", bool(is_unit_bump))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TestJet is immutable")
-
-    @classmethod
-    def unit_bump(cls) -> "TestJet":
-        return cls(None, is_unit_bump=True)
-
-    @classmethod
-    def constant(cls, value) -> "TestJet":
-        return cls({(): Fraction(value)})
-
-    @classmethod
-    def monomial(cls, *factors: tuple[str, int]) -> "TestJet":
-        return cls({tuple(factors): Fraction(1)})
-
-    def __repr__(self):
-        if self.is_unit_bump:
-            return "TestJet(unit_bump)"
-        parts = []
-        for mono, coeff in self.terms.items():
-            name = "*".join(f"{n}^{e}" if e > 1 else n for n, e in mono) or "1"
-            parts.append(f"{coeff}*{name}")
-        return f"TestJet({' + '.join(parts) or '0'})"
+def moment_key_order(key: MomentKey):
+    """Graded order: total degree first, then declaration precedence (an
+    earlier generator's power sorts before a later one's)."""
+    return (sum(key), tuple(-e for e in key))
 
 
 def chern_weil_eval(
-    jet: TestJet,
-    generators: Sequence[InvariantGeneratorDecl],
-    model: ManifoldModel | None = None,
-) -> CohClass:
-    """Evaluate a jet on the curvature by substituting each generator name
-    with its declared image class.  A unit bump evaluates to 1."""
-    if model is None:
-        if not generators:
-            raise GroupError("chern_weil_eval needs a model when no generators are declared")
-        model = generators[0].image.model
-    if jet.is_unit_bump:
-        return model.one()
-    images = {gen.name: gen.image for gen in generators}
-    out = model.zero()
-    for mono, coeff in jet.terms.items():
-        term = scalar_class(model, coeff)
-        for name, exponent in mono:
-            if name not in images:
-                raise GroupError(f"jet references undeclared generator {name!r}")
-            term = term * images[name] ** exponent
-        out = out + term
-    return out
+    generators: Sequence[InvariantGeneratorDecl], max_degree: int, model: ManifoldModel
+) -> dict[MomentKey, CohClass]:
+    """The curvature image of every monomial in the generators of total
+    degree up to max_degree: each generator is replaced by its declared
+    image class.  Keys are exponent tuples over the generator order, in
+    graded order, so each image is one product away from the image of a
+    lower key; the unit key () or (0, ..., 0) maps to 1."""
+    keys: list[MomentKey] = [()]
+    for _ in generators:
+        keys = [key + (e,) for key in keys for e in range(max_degree - sum(key) + 1)]
+    images: dict[MomentKey, CohClass] = {}
+    for key in sorted(keys, key=moment_key_order):
+        i = next((i for i, e in enumerate(key) if e), None)
+        if i is None:
+            images[key] = model.one()
+        else:
+            lower = key[:i] + (key[i] - 1,) + key[i + 1 :]
+            images[key] = images[lower] * generators[i].image
+    return images
 
 
-class WeightSystem:
+class WeightSystem(Frozen):
     """Weight data for representation characters: one degree-2 line class
     per torus coordinate, plus the family rule that turns a label into the
     multiset of integer weight vectors.
@@ -246,9 +196,6 @@ class WeightSystem:
                 raise GroupError("weight-system line classes must be homogeneous of degree 2")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "line_classes", line_classes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightSystem is immutable")
 
     @property
     def rank(self) -> int:

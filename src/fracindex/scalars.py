@@ -28,6 +28,17 @@ Rational = Fraction
 Scalar = Union[Fraction, "Cyclotomic"]
 
 
+class Frozen:
+    """Base of the package's immutable value classes: each sets its slots
+    once in __init__ through object.__setattr__, and assignment afterwards
+    raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def rational_to_string(q: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
     if q.denominator == 1:
@@ -137,7 +148,7 @@ def _fold(order: int, poly: list[int]) -> list[int]:
     return poly
 
 
-class Cyclotomic:
+class Cyclotomic(Frozen):
     """An element of the cyclotomic field of the given order: a residue
     modulo the cyclotomic polynomial, stored as deg(Phi_order) integer
     numerators over one positive denominator, in lowest terms (a zero
@@ -165,9 +176,6 @@ class Cyclotomic:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "numerators", tuple([c // g for c in poly]))
         object.__setattr__(self, "denominator", denominator * scale // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclotomic values are immutable")
 
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> "Cyclotomic":
@@ -306,12 +314,10 @@ def bernoulli(n: int) -> Fraction:
 # truncated one-variable formal power series
 
 
-class PowerSeries:
+class PowerSeries(Frozen):
     """A formal power series in one variable truncated at a fixed order:
-    coefficients for x^0 .. x^order, all Fractions.
-
-    Operations never see past the truncation order; in particular the
-    product of two order-k series is again an order-k series.
+    coefficients for x^0 .. x^order, all Fractions.  The inverse and the
+    log of an order-k series are again order-k series, exact up to x^k.
     """
 
     __slots__ = ("variable", "order", "coeffs")
@@ -328,77 +334,8 @@ class PowerSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries values are immutable")
-
-    @classmethod
-    def constant(cls, value, order: int, variable: str = "x") -> "PowerSeries":
-        return cls([Fraction(value)], order, variable)
-
-    @classmethod
-    def identity(cls, order: int, variable: str = "x") -> "PowerSeries":
-        """The series x."""
-        return cls([Fraction(0), Fraction(1)], order, variable)
-
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
-
-    def _coerce(self, other) -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries.constant(other, self.order, self.variable)
-        if isinstance(other, PowerSeries):
-            if other.variable != self.variable:
-                raise ValueError(f"variable mismatch: {self.variable} vs {other.variable}")
-            if other.order != self.order:
-                raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
-            return other
-        raise TypeError(f"cannot combine PowerSeries with {type(other).__name__}")
-
-    def truncate(self, order: int) -> "PowerSeries":
-        return PowerSeries(self.coeffs, order, self.variable)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return PowerSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order, self.variable)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.order, self.variable)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries([c * other for c in self.coeffs], self.order, self.variable)
-        other = self._coerce(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, self.order, self.variable)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "PowerSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = PowerSeries.constant(1, self.order, self.variable)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -412,34 +349,6 @@ class PowerSeries:
             for j in range(1, k + 1):
                 acc += self.coeffs[j] * out[k - j] if j <= self.order else 0
             out[k] = -inv0 * acc
-        return PowerSeries(out, self.order, self.variable)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * self._coerce(other).inverse()
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner(x)); requires inner to have zero constant term."""
-        inner = self._coerce(inner)
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition requires zero constant term")
-        out = PowerSeries.constant(self.coeffs[self.order], self.order, self.variable)
-        for k in range(self.order - 1, -1, -1):  # Horner in the inner series
-            out = out * inner + self.coeffs[k]
-        return out
-
-    def exp(self) -> "PowerSeries":
-        """exp of a series with zero constant term."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires zero constant term")
-        out = [Fraction(1)] + [Fraction(0)] * self.order
-        # e' = e * f'  =>  k e_k = sum_j j f_j e_{k-j}
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += j * self.coeffs[j] * out[k - j]
-            out[k] = acc / k
         return PowerSeries(out, self.order, self.variable)
 
     def log(self) -> "PowerSeries":

@@ -52,7 +52,7 @@ from fracindex.groups import (
     InvariantGeneratorDecl,
     WeightSystem,
 )
-from fracindex.scalars import Scalar, rational_to_string, scalar_to_json
+from fracindex.scalars import Frozen, Scalar, rational_to_string, scalar_to_json
 
 TASK_OPS = (
     "fractional_index",
@@ -77,7 +77,7 @@ class ScenarioError(ValueError):
     """A scenario document failed to parse or violates an invariant."""
 
 
-class Scenario:
+class Scenario(Frozen):
     """A fully validated scenario, ready to run."""
 
     __slots__ = (
@@ -117,9 +117,6 @@ class Scenario:
         object.__setattr__(self, "tasks", tuple(dict(t) for t in tasks))
         object.__setattr__(self, "expect", list(expect) if expect is not None else None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scenario is immutable")
-
     def tangent_bundle(self) -> BundleData | None:
         return self.bundles.get(self.tangent_name) if self.tangent_name else None
 
@@ -132,7 +129,7 @@ class Scenario:
         return f"Scenario({self.name!r}, {len(self.tasks)} tasks)"
 
 
-class TaskResult:
+class TaskResult(Frozen):
     """One task's exact outcome, with the request and scenario echoed."""
 
     __slots__ = ("scenario", "index", "request", "payload")
@@ -142,9 +139,6 @@ class TaskResult:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "request", dict(request))
         object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TaskResult is immutable")
 
     def payload_json(self):
         return _payload_to_json(self.payload)

@@ -1,13 +1,17 @@
 """Hand-rolled reference arithmetic used as independent oracles.
 
-Everything here works on plain coefficient lists and stays deliberately
+Most of this works on plain coefficient lists and stays deliberately
 separate from the package's PowerSeries / CohClass code paths, so that
-agreement between the two is a real cross-check.
+agreement between the two is a real cross-check.  The Todd class, the
+Chern character and the Pontryagin classes of a complex bundle are built
+from the package's class arithmetic instead: no scenario task computes
+them, and the tests use them as known characteristic classes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 
@@ -29,18 +33,6 @@ def series_div(num: list[Fraction], den: list[Fraction], order: int) -> list[Fra
         for j in range(1, k + 1):
             acc -= den[j] * out[k - j]
         out[k] = acc / den[0]
-    return out
-
-
-def series_compose(outer: list[Fraction], inner: list[Fraction], order: int) -> list[Fraction]:
-    """outer(inner(x)) truncated; inner[0] must be zero."""
-    assert not inner or inner[0] == 0
-    out = [Fraction(0)] * (order + 1)
-    power = [Fraction(1)] + [Fraction(0)] * order
-    for k, c in enumerate(outer[: order + 1]):
-        for i, p in enumerate(power):
-            out[i] += c * p
-        power = series_mul(power, inner, order)
     return out
 
 
@@ -333,3 +325,101 @@ def cyclotomic_product(a: list[Fraction], b: list[Fraction], modulus: list[Fract
         for j, y in enumerate(b):
             product[i + j] += x * y
     return cyclotomic_residue(product, modulus)
+
+
+# -- characteristic classes no task computes -----------------------------------
+
+
+def pontryagin_from_chern(chern, max_k: int) -> list:
+    """Pontryagin classes of the underlying real bundle of a complex bundle:
+    p_k = e_k(roots^2), computed from s_(2k)(roots) by the inverse Newton
+    identities.  For example p_1 = c_1^2 - 2 c_2."""
+    from fracindex.characteristic import newton_power_sums
+
+    if not chern:
+        raise ValueError("need at least one Chern class (possibly zero) to fix the model")
+    model = chern[0].model
+    square_sums = newton_power_sums(chern, 2 * max_k)[1::2]  # s_2, s_4, ...
+    out: list = []
+    for k in range(1, max_k + 1):
+        acc = model.zero()
+        for i in range(1, k + 1):
+            prev = out[k - i - 1] if i < k else model.one()
+            acc = acc + prev * square_sums[i - 1] * ((-1) ** (i - 1))
+        out.append(acc * Fraction(1, k))
+    return out
+
+
+def _genus_from_power_sums(series, power_sums, model):
+    """exp(sum_k log(series)_k s_k): the multiplicative-sequence expansion
+    driven by the log of the one-root series."""
+    log_series = series.log()
+    acc = model.zero()
+    for k, cls in enumerate(power_sums, start=1):
+        if log_series[k] != 0 and not cls.is_zero():
+            acc = acc + cls * log_series[k]
+    return acc.exponential()
+
+
+def todd_class(bundle):
+    """The Todd class: product of x/(1-e^(-x)) over the Chern roots, or the
+    equivalent power-sum expansion when only Chern classes are given."""
+    from fracindex.characteristic import BundleError, _genus_from_roots, newton_power_sums
+    from fracindex.scalars import genus_series
+
+    model = bundle.model
+    if bundle.roots is not None:
+        return _genus_from_roots("todd", bundle)
+    if bundle.chern is not None:
+        order = model.dimension // 2
+        if order == 0:
+            return model.one()
+        series = genus_series("todd", order)
+        sums = newton_power_sums(bundle.chern, order)
+        return _genus_from_power_sums(series, sums, model)
+    raise BundleError(f"bundle {bundle.name!r} needs roots or Chern data for the Todd class")
+
+
+def chern_character(bundle):
+    """rank + sum over roots of (e^root - 1), equivalently
+    rank + sum_k s_k/k! from the Chern classes."""
+    from fracindex.characteristic import BundleError, newton_power_sums
+    from fracindex.cohomology import scalar_class
+
+    model = bundle.model
+    if bundle.roots is not None:
+        out = scalar_class(model, Fraction(0))
+        for root, multiplicity in Counter(bundle.roots).items():
+            out = out + root.exponential() * multiplicity
+        return out
+    if bundle.chern is not None:
+        order = model.dimension // 2
+        sums = newton_power_sums(bundle.chern, order) if order else []
+        out = scalar_class(model, Fraction(bundle.rank))
+        for k, cls in enumerate(sums, start=1):
+            out = out + cls * Fraction(1, math.factorial(k))
+        return out
+    raise BundleError(f"bundle {bundle.name!r} needs roots or Chern data for the Chern character")
+
+
+# -- brackets and fractional indices ---------------------------------------------
+
+
+def bracket_exponent_by_reduction(group, character, element) -> int:
+    """The duality pairing as an exponent mod the group exponent N, with
+    both tuples reduced modulo the cyclic orders first."""
+    chi = group.reduce(character)
+    g = group.reduce(element)
+    n = group.exponent
+    return sum(k * e * (n // order) for k, e, order in zip(chi, g, group.cyclic_orders)) % n
+
+
+def fractional_index_oracle(problem, gamma):
+    """The distribution at gamma paired against a unit bump: the integral
+    of each reduced-integrand bucket, weighted by its root of unity."""
+    from fracindex.scalars import root_of_unity_sum
+
+    buckets = problem.reduced_integrand(gamma)
+    return root_of_unity_sum(
+        problem.group.exponent, {k: bucket.integrate() for k, bucket in buckets.items()}
+    )

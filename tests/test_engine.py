@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracindex.characteristic import BundleData, a_hat, projective_tangent_bundle, todd_class
+from fracindex.characteristic import BundleData, a_hat, projective_tangent_bundle
 from fracindex.cohomology import (
     CohClass,
     build_model,
@@ -28,14 +30,21 @@ from fracindex.engine import (
 from fracindex.groups import (
     FiniteAbelianGroup,
     InvariantGeneratorDecl,
-    TestJet,
     WeightSystem,
     bracket,
     bracket_exponent,
+    chern_weil_eval,
 )
 from fracindex.scalars import Cyclotomic
 
-from oracles import a_hat_series_oracle, cpn_integral, cpn_mul, evaluate_series_at_x
+from oracles import (
+    a_hat_series_oracle,
+    cpn_integral,
+    cpn_mul,
+    evaluate_series_at_x,
+    fractional_index_oracle,
+    todd_class,
+)
 
 
 def cp2_dirac_problem():
@@ -131,7 +140,38 @@ def test_unit_bump_pairing_equals_mass():
 def test_high_weight_jet_pairs_to_zero():
     cp2, problem = cp2_dirac_problem()
     # P1^2 has cohomological weight 8 > 4
-    assert problem.pair_with_jet((0,), TestJet.monomial(("P1", 2))) == 0
+    image = chern_weil_eval(problem.generators, 2, cp2)[(2, 0)]
+    for bucket in problem.reduced_integrand((0,)).values():
+        assert (bucket * image).integrate() == 0
+    assert problem.moments((0,), 2).values[(2, 0)] == 0
+
+
+@st.composite
+def _index_problems(draw):
+    """A random problem over the point, CP^1 or CP^3 and one of several
+    centers, Z/6 x Z/4 included, with a random rational symbol and an
+    unreduced central element."""
+    n = draw(st.sampled_from([0, 1, 3]))
+    model = projective_space_model(n) if n else point_model()
+    group = FiniteAbelianGroup(draw(st.sampled_from([[], [2], [3], [5], [2, 2], [6, 4]])))
+    coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    components = {}
+    for chi in group.characters():
+        if draw(st.booleans()):
+            components[chi] = CohClass(model, {m: draw(coefficient) for m in model.basis()})
+    square = None
+    if model.dimension and draw(st.booleans()):
+        square = a_hat(projective_tangent_bundle(model)) ** 2
+    problem = IndexProblem(model, group, (), SymbolData(group, components), square)
+    gamma = tuple(draw(st.integers(-2 * order, 2 * order)) for order in group.cyclic_orders)
+    return problem, gamma
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_index_problems())
+def test_fractional_index_matches_unit_bump_oracle(case):
+    problem, gamma = case
+    assert problem.fractional_index(gamma) == fractional_index_oracle(problem, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,27 @@
-"""Finite centers, duality brackets, invariant jets, weight systems."""
+"""Finite centers, duality brackets, curvature images, weight systems."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracindex.cohomology import parse_expression, projective_space_model
 from fracindex.groups import (
     FiniteAbelianGroup,
     GroupError,
     InvariantGeneratorDecl,
-    TestJet,
     WeightSystem,
     bracket,
+    bracket_exponent,
     character_jet,
     chern_weil_eval,
 )
 from fracindex.scalars import Cyclotomic
+
+from oracles import bracket_exponent_by_reduction
 
 
 @pytest.fixture
@@ -108,7 +111,7 @@ def test_bracket_orthogonality(orders):
 
 
 # ---------------------------------------------------------------------------
-# invariant generators and jets
+# invariant generators and their curvature images
 
 
 def test_generator_validates_image_degree(cp2):
@@ -127,65 +130,68 @@ def test_zero_image_is_allowed(cp2):
 
 
 def test_unit_bump_evaluates_to_one(cp2):
+    # the unit key is the jet of a unit bump at the base point
     gens = [InvariantGeneratorDecl("P1", 2, parse_expression("3*x^2", cp2))]
-    assert chern_weil_eval(TestJet.unit_bump(), gens) == 1
-    assert chern_weil_eval(TestJet.unit_bump(), [], model=cp2) == 1
+    assert chern_weil_eval(gens, 0, cp2) == {(0,): cp2.one()}
+    assert chern_weil_eval(gens, 2, cp2)[(0,)] == cp2.one()
+    assert chern_weil_eval([], 2, cp2) == {(): cp2.one()}
 
 
 def test_single_generator_substitution(cp2):
     gens = [InvariantGeneratorDecl("P1", 2, parse_expression("3*x^2", cp2))]
-    jet = TestJet.monomial(("P1", 1))
-    assert chern_weil_eval(jet, gens) == parse_expression("3*x^2", cp2)
+    assert chern_weil_eval(gens, 1, cp2)[(1,)] == parse_expression("3*x^2", cp2)
 
 
 def test_square_truncates_past_dimension(cp2):
     gens = [InvariantGeneratorDecl("P1", 2, parse_expression("3*x^2", cp2))]
-    jet = TestJet.monomial(("P1", 2))
-    assert chern_weil_eval(jet, gens).is_zero()
+    assert chern_weil_eval(gens, 2, cp2)[(2,)].is_zero()
+
+
+def test_chern_weil_eval_keys_come_in_graded_order(cp2):
+    gens = [
+        InvariantGeneratorDecl("P", 1, parse_expression("2*x", cp2)),
+        InvariantGeneratorDecl("Q", 1, parse_expression("x", cp2)),
+    ]
+    assert list(chern_weil_eval(gens, 2, cp2)) == [
+        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+    ]
 
 
 def test_chern_weil_eval_is_ring_homomorphism(cp2):
     gens = [
         InvariantGeneratorDecl("P", 1, parse_expression("2*x", cp2)),
-        InvariantGeneratorDecl("Q", 1, parse_expression("x", cp2)),
+        InvariantGeneratorDecl("Q", 1, parse_expression("-3*x", cp2)),
+        InvariantGeneratorDecl("R", 2, parse_expression("5*x^2", cp2)),
     ]
-    rng = random.Random(41)
-
-    def random_jet():
-        terms = {}
-        for mono in [(), (("P", 1),), (("Q", 1),), (("P", 1), ("Q", 1)), (("P", 2),)]:
-            c = rng.randint(-3, 3)
-            if c:
-                terms[mono] = Fraction(c)
-        return TestJet(terms)
-
-    def jet_product(a, b):
-        terms = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                merged: dict[str, int] = {}
-                for n, e in m1 + m2:
-                    merged[n] = merged.get(n, 0) + e
-                key = tuple(sorted(merged.items()))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return TestJet(terms)
-
-    for _ in range(15):
-        a, b = random_jet(), random_jet()
-        left = chern_weil_eval(jet_product(a, b), gens)
-        right = chern_weil_eval(a, gens) * chern_weil_eval(b, gens)
-        assert left == right
+    images = chern_weil_eval(gens, 4, cp2)
+    for a in images:
+        for b in images:
+            key = tuple(x + y for x, y in zip(a, b))
+            if key in images:
+                assert images[key] == images[a] * images[b]
 
 
-def test_undeclared_generator_rejected(cp2):
-    gens = [InvariantGeneratorDecl("P1", 2, parse_expression("3*x^2", cp2))]
-    with pytest.raises(GroupError, match="undeclared"):
-        chern_weil_eval(TestJet.monomial(("Q", 1)), gens)
+# ---------------------------------------------------------------------------
+# bracket exponents on raw exponent tuples
 
 
-def test_jets_normalize_keys():
-    jet = TestJet({(("b", 1), ("a", 2)): Fraction(2), (("a", 2), ("b", 1)): Fraction(1)})
-    assert jet.terms == {(("a", 2), ("b", 1)): Fraction(3)}
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bracket_exponent_matches_reduced_formula(data):
+    orders = data.draw(st.lists(st.integers(1, 12), max_size=3))
+    group = FiniteAbelianGroup(orders)
+    entry = st.integers(-50, 50)
+    chi = tuple(data.draw(entry) for _ in orders)
+    g = tuple(data.draw(entry) for _ in orders)
+    assert bracket_exponent(group, chi, g) == bracket_exponent_by_reduction(group, chi, g)
+
+
+def test_bracket_exponent_rejects_wrong_arity():
+    group = FiniteAbelianGroup([2, 3])
+    with pytest.raises(GroupError, match="arity"):
+        bracket_exponent(group, (1,), (0, 1))
+    with pytest.raises(GroupError, match="arity"):
+        bracket_exponent(group, (1, 0), (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from oracles import (
     bernoulli_oracle,
     cyclotomic_product,
     cyclotomic_residue,
-    series_compose,
     series_mul,
     todd_series_oracle,
 )
@@ -282,68 +281,45 @@ def test_bernoulli_rejects_negative():
 # power series
 
 
-def test_series_basic_arithmetic():
-    x = PowerSeries.identity(4)
-    p = (1 + x) ** 3
-    assert p.coeffs == (1, 3, 3, 1, 0)
-    assert (p - 3 * x).coeffs == (1, 0, 3, 1, 0)
-
-
 def test_series_truncation_is_respected():
-    x = PowerSeries.identity(2)
-    assert ((1 + x) * (1 + x)).coeffs == (1, 2, 1)
-    assert (x * x * x).coeffs == (0, 0, 0)
-    assert (x.truncate(5) ** 3).coeffs == (0, 0, 0, 1, 0, 0)
-
-
-def test_series_inverse_is_exact():
-    x = PowerSeries.identity(6)
-    geom = (1 - x).inverse()
-    assert all(c == 1 for c in geom.coeffs)
-    assert ((1 + 2 * x + x * x) * (1 + 2 * x + x * x).inverse()).coeffs == (1, 0, 0, 0, 0, 0, 0)
-
-
-def test_series_inverse_requires_unit():
-    with pytest.raises(ZeroDivisionError):
-        PowerSeries.identity(3).inverse()
-
-
-def test_series_exp_log_round_trip():
-    x = PowerSeries.identity(8)
-    series = 2 * x + 3 * x**2 - x**5
-    assert series.exp().log() == series
-    unit = 1 + x - x**3
-    assert unit.log().exp() == unit
+    assert PowerSeries([1, 2, 3, 4], 2).coeffs == (1, 2, 3)
+    assert PowerSeries([1, 2], 3).coeffs == (1, 2, 0, 0)
+    series = PowerSeries([1, 2, 3])
+    assert series.order == 2
+    assert series[1] == 2 and series[3] == 0 and series[-1] == 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    a=st.lists(st.integers(-3, 3).map(Fraction), min_size=13, max_size=13),
-    b=st.lists(st.integers(-3, 3).map(Fraction), min_size=13, max_size=13),
+    a=st.lists(st.integers(-3, 3).map(Fraction), min_size=13, max_size=13).filter(lambda a: a[0]),
 )
-def test_series_multiplication_matches_convolution_oracle(a, b):
+def test_series_inverse_is_exact(a):
     order = 12
-    left = PowerSeries(a, order)
-    right = PowerSeries(b, order)
-    assert list((left * right).coeffs) == series_mul(a, b, order)
+    inverse = PowerSeries(a, order).inverse()
+    assert series_mul(a, list(inverse.coeffs), order) == [1] + [0] * order
+    geometric = PowerSeries([1, -1], 6).inverse()
+    assert all(c == 1 for c in geometric.coeffs)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    outer=st.lists(st.integers(-3, 3).map(Fraction), min_size=13, max_size=13),
-    inner=st.lists(st.integers(-2, 2).map(Fraction), min_size=12, max_size=12),
-)
-def test_series_composition_matches_oracle(outer, inner):
-    order = 12
-    inner_coeffs = [Fraction(0)] + inner
-    result = PowerSeries(outer, order).compose(PowerSeries(inner_coeffs, order))
-    assert list(result.coeffs) == series_compose(outer, inner_coeffs, order)
+def test_series_inverse_requires_unit():
+    with pytest.raises(ZeroDivisionError):
+        PowerSeries([0, 1], 3).inverse()
 
 
-def test_composition_requires_zero_constant_term():
-    x = PowerSeries.identity(3)
+def test_a_hat_series_log_closed_form():
+    # log((x/2)/sinh(x/2)) = -sum_k B_2k x^2k / (2k (2k)!)
+    order = 16
+    log_series = genus_series("a_hat", order).log()
+    for n in range(order + 1):
+        expected = 0
+        if n and n % 2 == 0:
+            expected = -bernoulli(n) / (n * math.factorial(n))
+        assert log_series[n] == expected
+
+
+def test_series_log_requires_unit_constant_term():
     with pytest.raises(ValueError):
-        (1 + x).compose(1 + x)
+        PowerSeries([2, 1], 3).log()
 
 
 # ---------------------------------------------------------------------------
