@@ -5,20 +5,18 @@ distributions, in rational and cyclotomic arithmetic.
 
 from fracindex.scalars import (
     Cyclotomic,
-    PowerSeries,
     Rational,
+    a_hat_series,
     bernoulli,
     cyclotomic_polynomial,
-    genus_series,
 )
 
 __all__ = [
     "Cyclotomic",
-    "PowerSeries",
     "Rational",
+    "a_hat_series",
     "bernoulli",
     "cyclotomic_polynomial",
-    "genus_series",
 ]
 
 __version__ = "0.1.0"

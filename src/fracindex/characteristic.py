@@ -2,14 +2,16 @@
 
 Bundles are declared by formal degree-2 Chern roots, by Chern classes, or
 (for real bundles) by Pontryagin classes.  The a-hat genus is evaluated
-either root by root or through the log of the one-root series and Newton
-power sums, and the two routes agree exactly.
+either root by root, from the one-root series (x/2)/sinh(x/2), or as the
+exponential of its log series paired with Newton power sums.  Both series
+come from their own Bernoulli closed form in `scalars`, so the two routes
+agree exactly only when both closed forms are right.
 
 The root route works on the distinct roots with their multiplicities: a
 genus is the product of f(root)^count, computed by repeated squaring, and
 the total Chern class the product of (1 + root)^count.  The tangent roots
 of CP^n are n+1 copies of one class, so the one-root series is evaluated
-once.
+once, by `cohomology.evaluate_series`.
 
 The a-hat series is even, so its power-sum route needs only the power sums
 of the squared roots, and s_k(roots^2) = s_2k(roots): from Chern classes
@@ -26,8 +28,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from fracindex.cohomology import CohClass, ManifoldModel, scalar_class
-from fracindex.scalars import Frozen, PowerSeries, genus_series
+from fracindex.cohomology import CohClass, ManifoldModel, evaluate_series
+from fracindex.scalars import Frozen, a_hat_log_series, a_hat_series
 
 
 class BundleError(ValueError):
@@ -142,22 +144,6 @@ def _elementary_symmetric(
     return [total.degree_part(2 * k) for k in range(1, count + 1)]
 
 
-def evaluate_series(series: PowerSeries, cls: CohClass) -> CohClass:
-    """Plug a class with zero constant term into a truncated one-variable
-    series; the sum is finite by nilpotency."""
-    if cls.constant_term() != 0:
-        raise ValueError("series evaluation requires a class with zero constant term")
-    out = scalar_class(cls.model, series[0])
-    power = cls.model.one()
-    for k in range(1, series.order + 1):
-        power = power * cls
-        if power.is_zero():
-            break
-        if series[k] != 0:
-            out = out + power * series[k]
-    return out
-
-
 def newton_power_sums(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
     """Power sums s_1..s_max_k of the Chern roots from the Chern classes,
     via Newton's identities s_k = c_1 s_(k-1) - c_2 s_(k-2) + ... -+ k c_k."""
@@ -180,9 +166,9 @@ def newton_power_sums(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
     return sums
 
 
-def _genus_from_roots(kind: str, bundle: BundleData) -> CohClass:
+def _genus_from_roots(bundle: BundleData) -> CohClass:
     model = bundle.model
-    series = genus_series(kind, model.dimension // 2)
+    series = a_hat_series(model.dimension // 2)
     out = model.one()
     for root, multiplicity in Counter(bundle.roots).items():
         out = out * evaluate_series(series, root) ** multiplicity
@@ -214,7 +200,7 @@ def a_hat_squared(bundle: BundleData) -> CohClass:
 def _compute_a_hat(bundle: BundleData) -> CohClass:
     model = bundle.model
     if bundle.roots is not None:
-        return _genus_from_roots("a_hat", bundle)
+        return _genus_from_roots(bundle)
     max_p = model.dimension // 4
     # power sums s_k(roots^2), k = 1..max_p
     if bundle.pontryagin is not None:
@@ -222,14 +208,14 @@ def _compute_a_hat(bundle: BundleData) -> CohClass:
             return model.one()
         square_sums = newton_power_sums(bundle.pontryagin, max_p)
     elif bundle.chern is not None:
-        if max_p == 0:
+        if not bundle.chern or max_p == 0:
             return model.one()
         square_sums = newton_power_sums(bundle.chern, 2 * max_p)[1::2]
     else:
         raise BundleError(
             f"bundle {bundle.name!r} needs roots, Chern or Pontryagin data for the a-hat genus"
         )
-    log_series = genus_series("a_hat", model.dimension // 2).log()
+    log_series = a_hat_log_series(model.dimension // 2)
     # even series: only the even log coefficients appear
     acc = model.zero()
     for k, cls in enumerate(square_sums, start=1):

@@ -33,6 +33,12 @@ lemma with the critical-pair lemma, Baader & Nipkow, Term Rewriting and
 All That, ch. 6; for linear combinations, Bergman's diamond lemma, Adv.
 Math. 29, 1978).
 
+Every power series in a class runs through one loop, `evaluate_series`:
+the exponential, the inverse (1/c0 times the alternating series in the
+nilpotent part) and the one-root genus series of `characteristic`.  A
+class with zero constant term is nilpotent, since every generator has
+positive degree, so the loop stops once the powers vanish.
+
 Models are immutable after validation and classes are immutable always;
 everything here is a pure function of its inputs.
 """
@@ -42,7 +48,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from fracindex.scalars import Frozen, common_denominator, rational_to_string
 
@@ -476,35 +482,19 @@ class CohClass(Frozen):
 
     def exponential(self) -> "CohClass":
         """sum_k self^k / k!, a finite sum; requires zero constant term."""
-        if self.constant_term() != 0:
-            raise ValueError("exponential requires a nilpotent class (zero constant term)")
-        out = self.model.one()
-        power = self.model.one()
-        k = 1
-        while True:
-            power = power * self
-            if power.is_zero():
-                return out
-            out = out + power * Fraction(1, math.factorial(k))
-            k += 1
+        half = self.model.dimension // 2
+        return evaluate_series([Fraction(1, math.factorial(k)) for k in range(half + 1)], self)
 
     def inverse(self) -> "CohClass":
-        """Multiplicative inverse via the finite geometric series; requires a
-        nonzero constant term."""
+        """Multiplicative inverse: 1/c0 times the finite alternating series
+        in the nilpotent class self/c0 - 1; requires a nonzero constant
+        term c0."""
         c0 = self.constant_term()
         if c0 == 0:
             raise ValueError("class with zero constant term is not invertible")
         c0_inv = 1 / c0
-        nil = self * c0_inv - 1
-        out = self.model.one()
-        power = self.model.one()
-        sign = 1
-        while True:
-            power = power * nil
-            if power.is_zero():
-                return out * c0_inv
-            sign = -sign
-            out = out + power * sign
+        signs = [(-1) ** k for k in range(self.model.dimension // 2 + 1)]
+        return evaluate_series(signs, self * c0_inv - 1) * c0_inv
 
     def integrate(self) -> Fraction:
         """Pair against the fundamental class: the coefficient of the
@@ -576,6 +566,24 @@ def _lowest(model: ManifoldModel, num: dict, den: int, out: CohClass | None = No
 
 def scalar_class(model: ManifoldModel, value: Fraction | int) -> CohClass:
     return CohClass(model, {model.zero_monomial(): value})
+
+
+def evaluate_series(coeffs: Sequence[Fraction | int], cls: CohClass) -> CohClass:
+    """sum_k coeffs[k] * cls^k for a class with zero constant term.  Every
+    generator has positive degree, so cls^k vanishes once 2k exceeds the
+    model dimension; the sum stops there or when the coefficients run
+    out."""
+    if cls.constant_term() != 0:
+        raise ValueError("series evaluation requires a class with zero constant term")
+    out = scalar_class(cls.model, coeffs[0])
+    power = cls.model.one()
+    for c in coeffs[1:]:
+        power = power * cls
+        if power.is_zero():
+            break
+        if c:
+            out = out + power * c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -163,12 +163,6 @@ class IndexDistribution(Frozen):
     def mass(self, gamma: Sequence[int]) -> Scalar:
         return self.table(gamma).mass()
 
-    def total_mass(self) -> Scalar:
-        masses = [table.mass() for table in self.tables.values()]
-        if not masses:
-            return Fraction(0)
-        return demote(sum(masses[1:], masses[0]))
-
     def __eq__(self, other):
         if not isinstance(other, IndexDistribution):
             return NotImplemented

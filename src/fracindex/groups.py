@@ -65,12 +65,6 @@ class FiniteAbelianGroup(Frozen):
             0 <= int(e) < n for e, n in zip(element, self.cyclic_orders)
         )
 
-    def add(self, a: Sequence[int], b: Sequence[int]) -> Element:
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
-
-    def negate(self, a: Sequence[int]) -> Element:
-        return self.reduce(tuple(-x for x in a))
-
     def elements(self) -> list[Element]:
         """All elements in lexicographic exponent order."""
         return list(itertools.product(*(range(n) for n in self.cyclic_orders)))

@@ -1,15 +1,22 @@
 """Exact scalar arithmetic: rationals, cyclotomic numbers, Bernoulli numbers
-and truncated formal power series.
+and the a-hat genus series.
 
 Everything here is exact.  Rational scalars are `fractions.Fraction`;
 cyclotomic scalars are residues modulo the N-th cyclotomic polynomial,
 stored as integer numerators over one positive denominator in lowest
-terms.  Sums and products of cyclotomic scalars are integer work: t^k for
-k >= deg(Phi_N) folds in as the integer row k of `power_residues`, and
-one gcd pass reduces each result.  `root_of_unity_sum` puts its weights
-over one denominator and adds rows of the same table; it builds no
-Cyclotomic when the sum is rational (always, for N <= 2).  No float ever
-enters or leaves this module.
+terms.  Phi_N is monic with integer coefficients, built by integer long
+division of t^N - 1 by Phi_d for every proper divisor d.  Sums and
+products of cyclotomic scalars are integer work: t^k for k >= deg(Phi_N)
+folds in as the integer row k of `power_residues`, and one gcd pass
+reduces each result.  `root_of_unity_sum` puts its weights over one
+denominator and adds rows of the same table; it builds no Cyclotomic when
+the sum is rational (always, for N <= 2).  No float ever enters or leaves
+this module.
+
+The one-root a-hat series (x/2)/sinh(x/2) and its log are read from two
+separate Bernoulli closed forms, neither derived from the other, so the
+root route and the power-sum route of `characteristic.a_hat` rest on
+different formulas and a wrong coefficient makes them disagree.
 
 All values are immutable; every operation is a pure function.
 """
@@ -53,47 +60,28 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction (ascending coefficients): the
-# exact division that builds the cyclotomic polynomials
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b) and _poly_trim(rem):
-        shift = len(rem) - len(b)
-        c = rem[-1] * inv_lead
-        quo[shift] = c
-        for j, bj in enumerate(b):
-            rem[shift + j] -= c * bj
-        _poly_trim(rem)
-    return _poly_trim(quo), rem
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the order-th cyclotomic polynomial.
-
-    Computed by exact division of t^order - 1 by the cyclotomic polynomials
-    of all proper divisors; no factorization involved.
-    """
+def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of the order-th cyclotomic
+    polynomial: t^order - 1 divided exactly by the monic Phi_d of every
+    proper divisor d, so every step is integer long division."""
     if order < 1:
         raise ValueError(f"cyclotomic order must be positive, got {order}")
-    num = [Fraction(-1)] + [Fraction(0)] * (order - 1) + [Fraction(1)]
+    num = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem, "t^N - 1 must be divisible by each Phi_d"
+            divisor = cyclotomic_polynomial(d)
+            deg = len(divisor) - 1
+            terms = [(j, c) for j, c in enumerate(divisor[:-1]) if c]
+            quotient = [0] * (len(num) - deg)
+            for k in range(len(num) - 1, deg - 1, -1):
+                lead = num[k]
+                if lead:
+                    quotient[k - deg] = lead
+                    for j, c in terms:
+                        num[k - deg + j] -= lead * c
+            assert not any(num[:deg]), "t^N - 1 must be divisible by each Phi_d"
+            num = quotient
     return tuple(num)
 
 
@@ -105,7 +93,7 @@ def power_residues(order: int) -> tuple[tuple[int, ...], ...]:
     Phi_N is monic with integer coefficients, so every row is integral;
     since Phi_N divides t^N - 1, t^k reduces like t^(k mod N).
     """
-    modulus = [int(c) for c in cyclotomic_polynomial(order)]
+    modulus = cyclotomic_polynomial(order)
     row = [1] + [0] * (len(modulus) - 2)
     rows = []
     for _ in range(order):
@@ -311,100 +299,28 @@ def bernoulli(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# truncated one-variable formal power series
+# the a-hat genus series (Hirzebruch, Topological Methods in Algebraic
+# Geometry, section 1)
 
 
-class PowerSeries(Frozen):
-    """A formal power series in one variable truncated at a fixed order:
-    coefficients for x^0 .. x^order, all Fractions.  The inverse and the
-    log of an order-k series are again order-k series, exact up to x^k.
-    """
-
-    __slots__ = ("variable", "order", "coeffs")
-
-    def __init__(self, coeffs, order: int | None = None, variable: str = "x") -> None:
-        coeffs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
-
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = 1 / c0
-        out = [inv0] + [Fraction(0)] * self.order
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j] if j <= self.order else 0
-            out[k] = -inv0 * acc
-        return PowerSeries(out, self.order, self.variable)
-
-    def log(self) -> "PowerSeries":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        out = [Fraction(0)] * (self.order + 1)
-        # l' = f'/f  =>  k f_0 l_k = k f_k - sum_{j<k} j l_j f_{k-j}
-        for k in range(1, self.order + 1):
-            acc = k * self.coeffs[k]
-            for j in range(1, k):
-                acc -= j * out[j] * self.coeffs[k - j]
-            out[k] = acc / k
-        return PowerSeries(out, self.order, self.variable)
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return (self.variable, self.order, self.coeffs) == (other.variable, other.order, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.variable, self.order, self.coeffs))
-
-    def __repr__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(rational_to_string(c))
-            else:
-                coeff = "" if c == 1 else rational_to_string(c) + "*"
-                power = self.variable if k == 1 else f"{self.variable}^{k}"
-                parts.append(f"{coeff}{power}")
-        body = " + ".join(parts) if parts else "0"
-        return f"PowerSeries({body} + O({self.variable}^{self.order + 1}))"
-
-
-def genus_series(kind: str, order: int, variable: str = "x") -> PowerSeries:
-    """One-root characteristic series of a multiplicative genus.
-
-    kind "a_hat": (x/2)/sinh(x/2), an even series;
-    kind "todd":  x/(1 - e^(-x)).
-
-    Both are produced by exact division of the defining expansions.
-    """
+def a_hat_series(order: int) -> tuple[Fraction, ...]:
+    """Coefficients of x^0 .. x^order of (x/2)/sinh(x/2): the x^2k
+    coefficient is (2^(1-2k) - 1) B_2k / (2k)!, and the odd ones vanish."""
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    if kind == "a_hat":
-        # sinh(x/2)/(x/2) = sum_k x^(2k) / (4^k (2k+1)!)
-        denom = [Fraction(0)] * (order + 1)
-        for k in range(0, order // 2 + 1):
-            denom[2 * k] = Fraction(1, 4**k * math.factorial(2 * k + 1))
-        return PowerSeries(denom, order, variable).inverse()
-    if kind == "todd":
-        # (1 - e^(-x))/x = sum_k (-1)^k x^k / (k+1)!
-        denom = [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(order + 1)]
-        return PowerSeries(denom, order, variable).inverse()
-    raise ValueError(f"unknown genus series kind {kind!r}")
+    return tuple(
+        (Fraction(2) ** (1 - n) - 1) * bernoulli(n) / math.factorial(n)
+        if n % 2 == 0 else Fraction(0)
+        for n in range(order + 1)
+    )
+
+
+def a_hat_log_series(order: int) -> tuple[Fraction, ...]:
+    """Coefficients of x^0 .. x^order of log((x/2)/sinh(x/2)): the x^2k
+    coefficient, k >= 1, is -B_2k / (2k (2k)!), and all others vanish."""
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+    return tuple(
+        -bernoulli(n) / (n * math.factorial(n)) if n and n % 2 == 0 else Fraction(0)
+        for n in range(order + 1)
+    )

@@ -52,7 +52,7 @@ from fracindex.groups import (
     InvariantGeneratorDecl,
     WeightSystem,
 )
-from fracindex.scalars import Frozen, Scalar, rational_to_string, scalar_to_json
+from fracindex.scalars import Frozen, Scalar, scalar_to_json
 
 TASK_OPS = (
     "fractional_index",
@@ -182,20 +182,22 @@ def _int(value: Any, path: str) -> int:
         raise ScenarioError(f"{path}: expected an int, got {value!r}") from None
 
 
-def _pairs(value: Any, path: str, shape: str) -> list[list]:
-    """A list of two-element lists, as in [[name, degree], ...]."""
+def _list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ScenarioError(f"{path}: expected a list, got {value!r}")
-    for index, item in enumerate(value):
+    return value
+
+
+def _pairs(value: Any, path: str, shape: str) -> list[list]:
+    """A list of two-element lists, as in [[name, degree], ...]."""
+    for index, item in enumerate(_list(value, path)):
         if not isinstance(item, list) or len(item) != 2:
             raise ScenarioError(f"{path}[{index}]: expected {shape}, got {item!r}")
     return value
 
 
 def _objects(value: Any, path: str) -> list[dict]:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{path}: expected a list, got {value!r}")
-    for index, item in enumerate(value):
+    for index, item in enumerate(_list(value, path)):
         if not isinstance(item, dict):
             raise ScenarioError(f"{path}[{index}]: expected an object, got {item!r}")
     return value
@@ -260,19 +262,16 @@ def _build_bundles(
             raise ScenarioError(f"bundle {name!r} declared twice")
         rank = _int(_need(spec, "rank", f"bundle {name!r}"), f"bundles[{index}].rank")
         kwargs: dict[str, Any] = {}
-        if "chern_roots" in spec:
-            kwargs["roots"] = [
-                _expression(t, model, f"bundle {name!r} root") for t in spec["chern_roots"]
-            ]
-        if "chern" in spec:
-            kwargs["chern"] = [
-                _expression(t, model, f"bundle {name!r} chern") for t in spec["chern"]
-            ]
-        if "pontryagin" in spec:
-            kwargs["pontryagin"] = [
-                _expression(t, model, f"bundle {name!r} pontryagin")
-                for t in spec["pontryagin"]
-            ]
+        for key, argument, label in (
+            ("chern_roots", "roots", "root"),
+            ("chern", "chern", "chern"),
+            ("pontryagin", "pontryagin", "pontryagin"),
+        ):
+            if key in spec:
+                kwargs[argument] = [
+                    _expression(t, model, f"bundle {name!r} {label}")
+                    for t in _list(spec[key], f"bundles[{index}].{key}")
+                ]
         try:
             bundles[name] = BundleData(name, rank, model=model, **kwargs)
         except BundleError as exc:
@@ -306,9 +305,12 @@ def _build_group_block(
         )
 
     generators = []
-    for gen_spec in spec.get("invariant_generators", []):
+    path = "group.invariant_generators"
+    for index, gen_spec in enumerate(_objects(spec.get("invariant_generators", []), path)):
         name = str(_need(gen_spec, "name", "invariant generator"))
-        s_degree = int(_need(gen_spec, "s_degree", f"generator {name!r}"))
+        s_degree = _int(
+            _need(gen_spec, "s_degree", f"generator {name!r}"), f"{path}[{index}].s_degree"
+        )
         image = _expression(
             _need(gen_spec, "image", f"generator {name!r}"), model, f"generator {name!r} image"
         )
@@ -321,10 +323,14 @@ def _build_group_block(
     entries = spec.get("weight_system", [])
     if entries:
         kind = str(spec.get("weight_kind", "torus"))
-        rank = len(entries[0].get("weight", []))
+        path = "group.weight_system"
+        weights = [
+            _int_list(_need(entry, "weight", "weight system entry"), f"{path}[{i}].weight")
+            for i, entry in enumerate(_objects(entries, path))
+        ]
+        rank = len(weights[0])
         line_classes: list[CohClass | None] = [None] * rank
-        for entry in entries:
-            weight = [int(w) for w in _need(entry, "weight", "weight system entry")]
+        for entry, weight in zip(entries, weights):
             if len(weight) != rank:
                 raise ScenarioError("weight system entries must share one arity")
             hot = [i for i, w in enumerate(weight) if w != 0]
@@ -351,8 +357,10 @@ def _build_symbol(
     specs: Sequence[Mapping[str, Any]], model: ManifoldModel, group: FiniteAbelianGroup
 ) -> SymbolData:
     components: dict[tuple[int, ...], CohClass] = {}
-    for spec in _objects(specs, "symbol"):
-        character = tuple(int(k) for k in _need(spec, "character", "symbol component"))
+    for index, spec in enumerate(_objects(specs, "symbol")):
+        character = _int_list(
+            _need(spec, "character", "symbol component"), f"symbol[{index}].character"
+        )
         if not group.contains(character):
             raise ScenarioError(
                 f"symbol character {character} is outside the group's exponent ranges"
@@ -392,6 +400,8 @@ def _validate_task(
         _check_max_degree(task["max_degree"], f"{path}.max_degree", max_moment_degree)
     if op == "projective_dirac":
         name = task.get("tangent", tangent_name)
+        if name is not None and not isinstance(name, str):
+            raise ScenarioError(f"{path}.tangent: expected a bundle name, got {name!r}")
         if name is None:
             raise ScenarioError(
                 "task projective_dirac needs tangent data: flag a bundle with "
@@ -404,8 +414,11 @@ def _validate_task(
             raise ScenarioError("task atiyah_pairing needs a weight_system declaration")
         if not group.is_trivial():
             raise ScenarioError("task atiyah_pairing requires a trivial group")
-        if "lambda" not in task:
-            raise ScenarioError("task atiyah_pairing: missing key 'lambda'")
+        label = _need(task, "lambda", "task atiyah_pairing")
+        if isinstance(label, list):
+            _int_list(label, f"{path}.lambda")
+        else:
+            _int(label, f"{path}.lambda")
 
 
 def _check_max_degree(value: Any, path: str, cap: int) -> None:
@@ -611,81 +624,6 @@ def _table_lines(table: MomentTable, indent: int = 2) -> list[str]:
         f"{pad}{name.ljust(width)}  {_scalar_str(value)}"
         for name, value in zip(names, table.values.values())
     ]
-
-
-# ---------------------------------------------------------------------------
-# scenario re-serialization (round-trip support)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Reconstruct a scenario document from the validated object; all
-    expressions are rendered in normal form, so parsing the result yields
-    an equivalent scenario."""
-    model = scenario.model
-    manifold: dict[str, Any] = {
-        "dimension": model.dimension,
-        "generators": [[n, d] for n, d in model.generators],
-        "relations": [
-            [
-                f"{model.generators[i][0]}^{power}",
-                CohClass(model, rhs).to_expression(),
-            ]
-            for i, (power, rhs) in sorted(model.relations.items())
-        ],
-    }
-    if model.dimension > 0 or model.generators:
-        manifold["fundamental"] = [
-            model.monomial_name(model.fundamental_monomial),
-            rational_to_string(model.orientation),
-        ]
-
-    bundles = []
-    for name, bundle in scenario.bundles.items():
-        spec: dict[str, Any] = {"name": name, "rank": bundle.rank}
-        if bundle.roots is not None:
-            spec["chern_roots"] = [r.to_expression() for r in bundle.roots]
-        if bundle.chern is not None:
-            spec["chern"] = [c.to_expression() for c in bundle.chern]
-        if bundle.pontryagin is not None:
-            spec["pontryagin"] = [p.to_expression() for p in bundle.pontryagin]
-        if name == scenario.tangent_name:
-            spec["tangent"] = True
-        bundles.append(spec)
-
-    group: dict[str, Any] = {"cyclic_orders": list(scenario.group.cyclic_orders)}
-    if scenario.generators:
-        group["invariant_generators"] = [
-            {"name": g.name, "s_degree": g.s_degree, "image": g.image.to_expression()}
-            for g in scenario.generators
-        ]
-    if scenario.weight_system is not None:
-        system = scenario.weight_system
-        group["weight_kind"] = system.kind
-        group["weight_system"] = [
-            {
-                "weight": [1 if j == i else 0 for j in range(system.rank)],
-                "line_class": cls.to_expression(),
-            }
-            for i, cls in enumerate(system.line_classes)
-        ]
-
-    document: dict[str, Any] = {"name": scenario.name, "manifold": manifold}
-    if bundles:
-        document["bundles"] = bundles
-    document["group"] = group
-    if scenario.symbol.components:
-        document["symbol"] = [
-            {"character": list(chi), "class": cls.to_expression()}
-            for chi, cls in scenario.symbol.components.items()
-        ]
-    document["tasks"] = [dict(t) for t in scenario.tasks]
-    if scenario.expect is not None:
-        document["expect"] = scenario.expect
-    return document
-
-
-def scenario_to_text(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Hand-rolled reference arithmetic used as independent oracles.
 
-Most of this works on plain coefficient lists and stays deliberately
-separate from the package's PowerSeries / CohClass code paths, so that
+Most of this works on plain coefficient lists (truncated series by long
+division, their product and their log) and stays deliberately separate
+from the package's closed-form series and CohClass code paths, so that
 agreement between the two is a real cross-check.  The Todd class, the
 Chern character and the Pontryagin classes of a complex bundle are built
 from the package's class arithmetic instead: no scenario task computes
@@ -33,6 +34,21 @@ def series_div(num: list[Fraction], den: list[Fraction], order: int) -> list[Fra
         for j in range(1, k + 1):
             acc -= den[j] * out[k - j]
         out[k] = acc / den[0]
+    return out
+
+
+def series_log(coeffs: list[Fraction], order: int) -> list[Fraction]:
+    """log of a truncated series with constant term 1, from l' = f'/f:
+    k l_k = k f_k - sum_{0<j<k} j l_j f_(k-j)."""
+    if coeffs[0] != 1:
+        raise ValueError("log requires constant term 1")
+    f = [Fraction(c) for c in coeffs[: order + 1]] + [Fraction(0)] * (order + 1 - len(coeffs))
+    out = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1):
+        acc = k * f[k]
+        for j in range(1, k):
+            acc -= j * out[j] * f[k - j]
+        out[k] = acc / k
     return out
 
 
@@ -174,7 +190,7 @@ def has_rewrite_cycle(dimension: int, degrees: list[int], relations: dict) -> bo
 # -- genera one root at a time -------------------------------------------------
 # The original root loop: one series evaluation and one product per root,
 # repeats included.  The one-root series come from the list oracles above,
-# not from PowerSeries.
+# not from the package's closed forms.
 
 
 def _series_at(coeffs: list[Fraction], root):
@@ -350,10 +366,10 @@ def pontryagin_from_chern(chern, max_k: int) -> list:
     return out
 
 
-def _genus_from_power_sums(series, power_sums, model):
+def _genus_from_power_sums(coeffs, power_sums, model):
     """exp(sum_k log(series)_k s_k): the multiplicative-sequence expansion
     driven by the log of the one-root series."""
-    log_series = series.log()
+    log_series = series_log(coeffs, len(power_sums))
     acc = model.zero()
     for k, cls in enumerate(power_sums, start=1):
         if log_series[k] != 0 and not cls.is_zero():
@@ -364,19 +380,22 @@ def _genus_from_power_sums(series, power_sums, model):
 def todd_class(bundle):
     """The Todd class: product of x/(1-e^(-x)) over the Chern roots, or the
     equivalent power-sum expansion when only Chern classes are given."""
-    from fracindex.characteristic import BundleError, _genus_from_roots, newton_power_sums
-    from fracindex.scalars import genus_series
+    from fracindex.characteristic import BundleError, newton_power_sums
+    from fracindex.cohomology import evaluate_series
 
     model = bundle.model
+    order = model.dimension // 2
     if bundle.roots is not None:
-        return _genus_from_roots("todd", bundle)
+        series = todd_series_oracle(order)
+        out = model.one()
+        for root, multiplicity in Counter(bundle.roots).items():
+            out = out * evaluate_series(series, root) ** multiplicity
+        return out
     if bundle.chern is not None:
-        order = model.dimension // 2
         if order == 0:
             return model.one()
-        series = genus_series("todd", order)
         sums = newton_power_sums(bundle.chern, order)
-        return _genus_from_power_sums(series, sums, model)
+        return _genus_from_power_sums(todd_series_oracle(order), sums, model)
     raise BundleError(f"bundle {bundle.name!r} needs roots or Chern data for the Todd class")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fracindex.groups import WeightSystem
-from fracindex.scalars import Cyclotomic, Frozen, PowerSeries
+from fracindex.scalars import Cyclotomic, Frozen
 from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
 
 
@@ -27,7 +27,6 @@ def instances() -> dict[str, object]:
         "MomentTable": next(iter(distribution.tables.values())),
         "IndexDistribution": distribution,
         "Cyclotomic": Cyclotomic.root_of_unity(4),
-        "PowerSeries": PowerSeries([1, 2]),
         "Scenario": scenario,
         "TaskResult": run(scenario)[0],
     }
@@ -38,7 +37,7 @@ def instances() -> dict[str, object]:
     [
         "BundleData", "CohClass", "Cyclotomic", "FiniteAbelianGroup", "IndexDistribution",
         "IndexProblem", "InvariantGeneratorDecl", "ManifoldModel", "MomentTable",
-        "PowerSeries", "Scenario", "SymbolData", "TaskResult", "WeightSystem",
+        "Scenario", "SymbolData", "TaskResult", "WeightSystem",
     ],
 )
 def test_value_class_rejects_assignment(instances, name):

@@ -1,4 +1,4 @@
-"""Exact scalar layer: cyclotomics, Bernoulli numbers, power series."""
+"""Exact scalar layer: cyclotomics, Bernoulli numbers, the a-hat series."""
 
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from fracindex.scalars import (
     Cyclotomic,
-    PowerSeries,
+    a_hat_log_series,
+    a_hat_series,
     bernoulli,
     cyclotomic_polynomial,
     demote,
-    genus_series,
     power_residues,
     rational_to_string,
     root_of_unity_sum,
@@ -29,7 +29,6 @@ from oracles import (
     cyclotomic_product,
     cyclotomic_residue,
     series_mul,
-    todd_series_oracle,
 )
 
 
@@ -49,13 +48,23 @@ from oracles import (
     ],
 )
 def test_cyclotomic_polynomial(order, expected):
-    assert cyclotomic_polynomial(order) == tuple(Fraction(c) for c in expected)
+    assert cyclotomic_polynomial(order) == expected
 
 
 def test_cyclotomic_polynomial_degree_is_euler_phi():
     for n in range(1, 30):
         phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert len(cyclotomic_polynomial(n)) - 1 == phi
+
+
+@pytest.mark.parametrize("order", [*range(1, 121), 840, 960, 997, 1000])
+def test_cyclotomic_polynomial_against_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    expected = sympy.Poly(sympy.cyclotomic_poly(order, t), t).all_coeffs()[::-1]
+    value = cyclotomic_polynomial(order)
+    assert value == tuple(int(c) for c in expected)
+    assert all(type(c) is int for c in value)
 
 
 def test_zeta2_is_minus_one():
@@ -278,94 +287,59 @@ def test_bernoulli_rejects_negative():
 
 
 # ---------------------------------------------------------------------------
-# power series
-
-
-def test_series_truncation_is_respected():
-    assert PowerSeries([1, 2, 3, 4], 2).coeffs == (1, 2, 3)
-    assert PowerSeries([1, 2], 3).coeffs == (1, 2, 0, 0)
-    series = PowerSeries([1, 2, 3])
-    assert series.order == 2
-    assert series[1] == 2 and series[3] == 0 and series[-1] == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    a=st.lists(st.integers(-3, 3).map(Fraction), min_size=13, max_size=13).filter(lambda a: a[0]),
-)
-def test_series_inverse_is_exact(a):
-    order = 12
-    inverse = PowerSeries(a, order).inverse()
-    assert series_mul(a, list(inverse.coeffs), order) == [1] + [0] * order
-    geometric = PowerSeries([1, -1], 6).inverse()
-    assert all(c == 1 for c in geometric.coeffs)
-
-
-def test_series_inverse_requires_unit():
-    with pytest.raises(ZeroDivisionError):
-        PowerSeries([0, 1], 3).inverse()
-
-
-def test_a_hat_series_log_closed_form():
-    # log((x/2)/sinh(x/2)) = -sum_k B_2k x^2k / (2k (2k)!)
-    order = 16
-    log_series = genus_series("a_hat", order).log()
-    for n in range(order + 1):
-        expected = 0
-        if n and n % 2 == 0:
-            expected = -bernoulli(n) / (n * math.factorial(n))
-        assert log_series[n] == expected
-
-
-def test_series_log_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        PowerSeries([2, 1], 3).log()
-
-
-# ---------------------------------------------------------------------------
-# genus series
+# the a-hat series and its log
 
 
 def test_a_hat_series_frozen_values():
-    series = genus_series("a_hat", 4)
-    assert series.coeffs == (1, 0, Fraction(-1, 24), 0, Fraction(7, 5760))
-
-
-def test_todd_series_frozen_values():
-    series = genus_series("todd", 4)
-    assert series.coeffs == (1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720))
+    assert a_hat_series(4) == (1, 0, Fraction(-1, 24), 0, Fraction(7, 5760))
+    assert a_hat_log_series(4) == (0, 0, Fraction(-1, 24), 0, Fraction(1, 2880))
 
 
 def test_genus_series_order_zero_is_one():
-    assert genus_series("a_hat", 0).coeffs == (1,)
-    assert genus_series("todd", 0).coeffs == (1,)
+    assert a_hat_series(0) == (1,)
+    assert a_hat_log_series(0) == (0,)
+    for series in (a_hat_series, a_hat_log_series):
+        with pytest.raises(ValueError):
+            series(-1)
 
 
 def test_a_hat_series_is_even():
-    series = genus_series("a_hat", 20)
-    assert all(series.coeffs[k] == 0 for k in range(1, 21, 2))
+    for series in (a_hat_series(20), a_hat_log_series(20)):
+        assert len(series) == 21
+        assert all(series[k] == 0 for k in range(1, 21, 2))
+
+
+def test_series_truncation_is_respected():
+    # the series of order n is the order-20 series cut after x^n
+    full, full_log = a_hat_series(20), a_hat_log_series(20)
+    for order in range(21):
+        assert a_hat_series(order) == full[: order + 1]
+        assert a_hat_log_series(order) == full_log[: order + 1]
+
+
+def test_series_inverse_is_exact():
+    # (x/2)/sinh(x/2) times sinh(x/2)/(x/2) = sum_k x^2k / (4^k (2k+1)!) is 1
+    order = 20
+    sinh_form = [
+        Fraction(1, 4 ** (n // 2) * math.factorial(n + 1)) if n % 2 == 0 else Fraction(0)
+        for n in range(order + 1)
+    ]
+    assert series_mul(list(a_hat_series(order)), sinh_form, order) == [1] + [0] * order
 
 
 def test_genus_series_against_division_oracle():
-    assert list(genus_series("a_hat", 12).coeffs) == a_hat_series_oracle(12)
-    assert list(genus_series("todd", 12).coeffs) == todd_series_oracle(12)
+    for order in range(21):
+        assert list(a_hat_series(order)) == a_hat_series_oracle(order)
 
 
-def test_genus_series_against_bernoulli_closed_forms():
-    # a_hat: coefficient of x^(2n) is (2^(1-2n) - 1) B_(2n) / (2n)!
-    series = genus_series("a_hat", 12)
-    for n in range(1, 7):
-        expected = (Fraction(2) ** (1 - 2 * n) - 1) * bernoulli(2 * n) / math.factorial(2 * n)
-        assert series.coeffs[2 * n] == expected
-    # todd: coefficient of x^n is (-1)^n B_n / n!
-    series = genus_series("todd", 12)
-    for n in range(0, 13):
-        assert series.coeffs[n] == (-1) ** n * bernoulli(n) / math.factorial(n)
-
-
-def test_unknown_genus_kind_rejected():
-    with pytest.raises(ValueError):
-        genus_series("l_genus", 4)
+def test_a_hat_series_log_closed_form():
+    # l = log f exactly when l(0) = 0 and f' = f l', through x^20
+    order = 20
+    f, log_f = a_hat_series(order), a_hat_log_series(order)
+    assert log_f[0] == 0
+    f_prime = [k * f[k] for k in range(1, order + 1)]
+    log_prime = [k * log_f[k] for k in range(1, order + 1)]
+    assert series_mul(list(f), log_prime, order - 1) == f_prime
 
 
 def test_rational_to_string():
@@ -381,14 +355,14 @@ def test_genus_series_against_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     order = 16
-    closed_forms = {
-        "a_hat": (x / 2) / sympy.sinh(x / 2),
-        "todd": x / (1 - sympy.exp(-x)),
-    }
-    for kind, expression in closed_forms.items():
+    a_hat_form = (x / 2) / sympy.sinh(x / 2)
+    for expression, series in (
+        (a_hat_form, a_hat_series(order)),
+        (sympy.log(a_hat_form), a_hat_log_series(order)),
+    ):
         expansion = sympy.series(expression, x, 0, order + 1).removeO()
         expected = [Fraction(str(expansion.coeff(x, k))) for k in range(order + 1)]
-        assert list(genus_series(kind, order).coeffs) == expected
+        assert list(series) == expected
 
 
 def test_bernoulli_against_sympy():

@@ -1,4 +1,4 @@
-"""Scenario documents: the built-in expect blocks and the text round trip."""
+"""Scenario documents: the built-in expect blocks and malformed-input errors."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from fracindex.scenarios import (
     emit,
     parse_scenario,
     run,
-    scenario_to_text,
 )
 
 
@@ -28,9 +27,6 @@ def test_builtin_scenario_meets_expectations_and_round_trips(name):
     results = run(scenario)
     assert scenario.expect is not None
     assert check_expectations(scenario, results) == []
-
-    reparsed = parse_scenario(scenario_to_text(scenario))
-    assert emit(run(reparsed), "machine") == emit(results, "machine")
 
 
 def _cp2_document(**overrides) -> str:
@@ -63,29 +59,48 @@ def test_malformed_fields_raise_path_qualified_errors(overrides, path):
         parse_scenario(_cp2_document(**overrides))
 
 
-def _builtin_with(edit) -> str:
-    document = json.loads(builtin_scenario_text("cp2_projective_dirac"))
+def _builtin_with(edit, name: str = "cp2_projective_dirac") -> str:
+    document = json.loads(builtin_scenario_text(name))
     edit(document)
     return json.dumps(document)
 
 
+_CP2, _HOPF = "cp2_projective_dirac", "hopf_riemann_roch"
+
+_MALFORMED_BUILTIN_FIELDS = [
+    (_CP2, lambda d: d["manifold"].update(dimension="four"), "manifold.dimension"),
+    (_CP2, lambda d: d["bundles"][0].update(rank="x"), "bundles[0].rank"),
+    (_CP2, lambda d: d["tasks"][2].update(max_degree="x"), "tasks[2].max_degree"),
+    (_CP2, lambda d: d["tasks"][2].update(max_degree="2"), "tasks[2].max_degree"),
+    (_CP2, lambda d: d["manifold"].update(generators=[["x"]]), "manifold.generators[0]"),
+    (_CP2, lambda d: d["manifold"].update(relations=[["x^3"]]), "manifold.relations[0]"),
+    (_CP2, lambda d: d["manifold"].update(fundamental=["x^2"]), "manifold.fundamental"),
+    (_CP2, lambda d: d.update(symbol=[1]), "symbol[0]"),
+    (_CP2, lambda d: d.update(bundles=[1]), "bundles[0]"),
+    (_CP2, lambda d: d["group"]["invariant_generators"][0].update(s_degree="two"),
+     "group.invariant_generators[0].s_degree"),
+    (_CP2, lambda d: d["group"]["invariant_generators"].__setitem__(0, 5),
+     "group.invariant_generators[0]"),
+    (_CP2, lambda d: d["group"].update(invariant_generators=3), "group.invariant_generators"),
+    (_CP2, lambda d: d["symbol"][0].update(character=["a"]), "symbol[0].character"),
+    (_CP2, lambda d: d["symbol"][0].update(character=1), "symbol[0].character"),
+    (_CP2, lambda d: d["bundles"][0].update(chern_roots=7), "bundles[0].chern_roots"),
+    (_CP2, lambda d: d["tasks"][3].update(tangent=["TM"]), "tasks[3].tangent"),
+    (_HOPF, lambda d: d["tasks"][0].update({"lambda": "a"}), "tasks[0].lambda"),
+    (_HOPF, lambda d: d["group"]["weight_system"].__setitem__(0, 3), "group.weight_system[0]"),
+    (_HOPF, lambda d: d["group"]["weight_system"][0].update(weight=["q"]),
+     "group.weight_system[0].weight"),
+]
+
+
+# ids keep the "<lambda>-<field>" form pytest gives an (edit, path) pair
 @pytest.mark.parametrize(
-    "edit,path",
-    [
-        (lambda d: d["manifold"].update(dimension="four"), "manifold.dimension"),
-        (lambda d: d["bundles"][0].update(rank="x"), "bundles[0].rank"),
-        (lambda d: d["tasks"][2].update(max_degree="x"), "tasks[2].max_degree"),
-        (lambda d: d["tasks"][2].update(max_degree="2"), "tasks[2].max_degree"),
-        (lambda d: d["manifold"].update(generators=[["x"]]), "manifold.generators[0]"),
-        (lambda d: d["manifold"].update(relations=[["x^3"]]), "manifold.relations[0]"),
-        (lambda d: d["manifold"].update(fundamental=["x^2"]), "manifold.fundamental"),
-        (lambda d: d.update(symbol=[1]), "symbol[0]"),
-        (lambda d: d.update(bundles=[1]), "bundles[0]"),
-    ],
+    "name,edit,path",
+    [pytest.param(*case, id=f"<lambda>-{case[2]}") for case in _MALFORMED_BUILTIN_FIELDS],
 )
-def test_malformed_builtin_fields_raise_path_qualified_errors(edit, path):
+def test_malformed_builtin_fields_raise_path_qualified_errors(name, edit, path):
     with pytest.raises(ScenarioError, match=re.escape(path) + ": expected"):
-        parse_scenario(_builtin_with(edit))
+        parse_scenario(_builtin_with(edit, name))
 
 
 @pytest.mark.parametrize("bound", [3, 1000000, -1])
