@@ -568,6 +568,20 @@ def scalar_class(model: ManifoldModel, value: Fraction | int) -> CohClass:
     return CohClass(model, {model.zero_monomial(): value})
 
 
+def class_sum(classes: Sequence[CohClass]) -> CohClass:
+    """The sum of a nonempty list of classes of one model, in one integer
+    accumulation over the lcm of their denominators and one gcd pass."""
+    model = classes[0].model
+    den = math.lcm(*[cls.denominator for cls in classes])
+    num: dict[Monomial, int] = {}
+    for cls in classes:
+        classes[0]._check_model(cls)
+        scale = den // cls.denominator
+        for m, c in cls.numerators.items():
+            num[m] = num.get(m, 0) + c * scale
+    return _lowest(model, num, den)
+
+
 def evaluate_series(coeffs: Sequence[Fraction | int], cls: CohClass) -> CohClass:
     """sum_k coeffs[k] * cls^k for a class with zero constant term.  Every
     generator has positive degree, so cls^k vanishes once 2k exceeds the

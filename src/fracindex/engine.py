@@ -17,24 +17,31 @@ enter only where a moment or pairing is emitted.  Two independent routes
 lead to the table at a central element gamma, and every full run computes
 both and compares them exactly:
 
-- direct: the u_chi are summed into rational buckets U_k by bracket
-  exponent k, and each a-hat^2 * U_k is paired rationally with every
-  monomial image; each moment is then converted once from its bucket
+- direct, u * (a-hat^2 * image): the u_chi are summed into integer
+  buckets U_k by bracket exponent k, each dotted with the integer moment
+  rows r_key[m] = integral of (a-hat^2 * image_key) * m over the symbol's
+  support monomials m, and each moment is converted once from its bucket
   pairings {k: w_k} to sum_k w_k zeta^k;
-- recombined: rational per-character tables at the identity are grouped by
-  bracket exponent and each group is weighted by its bracket, a genuine
-  Cyclotomic, in field arithmetic.
+- recombined, (a-hat^2 * u) * image: rational per-character tables at the
+  identity, read as integer columns over one denominator per key, are
+  grouped by bracket exponent and each group is weighted by its bracket,
+  a genuine Cyclotomic, in field arithmetic.
 
-A mismatch can only be an arithmetic bug, never bad input data.
+The routes associate the product differently and so read different
+entries of the model's product table: a disagreement catches a wrong
+bracket, bucket or root-of-unity conversion, and a wrong structure
+constant that only one route reads; what both share is left to the test
+oracles.  A mismatch can only be an arithmetic bug, never bad input data.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
-from fracindex.cohomology import CohClass, ManifoldModel, Monomial, monomial_name
+from fracindex.cohomology import CohClass, ManifoldModel, Monomial, class_sum, monomial_name
 from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
@@ -45,7 +52,7 @@ from fracindex.groups import (
     bracket_exponent,
     character_jet,
     chern_weil_eval,
-    moment_key_order,
+    graded_order,
 )
 from fracindex.scalars import Frozen, Scalar, common_denominator, demote, root_of_unity_sum
 
@@ -120,7 +127,7 @@ class MomentTable(Frozen):
         generator_names: Sequence[str],
         values: Mapping[MomentKey, Scalar],
     ) -> None:
-        ordered = {key: values[key] for key in sorted(values, key=moment_key_order)}
+        ordered = {key: values[key] for key in graded_order(values)}
         object.__setattr__(self, "gamma", tuple(gamma))
         object.__setattr__(self, "generator_names", tuple(generator_names))
         object.__setattr__(self, "values", ordered)
@@ -175,9 +182,9 @@ class IndexDistribution(Frozen):
 class IndexProblem(Frozen):
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
-    square of the tangent a-hat class.  Monomial images are computed once
-    per problem and degree bound, and the integral of each basis monomial
-    against an image once per problem."""
+    square of the tangent a-hat class.  Monomial images and moment rows
+    are computed once per problem and degree bound, and the integral of
+    each basis monomial against an image once per problem."""
 
     __slots__ = (
         "model",
@@ -186,6 +193,7 @@ class IndexProblem(Frozen):
         "symbol",
         "a_hat_squared",
         "_image_cache",
+        "_row_cache",
         "_dual_cache",
     )
 
@@ -218,6 +226,7 @@ class IndexProblem(Frozen):
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "a_hat_squared", a_hat_squared)
         object.__setattr__(self, "_image_cache", {})
+        object.__setattr__(self, "_row_cache", {})
         object.__setattr__(self, "_dual_cache", {})
 
     @classmethod
@@ -237,16 +246,16 @@ class IndexProblem(Frozen):
     # -- the core pairings ----------------------------------------------------
 
     def reduced_integrand(self, gamma: Sequence[int]) -> dict[int, CohClass]:
-        """The base-manifold integrand at a central element as rational
-        buckets: bracket exponent k -> the a-hat square times the sum U_k of
-        the symbol components whose bracket with gamma is zeta_N^k.  The
-        integrand itself is sum_k zeta_N^k times bucket k.  The exponents
-        of gamma need not be reduced."""
-        sums: dict[int, CohClass] = {}
+        """The symbol buckets at a central element: bracket exponent k ->
+        the sum U_k, in one integer accumulation, of the symbol components
+        whose bracket with gamma is zeta_N^k.  The integrand is a-hat^2 *
+        sum_k zeta_N^k U_k; the direct route pairs U_k with moment rows that
+        carry the a-hat square, u * (a-hat^2 * image), where the recombined
+        route pairs (a-hat^2 * u) * image.  gamma need not be reduced."""
+        members: dict[int, list[CohClass]] = {}
         for chi, u_chi in self.symbol.components.items():
-            k = bracket_exponent(self.group, chi, gamma)
-            sums[k] = sums[k] + u_chi if k in sums else u_chi
-        return {k: self.a_hat_squared * u_k for k, u_k in sums.items()}
+            members.setdefault(bracket_exponent(self.group, chi, gamma), []).append(u_chi)
+        return {k: class_sum(classes) for k, classes in members.items()}
 
     def fractional_index(self, gamma: Sequence[int]) -> Scalar:
         """The degree-zero moment at gamma: the point-mass coefficient, and
@@ -267,94 +276,130 @@ class IndexProblem(Frozen):
             self._image_cache[max_degree] = images
         return images
 
-    def _pairings(self, integrand: CohClass, max_degree: int) -> dict[MomentKey, Fraction]:
-        """The integral of integrand * image for every monomial image.
+    def _moment_rows(self, max_degree: int) -> dict[MomentKey, tuple[dict[Monomial, int], int]]:
+        """One integer row per moment key, in graded order: the integral of
+        (a-hat^2 * image_key) * m for every monomial m of the symbol's
+        support, as {m: numerator} without zeros over one denominator.  Each
+        row combines the integer columns of a-hat^2 * i paired with the
+        support, one per distinct image monomial i."""
+        rows = self._row_cache.get(max_degree)
+        if rows is not None:
+            return rows
+        model = self.model
+        support = sorted({m for u in self.symbol.components.values() for m in u.numerators})
+        points = {m: CohClass(model, {m: 1}) for m in support}
+        integrals: dict[Monomial, dict[Monomial, Fraction]] = {}
+        columns: dict[Monomial, tuple[list[int], int]] = {}
+        rows = {}
+        for key, image in self._monomial_images(max_degree).items():
+            for i in image.numerators:
+                if i not in columns:
+                    weighted = self.a_hat_squared * CohClass(model, {i: 1})
+                    paired = self._pairings(weighted, points, integrals)
+                    columns[i] = common_denominator(list(paired.values()))
+            den = math.lcm(*[columns[i][1] for i in image.numerators])
+            values = [0] * len(support)
+            for i, n in image.numerators.items():
+                column, d = columns[i]
+                scale = n * (den // d)
+                values = [v + scale * w for v, w in zip(values, column)]
+            row = {m: r for m, r in zip(support, values) if r}
+            rows[key] = (row, den * image.denominator)
+        self._row_cache[max_degree] = rows
+        return rows
+
+    def _pairings(self, integrand: CohClass, targets: Mapping, duals: dict) -> dict:
+        """The integral of integrand * target for every homogeneous target
+        class, by the target's label.
 
         Relations are degree-homogeneous, so only integrand terms of the
-        degree complementary to the image reach the fundamental class; each
+        degree complementary to the target reach the fundamental class; each
         such term contributes its integer numerator times the integral of
-        its monomial against the image, computed once per problem, and each
-        pairing is reduced to lowest terms once."""
+        the target times its monomial, kept in duals[label][monomial], and
+        each pairing is reduced to lowest terms once."""
         model = self.model
         by_degree: dict[int, list[tuple[Monomial, int]]] = {}
         for mono, n in integrand.numerators.items():
             by_degree.setdefault(model.monomial_degree(mono), []).append((mono, n))
         den = integrand.denominator
-        values: dict[MomentKey, Fraction] = {}
-        for key, image in self._monomial_images(max_degree).items():
-            degree = model.dimension - 2 * sum(
-                g.s_degree * e for g, e in zip(self.generators, key)
-            )
-            duals = self._dual_cache.setdefault(key, {})
+        values = {}
+        for label, target in targets.items():
+            # no integrand term has the degree dimension + 1 a zero target gets
+            degree = model.dimension - max(map(model.monomial_degree, target.numerators), default=-1)
+            cache = duals.setdefault(label, {})
             num, dual_den = 0, 1
             for mono, n in by_degree.get(degree, ()):
-                dual = duals.get(mono)
+                dual = cache.get(mono)
                 if dual is None:
-                    dual = duals[mono] = (image * CohClass(model, {mono: 1})).integrate()
+                    dual = cache[mono] = (target * CohClass(model, {mono: 1})).integrate()
                 q = dual.denominator
                 num, dual_den = num * q + n * dual.numerator * dual_den, dual_den * q
-            values[key] = Fraction(num, den * dual_den)
+            values[label] = Fraction(num, den * dual_den)
         return values
 
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
         """The moment table at gamma: pairings against all generator
         monomials of total degree up to the bound (default: half the model
-        dimension; higher monomials pair to zero by truncation).  Each
-        bucket is paired rationally, and each moment is converted to the
-        cyclotomic field once."""
+        dimension; higher monomials pair to zero by truncation), from
+        integer dot products of each bucket U_k with the moment rows, with
+        one conversion to the cyclotomic field per moment."""
         if max_degree is None:
             max_degree = self.default_degree()
         if max_degree < 0:
             raise EngineError("moment degree bound must be nonnegative")
         gamma = self.group.reduce(tuple(gamma))
-        pairings = {
-            k: self._pairings(bucket, max_degree)
-            for k, bucket in self.reduced_integrand(gamma).items()
-        }
+        buckets = self.reduced_integrand(gamma).items()
         order = self.group.exponent
-        values = {
-            key: root_of_unity_sum(order, {k: p[key] for k, p in pairings.items()})
-            for key in self._monomial_images(max_degree)
-        }
+        values = {}
+        for key, (row, den) in self._moment_rows(max_degree).items():
+            weights = {}
+            for k, bucket in buckets:
+                num = bucket.numerators
+                dot = sum([r * num[m] for m, r in row.items() if m in num])
+                weights[k] = Fraction(dot, den * bucket.denominator)
+            values[key] = root_of_unity_sum(order, weights)
         return MomentTable(gamma, [g.name for g in self.generators], values)
 
     def _per_character_tables(self, max_degree: int) -> dict[Element, MomentTable]:
         """Identity-route tables, one per symbol component; all rational."""
         names = [g.name for g in self.generators]
         identity = self.group.identity()
+        images = self._monomial_images(max_degree)
         tables: dict[Element, MomentTable] = {}
         for chi, u_chi in self.symbol.components.items():
-            values = self._pairings(self.a_hat_squared * u_chi, max_degree)
+            values = self._pairings(self.a_hat_squared * u_chi, images, self._dual_cache)
             tables[chi] = MomentTable(identity, names, values)
         return tables
 
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:
         """Moment tables at every central element.
 
-        Each table comes from the direct route: rational buckets of the
-        symbol components by bracket exponent, paired rationally, with one
-        conversion to the cyclotomic field per moment.  It is then recomputed
-        from the rational per-character tables at the identity, summed by
+        Each table comes from the direct route (integer buckets dotted with
+        the moment rows) and is recomputed from the per-character tables at
+        the identity, read once per run as integer columns, summed by
         bracket exponent and weighted by genuine bracket values in
-        cyclotomic field arithmetic, and the two must agree exactly;
+        cyclotomic field arithmetic; the two must agree exactly, and
         disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
             max_degree = self.default_degree()
         per_character = self._per_character_tables(max_degree)
+        characters = list(per_character)
+        columns = {
+            key: common_denominator([t.values[key] for t in per_character.values()])
+            for key in self._monomial_images(max_degree)
+        }
         tables: dict[Element, MomentTable] = {}
         for gamma in self.group.elements():
             direct = self.moments(gamma, max_degree)
-            groups: dict[int, tuple[Element, list[MomentTable]]] = {}
-            for chi, table in per_character.items():
-                k = bracket_exponent(self.group, chi, gamma)
-                groups.setdefault(k, (chi, []))[1].append(table)
+            groups: dict[int, list[int]] = {}
+            for j, chi in enumerate(characters):
+                groups.setdefault(bracket_exponent(self.group, chi, gamma), []).append(j)
             recombined: dict[MomentKey, Scalar] = {}
-            for chi, members in groups.values():
-                weight = bracket(self.group, chi, gamma)
-                for key in direct.values:
-                    numerators, den = common_denominator([t.values[key] for t in members])
-                    term = weight * Fraction(sum(numerators), den)
+            for members in groups.values():
+                weight = bracket(self.group, characters[members[0]], gamma)
+                for key, (numerators, den) in columns.items():
+                    term = weight * Fraction(sum([numerators[j] for j in members]), den)
                     recombined[key] = recombined[key] + term if key in recombined else term
             for key, expected in direct.values.items():
                 value = demote(recombined.get(key, Fraction(0)))

@@ -135,10 +135,11 @@ class InvariantGeneratorDecl(Frozen):
 MomentKey = tuple[int, ...]
 
 
-def moment_key_order(key: MomentKey):
+def graded_order(keys: Iterable[MomentKey]) -> list[MomentKey]:
     """Graded order: total degree first, then declaration precedence (an
-    earlier generator's power sorts before a later one's)."""
-    return (sum(key), tuple(-e for e in key))
+    earlier generator's power sorts before a later one's), i.e. descending
+    lexicographic; two stable sorts keep every comparison in C."""
+    return sorted(sorted(keys, reverse=True), key=sum)
 
 
 def chern_weil_eval(
@@ -153,7 +154,7 @@ def chern_weil_eval(
     for _ in generators:
         keys = [key + (e,) for key in keys for e in range(max_degree - sum(key) + 1)]
     images: dict[MomentKey, CohClass] = {}
-    for key in sorted(keys, key=moment_key_order):
+    for key in graded_order(keys):
         i = next((i for i, e in enumerate(key) if e), None)
         if i is None:
             images[key] = model.one()

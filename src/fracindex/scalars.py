@@ -156,14 +156,20 @@ class Cyclotomic(Frozen):
     __slots__ = ("order", "numerators", "denominator")
 
     def __init__(self, order: int, coeffs, denominator: int = 1) -> None:
-        poly, scale = list(coeffs), 1
-        if not all(type(c) is int for c in poly):
-            poly, scale = common_denominator(poly)
-        poly = _fold(order, poly)
-        g = math.gcd(denominator * scale, *poly)
+        poly = list(coeffs)
+        for c in poly:
+            if type(c) is not int:
+                poly, scale = common_denominator(poly)
+                denominator *= scale
+                break
+        if len(poly) != len(cyclotomic_polynomial(order)) - 1:
+            poly = _fold(order, poly)
+        g = math.gcd(denominator, *poly)
+        if g != 1:
+            poly, denominator = [c // g for c in poly], denominator // g
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "numerators", tuple([c // g for c in poly]))
-        object.__setattr__(self, "denominator", denominator * scale // g)
+        object.__setattr__(self, "numerators", tuple(poly))
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> "Cyclotomic":

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from fracindex.characteristic import BundleData, BundleError
@@ -571,7 +572,7 @@ def emit(results: Sequence[TaskResult], format: str = "human") -> str:
                 for name, items in by_scenario.items()
             ]
         }
-        return json.dumps(document, indent=2) + "\n"
+        return _json_text(document) + "\n"
     if format != "human":
         raise ValueError(f"unknown output format {format!r}")
 
@@ -600,6 +601,38 @@ def emit(results: Sequence[TaskResult], format: str = "human") -> str:
                 suffix = f" lambda={result.request['lambda']}"
             lines.append(f"{label}{suffix} = {_scalar_str(payload)}")
     return "\n".join(lines) + "\n"
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2) for string-keyed JSON, which `indent`
+    sends through the pure-Python encoder, by appends to one list: strings
+    use json's C quoting, other scalars and empty containers json.dumps."""
+    out: list[str] = []
+
+    def write(value, indent: str) -> None:
+        if type(value) is str:
+            out.append(encode_basestring_ascii(value))
+        elif isinstance(value, dict) and value:
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for key, item in value.items():
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                write(item, inner)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)) and value:
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                write(item, inner)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "]")
+        else:
+            out.append(json.dumps(value))
+
+    write(value, "")
+    return "".join(out)
 
 
 def _gamma_str(gamma: tuple[int, ...]) -> str:
@@ -797,4 +830,4 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 def builtin_scenario_text(name: str) -> str:
     if name not in BUILTIN_SCENARIOS:
         raise ScenarioError(f"unknown built-in scenario {name!r}")
-    return json.dumps(BUILTIN_SCENARIOS[name], indent=2) + "\n"
+    return _json_text(BUILTIN_SCENARIOS[name]) + "\n"

@@ -435,10 +435,13 @@ def bracket_exponent_by_reduction(group, character, element) -> int:
 
 def fractional_index_oracle(problem, gamma):
     """The distribution at gamma paired against a unit bump: the integral
-    of each reduced-integrand bucket, weighted by its root of unity."""
+    of the a-hat square times each symbol bucket, weighted by its root of
+    unity."""
     from fracindex.scalars import root_of_unity_sum
 
+    square = problem.a_hat_squared
     buckets = problem.reduced_integrand(gamma)
     return root_of_unity_sum(
-        problem.group.exponent, {k: bucket.integrate() for k, bucket in buckets.items()}
+        problem.group.exponent,
+        {k: (square * bucket).integrate() for k, bucket in buckets.items()},
     )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fracindex.characteristic import BundleData, a_hat, projective_tangent_bundle
 from fracindex.cohomology import (
     CohClass,
+    ManifoldModel,
     build_model,
     parse_expression,
     point_model,
@@ -72,30 +73,35 @@ def test_reduced_integrand_trivial_symbol():
     genus = a_hat(tangent)
     symbol = SymbolData(group, {(0,): cp2.one()})
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
-    assert problem.reduced_integrand((0,)) == {0: genus * genus}
-    assert problem.reduced_integrand((1,)) == {0: genus * genus}
+    assert problem.reduced_integrand((0,)) == {0: cp2.one()}
+    assert problem.reduced_integrand((1,)) == {0: cp2.one()}
 
 
 def test_reduced_integrand_dirac_identity_is_a_hat():
+    # the bucket is the inverse a-hat class; with the a-hat square it is a-hat
     cp2, problem = cp2_dirac_problem()
-    assert problem.reduced_integrand((0,)) == {0: a_hat(projective_tangent_bundle(cp2))}
+    genus = a_hat(projective_tangent_bundle(cp2))
+    assert problem.reduced_integrand((0,)) == {0: genus.inverse()}
+    assert problem.a_hat_squared * problem.reduced_integrand((0,))[0] == genus
 
 
 def test_reduced_integrand_dirac_flips_sign():
-    # the a-hat class sits in the bucket of zeta_2^1 = -1
+    # the inverse a-hat class sits in the bucket of zeta_2^1 = -1
     cp2, problem = cp2_dirac_problem()
-    assert problem.reduced_integrand((1,)) == {1: a_hat(projective_tangent_bundle(cp2))}
+    genus = a_hat(projective_tangent_bundle(cp2))
+    assert problem.reduced_integrand((1,)) == {1: genus.inverse()}
+    assert problem.a_hat_squared * problem.reduced_integrand((1,))[1] == genus
 
 
 def test_reduced_integrand_buckets_components_by_bracket_exponent():
     problem = _random_problem([6, 4], 10)
-    group, square = problem.group, problem.a_hat_squared
+    group = problem.group
     for gamma in group.elements():
         buckets = problem.reduced_integrand(gamma)
         expected = {}
         for chi, u_chi in problem.symbol.components.items():
             k = bracket_exponent(group, chi, gamma)
-            expected[k] = expected.get(k, problem.model.zero()) + square * u_chi
+            expected[k] = expected.get(k, problem.model.zero()) + u_chi
         assert buckets == expected
 
 
@@ -559,3 +565,33 @@ def test_monomial_images_are_computed_once_per_degree_bound():
     problem.full_distribution(3)
     assert problem._monomial_images(3) is images
     assert problem._monomial_images(1) is not images
+
+
+def test_corrupted_structure_constant_is_caught(monkeypatch):
+    # CP^3 over Z/3, a symbol supported on 1 and x, one generator with
+    # image x: the recombined route multiplies the image x^3 of L^3 by the
+    # constant term of a-hat^2 * u, reading the product-table entry (x^3, 1);
+    # the direct route reads (a, x^i) for the terms a of a-hat^2 = 1 + c x^2
+    # and (m, b) for the support monomials m, so never (x^3, 1)
+    cp3 = projective_space_model(3)
+    group = FiniteAbelianGroup([3])
+    components = {
+        (0,): parse_expression("1 + 2*x", cp3),
+        (1,): parse_expression("-3 + 1/2*x", cp3),
+        (2,): parse_expression("5/7 - x", cp3),
+    }
+    gens = [InvariantGeneratorDecl("L", 1, parse_expression("x", cp3))]
+    genus = a_hat(projective_tangent_bundle(cp3))
+    problem = IndexProblem(cp3, group, gens, SymbolData(group, components), genus * genus)
+    original = ManifoldModel._product_entry
+
+    def corrupted(self, m1, m2):
+        d, pairs = original(self, m1, m2)
+        if (m1, m2) == ((3,), (0,)):
+            pairs = [(m, 2 * n) for m, n in pairs]
+        return d, pairs
+
+    monkeypatch.setattr(ManifoldModel, "_product_entry", corrupted)
+    cp3._products.clear()
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        problem.full_distribution()

@@ -18,6 +18,7 @@ from fracindex.groups import (
     bracket_exponent,
     character_jet,
     chern_weil_eval,
+    graded_order,
 )
 from fracindex.scalars import Cyclotomic
 
@@ -157,6 +158,17 @@ def test_chern_weil_eval_keys_come_in_graded_order(cp2):
     assert list(chern_weil_eval(gens, 2, cp2)) == [
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
     ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(keys=st.integers(0, 4).flatmap(
+    lambda n: st.sets(st.tuples(*[st.integers(0, 5)] * n), max_size=30)
+))
+def test_graded_order_is_degree_then_declaration_precedence(keys):
+    # total degree first; within a degree, an earlier generator's higher
+    # power first
+    expected = sorted(keys, key=lambda key: (sum(key), tuple(-e for e in key)))
+    assert graded_order(keys) == expected
 
 
 def test_chern_weil_eval_is_ring_homomorphism(cp2):

@@ -191,6 +191,28 @@ def test_integer_cyclotomic_arithmetic_matches_long_division(order, a, b):
     assert x * y == y * x and hash(x * y) == hash(y * x)
 
 
+_entries = st.one_of(st.integers(-60, 60), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.integers(1, 36), data=st.data())
+def test_cyclotomic_constructor_matches_long_division(order, data):
+    # ints, Fractions and a mix of both; exactly deg(Phi_N) entries (no
+    # fold), fewer, and over-long inputs; an explicit denominator
+    modulus = list(cyclotomic_polynomial(order))
+    deg = len(modulus) - 1
+    length = data.draw(st.sampled_from([0, deg, deg + 1, 2 * deg + 3]) | st.integers(0, 24))
+    coeffs = data.draw(st.lists(_entries, min_size=length, max_size=length))
+    denominator = data.draw(st.integers(1, 12))
+    value = Cyclotomic(order, coeffs, denominator)
+    assert list(value.coeffs) == [c / denominator for c in cyclotomic_residue(coeffs, modulus)]
+    _assert_cyclotomic_lowest_terms(value)
+    for zero in ([], [0] * length, [Fraction(0)] * length):
+        value = Cyclotomic(order, zero, denominator)
+        assert value.is_zero() and value.denominator == 1
+        assert value.numerators == (0,) * deg
+
+
 def _remainder_by_long_division(k: int, modulus: list[int]) -> list[int]:
     """t^k mod a monic integer polynomial, one leading term at a time."""
     rem = [0] * k + [1]

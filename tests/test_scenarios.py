@@ -6,6 +6,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracindex.scalars import Cyclotomic
 from fracindex.scenarios import (
@@ -13,6 +15,7 @@ from fracindex.scenarios import (
     MAX_GROUP_EXPONENT,
     MAX_GROUP_ORDER,
     ScenarioError,
+    _json_text,
     builtin_scenario_text,
     check_expectations,
     emit,
@@ -175,3 +178,35 @@ def test_group_exponent_at_the_cap_runs():
     (result,) = run(parse_scenario(document))
     assert isinstance(result.payload, Cyclotomic)
     assert result.payload.order == MAX_GROUP_EXPONENT
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([1e400, -1e400, 0.1, -0.0, 1e-320]),
+    st.text(),
+    st.text(st.characters(min_codepoint=0x80)),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(value=_json_values)
+def test_json_writer_matches_json_dumps(value):
+    # non-ASCII strings, floats including infinities and NaN, empty
+    # containers at any depth
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_matches_json_dumps_when_deeply_nested():
+    value = {"leaf": "\u00e9\n\"", "empty": [{}, []]}
+    for depth in range(60):
+        value = [value, {"depth": depth, "x": 1.5}] if depth % 2 else {"k\u03b3": value}
+    assert _json_text(value) == json.dumps(value, indent=2)
+    assert _json_text((1, (2, []))) == json.dumps((1, (2, [])), indent=2)
