@@ -33,6 +33,16 @@ lemma with the critical-pair lemma, Baader & Nipkow, Term Rewriting and
 All That, ch. 6; for linear combinations, Bergman's diamond lemma, Adv.
 Math. 29, 1978).
 
+Expressions are read in one pass over the tokens of one regular
+expression; every sub-expression is integer numerators over one positive
+denominator, and each product or sum takes one gcd pass.  The parser
+multiplies raw monomials itself, not through the product table: relations
+are parsed before any model exists, and a product in the free ring under a
+degree bound is not the quotient product.  A power of one monomial within
+the bound is one exponent scaling; every other power goes by repeated
+squaring, so "x^99999999" costs about 27 products and an over-bound error
+names the first square that leaves the bound.
+
 Every power series in a class runs through one loop, `evaluate_series`:
 the exponential, the inverse (1/c0 times the alternating series in the
 nilpotent part) and the one-root genus series of `characteristic`.  A
@@ -46,7 +56,9 @@ everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -371,19 +383,11 @@ class CohClass(Frozen):
     __slots__ = ("model", "numerators", "denominator")
 
     def __init__(self, model: ManifoldModel, terms: Mapping[Monomial, Fraction | int]) -> None:
-        num: dict[Monomial, int] = {}
-        den = 1
-        if terms:
-            for coeff in terms.values():
-                if not isinstance(coeff, (int, Fraction)):
-                    raise TypeError(
-                        f"class coefficients must be rational, got {type(coeff).__name__}"
-                    )
-            numerators, den = common_denominator(list(terms.values()))
-            raw = {tuple(m): n for m, n in zip(terms, numerators) if n}
-            num, scale = _product(model, {model.zero_monomial(): 1}, raw)
-            den *= scale
-        _lowest(model, num, den, self)
+        for coeff in terms.values():
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"class coefficients must be rational, got {type(coeff).__name__}")
+        numerators, den = common_denominator(list(terms.values()))
+        _reduced(model, {tuple(m): n for m, n in zip(terms, numerators) if n}, den, self)
 
     # -- structure -------------------------------------------------------------
 
@@ -551,6 +555,13 @@ def _product(model: ManifoldModel, a: dict, b: dict) -> tuple[dict[Monomial, int
     return out, scale
 
 
+def _reduced(model: ManifoldModel, raw: dict, den: int, out: CohClass | None = None) -> CohClass:
+    """The class of the integer terms raw / den (den > 0) on raw monomials,
+    in normal form, built into `out` or into a new class."""
+    num, scale = _product(model, {model.zero_monomial(): 1}, raw)
+    return _lowest(model, num, den * scale, out)
+
+
 def _lowest(model: ManifoldModel, num: dict, den: int, out: CohClass | None = None) -> CohClass:
     """The class num / den (den > 0) in lowest terms, built into `out` or
     into a new class."""
@@ -626,7 +637,8 @@ def build_model(
     bound = dimension + max((d for _, d in generators), default=0)
 
     def raw_terms(text: str) -> dict[Monomial, Fraction]:
-        return parse_terms(text, generators, bound, truncate=False)
+        num, den = parse_terms(text, generators, bound, truncate=False)
+        return {m: Fraction(c, den) for m, c in num.items()}
 
     relation_map: dict[int, tuple[int, dict[Monomial, Fraction]]] = {}
     for lhs, rhs in relations:
@@ -725,218 +737,196 @@ def product_model(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 
 # ---------------------------------------------------------------------------
 # expression parsing
-#
-# grammar:  expr   := ['-'] term (('+'|'-') term)*
-#           term   := factor ('*' factor)*
-#           factor := atom ['^' INT]
-#           atom   := NUMBER ['/' NUMBER] | NAME | '(' expr ')'
-#
-# Every product keeps its terms within a degree bound (generator degrees
-# are positive, so a term above it stays above it in every later product),
-# and powers go by repeated squaring: "x^99999999" costs about 27 products.
 
 _MAX_POWER_BITS = 1 << 16  # a power of a constant term may not outgrow this
+_MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed into
+#: One (number, name, other) tuple per token, two fields empty; a number is
+#: what int() reads (decimal digits of any script).
+_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
+_STRAY = re.compile(r"[^\s\w+\-*/^()]")  # in ASCII text, the only bad characters
+_END = ("", "", "")  # after the last token: no field set
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(
-        self, text: str, generators: Iterable[tuple[str, int]], max_degree: int, truncate: bool
-    ) -> None:
-        self.text = text
-        self.names = [name for name, _ in generators]
-        self.degrees = [degree for _, degree in generators]
-        self.max_degree = max_degree
-        self.truncate = truncate
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def _within_bound(self, mono: Monomial) -> bool:
-        """Whether a term is kept: above the bound it is dropped when
-        truncating and rejected otherwise."""
-        degree = sum(e * d for e, d in zip(mono, self.degrees))
-        if degree <= self.max_degree:
-            return True
-        if self.truncate:
-            return False
-        raise ExpressionError(
-            f"term {monomial_name(self.names, mono)} of degree {degree} exceeds the degree "
-            f"bound {self.max_degree} in {self.text!r}"
-        )
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    @staticmethod
-    def _int(token: _Token) -> int:
-        try:
-            return int(token.text)
-        except ValueError:  # longer than the interpreter's int() digit limit
-            raise ExpressionError(
-                f"number of {len(token.text)} digits at position {token.pos} is too long"
-            ) from None
-
-    def take(self, kind: str | None = None) -> _Token:
-        token = self.tokens[self.pos]
-        if kind is not None and token.kind != kind:
-            raise ExpressionError(
-                f"expected {kind} at position {token.pos} in {self.text!r}, got {token.text!r}"
-            )
-        self.pos += 1
-        return token
-
-    def parse(self) -> dict[Monomial, Fraction]:
-        result = self.expr()
-        trailing = self.peek()
-        if trailing.kind != "end":
-            raise ExpressionError(
-                f"unexpected {trailing.text!r} at position {trailing.pos} in {self.text!r}"
-            )
-        return result
-
-    def expr(self) -> dict[Monomial, Fraction]:
-        negate = False
-        if self.peek().kind == "-":
-            self.take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = {m: -c for m, c in acc.items()}
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            for mono, coeff in rhs.items():
-                _accumulate(acc, mono, coeff if op == "+" else -coeff)
-        return acc
-
-    def term(self) -> dict[Monomial, Fraction]:
-        acc = self.factor()
-        while self.peek().kind == "*":
-            self.take()
-            acc = self._multiply(acc, self.factor())
-        return acc
-
-    def _multiply(self, a, b) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = tuple(x + y for x, y in zip(m1, m2))
-                if self._within_bound(mono):
-                    value = out[mono] = c1 * c2 + out.get(mono, 0)
-                    if not value:
-                        del out[mono]
-        return out
-
-    def factor(self) -> dict[Monomial, Fraction]:
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            exponent_token = self.take("number")
-            exponent = self._int(exponent_token)
-            if exponent < 1:
-                raise ExpressionError(
-                    f"exponent must be a positive integer at position {exponent_token.pos}"
-                )
-            constant = base.get((0,) * len(self.names), Fraction(0))
-            bits = max(abs(constant.numerator), constant.denominator).bit_length()
-            if bits > 1 and exponent * bits > _MAX_POWER_BITS:
-                raise ExpressionError(
-                    f"exponent {exponent} at position {exponent_token.pos} is too large "
-                    f"for the constant term {constant}"
-                )
-            out = {(0,) * len(self.names): Fraction(1)}
-            while exponent:
-                if exponent & 1:
-                    out = self._multiply(out, base)
-                exponent >>= 1
-                if exponent:
-                    base = self._multiply(base, base)
-            return out
-        return base
-
-    def atom(self) -> dict[Monomial, Fraction]:
-        token = self.peek()
-        unit: Monomial = (0,) * len(self.names)
-        if token.kind == "number":
-            self.take()
-            value = Fraction(self._int(token))
-            if self.peek().kind == "/":
-                self.take()
-                den_token = self.take("number")
-                den = self._int(den_token)
-                if den == 0:
-                    raise ExpressionError(f"zero denominator at position {den_token.pos}")
-                value /= den
-            return {unit: value}
-        if token.kind == "name":
-            self.take()
-            if token.text not in self.names:
-                raise ExpressionError(
-                    f"unknown generator {token.text!r} at position {token.pos}"
-                )
-            index = self.names.index(token.text)
-            mono = tuple(1 if i == index else 0 for i in range(len(self.names)))
-            return {mono: Fraction(1)} if self._within_bound(mono) else {}
-        if token.kind == "(":
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise ExpressionError(
-            f"unexpected {token.text!r} at position {token.pos} in {self.text!r}"
-        )
+def _positions(text: str) -> list[int]:
+    """The position of each token of the text and of its end."""
+    return [match.start() for match in _TOKEN.finditer(text)] + [len(text)]
 
 
 def parse_terms(
     text: str, generators: Iterable[tuple[str, int]], max_degree: int, truncate: bool
-) -> dict[Monomial, Fraction]:
+) -> tuple[dict[Monomial, int], int]:
     """Parse an expression into raw (unreduced) monomial terms of degree at
-    most max_degree; terms above it are dropped when `truncate` and raise
-    ExpressionError otherwise."""
-    return _Parser(text, generators, max_degree, truncate).parse()
+    most max_degree: integer numerators, none zero, over one positive
+    denominator in lowest terms.  Terms above the bound are dropped when
+    `truncate` and raise ExpressionError otherwise.
+
+        expr   := ['-'] term (('+'|'-') term)*
+        term   := factor ('*' factor)*
+        factor := atom ['^' INT]
+        atom   := NUMBER ['/' NUMBER] | NAME | '(' expr ')'
+
+    The bound holds after every product (generator degrees are positive,
+    so a term above it stays above it in every later product), and
+    parentheses nest at most _MAX_NESTING deep."""
+    names = [name for name, _ in generators]
+    degrees = [degree for _, degree in generators]
+    unit = (0,) * len(names)
+    degree_of = {unit: 0}  # every monomial built so far
+
+    def at(i: int) -> str:
+        return f"at position {_positions(text)[i]}"
+
+    # a name starts with a letter or "_", not with a digit like "²"; in ASCII
+    # text only a stray character can break a rule
+    tokens = _TOKEN.findall(text)
+    if not text.isascii() or _STRAY.search(text):
+        for index, (_, name, other) in enumerate(tokens):
+            first = name[:1] or other
+            if first and not (first.isalpha() or first == "_" or first in "+-*/^()"):
+                raise ExpressionError(f"unexpected character {first!r} {at(index)}")
+    tokens.append(_END)
+
+    def unexpected(i: int, wanted: str = "") -> ExpressionError:
+        got = "".join(tokens[i])
+        if wanted:
+            return ExpressionError(f"expected {wanted} {at(i)} in {text!r}, got {got!r}")
+        return ExpressionError(f"unexpected {got!r} {at(i)} in {text!r}")
+
+    def over_bound(mono: Monomial) -> ExpressionError:
+        degree = sum(map(mul, mono, degrees))
+        return ExpressionError(
+            f"term {monomial_name(names, mono)} of degree {degree} exceeds the degree "
+            f"bound {max_degree} in {text!r}"
+        )
+
+    def integer(i: int) -> int:
+        digits = tokens[i][0]
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter's int() digit limit
+            raise ExpressionError(f"number of {len(digits)} digits {at(i)} is too long") from None
+
+    def lowest(num: dict, den: int) -> tuple[dict, int]:
+        g = math.gcd(den, *num.values())
+        if g == 1:
+            return num, den
+        return {m: c // g for m, c in num.items()}, den // g
+
+    def product(a: dict, da: int, b: dict, db: int) -> tuple[dict, int]:
+        if len(b) == 1 and unit in b:
+            a, b = b, a
+        if len(a) == 1 and unit in a:  # a constant keeps the other side's terms
+            return lowest({m: a[unit] * c for m, c in b.items()}, da * db)
+        out: dict[Monomial, int] = {}
+        right = [(m2, c2, degree_of[m2]) for m2, c2 in b.items()]
+        for m1, c1 in a.items():
+            d1 = degree_of[m1]
+            for m2, c2, d2 in right:
+                mono = tuple(map(add, m1, m2))
+                if d1 + d2 <= max_degree:
+                    degree_of[mono] = d1 + d2
+                    _accumulate(out, mono, c1 * c2)
+                elif not truncate:
+                    raise over_bound(mono)
+        return lowest(out, da * db)
+
+    def expr(i: int, depth: int) -> tuple[dict, int, int]:
+        negate = tokens[i][2] == "-"
+        num, den, i = term(i + negate, depth)
+        if not negate and tokens[i][2] not in ("+", "-"):
+            return num, den, i
+        terms = [(-1 if negate else 1, num, den)]
+        while tokens[i][2] in ("+", "-"):
+            sign = 1 if tokens[i][2] == "+" else -1
+            num, den, i = term(i + 1, depth)
+            terms.append((sign, num, den))
+        den = math.lcm(*[d for _, _, d in terms])
+        out: dict[Monomial, int] = {}
+        for sign, num, d in terms:
+            scale = sign * (den // d)
+            for mono, c in num.items():
+                _accumulate(out, mono, scale * c)
+        return (*lowest(out, den), i)
+
+    def term(i: int, depth: int) -> tuple[dict, int, int]:
+        num, den, i = factor(i, depth)
+        while tokens[i][2] == "*":
+            rhs, rden, i = factor(i + 1, depth)
+            num, den = product(num, den, rhs, rden)
+        return num, den, i
+
+    def factor(i: int, depth: int) -> tuple[dict, int, int]:
+        number, name, other = tokens[i]
+        if number:
+            n, den, i = integer(i), 1, i + 1
+            if tokens[i][2] == "/":
+                if not tokens[i + 1][0]:
+                    raise unexpected(i + 1, "number")
+                den = integer(i + 1)
+                if den == 0:
+                    raise ExpressionError(f"zero denominator {at(i + 1)}")
+                g = math.gcd(n, den)
+                n, den, i = n // g, den // g, i + 2
+            num = {unit: n} if n else {}
+        elif name:
+            if name not in names:
+                raise ExpressionError(f"unknown generator {name!r} {at(i)}")
+            index = names.index(name)
+            mono = unit[:index] + (1,) + unit[index + 1 :]
+            degree_of[mono] = degrees[index]
+            if degrees[index] > max_degree and not truncate:
+                raise over_bound(mono)
+            num, den, i = ({mono: 1} if degrees[index] <= max_degree else {}), 1, i + 1
+        elif other == "(":
+            if depth == _MAX_NESTING:
+                raise ExpressionError(f"parentheses nested more than {_MAX_NESTING} deep {at(i)}")
+            num, den, i = expr(i + 1, depth + 1)
+            if tokens[i][2] != ")":
+                raise unexpected(i, ")")
+            i += 1
+        else:
+            raise unexpected(i)
+        if tokens[i][2] != "^":
+            return num, den, i
+        if not tokens[i + 1][0]:
+            raise unexpected(i + 1, "number")
+        exponent = integer(i + 1)
+        if exponent < 1:
+            raise ExpressionError(f"exponent must be a positive integer {at(i + 1)}")
+        constant = num.get(unit, 0)
+        g = math.gcd(constant, den)
+        bits = max(abs(constant) // g, den // g).bit_length()
+        if bits > 1 and exponent * bits > _MAX_POWER_BITS:
+            raise ExpressionError(
+                f"exponent {exponent} {at(i + 1)} is too large "
+                f"for the constant term {Fraction(constant, den)}"
+            )
+        i += 2
+        if len(num) == 1:
+            ((mono, c),) = num.items()
+            degree = degree_of[mono] * exponent
+            if degree <= max_degree:
+                mono = tuple([e * exponent for e in mono])
+                degree_of[mono] = degree
+                return {mono: c**exponent}, den**exponent, i
+        out, out_den = {unit: 1}, 1
+        while exponent:
+            if exponent & 1:
+                out, out_den = product(out, out_den, num, den)
+            exponent >>= 1
+            if exponent:
+                num, den = product(num, den, num, den)
+        return out, out_den, i
+
+    num, den, i = expr(0, 0)
+    if tokens[i] is not _END:
+        raise unexpected(i)
+    return num, den
 
 
 def parse_expression(text: str, model: ManifoldModel) -> CohClass:
     """Parse a polynomial expression in the model's generators and reduce
     it to normal form.  Terms above the model dimension are dropped while
     parsing, as they vanish in the model."""
-    return CohClass(model, parse_terms(text, model.generators, model.dimension, truncate=True))
+    num, den = parse_terms(text, model.generators, model.dimension, truncate=True)
+    return _reduced(model, num, den)

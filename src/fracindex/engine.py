@@ -25,7 +25,8 @@ both and compares them exactly:
 - recombined, (a-hat^2 * u) * image: rational per-character tables at the
   identity, read as integer columns over one denominator per key, are
   grouped by bracket exponent and each group is weighted by its bracket,
-  a genuine Cyclotomic, in field arithmetic.
+  a genuine Cyclotomic, in field arithmetic (read as the rational +-1 it
+  is when N <= 2, where the direct route takes the sign from k's parity).
 
 The routes associate the product differently and so read different
 entries of the model's product table: a disagreement catches a wrong
@@ -398,6 +399,8 @@ class IndexProblem(Frozen):
             recombined: dict[MomentKey, Scalar] = {}
             for members in groups.values():
                 weight = bracket(self.group, characters[members[0]], gamma)
+                if self.group.exponent <= 2:  # zeta = +-1, so the field is Q
+                    weight = weight.to_rational()
                 for key, (numerators, den) in columns.items():
                     term = weight * Fraction(sum([numerators[j] for j in members]), den)
                     recombined[key] = recombined[key] + term if key in recombined else term

@@ -10,8 +10,8 @@ products of cyclotomic scalars are integer work: t^k for k >= deg(Phi_N)
 folds in as the integer row k of `power_residues`, and one gcd pass
 reduces each result.  `root_of_unity_sum` puts its weights over one
 denominator and adds rows of the same table; it builds no Cyclotomic when
-the sum is rational (always, for N <= 2).  No float ever enters or leaves
-this module.
+the sum is rational, and for N <= 2, where zeta = +-1, it adds signed
+Fractions directly.  No float ever enters or leaves this module.
 
 The one-root a-hat series (x/2)/sinh(x/2) and its log are read from two
 separate Bernoulli closed forms, neither derived from the other, so the
@@ -108,9 +108,11 @@ def power_residues(order: int) -> tuple[tuple[int, ...], ...]:
 def root_of_unity_sum(order: int, weights: Mapping[int, Fraction]) -> Scalar:
     """sum_k weights[k] * zeta^k for zeta a primitive order-th root of
     unity: the weights go over one common denominator and their integer
-    numerators add up rows of `power_residues`.  A rational sum (always,
-    when order <= 2 and the field is Q) is returned as a Fraction without
-    building a Cyclotomic."""
+    numerators add up rows of `power_residues`.  A rational sum is returned
+    as a Fraction without building a Cyclotomic; for order <= 2 (zeta = +-1,
+    the field is Q) it is the signed sum of the weights, formed at once."""
+    if order <= 2:
+        return sum([-w if k % order else w for k, w in weights.items()], Fraction(0))
     numerators, den = common_denominator(list(weights.values()))
     poly = [0] * order
     for k, n in zip(weights, numerators):

@@ -439,6 +439,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ScenarioError("parse error: the document is nested too deeply") from None
     if not isinstance(document, dict):
         raise ScenarioError("scenario document must be a JSON object")
 

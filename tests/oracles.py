@@ -15,6 +15,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from fracindex.cohomology import _MAX_POWER_BITS, ExpressionError, monomial_name
+
 
 def series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
     out = [Fraction(0)] * (order + 1)
@@ -445,3 +447,197 @@ def fractional_index_oracle(problem, gamma):
         problem.group.exponent,
         {k: (square * bucket).integrate() for k, bucket in buckets.items()},
     )
+
+
+# -- the recursive-descent expression parser over Fraction dicts -----------------
+# The parser as it was before integer numerators: a per-character tokenizer
+# into token objects, Fraction-dict terms, products term by term and every
+# power by repeated squaring.  Same grammar, degree bound and messages as
+# `cohomology.parse_terms`, which must agree with it (zero coefficients
+# aside) except on a digit that int() rejects, such as "²", which this
+# tokenizer reads into a number, and on nesting past `_MAX_NESTING`.
+
+
+class _OracleToken:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+
+
+def _oracle_tokenize(text: str) -> list[_OracleToken]:
+    tokens: list[_OracleToken] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(_OracleToken("number", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_OracleToken("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            tokens.append(_OracleToken(ch, ch, i))
+            i += 1
+            continue
+        raise ExpressionError(f"unexpected character {ch!r} at position {i}")
+    tokens.append(_OracleToken("end", "", len(text)))
+    return tokens
+
+
+class _OracleParser:
+    def __init__(self, text: str, generators, max_degree: int, truncate: bool) -> None:
+        self.text = text
+        self.names = [name for name, _ in generators]
+        self.degrees = [degree for _, degree in generators]
+        self.max_degree = max_degree
+        self.truncate = truncate
+        self.tokens = _oracle_tokenize(text)
+        self.pos = 0
+
+    def _within_bound(self, mono) -> bool:
+        degree = sum(e * d for e, d in zip(mono, self.degrees))
+        if degree <= self.max_degree:
+            return True
+        if self.truncate:
+            return False
+        raise ExpressionError(
+            f"term {monomial_name(self.names, mono)} of degree {degree} exceeds the degree "
+            f"bound {self.max_degree} in {self.text!r}"
+        )
+
+    def peek(self) -> _OracleToken:
+        return self.tokens[self.pos]
+
+    def _int(self, token: _OracleToken) -> int:
+        try:
+            return int(token.text)
+        except ValueError:
+            raise ExpressionError(
+                f"number of {len(token.text)} digits at position {token.pos} is too long"
+            ) from None
+
+    def take(self, kind: str | None = None) -> _OracleToken:
+        token = self.tokens[self.pos]
+        if kind is not None and token.kind != kind:
+            raise ExpressionError(
+                f"expected {kind} at position {token.pos} in {self.text!r}, got {token.text!r}"
+            )
+        self.pos += 1
+        return token
+
+    def parse(self) -> dict:
+        result = self.expr()
+        trailing = self.peek()
+        if trailing.kind != "end":
+            raise ExpressionError(
+                f"unexpected {trailing.text!r} at position {trailing.pos} in {self.text!r}"
+            )
+        return result
+
+    def expr(self) -> dict:
+        negate = False
+        if self.peek().kind == "-":
+            self.take()
+            negate = True
+        acc = self.term()
+        if negate:
+            acc = {m: -c for m, c in acc.items()}
+        while self.peek().kind in ("+", "-"):
+            op = self.take().kind
+            rhs = self.term()
+            for mono, coeff in rhs.items():
+                _oracle_add_into(acc, mono, coeff if op == "+" else -coeff)
+        return acc
+
+    def term(self) -> dict:
+        acc = self.factor()
+        while self.peek().kind == "*":
+            self.take()
+            acc = self._multiply(acc, self.factor())
+        return acc
+
+    def _multiply(self, a, b) -> dict:
+        out: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                mono = tuple(x + y for x, y in zip(m1, m2))
+                if self._within_bound(mono):
+                    value = out[mono] = c1 * c2 + out.get(mono, 0)
+                    if not value:
+                        del out[mono]
+        return out
+
+    def factor(self) -> dict:
+        base = self.atom()
+        if self.peek().kind == "^":
+            self.take()
+            exponent_token = self.take("number")
+            exponent = self._int(exponent_token)
+            if exponent < 1:
+                raise ExpressionError(
+                    f"exponent must be a positive integer at position {exponent_token.pos}"
+                )
+            constant = base.get((0,) * len(self.names), Fraction(0))
+            bits = max(abs(constant.numerator), constant.denominator).bit_length()
+            if bits > 1 and exponent * bits > _MAX_POWER_BITS:
+                raise ExpressionError(
+                    f"exponent {exponent} at position {exponent_token.pos} is too large "
+                    f"for the constant term {constant}"
+                )
+            out = {(0,) * len(self.names): Fraction(1)}
+            while exponent:
+                if exponent & 1:
+                    out = self._multiply(out, base)
+                exponent >>= 1
+                if exponent:
+                    base = self._multiply(base, base)
+            return out
+        return base
+
+    def atom(self) -> dict:
+        token = self.peek()
+        unit = (0,) * len(self.names)
+        if token.kind == "number":
+            self.take()
+            value = Fraction(self._int(token))
+            if self.peek().kind == "/":
+                self.take()
+                den_token = self.take("number")
+                den = self._int(den_token)
+                if den == 0:
+                    raise ExpressionError(f"zero denominator at position {den_token.pos}")
+                value /= den
+            return {unit: value}
+        if token.kind == "name":
+            self.take()
+            if token.text not in self.names:
+                raise ExpressionError(f"unknown generator {token.text!r} at position {token.pos}")
+            index = self.names.index(token.text)
+            mono = tuple(1 if i == index else 0 for i in range(len(self.names)))
+            return {mono: Fraction(1)} if self._within_bound(mono) else {}
+        if token.kind == "(":
+            self.take()
+            inner = self.expr()
+            self.take(")")
+            return inner
+        raise ExpressionError(f"unexpected {token.text!r} at position {token.pos} in {self.text!r}")
+
+
+def parse_terms_oracle(text: str, generators, max_degree: int, truncate: bool) -> dict:
+    """Raw Fraction terms of an expression, by the recursive-descent parser;
+    a bare 0 may leave a zero entry."""
+    return _OracleParser(text, generators, max_degree, truncate).parse()

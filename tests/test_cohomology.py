@@ -18,6 +18,7 @@ from fracindex.cohomology import (
     ModelError,
     build_model,
     parse_expression,
+    parse_terms,
     point_model,
     product_model,
     projective_space_model,
@@ -36,6 +37,7 @@ from oracles import (
     oracle_mul,
     oracle_pow,
     oracle_reduce,
+    parse_terms_oracle,
 )
 
 
@@ -575,6 +577,21 @@ def test_parse_errors_carry_position(cp2):
         parse_expression("x ^ 0", cp2)
     with pytest.raises(ExpressionError):
         parse_expression("x $ 2", cp2)
+    with pytest.raises(ExpressionError, match="^unexpected character '²' at position 2$"):
+        parse_expression("x^²", cp2)
+    with pytest.raises(ExpressionError, match="^unexpected character '²' at position 5$"):
+        parse_expression("x + 1²", cp2)
+    with pytest.raises(ExpressionError, match="nested more than 100 deep at position 100$"):
+        parse_expression("(" * 300 + "x" + ")" * 300, cp2)
+
+
+def test_numbers_are_decimal_digits_of_any_script(cp2):
+    assert parse_expression("٣*x", cp2) == parse_expression("3*x", cp2)
+    assert parse_expression("x^٢", cp2) == parse_expression("x^2", cp2)
+
+
+def test_parentheses_parse_up_to_the_nesting_cap(cp2):
+    assert parse_expression("(" * 100 + "x" + ")" * 100, cp2) == cp2.generator_class("x")
 
 
 @pytest.mark.parametrize(
@@ -623,7 +640,89 @@ def test_declaration_text_is_bounded_by_dimension_plus_generator_degree():
             build_model(4, [("x", 2)], [relation], ("x^2", 1))
 
 
+def test_a_zero_term_is_no_term_of_a_declaration():
+    model = build_model(4, [("x", 2)], [("0 + x^3", "0")], ("0 + x^2", 1))
+    assert model.relations == {0: (3, {})} and model.fundamental_monomial == (2,)
+    with pytest.raises(ModelError, match="single monomial: '0'"):
+        build_model(4, [("x", 2)], [("0", "0")], ("x^2", 1))
+
+
 def test_zero_relation_terms_are_not_stored():
     assert projective_space_model(2).relations == {0: (3, {})}
     model = ManifoldModel(4, [("x", 2)], {0: (3, {(3,): Fraction(0)})}, (2,), Fraction(1))
     assert model.relations == {0: (3, {})}
+
+
+# -- the parser against the Fraction-dict oracle ---------------------------------
+
+_PARSER_GENERATORS = [[("x", 2)], [("x", 2), ("y", 4)], [("a", 2), ("b", 2), ("c", 6)]]
+_EXPONENTS = st.one_of(st.integers(1, 12), st.sampled_from([40_000, 99_999_999]))
+
+
+def _expressions(generators):
+    """Nested expressions over the generators, with zeros, fractions, unary
+    minus and powers past every degree bound and past the constant guard."""
+    atoms = st.one_of(
+        st.sampled_from([name for name, _ in generators]),
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda p: f"{p[0]}/{p[1]}"),
+        st.tuples(st.sampled_from(["0", "1", "2", generators[0][0]]), _EXPONENTS).map(
+            lambda t: f"{t[0]}^{t[1]}"
+        ),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+            inner.map(lambda e: f"(-{e})"),
+            inner.map(lambda e: f"({e})"),
+            st.tuples(inner, _EXPONENTS).map(lambda t: f"({t[0]})^{t[1]}"),
+        )
+
+    expressions = st.recursive(atoms, extend, max_leaves=10)
+    return st.tuples(st.sampled_from(["", "-", "- "]), expressions).map("".join)
+
+
+_EXPRESSION_CASES = st.one_of(
+    [
+        st.tuples(_expressions(g), st.just(g), st.integers(0, 16), st.booleans())
+        for g in _PARSER_GENERATORS
+    ]
+)
+
+
+def _terms_or_message(parse, text, generators, max_degree, truncate):
+    """Nonzero Fraction terms, or the message of the ExpressionError."""
+    try:
+        terms = parse(text, generators, max_degree, truncate)
+    except ExpressionError as exc:
+        return str(exc)
+    if parse is parse_terms:
+        num, den = terms
+        assert den > 0 and 0 not in num.values() and math.gcd(den, *num.values()) == 1
+        terms = {m: Fraction(c, den) for m, c in num.items()}
+    return {m: c for m, c in terms.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_EXPRESSION_CASES)
+def test_parse_terms_matches_the_fraction_oracle(case):
+    """Same terms (zero coefficients aside) or the same error message, with
+    and without truncation, as the recursive-descent parser over Fraction
+    dicts."""
+    assert _terms_or_message(parse_terms, *case) == _terms_or_message(parse_terms_oracle, *case)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(
+    text=st.text(alphabet="xy0123456789+-*/^() ²٣é_$", max_size=60),
+    max_degree=st.integers(0, 12),
+    truncate=st.booleans(),
+)
+def test_any_text_parses_or_raises_expression_error(text, max_degree, truncate):
+    """Within the deadline; and as the oracle does, except that the oracle
+    reads a superscript digit as part of a number."""
+    case = (text, [("x", 2), ("y", 4), ("é", 2)], max_degree, truncate)
+    outcome = _terms_or_message(parse_terms, *case)
+    if "²" not in text:
+        assert outcome == _terms_or_message(parse_terms_oracle, *case)

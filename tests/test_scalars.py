@@ -269,6 +269,24 @@ def test_root_of_unity_sum_rational_values_are_fractions(order):
         assert isinstance(root_of_unity_sum(order, {1: Fraction(1)}), Cyclotomic)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.sampled_from([1, 2]),
+    weights=st.dictionaries(
+        st.integers(-8, 8),
+        st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))),
+        max_size=6,
+    ),
+)
+def test_root_of_unity_sum_over_q_is_the_sum_over_power_residue_rows(order, weights):
+    """zeta = +-1 at orders 1 and 2: the signed sum equals the weights times
+    the one-entry rows of `power_residues`, and it is a Fraction."""
+    rows = power_residues(order)
+    value = root_of_unity_sum(order, weights)
+    assert value == sum(w * rows[k % order][0] for k, w in weights.items())
+    assert type(value) is Fraction
+
+
 def test_rational_field_axioms_sample():
     values = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
     for a in values:

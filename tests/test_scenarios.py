@@ -137,6 +137,17 @@ def test_numbers_above_the_int_digit_limit_raise_scenario_errors(edit, message):
         parse_scenario(_builtin_with(edit))
 
 
+def test_deeply_nested_parentheses_in_a_class_raise_scenario_error():
+    document = _cp2_document(symbol=[{"character": [1], "class": "(" * 300 + "x" + ")" * 300}])
+    with pytest.raises(ScenarioError, match=r"symbol.*nested more than 100 deep at position 100"):
+        parse_scenario(document)
+
+
+def test_deeply_nested_json_raises_scenario_error():
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        parse_scenario("[" * 100_000 + "]" * 100_000)
+
+
 def test_rank_zero_bundle_with_empty_roots_and_chern_classes_parses():
     document = _builtin_with(
         lambda d: d["bundles"].append({"name": "E", "rank": 0, "chern_roots": [], "chern": []})
