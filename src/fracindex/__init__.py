@@ -5,7 +5,6 @@ distributions, in rational and cyclotomic arithmetic.
 
 from fracindex.scalars import (
     Cyclotomic,
-    Rational,
     a_hat_series,
     bernoulli,
     cyclotomic_polynomial,
@@ -13,7 +12,6 @@ from fracindex.scalars import (
 
 __all__ = [
     "Cyclotomic",
-    "Rational",
     "a_hat_series",
     "bernoulli",
     "cyclotomic_polynomial",

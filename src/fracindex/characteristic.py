@@ -118,18 +118,6 @@ class BundleData(Frozen):
                         f"bundle {self.name!r}: declared c_{i + 1} disagrees with the roots"
                     )
 
-    def chern_classes(self, count: int) -> list[CohClass]:
-        """c_1..c_count, from declared Chern classes or from the roots."""
-        if self.chern is not None:
-            model = self.model
-            out = list(self.chern[:count])
-            while len(out) < count:
-                out.append(model.zero())
-            return out
-        if self.roots is not None:
-            return _elementary_symmetric(self.model, self.roots, count)
-        raise BundleError(f"bundle {self.name!r} has no Chern data")
-
     def __repr__(self):
         return f"BundleData({self.name!r}, rank={self.rank})"
 
@@ -223,17 +211,3 @@ def _compute_a_hat(bundle: BundleData) -> CohClass:
             acc = acc + cls * log_series[2 * k]
     return acc.exponential()
 
-
-# ---------------------------------------------------------------------------
-# stock tangent data
-
-
-def projective_tangent_bundle(model: ManifoldModel, name: str = "x") -> BundleData:
-    """Tangent data of complex projective space under the Euler-sequence
-    convention: n+1 formal roots all equal to the hyperplane generator.
-    The extra trivial root is harmless for genera and never integrated."""
-    n = model.dimension // 2
-    if n == 0:
-        return BundleData("T(point)", 0, roots=[], model=model)
-    root = model.generator_class(name)
-    return BundleData(f"T({name})", n + 1, roots=[root] * (n + 1))

@@ -158,22 +158,11 @@ class ManifoldModel(Frozen):
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
-    def generator_index(self, name: str) -> int:
-        for i, (gname, _) in enumerate(self.generators):
-            if gname == name:
-                return i
-        raise ExpressionError(f"unknown generator {name!r}")
-
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * self.generators[i][1] for i, e in enumerate(mono))
 
     def zero_monomial(self) -> Monomial:
         return (0,) * len(self.generators)
-
-    def generator_class(self, name: str) -> "CohClass":
-        i = self.generator_index(name)
-        mono = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return CohClass(self, {mono: Fraction(1)})
 
     def one(self) -> "CohClass":
         return CohClass(self, {self.zero_monomial(): Fraction(1)})
@@ -196,10 +185,6 @@ class ManifoldModel(Frozen):
             ]
         out.sort(key=lambda m: (self.monomial_degree(m), m))
         return out
-
-    def basis(self) -> list[Monomial]:
-        """The irreducible monomials of degree <= dimension."""
-        return [m for m in self.monomials_up_to(self.dimension) if self._is_normal(m)]
 
     # -- normal forms ---------------------------------------------------------
 
@@ -257,9 +242,6 @@ class ManifoldModel(Frozen):
         numerators, d = common_denominator(list(form.values()))
         return d, list(zip(form, numerators))
 
-    def monomial_name(self, mono: Monomial) -> str:
-        return monomial_name(self.names, mono)
-
     # -- validation ------------------------------------------------------------
 
     def _validate(self) -> None:
@@ -276,7 +258,7 @@ class ManifoldModel(Frozen):
                 if self.monomial_degree(mono) != lhs_degree:
                     raise ModelError(
                         f"relation on {self.generators[i][0]!r} is not degree-homogeneous: "
-                        f"{self.monomial_name(mono)} has degree {self.monomial_degree(mono)}, "
+                        f"{monomial_name(self.names, mono)} has degree {self.monomial_degree(mono)}, "
                         f"expected {lhs_degree}"
                     )
         if len(self.fundamental_monomial) != len(self.generators):
@@ -318,7 +300,7 @@ class ManifoldModel(Frozen):
                 left, right = self._rewrite_once(overlap, i), self._rewrite_once(overlap, j)
                 if left != right and CohClass(self, left) != CohClass(self, right):
                     raise ModelError(
-                        "relation set is not confluent at " + self.monomial_name(overlap)
+                        "relation set is not confluent at " + monomial_name(self.names, overlap)
                     )
 
     def _check_termination(self) -> None:
@@ -357,7 +339,7 @@ class ManifoldModel(Frozen):
                 for nxt in pending:
                     if state.get(nxt):
                         raise ModelError(
-                            "rewrite system does not terminate on " + self.monomial_name(nxt)
+                            "rewrite system does not terminate on " + monomial_name(self.names, nxt)
                         )
                     if nxt not in state:
                         state[nxt] = True
@@ -515,7 +497,7 @@ class CohClass(Frozen):
             return "0"
         parts = []
         for mono, coeff in self.terms.items():
-            mono_name = self.model.monomial_name(mono)
+            mono_name = monomial_name(self.model.names, mono)
             if mono_name == "1":
                 parts.append(rational_to_string(coeff))
             elif coeff == 1:
@@ -670,69 +652,6 @@ def build_model(
         orientation = Fraction(orientation_value)
 
     return ManifoldModel(dimension, generators, relation_map, fund_mono, orientation)
-
-
-def point_model() -> ManifoldModel:
-    """The zero-dimensional model: integration reads the scalar itself."""
-    return ManifoldModel(0, (), {}, (), Fraction(1))
-
-
-def projective_space_model(n: int, name: str = "x") -> ManifoldModel:
-    """The cohomology of complex projective n-space: one degree-2 generator
-    with its (n+1)-st power rewritten to zero."""
-    if n < 0:
-        raise ModelError("projective space dimension must be nonnegative")
-    if n == 0:
-        return point_model()
-    return build_model(
-        2 * n,
-        [(name, 2)],
-        [(f"{name}^{n + 1}", "0")],
-        (f"{name}^{n}", 1),
-    )
-
-
-def product_model(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
-    """The product of two models: generators side by side, relations carried
-    over, fundamental monomial and orientation multiplied.  Clashing
-    generator names from the second factor are renamed with a numeric
-    suffix."""
-    taken = set(m1.names)
-    renamed: list[str] = []
-    for name, _ in m2.generators:
-        candidate = name
-        suffix = 2
-        while candidate in taken:
-            candidate = f"{name}{suffix}"
-            suffix += 1
-        taken.add(candidate)
-        renamed.append(candidate)
-
-    generators = list(m1.generators) + [
-        (renamed[i], d) for i, (_, d) in enumerate(m2.generators)
-    ]
-    n1, n2 = len(m1.generators), len(m2.generators)
-
-    def left(mono: Monomial) -> Monomial:
-        return tuple(mono) + (0,) * n2
-
-    def right(mono: Monomial) -> Monomial:
-        return (0,) * n1 + tuple(mono)
-
-    relations: dict[int, tuple[int, dict[Monomial, Fraction]]] = {}
-    for i, (power, rhs) in m1.relations.items():
-        relations[i] = (power, {left(m): c for m, c in rhs.items()})
-    for i, (power, rhs) in m2.relations.items():
-        relations[n1 + i] = (power, {right(m): c for m, c in rhs.items()})
-
-    fundamental = left(m1.fundamental_monomial)[:n1] + tuple(m2.fundamental_monomial)
-    return ManifoldModel(
-        m1.dimension + m2.dimension,
-        generators,
-        relations,
-        fundamental,
-        m1.orientation * m2.orientation,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -97,19 +97,6 @@ class SymbolData(Frozen):
         object.__setattr__(self, "components", dict(sorted(clean.items())))
         object.__setattr__(self, "label", label)
 
-    def component(self, chi: Sequence[int]) -> CohClass | None:
-        return self.components.get(self.group.reduce(tuple(chi)))
-
-    def __add__(self, other: "SymbolData") -> "SymbolData":
-        if not isinstance(other, SymbolData):
-            return NotImplemented
-        if other.group != self.group:
-            raise EngineError("cannot add symbols over different groups")
-        merged: dict[Element, CohClass] = dict(self.components)
-        for chi, cls in other.components.items():
-            merged[chi] = merged[chi] + cls if chi in merged else cls
-        return SymbolData(self.group, merged, label=self.label)
-
     def __repr__(self):
         label = f" {self.label!r}" if self.label else ""
         return f"SymbolData({len(self.components)} components{label})"
@@ -164,12 +151,6 @@ class IndexDistribution(Frozen):
         ordered = {gamma: tables[gamma] for gamma in sorted(tables)}
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "tables", ordered)
-
-    def table(self, gamma: Sequence[int]) -> MomentTable:
-        return self.tables[self.group.reduce(tuple(gamma))]
-
-    def mass(self, gamma: Sequence[int]) -> Scalar:
-        return self.table(gamma).mass()
 
     def __eq__(self, other):
         if not isinstance(other, IndexDistribution):
@@ -265,9 +246,6 @@ class IndexProblem(Frozen):
 
     # -- moment tables ----------------------------------------------------------
 
-    def default_degree(self) -> int:
-        return self.model.dimension // 2
-
     def _monomial_images(self, max_degree: int) -> dict[MomentKey, CohClass]:
         """The image class of every moment monomial, in graded order,
         computed once per degree bound."""
@@ -345,7 +323,7 @@ class IndexProblem(Frozen):
         integer dot products of each bucket U_k with the moment rows, with
         one conversion to the cyclotomic field per moment."""
         if max_degree is None:
-            max_degree = self.default_degree()
+            max_degree = self.model.dimension // 2
         if max_degree < 0:
             raise EngineError("moment degree bound must be nonnegative")
         gamma = self.group.reduce(tuple(gamma))
@@ -383,7 +361,7 @@ class IndexProblem(Frozen):
         disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
-            max_degree = self.default_degree()
+            max_degree = self.model.dimension // 2
         per_character = self._per_character_tables(max_degree)
         characters = list(per_character)
         columns = {
@@ -440,9 +418,7 @@ class IndexProblem(Frozen):
         by the associated bundle, an exact rational."""
         if not self.group.is_trivial():
             raise EngineError("character pairing requires a trivial center")
-        u = self.symbol.component(self.group.identity())
-        if u is None:
-            u = self.model.zero()
+        u = self.symbol.components.get(self.group.identity(), self.model.zero())
         return (self.a_hat_squared * u * character_jet(system, label)).integrate()
 
 
@@ -459,13 +435,3 @@ def dirac_problem(
     symbol = SymbolData(group, {(1,): a_hat(tangent).inverse()}, label="dirac")
     return IndexProblem(model, group, generators, symbol, a_hat_squared(tangent))
 
-
-def projective_dirac(
-    model: ManifoldModel,
-    tangent: BundleData,
-    generators: Sequence[InvariantGeneratorDecl] = (),
-    max_degree: int | None = None,
-) -> IndexDistribution:
-    """The index distribution of the lifted Dirac symbol: equal and
-    opposite moment tables at the two central elements."""
-    return dirac_problem(model, tangent, generators).full_distribution(max_degree)

@@ -69,8 +69,6 @@ class FiniteAbelianGroup(Frozen):
         """All elements in lexicographic exponent order."""
         return list(itertools.product(*(range(n) for n in self.cyclic_orders)))
 
-    characters = elements  # the character group has the same exponent tuples
-
     def __eq__(self, other):
         if not isinstance(other, FiniteAbelianGroup):
             return NotImplemented
@@ -210,8 +208,7 @@ class WeightSystem(Frozen):
                     f"label {weight} has arity {len(weight)}, expected {self.rank}"
                 )
             return [weight]
-        label = int(label)
-        if label < 0:
+        if not isinstance(label, int) or label < 0:
             raise GroupError("su2 labels are nonnegative integers")
         return [(m,) for m in range(label, -label - 1, -2)]
 

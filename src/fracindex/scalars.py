@@ -28,10 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-#: Rational scalars are plain stdlib fractions (always lowest terms,
-#: positive denominator, exact arithmetic).
-Rational = Fraction
-
 Scalar = Union[Fraction, "Cyclotomic"]
 
 

@@ -5,7 +5,8 @@ running produces exact, deterministically ordered results.
 
 The same document shape is used for the built-in scenarios, for user
 files, and for the optional "expect" blocks that turn any scenario into a
-regression check.
+regression check.  Every integer field takes a JSON integer only: a
+float, a bool or a digit string is refused, never truncated or read.
 
 Three caps keep every document's run bounded:
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from fracindex.characteristic import BundleData, BundleError
 from fracindex.cohomology import (
@@ -55,23 +56,10 @@ from fracindex.groups import (
 )
 from fracindex.scalars import Frozen, Scalar, scalar_to_json
 
-TASK_OPS = (
-    "fractional_index",
-    "moments",
-    "full_distribution",
-    "mms_projective",
-    "projective_dirac",
-    "atiyah_pairing",
-)
-
-
 #: The largest accepted group exponent and group order (see the module
 #: docstring).
 MAX_GROUP_EXPONENT = 1000
 MAX_GROUP_ORDER = 1000
-
-#: Task ops that read a `max_degree`.
-_MOMENT_OPS = ("moments", "full_distribution", "mms_projective", "projective_dirac")
 
 
 class ScenarioError(ValueError):
@@ -176,11 +164,16 @@ def _need(mapping: Mapping[str, Any], key: str, context: str):
     return mapping[key]
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: an int, not a bool, and never a float or string
+    that int() would truncate or read."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(value: Any, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{path}: expected an int, got {value!r}") from None
+    if not _is_int(value):
+        raise ScenarioError(f"{path}: expected an int, got {value!r}")
+    return value
 
 
 def _list(value: Any, path: str) -> list:
@@ -205,12 +198,9 @@ def _objects(value: Any, path: str) -> list[dict]:
 
 
 def _int_list(value: Any, path: str) -> tuple[int, ...]:
-    try:
-        if isinstance(value, list):
-            return tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        pass
-    raise ScenarioError(f"{path}: expected a list of ints, got {value!r}")
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise ScenarioError(f"{path}: expected a list of ints, got {value!r}")
+    return tuple(value)
 
 
 def _expression(text: Any, model: ManifoldModel, context: str) -> CohClass:
@@ -257,6 +247,7 @@ def _build_bundles(
 ) -> tuple[dict[str, BundleData], str | None]:
     bundles: dict[str, BundleData] = {}
     tangent_name = None
+    parsed: dict[str, CohClass] = {}  # each distinct root or class text, parsed once
     for index, spec in enumerate(_objects(specs, "bundles")):
         name = str(_need(spec, "name", "bundle"))
         if name in bundles:
@@ -269,10 +260,17 @@ def _build_bundles(
             ("pontryagin", "pontryagin", "pontryagin"),
         ):
             if key in spec:
-                kwargs[argument] = [
-                    _expression(t, model, f"bundle {name!r} {label}")
-                    for t in _list(spec[key], f"bundles[{index}].{key}")
-                ]
+                path = f"bundles[{index}].{key}"
+                classes = []
+                for j, text in enumerate(_list(spec[key], path)):
+                    if not isinstance(text, str):
+                        raise ScenarioError(
+                            f"{path}[{j}]: expected an expression string, got {text!r}"
+                        )
+                    if text not in parsed:
+                        parsed[text] = _expression(text, model, f"bundle {name!r} {label}")
+                    classes.append(parsed[text])
+                kwargs[argument] = classes
         try:
             bundles[name] = BundleData(name, rank, model=model, **kwargs)
         except BundleError as exc:
@@ -309,6 +307,10 @@ def _build_group_block(
     path = "group.invariant_generators"
     for index, gen_spec in enumerate(_objects(spec.get("invariant_generators", []), path)):
         name = str(_need(gen_spec, "name", "invariant generator"))
+        if any(gen.name == name for gen in generators):
+            raise ScenarioError(
+                f"{path}[{index}].name: invariant generator {name!r} declared twice"
+            )
         s_degree = _int(
             _need(gen_spec, "s_degree", f"generator {name!r}"), f"{path}[{index}].s_degree"
         )
@@ -376,65 +378,81 @@ def _build_symbol(
         raise ScenarioError(str(exc)) from exc
 
 
-def _validate_task(
-    task: Any,
-    path: str,
-    scenario_name: str,
-    group: FiniteAbelianGroup,
-    bundles: Mapping[str, BundleData],
-    tangent_name: str | None,
-    weight_system: WeightSystem | None,
-    max_moment_degree: int,
-) -> None:
-    if not isinstance(task, dict):
-        raise ScenarioError(f"{path}: expected an object, got {task!r}")
-    op = task.get("op")
-    if op not in TASK_OPS:
-        raise ScenarioError(f"{scenario_name}: unknown task op {op!r}")
-    if op in ("fractional_index", "moments"):
-        gamma = _need(task, "gamma", f"task {op}")
-        if not group.contains(_int_list(gamma, f"{path}.gamma")):
-            raise ScenarioError(
-                f"task {op}: gamma {gamma} is outside the group's exponent ranges"
-            )
-    if op in _MOMENT_OPS and "max_degree" in task:
-        _check_max_degree(task["max_degree"], f"{path}.max_degree", max_moment_degree)
-    if op == "projective_dirac":
-        name = task.get("tangent", tangent_name)
-        if name is not None and not isinstance(name, str):
-            raise ScenarioError(f"{path}.tangent: expected a bundle name, got {name!r}")
-        if name is None:
-            raise ScenarioError(
-                "task projective_dirac needs tangent data: flag a bundle with "
-                '"tangent": true or name one in the task'
-            )
-        if name not in bundles:
-            raise ScenarioError(f"task projective_dirac: unknown bundle {name!r}")
-    if op == "atiyah_pairing":
-        if weight_system is None:
-            raise ScenarioError("task atiyah_pairing needs a weight_system declaration")
-        if not group.is_trivial():
-            raise ScenarioError("task atiyah_pairing requires a trivial group")
-        label = _need(task, "lambda", "task atiyah_pairing")
-        if isinstance(label, list):
-            _int_list(label, f"{path}.lambda")
-        else:
-            _int(label, f"{path}.lambda")
+def _check_gamma(scenario: Scenario, task: dict, path: str) -> None:
+    gamma = _need(task, "gamma", f"task {task['op']}")
+    if not scenario.group.contains(_int_list(gamma, f"{path}.gamma")):
+        raise ScenarioError(
+            f"task {task['op']}: gamma {gamma} is outside the group's exponent ranges"
+        )
+
+
+def _check_bound(scenario: Scenario, task: dict, path: str) -> None:
+    if "max_degree" in task:
+        _check_max_degree(task["max_degree"], f"{path}.max_degree", scenario.model.dimension // 2)
+
+
+def _check_tangent(scenario: Scenario, task: dict, path: str) -> None:
+    name = task.get("tangent", scenario.tangent_name)
+    if name is not None and not isinstance(name, str):
+        raise ScenarioError(f"{path}.tangent: expected a bundle name, got {name!r}")
+    if name is None:
+        raise ScenarioError(
+            "task projective_dirac needs tangent data: flag a bundle with "
+            '"tangent": true or name one in the task'
+        )
+    if name not in scenario.bundles:
+        raise ScenarioError(f"task projective_dirac: unknown bundle {name!r}")
+
+
+def _check_label(scenario: Scenario, task: dict, path: str) -> None:
+    if scenario.weight_system is None:
+        raise ScenarioError("task atiyah_pairing needs a weight_system declaration")
+    if not scenario.group.is_trivial():
+        raise ScenarioError("task atiyah_pairing requires a trivial group")
+    label = _need(task, "lambda", "task atiyah_pairing")
+    (_int_list if isinstance(label, list) else _int)(label, f"{path}.lambda")
+
+
+def _projective_dirac(scenario: Scenario, problem: IndexProblem, task: dict, bound):
+    bundle = scenario.bundles[task.get("tangent", scenario.tangent_name)]
+    return dirac_problem(scenario.model, bundle, scenario.generators).full_distribution(bound)
+
+
+#: Each task op: the checks its fields pass at parse time, each called as
+#: check(scenario, task, path), and its handler, called as
+#: handler(scenario, problem, task, bound) with the moment cutoff in force.
+_OPS: dict[str, tuple[tuple[Callable, ...], Callable]] = {
+    "fractional_index": ((_check_gamma,), lambda s, p, task, b: p.fractional_index(task["gamma"])),
+    "moments": ((_check_gamma, _check_bound), lambda s, p, task, b: p.moments(task["gamma"], b)),
+    "full_distribution": ((_check_bound,), lambda s, p, task, b: p.full_distribution(b)),
+    "mms_projective": ((_check_bound,), lambda s, p, task, b: p.mms_projective(b)),
+    "projective_dirac": ((_check_bound, _check_tangent), _projective_dirac),
+    "atiyah_pairing": (
+        (_check_label,), lambda s, p, task, b: p.atiyah_pairing(s.weight_system, task["lambda"])
+    ),
+}
 
 
 def _check_max_degree(value: Any, path: str, cap: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{path}: expected an int, got {value!r}")
-    if not 0 <= value <= cap:
+    if not 0 <= _int(value, path) <= cap:
         raise ScenarioError(
             f"{path}: {value} is outside 0..{cap} (half the manifold dimension)"
         )
 
 
+def _json_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int() digit limit
+        raise ScenarioError(
+            f"parse error: number of {len(digits.lstrip('-'))} digits is too long"
+        ) from None
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
     try:
-        document = json.loads(text)
+        document = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -450,24 +468,24 @@ def parse_scenario(text: str) -> Scenario:
     group, generators, weight_system = _build_group_block(document.get("group", {}), model)
     symbol = _build_symbol(document.get("symbol", []), model, group)
 
-    tasks = document.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise ScenarioError(f"{name}: tasks must be a list")
-    for index, task in enumerate(tasks):
-        _validate_task(
-            task, f"tasks[{index}]", name, group, bundles, tangent_name, weight_system,
-            model.dimension // 2,
-        )
-
+    tasks = _objects(document.get("tasks", []), "tasks")
     expect = document.get("expect")
     if expect is not None:
         if not isinstance(expect, list) or len(expect) != len(tasks):
             raise ScenarioError(f"{name}: expect block must list one entry per task")
 
-    return Scenario(
+    scenario = Scenario(
         name, model, bundles, tangent_name, group, generators, weight_system,
         symbol, tasks, expect,
     )
+    for index, task in enumerate(scenario.tasks):
+        op = task.get("op")
+        if not isinstance(op, str) or op not in _OPS:
+            raise ScenarioError(f"{name}: unknown task op {op!r}")
+        checks, _ = _OPS[op]
+        for check in checks:
+            check(scenario, task, f"tasks[{index}]")
+    return scenario
 
 
 def load_scenario(path: str) -> Scenario:
@@ -500,31 +518,10 @@ def run(
             elif task.get("op") != task_filter:
                 continue
         op = task["op"]
+        _, handle = _OPS[op]
+        bound = max_degree if max_degree is not None else task.get("max_degree")
         try:
-            if op == "fractional_index":
-                payload: Any = problem.fractional_index(tuple(task["gamma"]))
-            elif op == "moments":
-                bound = max_degree if max_degree is not None else task.get("max_degree")
-                payload = problem.moments(tuple(task["gamma"]), bound)
-            elif op == "full_distribution":
-                bound = max_degree if max_degree is not None else task.get("max_degree")
-                payload = problem.full_distribution(bound)
-            elif op == "mms_projective":
-                bound = max_degree if max_degree is not None else task.get("max_degree")
-                payload = problem.mms_projective(bound)
-            elif op == "projective_dirac":
-                bundle = scenario.bundles[task.get("tangent", scenario.tangent_name)]
-                bound = max_degree if max_degree is not None else task.get("max_degree")
-                payload = dirac_problem(
-                    scenario.model, bundle, scenario.generators
-                ).full_distribution(bound)
-            else:  # atiyah_pairing
-                label = task["lambda"]
-                if isinstance(label, list):
-                    label = tuple(int(w) for w in label)
-                else:
-                    label = int(label)
-                payload = problem.atiyah_pairing(scenario.weight_system, label)
+            payload = handle(scenario, problem, task, bound)
         except (EngineError, GroupError) as exc:
             raise ScenarioError(f"{scenario.name}: task {index} ({op}): {exc}") from exc
         results.append(TaskResult(scenario.name, index, task, payload))

@@ -15,7 +15,36 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from fracindex.cohomology import _MAX_POWER_BITS, ExpressionError, monomial_name
+from fracindex.characteristic import BundleData
+from fracindex.cohomology import _MAX_POWER_BITS, ExpressionError, ManifoldModel, build_model
+from fracindex.cohomology import monomial_name, parse_expression
+
+
+# -- models and tangent data through the public declarations -------------------
+
+
+def projective_model(**factors: int) -> ManifoldModel:
+    """The product of the projective spaces CP^n named by the keywords, as
+    declaration text: a degree-2 generator per factor with its (n+1)-st
+    power zero, and the product of the n-th powers as fundamental class.
+    No keyword gives the point."""
+    return build_model(
+        2 * sum(factors.values()),
+        [(name, 2) for name in factors],
+        [(f"{name}^{n + 1}", "0") for name, n in factors.items()],
+        ("*".join(f"{name}^{n}" for name, n in factors.items()) or "1", 1),
+    )
+
+
+def projective_tangent(model: ManifoldModel) -> BundleData:
+    """Tangent data of such a product, Euler-sequence style: n+1 roots
+    equal to the generator of each CP^n factor."""
+    roots = [
+        parse_expression(name, model)
+        for name, n in zip(model.names, model.fundamental_monomial)
+        for _ in range(n + 1)
+    ]
+    return BundleData("T", len(roots), roots=roots, model=model)
 
 
 def series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
@@ -227,6 +256,13 @@ def genus_root_by_root(kind: str, bundle):
     for root in bundle.roots:
         out = out * _series_at(coeffs, root)
     return out
+
+
+def chern_classes(bundle, count: int) -> list:
+    """c_1..c_count of a root-presented bundle, read off the total Chern
+    class taken root by root."""
+    total = genus_root_by_root("chern", bundle)
+    return [total.degree_part(2 * k) for k in range(1, count + 1)]
 
 
 # -- Fraction-dict class arithmetic --------------------------------------------

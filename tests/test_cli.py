@@ -87,6 +87,24 @@ def test_unreadable_scenario_exits_2(target, message, tmp_path, capsys):
     assert err.startswith("fracindex: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "name,old,new,message",
+    [
+        ("cp2_projective_dirac", '"name": "E"', '"name": "P1"', "group.invariant_generators[1].name: "),
+        ("hopf_riemann_roch", '"lambda": 2', '"lambda": 2.5', "tasks[2].lambda: expected an int"),
+        ("cp2_projective_dirac", '"rank": 3', '"rank": ' + "3" * 5000, "parse error: number of 5000"),
+    ],
+    ids=["duplicate-generator-name", "float-lambda", "huge-integer-literal"],
+)
+def test_invalid_scenario_exits_2(name, old, new, message, tmp_path, capsys):
+    path = tmp_path / "invalid.json"
+    path.write_text(builtin_scenario_text(name).replace(old, new))
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fracindex: ") and message in err
+
+
 def test_module_entry_point_exit_status(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracindex.__file__)))
     ok = subprocess.run(

@@ -9,15 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracindex.characteristic import BundleData, a_hat, projective_tangent_bundle
-from fracindex.cohomology import (
-    CohClass,
-    ManifoldModel,
-    build_model,
-    parse_expression,
-    point_model,
-    projective_space_model,
-)
+from fracindex.characteristic import BundleData, a_hat
+from fracindex.cohomology import CohClass, ManifoldModel, build_model, parse_expression, scalar_class
 from fracindex.engine import (
     EngineError,
     IndexProblem,
@@ -25,7 +18,6 @@ from fracindex.engine import (
     MomentTable,
     SymbolData,
     dirac_problem,
-    projective_dirac,
 )
 from fracindex.groups import (
     FiniteAbelianGroup,
@@ -36,6 +28,7 @@ from fracindex.groups import (
     chern_weil_eval,
 )
 from fracindex.scalars import Cyclotomic
+from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
 
 from oracles import (
     a_hat_series_oracle,
@@ -43,17 +36,19 @@ from oracles import (
     cpn_mul,
     evaluate_series_at_x,
     fractional_index_oracle,
+    projective_model,
+    projective_tangent,
     todd_class,
 )
 
 
 def cp2_dirac_problem():
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     gens = [
         InvariantGeneratorDecl("P1", 2, parse_expression("3*x^2", cp2)),
         InvariantGeneratorDecl("E", 2, parse_expression("3*x^2", cp2)),
     ]
-    return cp2, dirac_problem(cp2, projective_tangent_bundle(cp2), gens)
+    return cp2, dirac_problem(cp2, projective_tangent(cp2), gens)
 
 
 def k3_like_dirac_problem():
@@ -67,9 +62,9 @@ def k3_like_dirac_problem():
 
 
 def test_reduced_integrand_trivial_symbol():
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([2])
-    tangent = projective_tangent_bundle(cp2)
+    tangent = projective_tangent(cp2)
     genus = a_hat(tangent)
     symbol = SymbolData(group, {(0,): cp2.one()})
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
@@ -80,7 +75,7 @@ def test_reduced_integrand_trivial_symbol():
 def test_reduced_integrand_dirac_identity_is_a_hat():
     # the bucket is the inverse a-hat class; with the a-hat square it is a-hat
     cp2, problem = cp2_dirac_problem()
-    genus = a_hat(projective_tangent_bundle(cp2))
+    genus = a_hat(projective_tangent(cp2))
     assert problem.reduced_integrand((0,)) == {0: genus.inverse()}
     assert problem.a_hat_squared * problem.reduced_integrand((0,))[0] == genus
 
@@ -88,7 +83,7 @@ def test_reduced_integrand_dirac_identity_is_a_hat():
 def test_reduced_integrand_dirac_flips_sign():
     # the inverse a-hat class sits in the bucket of zeta_2^1 = -1
     cp2, problem = cp2_dirac_problem()
-    genus = a_hat(projective_tangent_bundle(cp2))
+    genus = a_hat(projective_tangent(cp2))
     assert problem.reduced_integrand((1,)) == {1: genus.inverse()}
     assert problem.a_hat_squared * problem.reduced_integrand((1,))[1] == genus
 
@@ -122,7 +117,7 @@ def test_k3_like_dirac_fractional_index():
 
 
 def test_point_trivial_symbol():
-    pt = point_model()
+    pt = projective_model()
     group = FiniteAbelianGroup([])
     problem = IndexProblem(pt, group, (), SymbolData(group, {(): pt.one()}))
     assert problem.fractional_index(()) == 1
@@ -157,16 +152,18 @@ def _index_problems(draw):
     centers, Z/6 x Z/4 included, with a random rational symbol and an
     unreduced central element."""
     n = draw(st.sampled_from([0, 1, 3]))
-    model = projective_space_model(n) if n else point_model()
+    model = projective_model(x=n) if n else projective_model()
     group = FiniteAbelianGroup(draw(st.sampled_from([[], [2], [3], [5], [2, 2], [6, 4]])))
     coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=9)
     components = {}
-    for chi in group.characters():
+    for chi in group.elements():
         if draw(st.booleans()):
-            components[chi] = CohClass(model, {m: draw(coefficient) for m in model.basis()})
+            components[chi] = CohClass(
+                model, {m: draw(coefficient) for m in model.monomials_up_to(model.dimension)}
+            )
     square = None
     if model.dimension and draw(st.booleans()):
-        square = a_hat(projective_tangent_bundle(model)) ** 2
+        square = a_hat(projective_tangent(model)) ** 2
     problem = IndexProblem(model, group, (), SymbolData(group, components), square)
     gamma = tuple(draw(st.integers(-2 * order, 2 * order)) for order in group.cyclic_orders)
     return problem, gamma
@@ -212,7 +209,7 @@ def test_moment_table_ordering():
 
 
 def test_moments_on_point():
-    pt = point_model()
+    pt = projective_model()
     group = FiniteAbelianGroup([])
     problem = IndexProblem(pt, group, (), SymbolData(group, {(): pt.one()}))
     table = problem.moments(())
@@ -220,7 +217,7 @@ def test_moments_on_point():
 
 
 def test_cp1_moments_vanish_past_dimension():
-    cp1 = projective_space_model(1)
+    cp1 = projective_model(x=1)
     gens = [InvariantGeneratorDecl("P", 1, parse_expression("2*x", cp1))]
     group = FiniteAbelianGroup([2])
     symbol = SymbolData(group, {(0,): cp1.one()})
@@ -249,31 +246,16 @@ def test_sphere_euler_style_generator():
 # full distributions
 
 
-def test_dirac_distribution_antisymmetry():
-    cp2, _ = cp2_dirac_problem()
-    gens = [
-        InvariantGeneratorDecl("P1", 2, parse_expression("3*x^2", cp2)),
-        InvariantGeneratorDecl("E", 2, parse_expression("3*x^2", cp2)),
-    ]
-    dist = projective_dirac(cp2, projective_tangent_bundle(cp2), gens)
-    plus, minus = dist.table((0,)), dist.table((1,))
-    assert plus.mass() == Fraction(-1, 8)
-    assert minus.mass() == Fraction(1, 8)
-    for key, value in plus.values.items():
-        assert minus.values[key] == -value
-
-
 def test_k3_like_dirac_distribution_masses():
-    model, _ = k3_like_dirac_problem()
-    tangent = BundleData("TK", 2, chern=[model.zero(), parse_expression("24*q", model)])
-    dist = projective_dirac(model, tangent)
-    assert dist.mass((0,)) == 2
-    assert dist.mass((1,)) == -2
-    assert sum(table.mass() for table in dist.tables.values()) == 0
+    (result,) = run(parse_scenario(builtin_scenario_text("k3_like_dirac")))
+    tables = result.payload.tables
+    assert tables[(0,)].mass() == 2
+    assert tables[(1,)].mass() == -2
+    assert sum(table.mass() for table in tables.values()) == 0
 
 
 def test_trivial_character_symbol_gives_identical_tables():
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([4])
     symbol = SymbolData(group, {(0,): parse_expression("1 + x", cp2)})
     problem = IndexProblem(cp2, group, (), symbol)
@@ -284,9 +266,9 @@ def test_trivial_character_symbol_gives_identical_tables():
 
 
 def test_z4_bracket_scaling():
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([4])
-    tangent = projective_tangent_bundle(cp2)
+    tangent = projective_tangent(cp2)
     genus = a_hat(tangent)
     symbol = SymbolData(group, {(1,): parse_expression("x^2", cp2)})
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
@@ -294,53 +276,48 @@ def test_z4_bracket_scaling():
     base = (genus * genus * parse_expression("x^2", cp2)).integrate()
     assert base == 1
     zeta = Cyclotomic.root_of_unity(4)
-    assert dist.mass((0,)) == 1
-    assert dist.mass((1,)) == zeta
-    assert dist.mass((2,)) == -1
-    assert dist.mass((3,)) == Cyclotomic.root_of_unity(4, 3)
+    assert dist.tables[(0,)].mass() == 1
+    assert dist.tables[(1,)].mass() == zeta
+    assert dist.tables[(2,)].mass() == -1
+    assert dist.tables[(3,)].mass() == Cyclotomic.root_of_unity(4, 3)
 
 
 def test_distribution_linearity():
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([2])
     rng = random.Random(61)
 
-    def random_symbol():
-        return SymbolData(
-            group,
-            {
-                (k,): CohClass(
-                    cp2, {(d,): Fraction(rng.randint(-3, 3)) for d in range(3)}
-                )
-                for k in range(2)
-            },
-        )
+    def random_components():
+        return {
+            (k,): CohClass(cp2, {(d,): Fraction(rng.randint(-3, 3)) for d in range(3)})
+            for k in range(2)
+        }
 
     for _ in range(10):
-        s1, s2 = random_symbol(), random_symbol()
-        p1 = IndexProblem(cp2, group, (), s1)
-        p2 = IndexProblem(cp2, group, (), s2)
-        p12 = IndexProblem(cp2, group, (), s1 + s2)
+        c1, c2 = random_components(), random_components()
+        p1 = IndexProblem(cp2, group, (), SymbolData(group, c1))
+        p2 = IndexProblem(cp2, group, (), SymbolData(group, c2))
+        p12 = IndexProblem(cp2, group, (), SymbolData(group, {k: c1[k] + c2[k] for k in c1}))
         d1, d2, d12 = p1.full_distribution(), p2.full_distribution(), p12.full_distribution()
         for gamma in group.elements():
-            for key in d12.table(gamma).values:
-                assert d12.table(gamma).values[key] == (
-                    d1.table(gamma).values[key] + d2.table(gamma).values[key]
+            for key in d12.tables[gamma].values:
+                assert d12.tables[gamma].values[key] == (
+                    d1.tables[gamma].values[key] + d2.tables[gamma].values[key]
                 )
 
 
 def test_reconstruction_identity_explicit():
     """Moments at gamma equal the bracket-weighted sum of the identity
     moments of the single-character restrictions."""
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([2, 2])
     rng = random.Random(67)
     components = {
         chi: CohClass(cp2, {(d,): Fraction(rng.randint(-4, 4)) for d in range(3)})
-        for chi in group.characters()
+        for chi in group.elements()
     }
     symbol = SymbolData(group, components)
-    tangent = projective_tangent_bundle(cp2)
+    tangent = projective_tangent(cp2)
     genus = a_hat(tangent)
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
     for gamma in group.elements():
@@ -363,7 +340,7 @@ def test_reconstruction_identity_explicit():
 
 
 def test_projective_single_character_matches_full():
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([3])
     symbol = SymbolData(group, {(1,): parse_expression("x^2 + 1", cp2)})
     problem = IndexProblem(cp2, group, (), symbol)
@@ -371,35 +348,31 @@ def test_projective_single_character_matches_full():
 
 
 def test_projective_bracket_masses_z3():
-    pt = point_model()
+    pt = projective_model()
     group = FiniteAbelianGroup([3])
-    symbol = SymbolData(group, {(1,): scalar_times_one(pt, Fraction(5, 7))})
+    symbol = SymbolData(group, {(1,): scalar_class(pt, Fraction(5, 7))})
     problem = IndexProblem(pt, group, (), symbol)
     dist = problem.mms_projective()
     zeta = Cyclotomic.root_of_unity(3)
-    assert dist.mass((0,)) == Fraction(5, 7)
-    assert dist.mass((1,)) == Fraction(5, 7) * zeta
-    assert dist.mass((2,)) == Fraction(5, 7) * Cyclotomic.root_of_unity(3, 2)
+    assert dist.tables[(0,)].mass() == Fraction(5, 7)
+    assert dist.tables[(1,)].mass() == Fraction(5, 7) * zeta
+    assert dist.tables[(2,)].mass() == Fraction(5, 7) * Cyclotomic.root_of_unity(3, 2)
     assert sum(table.mass() for table in dist.tables.values()) == 0
-
-
-def scalar_times_one(model, value):
-    return CohClass(model, {model.zero_monomial(): value})
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 6])
 def test_projective_mass_balance(order):
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([order])
     symbol = SymbolData(group, {(1,): parse_expression("1 - x + x^2", cp2)})
-    tangent = projective_tangent_bundle(cp2)
+    tangent = projective_tangent(cp2)
     genus = a_hat(tangent)
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
     assert sum(table.mass() for table in problem.mms_projective().tables.values()) == 0
 
 
 def test_projective_requires_single_component():
-    cp2 = projective_space_model(2)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([2])
     symbol = SymbolData(group, {(0,): cp2.one(), (1,): cp2.one()})
     problem = IndexProblem(cp2, group, (), symbol)
@@ -412,16 +385,16 @@ def test_projective_requires_single_component():
 
 
 def hopf_problem():
-    cp1 = projective_space_model(1)
+    cp1 = projective_model(x=1)
     group = FiniteAbelianGroup([])
-    u = todd_class(projective_tangent_bundle(cp1))  # a-hat square is 1 on a surface
+    u = todd_class(projective_tangent(cp1))  # a-hat square is 1 on a surface
     symbol = SymbolData(group, {(): u})
     return cp1, IndexProblem(cp1, group, (), symbol)
 
 
 def test_hopf_riemann_roch_values():
     cp1, problem = hopf_problem()
-    system = WeightSystem("torus", [cp1.generator_class("x")])
+    system = WeightSystem("torus", [parse_expression("x", cp1)])
     assert problem.atiyah_pairing(system, 0) == 1
     assert problem.atiyah_pairing(system, 3) == 4
     assert problem.atiyah_pairing(system, -1) == 0
@@ -430,7 +403,7 @@ def test_hopf_riemann_roch_values():
 
 def test_atiyah_pairing_rejects_nontrivial_center():
     cp2, problem = cp2_dirac_problem()
-    system = WeightSystem("torus", [cp2.generator_class("x")])
+    system = WeightSystem("torus", [parse_expression("x", cp2)])
     with pytest.raises(EngineError, match="trivial"):
         problem.atiyah_pairing(system, 1)
 
@@ -441,9 +414,9 @@ def test_trivial_center_degeneration():
     cp1, problem = hopf_problem()
     dist = problem.full_distribution()
     assert list(dist.tables) == [()]
-    system = WeightSystem("torus", [cp1.generator_class("x")])
+    system = WeightSystem("torus", [parse_expression("x", cp1)])
     assert problem.fractional_index(()) == problem.atiyah_pairing(system, 0)
-    assert dist.table(()).mass() == problem.fractional_index(())
+    assert dist.tables[()].mass() == problem.fractional_index(())
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +424,15 @@ def test_trivial_center_degeneration():
 
 
 def test_symbol_reduces_character_exponents():
-    cp1 = projective_space_model(1)
+    cp1 = projective_model(x=1)
     group = FiniteAbelianGroup([2])
     symbol = SymbolData(group, {(3,): cp1.one()})
     assert list(symbol.components) == [(1,)]
 
 
 def test_problem_rejects_model_mismatch():
-    cp1 = projective_space_model(1)
-    cp2 = projective_space_model(2)
+    cp1 = projective_model(x=1)
+    cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([2])
     symbol = SymbolData(group, {(0,): cp1.one()})
     with pytest.raises(EngineError):
@@ -467,7 +440,7 @@ def test_problem_rejects_model_mismatch():
 
 
 def test_problem_rejects_group_mismatch():
-    cp1 = projective_space_model(1)
+    cp1 = projective_model(x=1)
     symbol = SymbolData(FiniteAbelianGroup([2]), {(0,): cp1.one()})
     with pytest.raises(EngineError):
         IndexProblem(cp1, FiniteAbelianGroup([3]), (), symbol)
@@ -480,11 +453,11 @@ def test_problem_rejects_group_mismatch():
 def _random_problem(cyclic_orders, seed):
     """CP^3 with its a-hat square, generators of degrees 2 and 4, and a
     random rational symbol on a random subset of the characters."""
-    cp3 = projective_space_model(3)
+    cp3 = projective_model(x=3)
     group = FiniteAbelianGroup(cyclic_orders)
     rng = random.Random(seed)
     components = {}
-    for chi in group.characters():
+    for chi in group.elements():
         if rng.random() < 0.8:
             components[chi] = CohClass(
                 cp3, {(d,): Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in range(4)}
@@ -493,7 +466,7 @@ def _random_problem(cyclic_orders, seed):
         InvariantGeneratorDecl("L", 1, parse_expression("2/3*x", cp3)),
         InvariantGeneratorDecl("Q", 2, parse_expression("-5*x^2", cp3)),
     ]
-    genus = a_hat(projective_tangent_bundle(cp3))
+    genus = a_hat(projective_tangent(cp3))
     return IndexProblem(cp3, group, gens, SymbolData(group, components), genus * genus)
 
 
@@ -573,7 +546,7 @@ def test_corrupted_structure_constant_is_caught(monkeypatch):
     # constant term of a-hat^2 * u, reading the product-table entry (x^3, 1);
     # the direct route reads (a, x^i) for the terms a of a-hat^2 = 1 + c x^2
     # and (m, b) for the support monomials m, so never (x^3, 1)
-    cp3 = projective_space_model(3)
+    cp3 = projective_model(x=3)
     group = FiniteAbelianGroup([3])
     components = {
         (0,): parse_expression("1 + 2*x", cp3),
@@ -581,7 +554,7 @@ def test_corrupted_structure_constant_is_caught(monkeypatch):
         (2,): parse_expression("5/7 - x", cp3),
     }
     gens = [InvariantGeneratorDecl("L", 1, parse_expression("x", cp3))]
-    genus = a_hat(projective_tangent_bundle(cp3))
+    genus = a_hat(projective_tangent(cp3))
     problem = IndexProblem(cp3, group, gens, SymbolData(group, components), genus * genus)
     original = ManifoldModel._product_entry
 

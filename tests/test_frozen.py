@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from fracindex.cohomology import parse_expression
 from fracindex.groups import WeightSystem
 from fracindex.scalars import Cyclotomic, Frozen
 from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
@@ -21,7 +22,7 @@ def instances() -> dict[str, object]:
         "BundleData": scenario.tangent_bundle(),
         "FiniteAbelianGroup": scenario.group,
         "InvariantGeneratorDecl": scenario.generators[0],
-        "WeightSystem": WeightSystem("torus", [model.generator_class("x")]),
+        "WeightSystem": WeightSystem("torus", [parse_expression("x", model)]),
         "SymbolData": scenario.symbol,
         "IndexProblem": problem,
         "MomentTable": next(iter(distribution.tables.values())),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracindex.cohomology import parse_expression, projective_space_model
+from fracindex.cohomology import parse_expression
 from fracindex.groups import (
     FiniteAbelianGroup,
     GroupError,
@@ -22,12 +22,12 @@ from fracindex.groups import (
 )
 from fracindex.scalars import Cyclotomic
 
-from oracles import bracket_exponent_by_reduction
+from oracles import bracket_exponent_by_reduction, projective_model
 
 
 @pytest.fixture
 def cp2():
-    return projective_space_model(2)
+    return projective_model(x=2)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_group_arithmetic():
 
 def test_bracket_identity_is_one():
     group = FiniteAbelianGroup([2, 2])
-    for chi in group.characters():
+    for chi in group.elements():
         assert bracket(group, chi, group.identity()) == 1
 
 
@@ -102,7 +102,7 @@ def test_bracket_bilinearity():
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 3], [6]])
 def test_bracket_orthogonality(orders):
     group = FiniteAbelianGroup(orders)
-    for chi in group.characters():
+    for chi in group.elements():
         total = sum(
             (bracket(group, chi, g) for g in group.elements()),
             Cyclotomic.from_rational(0, group.exponent),
@@ -213,19 +213,19 @@ def test_bracket_exponent_rejects_wrong_arity():
 
 
 def test_trivial_representation_has_rank_one(cp2):
-    system = WeightSystem("torus", [cp2.generator_class("x")])
+    system = WeightSystem("torus", [parse_expression("x", cp2)])
     assert character_jet(system, 0) == 1
 
 
 def test_u1_weight_on_cp1():
-    cp1 = projective_space_model(1)
-    system = WeightSystem("torus", [cp1.generator_class("x")])
+    cp1 = projective_model(x=1)
+    system = WeightSystem("torus", [parse_expression("x", cp1)])
     for k in range(-3, 4):
         assert character_jet(system, k) == parse_expression(f"1 + {k}*x" if k >= 0 else f"1 - {-k}*x", cp1)
 
 
 def test_su2_character_weights(cp2):
-    a = cp2.generator_class("x")
+    a = parse_expression("x", cp2)
     system = WeightSystem("su2", [a])
     # weights +1, -1: e^a + e^(-a) = 2 + a^2 up to degree 4
     assert character_jet(system, 1) == parse_expression("2 + x^2", cp2)
@@ -234,7 +234,7 @@ def test_su2_character_weights(cp2):
 
 
 def test_character_jet_additive_over_weights(cp2):
-    system = WeightSystem("torus", [cp2.generator_class("x")])
+    system = WeightSystem("torus", [parse_expression("x", cp2)])
     total = character_jet(system, 1) + character_jet(system, 2)
     direct = (
         system.root_class((1,)).exponential() + system.root_class((2,)).exponential()
@@ -243,10 +243,8 @@ def test_character_jet_additive_over_weights(cp2):
 
 
 def test_rank_two_torus_weights():
-    from fracindex.cohomology import product_model
-
-    prod = product_model(projective_space_model(1), projective_space_model(1, "y"))
-    system = WeightSystem("torus", [prod.generator_class("x"), prod.generator_class("y")])
+    prod = projective_model(x=1, y=1)
+    system = WeightSystem("torus", [parse_expression("x", prod), parse_expression("y", prod)])
     cls = character_jet(system, (1, 2))
     assert cls == parse_expression("(1 + x)*(1 + 2*y)", prod)
 
@@ -255,14 +253,16 @@ def test_weight_system_validation(cp2):
     with pytest.raises(GroupError):
         WeightSystem("torus", [])
     with pytest.raises(GroupError):
-        WeightSystem("su2", [cp2.generator_class("x"), cp2.generator_class("x")])
+        WeightSystem("su2", [parse_expression("x", cp2), parse_expression("x", cp2)])
     with pytest.raises(GroupError):
-        WeightSystem("spin", [cp2.generator_class("x")])
+        WeightSystem("spin", [parse_expression("x", cp2)])
     with pytest.raises(GroupError):
         WeightSystem("torus", [cp2.one()])
-    system = WeightSystem("su2", [cp2.generator_class("x")])
+    system = WeightSystem("su2", [parse_expression("x", cp2)])
     with pytest.raises(GroupError):
         system.weights_of(-1)
-    torus = WeightSystem("torus", [cp2.generator_class("x")])
+    with pytest.raises(GroupError):
+        system.weights_of([1])
+    torus = WeightSystem("torus", [parse_expression("x", cp2)])
     with pytest.raises(GroupError):
         torus.weights_of((1, 2))

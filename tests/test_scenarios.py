@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,17 @@ _MALFORMED_BUILTIN_FIELDS = [
     (_HOPF, lambda d: d["group"]["weight_system"].__setitem__(0, 3), "group.weight_system[0]"),
     (_HOPF, lambda d: d["group"]["weight_system"][0].update(weight=["q"]),
      "group.weight_system[0].weight"),
+    # integer fields take JSON integers only: no float, bool or digit string
+    (_HOPF, lambda d: d["tasks"][1].update({"lambda": 2.5}), "tasks[1].lambda"),
+    (_HOPF, lambda d: d["tasks"][2].update({"lambda": True}), "tasks[2].lambda"),
+    (_HOPF, lambda d: d["tasks"][3].update({"lambda": "3"}), "tasks[3].lambda"),
+    (_CP2, lambda d: d["group"].update(cyclic_orders=[4.9]), "group.cyclic_orders"),
+    (_CP2, lambda d: d["tasks"][0].update(gamma=[1.2]), "tasks[0].gamma"),
+    (_CP2, lambda d: d["manifold"].update(generators=[["x", 2.0]]),
+     "manifold.generators[0].degree"),
+    (_CP2, lambda d: d["group"]["invariant_generators"][1].update(s_degree=2.0),
+     "group.invariant_generators[1].s_degree"),
+    (_CP2, lambda d: d["bundles"][0].update(chern_roots=[["x"]]), "bundles[0].chern_roots[0]"),
 ]
 
 
@@ -130,11 +143,36 @@ def test_max_degree_at_the_bound_runs():
          "bundle 'TM' root: "),
         (lambda d: d["bundles"][0].update(chern_roots=["x^" + "1" * 5000] * 3),
          "bundle 'TM' root: "),
+        (lambda d: d["bundles"][0].update(rank="RANK"), "parse error: "),
     ],
 )
 def test_numbers_above_the_int_digit_limit_raise_scenario_errors(edit, message):
+    # json.dumps cannot write an integer literal past the limit, so the
+    # placeholder "RANK" is replaced in the document text
+    text = _builtin_with(edit).replace('"RANK"', "1" * 5000)
     with pytest.raises(ScenarioError, match=re.escape(message) + "number of 5000 digits"):
-        parse_scenario(_builtin_with(edit))
+        parse_scenario(text)
+
+
+def test_projective_dirac_index_on_cp2k_is_the_closed_form():
+    # the fractional index of the projective Dirac operator on CP^2k is
+    # a-hat[CP^2k] = (-1)^k C(2k, k) / 16^k at gamma = 0; at gamma = 1 it and
+    # every other moment change sign
+    for k in range(1, 5):
+        n = 2 * k
+
+        def cp2k(d):
+            d["manifold"].update(
+                dimension=2 * n, relations=[[f"x^{n + 1}", "0"]], fundamental=[f"x^{n}", "1"]
+            )
+            d["bundles"][0].update(rank=n + 1, chern_roots=["x"] * (n + 1))
+            d.update(tasks=[{"op": "projective_dirac"}], expect=None)
+
+        (result,) = run(parse_scenario(_builtin_with(cp2k)))
+        plus, minus = result.payload.tables[(0,)], result.payload.tables[(1,)]
+        assert plus.mass() == Fraction((-1) ** k * math.comb(2 * k, k), 16**k)
+        assert len(plus.values) == math.comb(n + 2, 2)
+        assert minus.values == {key: -value for key, value in plus.values.items()}
 
 
 def test_deeply_nested_parentheses_in_a_class_raise_scenario_error():
