@@ -126,6 +126,7 @@ class ManifoldModel(Frozen):
         "orientation",
         "_normal_cache",
         "_products",
+        "_images",
     )
 
     def __init__(
@@ -150,6 +151,7 @@ class ManifoldModel(Frozen):
         object.__setattr__(self, "orientation", Fraction(orientation))
         object.__setattr__(self, "_normal_cache", {})
         object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_images", {})  # moment images, kept by the engine
         self._validate()
 
     # -- basic structure -----------------------------------------------------

@@ -7,8 +7,8 @@ reduction (positive orientation).  The distribution the symbol induces on
 the group is supported on the center and is described, at each central
 element, by a moment table: the exact pairings of the local invariant
 distribution against monomials in the declared invariant generators,
-whose curvature images come from `groups.chern_weil_eval` once per
-problem and degree bound.  The fractional index at gamma is the
+whose curvature images come from `groups.chern_weil_eval` once per model,
+generator images and degree bound.  The fractional index at gamma is the
 degree-zero entry of that table, the coefficient of the point mass.
 
 Every bracket is a power zeta_N^k of one primitive root of unity, N the
@@ -17,16 +17,17 @@ enter only where a moment or pairing is emitted.  Two independent routes
 lead to the table at a central element gamma, and every full run computes
 both and compares them exactly:
 
-- direct, u * (a-hat^2 * image): the u_chi are summed into integer
-  buckets U_k by bracket exponent k, each dotted with the integer moment
-  rows r_key[m] = integral of (a-hat^2 * image_key) * m over the symbol's
-  support monomials m, and each moment is converted once from its bucket
-  pairings {k: w_k} to sum_k w_k zeta^k;
+- direct, u * (a-hat^2 * image): the u_chi are summed into buckets U_k
+  by bracket exponent k, over one denominator per gamma, each dotted with
+  the integer moment rows r_key[m] = integral of (a-hat^2 * image_key) * m
+  over the symbol's support monomials m, and each moment is converted
+  once from its integer pairings {k: w_k} to sum_k w_k zeta^k;
 - recombined, (a-hat^2 * u) * image: rational per-character tables at the
   identity, read as integer columns over one denominator per key, are
-  grouped by bracket exponent and each group is weighted by its bracket,
-  a genuine Cyclotomic, in field arithmetic (read as the rational +-1 it
-  is when N <= 2, where the direct route takes the sign from k's parity).
+  summed by bracket exponent and each sum is weighted by its bracket, a
+  genuine Cyclotomic, in field arithmetic (the int +-1 it is when N <= 2,
+  where the direct route takes the sign from k's parity); each key is
+  divided by its column denominator once.
 
 The routes associate the product differently and so read different
 entries of the model's product table: a disagreement catches a wrong
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
-from fracindex.cohomology import CohClass, ManifoldModel, Monomial, class_sum, monomial_name
+from fracindex.cohomology import CohClass, ManifoldModel, Monomial, _lowest, class_sum, monomial_name
 from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
@@ -164,9 +165,11 @@ class IndexDistribution(Frozen):
 class IndexProblem(Frozen):
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
-    square of the tangent a-hat class.  Monomial images and moment rows
-    are computed once per problem and degree bound, and the integral of
-    each basis monomial against an image once per problem."""
+    square of the tangent a-hat class.  Monomial images are computed once
+    per model, moment rows once per problem and degree bound, and the
+    integral of each basis monomial against an image once per problem.
+    Both routes carry integers over one denominator and build a Fraction
+    or Cyclotomic only where a moment is emitted or compared."""
 
     __slots__ = (
         "model",
@@ -247,11 +250,18 @@ class IndexProblem(Frozen):
     # -- moment tables ----------------------------------------------------------
 
     def _monomial_images(self, max_degree: int) -> dict[MomentKey, CohClass]:
-        """The image class of every moment monomial, in graded order,
-        computed once per degree bound."""
+        """The image class of every moment monomial, in graded order, from
+        the model's table of images as integers by generator images and
+        bound (a class kept on its own model would be a reference cycle)."""
         images = self._image_cache.get(max_degree)
         if images is None:
-            images = chern_weil_eval(self.generators, max_degree, self.model)
+            table, gens = self.model._images, self.generators
+            key = (max_degree, *[(g.image.denominator, *g.image.numerators.items()) for g in gens])
+            if key in table:
+                images = {k: _lowest(self.model, num, den) for k, num, den in table[key]}
+            else:
+                images = chern_weil_eval(gens, max_degree, self.model)
+                table[key] = [(k, c.numerators, c.denominator) for k, c in images.items()]
             self._image_cache[max_degree] = images
         return images
 
@@ -320,23 +330,25 @@ class IndexProblem(Frozen):
         """The moment table at gamma: pairings against all generator
         monomials of total degree up to the bound (default: half the model
         dimension; higher monomials pair to zero by truncation), from
-        integer dot products of each bucket U_k with the moment rows, with
-        one conversion to the cyclotomic field per moment."""
+        integer dot products of each bucket U_k, over the lcm of their
+        denominators, with the moment rows, and one conversion to the
+        cyclotomic field per moment."""
         if max_degree is None:
             max_degree = self.model.dimension // 2
         if max_degree < 0:
             raise EngineError("moment degree bound must be nonnegative")
         gamma = self.group.reduce(tuple(gamma))
         buckets = self.reduced_integrand(gamma).items()
+        buckets = [(k, u.numerators, u.denominator) for k, u in buckets]
+        lcm = math.lcm(*[d for _, _, d in buckets])
         order = self.group.exponent
         values = {}
         for key, (row, den) in self._moment_rows(max_degree).items():
-            weights = {}
-            for k, bucket in buckets:
-                num = bucket.numerators
-                dot = sum([r * num[m] for m, r in row.items() if m in num])
-                weights[k] = Fraction(dot, den * bucket.denominator)
-            values[key] = root_of_unity_sum(order, weights)
+            weights = {
+                k: lcm // d * sum([r * num[m] for m, r in row.items() if m in num])
+                for k, num, d in buckets
+            }
+            values[key] = root_of_unity_sum(order, weights, den * lcm)
         return MomentTable(gamma, [g.name for g in self.generators], values)
 
     def _per_character_tables(self, max_degree: int) -> dict[Element, MomentTable]:
@@ -355,10 +367,10 @@ class IndexProblem(Frozen):
 
         Each table comes from the direct route (integer buckets dotted with
         the moment rows) and is recomputed from the per-character tables at
-        the identity, read once per run as integer columns, summed by
-        bracket exponent and weighted by genuine bracket values in
-        cyclotomic field arithmetic; the two must agree exactly, and
-        disagreement raises InternalConsistencyError.
+        the identity, read once per run as integer columns: per bracket
+        exponent, the bracket (a Cyclotomic, or the int +-1 when N <= 2)
+        times the sum of column entries, each key divided by its column
+        denominator once.  Disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
             max_degree = self.model.dimension // 2
@@ -368,22 +380,23 @@ class IndexProblem(Frozen):
             key: common_denominator([t.values[key] for t in per_character.values()])
             for key in self._monomial_images(max_degree)
         }
+        order = self.group.exponent
         tables: dict[Element, MomentTable] = {}
         for gamma in self.group.elements():
             direct = self.moments(gamma, max_degree)
             groups: dict[int, list[int]] = {}
             for j, chi in enumerate(characters):
                 groups.setdefault(bracket_exponent(self.group, chi, gamma), []).append(j)
-            recombined: dict[MomentKey, Scalar] = {}
-            for members in groups.values():
-                weight = bracket(self.group, characters[members[0]], gamma)
-                if self.group.exponent <= 2:  # zeta = +-1, so the field is Q
-                    weight = weight.to_rational()
-                for key, (numerators, den) in columns.items():
-                    term = weight * Fraction(sum([numerators[j] for j in members]), den)
+            recombined: dict[MomentKey, Scalar | int] = {}
+            for k, members in groups.items():
+                chi = characters[members[0]]  # zeta = +-1 when N <= 2: the int (-1)^k
+                weight = (-1) ** k if order <= 2 else bracket(self.group, chi, gamma)
+                for key, (numerators, _) in columns.items():
+                    term = weight * sum([numerators[j] for j in members])
                     recombined[key] = recombined[key] + term if key in recombined else term
             for key, expected in direct.values.items():
-                value = demote(recombined.get(key, Fraction(0)))
+                total, den = recombined.get(key, 0), columns[key][1]
+                value = Fraction(total, den) if order <= 2 else demote(total * Fraction(1, den))
                 if value != expected:
                     raise InternalConsistencyError(
                         "distribution routes disagree at gamma="
@@ -408,7 +421,8 @@ class IndexProblem(Frozen):
         tables = {}
         for gamma in self.group.elements():
             k = bracket_exponent(self.group, chi_o, gamma)
-            values = {key: root_of_unity_sum(order, {k: v}) for key, v in base.values.items()}
+            values = {key: root_of_unity_sum(order, {k: v.numerator}, v.denominator)
+                      for key, v in base.values.items()}
             tables[gamma] = MomentTable(gamma, base.generator_names, values)
         return IndexDistribution(self.group, tables)
 

@@ -28,24 +28,18 @@ class GroupError(ValueError):
 
 class FiniteAbelianGroup(Frozen):
     """A product of cyclic groups; elements are exponent tuples reduced
-    modulo the cyclic orders.  The trivial group has no factors."""
+    modulo the cyclic orders, whose product is `order` and lcm `exponent`.
+    The trivial group has no factors."""
 
-    __slots__ = ("cyclic_orders",)
+    __slots__ = ("cyclic_orders", "order", "exponent")
 
     def __init__(self, cyclic_orders: Iterable[int]) -> None:
         orders = tuple(int(n) for n in cyclic_orders)
         if any(n < 1 for n in orders):
             raise GroupError(f"cyclic orders must be positive, got {orders}")
         object.__setattr__(self, "cyclic_orders", orders)
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.cyclic_orders)
-
-    @property
-    def exponent(self) -> int:
-        """lcm of the cyclic orders; 1 for the trivial group."""
-        return math.lcm(*self.cyclic_orders) if self.cyclic_orders else 1
+        object.__setattr__(self, "order", math.prod(orders))
+        object.__setattr__(self, "exponent", math.lcm(*orders))
 
     def is_trivial(self) -> bool:
         return self.order == 1

@@ -8,10 +8,10 @@ terms.  Phi_N is monic with integer coefficients, built by integer long
 division of t^N - 1 by Phi_d for every proper divisor d.  Sums and
 products of cyclotomic scalars are integer work: t^k for k >= deg(Phi_N)
 folds in as the integer row k of `power_residues`, and one gcd pass
-reduces each result.  `root_of_unity_sum` puts its weights over one
+reduces each result.  `root_of_unity_sum` takes integer weights over one
 denominator and adds rows of the same table; it builds no Cyclotomic when
-the sum is rational, and for N <= 2, where zeta = +-1, it adds signed
-Fractions directly.  No float ever enters or leaves this module.
+the sum is rational, and for N <= 2 (zeta = +-1) one Fraction of the
+signed sum.  No float ever enters or leaves this module.
 
 The one-root a-hat series (x/2)/sinh(x/2) and its log are read from two
 separate Bernoulli closed forms, neither derived from the other, so the
@@ -101,22 +101,22 @@ def power_residues(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def root_of_unity_sum(order: int, weights: Mapping[int, Fraction]) -> Scalar:
-    """sum_k weights[k] * zeta^k for zeta a primitive order-th root of
-    unity: the weights go over one common denominator and their integer
-    numerators add up rows of `power_residues`.  A rational sum is returned
-    as a Fraction without building a Cyclotomic; for order <= 2 (zeta = +-1,
-    the field is Q) it is the signed sum of the weights, formed at once."""
+def root_of_unity_sum(order: int, weights: Mapping[int, int], denominator: int = 1) -> Scalar:
+    """sum_k weights[k] * zeta^k / denominator for zeta a primitive order-th
+    root of unity: integer weights (Fractions go over their lcm first) add
+    up rows of `power_residues`, and `denominator` enters once.  A rational
+    sum is returned as a Fraction without building a Cyclotomic; for order
+    <= 2 (zeta = +-1, the field is Q) it is one Fraction of the signed sum."""
     if order <= 2:
-        return sum([-w if k % order else w for k, w in weights.items()], Fraction(0))
+        return Fraction(sum([-w if k % order else w for k, w in weights.items()]), denominator)
     numerators, den = common_denominator(list(weights.values()))
     poly = [0] * order
     for k, n in zip(weights, numerators):
         poly[k % order] += n
     poly = _fold(order, poly)
     if not any(poly[1:]):
-        return Fraction(poly[0], den)
-    return Cyclotomic(order, poly, den)
+        return Fraction(poly[0], den * denominator)
+    return Cyclotomic(order, poly, den * denominator)
 
 
 def _fold(order: int, poly: list[int]) -> list[int]:

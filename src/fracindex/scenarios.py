@@ -6,7 +6,10 @@ running produces exact, deterministically ordered results.
 The same document shape is used for the built-in scenarios, for user
 files, and for the optional "expect" blocks that turn any scenario into a
 regression check.  Every integer field takes a JSON integer only: a
-float, a bool or a digit string is refused, never truncated or read.
+float, a bool or a digit string is refused, never truncated or read.  The
+orientation `manifold.fundamental[1]` is a JSON integer or a string "p" or
+"p/q" of digits as expressions read numbers; a float is refused.  Bundles
+used as tangent data must declare roots, Chern or Pontryagin classes.
 
 Three caps keep every document's run bounded:
 
@@ -26,6 +29,7 @@ Three caps keep every document's run bounded:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
@@ -176,6 +180,25 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")  # digits as `int()` and expressions read them
+
+
+def _rational(value: Any, path: str) -> Fraction:
+    """A JSON integer, or a string "p" or "p/q" within the int() digit limit."""
+    if _is_int(value):
+        return Fraction(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ScenarioError(f'{path}: expected an int or a "p" or "p/q" string, got {value!r}')
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError:  # longer than the interpreter's int() digit limit
+        digits = max(len(match[1].lstrip("-")), len(match[2] or ""))
+        raise ScenarioError(f"{path}: number of {digits} digits is too long") from None
+    except ZeroDivisionError:
+        raise ScenarioError(f"{path}: zero denominator in {value!r}") from None
+
+
 def _list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ScenarioError(f"{path}: expected a list, got {value!r}")
@@ -228,14 +251,13 @@ def _build_manifold(spec: Mapping[str, Any]) -> ManifoldModel:
     ]
     fundamental = spec.get("fundamental")
     if fundamental is not None:
-        try:
-            monomial, orientation = fundamental
-            fundamental = (str(monomial), Fraction(str(orientation)))
-        except (TypeError, ValueError, ZeroDivisionError):
+        if not isinstance(fundamental, list) or len(fundamental) != 2:
             raise ScenarioError(
                 "manifold.fundamental: expected [monomial, rational orientation], "
                 f"got {fundamental!r}"
-            ) from None
+            )
+        monomial, orientation = fundamental
+        fundamental = (str(monomial), _rational(orientation, "manifold.fundamental[1]"))
     try:
         return build_model(dimension, generators, relations, fundamental)
     except (ModelError, ExpressionError) as exc:
@@ -279,7 +301,18 @@ def _build_bundles(
             if tangent_name is not None:
                 raise ScenarioError("more than one bundle is flagged as tangent data")
             tangent_name = name
+            _check_tangent_data(bundles, name)
     return bundles, tangent_name
+
+
+def _check_tangent_data(bundles: Mapping[str, BundleData], name: str) -> None:
+    """The a-hat genus of tangent data needs roots, Chern or Pontryagin classes."""
+    bundle = bundles[name]
+    if bundle.roots is None and bundle.chern is None and bundle.pontryagin is None:
+        raise ScenarioError(
+            f"bundles[{list(bundles).index(name)}]: tangent bundle {name!r} declares none of "
+            "chern_roots, chern, pontryagin"
+        )
 
 
 def _build_group_block(
@@ -402,6 +435,7 @@ def _check_tangent(scenario: Scenario, task: dict, path: str) -> None:
         )
     if name not in scenario.bundles:
         raise ScenarioError(f"task projective_dirac: unknown bundle {name!r}")
+    _check_tangent_data(scenario.bundles, name)
 
 
 def _check_label(scenario: Scenario, task: dict, path: str) -> None:

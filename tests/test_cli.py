@@ -93,8 +93,15 @@ def test_unreadable_scenario_exits_2(target, message, tmp_path, capsys):
         ("cp2_projective_dirac", '"name": "E"', '"name": "P1"', "group.invariant_generators[1].name: "),
         ("hopf_riemann_roch", '"lambda": 2', '"lambda": 2.5', "tasks[2].lambda: expected an int"),
         ("cp2_projective_dirac", '"rank": 3', '"rank": ' + "3" * 5000, "parse error: number of 5000"),
+        ("cp2_projective_dirac", '"chern_roots": [\n' + '        "x",\n' * 2 + '        "x"\n      ],\n',
+         "", "bundles[0]: tangent bundle 'TM' declares none of chern_roots, chern, pontryagin"),
+        ("cp2_projective_dirac", '"x^2",\n      "1"\n', '"x^2",\n      "1e5000"\n',
+         'manifold.fundamental[1]: expected an int or a "p" or "p/q" string'),
+        ("cp2_projective_dirac", '"x^2",\n      "1"\n', '"x^2",\n      0.5\n',
+         'manifold.fundamental[1]: expected an int or a "p" or "p/q" string, got 0.5'),
     ],
-    ids=["duplicate-generator-name", "float-lambda", "huge-integer-literal"],
+    ids=["duplicate-generator-name", "float-lambda", "huge-integer-literal",
+         "tangent-without-data", "exponent-orientation", "float-orientation"],
 )
 def test_invalid_scenario_exits_2(name, old, new, message, tmp_path, capsys):
     path = tmp_path / "invalid.json"
@@ -103,6 +110,25 @@ def test_invalid_scenario_exits_2(name, old, new, message, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("fracindex: ") and message in err
+
+
+def test_task_tangent_bundle_without_data_exits_2(tmp_path, capsys):
+    # a bundle that is not flagged as tangent data may declare no classes,
+    # but a projective_dirac task that names it needs its a-hat genus
+    document = json.loads(builtin_scenario_text("cp2_projective_dirac"))
+    document["bundles"].append({"name": "E0", "rank": 1})
+    document["tasks"][3]["tangent"] = "E0"
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "fracindex: bundles[1]: tangent bundle 'E0' declares none of chern_roots, chern, pontryagin\n"
+    )
+    document["tasks"][3].pop("tangent")
+    path.write_text(json.dumps(document))
+    assert main(["run", str(path), "--check"]) == 0
 
 
 def test_module_entry_point_exit_status(tmp_path):

@@ -450,18 +450,37 @@ def test_problem_rejects_group_mismatch():
 # the two distribution routes against the bracket-weighted oracle
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _random_problem(cyclic_orders, seed):
     """CP^3 with its a-hat square, generators of degrees 2 and 4, and a
-    random rational symbol on a random subset of the characters."""
+    random rational symbol on a random subset of the characters.  A string
+    seed fixes the symbol's shape instead, over one cyclic factor:
+    "coprime" puts a different prime denominator on every character;
+    "cancel" puts u on the trivial character and -u on the one of order
+    two, so their bucket is zero wherever both brackets agree, next to a
+    random component on character 1 unless that is the one of order two;
+    "empty" declares no component."""
     cp3 = projective_model(x=3)
     group = FiniteAbelianGroup(cyclic_orders)
     rng = random.Random(seed)
+
+    def random_class(den=None):
+        return CohClass(
+            cp3, {(d,): Fraction(rng.randint(-9, 9), den or rng.randint(1, 9)) for d in range(4)}
+        )
+
     components = {}
-    for chi in group.elements():
-        if rng.random() < 0.8:
-            components[chi] = CohClass(
-                cp3, {(d,): Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in range(4)}
-            )
+    if seed == "coprime":
+        components = {chi: random_class(p) for chi, p in zip(group.elements(), _PRIMES)}
+    elif seed == "cancel":
+        u = random_class()
+        components = {(1,): random_class(), (0,): u, (cyclic_orders[0] // 2,): -u}
+    elif seed != "empty":
+        for chi in group.elements():
+            if rng.random() < 0.8:
+                components[chi] = random_class()
     gens = [
         InvariantGeneratorDecl("L", 1, parse_expression("2/3*x", cp3)),
         InvariantGeneratorDecl("Q", 2, parse_expression("-5*x^2", cp3)),
@@ -485,7 +504,13 @@ def _oracle_moment(problem, gamma, key):
 
 @pytest.mark.parametrize(
     "cyclic_orders,seed",
-    [([5], 1), ([5], 2), ([8], 3), ([2, 2], 4), ([6, 4], 5), ([], 6)],
+    [
+        ([5], 1), ([5], 2), ([8], 3), ([2, 2], 4), ([6, 4], 5), ([], 6),
+        ([1], 10), ([2], 11), ([3], 12), ([12], 13),
+        ([2], "coprime"), ([12], "coprime"),
+        ([2], "cancel"), ([12], "cancel"),
+        ([2], "empty"), ([12], "empty"),
+    ],
 )
 def test_full_distribution_matches_bracket_oracle(cyclic_orders, seed):
     problem = _random_problem(cyclic_orders, seed)
@@ -497,6 +522,36 @@ def test_full_distribution_matches_bracket_oracle(cyclic_orders, seed):
         for key, value in table.values.items():
             assert value == _oracle_moment(problem, gamma, key)
             assert isinstance(value, Fraction) == _oracle_moment(problem, gamma, key).is_rational()
+
+
+def test_oracle_cases_reach_the_shapes_they_name():
+    # pairwise coprime denominators: every character keeps its own prime
+    coprime = _random_problem([12], "coprime").symbol.components.values()
+    assert sorted(u.denominator for u in coprime) == list(_PRIMES)
+    # the cancelling pair shares bucket 0 at gamma = 2 in Z/12 and sums to zero there
+    buckets = _random_problem([12], "cancel").reduced_integrand((2,))
+    assert buckets[0].is_zero() and not buckets[2].is_zero()
+    assert _random_problem([2], "cancel").reduced_integrand((0,))[0].is_zero()
+    assert not _random_problem([12], "empty").symbol.components
+
+
+@pytest.mark.parametrize("cyclic_orders,character", [([3], (1,)), ([12], (5,)), ([6, 4], (1, 3))])
+def test_mms_projective_matches_bracket_oracle(cyclic_orders, character):
+    problem = _random_problem(cyclic_orders, 20)
+    u = next(iter(problem.symbol.components.values()))
+    group = problem.group
+    problem = IndexProblem(
+        problem.model, group, problem.generators, SymbolData(group, {character: u}),
+        problem.a_hat_squared,
+    )
+    distribution = problem.mms_projective()
+    assert list(distribution.tables) == group.elements()
+    for gamma, table in distribution.tables.items():
+        for key, value in table.values.items():
+            expected = _oracle_moment(problem, gamma, key)
+            assert value == expected
+            assert isinstance(value, Fraction) == expected.is_rational()
+    assert distribution.tables == problem.full_distribution().tables
 
 
 def test_perturbed_per_character_table_is_caught(monkeypatch):
@@ -525,7 +580,7 @@ def test_faulty_root_conversion_is_caught(monkeypatch):
     monkeypatch.setattr(
         engine,
         "root_of_unity_sum",
-        lambda order, weights: original(order, {k + 1: w for k, w in weights.items()}),
+        lambda order, weights, *rest: original(order, {k + 1: w for k, w in weights.items()}, *rest),
     )
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         problem.full_distribution()
@@ -538,6 +593,33 @@ def test_monomial_images_are_computed_once_per_degree_bound():
     problem.full_distribution(3)
     assert problem._monomial_images(3) is images
     assert problem._monomial_images(1) is not images
+
+
+def test_problems_on_one_model_share_the_monomial_images(monkeypatch):
+    import fracindex.engine as engine
+
+    calls = []
+    monkeypatch.setattr(
+        engine, "chern_weil_eval", lambda *args: calls.append(args[1]) or chern_weil_eval(*args)
+    )
+    cp2, first = cp2_dirac_problem()
+    chern = [parse_expression("3*x", cp2), parse_expression("3*x^2", cp2)]
+    tangent = BundleData("T", 3, chern=chern)
+    second = dirac_problem(cp2, tangent, first.generators)
+    assert first.full_distribution() == second.full_distribution()
+    assert calls == [2]
+    # equal generator images share the table entry; other images or bounds do not
+    image = parse_expression("3*x^2", cp2)
+    same = [InvariantGeneratorDecl(g.name, 2, image) for g in first.generators]
+    dirac_problem(cp2, tangent, same).full_distribution()
+    other = [InvariantGeneratorDecl("Q", 2, parse_expression("x^2", cp2))]
+    dirac_problem(cp2, tangent, other).full_distribution()
+    second.full_distribution(1)
+    assert calls == [2, 2, 1]
+    # the model keeps integers only: a class kept on its own model would tie
+    # it into a reference cycle that only the garbage collector frees
+    for images in cp2._images.values():
+        assert all(type(den) is int and not isinstance(num, CohClass) for _, num, den in images)
 
 
 def test_corrupted_structure_constant_is_caught(monkeypatch):

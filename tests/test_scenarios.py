@@ -154,6 +154,40 @@ def test_numbers_above_the_int_digit_limit_raise_scenario_errors(edit, message):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize(
+    "orientation,expected",
+    [(1, 1), (-2, -2), ("3", 3), ("-1", -1), ("3/2", Fraction(3, 2)), ("\u0663/4", Fraction(3, 4))],
+)
+def test_orientation_is_an_int_or_a_rational_string(orientation, expected):
+    scenario = parse_scenario(
+        _builtin_with(lambda d: d["manifold"]["fundamental"].__setitem__(1, orientation))
+    )
+    assert scenario.model.orientation == expected
+    assert run(scenario)[0].payload == Fraction(-1, 8) * expected
+
+
+@pytest.mark.parametrize(
+    "orientation,message",
+    [
+        (0.5, 'expected an int or a "p" or "p/q" string, got 0.5'),
+        (1.0, "expected an int"),
+        (True, "expected an int"),
+        ("0.5", "expected an int"),
+        ("1e5000", "expected an int"),
+        (" 1", "expected an int"),
+        ("1/-2", "expected an int"),
+        ("x", "expected an int"),
+        ("1/0", "zero denominator in '1/0'"),
+        ("1" * 5000, "number of 5000 digits is too long"),
+        ("1/" + "7" * 4400, "number of 4400 digits is too long"),
+    ],
+)
+def test_orientation_is_read_strictly(orientation, message):
+    document = _builtin_with(lambda d: d["manifold"]["fundamental"].__setitem__(1, orientation))
+    with pytest.raises(ScenarioError, match=re.escape("manifold.fundamental[1]: " + message)):
+        parse_scenario(document)
+
+
 def test_projective_dirac_index_on_cp2k_is_the_closed_form():
     # the fractional index of the projective Dirac operator on CP^2k is
     # a-hat[CP^2k] = (-1)^k C(2k, k) / 16^k at gamma = 0; at gamma = 1 it and
