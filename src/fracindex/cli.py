@@ -14,8 +14,9 @@ refused together (exit 2, nothing run) rather than compared at a cutoff
 the block was not recorded at.
 
 Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
-scenario cannot be read, parsed or run (an out-of-range --max-degree
-included) or when --check is combined with --max-degree.
+scenario cannot be read, parsed, run or written (an out-of-range
+--max-degree, or a result too long to write, included) or when --check is
+combined with --max-degree.
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             scenario = load_scenario(args.scenario)
         results = run(scenario, args.task, args.max_degree)
+        text = emit(results, args.format)
     except (ScenarioError, OSError) as exc:
         print(f"fracindex: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit(results, args.format))
+    sys.stdout.write(text)
     if args.check:
         mismatches = check_expectations(scenario, results)
         for line in mismatches:

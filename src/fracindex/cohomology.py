@@ -839,9 +839,14 @@ def parse_terms(
                 num, den = product(num, den, num, den)
         return out, out_den, i
 
-    num, den, i = expr(0, 0)
-    if tokens[i] is not _END:
-        raise unexpected(i)
+    try:
+        num, den, i = expr(0, 0)
+        if tokens[i] is not _END:
+            raise unexpected(i)
+    finally:
+        # expr, term and factor reach one another through their cells, a
+        # reference cycle only the garbage collector would free
+        del expr, term, factor
     return num, den
 
 

@@ -22,12 +22,15 @@ both and compares them exactly:
   the integer moment rows r_key[m] = integral of (a-hat^2 * image_key) * m
   over the symbol's support monomials m, and each moment is converted
   once from its integer pairings {k: w_k} to sum_k w_k zeta^k;
-- recombined, (a-hat^2 * u) * image: rational per-character tables at the
-  identity, read as integer columns over one denominator per key, are
-  summed by bracket exponent and each sum is weighted by its bracket, a
-  genuine Cyclotomic, in field arithmetic (the int +-1 it is when N <= 2,
-  where the direct route takes the sign from k's parity); each key is
-  divided by its column denominator once.
+- recombined, (a-hat^2 * u) * image: the pairings of a-hat^2 * u_chi at
+  the identity are kept as one integer column per key over one
+  denominator, entry chi; per gamma, each key gathers one integer vector
+  of length deg Phi_N, to which every bracket exponent k adds its column
+  sum times the integer numerators of the bracket zeta_N^k (the int (-1)^k
+  when N <= 2, where the direct route takes the sign from k's parity).
+  One Cyclotomic per (gamma, key), a Fraction when N <= 2, is built from
+  that vector and compared in field arithmetic with the direct moment
+  times the column denominator.
 
 The routes associate the product differently and so read different
 entries of the model's product table: a disagreement catches a wrong
@@ -56,7 +59,14 @@ from fracindex.groups import (
     chern_weil_eval,
     graded_order,
 )
-from fracindex.scalars import Frozen, Scalar, common_denominator, demote, root_of_unity_sum
+from fracindex.scalars import (
+    Cyclotomic,
+    Frozen,
+    Scalar,
+    cyclotomic_polynomial,
+    demote,
+    root_of_unity_sum,
+)
 
 
 class EngineError(ValueError):
@@ -284,8 +294,7 @@ class IndexProblem(Frozen):
             for i in image.numerators:
                 if i not in columns:
                     weighted = self.a_hat_squared * CohClass(model, {i: 1})
-                    paired = self._pairings(weighted, points, integrals)
-                    columns[i] = common_denominator(list(paired.values()))
+                    columns[i] = _column(list(self._pairings(weighted, points, integrals).values()))
             den = math.lcm(*[columns[i][1] for i in image.numerators])
             values = [0] * len(support)
             for i, n in image.numerators.items():
@@ -299,13 +308,14 @@ class IndexProblem(Frozen):
 
     def _pairings(self, integrand: CohClass, targets: Mapping, duals: dict) -> dict:
         """The integral of integrand * target for every homogeneous target
-        class, by the target's label.
+        class, by the target's label, as an integer pair (numerator,
+        positive denominator), not in lowest terms.
 
         Relations are degree-homogeneous, so only integrand terms of the
         degree complementary to the target reach the fundamental class; each
         such term contributes its integer numerator times the integral of
         the target times its monomial, kept in duals[label][monomial], and
-        each pairing is reduced to lowest terms once."""
+        the terms are summed over the lcm of those integrals' denominators."""
         model = self.model
         by_degree: dict[int, list[tuple[Monomial, int]]] = {}
         for mono, n in integrand.numerators.items():
@@ -322,8 +332,11 @@ class IndexProblem(Frozen):
                 if dual is None:
                     dual = cache[mono] = (target * CohClass(model, {mono: 1})).integrate()
                 q = dual.denominator
-                num, dual_den = num * q + n * dual.numerator * dual_den, dual_den * q
-            values[label] = Fraction(num, den * dual_den)
+                if dual_den % q:
+                    grow = q // math.gcd(dual_den, q)
+                    num, dual_den = num * grow, dual_den * grow
+                num += n * dual.numerator * (dual_den // q)
+            values[label] = (num, den * dual_den)
         return values
 
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
@@ -351,57 +364,66 @@ class IndexProblem(Frozen):
             values[key] = root_of_unity_sum(order, weights, den * lcm)
         return MomentTable(gamma, [g.name for g in self.generators], values)
 
-    def _per_character_tables(self, max_degree: int) -> dict[Element, MomentTable]:
-        """Identity-route tables, one per symbol component; all rational."""
-        names = [g.name for g in self.generators]
-        identity = self.group.identity()
+    def _character_columns(self, max_degree: int) -> dict[MomentKey, tuple[list[int], int]]:
+        """The identity-route pairings of a-hat^2 * u_chi against every
+        moment image: one integer column per moment key, in graded order,
+        with entry j for the j-th symbol component, over one denominator in
+        lowest terms.  All rational."""
         images = self._monomial_images(max_degree)
-        tables: dict[Element, MomentTable] = {}
-        for chi, u_chi in self.symbol.components.items():
-            values = self._pairings(self.a_hat_squared * u_chi, images, self._dual_cache)
-            tables[chi] = MomentTable(identity, names, values)
-        return tables
+        pairings = [
+            self._pairings(self.a_hat_squared * u_chi, images, self._dual_cache)
+            for u_chi in self.symbol.components.values()
+        ]
+        return {key: _column([p[key] for p in pairings]) for key in images}
 
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:
         """Moment tables at every central element.
 
         Each table comes from the direct route (integer buckets dotted with
-        the moment rows) and is recomputed from the per-character tables at
-        the identity, read once per run as integer columns: per bracket
-        exponent, the bracket (a Cyclotomic, or the int +-1 when N <= 2)
-        times the sum of column entries, each key divided by its column
-        denominator once.  Disagreement raises InternalConsistencyError.
+        the moment rows) and is recomputed from the per-character columns at
+        the identity, read once per run: per moment key, one integer vector
+        of length deg Phi_N gathers, for each bracket exponent k, the column
+        sum s_k times the numerators of the bracket zeta_N^k (a genuine root
+        of unity, denominator 1; the int (-1)^k when N <= 2).  One value per
+        (gamma, key) is then compared with the direct moment times the
+        column denominator, a Cyclotomic difference tested for zero when
+        N > 2.  Disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
             max_degree = self.model.dimension // 2
-        per_character = self._per_character_tables(max_degree)
-        characters = list(per_character)
-        columns = {
-            key: common_denominator([t.values[key] for t in per_character.values()])
-            for key in self._monomial_images(max_degree)
-        }
+        columns = self._character_columns(max_degree)
+        characters = list(self.symbol.components)
         order = self.group.exponent
+        width = len(cyclotomic_polynomial(order)) - 1
         tables: dict[Element, MomentTable] = {}
         for gamma in self.group.elements():
             direct = self.moments(gamma, max_degree)
             groups: dict[int, list[int]] = {}
             for j, chi in enumerate(characters):
                 groups.setdefault(bracket_exponent(self.group, chi, gamma), []).append(j)
-            recombined: dict[MomentKey, Scalar | int] = {}
+            recombined = {key: [0] * width for key in columns}
             for k, members in groups.items():
-                chi = characters[members[0]]  # zeta = +-1 when N <= 2: the int (-1)^k
-                weight = (-1) ** k if order <= 2 else bracket(self.group, chi, gamma)
+                # a root of unity: integer numerators over the denominator 1
+                chi = characters[members[0]]
+                root = ((-1) ** k,) if order <= 2 else bracket(self.group, chi, gamma).numerators
                 for key, (numerators, _) in columns.items():
-                    term = weight * sum([numerators[j] for j in members])
-                    recombined[key] = recombined[key] + term if key in recombined else term
+                    total = sum([numerators[j] for j in members])
+                    if total:
+                        vector = recombined[key]
+                        for i, r in enumerate(root):
+                            vector[i] += total * r
             for key, expected in direct.values.items():
-                total, den = recombined.get(key, 0), columns[key][1]
-                value = Fraction(total, den) if order <= 2 else demote(total * Fraction(1, den))
-                if value != expected:
+                vector, den = recombined[key], columns[key][1]
+                if order <= 2:
+                    agree = Fraction(vector[0], den) == expected
+                else:
+                    agree = (Cyclotomic(order, vector) - expected * den).is_zero()
+                if not agree:
+                    value = Fraction(vector[0], den) if order <= 2 else Cyclotomic(order, vector, den)
                     raise InternalConsistencyError(
                         "distribution routes disagree at gamma="
                         f"{gamma}, monomial {monomial_name(direct.generator_names, key)}: "
-                        f"direct {expected!r} vs recombined {value!r}"
+                        f"direct {expected!r} vs recombined {demote(value)!r}"
                     )
             tables[gamma] = direct
         return IndexDistribution(self.group, tables)
@@ -434,6 +456,18 @@ class IndexProblem(Frozen):
             raise EngineError("character pairing requires a trivial center")
         u = self.symbol.components.get(self.group.identity(), self.model.zero())
         return (self.a_hat_squared * u * character_jet(system, label)).integrate()
+
+
+def _column(pairings: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integer pairs (numerator, denominator) over their least common
+    denominator, in lowest terms: the numerators the reduced Fractions
+    would give, without reducing each one."""
+    den = math.lcm(*[d for _, d in pairings])
+    column = [n * (den // d) for n, d in pairings]
+    g = math.gcd(den, *column)
+    if g == 1:
+        return column, den
+    return [n // g for n in column], den // g
 
 
 def dirac_problem(

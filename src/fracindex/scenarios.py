@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
@@ -588,52 +589,53 @@ def check_expectations(scenario: Scenario, results: Sequence[TaskResult]) -> lis
 def emit(results: Sequence[TaskResult], format: str = "human") -> str:
     """Render results: "machine" is a stable JSON document with exact
     scalars; "human" is an aligned plain-text table.  Identical inputs
-    produce byte-identical output."""
-    if format == "machine":
-        by_scenario: dict[str, list[TaskResult]] = {}
-        for result in results:
-            by_scenario.setdefault(result.scenario, []).append(result)
-        document = {
-            "scenarios": [
-                {
-                    "scenario": name,
-                    "results": [
-                        {"index": r.index, "task": r.request, "result": r.payload_json()}
-                        for r in items
-                    ],
-                }
-                for name, items in by_scenario.items()
-            ]
-        }
-        return _json_text(document) + "\n"
-    if format != "human":
+    produce byte-identical output.  A result with an integer longer than
+    the interpreter writes (`sys.get_int_max_str_digits`) raises a
+    ScenarioError that names its task."""
+    if format not in ("human", "machine"):
         raise ValueError(f"unknown output format {format!r}")
-
     lines: list[str] = []
+    by_scenario: dict[str, list[dict]] = {}
     current = None
     for result in results:
-        if result.scenario != current:
-            current = result.scenario
-            lines.append(f"scenario: {current}")
-        op = result.request.get("op")
-        label = f"[{result.index}] {op}"
-        payload = result.payload
-        if isinstance(payload, MomentTable):
-            lines.append(f"{label} gamma={_gamma_str(payload.gamma)}")
-            lines.extend(_table_lines(payload))
-        elif isinstance(payload, IndexDistribution):
-            lines.append(label)
-            for gamma, table in payload.tables.items():
-                lines.append(f"  gamma={_gamma_str(gamma)}")
-                lines.extend(_table_lines(table, indent=4))
-        else:
-            suffix = ""
-            if "gamma" in result.request:
-                suffix = f" gamma={_gamma_str(tuple(result.request['gamma']))}"
-            if "lambda" in result.request:
-                suffix = f" lambda={result.request['lambda']}"
-            lines.append(f"{label}{suffix} = {_scalar_str(payload)}")
+        try:
+            if format == "machine":
+                by_scenario.setdefault(result.scenario, []).append(
+                    {"index": result.index, "task": result.request, "result": result.payload_json()}
+                )
+            else:
+                if result.scenario != current:
+                    current = result.scenario
+                    lines.append(f"scenario: {current}")
+                lines.extend(_result_lines(result))
+        except ValueError:  # str(int) past the interpreter's digit limit
+            raise ScenarioError(
+                f"{result.scenario}: task {result.index} ({result.request.get('op')}): "
+                f"a result has an integer of more than {sys.get_int_max_str_digits()} digits"
+            ) from None
+    if format == "machine":
+        blocks = [{"scenario": name, "results": items} for name, items in by_scenario.items()]
+        return _json_text({"scenarios": blocks}) + "\n"
     return "\n".join(lines) + "\n"
+
+
+def _result_lines(result: TaskResult) -> list[str]:
+    label = f"[{result.index}] {result.request.get('op')}"
+    payload = result.payload
+    if isinstance(payload, MomentTable):
+        return [f"{label} gamma={_gamma_str(payload.gamma)}", *_table_lines(payload)]
+    if isinstance(payload, IndexDistribution):
+        lines = [label]
+        for gamma, table in payload.tables.items():
+            lines.append(f"  gamma={_gamma_str(gamma)}")
+            lines.extend(_table_lines(table, indent=4))
+        return lines
+    suffix = ""
+    if "gamma" in result.request:
+        suffix = f" gamma={_gamma_str(tuple(result.request['gamma']))}"
+    if "lambda" in result.request:
+        suffix = f" lambda={result.request['lambda']}"
+    return [f"{label}{suffix} = {_scalar_str(payload)}"]
 
 
 def _json_text(value) -> str:
@@ -641,31 +643,31 @@ def _json_text(value) -> str:
     sends through the pure-Python encoder, by appends to one list: strings
     use json's C quoting, other scalars and empty containers json.dumps."""
     out: list[str] = []
-
-    def write(value, indent: str) -> None:
-        if type(value) is str:
-            out.append(encode_basestring_ascii(value))
-        elif isinstance(value, dict) and value:
-            inner = indent + "  "
-            sep = "{\n" + inner
-            for key, item in value.items():
-                out.append(sep + encode_basestring_ascii(key) + ": ")
-                write(item, inner)
-                sep = ",\n" + inner
-            out.append("\n" + indent + "}")
-        elif isinstance(value, (list, tuple)) and value:
-            inner = indent + "  "
-            sep = "[\n" + inner
-            for item in value:
-                out.append(sep)
-                write(item, inner)
-                sep = ",\n" + inner
-            out.append("\n" + indent + "]")
-        else:
-            out.append(json.dumps(value))
-
-    write(value, "")
+    _write_json(out, value, "")
     return "".join(out)
+
+
+def _write_json(out: list[str], value, indent: str) -> None:
+    if type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(out, item, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(out, item, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _gamma_str(gamma: tuple[int, ...]) -> str:

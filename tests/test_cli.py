@@ -11,7 +11,14 @@ import pytest
 
 import fracindex
 from fracindex.cli import main
-from fracindex.scenarios import BUILTIN_SCENARIOS, builtin_scenario_text, emit, parse_scenario, run
+from fracindex.scenarios import (
+    BUILTIN_SCENARIOS,
+    ScenarioError,
+    builtin_scenario_text,
+    emit,
+    parse_scenario,
+    run,
+)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -110,6 +117,21 @@ def test_invalid_scenario_exits_2(name, old, new, message, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("fracindex: ") and message in err
+
+
+@pytest.mark.parametrize("format", ["human", "machine"])
+def test_result_too_long_to_write_exits_2(format, tmp_path, capsys):
+    # 2^16000 parses, but its 4,817 digits pass the interpreter's str(int) limit
+    path = tmp_path / "huge.json"
+    path.write_text(builtin_scenario_text("cp2_projective_dirac").replace("1 + 1/8*x^2", "2^16000*x^2"))
+    assert main(["run", str(path), "--format", format]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "fracindex: cp2_projective_dirac: task 0 (fractional_index): a result has an integer of more than"
+    )
+    with pytest.raises(ScenarioError, match=r"task 0 \(fractional_index\)"):
+        emit(run(parse_scenario(path.read_text())), format)
 
 
 def test_task_tangent_bundle_without_data_exits_2(tmp_path, capsys):

@@ -15,7 +15,6 @@ from fracindex.engine import (
     EngineError,
     IndexProblem,
     InternalConsistencyError,
-    MomentTable,
     SymbolData,
     dirac_problem,
 )
@@ -556,18 +555,19 @@ def test_mms_projective_matches_bracket_oracle(cyclic_orders, character):
 
 def test_perturbed_per_character_table_is_caught(monkeypatch):
     problem = _random_problem([5], 7)
-    original = IndexProblem._per_character_tables
+    original = IndexProblem._character_columns
 
     def perturbed(self, max_degree):
-        tables = original(self, max_degree)
-        chi, table = next(iter(tables.items()))
-        values = dict(table.values)
-        key = next(iter(values))
-        values[key] += Fraction(1, 7)
-        tables[chi] = MomentTable(table.gamma, table.generator_names, values)
-        return tables
+        columns = original(self, max_degree)
+        key = next(iter(columns))
+        numerators, den = columns[key]
+        # the first character's entry for the first key, plus 1/7
+        numerators = [7 * n for n in numerators]
+        numerators[0] += den
+        columns[key] = (numerators, 7 * den)
+        return columns
 
-    monkeypatch.setattr(IndexProblem, "_per_character_tables", perturbed)
+    monkeypatch.setattr(IndexProblem, "_character_columns", perturbed)
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         problem.full_distribution()
 
@@ -650,3 +650,58 @@ def test_corrupted_structure_constant_is_caught(monkeypatch):
     cp3._products.clear()
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         problem.full_distribution()
+
+
+@pytest.mark.parametrize("cyclic_orders", [[5], [6, 4]])
+def test_faulty_bracket_is_caught(monkeypatch, cyclic_orders):
+    # the recombined route weights each bracket group by `bracket`, which
+    # the direct route never calls: zeta^(k+1) in place of zeta^k must show
+    import fracindex.engine as engine
+
+    problem = _random_problem(cyclic_orders, 13)
+    monkeypatch.setattr(
+        engine,
+        "bracket",
+        lambda group, chi, gamma: Cyclotomic.root_of_unity(
+            group.exponent, bracket_exponent(group, chi, gamma) + 1
+        ),
+    )
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        problem.full_distribution()
+
+
+def test_corrupted_product_table_entries_are_caught():
+    # CP^6 over Z/6 x Z/4 with a four-term symbol component on every
+    # character (1, x, x^3, x^6), one generator L with image c*x and the
+    # a-hat square: double each of the 28 product-table entries (m1, m2),
+    # deg m1 + deg m2 <= 6, in turn after the problem's classes are built.
+    # The routes read different entries, so a corruption only one of them
+    # reads is caught; 17 of the 28 are
+    cp6 = projective_model(x=6)
+    group = FiniteAbelianGroup([6, 4])
+    rng = random.Random(14)
+
+    def coefficient():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+
+    components = {
+        chi: CohClass(cp6, {(d,): coefficient() for d in (0, 1, 3, 6)}) for chi in group.elements()
+    }
+    gens = [InvariantGeneratorDecl("L", 1, CohClass(cp6, {(1,): coefficient()}))]
+    genus = a_hat(projective_tangent(cp6))
+    square, symbol = genus * genus, SymbolData(group, components)
+    entries = [((a,), (b,)) for a in range(7) for b in range(7 - a)]
+    caught = 0
+    for m1, m2 in entries:
+        row = cp6._products.setdefault(m1, {})
+        entry = row.get(m2) or cp6._product_entry(m1, m2)
+        d, pairs = entry
+        row[m2] = (d, [(m, 2 * n) for m, n in pairs])
+        cp6._images.clear()  # the images are recomputed from the corrupted table
+        try:
+            IndexProblem(cp6, group, gens, symbol, square).full_distribution()
+        except InternalConsistencyError:
+            caught += 1
+        row[m2] = entry
+    assert len(entries) == 28
+    assert caught >= 17

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracindex.cohomology import ExpressionError, parse_expression
 from fracindex.scalars import Cyclotomic
 from fracindex.scenarios import (
     BUILTIN_SCENARIOS,
@@ -293,3 +295,25 @@ def test_json_writer_matches_json_dumps_when_deeply_nested():
         value = [value, {"depth": depth, "x": 1.5}] if depth % 2 else {"k\u03b3": value}
     assert _json_text(value) == json.dumps(value, indent=2)
     assert _json_text((1, (2, []))) == json.dumps((1, (2, [])), indent=2)
+
+
+def test_parsing_and_emitting_leave_no_reference_cycles():
+    # nothing a solve builds should wait for the cyclic garbage collector:
+    # the parser's mutually recursive closures and the recursive JSON
+    # writer once left cycles behind on every call
+    cp2 = parse_scenario(builtin_scenario_text("cp2_projective_dirac")).model
+    results = run(parse_scenario(builtin_scenario_text("gamma4_character_sum")))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            parse_expression("1 + 2*x - 3/4*x^2", cp2)
+        assert gc.collect() == 0
+        emit(results, "machine")
+        assert gc.collect() == 0
+        with pytest.raises(ExpressionError):
+            parse_expression("1 + (2*x", cp2)
+        emit(run(parse_scenario(builtin_scenario_text("cp2_projective_dirac"))), "machine")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
