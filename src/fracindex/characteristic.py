@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from fracindex.cohomology import CohClass, ManifoldModel, evaluate_series
+from fracindex.cohomology import CohClass, ManifoldModel, class_sum, evaluate_series
 from fracindex.scalars import Frozen, a_hat_log_series, a_hat_series
 
 
@@ -146,11 +146,8 @@ def newton_power_sums(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
 
     sums: list[CohClass] = []
     for k in range(1, max_k + 1):
-        acc = model.zero()
-        for i in range(1, k):
-            acc = acc + c(i) * sums[k - i - 1] * ((-1) ** (i - 1))
-        acc = acc + c(k) * ((-1) ** (k - 1) * k)
-        sums.append(acc)
+        terms = [c(i) * sums[k - i - 1] * ((-1) ** (i - 1)) for i in range(1, k)]
+        sums.append(class_sum(terms + [c(k) * ((-1) ** (k - 1) * k)]))
     return sums
 
 
@@ -205,9 +202,6 @@ def _compute_a_hat(bundle: BundleData) -> CohClass:
         )
     log_series = a_hat_log_series(model.dimension // 2)
     # even series: only the even log coefficients appear
-    acc = model.zero()
-    for k, cls in enumerate(square_sums, start=1):
-        if log_series[2 * k] != 0:
-            acc = acc + cls * log_series[2 * k]
-    return acc.exponential()
+    terms = [cls * log_series[2 * k] for k, cls in enumerate(square_sums, start=1)]
+    return class_sum(terms).exponential()
 

@@ -12,14 +12,19 @@ off the fundamental coefficient times the orientation.
 
 Every coefficient is rational, held as integer numerators over one
 positive denominator in lowest terms: class arithmetic is integer work
-with one gcd pass per result.  Every product goes through one kernel, a
-per-model table from a pair of monomials (m1, m2) to the normal form of
-m1 * m2 as integers over a denominator (1 for integral relations), the
-multiplication table of the quotient algebra (Cox, Little & O'Shea, Using
-Algebraic Geometry, ch. 2 section 4).  The table is filled as pairs are
-first multiplied, never by walking the basis.  Roots of unity never enter
-a class: the engine keeps one rational class per bracket exponent and
-converts only the values it emits.
+with one gcd pass per result, and every sum, of classes or of parsed
+terms, is one integer accumulation over the lcm of the denominators.
+Every product goes through one kernel, a per-model table from a pair of
+monomials (m1, m2) to the normal form of m1 * m2 as integers over a
+denominator (1 for integral relations), the multiplication table of the
+quotient algebra (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2
+section 4).  Each normal form is computed once, as the integer entry that
+every pair with that product shares.  The table is filled as pairs are
+first multiplied, never by walking the basis, and is keyed by pairs: the
+engine's two routes associate products differently, so its cross-check
+reads different entries.  Roots of unity never enter a class: the engine
+keeps one rational class per bracket exponent and converts only the values
+it emits.
 
 Validation never walks the raw monomials.  Termination is decided on the
 one-step rewrite graph over the monomials of degree <= dimension built
@@ -206,15 +211,17 @@ class ManifoldModel(Frozen):
         rest[i] -= power
         out: dict[Monomial, Fraction] = {}
         for rmono, rcoeff in rhs.items():
-            combined = tuple(a + b for a, b in zip(rest, rmono))
-            out[combined] = out.get(combined, Fraction(0)) + rcoeff
+            out[tuple(map(add, rest, rmono))] = rcoeff
         return out
 
-    def normal_form(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """Rewrite a raw monomial into a combination of basis monomials."""
-        cached = self._normal_cache.get(mono)
-        if cached is not None:
-            return cached
+    def normal_form(self, mono: Monomial) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
+        """Rewrite a raw monomial into a combination of basis monomials,
+        returned as (d, ((m, n), ...)) with integer n: the form is sum n * m
+        / d, and d is 1 when the form is integral.  Each form is computed
+        once per model, and every product-table entry it fills shares it."""
+        entry = self._normal_cache.get(mono)
+        if entry is not None:
+            return entry
         # iterative worklist; validation has ruled out rewrite cycles, so it
         # ends
         pending: dict[Monomial, Fraction] = {mono: Fraction(1)}
@@ -225,8 +232,9 @@ class ManifoldModel(Frozen):
                 continue
             cached = self._normal_cache.get(current)
             if cached is not None:
-                for nmono, ncoeff in cached.items():
-                    _accumulate(done, nmono, coeff * ncoeff)
+                d, pairs = cached
+                for nmono, n in pairs:
+                    _accumulate(done, nmono, coeff * Fraction(n, d))
                 continue
             hits = self._applicable(current)
             if not hits:
@@ -234,15 +242,9 @@ class ManifoldModel(Frozen):
                 continue
             for rmono, rcoeff in self._rewrite_once(current, hits[0]).items():
                 _accumulate(pending, rmono, coeff * rcoeff)
-        self._normal_cache[mono] = done
-        return done
-
-    def _product_entry(self, m1: Monomial, m2: Monomial) -> tuple[int, list]:
-        """The normal form of m1 * m2 as (d, [(m, n), ...]) with integer n:
-        the product is sum n * m / d, and d is 1 when the form is integral."""
-        form = self.normal_form(tuple([a + b for a, b in zip(m1, m2)]))
-        numerators, d = common_denominator(list(form.values()))
-        return d, list(zip(form, numerators))
+        numerators, d = common_denominator(list(done.values()))
+        entry = self._normal_cache[mono] = (d, tuple(zip(done, numerators)))
+        return entry
 
     # -- validation ------------------------------------------------------------
 
@@ -390,7 +392,7 @@ class CohClass(Frozen):
     def degree_part(self, degree: int) -> "CohClass":
         degree_of = self.model.monomial_degree
         part = {m: c for m, c in self.numerators.items() if degree_of(m) == degree}
-        return _lowest(self.model, part, self.denominator)
+        return _class(self.model, part, self.denominator)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(self.model.monomial_degree(m) == degree for m in self.numerators)
@@ -406,18 +408,12 @@ class CohClass(Frozen):
             other = scalar_class(self.model, other)
         if not isinstance(other, CohClass):
             return NotImplemented
-        self._check_model(other)
-        den = math.lcm(self.denominator, other.denominator)
-        fa, fb = den // self.denominator, den // other.denominator
-        num = {m: c * fa for m, c in self.numerators.items()}
-        for m, c in other.numerators.items():
-            num[m] = num.get(m, 0) + c * fb
-        return _lowest(self.model, num, den)
+        return class_sum([self, other])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _lowest(self.model, {m: -c for m, c in self.numerators.items()}, self.denominator)
+        return _class(self.model, {m: -c for m, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -431,13 +427,13 @@ class CohClass(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            num = {m: c * other.numerator for m, c in self.numerators.items()}
-            return _lowest(self.model, num, self.denominator * other.denominator)
+            num = {m: c * other.numerator for m, c in self.numerators.items()} if other else {}
+            return _class(self.model, num, self.denominator * other.denominator)
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_model(other)
         num, scale = _product(self.model, self.numerators, other.numerators)
-        return _lowest(self.model, num, self.denominator * other.denominator * scale)
+        return _class(self.model, num, self.denominator * other.denominator * scale)
 
     __rmul__ = __mul__
 
@@ -518,17 +514,18 @@ class CohClass(Frozen):
 
 
 def _product(model: ManifoldModel, a: dict, b: dict) -> tuple[dict[Monomial, int], int]:
-    """The one product kernel: the integer numerators a * b reduced through
-    the model's product table, and the extra denominator that rational
-    structure constants bring (1 when they are integral).  The table maps
-    m1 -> m2 -> the normal form of m1 * m2 and is filled on first use."""
+    """The one product kernel: the integer numerators a * b, none zero,
+    reduced through the model's product table, and the extra denominator
+    that rational structure constants bring (1 when they are integral).
+    The table maps m1 -> m2 -> the normal form of m1 * m2 and is filled on
+    first use."""
     table = model._products
     out: dict[Monomial, int] = {}
     scale = 1
     for m1, c1 in a.items():
         row = table.setdefault(m1, {})
         for m2, c2 in b.items():
-            d, pairs = row.get(m2) or row.setdefault(m2, model._product_entry(m1, m2))
+            d, pairs = row.get(m2) or row.setdefault(m2, model.normal_form(tuple(map(add, m1, m2))))
             if scale % d:
                 grow = d // math.gcd(scale, d)
                 out = {m: v * grow for m, v in out.items()}
@@ -536,26 +533,46 @@ def _product(model: ManifoldModel, a: dict, b: dict) -> tuple[dict[Monomial, int
             c = c1 * c2 * (scale // d)
             for m, n in pairs:
                 out[m] = out.get(m, 0) + c * n
-    return out, scale
+    return {m: v for m, v in out.items() if v}, scale
 
 
 def _reduced(model: ManifoldModel, raw: dict, den: int, out: CohClass | None = None) -> CohClass:
     """The class of the integer terms raw / den (den > 0) on raw monomials,
     in normal form, built into `out` or into a new class."""
     num, scale = _product(model, {model.zero_monomial(): 1}, raw)
-    return _lowest(model, num, den * scale, out)
+    return _class(model, num, den * scale, out)
 
 
-def _lowest(model: ManifoldModel, num: dict, den: int, out: CohClass | None = None) -> CohClass:
-    """The class num / den (den > 0) in lowest terms, built into `out` or
-    into a new class."""
+def _sum(parts: Sequence[tuple[Mapping[Monomial, int], int]]) -> tuple[dict[Monomial, int], int]:
+    """The one sum: integer terms num / den (den > 0) added over the lcm of
+    the denominators in one pass, zeros dropped, not in lowest terms."""
+    den = math.lcm(*[d for _, d in parts])
+    out: dict[Monomial, int] = {}
+    for num, d in parts:
+        scale = den // d
+        for m, c in num.items():
+            out[m] = out.get(m, 0) + c * scale
+    return {m: c for m, c in out.items() if c}, den
+
+
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """Nonzero integer numerators over den > 0 in lowest terms, by one gcd
+    pass; returned as given when they already are."""
     g = math.gcd(den, *num.values())
-    num = {m: c // g for m, c in num.items() if c}
+    if g == 1:
+        return num, den
+    return {m: c // g for m, c in num.items()}, den // g
+
+
+def _class(model: ManifoldModel, num: dict, den: int, out: CohClass | None = None) -> CohClass:
+    """The class of nonzero integer numerators on reduced monomials over
+    den > 0, in lowest terms, built into `out` or into a new class."""
+    num, den = _lowest(num, den)
     if out is None:
         out = object.__new__(CohClass)
     object.__setattr__(out, "model", model)
     object.__setattr__(out, "numerators", num)
-    object.__setattr__(out, "denominator", den // g)
+    object.__setattr__(out, "denominator", den)
     return out
 
 
@@ -566,33 +583,27 @@ def scalar_class(model: ManifoldModel, value: Fraction | int) -> CohClass:
 def class_sum(classes: Sequence[CohClass]) -> CohClass:
     """The sum of a nonempty list of classes of one model, in one integer
     accumulation over the lcm of their denominators and one gcd pass."""
-    model = classes[0].model
-    den = math.lcm(*[cls.denominator for cls in classes])
-    num: dict[Monomial, int] = {}
     for cls in classes:
         classes[0]._check_model(cls)
-        scale = den // cls.denominator
-        for m, c in cls.numerators.items():
-            num[m] = num.get(m, 0) + c * scale
-    return _lowest(model, num, den)
+    return _class(classes[0].model, *_sum([(cls.numerators, cls.denominator) for cls in classes]))
 
 
 def evaluate_series(coeffs: Sequence[Fraction | int], cls: CohClass) -> CohClass:
     """sum_k coeffs[k] * cls^k for a class with zero constant term.  Every
     generator has positive degree, so cls^k vanishes once 2k exceeds the
     model dimension; the sum stops there or when the coefficients run
-    out."""
+    out, and is taken in one `class_sum`."""
     if cls.constant_term() != 0:
         raise ValueError("series evaluation requires a class with zero constant term")
-    out = scalar_class(cls.model, coeffs[0])
+    terms = [scalar_class(cls.model, coeffs[0])]
     power = cls.model.one()
     for c in coeffs[1:]:
         power = power * cls
         if power.is_zero():
             break
         if c:
-            out = out + power * c
-    return out
+            terms.append(power * c)
+    return class_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -727,17 +738,11 @@ def parse_terms(
         except ValueError:  # longer than the interpreter's int() digit limit
             raise ExpressionError(f"number of {len(digits)} digits {at(i)} is too long") from None
 
-    def lowest(num: dict, den: int) -> tuple[dict, int]:
-        g = math.gcd(den, *num.values())
-        if g == 1:
-            return num, den
-        return {m: c // g for m, c in num.items()}, den // g
-
     def product(a: dict, da: int, b: dict, db: int) -> tuple[dict, int]:
         if len(b) == 1 and unit in b:
             a, b = b, a
         if len(a) == 1 and unit in a:  # a constant keeps the other side's terms
-            return lowest({m: a[unit] * c for m, c in b.items()}, da * db)
+            return _lowest({m: a[unit] * c for m, c in b.items()}, da * db)
         out: dict[Monomial, int] = {}
         right = [(m2, c2, degree_of[m2]) for m2, c2 in b.items()]
         for m1, c1 in a.items():
@@ -749,25 +754,19 @@ def parse_terms(
                     _accumulate(out, mono, c1 * c2)
                 elif not truncate:
                     raise over_bound(mono)
-        return lowest(out, da * db)
+        return _lowest(out, da * db)
 
     def expr(i: int, depth: int) -> tuple[dict, int, int]:
         negate = tokens[i][2] == "-"
         num, den, i = term(i + negate, depth)
         if not negate and tokens[i][2] not in ("+", "-"):
             return num, den, i
-        terms = [(-1 if negate else 1, num, den)]
+        terms = [({m: -c for m, c in num.items()} if negate else num, den)]
         while tokens[i][2] in ("+", "-"):
-            sign = 1 if tokens[i][2] == "+" else -1
+            minus = tokens[i][2] == "-"
             num, den, i = term(i + 1, depth)
-            terms.append((sign, num, den))
-        den = math.lcm(*[d for _, _, d in terms])
-        out: dict[Monomial, int] = {}
-        for sign, num, d in terms:
-            scale = sign * (den // d)
-            for mono, c in num.items():
-                _accumulate(out, mono, scale * c)
-        return (*lowest(out, den), i)
+            terms.append(({m: -c for m, c in num.items()} if minus else num, den))
+        return (*_lowest(*_sum(terms)), i)
 
     def term(i: int, depth: int) -> tuple[dict, int, int]:
         num, den, i = factor(i, depth)

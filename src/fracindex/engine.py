@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
-from fracindex.cohomology import CohClass, ManifoldModel, Monomial, _lowest, class_sum, monomial_name
+from fracindex.cohomology import CohClass, ManifoldModel, Monomial, _class, class_sum, monomial_name
 from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
@@ -175,11 +175,12 @@ class IndexDistribution(Frozen):
 class IndexProblem(Frozen):
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
-    square of the tangent a-hat class.  Monomial images are computed once
-    per model, moment rows once per problem and degree bound, and the
-    integral of each basis monomial against an image once per problem.
-    Both routes carry integers over one denominator and build a Fraction
-    or Cyclotomic only where a moment is emitted or compared."""
+    square of the tangent a-hat class.  Monomial images are kept once per
+    model as integers, moment rows once per problem and degree bound, and
+    the integral of each basis monomial against an image once per call
+    that needs it.  Both routes carry integers over one denominator and
+    build a Fraction or Cyclotomic only where a moment is emitted or
+    compared."""
 
     __slots__ = (
         "model",
@@ -187,9 +188,7 @@ class IndexProblem(Frozen):
         "generators",
         "symbol",
         "a_hat_squared",
-        "_image_cache",
         "_row_cache",
-        "_dual_cache",
     )
 
     def __init__(
@@ -220,9 +219,7 @@ class IndexProblem(Frozen):
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "a_hat_squared", a_hat_squared)
-        object.__setattr__(self, "_image_cache", {})
         object.__setattr__(self, "_row_cache", {})
-        object.__setattr__(self, "_dual_cache", {})
 
     @classmethod
     def with_tangent(
@@ -259,21 +256,17 @@ class IndexProblem(Frozen):
 
     # -- moment tables ----------------------------------------------------------
 
-    def _monomial_images(self, max_degree: int) -> dict[MomentKey, CohClass]:
-        """The image class of every moment monomial, in graded order, from
-        the model's table of images as integers by generator images and
-        bound (a class kept on its own model would be a reference cycle)."""
-        images = self._image_cache.get(max_degree)
-        if images is None:
-            table, gens = self.model._images, self.generators
-            key = (max_degree, *[(g.image.denominator, *g.image.numerators.items()) for g in gens])
-            if key in table:
-                images = {k: _lowest(self.model, num, den) for k, num, den in table[key]}
-            else:
-                images = chern_weil_eval(gens, max_degree, self.model)
-                table[key] = [(k, c.numerators, c.denominator) for k, c in images.items()]
-            self._image_cache[max_degree] = images
-        return images
+    def _monomial_images(self, max_degree: int) -> list[tuple[MomentKey, dict[Monomial, int], int]]:
+        """The image of every moment monomial, in graded order, as (key,
+        numerators, denominator), from the model's table by generator
+        images and bound (a class kept on its own model would be a
+        reference cycle)."""
+        table, gens = self.model._images, self.generators
+        key = (max_degree, *[(g.image.denominator, *g.image.numerators.items()) for g in gens])
+        if key not in table:
+            images = chern_weil_eval(gens, max_degree, self.model).items()
+            table[key] = [(k, c.numerators, c.denominator) for k, c in images]
+        return table[key]
 
     def _moment_rows(self, max_degree: int) -> dict[MomentKey, tuple[dict[Monomial, int], int]]:
         """One integer row per moment key, in graded order: the integral of
@@ -290,19 +283,19 @@ class IndexProblem(Frozen):
         integrals: dict[Monomial, dict[Monomial, Fraction]] = {}
         columns: dict[Monomial, tuple[list[int], int]] = {}
         rows = {}
-        for key, image in self._monomial_images(max_degree).items():
-            for i in image.numerators:
+        for key, image, image_den in self._monomial_images(max_degree):
+            for i in image:
                 if i not in columns:
                     weighted = self.a_hat_squared * CohClass(model, {i: 1})
                     columns[i] = _column(list(self._pairings(weighted, points, integrals).values()))
-            den = math.lcm(*[columns[i][1] for i in image.numerators])
+            den = math.lcm(*[columns[i][1] for i in image])
             values = [0] * len(support)
-            for i, n in image.numerators.items():
+            for i, n in image.items():
                 column, d = columns[i]
                 scale = n * (den // d)
                 values = [v + scale * w for v, w in zip(values, column)]
             row = {m: r for m, r in zip(support, values) if r}
-            rows[key] = (row, den * image.denominator)
+            rows[key] = (row, den * image_den)
         self._row_cache[max_degree] = rows
         return rows
 
@@ -369,9 +362,11 @@ class IndexProblem(Frozen):
         moment image: one integer column per moment key, in graded order,
         with entry j for the j-th symbol component, over one denominator in
         lowest terms.  All rational."""
-        images = self._monomial_images(max_degree)
+        model = self.model
+        images = {k: _class(model, num, den) for k, num, den in self._monomial_images(max_degree)}
+        duals: dict = {}
         pairings = [
-            self._pairings(self.a_hat_squared * u_chi, images, self._dual_cache)
+            self._pairings(self.a_hat_squared * u_chi, images, duals)
             for u_chi in self.symbol.components.values()
         ]
         return {key: _column([p[key] for p in pairings]) for key in images}
@@ -415,7 +410,7 @@ class IndexProblem(Frozen):
             for key, expected in direct.values.items():
                 vector, den = recombined[key], columns[key][1]
                 if order <= 2:
-                    agree = Fraction(vector[0], den) == expected
+                    agree = vector[0] * expected.denominator == expected.numerator * den
                 else:
                     agree = (Cyclotomic(order, vector) - expected * den).is_zero()
                 if not agree:

@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from fracindex.cohomology import CohClass, ManifoldModel
+from fracindex.cohomology import CohClass, ManifoldModel, class_sum
 from fracindex.scalars import Cyclotomic, Frozen
 
 #: Group elements and characters are exponent tuples over the cyclic factors.
@@ -207,12 +207,7 @@ class WeightSystem(Frozen):
         return [(m,) for m in range(label, -label - 1, -2)]
 
     def root_class(self, weight: Sequence[int]) -> CohClass:
-        model = self.line_classes[0].model
-        out = model.zero()
-        for w, line in zip(weight, self.line_classes):
-            if w:
-                out = out + line * w
-        return out
+        return class_sum([line * w for w, line in zip(weight, self.line_classes)])
 
     def __repr__(self):
         return f"WeightSystem({self.kind!r}, rank={self.rank})"
@@ -222,8 +217,5 @@ def character_jet(system: WeightSystem, label) -> CohClass:
     """The curvature image of a representation character: the sum over the
     representation's weights of the exponential of the matching line
     class.  The dimension of the representation is the constant term."""
-    model = system.line_classes[0].model
-    out = model.zero()
-    for weight in system.weights_of(label):
-        out = out + system.root_class(weight).exponential()
-    return out
+    weights = system.weights_of(label)
+    return class_sum([system.root_class(weight).exponential() for weight in weights])

@@ -270,14 +270,17 @@ def demote(value: Scalar) -> Scalar:
 
 def scalar_to_json(value: Scalar):
     """Serialize a scalar: Fractions as "p/q" strings, genuine cyclotomics
-    as {"order": N, "coefficients": [...]}."""
+    as {"order": N, "coefficients": [...]}, each coefficient its numerator
+    over the denominator in lowest terms, by one gcd."""
     value = demote(value)
     if isinstance(value, Fraction):
         return rational_to_string(value)
-    return {
-        "order": value.order,
-        "coefficients": [rational_to_string(c) for c in value.coeffs],
-    }
+    den = value.denominator
+    coefficients = []
+    for n in value.numerators:
+        g = math.gcd(n, den)
+        coefficients.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return {"order": value.order, "coefficients": coefficients}
 
 
 # ---------------------------------------------------------------------------

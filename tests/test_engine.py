@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracindex.characteristic import BundleData, a_hat
-from fracindex.cohomology import CohClass, ManifoldModel, build_model, parse_expression, scalar_class
+from fracindex.cohomology import CohClass, build_model, parse_expression, scalar_class
 from fracindex.engine import (
     EngineError,
     IndexProblem,
@@ -553,8 +553,9 @@ def test_mms_projective_matches_bracket_oracle(cyclic_orders, character):
     assert distribution.tables == problem.full_distribution().tables
 
 
-def test_perturbed_per_character_table_is_caught(monkeypatch):
-    problem = _random_problem([5], 7)
+@pytest.mark.parametrize("cyclic_orders", [[5], [2]])
+def test_perturbed_per_character_table_is_caught(monkeypatch, cyclic_orders):
+    problem = _random_problem(cyclic_orders, 7)
     original = IndexProblem._character_columns
 
     def perturbed(self, max_degree):
@@ -622,7 +623,7 @@ def test_problems_on_one_model_share_the_monomial_images(monkeypatch):
         assert all(type(den) is int and not isinstance(num, CohClass) for _, num, den in images)
 
 
-def test_corrupted_structure_constant_is_caught(monkeypatch):
+def test_corrupted_structure_constant_is_caught():
     # CP^3 over Z/3, a symbol supported on 1 and x, one generator with
     # image x: the recombined route multiplies the image x^3 of L^3 by the
     # constant term of a-hat^2 * u, reading the product-table entry (x^3, 1);
@@ -637,19 +638,13 @@ def test_corrupted_structure_constant_is_caught(monkeypatch):
     }
     gens = [InvariantGeneratorDecl("L", 1, parse_expression("x", cp3))]
     genus = a_hat(projective_tangent(cp3))
-    problem = IndexProblem(cp3, group, gens, SymbolData(group, components), genus * genus)
-    original = ManifoldModel._product_entry
-
-    def corrupted(self, m1, m2):
-        d, pairs = original(self, m1, m2)
-        if (m1, m2) == ((3,), (0,)):
-            pairs = [(m, 2 * n) for m, n in pairs]
-        return d, pairs
-
-    monkeypatch.setattr(ManifoldModel, "_product_entry", corrupted)
-    cp3._products.clear()
+    symbol, square = SymbolData(group, components), genus * genus
+    IndexProblem(cp3, group, gens, symbol, square).full_distribution()
+    d, pairs = cp3._products[(3,)][(0,)]
+    cp3._products[(3,)][(0,)] = (d, tuple((m, 2 * n) for m, n in pairs))
+    cp3._images.clear()  # the images are recomputed from the corrupted table
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
-        problem.full_distribution()
+        IndexProblem(cp3, group, gens, symbol, square).full_distribution()
 
 
 @pytest.mark.parametrize("cyclic_orders", [[5], [6, 4]])
@@ -670,13 +665,36 @@ def test_faulty_bracket_is_caught(monkeypatch, cyclic_orders):
         problem.full_distribution()
 
 
+def _caught_table_corruptions(problem):
+    """Double each product-table entry (m1, m2) of the problem's CP^n,
+    deg m1 + deg m2 <= 2n, in turn after the problem's classes are built,
+    and run the distribution on a fresh problem from the same classes:
+    (entries, how many of them raise InternalConsistencyError)."""
+    model = problem.model
+    (top,) = model.fundamental_monomial
+    entries = [((a,), (b,)) for a in range(top + 1) for b in range(top + 1 - a)]
+    caught = 0
+    for m1, m2 in entries:
+        row = model._products.setdefault(m1, {})
+        entry = row.get(m2) or model.normal_form((m1[0] + m2[0],))
+        d, pairs = entry
+        row[m2] = (d, tuple((m, 2 * n) for m, n in pairs))
+        model._images.clear()  # the images are recomputed from the corrupted table
+        try:
+            IndexProblem(
+                model, problem.group, problem.generators, problem.symbol, problem.a_hat_squared
+            ).full_distribution()
+        except InternalConsistencyError:
+            caught += 1
+        row[m2] = entry
+    return len(entries), caught
+
+
 def test_corrupted_product_table_entries_are_caught():
     # CP^6 over Z/6 x Z/4 with a four-term symbol component on every
     # character (1, x, x^3, x^6), one generator L with image c*x and the
-    # a-hat square: double each of the 28 product-table entries (m1, m2),
-    # deg m1 + deg m2 <= 6, in turn after the problem's classes are built.
-    # The routes read different entries, so a corruption only one of them
-    # reads is caught; 17 of the 28 are
+    # a-hat square.  The routes read different entries, so a corruption
+    # only one of them reads is caught; 17 of the 28 are
     cp6 = projective_model(x=6)
     group = FiniteAbelianGroup([6, 4])
     rng = random.Random(14)
@@ -689,19 +707,20 @@ def test_corrupted_product_table_entries_are_caught():
     }
     gens = [InvariantGeneratorDecl("L", 1, CohClass(cp6, {(1,): coefficient()}))]
     genus = a_hat(projective_tangent(cp6))
-    square, symbol = genus * genus, SymbolData(group, components)
-    entries = [((a,), (b,)) for a in range(7) for b in range(7 - a)]
-    caught = 0
-    for m1, m2 in entries:
-        row = cp6._products.setdefault(m1, {})
-        entry = row.get(m2) or cp6._product_entry(m1, m2)
-        d, pairs = entry
-        row[m2] = (d, [(m, 2 * n) for m, n in pairs])
-        cp6._images.clear()  # the images are recomputed from the corrupted table
-        try:
-            IndexProblem(cp6, group, gens, symbol, square).full_distribution()
-        except InternalConsistencyError:
-            caught += 1
-        row[m2] = entry
-    assert len(entries) == 28
+    problem = IndexProblem(cp6, group, gens, SymbolData(group, components), genus * genus)
+    entries, caught = _caught_table_corruptions(problem)
+    assert entries == 28
     assert caught >= 17
+
+
+def test_corrupted_product_table_entries_are_caught_on_cp16():
+    # the projective Dirac problem on CP^16 with two generators of s_degree
+    # 2 and images c*x^2: 42 of the 153 corruptions are caught
+    cp16 = projective_model(x=16)
+    gens = [
+        InvariantGeneratorDecl("P1", 2, parse_expression("3*x^2", cp16)),
+        InvariantGeneratorDecl("P2", 2, parse_expression("-1/2*x^2", cp16)),
+    ]
+    entries, caught = _caught_table_corruptions(dirac_problem(cp16, projective_tangent(cp16), gens))
+    assert entries == 153
+    assert caught >= 42

@@ -126,6 +126,11 @@ def test_scalar_serialization():
     }
     # rational-valued cyclotomics demote on output
     assert scalar_to_json(Cyclotomic.root_of_unity(2)) == "-1"
+    # each coefficient is its numerator over the denominator in lowest terms
+    assert scalar_to_json(Cyclotomic(12, [2, 3, 0, -4], 6)) == {
+        "order": 12,
+        "coefficients": ["1/3", "1/2", "0", "-2/3"],
+    }
 
 
 def _small_cyclotomics(order):
