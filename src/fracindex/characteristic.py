@@ -43,7 +43,8 @@ class BundleData(Frozen):
     `roots` (each homogeneous of degree 2, one per unit of rank), or
     `chern` classes c_1..c_r, or `pontryagin` classes p_1..p_k.  When both
     roots and Chern classes are declared they must agree.  A trivial rank-r
-    bundle is presented by r zero roots.
+    bundle is presented by r zero roots.  Every class lives on `model`, as
+    the scenario parser reads them all on the scenario's model.
     """
 
     __slots__ = (
@@ -83,13 +84,6 @@ class BundleData(Frozen):
     def _validate(self) -> None:
         if self.rank < 0:
             raise BundleError(f"bundle {self.name!r} has negative rank")
-        for group in (self.roots, self.chern, self.pontryagin):
-            if group:
-                for cls in group:
-                    if cls.model is not self.model:
-                        raise BundleError(
-                            f"bundle {self.name!r} mixes classes from different models"
-                        )
         if self.roots is not None:
             if len(self.roots) != self.rank:
                 raise BundleError(
@@ -134,11 +128,9 @@ def _elementary_symmetric(
 
 def newton_power_sums(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
     """Power sums s_1..s_max_k of the Chern roots from the Chern classes,
-    via Newton's identities s_k = c_1 s_(k-1) - c_2 s_(k-2) + ... -+ k c_k."""
-    if max_k < 0:
-        raise ValueError("max_k must be nonnegative")
-    if not chern:
-        raise ValueError("need at least one Chern class (possibly zero) to fix the model")
+    via Newton's identities s_k = c_1 s_(k-1) - c_2 s_(k-2) + ... -+ k c_k.
+    At least one class is given, to fix the model: `_compute_a_hat` returns
+    the unit class before it would pass none."""
     model = chern[0].model
 
     def c(i: int) -> CohClass:

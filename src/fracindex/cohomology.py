@@ -31,12 +31,10 @@ one-step rewrite graph over the monomials of degree <= dimension built
 from the generators that some relation with a nonzero right side touches:
 every other exponent is constant along a rewrite chain, so dividing it out
 maps any cycle into that set, and a finite graph without a cycle admits no
-infinite chain.  Every left side is a pure power g_i^k_i, so the only
-critical pairs are the overlaps g_i^k_i * g_j^k_j; a terminating system
-whose critical pairs all reduce to one normal form is confluent (Newman's
-lemma with the critical-pair lemma, Baader & Nipkow, Term Rewriting and
-All That, ch. 6; for linear combinations, Bergman's diamond lemma, Adv.
-Math. 29, 1978).
+infinite chain.  Confluence then needs no check: with one pure-power
+relation per generator, rules i and j applied to g_i^k_i * g_j^k_j * M
+give r_i * r_j * M in either order, each in one step (Newman's lemma;
+Bergman's diamond lemma, Adv. Math. 29, 1978).
 
 Expressions are read in one pass over the tokens of one regular
 expression; every sub-expression is integer numerators over one positive
@@ -249,63 +247,24 @@ class ManifoldModel(Frozen):
     # -- validation ------------------------------------------------------------
 
     def _validate(self) -> None:
-        _check_grading(self.dimension, self.generators)
+        """The checks a declaration can fail; `build_model` has checked the
+        grading, and its parser yields valid indices, powers and arities."""
         for i, (power, rhs) in self.relations.items():
-            if not (0 <= i < len(self.generators)):
-                raise ModelError(f"relation on unknown generator index {i}")
-            if power < 1:
-                raise ModelError("relation power must be positive")
             lhs_degree = power * self.generators[i][1]
             for mono in rhs:
-                if len(mono) != len(self.generators):
-                    raise ModelError("relation term has the wrong arity")
                 if self.monomial_degree(mono) != lhs_degree:
                     raise ModelError(
                         f"relation on {self.generators[i][0]!r} is not degree-homogeneous: "
                         f"{monomial_name(self.names, mono)} has degree {self.monomial_degree(mono)}, "
                         f"expected {lhs_degree}"
                     )
-        if len(self.fundamental_monomial) != len(self.generators):
-            raise ModelError("fundamental monomial has the wrong arity")
         if self.monomial_degree(self.fundamental_monomial) != self.dimension:
             raise ModelError("fundamental monomial degree must equal the model dimension")
         if self.orientation == 0:
             raise ModelError("orientation value must be nonzero")
         if not self._is_normal(self.fundamental_monomial):
             raise ModelError("fundamental monomial must be irreducible")
-        self._check_confluence()
-
-    def _check_confluence(self) -> None:
-        """Reducing any monomial of degree <= dimension must terminate and
-        must not depend on which applicable relation fires first.
-
-        Termination is checked first, on the restricted rewrite graph of
-        `_check_termination`.  Then, by Newman's lemma with the critical-pair
-        lemma (Baader & Nipkow, Term Rewriting and All That, ch. 6) and
-        Bergman's diamond lemma (Adv. Math. 29, 1978), it suffices that the
-        two rewrites of each overlap g_i^k_i * g_j^k_j have one normal form:
-        a monomial where both relations apply is that overlap times a
-        monomial, and truncation above the dimension commutes with
-        multiplication.  An overlap above the dimension is zero on both
-        sides, since the relations are homogeneous.  Each generator has at
-        most one relation, so there are no other critical pairs.  Two
-        rewrites that agree term by term need no normal form."""
         self._check_termination()
-        zero = self.zero_monomial()
-        indices = sorted(self.relations)
-        for a, i in enumerate(indices):
-            for j in indices[a + 1 :]:
-                overlap = list(zero)
-                overlap[i] = self.relations[i][0]
-                overlap[j] = self.relations[j][0]
-                overlap = tuple(overlap)
-                if self.monomial_degree(overlap) > self.dimension:
-                    continue
-                left, right = self._rewrite_once(overlap, i), self._rewrite_once(overlap, j)
-                if left != right and CohClass(self, left) != CohClass(self, right):
-                    raise ModelError(
-                        "relation set is not confluent at " + monomial_name(self.names, overlap)
-                    )
 
     def _check_termination(self) -> None:
         """Reject a rewrite cycle among the monomials of degree <= dimension.
@@ -314,7 +273,15 @@ class ManifoldModel(Frozen):
         only the exponents of the generators they touch; any cycle therefore
         divides down to one among the monomials in those generators alone,
         which is the graph searched here (depth first).  A relation whose
-        left side lies above the dimension never fires there."""
+        left side lies above the dimension never fires there.
+
+        Without a cycle the system is also confluent.  Where rules i and j
+        both apply, to g_i^k_i * g_j^k_j * M, rewriting by i and then each
+        resulting term by j gives r_i * r_j * M, and so does j then i: a
+        rewrite on one generator leaves the pure power of another in place.
+        Relations are homogeneous, so truncation drops both sides alike.
+        Termination and this one-step join give confluence (Newman's lemma;
+        Bergman's diamond lemma, Adv. Math. 29, 1978)."""
         active = [
             i
             for i, (power, rhs) in self.relations.items()
@@ -399,10 +366,6 @@ class CohClass(Frozen):
 
     # -- ring operations ---------------------------------------------------------
 
-    def _check_model(self, other: "CohClass") -> None:
-        if other.model is not self.model:
-            raise ValueError("classes belong to different manifold models")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = scalar_class(self.model, other)
@@ -431,7 +394,6 @@ class CohClass(Frozen):
             return _class(self.model, num, self.denominator * other.denominator)
         if not isinstance(other, CohClass):
             return NotImplemented
-        self._check_model(other)
         num, scale = _product(self.model, self.numerators, other.numerators)
         return _class(self.model, num, self.denominator * other.denominator * scale)
 
@@ -583,8 +545,6 @@ def scalar_class(model: ManifoldModel, value: Fraction | int) -> CohClass:
 def class_sum(classes: Sequence[CohClass]) -> CohClass:
     """The sum of a nonempty list of classes of one model, in one integer
     accumulation over the lcm of their denominators and one gcd pass."""
-    for cls in classes:
-        classes[0]._check_model(cls)
     return _class(classes[0].model, *_sum([(cls.numerators, cls.denominator) for cls in classes]))
 
 
@@ -625,7 +585,6 @@ def build_model(
     generator above the dimension lies within that bound, and a relation
     beyond it could never fire.
     """
-    dimension = int(dimension)
     generators = tuple((str(n), int(d)) for n, d in generators)
     _check_grading(dimension, generators)
     names = [n for n, _ in generators]

@@ -80,37 +80,20 @@ class InternalConsistencyError(RuntimeError):
 
 class SymbolData(Frozen):
     """A symbol presented by its base-reduced classes, one per character of
-    the finite center; only finitely many components."""
+    the finite center, in character order; a zero class is dropped.  Each
+    character is reduced and named once, and every class lives on one
+    model: `scenarios._build_symbol` checks `group.contains`, refuses a
+    repeated character, and parses each class on the scenario's model."""
 
-    __slots__ = ("group", "components", "label")
+    __slots__ = ("group", "components")
 
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        components: Mapping[Sequence[int], CohClass],
-        label: str | None = None,
-    ) -> None:
-        clean: dict[Element, CohClass] = {}
-        model = None
-        for raw, cls in components.items():
-            chi = group.reduce(tuple(raw))
-            if model is None:
-                model = cls.model
-            elif cls.model is not model:
-                raise EngineError("symbol components live on different models")
-            if chi in clean:
-                cls = clean[chi] + cls
-            if not cls.is_zero():
-                clean[chi] = cls
-            else:
-                clean.pop(chi, None)
+    def __init__(self, group: FiniteAbelianGroup, components: Mapping[Element, CohClass]) -> None:
+        nonzero = {chi: cls for chi, cls in sorted(components.items()) if not cls.is_zero()}
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "components", dict(sorted(clean.items())))
-        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "components", nonzero)
 
     def __repr__(self):
-        label = f" {self.label!r}" if self.label else ""
-        return f"SymbolData({len(self.components)} components{label})"
+        return f"SymbolData({len(self.components)} components)"
 
 
 class MomentTable(Frozen):
@@ -180,7 +163,9 @@ class IndexProblem(Frozen):
     the integral of each basis monomial against an image once per call
     that needs it.  Both routes carry integers over one denominator and
     build a Fraction or Cyclotomic only where a moment is emitted or
-    compared."""
+    compared.  The symbol is over `group`, every class lives on `model`,
+    and generator names are distinct: `scenarios.parse_scenario` reads a
+    run on one model and group and refuses a name declared twice."""
 
     __slots__ = (
         "model",
@@ -199,21 +184,8 @@ class IndexProblem(Frozen):
         symbol: SymbolData,
         a_hat_squared: CohClass | None = None,
     ) -> None:
-        if symbol.group != group:
-            raise EngineError("symbol group does not match the problem group")
-        for gen in generators:
-            if gen.image.model is not model:
-                raise EngineError(f"generator {gen.name!r} image lives on a different model")
-        for cls in symbol.components.values():
-            if cls.model is not model:
-                raise EngineError("symbol classes live on a different model")
-        names = [g.name for g in generators]
-        if len(set(names)) != len(names):
-            raise EngineError("duplicate invariant generator names")
         if a_hat_squared is None:
             a_hat_squared = model.one()
-        if a_hat_squared.model is not model:
-            raise EngineError("a-hat class lives on a different model")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "generators", tuple(generators))
@@ -260,9 +232,10 @@ class IndexProblem(Frozen):
         """The image of every moment monomial, in graded order, as (key,
         numerators, denominator), from the model's table by generator
         images and bound (a class kept on its own model would be a
-        reference cycle)."""
+        reference cycle).  Image terms enter the key sorted, so equal
+        images built in another term order share one entry."""
         table, gens = self.model._images, self.generators
-        key = (max_degree, *[(g.image.denominator, *g.image.numerators.items()) for g in gens])
+        key = (max_degree, *[(g.image.denominator, *sorted(g.image.numerators.items())) for g in gens])
         if key not in table:
             images = chern_weil_eval(gens, max_degree, self.model).items()
             table[key] = [(k, c.numerators, c.denominator) for k, c in images]
@@ -338,11 +311,10 @@ class IndexProblem(Frozen):
         dimension; higher monomials pair to zero by truncation), from
         integer dot products of each bucket U_k, over the lcm of their
         denominators, with the moment rows, and one conversion to the
-        cyclotomic field per moment."""
+        cyclotomic field per moment.  `scenarios._check_max_degree` keeps
+        every bound a task or run names nonnegative."""
         if max_degree is None:
             max_degree = self.model.dimension // 2
-        if max_degree < 0:
-            raise EngineError("moment degree bound must be nonnegative")
         gamma = self.group.reduce(tuple(gamma))
         buckets = self.reduced_integrand(gamma).items()
         buckets = [(k, u.numerators, u.denominator) for k, u in buckets]
@@ -446,9 +418,8 @@ class IndexProblem(Frozen):
     def atiyah_pairing(self, system: WeightSystem, label) -> Fraction:
         """With a trivial center, the pairing of the index distribution
         against an irreducible character: the index of the symbol twisted
-        by the associated bundle, an exact rational."""
-        if not self.group.is_trivial():
-            raise EngineError("character pairing requires a trivial center")
+        by the associated bundle, an exact rational.  The center is trivial:
+        `scenarios._check_label` refuses the task on any other group."""
         u = self.symbol.components.get(self.group.identity(), self.model.zero())
         return (self.a_hat_squared * u * character_jet(system, label)).integrate()
 
@@ -475,6 +446,6 @@ def dirac_problem(
     nontrivial character with base reduction the inverse a-hat class, so
     the net integrand at the identity is the a-hat class itself."""
     group = FiniteAbelianGroup([2])
-    symbol = SymbolData(group, {(1,): a_hat(tangent).inverse()}, label="dirac")
+    symbol = SymbolData(group, {(1,): a_hat(tangent).inverse()})
     return IndexProblem(model, group, generators, symbol, a_hat_squared(tangent))
 

@@ -48,10 +48,8 @@ class FiniteAbelianGroup(Frozen):
         return (0,) * len(self.cyclic_orders)
 
     def reduce(self, element: Sequence[int]) -> Element:
-        if len(element) != len(self.cyclic_orders):
-            raise GroupError(
-                f"element {tuple(element)} has arity {len(element)}, expected {len(self.cyclic_orders)}"
-            )
+        """Each exponent modulo its order; one exponent per factor, as the
+        scenario parser's `contains` check holds for every task's gamma."""
         return tuple(int(e) % n for e, n in zip(element, self.cyclic_orders))
 
     def contains(self, element: Sequence[int]) -> bool:
@@ -82,14 +80,10 @@ def bracket_exponent(group: FiniteAbelianGroup, character: Sequence[int], elemen
     """The duality pairing between a character and a group element as an
     exponent: the k in [0, N) with bracket = zeta_N^k, namely
     sum_i k_i g_i N/n_i mod N with N the group exponent.  Each term
-    depends only on k_i g_i mod n_i, so the entries need not be reduced."""
-    orders = group.cyclic_orders
-    for value in (character, element):
-        if len(value) != len(orders):
-            raise GroupError(
-                f"element {tuple(value)} has arity {len(value)}, expected {len(orders)}"
-            )
-    n = group.exponent
+    depends only on k_i g_i mod n_i, so the entries need not be reduced.
+    Both have one entry per factor: they pass `group.contains` in the
+    scenario parser, or come from `group.elements()`."""
+    n, orders = group.exponent, group.cyclic_orders
     return sum(k * g * (n // order) for k, g, order in zip(character, element, orders)) % n
 
 
@@ -165,7 +159,8 @@ class WeightSystem(Frozen):
     one) and names the one-dimensional representation with that weight.
     kind "su2": the label is a nonnegative integer highest weight, with
     weight multiset (label, label-2, ..., -label) against the single
-    declared line class.
+    declared line class.  There is at least one line class: the scenario
+    parser builds a system only from a nonempty `weight_system` list.
     """
 
     __slots__ = ("kind", "line_classes")
@@ -174,8 +169,6 @@ class WeightSystem(Frozen):
         if kind not in ("torus", "su2"):
             raise GroupError(f"unknown weight-system kind {kind!r}")
         line_classes = tuple(line_classes)
-        if not line_classes:
-            raise GroupError("weight system needs at least one line class")
         if kind == "su2" and len(line_classes) != 1:
             raise GroupError("su2 weight systems take exactly one line class")
         for cls in line_classes:

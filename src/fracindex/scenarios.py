@@ -6,7 +6,10 @@ running produces exact, deterministically ordered results.
 The same document shape is used for the built-in scenarios, for user
 files, and for the optional "expect" blocks that turn any scenario into a
 regression check.  Every integer field takes a JSON integer only: a
-float, a bool or a digit string is refused, never truncated or read.  The
+float, a bool or a digit string is refused, never truncated or read.
+`bundles[i].tangent` takes a JSON bool, so "false" is refused, not read
+as true; every name, `group.weight_kind`, relation side and fundamental
+monomial takes a JSON string, never a value rendered with str().  The
 orientation `manifold.fundamental[1]` is a JSON integer or a string "p" or
 "p/q" of digits as expressions read numbers; a float is refused.  Bundles
 used as tangent data must declare roots, Chern or Pontryagin classes.
@@ -181,6 +184,12 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
+def _str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")  # digits as `int()` and expressions read them
 
 
@@ -240,15 +249,15 @@ def _build_manifold(spec: Mapping[str, Any]) -> ManifoldModel:
     if not isinstance(spec, dict):
         raise ScenarioError(f"manifold: expected an object, got {spec!r}")
     dimension = _int(_need(spec, "dimension", "manifold"), "manifold.dimension")
+    path = "manifold.generators"
     generators = [
-        (str(n), _int(d, f"manifold.generators[{index}].degree"))
-        for index, (n, d) in enumerate(
-            _pairs(spec.get("generators", []), "manifold.generators", "[name, degree]")
-        )
+        (_str(n, f"{path}[{i}].name"), _int(d, f"{path}[{i}].degree"))
+        for i, (n, d) in enumerate(_pairs(spec.get("generators", []), path, "[name, degree]"))
     ]
+    path = "manifold.relations"
     relations = [
-        (str(a), str(b))
-        for a, b in _pairs(spec.get("relations", []), "manifold.relations", "[lhs, rhs]")
+        (_str(a, f"{path}[{i}].lhs"), _str(b, f"{path}[{i}].rhs"))
+        for i, (a, b) in enumerate(_pairs(spec.get("relations", []), path, "[lhs, rhs]"))
     ]
     fundamental = spec.get("fundamental")
     if fundamental is not None:
@@ -258,7 +267,8 @@ def _build_manifold(spec: Mapping[str, Any]) -> ManifoldModel:
                 f"got {fundamental!r}"
             )
         monomial, orientation = fundamental
-        fundamental = (str(monomial), _rational(orientation, "manifold.fundamental[1]"))
+        fundamental = (_str(monomial, "manifold.fundamental[0]"),
+                       _rational(orientation, "manifold.fundamental[1]"))
     try:
         return build_model(dimension, generators, relations, fundamental)
     except (ModelError, ExpressionError) as exc:
@@ -272,7 +282,7 @@ def _build_bundles(
     tangent_name = None
     parsed: dict[str, CohClass] = {}  # each distinct root or class text, parsed once
     for index, spec in enumerate(_objects(specs, "bundles")):
-        name = str(_need(spec, "name", "bundle"))
+        name = _str(_need(spec, "name", "bundle"), f"bundles[{index}].name")
         if name in bundles:
             raise ScenarioError(f"bundle {name!r} declared twice")
         rank = _int(_need(spec, "rank", f"bundle {name!r}"), f"bundles[{index}].rank")
@@ -298,7 +308,10 @@ def _build_bundles(
             bundles[name] = BundleData(name, rank, model=model, **kwargs)
         except BundleError as exc:
             raise ScenarioError(str(exc)) from exc
-        if spec.get("tangent"):
+        tangent = spec.get("tangent", False)
+        if not isinstance(tangent, bool):
+            raise ScenarioError(f"bundles[{index}].tangent: expected a bool, got {tangent!r}")
+        if tangent:
             if tangent_name is not None:
                 raise ScenarioError("more than one bundle is flagged as tangent data")
             tangent_name = name
@@ -340,7 +353,7 @@ def _build_group_block(
     generators = []
     path = "group.invariant_generators"
     for index, gen_spec in enumerate(_objects(spec.get("invariant_generators", []), path)):
-        name = str(_need(gen_spec, "name", "invariant generator"))
+        name = _str(_need(gen_spec, "name", "invariant generator"), f"{path}[{index}].name")
         if any(gen.name == name for gen in generators):
             raise ScenarioError(
                 f"{path}[{index}].name: invariant generator {name!r} declared twice"
@@ -359,7 +372,7 @@ def _build_group_block(
     system = None
     entries = spec.get("weight_system", [])
     if entries:
-        kind = str(spec.get("weight_kind", "torus"))
+        kind = _str(spec.get("weight_kind", "torus"), "group.weight_kind")
         path = "group.weight_system"
         weights = [
             _int_list(_need(entry, "weight", "weight system entry"), f"{path}[{i}].weight")
@@ -406,10 +419,7 @@ def _build_symbol(
         if character in components:
             raise ScenarioError(f"symbol character {character} declared twice")
         components[character] = cls
-    try:
-        return SymbolData(group, components)
-    except EngineError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return SymbolData(group, components)
 
 
 def _check_gamma(scenario: Scenario, task: dict, path: str) -> None:
@@ -497,7 +507,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(document, dict):
         raise ScenarioError("scenario document must be a JSON object")
 
-    name = str(document.get("name", "unnamed"))
+    name = _str(document.get("name", "unnamed"), "name")
     model = _build_manifold(_need(document, "manifold", name))
     bundles, tangent_name = _build_bundles(document.get("bundles", []), model)
     group, generators, weight_system = _build_group_block(document.get("group", {}), model)
@@ -591,9 +601,8 @@ def emit(results: Sequence[TaskResult], format: str = "human") -> str:
     scalars; "human" is an aligned plain-text table.  Identical inputs
     produce byte-identical output.  A result with an integer longer than
     the interpreter writes (`sys.get_int_max_str_digits`) raises a
-    ScenarioError that names its task."""
-    if format not in ("human", "machine"):
-        raise ValueError(f"unknown output format {format!r}")
+    ScenarioError that names its task.  `format` is one of the two, as
+    the command's argument choices are."""
     lines: list[str] = []
     by_scenario: dict[str, list[dict]] = {}
     current = None

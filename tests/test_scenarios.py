@@ -108,6 +108,19 @@ _MALFORMED_BUILTIN_FIELDS = [
     (_CP2, lambda d: d["group"]["invariant_generators"][1].update(s_degree=2.0),
      "group.invariant_generators[1].s_degree"),
     (_CP2, lambda d: d["bundles"][0].update(chern_roots=[["x"]]), "bundles[0].chern_roots[0]"),
+    # a bool field takes a JSON bool, and a name or text field a JSON string,
+    # never a value read for its truth or rendered with str()
+    (_CP2, lambda d: d["bundles"][0].update(tangent="false"), "bundles[0].tangent"),
+    (_CP2, lambda d: d["bundles"][0].update(tangent=1), "bundles[0].tangent"),
+    (_CP2, lambda d: d["bundles"][0].update(name=["T", "M"]), "bundles[0].name"),
+    (_CP2, lambda d: d["manifold"].update(generators=[[["x"], 2]]), "manifold.generators[0].name"),
+    (_CP2, lambda d: d["manifold"].update(relations=[[["x^3"], "0"]]), "manifold.relations[0].lhs"),
+    (_CP2, lambda d: d["manifold"].update(relations=[["x^3", 0]]), "manifold.relations[0].rhs"),
+    (_CP2, lambda d: d["manifold"].update(fundamental=[2, "1"]), "manifold.fundamental[0]"),
+    (_CP2, lambda d: d["group"]["invariant_generators"][0].update(name=1),
+     "group.invariant_generators[0].name"),
+    (_CP2, lambda d: d.update(name=None), "name"),
+    (_HOPF, lambda d: d["group"].update(weight_kind=["torus"]), "group.weight_kind"),
 ]
 
 
@@ -119,6 +132,185 @@ _MALFORMED_BUILTIN_FIELDS = [
 def test_malformed_builtin_fields_raise_path_qualified_errors(name, edit, path):
     with pytest.raises(ScenarioError, match=re.escape(path) + ": expected"):
         parse_scenario(_builtin_with(edit, name))
+
+
+def _cycle_model(d):
+    d["manifold"] = {
+        "dimension": 4,
+        "generators": [["x", 2], ["y", 2]],
+        "relations": [["x^2", "y^2"], ["y^2", "x^2"]],
+        "fundamental": ["x*y", "1"],
+    }
+    d["symbol"][0]["class"] = "1"
+
+
+def _rank_two_weights(d):
+    d["group"]["weight_system"] = [
+        {"weight": [1, 0], "line_class": "x"},
+        {"weight": [0, 1], "line_class": "x"},
+    ]
+
+
+_GAMMA4 = "gamma4_character_sum"
+
+#: One malformed document per check a document can reach: (id, built-in
+#: scenario, edit, message fragment).  Each check raises a ScenarioError
+#: while the document is parsed or run, so the engine, the model and the
+#: group layers may rely on what these checks enforce.
+_REJECTED_DOCUMENTS = [
+    # document shape
+    ("missing_key", _CP2, lambda d: d["manifold"].pop("dimension"),
+     "manifold: missing required key 'dimension'"),
+    ("manifold_not_object", _CP2, lambda d: d.update(manifold=[4]), "manifold: expected an object"),
+    ("expect_length", _CP2, lambda d: d.update(expect=[]), "expect block must list one entry per task"),
+    ("unknown_op", _CP2, lambda d: d["tasks"][0].update(op="index"), "unknown task op 'index'"),
+    ("class_not_string", _CP2, lambda d: d["symbol"][0].update({"class": 5}),
+     "symbol component: expected an expression string"),
+    # manifold
+    ("odd_dimension", _CP2, lambda d: d["manifold"].update(dimension=3), "dimension must be even"),
+    ("odd_generator", _CP2, lambda d: d["manifold"].update(generators=[["x", 3]]),
+     "generator 'x' must have even positive degree"),
+    ("duplicate_generator", _CP2, lambda d: d["manifold"].update(generators=[["x", 2], ["x", 2]]),
+     "duplicate generator name 'x'"),
+    ("lhs_two_terms", _CP2, lambda d: d["manifold"].update(relations=[["x^3 + x^2", "0"]]),
+     "must be a single monomial"),
+    ("lhs_coefficient", _CP2, lambda d: d["manifold"].update(relations=[["2*x^3", "0"]]),
+     "must have coefficient 1"),
+    ("lhs_not_pure_power", _CP2,
+     lambda d: (_cycle_model(d), d["manifold"].update(relations=[["x*y", "0"]])),
+     "must be a pure power of one generator"),
+    ("two_relations", _CP2, lambda d: d["manifold"].update(relations=[["x^3", "0"], ["x^2", "0"]]),
+     "generator 'x' has more than one relation"),
+    ("inhomogeneous_relation", _CP2, lambda d: d["manifold"].update(relations=[["x^3", "x"]]),
+     "not degree-homogeneous"),
+    ("rewrite_cycle", _CP2, _cycle_model, "rewrite system does not terminate"),
+    ("no_fundamental", _CP2, lambda d: d["manifold"].pop("fundamental"),
+     "fundamental class is required"),
+    ("fundamental_coefficient", _CP2,
+     lambda d: d["manifold"].update(fundamental=["2*x^2", "1"]),
+     "fundamental class must be a single monomial with coefficient 1"),
+    ("fundamental_degree", _CP2, lambda d: d["manifold"].update(fundamental=["x", "1"]),
+     "fundamental monomial degree must equal the model dimension"),
+    ("fundamental_reducible", _CP2, lambda d: d["manifold"].update(relations=[["x^2", "0"]]),
+     "fundamental monomial must be irreducible"),
+    ("orientation_zero", _CP2, lambda d: d["manifold"].update(fundamental=["x^2", "0"]),
+     "orientation value must be nonzero"),
+    # expressions
+    ("unknown_name", _CP2, lambda d: d["symbol"][0].update({"class": "z"}), "unknown generator 'z'"),
+    ("stray_character", _CP2, lambda d: d["symbol"][0].update({"class": "x$"}),
+     "unexpected character '$'"),
+    ("zero_denominator", _CP2, lambda d: d["symbol"][0].update({"class": "1/0"}),
+     "zero denominator"),
+    ("exponent_zero", _CP2, lambda d: d["symbol"][0].update({"class": "x^0"}),
+     "exponent must be a positive integer"),
+    ("exponent_not_number", _CP2, lambda d: d["symbol"][0].update({"class": "x^x"}),
+     "expected number"),
+    ("denominator_not_number", _CP2, lambda d: d["symbol"][0].update({"class": "1/x"}),
+     "expected number"),
+    ("constant_power", _CP2, lambda d: d["symbol"][0].update({"class": "2^100000"}),
+     "is too large for the constant term 2"),
+    ("dangling_operator", _CP2, lambda d: d["symbol"][0].update({"class": "x +"}),
+     "unexpected ''"),
+    ("trailing_token", _CP2, lambda d: d["symbol"][0].update({"class": "x x"}),
+     "unexpected 'x'"),
+    ("relation_over_bound", _CP2, lambda d: d["manifold"].update(relations=[["x^3", "x^4"]]),
+     "exceeds the degree bound 6"),
+    # bundles
+    ("bundle_twice", _CP2, lambda d: d["bundles"].append(dict(d["bundles"][0], tangent=False)),
+     "bundle 'TM' declared twice"),
+    ("two_tangents", _CP2, lambda d: d["bundles"].append(dict(d["bundles"][0], name="T2")),
+     "more than one bundle is flagged as tangent data"),
+    ("negative_rank", _CP2, lambda d: d["bundles"][0].update(rank=-1), "has negative rank"),
+    ("root_count", _CP2, lambda d: d["bundles"][0].update(chern_roots=["x", "x"]),
+     "2 roots for rank 3"),
+    ("root_degree", _CP2, lambda d: d["bundles"][0].update(chern_roots=["x", "x", "x^2"]),
+     "roots must be homogeneous of degree 2"),
+    ("chern_degree", _CP2, lambda d: d["bundles"][0].update(chern=["3*x", "x"]),
+     "c_2 must be homogeneous of degree 4"),
+    ("pontryagin_degree", _CP2,
+     lambda d: d["bundles"].append({"name": "E", "rank": 2, "pontryagin": ["x"]}),
+     "p_1 must be homogeneous of degree 4"),
+    ("roots_disagree", _CP2, lambda d: d["bundles"][0].update(chern=["2*x"]),
+     "declared c_1 disagrees with the roots"),
+    ("tangent_without_data", _CP2, lambda d: d["bundles"][0].pop("chern_roots"),
+     "tangent bundle 'TM' declares none of"),
+    # group block
+    ("cyclic_order_zero", _CP2, lambda d: d["group"].update(cyclic_orders=[0]),
+     "cyclic orders must be positive"),
+    ("s_degree_zero", _CP2, lambda d: d["group"]["invariant_generators"][0].update(s_degree=0),
+     "s_degree must be positive"),
+    ("image_degree", _CP2, lambda d: d["group"]["invariant_generators"][0].update(image="x"),
+     "image must be homogeneous of degree 4"),
+    ("generator_twice", _CP2, lambda d: d["group"]["invariant_generators"][1].update(name="P1"),
+     "invariant generator 'P1' declared twice"),
+    ("weight_arity", _HOPF,
+     lambda d: d["group"]["weight_system"].append({"weight": [0, 1], "line_class": "x"}),
+     "weight system entries must share one arity"),
+    ("weight_not_unit", _HOPF, lambda d: d["group"]["weight_system"][0].update(weight=[2]),
+     "each weight must be a unit coordinate vector"),
+    ("weight_twice", _HOPF,
+     lambda d: d["group"]["weight_system"].append({"weight": [1], "line_class": "x"}),
+     "weight coordinate 0 declared twice"),
+    ("weight_missing_coordinate", _HOPF,
+     lambda d: d["group"]["weight_system"][0].update(weight=[0, 1]),
+     "weight system must declare every coordinate once"),
+    ("weight_kind", _HOPF, lambda d: d["group"].update(weight_kind="spin"),
+     "unknown weight-system kind 'spin'"),
+    ("line_class_degree", _HOPF, lambda d: d["group"]["weight_system"][0].update(line_class="1"),
+     "line classes must be homogeneous of degree 2"),
+    ("su2_two_lines", _HOPF, lambda d: (_rank_two_weights(d), d["group"].update(weight_kind="su2")),
+     "su2 weight systems take exactly one line class"),
+    # symbol
+    ("character_range", _CP2, lambda d: d["symbol"][0].update(character=[2]),
+     "symbol character (2,) is outside the group's exponent ranges"),
+    ("character_twice", _CP2, lambda d: d["symbol"].append(dict(d["symbol"][0])),
+     "symbol character (1,) declared twice"),
+    # tasks at parse time
+    ("gamma_range", _CP2, lambda d: d["tasks"][0].update(gamma=[2]),
+     "gamma [2] is outside the group's exponent ranges"),
+    ("dirac_without_tangent", _CP2, lambda d: d["bundles"][0].pop("tangent"),
+     "task projective_dirac needs tangent data"),
+    ("dirac_unknown_bundle", _CP2, lambda d: d["tasks"][3].update(tangent="T2"),
+     "task projective_dirac: unknown bundle 'T2'"),
+    ("pairing_without_weights", _HOPF, lambda d: d["group"].pop("weight_system"),
+     "task atiyah_pairing needs a weight_system declaration"),
+    ("pairing_on_nontrivial_group", _HOPF,
+     lambda d: (d["group"].update(cyclic_orders=[2]), d["symbol"][0].update(character=[0])),
+     "task atiyah_pairing requires a trivial group"),
+    # tasks at run time
+    ("mms_two_components", _GAMMA4,
+     lambda d: d["symbol"].append({"character": [0], "class": "x"}),
+     "projective form requires a symbol concentrated on a single character"),
+    ("su2_negative_label", _HOPF,
+     lambda d: d["group"].update(weight_kind="su2") or d["tasks"][0].update({"lambda": -1}),
+     "su2 labels are nonnegative integers"),
+    ("integer_label_rank_two", _HOPF, _rank_two_weights, "integer label needs rank 1"),
+    ("label_arity", _HOPF,
+     lambda d: (_rank_two_weights(d), d["tasks"][0].update({"lambda": [1, 2, 3]})),
+     "label (1, 2, 3) has arity 3, expected 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,edit,message", [pytest.param(*case[1:], id=case[0]) for case in _REJECTED_DOCUMENTS]
+)
+def test_every_check_a_document_reaches_raises_scenario_error(name, edit, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run(parse_scenario(_builtin_with(edit, name)))
+
+
+def test_a_document_that_is_not_an_object_is_rejected():
+    with pytest.raises(ScenarioError, match="scenario document must be a JSON object"):
+        parse_scenario("[1]")
+
+
+def test_tangent_false_is_not_tangent_data():
+    def edit(d):
+        d["bundles"][0]["tangent"] = False
+        del d["tasks"][3], d["expect"][3]
+
+    scenario = parse_scenario(_builtin_with(edit))
+    assert scenario.tangent_name is None
 
 
 @pytest.mark.parametrize("bound", [3, 1000000, -1])
