@@ -649,7 +649,8 @@ def parse_terms(
     """Parse an expression into raw (unreduced) monomial terms of degree at
     most max_degree: integer numerators, none zero, over one positive
     denominator in lowest terms.  Terms above the bound are dropped when
-    `truncate` and raise ExpressionError otherwise.
+    `truncate` and raise ExpressionError otherwise; without `truncate` the
+    bound is at least every generator's degree, as `build_model`'s is.
 
         expr   := ['-'] term (('+'|'-') term)*
         term   := factor ('*' factor)*
@@ -753,8 +754,6 @@ def parse_terms(
             index = names.index(name)
             mono = unit[:index] + (1,) + unit[index + 1 :]
             degree_of[mono] = degrees[index]
-            if degrees[index] > max_degree and not truncate:
-                raise over_bound(mono)
             num, den, i = ({mono: 1} if degrees[index] <= max_degree else {}), 1, i + 1
         elif other == "(":
             if depth == _MAX_NESTING:

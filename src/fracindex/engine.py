@@ -13,9 +13,10 @@ degree-zero entry of that table, the coefficient of the point mass.
 
 Every bracket is a power zeta_N^k of one primitive root of unity, N the
 exponent of the center, so every class stays rational and roots of unity
-enter only where a moment or pairing is emitted.  Two independent routes
-lead to the table at a central element gamma, and every full run computes
-both and compares them exactly:
+enter only where a moment or pairing is emitted.  `full_distribution` is
+the one distribution method, a projective symbol on one character included.
+Two independent routes lead to the table at a central element gamma, and
+every full distribution computes both and compares them exactly:
 
 - direct, u * (a-hat^2 * image): the u_chi are summed into buckets U_k
   by bracket exponent k, over one denominator per gamma, each dotted with
@@ -67,10 +68,6 @@ from fracindex.scalars import (
     demote,
     root_of_unity_sum,
 )
-
-
-class EngineError(ValueError):
-    """A symbol or task request is inconsistent with the declared data."""
 
 
 class InternalConsistencyError(RuntimeError):
@@ -311,11 +308,12 @@ class IndexProblem(Frozen):
         dimension; higher monomials pair to zero by truncation), from
         integer dot products of each bucket U_k, over the lcm of their
         denominators, with the moment rows, and one conversion to the
-        cyclotomic field per moment.  `scenarios._check_max_degree` keeps
-        every bound a task or run names nonnegative."""
+        cyclotomic field per moment.  gamma is a group element as the
+        table records it: `scenarios._check_gamma` holds a task's gamma to
+        the group's exponent ranges, and `scenarios._check_max_degree`
+        keeps every bound a task or run names nonnegative."""
         if max_degree is None:
             max_degree = self.model.dimension // 2
-        gamma = self.group.reduce(tuple(gamma))
         buckets = self.reduced_integrand(gamma).items()
         buckets = [(k, u.numerators, u.denominator) for k, u in buckets]
         lcm = math.lcm(*[d for _, _, d in buckets])
@@ -393,26 +391,6 @@ class IndexProblem(Frozen):
                         f"direct {expected!r} vs recombined {demote(value)!r}"
                     )
             tables[gamma] = direct
-        return IndexDistribution(self.group, tables)
-
-    def mms_projective(self, max_degree: int | None = None) -> IndexDistribution:
-        """The distribution of a symbol concentrated on a single character,
-        as for projective elliptic operators: one identity table scaled by
-        the bracket value at each central element."""
-        if len(self.symbol.components) != 1:
-            raise EngineError(
-                "projective form requires a symbol concentrated on a single character; "
-                f"got {len(self.symbol.components)} components"
-            )
-        (chi_o,) = self.symbol.components
-        base = self.moments(self.group.identity(), max_degree)
-        order = self.group.exponent
-        tables = {}
-        for gamma in self.group.elements():
-            k = bracket_exponent(self.group, chi_o, gamma)
-            values = {key: root_of_unity_sum(order, {k: v.numerator}, v.denominator)
-                      for key, v in base.values.items()}
-            tables[gamma] = MomentTable(gamma, base.generator_names, values)
         return IndexDistribution(self.group, tables)
 
     def atiyah_pairing(self, system: WeightSystem, label) -> Fraction:

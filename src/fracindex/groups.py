@@ -47,11 +47,6 @@ class FiniteAbelianGroup(Frozen):
     def identity(self) -> Element:
         return (0,) * len(self.cyclic_orders)
 
-    def reduce(self, element: Sequence[int]) -> Element:
-        """Each exponent modulo its order; one exponent per factor, as the
-        scenario parser's `contains` check holds for every task's gamma."""
-        return tuple(int(e) % n for e, n in zip(element, self.cyclic_orders))
-
     def contains(self, element: Sequence[int]) -> bool:
         return len(element) == len(self.cyclic_orders) and all(
             0 <= int(e) < n for e, n in zip(element, self.cyclic_orders)

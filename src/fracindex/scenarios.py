@@ -12,7 +12,8 @@ as true; every name, `group.weight_kind`, relation side and fundamental
 monomial takes a JSON string, never a value rendered with str().  The
 orientation `manifold.fundamental[1]` is a JSON integer or a string "p" or
 "p/q" of digits as expressions read numbers; a float is refused.  Bundles
-used as tangent data must declare roots, Chern or Pontryagin classes.
+used as tangent data must declare roots, Chern or Pontryagin classes.  An
+`mms_projective` task needs a symbol on exactly one nonzero character.
 
 Three caps keep every document's run bounded:
 
@@ -49,7 +50,6 @@ from fracindex.cohomology import (
     parse_expression,
 )
 from fracindex.engine import (
-    EngineError,
     IndexDistribution,
     IndexProblem,
     MomentTable,
@@ -449,6 +449,14 @@ def _check_tangent(scenario: Scenario, task: dict, path: str) -> None:
     _check_tangent_data(scenario.bundles, name)
 
 
+def _check_single_character(scenario: Scenario, task: dict, path: str) -> None:
+    if len(scenario.symbol.components) != 1:
+        raise ScenarioError(
+            f"{path}: task mms_projective requires a symbol concentrated on a single nonzero "
+            f"character; got {len(scenario.symbol.components)} components"
+        )
+
+
 def _check_label(scenario: Scenario, task: dict, path: str) -> None:
     if scenario.weight_system is None:
         raise ScenarioError("task atiyah_pairing needs a weight_system declaration")
@@ -466,11 +474,15 @@ def _projective_dirac(scenario: Scenario, problem: IndexProblem, task: dict, bou
 #: Each task op: the checks its fields pass at parse time, each called as
 #: check(scenario, task, path), and its handler, called as
 #: handler(scenario, problem, task, bound) with the moment cutoff in force.
+#: mms_projective, the projective case, is full_distribution restricted to
+#: symbols on a single character, which its check enforces at parse time.
 _OPS: dict[str, tuple[tuple[Callable, ...], Callable]] = {
     "fractional_index": ((_check_gamma,), lambda s, p, task, b: p.fractional_index(task["gamma"])),
     "moments": ((_check_gamma, _check_bound), lambda s, p, task, b: p.moments(task["gamma"], b)),
     "full_distribution": ((_check_bound,), lambda s, p, task, b: p.full_distribution(b)),
-    "mms_projective": ((_check_bound,), lambda s, p, task, b: p.mms_projective(b)),
+    "mms_projective": (
+        (_check_bound, _check_single_character), lambda s, p, task, b: p.full_distribution(b)
+    ),
     "projective_dirac": ((_check_bound, _check_tangent), _projective_dirac),
     "atiyah_pairing": (
         (_check_label,), lambda s, p, task, b: p.atiyah_pairing(s.weight_system, task["lambda"])
@@ -557,7 +569,7 @@ def run(
     results: list[TaskResult] = []
     for index, task in enumerate(scenario.tasks):
         if task_filter is not None:
-            if task_filter.isdigit():
+            if task_filter.isdecimal():
                 if index != int(task_filter):
                     continue
             elif task.get("op") != task_filter:
@@ -567,7 +579,7 @@ def run(
         bound = max_degree if max_degree is not None else task.get("max_degree")
         try:
             payload = handle(scenario, problem, task, bound)
-        except (EngineError, GroupError) as exc:
+        except GroupError as exc:
             raise ScenarioError(f"{scenario.name}: task {index} ({op}): {exc}") from exc
         results.append(TaskResult(scenario.name, index, task, payload))
     return results

@@ -465,8 +465,8 @@ def chern_character(bundle):
 def bracket_exponent_by_reduction(group, character, element) -> int:
     """The duality pairing as an exponent mod the group exponent N, with
     both tuples reduced modulo the cyclic orders first."""
-    chi = group.reduce(character)
-    g = group.reduce(element)
+    chi = [k % order for k, order in zip(character, group.cyclic_orders)]
+    g = [e % order for e, order in zip(element, group.cyclic_orders)]
     n = group.exponent
     return sum(k * e * (n // order) for k, e, order in zip(chi, g, group.cyclic_orders)) % n
 

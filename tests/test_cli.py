@@ -47,6 +47,18 @@ def test_task_selects_by_op_and_by_index(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "task,out",
+    [("²", "\n"), ("٠", "scenario: point_trivial\n[0] fractional_index gamma=() = 1\n")],
+    ids=["superscript_two", "arabic_indic_zero"],
+)
+def test_task_index_is_a_decimal_number(task, out, capsys):
+    # "²" passes str.isdigit but int() cannot read it: it selects like an
+    # unknown op name, and runs nothing
+    assert main(["run", "builtin:point_trivial", "--task", task]) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("bound", ["3", "-1"])
 def test_max_degree_above_half_the_dimension_exits_2(bound, capsys):
     assert main(["run", "builtin:cp2_projective_dirac", "--max-degree", bound]) == 2

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fracindex.characteristic import BundleData, a_hat
 from fracindex.cohomology import CohClass, build_model, parse_expression, scalar_class
 from fracindex.engine import (
-    EngineError,
     IndexProblem,
     InternalConsistencyError,
     SymbolData,
@@ -26,7 +25,7 @@ from fracindex.groups import (
     bracket_exponent,
     chern_weil_eval,
 )
-from fracindex.scalars import Cyclotomic
+from fracindex.scalars import Cyclotomic, demote
 from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
 
 from oracles import (
@@ -329,8 +328,6 @@ def test_reconstruction_identity_explicit():
                 )
                 weight = bracket(group, chi, gamma)
                 combined = combined + weight * restricted.moments(group.identity()).values[key]
-            from fracindex.scalars import demote
-
             assert demote(combined) == direct.values[key]
 
 
@@ -339,11 +336,16 @@ def test_reconstruction_identity_explicit():
 
 
 def test_projective_single_character_matches_full():
+    # the projective form: the identity table scaled by the bracket at gamma
     cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([3])
     symbol = SymbolData(group, {(1,): parse_expression("x^2 + 1", cp2)})
     problem = IndexProblem(cp2, group, (), symbol)
-    assert problem.mms_projective().tables == problem.full_distribution().tables
+    dist = problem.full_distribution()
+    base = dist.tables[group.identity()].values
+    for gamma, table in dist.tables.items():
+        weight = bracket(group, (1,), gamma)
+        assert table.values == {key: demote(weight * value) for key, value in base.items()}
 
 
 def test_projective_bracket_masses_z3():
@@ -351,7 +353,7 @@ def test_projective_bracket_masses_z3():
     group = FiniteAbelianGroup([3])
     symbol = SymbolData(group, {(1,): scalar_class(pt, Fraction(5, 7))})
     problem = IndexProblem(pt, group, (), symbol)
-    dist = problem.mms_projective()
+    dist = problem.full_distribution()
     zeta = Cyclotomic.root_of_unity(3)
     assert dist.tables[(0,)].mass() == Fraction(5, 7)
     assert dist.tables[(1,)].mass() == Fraction(5, 7) * zeta
@@ -367,16 +369,7 @@ def test_projective_mass_balance(order):
     tangent = projective_tangent(cp2)
     genus = a_hat(tangent)
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
-    assert sum(table.mass() for table in problem.mms_projective().tables.values()) == 0
-
-
-def test_projective_requires_single_component():
-    cp2 = projective_model(x=2)
-    group = FiniteAbelianGroup([2])
-    symbol = SymbolData(group, {(0,): cp2.one(), (1,): cp2.one()})
-    problem = IndexProblem(cp2, group, (), symbol)
-    with pytest.raises(EngineError, match="single character"):
-        problem.mms_projective()
+    assert sum(table.mass() for table in problem.full_distribution().tables.values()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +502,13 @@ def test_mms_projective_matches_bracket_oracle(cyclic_orders, character):
         problem.model, group, problem.generators, SymbolData(group, {character: u}),
         problem.a_hat_squared,
     )
-    distribution = problem.mms_projective()
+    distribution = problem.full_distribution()
     assert list(distribution.tables) == group.elements()
     for gamma, table in distribution.tables.items():
         for key, value in table.values.items():
             expected = _oracle_moment(problem, gamma, key)
             assert value == expected
             assert isinstance(value, Fraction) == expected.is_rational()
-    assert distribution.tables == problem.full_distribution().tables
 
 
 @pytest.mark.parametrize("cyclic_orders", [[5], [2]])
@@ -537,6 +529,22 @@ def test_perturbed_per_character_table_is_caught(monkeypatch, cyclic_orders):
     monkeypatch.setattr(IndexProblem, "_character_columns", perturbed)
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         problem.full_distribution()
+
+
+def test_perturbed_per_character_table_is_caught_in_an_mms_projective_task(monkeypatch):
+    original = IndexProblem._character_columns
+
+    def perturbed(self, max_degree):
+        # every entry of the single character's column, plus 1/7
+        columns = original(self, max_degree)
+        for key, (numerators, den) in columns.items():
+            columns[key] = ([7 * n + den for n in numerators], 7 * den)
+        return columns
+
+    monkeypatch.setattr(IndexProblem, "_character_columns", perturbed)
+    scenario = parse_scenario(builtin_scenario_text("gamma4_character_sum"))
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        run(scenario)
 
 
 def test_faulty_root_conversion_is_caught(monkeypatch):

@@ -53,8 +53,10 @@ def test_trivial_group():
 
 def test_group_arithmetic():
     group = FiniteAbelianGroup([4])
-    assert group.reduce((-1,)) == (3,)
-    assert group.reduce((9,)) == (1,)
+    for raw, reduced in [((-1,), (3,)), ((9,), (1,))]:
+        assert tuple(e % n for e, n in zip(raw, group.cyclic_orders)) == reduced
+        assert group.contains(reduced) and not group.contains(raw)
+        assert bracket_exponent(group, (1,), raw) == bracket_exponent(group, (1,), reduced)
 
 
 def test_bracket_identity_is_one():
@@ -87,7 +89,7 @@ def test_bracket_bilinearity():
     rng = random.Random(31)
 
     def plus(a, b):
-        return group.reduce(tuple(x + y for x, y in zip(a, b)))
+        return tuple((x + y) % n for x, y, n in zip(a, b, group.cyclic_orders))
 
     for _ in range(20):
         chi1 = tuple(rng.randrange(n) for n in group.cyclic_orders)

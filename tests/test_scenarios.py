@@ -277,10 +277,14 @@ _REJECTED_DOCUMENTS = [
     ("pairing_on_nontrivial_group", _HOPF,
      lambda d: (d["group"].update(cyclic_orders=[2]), d["symbol"][0].update(character=[0])),
      "task atiyah_pairing requires a trivial group"),
-    # tasks at run time
     ("mms_two_components", _GAMMA4,
      lambda d: d["symbol"].append({"character": [0], "class": "x"}),
-     "projective form requires a symbol concentrated on a single character"),
+     "tasks[0]: task mms_projective requires a symbol concentrated on a single nonzero "
+     "character; got 2 components"),
+    ("mms_zero_symbol", _GAMMA4, lambda d: d["symbol"][0].update({"class": "0"}),
+     "tasks[0]: task mms_projective requires a symbol concentrated on a single nonzero "
+     "character; got 0 components"),
+    # tasks at run time
     ("su2_negative_label", _HOPF,
      lambda d: d["group"].update(weight_kind="su2") or d["tasks"][0].update({"lambda": -1}),
      "su2 labels are nonnegative integers"),
@@ -401,6 +405,72 @@ def test_projective_dirac_index_on_cp2k_is_the_closed_form():
         assert plus.mass() == Fraction((-1) ** k * math.comb(2 * k, k), 16**k)
         assert len(plus.values) == math.comb(n + 2, 2)
         assert minus.values == {key: -value for key, value in plus.values.items()}
+
+
+def _distribution_tasks(edit=None):
+    """The edit, then the two distribution tasks of the CP^2 built-in."""
+
+    def apply(d):
+        if edit is not None:
+            edit(d)
+        d.update(tasks=[{"op": "projective_dirac"}, {"op": "full_distribution"}], expect=None)
+
+    return apply
+
+
+def _two_generator_cp2(rhs, orientation):
+    """CP^2 with p = x^2 (rhs "p") or p = 2x^2 (rhs "1/2*p") a generator of
+    its own: the relation x^2 -> rhs fires at the dimension."""
+    return lambda d: d["manifold"].update(
+        generators=[["x", 2], ["p", 4]], relations=[["x^2", rhs], ["p^2", "0"]],
+        fundamental=["p", orientation],
+    )
+
+
+_VECTOR_LABELS = [[0, 0], [1, 1], [2, 3], [-1, 2], [3, -2]]
+
+
+def _product_cp1(d):
+    """(CP^1)^2 with line classes x and y, symbol 1 and vector labels."""
+    d["manifold"].update(
+        dimension=4, generators=[["x", 2], ["y", 2]], relations=[["x^2", "0"], ["y^2", "0"]],
+        fundamental=["x*y", "1"],
+    )
+    d["group"]["weight_system"] = [
+        {"weight": [1, 0], "line_class": "x"}, {"weight": [0, 1], "line_class": "y"},
+    ]
+    d["symbol"][0].update({"class": "1"})
+    d.update(tasks=[{"op": "atiyah_pairing", "lambda": label} for label in _VECTOR_LABELS],
+             expect=None)
+
+#: Documents that reach model, genus and label paths no built-in reaches:
+#: (id, built-in, edit, and the payloads expected, or the edit of the same
+#: built-in whose payloads must come out the same).
+_ROUTE_DOCUMENTS = [
+    ("relation_below_dimension", _CP2, _distribution_tasks(_two_generator_cp2("p", "1")),
+     _distribution_tasks()),
+    ("rational_structure_constant", _CP2, _distribution_tasks(_two_generator_cp2("1/2*p", "2")),
+     _distribution_tasks()),
+    ("pontryagin_genus", _CP2,
+     _distribution_tasks(lambda d: d["bundles"][0].update(pontryagin=["3*x^2"]) or
+                         d["bundles"][0].pop("chern_roots")),
+     _distribution_tasks()),
+    ("su2_label", _HOPF,
+     lambda d: d["group"].update(weight_kind="su2")
+     or d.update(tasks=[{"op": "atiyah_pairing", "lambda": n} for n in range(4)], expect=None),
+     [{"value": str(n + 1)} for n in range(4)]),
+    ("torus_vector_label", _HOPF, _product_cp1, [{"value": str(a * b)} for a, b in _VECTOR_LABELS]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,edit,reference", [pytest.param(*case[1:], id=case[0]) for case in _ROUTE_DOCUMENTS]
+)
+def test_documents_reach_the_presentation_genus_and_label_routes(name, edit, reference):
+    results = run(parse_scenario(_builtin_with(edit, name)))
+    if callable(reference):
+        reference = [r.payload_json() for r in run(parse_scenario(_builtin_with(reference, name)))]
+    assert [result.payload_json() for result in results] == reference
 
 
 def test_deeply_nested_parentheses_in_a_class_raise_scenario_error():
