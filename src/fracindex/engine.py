@@ -12,8 +12,9 @@ generator images and degree bound.  The fractional index at gamma is the
 degree-zero entry of that table, the coefficient of the point mass.
 
 Every bracket is a power zeta_N^k of one primitive root of unity, N the
-exponent of the center, so every class stays rational and roots of unity
-enter only where a moment or pairing is emitted.  `full_distribution` is
+exponent of the center, so every class stays rational.  Roots of unity
+enter only through `scalars.power_residues`, for every N, N <= 2 included,
+and only where a moment is emitted or compared.  `full_distribution` is
 the one distribution method, a projective symbol on one character included.
 Two independent routes lead to the table at a central element gamma, and
 every full distribution computes both and compares them exactly:
@@ -27,11 +28,10 @@ every full distribution computes both and compares them exactly:
   the identity are kept as one integer column per key over one
   denominator, entry chi; per gamma, each key gathers one integer vector
   of length deg Phi_N, to which every bracket exponent k adds its column
-  sum times the integer numerators of the bracket zeta_N^k (the int (-1)^k
-  when N <= 2, where the direct route takes the sign from k's parity).
-  One Cyclotomic per (gamma, key), a Fraction when N <= 2, is built from
-  that vector and compared in field arithmetic with the direct moment
-  times the column denominator.
+  sum times the integer numerators of the bracket zeta_N^k.  The vector is
+  compared with the direct moment times the column denominator: in
+  integers when the direct moment is rational, in field arithmetic
+  otherwise.
 
 The routes associate the product differently and so read different
 entries of the model's product table: a disagreement catches a wrong
@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
-from fracindex.cohomology import CohClass, ManifoldModel, Monomial, _class, class_sum, monomial_name
+from fracindex.cohomology import CohClass, ManifoldModel, Monomial, class_sum, monomial_name
 from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
@@ -58,7 +58,6 @@ from fracindex.groups import (
     bracket_exponent,
     character_jet,
     chern_weil_eval,
-    graded_order,
 )
 from fracindex.scalars import (
     Cyclotomic,
@@ -95,8 +94,9 @@ class SymbolData(Frozen):
 
 class MomentTable(Frozen):
     """Exact pairings of the invariant distribution at one central element
-    against monomials in the declared generators, keyed by exponent tuple
-    and ordered by (total degree, lexicographic)."""
+    against monomials in the declared generators, keyed by exponent tuple.
+    The values are kept as given, and come in graded order: the engine
+    builds them by `chern_weil_eval`'s image order."""
 
     __slots__ = ("gamma", "generator_names", "values")
 
@@ -106,10 +106,9 @@ class MomentTable(Frozen):
         generator_names: Sequence[str],
         values: Mapping[MomentKey, Scalar],
     ) -> None:
-        ordered = {key: values[key] for key in graded_order(values)}
         object.__setattr__(self, "gamma", tuple(gamma))
         object.__setattr__(self, "generator_names", tuple(generator_names))
-        object.__setattr__(self, "values", ordered)
+        object.__setattr__(self, "values", values)
 
     def mass(self) -> Scalar:
         """The degree-zero moment: the coefficient of the point mass."""
@@ -134,14 +133,14 @@ class MomentTable(Frozen):
 
 class IndexDistribution(Frozen):
     """The index distribution: one moment table per element of the finite
-    center, ordered lexicographically by exponent tuple."""
+    center.  The tables are kept as given, and come in lexicographic
+    exponent order: the engine builds them by `group.elements()`."""
 
     __slots__ = ("group", "tables")
 
     def __init__(self, group: FiniteAbelianGroup, tables: Mapping[Element, MomentTable]) -> None:
-        ordered = {gamma: tables[gamma] for gamma in sorted(tables)}
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "tables", ordered)
+        object.__setattr__(self, "tables", tables)
 
     def __eq__(self, other):
         if not isinstance(other, IndexDistribution):
@@ -157,8 +156,9 @@ class IndexProblem(Frozen):
     finite center, the declared invariant generators, the symbol, and the
     square of the tangent a-hat class.  Monomial images are kept once per
     model as integers, moment rows once per problem and degree bound, and
-    the integral of each basis monomial against an image once per call
-    that needs it.  Both routes carry integers over one denominator and
+    the integral of each product of two basis monomials once per problem
+    (a table per model would outlive a change to the model's product
+    table).  Both routes carry integers over one denominator and
     build a Fraction or Cyclotomic only where a moment is emitted or
     compared.  The symbol is over `group`, every class lives on `model`,
     and generator names are distinct: `scenarios.parse_scenario` reads a
@@ -171,6 +171,7 @@ class IndexProblem(Frozen):
         "symbol",
         "a_hat_squared",
         "_row_cache",
+        "_duals",
     )
 
     def __init__(
@@ -189,6 +190,7 @@ class IndexProblem(Frozen):
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "a_hat_squared", a_hat_squared)
         object.__setattr__(self, "_row_cache", {})
+        object.__setattr__(self, "_duals", {})
 
     @classmethod
     def with_tangent(
@@ -249,15 +251,14 @@ class IndexProblem(Frozen):
             return rows
         model = self.model
         support = sorted({m for u in self.symbol.components.values() for m in u.numerators})
-        points = {m: CohClass(model, {m: 1}) for m in support}
-        integrals: dict[Monomial, dict[Monomial, Fraction]] = {}
+        points = [{m: 1} for m in support]
         columns: dict[Monomial, tuple[list[int], int]] = {}
         rows = {}
         for key, image, image_den in self._monomial_images(max_degree):
             for i in image:
                 if i not in columns:
                     weighted = self.a_hat_squared * CohClass(model, {i: 1})
-                    columns[i] = _column(list(self._pairings(weighted, points, integrals).values()))
+                    columns[i] = self._pairings(weighted, points)
             den = math.lcm(*[columns[i][1] for i in image])
             values = [0] * len(support)
             for i, n in image.items():
@@ -269,38 +270,39 @@ class IndexProblem(Frozen):
         self._row_cache[max_degree] = rows
         return rows
 
-    def _pairings(self, integrand: CohClass, targets: Mapping, duals: dict) -> dict:
-        """The integral of integrand * target for every homogeneous target
-        class, by the target's label, as an integer pair (numerator,
-        positive denominator), not in lowest terms.
+    def _pairings(
+        self, integrand: CohClass, targets: Sequence[Mapping[Monomial, int]]
+    ) -> tuple[list[int], int]:
+        """The integral of integrand * target for every target, given by its
+        integer numerators {monomial: n} (its denominator is the caller's),
+        as one integer column over one denominator (`_column`).
 
-        Relations are degree-homogeneous, so only integrand terms of the
-        degree complementary to the target reach the fundamental class; each
-        such term contributes its integer numerator times the integral of
-        the target times its monomial, kept in duals[label][monomial], and
-        the terms are summed over the lcm of those integrals' denominators."""
-        model = self.model
+        Relations are degree-homogeneous, so a target monomial m pairs only
+        with the integrand terms of the complementary degree; each such term
+        n contributes its numerator times the integral of m * n, read from
+        the problem's table `_duals`, and the terms are summed over the lcm
+        of those integrals' denominators."""
+        model, duals = self.model, self._duals
         by_degree: dict[int, list[tuple[Monomial, int]]] = {}
         for mono, n in integrand.numerators.items():
-            by_degree.setdefault(model.monomial_degree(mono), []).append((mono, n))
-        den = integrand.denominator
-        values = {}
-        for label, target in targets.items():
-            # no integrand term has the degree dimension + 1 a zero target gets
-            degree = model.dimension - max(map(model.monomial_degree, target.numerators), default=-1)
-            cache = duals.setdefault(label, {})
-            num, dual_den = 0, 1
-            for mono, n in by_degree.get(degree, ()):
-                dual = cache.get(mono)
-                if dual is None:
-                    dual = cache[mono] = (target * CohClass(model, {mono: 1})).integrate()
-                q = dual.denominator
-                if dual_den % q:
-                    grow = q // math.gcd(dual_den, q)
-                    num, dual_den = num * grow, dual_den * grow
-                num += n * dual.numerator * (dual_den // q)
-            values[label] = (num, den * dual_den)
-        return values
+            degree = model.dimension - model.monomial_degree(mono)
+            by_degree.setdefault(degree, []).append((mono, n))
+        pairs = []
+        for target in targets:
+            num, den = 0, 1
+            for m, t in target.items():
+                for mono, n in by_degree.get(model.monomial_degree(m), ()):
+                    dual = duals.get((m, mono))
+                    if dual is None:
+                        product = CohClass(model, {m: 1}) * CohClass(model, {mono: 1})
+                        dual = duals[m, mono] = product.integrate()
+                    q = dual.denominator
+                    if den % q:
+                        grow = q // math.gcd(den, q)
+                        num, den = num * grow, den * grow
+                    num += t * n * dual.numerator * (den // q)
+            pairs.append((num, den * integrand.denominator))
+        return _column(pairs)
 
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
         """The moment table at gamma: pairings against all generator
@@ -332,14 +334,16 @@ class IndexProblem(Frozen):
         moment image: one integer column per moment key, in graded order,
         with entry j for the j-th symbol component, over one denominator in
         lowest terms.  All rational."""
-        model = self.model
-        images = {k: _class(model, num, den) for k, num, den in self._monomial_images(max_degree)}
-        duals: dict = {}
+        images = self._monomial_images(max_degree)
+        targets = [image for _, image, _ in images]
         pairings = [
-            self._pairings(self.a_hat_squared * u_chi, images, duals)
+            self._pairings(self.a_hat_squared * u_chi, targets)
             for u_chi in self.symbol.components.values()
         ]
-        return {key: _column([p[key] for p in pairings]) for key in images}
+        return {
+            key: _column([(column[j], d * image_den) for column, d in pairings])
+            for j, (key, _, image_den) in enumerate(images)
+        }
 
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:
         """Moment tables at every central element.
@@ -348,11 +352,12 @@ class IndexProblem(Frozen):
         the moment rows) and is recomputed from the per-character columns at
         the identity, read once per run: per moment key, one integer vector
         of length deg Phi_N gathers, for each bracket exponent k, the column
-        sum s_k times the numerators of the bracket zeta_N^k (a genuine root
-        of unity, denominator 1; the int (-1)^k when N <= 2).  One value per
-        (gamma, key) is then compared with the direct moment times the
-        column denominator, a Cyclotomic difference tested for zero when
-        N > 2.  Disagreement raises InternalConsistencyError.
+        sum s_k times the numerators of the bracket zeta_N^k (a root of
+        unity read from `power_residues`, denominator 1), for every N.  One
+        vector per (gamma, key) is then compared with the direct moment
+        times the column denominator: in integers when the direct moment is
+        a Fraction, as a Cyclotomic difference tested for zero otherwise.
+        Disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
             max_degree = self.model.dimension // 2
@@ -367,10 +372,9 @@ class IndexProblem(Frozen):
             for j, chi in enumerate(characters):
                 groups.setdefault(bracket_exponent(self.group, chi, gamma), []).append(j)
             recombined = {key: [0] * width for key in columns}
-            for k, members in groups.items():
+            for members in groups.values():
                 # a root of unity: integer numerators over the denominator 1
-                chi = characters[members[0]]
-                root = ((-1) ** k,) if order <= 2 else bracket(self.group, chi, gamma).numerators
+                root = bracket(self.group, characters[members[0]], gamma).numerators
                 for key, (numerators, _) in columns.items():
                     total = sum([numerators[j] for j in members])
                     if total:
@@ -379,16 +383,17 @@ class IndexProblem(Frozen):
                             vector[i] += total * r
             for key, expected in direct.values.items():
                 vector, den = recombined[key], columns[key][1]
-                if order <= 2:
-                    agree = vector[0] * expected.denominator == expected.numerator * den
+                if isinstance(expected, Fraction):
+                    p, q = expected.numerator, expected.denominator
+                    agree = not any(vector[1:]) and vector[0] * q == p * den
                 else:
                     agree = (Cyclotomic(order, vector) - expected * den).is_zero()
                 if not agree:
-                    value = Fraction(vector[0], den) if order <= 2 else Cyclotomic(order, vector, den)
                     raise InternalConsistencyError(
                         "distribution routes disagree at gamma="
                         f"{gamma}, monomial {monomial_name(direct.generator_names, key)}: "
-                        f"direct {expected!r} vs recombined {demote(value)!r}"
+                        f"direct {expected!r} vs recombined "
+                        f"{demote(Cyclotomic(order, vector, den))!r}"
                     )
             tables[gamma] = direct
         return IndexDistribution(self.group, tables)

@@ -5,13 +5,14 @@ Everything here is exact.  Rational scalars are `fractions.Fraction`;
 cyclotomic scalars are residues modulo the N-th cyclotomic polynomial,
 stored as integer numerators over one positive denominator in lowest
 terms.  Phi_N is monic with integer coefficients, built by integer long
-division of t^N - 1 by Phi_d for every proper divisor d.  Sums and
+division of t^N - 1 by Phi_d for every proper divisor d.  Roots of unity
+enter only through `power_residues`, whose integer row k is t^k modulo
+Phi_N, for every order N, N <= 2 (zeta = +-1) included.  Sums and
 products of cyclotomic scalars are integer work: t^k for k >= deg(Phi_N)
-folds in as the integer row k of `power_residues`, and one gcd pass
-reduces each result.  `root_of_unity_sum` takes integer weights over one
-denominator and adds rows of the same table; it builds no Cyclotomic when
-the sum is rational, and for N <= 2 (zeta = +-1) one Fraction of the
-signed sum.  No float ever enters or leaves this module.
+folds in as row k of that table, and one gcd pass reduces each result.
+`root_of_unity_sum` takes integer weights over one denominator and adds
+rows of the same table; it builds no Cyclotomic when the sum is rational.
+No float ever enters or leaves this module.
 
 The one-root a-hat series (x/2)/sinh(x/2) and its log are read from two
 separate Bernoulli closed forms, neither derived from the other, so the
@@ -103,35 +104,18 @@ def power_residues(order: int) -> tuple[tuple[int, ...], ...]:
 
 def root_of_unity_sum(order: int, weights: Mapping[int, int], denominator: int = 1) -> Scalar:
     """sum_k weights[k] * zeta^k / denominator for zeta a primitive order-th
-    root of unity: integer weights (Fractions go over their lcm first) add
-    up rows of `power_residues`, and `denominator` enters once.  A rational
-    sum is returned as a Fraction without building a Cyclotomic; for order
-    <= 2 (zeta = +-1, the field is Q) it is one Fraction of the signed sum."""
-    if order <= 2:
-        return Fraction(sum([-w if k % order else w for k, w in weights.items()]), denominator)
+    root of unity: integer weights (Fractions go over their lcm first) times
+    row k % order of `power_residues`, and `denominator` enters once.  A
+    rational sum is returned as a Fraction without building a Cyclotomic."""
     numerators, den = common_denominator(list(weights.values()))
-    poly = [0] * order
-    for k, n in zip(weights, numerators):
-        poly[k % order] += n
-    poly = _fold(order, poly)
-    if not any(poly[1:]):
-        return Fraction(poly[0], den * denominator)
-    return Cyclotomic(order, poly, den * denominator)
-
-
-def _fold(order: int, poly: list[int]) -> list[int]:
-    """Reduce integer coefficients (ascending) modulo the order-th
-    cyclotomic polynomial in place: t^k for k >= deg(Phi_order) adds row
-    k % order of `power_residues`."""
     residues = power_residues(order)
-    deg = len(residues[0])
-    for k in range(deg, len(poly)):
-        if poly[k]:
-            for i, r in enumerate(residues[k % order]):
-                poly[i] += r * poly[k]
-    del poly[deg:]
-    poly += [0] * (deg - len(poly))
-    return poly
+    vector = [0] * len(residues[0])
+    for k, w in zip(weights, numerators):
+        for i, r in enumerate(residues[k % order]):
+            vector[i] += w * r
+    if not any(vector[1:]):
+        return Fraction(vector[0], den * denominator)
+    return Cyclotomic(order, vector, den * denominator)
 
 
 class Cyclotomic(Frozen):
@@ -160,8 +144,16 @@ class Cyclotomic(Frozen):
                 poly, scale = common_denominator(poly)
                 denominator *= scale
                 break
-        if len(poly) != len(cyclotomic_polynomial(order)) - 1:
-            poly = _fold(order, poly)
+        residues = power_residues(order)
+        deg = len(residues[0])
+        if len(poly) != deg:
+            # t^k for k >= deg adds row k % order of the residues
+            folded = poly[:deg] + [0] * (deg - len(poly))
+            for k in range(deg, len(poly)):
+                if poly[k]:
+                    for i, r in enumerate(residues[k % order]):
+                        folded[i] += r * poly[k]
+            poly = folded
         g = math.gcd(denominator, *poly)
         if g != 1:
             poly, denominator = [c // g for c in poly], denominator // g

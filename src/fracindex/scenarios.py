@@ -15,7 +15,7 @@ orientation `manifold.fundamental[1]` is a JSON integer or a string "p" or
 used as tangent data must declare roots, Chern or Pontryagin classes.  An
 `mms_projective` task needs a symbol on exactly one nonzero character.
 
-Three caps keep every document's run bounded:
+Four caps keep every document's run bounded:
 
 - The group exponent, the lcm of `group.cyclic_orders`, is capped at
   MAX_GROUP_EXPONENT (1000): every emitted value lives in the cyclotomic
@@ -28,6 +28,14 @@ Three caps keep every document's run bounded:
   invariant generator has s_degree >= 1, so every moment monomial of
   higher total degree has an image above the dimension and pairs to zero,
   while the number of monomials grows without bound.
+- An `atiyah_pairing` label under `group.weight_kind` "su2" is capped at
+  MAX_SU2_LABEL (5000): highest weight lambda has lambda + 1 weights, each
+  one exponential of the line class, so time grows linearly with the
+  label; at the cap a pairing on CP^16 takes about 1.3 s (Intel Xeon,
+  one core), and CP^1 about 0.25 s.
+
+A scenario file must be UTF-8 text; other bytes raise a ScenarioError
+naming the file and the offset of the first byte that does not decode.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from fracindex.scalars import Frozen, Scalar, scalar_to_json
 #: docstring).
 MAX_GROUP_EXPONENT = 1000
 MAX_GROUP_ORDER = 1000
+MAX_SU2_LABEL = 5000
 
 
 class ScenarioError(ValueError):
@@ -464,6 +473,8 @@ def _check_label(scenario: Scenario, task: dict, path: str) -> None:
         raise ScenarioError("task atiyah_pairing requires a trivial group")
     label = _need(task, "lambda", "task atiyah_pairing")
     (_int_list if isinstance(label, list) else _int)(label, f"{path}.lambda")
+    if scenario.weight_system.kind == "su2" and isinstance(label, int) and label > MAX_SU2_LABEL:
+        raise ScenarioError(f"{path}.lambda: su2 label {label} exceeds the cap of {MAX_SU2_LABEL}")
 
 
 def _projective_dirac(scenario: Scenario, problem: IndexProblem, task: dict, bound):
@@ -546,8 +557,17 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    """Read a scenario file as UTF-8 text, newlines translated as text mode
+    does, and parse it."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    return parse_scenario(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # ---------------------------------------------------------------------------

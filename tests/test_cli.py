@@ -94,12 +94,15 @@ def test_expectation_mismatch_exits_1(tmp_path, capsys):
         ("builtin:no_such_scenario", "unknown built-in scenario"),
         ("{missing}", "No such file"),
         ("{bad}", "parse error"),
+        ("{binary}", "binary.json: not UTF-8 text: byte 0xff at offset 0"),
     ],
 )
 def test_unreadable_scenario_exits_2(target, message, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    (tmp_path / "binary.json").write_bytes(b"\xff{}")
     target = target.replace("{missing}", str(tmp_path / "missing.json")).replace("{bad}", str(bad))
+    target = target.replace("{binary}", str(tmp_path / "binary.json"))
     assert main(["run", target]) == 2
     out, err = capsys.readouterr()
     assert out == ""

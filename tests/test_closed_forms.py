@@ -6,8 +6,11 @@ e^((t - (n+1)/2) x), so its integral is the Euler characteristic of
 O(t - (n+1)/2): the binomial polynomial C(t + (n-1)/2, n).  The moment of
 the projective Dirac distribution at L^k, L with image x, is therefore
 k! [t^k] C(t + (n-1)/2, n) at the identity, and its negative at the
-nontrivial element of the center.  On (CP^1)^k the a-hat class is 1 and
-the only nonzero integral of a power of L = sum c_i x_i is the top one.
+nontrivial element of the center; with image a*x it scales by a^k.  The
+expected values use no root of unity, so at the center Z/2 they check
+the sign the engine reads from `power_residues`.  On (CP^1)^k the a-hat
+class is 1 and the only nonzero integral of a power of L = sum c_i x_i is
+the top one.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pytest
 from fracindex.scenarios import parse_scenario, run
 
 
+_IMAGE_SCALES = [Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-1, 3)]
 _COEFFICIENTS = [Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(5), Fraction(-1, 3), Fraction(7)]
 
 
@@ -33,7 +37,7 @@ def _binomial_polynomial(shift: Fraction, n: int) -> list[Fraction]:
     return [c / math.perm(n) for c in coeffs]
 
 
-def _cpn_document(n: int) -> str:
+def _cpn_document(n: int, a: Fraction) -> str:
     chern = [f"{math.comb(n + 1, i)}*x^{i}" for i in range(1, n + 1)]
     return json.dumps({
         "name": f"cp{n}",
@@ -49,7 +53,7 @@ def _cpn_document(n: int) -> str:
         ],
         "group": {
             "cyclic_orders": [2],
-            "invariant_generators": [{"name": "L", "s_degree": 1, "image": "x"}],
+            "invariant_generators": [{"name": "L", "s_degree": 1, "image": f"({a})*x"}],
         },
         "tasks": [
             {"op": "projective_dirac", "max_degree": n},
@@ -61,11 +65,12 @@ def _cpn_document(n: int) -> str:
 @pytest.mark.parametrize("n", [*range(1, 9), 12, 16, 24])
 def test_projective_dirac_moments_on_cpn_are_binomial_coefficients(n):
     polynomial = _binomial_polynomial(Fraction(n - 1, 2), n)
-    expected = {(k,): math.perm(k) * polynomial[k] for k in range(n + 1)}
-    for result in run(parse_scenario(_cpn_document(n))):  # genus by roots, then by Chern classes
-        tables = result.payload.tables
-        assert tables[(0,)].values == expected
-        assert tables[(1,)].values == {key: -value for key, value in expected.items()}
+    for a in _IMAGE_SCALES:  # L with image a*x: the moment at L^k scales by a^k
+        expected = {(k,): a**k * math.perm(k) * polynomial[k] for k in range(n + 1)}
+        for result in run(parse_scenario(_cpn_document(n, a))):  # genus by roots, then by Chern classes
+            tables = result.payload.tables
+            assert tables[(0,)].values == expected
+            assert tables[(1,)].values == {key: -value for key, value in expected.items()}
 
 
 @pytest.mark.parametrize("k", range(1, 7))

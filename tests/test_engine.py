@@ -641,10 +641,11 @@ def test_corrupted_structure_constant_is_caught():
         IndexProblem(cp3, group, gens, symbol, square).full_distribution()
 
 
-@pytest.mark.parametrize("cyclic_orders", [[5], [6, 4]])
+@pytest.mark.parametrize("cyclic_orders", [[2], [5], [6, 4]])
 def test_faulty_bracket_is_caught(monkeypatch, cyclic_orders):
     # the recombined route weights each bracket group by `bracket`, which
-    # the direct route never calls: zeta^(k+1) in place of zeta^k must show
+    # the direct route never calls: zeta^(k+1) in place of zeta^k must show,
+    # over Z/2 (zeta = -1) as over the cyclotomic centers
     import fracindex.engine as engine
 
     problem = _random_problem(cyclic_orders, 13)

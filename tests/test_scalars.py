@@ -246,18 +246,21 @@ def test_power_residues_match_long_division(order):
             st.just(n),
             st.dictionaries(
                 st.integers(0, 2 * n),
-                st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))),
                 max_size=6,
             ),
         )
-    )
+    ),
+    denominator=st.integers(1, 12),
 )
-def test_root_of_unity_sum_matches_field_arithmetic(data):
+def test_root_of_unity_sum_matches_field_arithmetic(data, denominator):
+    # integer weights over a positive denominator are the engine's form
     order, weights = data
     expected = Cyclotomic.from_rational(0, order)
     for k, w in weights.items():
         expected = expected + Cyclotomic.root_of_unity(order, k) * w
-    value = root_of_unity_sum(order, weights)
+    expected = expected * Fraction(1, denominator)
+    value = root_of_unity_sum(order, weights, denominator)
     assert value == expected
     assert isinstance(value, Fraction) == expected.is_rational()
 

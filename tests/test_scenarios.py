@@ -18,6 +18,7 @@ from fracindex.scenarios import (
     BUILTIN_SCENARIOS,
     MAX_GROUP_EXPONENT,
     MAX_GROUP_ORDER,
+    MAX_SU2_LABEL,
     ScenarioError,
     _json_text,
     builtin_scenario_text,
@@ -525,6 +526,27 @@ def test_group_exponent_at_the_cap_runs():
     (result,) = run(parse_scenario(document))
     assert isinstance(result.payload, Cyclotomic)
     assert result.payload.order == MAX_GROUP_EXPONENT
+
+
+def _su2_document(label: int) -> str:
+    """The Hopf built-in on CP^1 with su2 weights and one label: the
+    pairing of 1 + x against highest weight lambda is lambda + 1."""
+    return _builtin_with(
+        lambda d: d["group"].update(weight_kind="su2")
+        or d.update(tasks=[{"op": "atiyah_pairing", "lambda": label}], expect=None),
+        _HOPF,
+    )
+
+
+def test_su2_label_at_the_cap_runs():
+    (result,) = run(parse_scenario(_su2_document(MAX_SU2_LABEL)))
+    assert result.payload == MAX_SU2_LABEL + 1
+
+
+@pytest.mark.parametrize("label", [MAX_SU2_LABEL + 1, 10**9])
+def test_su2_label_above_the_cap_is_rejected(label):
+    with pytest.raises(ScenarioError, match=rf"tasks\[0\]\.lambda: su2 label {label} exceeds the cap"):
+        parse_scenario(_su2_document(label))
 
 
 _json_scalars = st.one_of(
