@@ -33,6 +33,9 @@ every full distribution computes both and compares them exactly:
   integers when the direct moment is rational, in field arithmetic
   otherwise.
 
+Rows and columns hold nonzero-image keys only: a zero-image key reads no
+product-table entry on either route, so it is the exact 0 in both.
+
 The routes associate the product differently and so read different
 entries of the model's product table: a disagreement catches a wrong
 bracket, bucket or root-of-unity conversion, and a wrong structure
@@ -158,7 +161,8 @@ class IndexProblem(Frozen):
     model as integers, moment rows once per problem and degree bound, and
     the integral of each product of two basis monomials once per problem
     (a table per model would outlive a change to the model's product
-    table).  Both routes carry integers over one denominator and
+    table); rows and columns skip zero-image keys, the exact 0 on both
+    routes.  Both routes carry integers over one denominator and
     build a Fraction or Cyclotomic only where a moment is emitted or
     compared.  The symbol is over `group`, every class lives on `model`,
     and generator names are distinct: `scenarios.parse_scenario` reads a
@@ -241,11 +245,12 @@ class IndexProblem(Frozen):
         return table[key]
 
     def _moment_rows(self, max_degree: int) -> dict[MomentKey, tuple[dict[Monomial, int], int]]:
-        """One integer row per moment key, in graded order: the integral of
-        (a-hat^2 * image_key) * m for every monomial m of the symbol's
-        support, as {m: numerator} without zeros over one denominator.  Each
-        row combines the integer columns of a-hat^2 * i paired with the
-        support, one per distinct image monomial i."""
+        """One integer row per nonzero-image key, in graded order: the
+        integral of (a-hat^2 * image_key) * m for every monomial m of the
+        symbol's support, as {m: numerator} without zeros over one
+        denominator; a zero-image key has no row.  Each row combines the
+        integer columns of a-hat^2 * i paired with the support, one per
+        distinct image monomial i."""
         rows = self._row_cache.get(max_degree)
         if rows is not None:
             return rows
@@ -255,6 +260,8 @@ class IndexProblem(Frozen):
         columns: dict[Monomial, tuple[list[int], int]] = {}
         rows = {}
         for key, image, image_den in self._monomial_images(max_degree):
+            if not image:
+                continue
             for i in image:
                 if i not in columns:
                     weighted = self.a_hat_squared * CohClass(model, {i: 1})
@@ -310,17 +317,19 @@ class IndexProblem(Frozen):
         dimension; higher monomials pair to zero by truncation), from
         integer dot products of each bucket U_k, over the lcm of their
         denominators, with the moment rows, and one conversion to the
-        cyclotomic field per moment.  gamma is a group element as the
-        table records it: `scenarios._check_gamma` holds a task's gamma to
-        the group's exponent ranges, and `scenarios._check_max_degree`
-        keeps every bound a task or run names nonnegative."""
+        cyclotomic field per row; a zero-image key is the exact 0.  gamma is
+        a group element as the table records it: `scenarios._check_gamma`
+        holds a task's gamma to the group's exponent ranges, and
+        `scenarios._check_max_degree` keeps every bound a task or run names
+        nonnegative."""
         if max_degree is None:
             max_degree = self.model.dimension // 2
         buckets = self.reduced_integrand(gamma).items()
         buckets = [(k, u.numerators, u.denominator) for k, u in buckets]
         lcm = math.lcm(*[d for _, _, d in buckets])
         order = self.group.exponent
-        values = {}
+        keys = [key for key, _, _ in self._monomial_images(max_degree)]
+        values = dict.fromkeys(keys, Fraction(0))
         for key, (row, den) in self._moment_rows(max_degree).items():
             weights = {
                 k: lcm // d * sum([r * num[m] for m, r in row.items() if m in num])
@@ -331,10 +340,10 @@ class IndexProblem(Frozen):
 
     def _character_columns(self, max_degree: int) -> dict[MomentKey, tuple[list[int], int]]:
         """The identity-route pairings of a-hat^2 * u_chi against every
-        moment image: one integer column per moment key, in graded order,
-        with entry j for the j-th symbol component, over one denominator in
-        lowest terms.  All rational."""
-        images = self._monomial_images(max_degree)
+        nonzero moment image: one integer column per such key, in graded
+        order, with entry j for the j-th symbol component, over one
+        denominator in lowest terms.  All rational."""
+        images = [entry for entry in self._monomial_images(max_degree) if entry[1]]
         targets = [image for _, image, _ in images]
         pairings = [
             self._pairings(self.a_hat_squared * u_chi, targets)
@@ -353,8 +362,9 @@ class IndexProblem(Frozen):
         the identity, read once per run: per moment key, one integer vector
         of length deg Phi_N gathers, for each bracket exponent k, the column
         sum s_k times the numerators of the bracket zeta_N^k (a root of
-        unity read from `power_residues`, denominator 1), for every N.  One
-        vector per (gamma, key) is then compared with the direct moment
+        unity read from `power_residues`, denominator 1), for every N.  A
+        zero-image key has no column and is the exact 0 on both routes; one
+        vector per (gamma, column key) is compared with the direct moment
         times the column denominator: in integers when the direct moment is
         a Fraction, as a Cyclotomic difference tested for zero otherwise.
         Disagreement raises InternalConsistencyError.
@@ -381,8 +391,8 @@ class IndexProblem(Frozen):
                         vector = recombined[key]
                         for i, r in enumerate(root):
                             vector[i] += total * r
-            for key, expected in direct.values.items():
-                vector, den = recombined[key], columns[key][1]
+            for key, (_, den) in columns.items():
+                expected, vector = direct.values[key], recombined[key]
                 if isinstance(expected, Fraction):
                     p, q = expected.numerator, expected.denominator
                     agree = not any(vector[1:]) and vector[0] * q == p * den

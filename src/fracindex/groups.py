@@ -130,7 +130,7 @@ def chern_weil_eval(
     degree up to max_degree: each generator is replaced by its declared
     image class.  Keys are exponent tuples over the generator order, in
     graded order, so each image is one product away from the image of a
-    lower key; the unit key () or (0, ..., 0) maps to 1."""
+    lower key, or zero with it; the unit key () or (0, ..., 0) maps to 1."""
     keys: list[MomentKey] = [()]
     for _ in generators:
         keys = [key + (e,) for key in keys for e in range(max_degree - sum(key) + 1)]
@@ -140,8 +140,8 @@ def chern_weil_eval(
         if i is None:
             images[key] = model.one()
         else:
-            lower = key[:i] + (key[i] - 1,) + key[i + 1 :]
-            images[key] = images[lower] * generators[i].image
+            lower = images[key[:i] + (key[i] - 1,) + key[i + 1 :]]
+            images[key] = lower if lower.is_zero() else lower * generators[i].image
     return images
 
 

@@ -27,12 +27,16 @@ Four caps keep every document's run bounded:
 - A task's `max_degree` may not exceed half the manifold dimension: an
   invariant generator has s_degree >= 1, so every moment monomial of
   higher total degree has an image above the dimension and pairs to zero,
-  while the number of monomials grows without bound.
-- An `atiyah_pairing` label under `group.weight_kind` "su2" is capped at
-  MAX_SU2_LABEL (5000): highest weight lambda has lambda + 1 weights, each
-  one exponential of the line class, so time grows linearly with the
-  label; at the cap a pairing on CP^16 takes about 1.3 s (Intel Xeon,
-  one core), and CP^1 about 0.25 s.
+  while the number of monomials grows without bound.  Below the cap, a key
+  whose weighted degree sum_i s_degree_i * e_i exceeds half the dimension
+  has a zero image: it costs one output entry and no pairing.  The output
+  still grows as C(D + g, g) keys per table for g generators at bound D,
+  which no cap bounds yet.
+- An `atiyah_pairing` label under `group.weight_kind` "su2" is a
+  nonnegative integer, capped at MAX_SU2_LABEL (5000): highest weight
+  lambda has lambda + 1 weights, each one exponential of the line class,
+  so time grows linearly with the label; at the cap a pairing on CP^16
+  takes about 1.3 s (Intel Xeon, one core), and CP^1 about 0.25 s.
 
 A scenario file must be UTF-8 text; other bytes raise a ScenarioError
 naming the file and the offset of the first byte that does not decode.
@@ -473,7 +477,11 @@ def _check_label(scenario: Scenario, task: dict, path: str) -> None:
         raise ScenarioError("task atiyah_pairing requires a trivial group")
     label = _need(task, "lambda", "task atiyah_pairing")
     (_int_list if isinstance(label, list) else _int)(label, f"{path}.lambda")
-    if scenario.weight_system.kind == "su2" and isinstance(label, int) and label > MAX_SU2_LABEL:
+    if scenario.weight_system.kind != "su2":
+        return
+    if isinstance(label, list) or label < 0:
+        raise ScenarioError(f"{path}.lambda: su2 labels are nonnegative integers, got {label}")
+    if label > MAX_SU2_LABEL:
         raise ScenarioError(f"{path}.lambda: su2 label {label} exceeds the cap of {MAX_SU2_LABEL}")
 
 

@@ -37,7 +37,7 @@ def _binomial_polynomial(shift: Fraction, n: int) -> list[Fraction]:
     return [c / math.perm(n) for c in coeffs]
 
 
-def _cpn_document(n: int, a: Fraction) -> str:
+def _cpn_document(n: int, generators: list[dict]) -> str:
     chern = [f"{math.comb(n + 1, i)}*x^{i}" for i in range(1, n + 1)]
     return json.dumps({
         "name": f"cp{n}",
@@ -53,7 +53,7 @@ def _cpn_document(n: int, a: Fraction) -> str:
         ],
         "group": {
             "cyclic_orders": [2],
-            "invariant_generators": [{"name": "L", "s_degree": 1, "image": f"({a})*x"}],
+            "invariant_generators": generators,
         },
         "tasks": [
             {"op": "projective_dirac", "max_degree": n},
@@ -67,10 +67,42 @@ def test_projective_dirac_moments_on_cpn_are_binomial_coefficients(n):
     polynomial = _binomial_polynomial(Fraction(n - 1, 2), n)
     for a in _IMAGE_SCALES:  # L with image a*x: the moment at L^k scales by a^k
         expected = {(k,): a**k * math.perm(k) * polynomial[k] for k in range(n + 1)}
-        for result in run(parse_scenario(_cpn_document(n, a))):  # genus by roots, then by Chern classes
+        generators = [{"name": "L", "s_degree": 1, "image": f"({a})*x"}]
+        # genus by roots, then by Chern classes
+        for result in run(parse_scenario(_cpn_document(n, generators))):
             tables = result.payload.tables
             assert tables[(0,)].values == expected
             assert tables[(1,)].values == {key: -value for key, value in expected.items()}
+
+
+@pytest.mark.parametrize(
+    "n,c1,c2",
+    [
+        (4, Fraction(3, 2), Fraction(-2)),
+        (8, Fraction(-1, 3), Fraction(5)),
+        (16, Fraction(2), Fraction(-7, 4)),
+    ],
+)
+def test_projective_dirac_moments_of_two_quadratic_generators_vanish_past_the_dimension(n, c1, c2):
+    # P1^a P2^b has image c1^a c2^b x^(2(a+b)), the moment of L^(2(a+b)) scaled
+    # by c1^a c2^b, which is exactly 0 once 2(a+b) > n: most keys have a zero image
+    polynomial = _binomial_polynomial(Fraction(n - 1, 2), n)
+    keys = [(a, total - a) for total in range(n + 1) for a in range(total, -1, -1)]
+    expected = {
+        (a, b): c1**a * c2**b * math.perm(2 * (a + b)) * polynomial[2 * (a + b)]
+        if 2 * (a + b) <= n else Fraction(0)
+        for a, b in keys
+    }
+    generators = [
+        {"name": "P1", "s_degree": 2, "image": f"({c1})*x^2"},
+        {"name": "P2", "s_degree": 2, "image": f"({c2})*x^2"},
+    ]
+    # genus by roots, then by Chern classes
+    for result in run(parse_scenario(_cpn_document(n, generators))):
+        tables = result.payload.tables
+        assert list(tables[(0,)].values) == keys
+        assert tables[(0,)].values == expected
+        assert tables[(1,)].values == {key: -value for key, value in expected.items()}
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -30,6 +30,7 @@ from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
 
 from oracles import (
     a_hat_series_oracle,
+    bracket_exponent_by_reduction,
     cpn_integral,
     cpn_mul,
     evaluate_series_at_x,
@@ -449,14 +450,20 @@ def _random_problem(cyclic_orders, seed):
 
 def _oracle_moment(problem, gamma, key):
     """sum over characters of bracket(chi, gamma) * int(a_hat^2 u_chi image)
-    in Cyclotomic arithmetic."""
+    in Cyclotomic arithmetic.  At a group exponent N <= 2 the bracket is the
+    sign (-1)^k, k from `bracket_exponent_by_reduction`, not a root of unity
+    read from `scalars`."""
     image = problem.model.one()
     for gen, e in zip(problem.generators, key):
         image = image * gen.image**e
-    total = Cyclotomic.from_rational(0, problem.group.exponent)
+    group = problem.group
+    total = Cyclotomic.from_rational(0, group.exponent)
     for chi, u_chi in problem.symbol.components.items():
         value = (problem.a_hat_squared * u_chi * image).integrate()
-        total = total + bracket(problem.group, chi, gamma) * value
+        if group.exponent <= 2:
+            total = total + (-1) ** bracket_exponent_by_reduction(group, chi, gamma) * value
+        else:
+            total = total + bracket(group, chi, gamma) * value
     return total
 
 
@@ -708,14 +715,38 @@ def test_corrupted_product_table_entries_are_caught():
     assert caught >= 17
 
 
-def test_corrupted_product_table_entries_are_caught_on_cp16():
-    # the projective Dirac problem on CP^16 with two generators of s_degree
-    # 2 and images c*x^2: 42 of the 153 corruptions are caught
+def _cp16_dirac_problem():
+    """The projective Dirac problem on CP^16 with two generators of s_degree
+    2 and images c*x^2."""
     cp16 = projective_model(x=16)
     gens = [
         InvariantGeneratorDecl("P1", 2, parse_expression("3*x^2", cp16)),
         InvariantGeneratorDecl("P2", 2, parse_expression("-1/2*x^2", cp16)),
     ]
-    entries, caught = _caught_table_corruptions(dirac_problem(cp16, projective_tangent(cp16), gens))
+    return dirac_problem(cp16, projective_tangent(cp16), gens)
+
+
+def test_corrupted_product_table_entries_are_caught_on_cp16():
+    # 42 of the 153 corruptions are caught
+    entries, caught = _caught_table_corruptions(_cp16_dirac_problem())
     assert entries == 153
     assert caught >= 42
+
+
+def test_only_nonzero_image_keys_reach_the_root_of_unity_conversion(monkeypatch):
+    # of the 153 keys P1^a P2^b on CP^16, the 45 with a + b <= 8 have a
+    # nonzero image c*x^(2(a+b)); each is converted once per element of Z/2,
+    # and the other 108 are the exact 0 without a conversion
+    import fracindex.engine as engine
+
+    calls = []
+    original = engine.root_of_unity_sum
+    monkeypatch.setattr(
+        engine, "root_of_unity_sum", lambda *args: calls.append(args[0]) or original(*args)
+    )
+    distribution = _cp16_dirac_problem().full_distribution()
+    assert len(calls) == 90
+    for table in distribution.tables.values():
+        assert len(table.values) == 153
+        zero = [key for key in table.values if sum(key) > 8]
+        assert len(zero) == 108 and all(table.values[key] == 0 for key in zero)

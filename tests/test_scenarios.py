@@ -285,10 +285,15 @@ _REJECTED_DOCUMENTS = [
     ("mms_zero_symbol", _GAMMA4, lambda d: d["symbol"][0].update({"class": "0"}),
      "tasks[0]: task mms_projective requires a symbol concentrated on a single nonzero "
      "character; got 0 components"),
-    # tasks at run time
     ("su2_negative_label", _HOPF,
      lambda d: d["group"].update(weight_kind="su2") or d["tasks"][0].update({"lambda": -1}),
-     "su2 labels are nonnegative integers"),
+     "tasks[0].lambda: su2 labels are nonnegative integers, got -1"),
+    ("su2_vector_label", _HOPF,
+     lambda d: d["group"].update(weight_kind="su2") or d["tasks"][1].update({"lambda": [2]}),
+     "tasks[1].lambda: su2 labels are nonnegative integers, got [2]"),
+    ("su2_builtin_negative_label", _HOPF, lambda d: d["group"].update(weight_kind="su2"),
+     "tasks[4].lambda: su2 labels are nonnegative integers, got -1"),
+    # tasks at run time
     ("integer_label_rank_two", _HOPF, _rank_two_weights, "integer label needs rank 1"),
     ("label_arity", _HOPF,
      lambda d: (_rank_two_weights(d), d["tasks"][0].update({"lambda": [1, 2, 3]})),
