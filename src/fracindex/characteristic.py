@@ -8,10 +8,10 @@ come from their own Bernoulli closed form in `scalars`, so the two routes
 agree exactly only when both closed forms are right.
 
 The root route works on the distinct roots with their multiplicities: a
-genus is the product of f(root)^count, computed by repeated squaring, and
-the total Chern class the product of (1 + root)^count.  The tangent roots
-of CP^n are n+1 copies of one class, so the one-root series is evaluated
-once, by `cohomology.evaluate_series`.
+genus is the product of f(root)^count and the total Chern class the
+product of (1 + root)^count.  CP^n has n+1 equal tangent roots, so the
+one-root series is evaluated once.  Series, powers and Newton power sums
+run on integer numerators, one class per result (`cohomology`).
 
 The a-hat series is even, so its power-sum route needs only the power sums
 of the squared roots, and s_k(roots^2) = s_2k(roots): from Chern classes
@@ -29,6 +29,7 @@ from collections import Counter
 from typing import Sequence
 
 from fracindex.cohomology import CohClass, ManifoldModel, class_sum, evaluate_series
+from fracindex.cohomology import _class, _lowest, _sum, _times
 from fracindex.scalars import Frozen, a_hat_log_series, a_hat_series
 
 
@@ -128,19 +129,22 @@ def _elementary_symmetric(
 
 def newton_power_sums(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
     """Power sums s_1..s_max_k of the Chern roots from the Chern classes,
-    via Newton's identities s_k = c_1 s_(k-1) - c_2 s_(k-2) + ... -+ k c_k.
-    At least one class is given, to fix the model: `_compute_a_hat` returns
-    the unit class before it would pass none."""
+    via Newton's identities s_k = c_1 s_(k-1) - c_2 s_(k-2) + ... -+ k c_k,
+    on integer numerators, with a class only for each result.  At least one
+    class is given, to fix the model: `_compute_a_hat` returns the unit
+    class before it would pass none."""
     model = chern[0].model
-
-    def c(i: int) -> CohClass:
-        return chern[i - 1] if 1 <= i <= len(chern) else model.zero()
-
-    sums: list[CohClass] = []
+    # signed[i] is (-1)^i c_(i+1); c_i is zero beyond the given classes
+    signed = [
+        ({m: -v if i % 2 else v for m, v in c.numerators.items()}, c.denominator)
+        for i, c in enumerate(chern)
+    ]
+    sums: list[tuple[dict, int]] = []
     for k in range(1, max_k + 1):
-        terms = [c(i) * sums[k - i - 1] * ((-1) ** (i - 1)) for i in range(1, k)]
-        sums.append(class_sum(terms + [c(k) * ((-1) ** (k - 1) * k)]))
-    return sums
+        parts = [_times(model, *signed[i], *sums[k - i - 2]) for i in range(min(k - 1, len(signed)))]
+        parts += [({m: v * k for m, v in num.items()}, den) for num, den in signed[k - 1 : k]]
+        sums.append(_lowest(*_sum(parts)))
+    return [_class(model, *s) for s in sums]
 
 
 def _genus_from_roots(bundle: BundleData) -> CohClass:

@@ -48,9 +48,9 @@ names the first square that leaves the bound.
 
 Every power series in a class runs through one loop, `evaluate_series`:
 the exponential, the inverse (1/c0 times the alternating series in the
-nilpotent part) and the one-root genus series of `characteristic`.  A
-class with zero constant term is nilpotent, since every generator has
-positive degree, so the loop stops once the powers vanish.
+nilpotent part) and the one-root genus series of `characteristic`.  It,
+class powers and the Newton power sums of `characteristic` run on integer
+numerators, one class per result, and a series stops once powers vanish.
 
 Models are immutable after validation and classes are immutable always;
 everything here is a pure function of its inputs.
@@ -402,15 +402,15 @@ class CohClass(Frozen):
     def __pow__(self, n: int) -> "CohClass":
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.model.one()
-        base = self
+        model, base, den = self.model, self.numerators, self.denominator
+        out, out_den = {model.zero_monomial(): 1}, 1
         while n:
             if n & 1:
-                out = out * base
+                out, out_den = _times(model, out, out_den, base, den)
             n >>= 1
             if n:
-                base = base * base
-        return out
+                base, den = _times(model, base, den, base, den)
+        return _class(model, out, out_den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -526,6 +526,12 @@ def _lowest(num: dict, den: int) -> tuple[dict, int]:
     return {m: c // g for m, c in num.items()}, den // g
 
 
+def _times(model: ManifoldModel, a: dict, da: int, b: dict, db: int) -> tuple[dict, int]:
+    """(a / da) * (b / db) for integer terms a and b, in lowest terms."""
+    num, scale = _product(model, a, b)
+    return _lowest(num, da * db * scale)
+
+
 def _class(model: ManifoldModel, num: dict, den: int, out: CohClass | None = None) -> CohClass:
     """The class of nonzero integer numerators on reduced monomials over
     den > 0, in lowest terms, built into `out` or into a new class."""
@@ -549,21 +555,21 @@ def class_sum(classes: Sequence[CohClass]) -> CohClass:
 
 
 def evaluate_series(coeffs: Sequence[Fraction | int], cls: CohClass) -> CohClass:
-    """sum_k coeffs[k] * cls^k for a class with zero constant term.  Every
-    generator has positive degree, so cls^k vanishes once 2k exceeds the
-    model dimension; the sum stops there or when the coefficients run
-    out, and is taken in one `class_sum`."""
+    """sum_k coeffs[k] * cls^k for a class with zero constant term, on integer
+    numerators with one class for the result.  Every generator has positive
+    degree, so cls^k vanishes once 2k exceeds the model dimension; the sum
+    stops there or when the coefficients run out."""
     if cls.constant_term() != 0:
         raise ValueError("series evaluation requires a class with zero constant term")
-    terms = [scalar_class(cls.model, coeffs[0])]
-    power = cls.model.one()
-    for c in coeffs[1:]:
-        power = power * cls
-        if power.is_zero():
-            break
+    power, den, parts = {cls.model.zero_monomial(): 1}, 1, []
+    for k, c in enumerate(coeffs):
+        if k:
+            power, den = _times(cls.model, power, den, cls.numerators, cls.denominator)
+            if not power:
+                break
         if c:
-            terms.append(power * c)
-    return class_sum(terms)
+            parts.append(({m: v * c.numerator for m, v in power.items()}, den * c.denominator))
+    return _class(cls.model, *_sum(parts))
 
 
 # ---------------------------------------------------------------------------

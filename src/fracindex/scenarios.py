@@ -40,11 +40,13 @@ Four caps keep every document's run bounded:
 
 A scenario file must be UTF-8 text; other bytes raise a ScenarioError
 naming the file and the offset of the first byte that does not decode.
+NaN, Infinity and a float past the double range are refused at parse.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -525,10 +527,19 @@ def _json_int(digits: str) -> int:
         ) from None
 
 
+def _json_float(text: str) -> float:
+    """A finite JSON float; json.loads also hands NaN and +-Infinity here."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise ScenarioError(f"parse error: {text[:20]!r} is not a finite number")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
     try:
-        document = json.loads(text, parse_int=_json_int)
+        document = json.loads(
+            text, parse_int=_json_int, parse_float=_json_float, parse_constant=_json_float
+        )
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -637,35 +648,35 @@ def check_expectations(scenario: Scenario, results: Sequence[TaskResult]) -> lis
 
 
 def emit(results: Sequence[TaskResult], format: str = "human") -> str:
-    """Render results: "machine" is a stable JSON document with exact
-    scalars; "human" is an aligned plain-text table.  Identical inputs
-    produce byte-identical output.  A result with an integer longer than
-    the interpreter writes (`sys.get_int_max_str_digits`) raises a
-    ScenarioError that names its task.  `format` is one of the two, as
-    the command's argument choices are."""
-    lines: list[str] = []
-    by_scenario: dict[str, list[dict]] = {}
-    current = None
-    for result in results:
-        try:
-            if format == "machine":
-                by_scenario.setdefault(result.scenario, []).append(
-                    {"index": result.index, "task": result.request, "result": result.payload_json()}
-                )
-            else:
-                if result.scenario != current:
-                    current = result.scenario
-                    lines.append(f"scenario: {current}")
-                lines.extend(_result_lines(result))
-        except ValueError:  # str(int) past the interpreter's digit limit
-            raise ScenarioError(
-                f"{result.scenario}: task {result.index} ({result.request.get('op')}): "
-                f"a result has an integer of more than {sys.get_int_max_str_digits()} digits"
-            ) from None
+    """Render results: "machine" is json.dumps(..., indent=2) of each
+    `payload_json()` with its task; "human" is an aligned plain-text table.
+    Identical inputs produce byte-identical output.  A result with an
+    integer longer than the interpreter writes (`sys.get_int_max_str_digits`)
+    raises a ScenarioError that names its task.  `format` is one of the two."""
     if format == "machine":
+        by_scenario: dict[str, list[TaskResult]] = {}
+        for result in results:
+            by_scenario.setdefault(result.scenario, []).append(result)
         blocks = [{"scenario": name, "results": items} for name, items in by_scenario.items()]
         return _json_text({"scenarios": blocks}) + "\n"
+    lines: list[str] = []
+    current = None
+    for result in results:
+        if result.scenario != current:
+            current = result.scenario
+            lines.append(f"scenario: {current}")
+        try:
+            lines.extend(_result_lines(result))
+        except ValueError:  # str(int) past the interpreter's digit limit
+            raise _too_long(result) from None
     return "\n".join(lines) + "\n"
+
+
+def _too_long(result: TaskResult) -> ScenarioError:
+    return ScenarioError(
+        f"{result.scenario}: task {result.index} ({result.request.get('op')}): "
+        f"a result has an integer of more than {sys.get_int_max_str_digits()} digits"
+    )
 
 
 def _result_lines(result: TaskResult) -> list[str]:
@@ -690,7 +701,8 @@ def _result_lines(result: TaskResult) -> list[str]:
 def _json_text(value) -> str:
     """json.dumps(value, indent=2) for string-keyed JSON, which `indent`
     sends through the pure-Python encoder, by appends to one list: strings
-    use json's C quoting, other scalars and empty containers json.dumps."""
+    use json's C quoting, other scalars and empty containers json.dumps; a
+    TaskResult is written as its machine-format object."""
     out: list[str] = []
     _write_json(out, value, "")
     return "".join(out)
@@ -715,8 +727,46 @@ def _write_json(out: list[str], value, indent: str) -> None:
             _write_json(out, item, inner)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif isinstance(value, TaskResult):
+        payload = value.payload
+        try:
+            if not isinstance(payload, (MomentTable, IndexDistribution)):
+                payload = {"value": scalar_to_json(payload)}
+            _write_json(out, {"index": value.index, "task": value.request, "result": payload}, indent)
+        except ValueError:
+            raise _too_long(value) from None
+    elif isinstance(value, MomentTable):
+        _write_table(out, value, {}, indent)
+    elif isinstance(value, IndexDistribution):
+        inner, names = indent + "    ", {}
+        out.append("{\n" + indent + '  "distribution": [')
+        for position, table in enumerate(value.tables.values()):
+            out.append(("\n" if position == 0 else ",\n") + inner)
+            _write_table(out, table, names.setdefault(table.generator_names, {}), inner)
+        out.append(("\n" + indent + "  ]" if value.tables else "]") + "\n" + indent + "}")
     else:
         out.append(json.dumps(value))
+
+
+def _write_table(out: list[str], table: MomentTable, names: dict, indent: str) -> None:
+    """One table straight to text: each key name quoted once per `names`,
+    a Fraction as its str(), a Cyclotomic through `scalar_to_json`."""
+    inner, row, cell = indent + "  ", indent + "    ", indent + "      "
+    out.append("{\n" + inner + '"gamma": ')
+    _write_json(out, list(table.gamma), inner)
+    out.append(",\n" + inner + '"moments": [')
+    for key in table.values.keys() - names.keys():
+        names[key] = encode_basestring_ascii(monomial_name(table.generator_names, key))
+    sep = "\n" + row + "[\n" + cell
+    for key, value in table.values.items():
+        if isinstance(value, Fraction):
+            out.append(sep + names[key] + ",\n" + cell + '"' + str(value) + '"\n' + row + "]")
+        else:
+            out.append(sep + names[key] + ",\n" + cell)
+            _write_json(out, scalar_to_json(value), cell)
+            out.append("\n" + row + "]")
+        sep = ",\n" + row + "[\n" + cell
+    out.append(("\n" + inner + "]" if table.values else "]") + "\n" + indent + "}")
 
 
 def _gamma_str(gamma: tuple[int, ...]) -> str:

@@ -352,6 +352,21 @@ def oracle_inverse(decl, a: dict) -> dict:
         out = oracle_add(decl, out, power)
 
 
+def oracle_newton_power_sums(decl, chern: list, max_k: int) -> list:
+    """s_1..s_max_k from Fraction-dict classes c_1, c_2, ... by Newton's
+    identities s_k = sum_(i<k) (-1)^(i-1) c_i s_(k-i) + (-1)^(k-1) k c_k,
+    with c_i zero past the list."""
+    sums: list = []
+    for k in range(1, max_k + 1):
+        acc: dict = {}
+        for i in range(1, k + 1):
+            c = chern[i - 1] if i <= len(chern) else {}
+            term = {m: k * v for m, v in c.items()} if i == k else oracle_mul(decl, c, sums[k - i - 1])
+            acc = oracle_add(decl, acc, {m: (-1) ** (i - 1) * v for m, v in term.items()})
+        sums.append(acc)
+    return sums
+
+
 def oracle_integrate(decl, a: dict) -> Fraction:
     fundamental, orientation = decl[3], decl[4]
     return a.get(tuple(fundamental), Fraction(0)) * orientation

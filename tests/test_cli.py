@@ -121,9 +121,14 @@ def test_unreadable_scenario_exits_2(target, message, tmp_path, capsys):
          'manifold.fundamental[1]: expected an int or a "p" or "p/q" string'),
         ("cp2_projective_dirac", '"x^2",\n      "1"\n', '"x^2",\n      0.5\n',
          'manifold.fundamental[1]: expected an int or a "p" or "p/q" string, got 0.5'),
+        ("cp2_projective_dirac", '"op": "fractional_index",', '"op": "fractional_index", "e": NaN,',
+         "parse error: 'NaN' is not a finite number"),
+        ("cp2_projective_dirac", '"op": "fractional_index",', '"op": "fractional_index", "e": 1e400,',
+         "parse error: '1e400' is not a finite number"),
     ],
     ids=["duplicate-generator-name", "float-lambda", "huge-integer-literal",
-         "tangent-without-data", "exponent-orientation", "float-orientation"],
+         "tangent-without-data", "exponent-orientation", "float-orientation",
+         "nan-task-key", "overflowing-float-task-key"],
 )
 def test_invalid_scenario_exits_2(name, old, new, message, tmp_path, capsys):
     path = tmp_path / "invalid.json"

@@ -19,8 +19,10 @@ from fracindex.cohomology import (
     build_model,
     parse_expression,
     parse_terms,
+    evaluate_series,
     scalar_class,
 )
+from fracindex.characteristic import newton_power_sums
 from fracindex.scalars import Cyclotomic
 
 from oracles import (
@@ -32,6 +34,7 @@ from oracles import (
     oracle_integrate,
     oracle_inverse,
     oracle_mul,
+    oracle_newton_power_sums,
     oracle_pow,
     oracle_reduce,
     parse_terms_oracle,
@@ -469,8 +472,13 @@ def _assert_lowest_terms(cls):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_models_with_classes())
-def test_integer_class_arithmetic_matches_fraction_oracle(case):
+@given(
+    _models_with_classes(),
+    st.integers(0, 12),
+    st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 4)]), min_size=1),
+    st.integers(1, 4),
+)
+def test_integer_class_arithmetic_matches_fraction_oracle(case, n, series, max_k):
     model, decl, (ta, tb) = case
     a, b = CohClass(model, ta), CohClass(model, tb)
     ra, rb = oracle_reduce(decl, ta), oracle_reduce(decl, tb)
@@ -488,7 +496,17 @@ def test_integer_class_arithmetic_matches_fraction_oracle(case):
         (u.inverse(), oracle_inverse(decl, ru)),
         (u ** -2, oracle_pow(decl, oracle_inverse(decl, ru), 2)),
     ]
-    cases += [(a**n, oracle_pow(decl, ra, n)) for n in range(4)]
+    cases += [(a**k, oracle_pow(decl, ra, k)) for k in range(4)]
+    cases.append((a**n, oracle_pow(decl, ra, n)))
+    # the series in the nilpotent part of a, its coefficients running out
+    # before or after its powers vanish
+    rn = {m: c for m, c in ra.items() if m != unit}
+    expected: dict = {}
+    for k, c in enumerate(series):
+        expected = oracle_add(decl, expected, {m: c * v for m, v in oracle_pow(decl, rn, k).items()})
+    cases.append((evaluate_series(series, a - a.constant_term()), expected))
+    sums = newton_power_sums([a, b], max_k)
+    cases += list(zip(sums, oracle_newton_power_sums(decl, [ra, rb], max_k), strict=True))
     for cls, expected in cases:
         assert dict(cls.terms) == expected
         assert cls.integrate() == oracle_integrate(decl, expected)

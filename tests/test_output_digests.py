@@ -1,12 +1,16 @@
-"""Machine output stays byte-identical: the SHA-256 of `emit(..., "machine")`
-for the benchmark workloads at their first seeds, against the digests the
-benchmark records in `perfbench/digests.json`, and for every built-in
-scenario, against digests recorded here.
+"""Output stays byte-identical: the SHA-256 of `emit(..., "machine")` for
+the benchmark workloads at their first seeds, against the digests the
+benchmark records in `perfbench/digests.json`, and of both formats for
+every built-in scenario, against digests recorded here.  The machine
+writer also equals an independent rendering: json.dumps(..., indent=2) of
+each result's `payload_json()`, on the same documents and on drawn
+payloads.
 
 The benchmark files are read and executed here, never imported from or
-written to.  A change that is meant to alter machine output re-records
-both: `perfbench/record_digests.py` for the workloads, and the table below
-from `fracindex run builtin:NAME --format machine | sha256sum`.
+written to.  A change that is meant to alter the output re-records both:
+`perfbench/record_digests.py` for the workloads, and the tables below
+from `fracindex run builtin:NAME --format machine | sha256sum` (and
+`--format human`).
 """
 
 from __future__ import annotations
@@ -14,11 +18,24 @@ from __future__ import annotations
 import hashlib
 import json
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracindex.scenarios import BUILTIN_SCENARIOS, builtin_scenario_text, emit, parse_scenario, run
+from fracindex.engine import IndexDistribution, MomentTable
+from fracindex.groups import FiniteAbelianGroup
+from fracindex.scalars import Cyclotomic
+from fracindex.scenarios import (
+    BUILTIN_SCENARIOS,
+    TaskResult,
+    builtin_scenario_text,
+    emit,
+    parse_scenario,
+    run,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = range(4)
@@ -32,9 +49,29 @@ BUILTIN_DIGESTS = {
 }
 
 
-def _digest(text: str) -> str:
-    output = emit(run(parse_scenario(text)), "machine")
+HUMAN_DIGESTS = {
+    "cp2_projective_dirac": "9aa39021904d9a06307cf0e65bad168c0a747ca2295119adbc635d4add851c32",
+    "gamma4_character_sum": "d4016d1427ecd60c0f73553a384661995bec13f40d1399ce7de65727b1952e1a",
+    "hopf_riemann_roch": "8d6a37463a82ec4004c3b4ab03ae87aadada04dd4fa1216b86fca9d1f1777bef",
+    "k3_like_dirac": "49812052ae1f8b25fbbc30959b85d655d271c4450b332010c751f8459a6ff41a",
+    "point_trivial": "c4416bfffc207faf5a513393369b95dbef58f03ab9f28b581efba179d9c50c30",
+}
+
+
+def _digest(text: str, format: str = "machine") -> str:
+    output = emit(run(parse_scenario(text)), format)
     return hashlib.sha256(output.encode("utf-8")).hexdigest()
+
+
+def _machine_oracle(results) -> str:
+    """The machine format by json.dumps of each result's payload_json()."""
+    by_scenario: dict[str, list] = {}
+    for result in results:
+        by_scenario.setdefault(result.scenario, []).append(
+            {"index": result.index, "task": result.request, "result": result.payload_json()}
+        )
+    blocks = [{"scenario": name, "results": items} for name, items in by_scenario.items()]
+    return json.dumps({"scenarios": blocks}, indent=2) + "\n"
 
 
 def _workloads() -> types.ModuleType:
@@ -61,3 +98,71 @@ def test_every_builtin_has_a_recorded_digest():
 @pytest.mark.parametrize("name", sorted(BUILTIN_DIGESTS))
 def test_builtin_outputs_match_the_recorded_digests(name):
     assert _digest(builtin_scenario_text(name)) == BUILTIN_DIGESTS[name]
+
+
+def test_every_builtin_has_a_recorded_human_digest():
+    assert sorted(HUMAN_DIGESTS) == sorted(BUILTIN_SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(HUMAN_DIGESTS))
+def test_builtin_human_outputs_match_the_recorded_digests(name):
+    assert _digest(builtin_scenario_text(name), "human") == HUMAN_DIGESTS[name]
+
+
+def test_machine_output_matches_the_json_dumps_oracle():
+    workloads = _workloads()
+    texts = [builtin_scenario_text(name) for name in sorted(BUILTIN_SCENARIOS)]
+    texts += [
+        json.dumps(workloads.document(name, seed)) for name in workloads.WORKLOADS for seed in SEEDS
+    ]
+    for text in texts:
+        results = run(parse_scenario(text))
+        assert emit(results, "machine") == _machine_oracle(results)
+
+
+_SCALARS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-3), Fraction(7), Fraction(-5, 12)]),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 30)),
+    st.builds(
+        Cyclotomic,
+        st.sampled_from([3, 4, 12]),
+        st.lists(st.integers(-5, 5), max_size=6),
+        st.integers(1, 6),
+    ),
+)
+
+
+@st.composite
+def _results(draw):
+    """TaskResults of two interleaved scenarios with drawn payloads: moment
+    tables (empty ones and generator-free keys included), distributions
+    and scalars."""
+    names = draw(st.lists(st.sampled_from(["P1", "E", "x_2", "\u03b1"]), max_size=3, unique=True))
+    keys = st.tuples(*[st.integers(0, 3)] * len(names))
+    tables = st.builds(
+        MomentTable,
+        st.lists(st.integers(0, 5), max_size=2),
+        st.just(names),
+        st.dictionaries(keys, _SCALARS, max_size=6),
+    )
+    group = FiniteAbelianGroup([2])
+    payloads = st.one_of(
+        tables,
+        st.builds(
+            IndexDistribution,
+            st.just(group),
+            st.dictionaries(st.sampled_from(group.elements()), tables, max_size=2),
+        ),
+        _SCALARS,
+    )
+    drawn = draw(st.lists(st.tuples(st.sampled_from(["a", "b\u00e9"]), payloads), max_size=4))
+    return [
+        TaskResult(scenario, index, {"op": "moments", "gamma": [index]}, payload)
+        for index, (scenario, payload) in enumerate(drawn)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_results())
+def test_machine_writer_matches_the_json_dumps_oracle_on_drawn_payloads(results):
+    assert emit(results, "machine") == _machine_oracle(results)

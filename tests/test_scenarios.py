@@ -167,6 +167,12 @@ _REJECTED_DOCUMENTS = [
     ("unknown_op", _CP2, lambda d: d["tasks"][0].update(op="index"), "unknown task op 'index'"),
     ("class_not_string", _CP2, lambda d: d["symbol"][0].update({"class": 5}),
      "symbol component: expected an expression string"),
+    # json.dumps writes the constants NaN and Infinity, which JSON lacks;
+    # an unknown task key would echo them into the machine output
+    ("nan_constant", _CP2, lambda d: d["tasks"][0].update(extra=float("nan")),
+     "parse error: 'NaN' is not a finite number"),
+    ("infinity_constant", _CP2, lambda d: d["tasks"][0].update(extra=-float("inf")),
+     "parse error: '-Infinity' is not a finite number"),
     # manifold
     ("odd_dimension", _CP2, lambda d: d["manifold"].update(dimension=3), "dimension must be even"),
     ("odd_generator", _CP2, lambda d: d["manifold"].update(generators=[["x", 3]]),
