@@ -61,8 +61,8 @@ class BundleData(Frozen):
         pontryagin: Sequence[CohClass] | None = None,
         model: ManifoldModel | None = None,
     ) -> None:
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "rank", int(rank))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "roots", tuple(roots) if roots is not None else None)
         object.__setattr__(self, "chern", tuple(chern) if chern is not None else None)
         object.__setattr__(

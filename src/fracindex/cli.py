@@ -14,9 +14,10 @@ refused together (exit 2, nothing run) rather than compared at a cutoff
 the block was not recorded at.
 
 Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
-scenario cannot be read, parsed, run or written (an out-of-range
---max-degree, or a result too long to write, included) or when --check is
-combined with --max-degree.
+scenario cannot be read, parsed or written (a result too long to write
+included), when --max-degree is out of range, or when --check is combined
+with --max-degree.  A document that parses always runs: every refusal of
+its content happens at parse.
 """
 
 from __future__ import annotations

@@ -117,8 +117,9 @@ class ManifoldModel(Frozen):
     fundamental class against which integration is defined.
 
     relations maps a generator index to (power, replacement terms); the
-    replacement is stored in raw monomial form without zero coefficients
-    and must be homogeneous of the same degree as the rewritten power.
+    replacement is in raw monomial form without zero coefficients and must
+    be homogeneous of the same degree as the rewritten power.  The values
+    are stored as `build_model` passes them.
     """
 
     __slots__ = (
@@ -135,23 +136,16 @@ class ManifoldModel(Frozen):
     def __init__(
         self,
         dimension: int,
-        generators: Iterable[tuple[str, int]],
-        relations: Mapping[int, tuple[int, Mapping[Monomial, Fraction]]],
+        generators: tuple[tuple[str, int], ...],
+        relations: dict[int, tuple[int, dict[Monomial, Fraction]]],
         fundamental_monomial: Monomial,
         orientation: Fraction,
     ) -> None:
-        object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "generators", tuple((str(n), int(d)) for n, d in generators))
-        object.__setattr__(
-            self,
-            "relations",
-            {
-                int(i): (int(k), {tuple(m): Fraction(c) for m, c in rhs.items() if c})
-                for i, (k, rhs) in relations.items()
-            },
-        )
-        object.__setattr__(self, "fundamental_monomial", tuple(fundamental_monomial))
-        object.__setattr__(self, "orientation", Fraction(orientation))
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "fundamental_monomial", fundamental_monomial)
+        object.__setattr__(self, "orientation", orientation)
         object.__setattr__(self, "_normal_cache", {})
         object.__setattr__(self, "_products", {})
         object.__setattr__(self, "_images", {})  # moment images, kept by the engine
@@ -580,7 +574,7 @@ def build_model(
     dimension: int,
     generators: Iterable[tuple[str, int]],
     relations: Iterable[tuple[str, str]] = (),
-    fundamental: tuple[str, Fraction | int | str] | None = None,
+    fundamental: tuple[str, Fraction] | None = None,
 ) -> ManifoldModel:
     """Build and validate a model from textual declarations.
 
@@ -591,7 +585,7 @@ def build_model(
     generator above the dimension lies within that bound, and a relation
     beyond it could never fire.
     """
-    generators = tuple((str(n), int(d)) for n, d in generators)
+    generators = tuple(generators)
     _check_grading(dimension, generators)
     names = [n for n, _ in generators]
     bound = dimension + max((d for _, d in generators), default=0)
@@ -622,12 +616,11 @@ def build_model(
         fund_mono: Monomial = ()
         orientation: Fraction = Fraction(1)
     else:
-        fund_text, orientation_value = fundamental
+        fund_text, orientation = fundamental
         fund_terms = raw_terms(fund_text)
         if len(fund_terms) != 1 or list(fund_terms.values()) != [Fraction(1)]:
             raise ModelError("fundamental class must be a single monomial with coefficient 1")
         (fund_mono,) = fund_terms.keys()
-        orientation = Fraction(orientation_value)
 
     return ManifoldModel(dimension, generators, relation_map, fund_mono, orientation)
 

@@ -34,7 +34,7 @@ class FiniteAbelianGroup(Frozen):
     __slots__ = ("cyclic_orders", "order", "exponent")
 
     def __init__(self, cyclic_orders: Iterable[int]) -> None:
-        orders = tuple(int(n) for n in cyclic_orders)
+        orders = tuple(cyclic_orders)
         if any(n < 1 for n in orders):
             raise GroupError(f"cyclic orders must be positive, got {orders}")
         object.__setattr__(self, "cyclic_orders", orders)
@@ -49,7 +49,7 @@ class FiniteAbelianGroup(Frozen):
 
     def contains(self, element: Sequence[int]) -> bool:
         return len(element) == len(self.cyclic_orders) and all(
-            0 <= int(e) < n for e, n in zip(element, self.cyclic_orders)
+            0 <= e < n for e, n in zip(element, self.cyclic_orders)
         )
 
     def elements(self) -> list[Element]:
@@ -104,8 +104,8 @@ class InvariantGeneratorDecl(Frozen):
             raise GroupError(
                 f"generator {name!r}: image must be homogeneous of degree {2 * s_degree}"
             )
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "s_degree", int(s_degree))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "s_degree", s_degree)
         object.__setattr__(self, "image", image)
 
     def __repr__(self):
@@ -155,7 +155,8 @@ class WeightSystem(Frozen):
     kind "su2": the label is a nonnegative integer highest weight, with
     weight multiset (label, label-2, ..., -label) against the single
     declared line class.  There is at least one line class: the scenario
-    parser builds a system only from a nonempty `weight_system` list.
+    parser builds a system only from a nonempty `weight_system` list, and
+    `scenarios._check_label` holds every label to these forms.
     """
 
     __slots__ = ("kind", "line_classes")
@@ -177,22 +178,13 @@ class WeightSystem(Frozen):
         return len(self.line_classes)
 
     def weights_of(self, label) -> list[tuple[int, ...]]:
-        if self.kind == "torus":
-            if isinstance(label, int):
-                if self.rank != 1:
-                    raise GroupError(
-                        f"integer label needs rank 1, this system has rank {self.rank}"
-                    )
-                return [(label,)]
-            weight = tuple(int(w) for w in label)
-            if len(weight) != self.rank:
-                raise GroupError(
-                    f"label {weight} has arity {len(weight)}, expected {self.rank}"
-                )
-            return [weight]
-        if not isinstance(label, int) or label < 0:
-            raise GroupError("su2 labels are nonnegative integers")
-        return [(m,) for m in range(label, -label - 1, -2)]
+        """The weight vectors of the representation a label names.  The
+        label has the system's form: under "torus" an int list of length
+        `rank`, or an int when the rank is one; under "su2" a nonnegative
+        int.  `scenarios._check_label` refuses every other label at parse."""
+        if self.kind == "su2":
+            return [(m,) for m in range(label, -label - 1, -2)]
+        return [(label,)] if isinstance(label, int) else [tuple(label)]
 
     def root_class(self, weight: Sequence[int]) -> CohClass:
         return class_sum([line * w for w, line in zip(weight, self.line_classes)])

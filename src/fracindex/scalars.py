@@ -102,20 +102,19 @@ def power_residues(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def root_of_unity_sum(order: int, weights: Mapping[int, int], denominator: int = 1) -> Scalar:
+def root_of_unity_sum(order: int, weights: Mapping[int, int], denominator: int) -> Scalar:
     """sum_k weights[k] * zeta^k / denominator for zeta a primitive order-th
-    root of unity: integer weights (Fractions go over their lcm first) times
-    row k % order of `power_residues`, and `denominator` enters once.  A
-    rational sum is returned as a Fraction without building a Cyclotomic."""
-    numerators, den = common_denominator(list(weights.values()))
+    root of unity: int weights, as `IndexProblem.moments` passes them, times
+    row k % order of `power_residues`, over the positive int `denominator`.
+    A rational sum is returned as a Fraction without building a Cyclotomic."""
     residues = power_residues(order)
     vector = [0] * len(residues[0])
-    for k, w in zip(weights, numerators):
+    for k, w in weights.items():
         for i, r in enumerate(residues[k % order]):
             vector[i] += w * r
     if not any(vector[1:]):
-        return Fraction(vector[0], den * denominator)
-    return Cyclotomic(order, vector, den * denominator)
+        return Fraction(vector[0], denominator)
+    return Cyclotomic(order, vector, denominator)
 
 
 class Cyclotomic(Frozen):

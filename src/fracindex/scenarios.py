@@ -1,7 +1,10 @@
 """Scenario files: declarative JSON descriptions of a manifold model,
 bundles, the finite center with its invariant data, a symbol, and a list
-of task requests.  Parsing validates every declared invariant up front;
-running produces exact, deterministically ordered results.
+of task requests.  Parsing validates every declared invariant up front,
+and is the one place a document value is checked or converted: every
+refusal of a document happens at parse, and the layers below store the
+parsed values as they are.  Running produces exact, deterministically
+ordered results.
 
 The same document shape is used for the built-in scenarios, for user
 files, and for the optional "expect" blocks that turn any scenario into a
@@ -14,6 +17,9 @@ orientation `manifold.fundamental[1]` is a JSON integer or a string "p" or
 "p/q" of digits as expressions read numbers; a float is refused.  Bundles
 used as tangent data must declare roots, Chern or Pontryagin classes.  An
 `mms_projective` task needs a symbol on exactly one nonzero character.
+An `atiyah_pairing` label under `group.weight_kind` "torus" is a list of
+as many ints as the weight system has coordinates, or an int when it has
+one.
 
 Four caps keep every document's run bounded:
 
@@ -479,7 +485,12 @@ def _check_label(scenario: Scenario, task: dict, path: str) -> None:
         raise ScenarioError("task atiyah_pairing requires a trivial group")
     label = _need(task, "lambda", "task atiyah_pairing")
     (_int_list if isinstance(label, list) else _int)(label, f"{path}.lambda")
-    if scenario.weight_system.kind != "su2":
+    if scenario.weight_system.kind == "torus":
+        rank = scenario.weight_system.rank
+        if not isinstance(label, list) and rank != 1:
+            raise ScenarioError(f"{path}.lambda: integer label needs rank 1, this system has rank {rank}")
+        if isinstance(label, list) and len(label) != rank:
+            raise ScenarioError(f"{path}.lambda: label {label} has arity {len(label)}, expected {rank}")
         return
     if isinstance(label, list) or label < 0:
         raise ScenarioError(f"{path}.lambda: su2 labels are nonnegative integers, got {label}")
@@ -601,7 +612,9 @@ def run(
     """Execute the scenario's tasks in order.  `task_filter` selects tasks
     by op name or zero-based index; `max_degree` overrides the moment
     cutoff of every moment-producing task, within the same bounds as a
-    task's own `max_degree`."""
+    task's own `max_degree`, and an override outside them is the one
+    ScenarioError raised here: `parse_scenario` has refused every document
+    a task could fail on."""
     if max_degree is not None:
         _check_max_degree(max_degree, "max_degree", scenario.model.dimension // 2)
     problem = scenario.problem()
@@ -613,13 +626,9 @@ def run(
                     continue
             elif task.get("op") != task_filter:
                 continue
-        op = task["op"]
-        _, handle = _OPS[op]
+        _, handle = _OPS[task["op"]]
         bound = max_degree if max_degree is not None else task.get("max_degree")
-        try:
-            payload = handle(scenario, problem, task, bound)
-        except GroupError as exc:
-            raise ScenarioError(f"{scenario.name}: task {index} ({op}): {exc}") from exc
+        payload = handle(scenario, problem, task, bound)
         results.append(TaskResult(scenario.name, index, task, payload))
     return results
 
@@ -683,12 +692,12 @@ def _result_lines(result: TaskResult) -> list[str]:
     label = f"[{result.index}] {result.request.get('op')}"
     payload = result.payload
     if isinstance(payload, MomentTable):
-        return [f"{label} gamma={_gamma_str(payload.gamma)}", *_table_lines(payload)]
+        return [f"{label} gamma={_gamma_str(payload.gamma)}", *_table_lines(payload, {})]
     if isinstance(payload, IndexDistribution):
-        lines = [label]
+        lines, names = [label], {}
         for gamma, table in payload.tables.items():
             lines.append(f"  gamma={_gamma_str(gamma)}")
-            lines.extend(_table_lines(table, indent=4))
+            lines.extend(_table_lines(table, names.setdefault(table.generator_names, {}), indent=4))
         return lines
     suffix = ""
     if "gamma" in result.request:
@@ -774,6 +783,8 @@ def _gamma_str(gamma: tuple[int, ...]) -> str:
 
 
 def _scalar_str(value: Scalar) -> str:
+    if isinstance(value, Fraction):
+        return str(value)
     rendered = scalar_to_json(value)
     if isinstance(rendered, str):
         return rendered
@@ -783,13 +794,15 @@ def _scalar_str(value: Scalar) -> str:
     )
 
 
-def _table_lines(table: MomentTable, indent: int = 2) -> list[str]:
+def _table_lines(table: MomentTable, names: dict, indent: int = 2) -> list[str]:
+    """One line per moment, each key named once per `names`."""
+    for key in table.values.keys() - names.keys():
+        names[key] = monomial_name(table.generator_names, key)
     pad = " " * indent
-    names = [monomial_name(table.generator_names, key) for key in table.values]
-    width = max((len(n) for n in names), default=1)
+    width = max((len(names[key]) for key in table.values), default=1)
     return [
-        f"{pad}{name.ljust(width)}  {_scalar_str(value)}"
-        for name, value in zip(names, table.values.values())
+        f"{pad}{names[key].ljust(width)}  {_scalar_str(value)}"
+        for key, value in table.values.items()
     ]
 
 

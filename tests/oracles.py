@@ -489,15 +489,14 @@ def bracket_exponent_by_reduction(group, character, element) -> int:
 def fractional_index_oracle(problem, gamma):
     """The distribution at gamma paired against a unit bump: the integral
     of the a-hat square times each symbol bucket, weighted by its root of
-    unity."""
-    from fracindex.scalars import root_of_unity_sum
+    unity, summed in Cyclotomic field arithmetic."""
+    from fracindex.scalars import Cyclotomic
 
-    square = problem.a_hat_squared
-    buckets = problem.reduced_integrand(gamma)
-    return root_of_unity_sum(
-        problem.group.exponent,
-        {k: (square * bucket).integrate() for k, bucket in buckets.items()},
-    )
+    order, square = problem.group.exponent, problem.a_hat_squared
+    total = Cyclotomic.from_rational(0, order)
+    for k, bucket in problem.reduced_integrand(gamma).items():
+        total = total + Cyclotomic.root_of_unity(order, k) * (square * bucket).integrate()
+    return total
 
 
 # -- the recursive-descent expression parser over Fraction dicts -----------------

@@ -8,9 +8,11 @@ the projective Dirac distribution at L^k, L with image x, is therefore
 k! [t^k] C(t + (n-1)/2, n) at the identity, and its negative at the
 nontrivial element of the center; with image a*x it scales by a^k.  The
 expected values use no root of unity, so at the center Z/2 they check
-the sign the engine reads from `power_residues`.  On (CP^1)^k the a-hat
-class is 1 and the only nonzero integral of a power of L = sum c_i x_i is
-the top one.
+the sign the engine reads from `power_residues`.  On CP^a x CP^b the
+a-hat class is the product of the factors' classes, so with L1 -> x and
+L2 -> y the moment at L1^i L2^j is i! j! [s^i] C(s + (a-1)/2, a) times
+[t^j] C(t + (b-1)/2, b).  On (CP^1)^k the a-hat class is 1 and the only
+nonzero integral of a power of L = sum c_i x_i is the top one.
 """
 
 from __future__ import annotations
@@ -101,6 +103,61 @@ def test_projective_dirac_moments_of_two_quadratic_generators_vanish_past_the_di
     for result in run(parse_scenario(_cpn_document(n, generators))):
         tables = result.payload.tables
         assert list(tables[(0,)].values) == keys
+        assert tables[(0,)].values == expected
+        assert tables[(1,)].values == {key: -value for key, value in expected.items()}
+
+
+def _product_document(a: int, b: int) -> str:
+    """CP^a x CP^b with L1 -> x and L2 -> y, the tangent data by the roots
+    x (a+1 times) and y (b+1 times), and by the Chern classes of
+    (1+x)^(a+1) (1+y)^(b+1)."""
+    def term(p: int, q: int) -> str:
+        powers = [f"{name}^{e}" for name, e in (("x", p), ("y", q)) if e]
+        return "*".join([str(math.comb(a + 1, p) * math.comb(b + 1, q)), *powers])
+
+    chern = [
+        " + ".join(term(p, i - p) for p in range(max(0, i - b), min(a, i) + 1))
+        for i in range(1, a + b + 1)
+    ]
+    return json.dumps({
+        "name": f"cp{a}xcp{b}",
+        "manifold": {
+            "dimension": 2 * (a + b),
+            "generators": [["x", 2], ["y", 2]],
+            "relations": [[f"x^{a + 1}", "0"], [f"y^{b + 1}", "0"]],
+            "fundamental": [f"x^{a}*y^{b}", "1"],
+        },
+        "bundles": [
+            {"name": "TR", "rank": a + b + 2, "chern_roots": ["x"] * (a + 1) + ["y"] * (b + 1),
+             "tangent": True},
+            {"name": "TC", "rank": a + b + 2, "chern": chern},
+        ],
+        "group": {
+            "cyclic_orders": [2],
+            "invariant_generators": [
+                {"name": "L1", "s_degree": 1, "image": "x"},
+                {"name": "L2", "s_degree": 1, "image": "y"},
+            ],
+        },
+        "tasks": [
+            {"op": "projective_dirac", "max_degree": a + b},
+            {"op": "projective_dirac", "max_degree": a + b, "tangent": "TC"},
+        ],
+    })
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 3), (3, 4)])
+def test_projective_dirac_moments_on_a_product_of_two_projective_spaces(a, b):
+    s_poly = _binomial_polynomial(Fraction(a - 1, 2), a)
+    t_poly = _binomial_polynomial(Fraction(b - 1, 2), b)
+    expected = {
+        (i, j): math.perm(i) * math.perm(j) * s_poly[i] * t_poly[j] if i <= a and j <= b
+        else Fraction(0)
+        for total in range(a + b + 1) for i in range(total + 1) for j in [total - i]
+    }
+    # genus by roots, then by Chern classes
+    for result in run(parse_scenario(_product_document(a, b))):
+        tables = result.payload.tables
         assert tables[(0,)].values == expected
         assert tables[(1,)].values == {key: -value for key, value in expected.items()}
 

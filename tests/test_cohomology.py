@@ -646,8 +646,6 @@ def test_a_zero_term_is_no_term_of_a_declaration():
 
 def test_zero_relation_terms_are_not_stored():
     assert projective_model(x=2).relations == {0: (3, {})}
-    model = ManifoldModel(4, [("x", 2)], {0: (3, {(3,): Fraction(0)})}, (2,), Fraction(1))
-    assert model.relations == {0: (3, {})}
 
 
 # -- the parser against the Fraction-dict oracle ---------------------------------

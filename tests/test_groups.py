@@ -249,11 +249,3 @@ def test_weight_system_validation(cp2):
         WeightSystem("spin", [parse_expression("x", cp2)])
     with pytest.raises(GroupError):
         WeightSystem("torus", [cp2.one()])
-    system = WeightSystem("su2", [parse_expression("x", cp2)])
-    with pytest.raises(GroupError):
-        system.weights_of(-1)
-    with pytest.raises(GroupError):
-        system.weights_of([1])
-    torus = WeightSystem("torus", [parse_expression("x", cp2)])
-    with pytest.raises(GroupError):
-        torus.weights_of((1, 2))

@@ -6,7 +6,9 @@ import gc
 import json
 import math
 import re
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -156,8 +158,8 @@ _GAMMA4 = "gamma4_character_sum"
 
 #: One malformed document per check a document can reach: (id, built-in
 #: scenario, edit, message fragment).  Each check raises a ScenarioError
-#: while the document is parsed or run, so the engine, the model and the
-#: group layers may rely on what these checks enforce.
+#: while the document is parsed, so running it, the engine, the model and
+#: the group layers may rely on what these checks enforce.
 _REJECTED_DOCUMENTS = [
     # document shape
     ("missing_key", _CP2, lambda d: d["manifold"].pop("dimension"),
@@ -299,11 +301,13 @@ _REJECTED_DOCUMENTS = [
      "tasks[1].lambda: su2 labels are nonnegative integers, got [2]"),
     ("su2_builtin_negative_label", _HOPF, lambda d: d["group"].update(weight_kind="su2"),
      "tasks[4].lambda: su2 labels are nonnegative integers, got -1"),
-    # tasks at run time
-    ("integer_label_rank_two", _HOPF, _rank_two_weights, "integer label needs rank 1"),
+    ("integer_label_rank_two", _HOPF, _rank_two_weights,
+     "tasks[0].lambda: integer label needs rank 1, this system has rank 2"),
     ("label_arity", _HOPF,
      lambda d: (_rank_two_weights(d), d["tasks"][0].update({"lambda": [1, 2, 3]})),
-     "label (1, 2, 3) has arity 3, expected 2"),
+     "tasks[0].lambda: label [1, 2, 3] has arity 3, expected 2"),
+    ("label_arity_rank_one", _HOPF, lambda d: d["tasks"][0].update({"lambda": [1, 2]}),
+     "tasks[0].lambda: label [1, 2] has arity 2, expected 1"),
 ]
 
 
@@ -312,7 +316,32 @@ _REJECTED_DOCUMENTS = [
 )
 def test_every_check_a_document_reaches_raises_scenario_error(name, edit, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
-        run(parse_scenario(_builtin_with(edit, name)))
+        parse_scenario(_builtin_with(edit, name))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    system=st.one_of(st.tuples(st.just("torus"), st.integers(1, 3)), st.just(("su2", 1))),
+    label=st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=4)),
+)
+def test_a_label_is_refused_at_parse_or_pairs_to_a_rational(system, label):
+    kind, rank = system
+
+    def edit(d):
+        d["group"]["weight_kind"] = kind
+        d["group"]["weight_system"] = [
+            {"weight": [int(i == j) for j in range(rank)], "line_class": "x"} for i in range(rank)
+        ]
+        d["tasks"] = [{"op": "atiyah_pairing", "lambda": label}]
+        del d["expect"]
+
+    try:
+        scenario = parse_scenario(_builtin_with(edit, _HOPF))
+    except ScenarioError as exc:
+        assert str(exc).startswith("tasks[0].lambda: ")
+        return
+    (result,) = run(scenario)
+    assert type(result.payload) is Fraction
 
 
 def test_a_document_that_is_not_an_object_is_rejected():
@@ -612,3 +641,18 @@ def test_parsing_and_emitting_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_the_human_format_writes_rational_moments_without_demote(monkeypatch):
+    # every moment of the dirac_cp16 benchmark document is a Fraction
+    import fracindex.scalars as scalars
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    workloads = types.ModuleType("perfbench_workloads")
+    workloads.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
+    results = run(parse_scenario(json.dumps(workloads.document("dirac_cp16", 0))))
+    original, calls = scalars.demote, []
+    monkeypatch.setattr(scalars, "demote", lambda value: calls.append(value) or original(value))
+    emit(results, "human")
+    assert calls == []
