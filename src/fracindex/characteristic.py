@@ -41,11 +41,13 @@ class BundleData(Frozen):
     """A vector bundle presented through characteristic-class data.
 
     Exactly the data needed by the genus and character computations:
-    `roots` (each homogeneous of degree 2, one per unit of rank), or
-    `chern` classes c_1..c_r, or `pontryagin` classes p_1..p_k.  When both
-    roots and Chern classes are declared they must agree.  A trivial rank-r
-    bundle is presented by r zero roots.  Every class lives on `model`, as
-    the scenario parser reads them all on the scenario's model.
+    `roots` (formal degree-2 classes, one per unit of rank), or `chern`
+    classes c_1..c_r, or `pontryagin` classes p_1..p_k, every one on
+    `model`.  A trivial rank-r bundle is presented by r zero roots.  The
+    scenario parser holds the rank nonnegative, one root per unit of rank,
+    roots of degree 2, c_i of degree 2i and p_i of degree 4i, and declared
+    Chern classes equal to the elementary symmetric functions of declared
+    roots; the constructor stores what it is given.
     """
 
     __slots__ = (
@@ -59,7 +61,8 @@ class BundleData(Frozen):
         roots: Sequence[CohClass] | None = None,
         chern: Sequence[CohClass] | None = None,
         pontryagin: Sequence[CohClass] | None = None,
-        model: ManifoldModel | None = None,
+        *,
+        model: ManifoldModel,
     ) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "rank", rank)
@@ -68,50 +71,9 @@ class BundleData(Frozen):
         object.__setattr__(
             self, "pontryagin", tuple(pontryagin) if pontryagin is not None else None
         )
-        if model is None:
-            for group in (self.roots, self.chern, self.pontryagin):
-                if group:
-                    model = group[0].model
-                    break
-        if model is None:
-            raise BundleError(
-                f"bundle {name!r}: cannot infer the manifold model; pass model= explicitly"
-            )
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "_a_hat", None)
         object.__setattr__(self, "_a_hat_squared", None)
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.rank < 0:
-            raise BundleError(f"bundle {self.name!r} has negative rank")
-        if self.roots is not None:
-            if len(self.roots) != self.rank:
-                raise BundleError(
-                    f"bundle {self.name!r}: {len(self.roots)} roots for rank {self.rank}"
-                )
-            for root in self.roots:
-                if not root.is_homogeneous(2):
-                    raise BundleError(f"bundle {self.name!r}: roots must be homogeneous of degree 2")
-        if self.chern is not None:
-            for i, cls in enumerate(self.chern, start=1):
-                if not cls.is_homogeneous(2 * i):
-                    raise BundleError(
-                        f"bundle {self.name!r}: c_{i} must be homogeneous of degree {2 * i}"
-                    )
-        if self.pontryagin is not None:
-            for i, cls in enumerate(self.pontryagin, start=1):
-                if not cls.is_homogeneous(4 * i):
-                    raise BundleError(
-                        f"bundle {self.name!r}: p_{i} must be homogeneous of degree {4 * i}"
-                    )
-        if self.roots is not None and self.chern is not None:
-            elementary = _elementary_symmetric(self.model, self.roots, len(self.chern))
-            for i, declared in enumerate(self.chern):
-                if elementary[i] != declared:
-                    raise BundleError(
-                        f"bundle {self.name!r}: declared c_{i + 1} disagrees with the roots"
-                    )
 
     def __repr__(self):
         return f"BundleData({self.name!r}, rank={self.rank})"

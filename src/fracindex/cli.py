@@ -17,7 +17,9 @@ Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
 scenario cannot be read, parsed or written (a result too long to write
 included), when --max-degree is out of range, or when --check is combined
 with --max-degree.  A document that parses always runs: every refusal of
-its content happens at parse.
+its content happens at parse, and prints one line to standard error,
+`fracindex: <path>: <reason>`, where <path> names the field at fault (see
+`fracindex.scenarios`).
 """
 
 from __future__ import annotations

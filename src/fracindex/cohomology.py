@@ -91,18 +91,6 @@ def monomial_name(names: Iterable[str], exponents: Iterable[int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _check_grading(dimension: int, generators: Iterable[tuple[str, int]]) -> None:
-    if dimension < 0 or dimension % 2 != 0:
-        raise ModelError(f"dimension must be even and nonnegative, got {dimension}")
-    seen: set[str] = set()
-    for name, degree in generators:
-        if degree <= 0 or degree % 2 != 0:
-            raise ModelError(f"generator {name!r} must have even positive degree, got {degree}")
-        if name in seen:
-            raise ModelError(f"duplicate generator name {name!r}")
-        seen.add(name)
-
-
 def _accumulate(table: dict, key, delta) -> None:
     value = table.get(key)
     value = delta if value is None else value + delta
@@ -119,7 +107,10 @@ class ManifoldModel(Frozen):
     relations maps a generator index to (power, replacement terms); the
     replacement is in raw monomial form without zero coefficients and must
     be homogeneous of the same degree as the rewritten power.  The values
-    are stored as `build_model` passes them.
+    are stored as `build_model` passes them: it has checked the grading,
+    each relation and the fundamental monomial and orientation, where the
+    position of each declaration is known.  The constructor keeps the one
+    check that needs the rewrite system as a whole, termination.
     """
 
     __slots__ = (
@@ -149,7 +140,7 @@ class ManifoldModel(Frozen):
         object.__setattr__(self, "_normal_cache", {})
         object.__setattr__(self, "_products", {})
         object.__setattr__(self, "_images", {})  # moment images, kept by the engine
-        self._validate()
+        self._check_termination()
 
     # -- basic structure -----------------------------------------------------
 
@@ -194,9 +185,6 @@ class ManifoldModel(Frozen):
             if mono[i] >= power
         ]
 
-    def _is_normal(self, mono: Monomial) -> bool:
-        return self.monomial_degree(mono) <= self.dimension and not self._applicable(mono)
-
     def _rewrite_once(self, mono: Monomial, i: int) -> dict[Monomial, Fraction]:
         power, rhs = self.relations[i]
         rest = list(mono)
@@ -239,26 +227,6 @@ class ManifoldModel(Frozen):
         return entry
 
     # -- validation ------------------------------------------------------------
-
-    def _validate(self) -> None:
-        """The checks a declaration can fail; `build_model` has checked the
-        grading, and its parser yields valid indices, powers and arities."""
-        for i, (power, rhs) in self.relations.items():
-            lhs_degree = power * self.generators[i][1]
-            for mono in rhs:
-                if self.monomial_degree(mono) != lhs_degree:
-                    raise ModelError(
-                        f"relation on {self.generators[i][0]!r} is not degree-homogeneous: "
-                        f"{monomial_name(self.names, mono)} has degree {self.monomial_degree(mono)}, "
-                        f"expected {lhs_degree}"
-                    )
-        if self.monomial_degree(self.fundamental_monomial) != self.dimension:
-            raise ModelError("fundamental monomial degree must equal the model dimension")
-        if self.orientation == 0:
-            raise ModelError("orientation value must be nonzero")
-        if not self._is_normal(self.fundamental_monomial):
-            raise ModelError("fundamental monomial must be irreducible")
-        self._check_termination()
 
     def _check_termination(self) -> None:
         """Reject a rewrite cycle among the monomials of degree <= dimension.
@@ -304,7 +272,8 @@ class ManifoldModel(Frozen):
                 for nxt in pending:
                     if state.get(nxt):
                         raise ModelError(
-                            "rewrite system does not terminate on " + monomial_name(self.names, nxt)
+                            "relations: rewrite system does not terminate on "
+                            + monomial_name(self.names, nxt)
                         )
                     if nxt not in state:
                         state[nxt] = True
@@ -584,43 +553,77 @@ def build_model(
     dimension plus the largest generator degree: the first power of a
     generator above the dimension lies within that bound, and a relation
     beyond it could never fire.
+
+    Every ModelError and ExpressionError raised here starts with the path
+    of the declaration at fault, relative to the arguments: `dimension`,
+    `generators[i].name` or `.degree`, `relations[i].lhs` or `.rhs`,
+    `fundamental[0]` or `[1]`, and `relations` for a rewrite cycle.
     """
     generators = tuple(generators)
-    _check_grading(dimension, generators)
+    if dimension < 0 or dimension % 2 != 0:
+        raise ModelError(f"dimension: must be even and nonnegative, got {dimension}")
     names = [n for n, _ in generators]
-    bound = dimension + max((d for _, d in generators), default=0)
+    degrees = [d for _, d in generators]
+    seen: set[str] = set()
+    for i, (name, degree) in enumerate(generators):
+        if degree <= 0 or degree % 2 != 0:
+            raise ModelError(f"generators[{i}].degree: must be even and positive, got {degree}")
+        if name in seen:
+            raise ModelError(f"generators[{i}].name: duplicate generator name {name!r}")
+        seen.add(name)
+    bound = dimension + max(degrees, default=0)
 
-    def raw_terms(text: str) -> dict[Monomial, Fraction]:
-        num, den = parse_terms(text, generators, bound, truncate=False)
+    def raw_terms(text: str, path: str) -> dict[Monomial, Fraction]:
+        try:
+            num, den = parse_terms(text, generators, bound, truncate=False)
+        except ExpressionError as exc:
+            raise ExpressionError(f"{path}: {exc}") from exc
         return {m: Fraction(c, den) for m, c in num.items()}
 
     relation_map: dict[int, tuple[int, dict[Monomial, Fraction]]] = {}
-    for lhs, rhs in relations:
-        lhs_terms = raw_terms(lhs)
+    for i, (lhs, rhs) in enumerate(relations):
+        path = f"relations[{i}]"
+        lhs_terms = raw_terms(lhs, f"{path}.lhs")
         if len(lhs_terms) != 1:
-            raise ModelError(f"relation left side must be a single monomial: {lhs!r}")
+            raise ModelError(f"{path}.lhs: must be a single monomial, got {lhs!r}")
         (mono, coeff), = lhs_terms.items()
         if coeff != 1:
-            raise ModelError(f"relation left side must have coefficient 1: {lhs!r}")
-        support = [i for i, e in enumerate(mono) if e > 0]
+            raise ModelError(f"{path}.lhs: must have coefficient 1, got {lhs!r}")
+        support = [g for g, e in enumerate(mono) if e > 0]
         if len(support) != 1:
-            raise ModelError(f"relation left side must be a pure power of one generator: {lhs!r}")
+            raise ModelError(f"{path}.lhs: must be a pure power of one generator, got {lhs!r}")
         index = support[0]
         if index in relation_map:
-            raise ModelError(f"generator {names[index]!r} has more than one relation")
-        relation_map[index] = (mono[index], raw_terms(rhs))
+            raise ModelError(
+                f"{path}.lhs: generator {names[index]!r} has more than one relation"
+            )
+        rhs_terms = raw_terms(rhs, f"{path}.rhs")
+        expected = mono[index] * degrees[index]
+        for m in rhs_terms:
+            if (degree := sum(map(mul, m, degrees))) != expected:
+                raise ModelError(
+                    f"{path}.rhs: not degree-homogeneous: {monomial_name(names, m)} has degree "
+                    f"{degree}, expected {expected}"
+                )
+        relation_map[index] = (mono[index], rhs_terms)
 
     if fundamental is None:
         if dimension != 0 or generators:
-            raise ModelError("fundamental class is required for positive-dimensional models")
+            raise ModelError("fundamental: missing, and required for positive-dimensional models")
         fund_mono: Monomial = ()
         orientation: Fraction = Fraction(1)
     else:
         fund_text, orientation = fundamental
-        fund_terms = raw_terms(fund_text)
-        if len(fund_terms) != 1 or list(fund_terms.values()) != [Fraction(1)]:
-            raise ModelError("fundamental class must be a single monomial with coefficient 1")
-        (fund_mono,) = fund_terms.keys()
+        fund_terms = raw_terms(fund_text, "fundamental[0]")
+        if len(fund_terms) != 1 or list(fund_terms.values()) != [1]:
+            raise ModelError("fundamental[0]: must be a single monomial with coefficient 1")
+        (fund_mono,) = fund_terms
+        if (degree := sum(map(mul, fund_mono, degrees))) != dimension:
+            raise ModelError(f"fundamental[0]: degree {degree} must equal the dimension {dimension}")
+        if any(fund_mono[g] >= power for g, (power, _) in relation_map.items()):
+            raise ModelError(f"fundamental[0]: must be irreducible, got {fund_text!r}")
+        if orientation == 0:
+            raise ModelError("fundamental[1]: the orientation must be nonzero")
 
     return ManifoldModel(dimension, generators, relation_map, fund_mono, orientation)
 

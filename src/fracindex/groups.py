@@ -22,21 +22,16 @@ from fracindex.scalars import Cyclotomic, Frozen
 Element = tuple[int, ...]
 
 
-class GroupError(ValueError):
-    """A group, character or generator declaration violates an invariant."""
-
-
 class FiniteAbelianGroup(Frozen):
     """A product of cyclic groups; elements are exponent tuples reduced
     modulo the cyclic orders, whose product is `order` and lcm `exponent`.
-    The trivial group has no factors."""
+    The trivial group has no factors.  The scenario parser refuses an order
+    below 1; the constructor stores the orders as given."""
 
     __slots__ = ("cyclic_orders", "order", "exponent")
 
     def __init__(self, cyclic_orders: Iterable[int]) -> None:
         orders = tuple(cyclic_orders)
-        if any(n < 1 for n in orders):
-            raise GroupError(f"cyclic orders must be positive, got {orders}")
         object.__setattr__(self, "cyclic_orders", orders)
         object.__setattr__(self, "order", math.prod(orders))
         object.__setattr__(self, "exponent", math.lcm(*orders))
@@ -93,17 +88,12 @@ class InvariantGeneratorDecl(Frozen):
     """A declared generator of the invariant polynomials, carrying its
     degree in the symmetric algebra and its image class under the
     curvature evaluation (connection independence is assumed, not
-    checked)."""
+    checked).  The scenario parser holds s_degree >= 1 and the image
+    homogeneous of degree 2 * s_degree; the constructor stores them."""
 
     __slots__ = ("name", "s_degree", "image")
 
     def __init__(self, name: str, s_degree: int, image: CohClass) -> None:
-        if s_degree < 1:
-            raise GroupError(f"generator {name!r}: s_degree must be positive")
-        if not image.is_homogeneous(2 * s_degree):
-            raise GroupError(
-                f"generator {name!r}: image must be homogeneous of degree {2 * s_degree}"
-            )
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "s_degree", s_degree)
         object.__setattr__(self, "image", image)
@@ -154,24 +144,18 @@ class WeightSystem(Frozen):
     one) and names the one-dimensional representation with that weight.
     kind "su2": the label is a nonnegative integer highest weight, with
     weight multiset (label, label-2, ..., -label) against the single
-    declared line class.  There is at least one line class: the scenario
-    parser builds a system only from a nonempty `weight_system` list, and
-    `scenarios._check_label` holds every label to these forms.
+    declared line class.  The scenario parser builds a system only from a
+    nonempty `weight_system` list and holds the kind to these two, an su2
+    system to one line class and every line class homogeneous of degree 2;
+    `scenarios._check_label` holds every label to these forms.  The
+    constructor stores what it is given.
     """
 
     __slots__ = ("kind", "line_classes")
 
     def __init__(self, kind: str, line_classes: Sequence[CohClass]) -> None:
-        if kind not in ("torus", "su2"):
-            raise GroupError(f"unknown weight-system kind {kind!r}")
-        line_classes = tuple(line_classes)
-        if kind == "su2" and len(line_classes) != 1:
-            raise GroupError("su2 weight systems take exactly one line class")
-        for cls in line_classes:
-            if not cls.is_homogeneous(2):
-                raise GroupError("weight-system line classes must be homogeneous of degree 2")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "line_classes", line_classes)
+        object.__setattr__(self, "line_classes", tuple(line_classes))
 
     @property
     def rank(self) -> int:

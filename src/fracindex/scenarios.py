@@ -6,6 +6,15 @@ refusal of a document happens at parse, and the layers below store the
 parsed values as they are.  Running produces exact, deterministically
 ordered results.
 
+Every ScenarioError a document causes starts with the path of the field at
+fault, then ": " and the reason, as in `bundles[0].rank: negative rank -1`.
+A path is the document's keys joined by "." with list positions as [i];
+the two entries of a pair are named, `manifold.generators[i].name` and
+`.degree`, `manifold.relations[i].lhs` and `.rhs`.  A path may end in a
+key the document lacks only when the reason says it is missing.  Two
+refusals name no field: text that is not JSON ("parse error ...") and a
+JSON value that is not an object.
+
 The same document shape is used for the built-in scenarios, for user
 files, and for the optional "expect" blocks that turn any scenario into a
 regression check.  Every integer field takes a JSON integer only: a
@@ -59,7 +68,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
-from fracindex.characteristic import BundleData, BundleError
+from fracindex.characteristic import BundleData, _elementary_symmetric
 from fracindex.cohomology import (
     CohClass,
     ExpressionError,
@@ -78,7 +87,6 @@ from fracindex.engine import (
 )
 from fracindex.groups import (
     FiniteAbelianGroup,
-    GroupError,
     InvariantGeneratorDecl,
     WeightSystem,
 )
@@ -187,10 +195,13 @@ def _payload_to_json(payload):
 # parsing and validation
 
 
-def _need(mapping: Mapping[str, Any], key: str, context: str):
+def _need(mapping: Mapping[str, Any], path: str, convert: Callable | None = None, *args):
+    """The value of the required key that ends `path`, passed through
+    convert(value, path, *args) when a converter is given."""
+    key = path.rpartition(".")[2]
     if key not in mapping:
-        raise ScenarioError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+        raise ScenarioError(f"{path}: missing required key")
+    return mapping[key] if convert is None else convert(mapping[key], path, *args)
 
 
 def _is_int(value: Any) -> bool:
@@ -257,19 +268,25 @@ def _int_list(value: Any, path: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _expression(text: Any, model: ManifoldModel, context: str) -> CohClass:
+def _expression(text: Any, path: str, model: ManifoldModel) -> CohClass:
     if not isinstance(text, str):
-        raise ScenarioError(f"{context}: expected an expression string, got {text!r}")
+        raise ScenarioError(f"{path}: expected an expression string, got {text!r}")
     try:
         return parse_expression(text, model)
     except ExpressionError as exc:
-        raise ScenarioError(f"{context}: {exc}") from exc
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _homogeneous(cls: CohClass, path: str, degree: int) -> CohClass:
+    if not cls.is_homogeneous(degree):
+        raise ScenarioError(f"{path}: must be homogeneous of degree {degree}")
+    return cls
 
 
 def _build_manifold(spec: Mapping[str, Any]) -> ManifoldModel:
     if not isinstance(spec, dict):
         raise ScenarioError(f"manifold: expected an object, got {spec!r}")
-    dimension = _int(_need(spec, "dimension", "manifold"), "manifold.dimension")
+    dimension = _need(spec, "manifold.dimension", _int)
     path = "manifold.generators"
     generators = [
         (_str(n, f"{path}[{i}].name"), _int(d, f"{path}[{i}].degree"))
@@ -292,8 +309,13 @@ def _build_manifold(spec: Mapping[str, Any]) -> ManifoldModel:
                        _rational(orientation, "manifold.fundamental[1]"))
     try:
         return build_model(dimension, generators, relations, fundamental)
-    except (ModelError, ExpressionError) as exc:
-        raise ScenarioError(f"manifold: {exc}") from exc
+    except (ModelError, ExpressionError) as exc:  # each starts with a path in the declaration
+        raise ScenarioError(f"manifold.{exc}") from exc
+
+
+#: The classes a bundle may declare: (key, degree of the first class, degree
+#: step from one class to the next).
+_BUNDLE_CLASSES = (("chern_roots", 2, 0), ("chern", 2, 2), ("pontryagin", 4, 4))
 
 
 def _build_bundles(
@@ -303,49 +325,52 @@ def _build_bundles(
     tangent_name = None
     parsed: dict[str, CohClass] = {}  # each distinct root or class text, parsed once
     for index, spec in enumerate(_objects(specs, "bundles")):
-        name = _str(_need(spec, "name", "bundle"), f"bundles[{index}].name")
+        path = f"bundles[{index}]"
+        name = _need(spec, f"{path}.name", _str)
         if name in bundles:
-            raise ScenarioError(f"bundle {name!r} declared twice")
-        rank = _int(_need(spec, "rank", f"bundle {name!r}"), f"bundles[{index}].rank")
-        kwargs: dict[str, Any] = {}
-        for key, argument, label in (
-            ("chern_roots", "roots", "root"),
-            ("chern", "chern", "chern"),
-            ("pontryagin", "pontryagin", "pontryagin"),
-        ):
+            raise ScenarioError(f"{path}.name: bundle {name!r} declared twice")
+        rank = _need(spec, f"{path}.rank", _int)
+        if rank < 0:
+            raise ScenarioError(f"{path}.rank: negative rank {rank}")
+        data: dict[str, list[CohClass]] = {}
+        for key, first, step in _BUNDLE_CLASSES:
             if key in spec:
-                path = f"bundles[{index}].{key}"
-                classes = []
-                for j, text in enumerate(_list(spec[key], path)):
-                    if not isinstance(text, str):
-                        raise ScenarioError(
-                            f"{path}[{j}]: expected an expression string, got {text!r}"
-                        )
-                    if text not in parsed:
-                        parsed[text] = _expression(text, model, f"bundle {name!r} {label}")
-                    classes.append(parsed[text])
-                kwargs[argument] = classes
-        try:
-            bundles[name] = BundleData(name, rank, model=model, **kwargs)
-        except BundleError as exc:
-            raise ScenarioError(str(exc)) from exc
+                data[key] = []
+                for j, text in enumerate(_list(spec[key], f"{path}.{key}")):
+                    field = f"{path}.{key}[{j}]"
+                    if not isinstance(text, str) or text not in parsed:
+                        parsed[text] = _expression(text, field, model)
+                    data[key].append(_homogeneous(parsed[text], field, first + step * j))
+        roots, chern = data.get("chern_roots"), data.get("chern")
+        if roots is not None and len(roots) != rank:
+            raise ScenarioError(f"{path}.chern_roots: {len(roots)} roots for rank {rank}")
+        if roots is not None and chern is not None:
+            elementary = _elementary_symmetric(model, roots, len(chern))
+            for j, declared in enumerate(chern):
+                if elementary[j] != declared:
+                    raise ScenarioError(
+                        f"{path}.chern[{j}]: declared c_{j + 1} disagrees with the roots"
+                    )
+        bundles[name] = BundleData(name, rank, roots, chern, data.get("pontryagin"), model=model)
         tangent = spec.get("tangent", False)
         if not isinstance(tangent, bool):
-            raise ScenarioError(f"bundles[{index}].tangent: expected a bool, got {tangent!r}")
+            raise ScenarioError(f"{path}.tangent: expected a bool, got {tangent!r}")
         if tangent:
             if tangent_name is not None:
-                raise ScenarioError("more than one bundle is flagged as tangent data")
+                raise ScenarioError(
+                    f"{path}.tangent: more than one bundle is flagged as tangent data"
+                )
             tangent_name = name
-            _check_tangent_data(bundles, name)
+            _check_tangent_data(bundles[name], f"{path}.tangent")
     return bundles, tangent_name
 
 
-def _check_tangent_data(bundles: Mapping[str, BundleData], name: str) -> None:
-    """The a-hat genus of tangent data needs roots, Chern or Pontryagin classes."""
-    bundle = bundles[name]
+def _check_tangent_data(bundle: BundleData, path: str) -> None:
+    """The a-hat genus of tangent data needs roots, Chern or Pontryagin
+    classes; `path` is the field that makes the bundle tangent data."""
     if bundle.roots is None and bundle.chern is None and bundle.pontryagin is None:
         raise ScenarioError(
-            f"bundles[{list(bundles).index(name)}]: tangent bundle {name!r} declares none of "
+            f"{path}: tangent bundle {bundle.name!r} declares none of "
             "chern_roots, chern, pontryagin"
         )
 
@@ -356,10 +381,10 @@ def _build_group_block(
     if not isinstance(spec, dict):
         raise ScenarioError(f"group: expected an object, got {spec!r}")
     orders = _int_list(spec.get("cyclic_orders", []), "group.cyclic_orders")
-    try:
-        group = FiniteAbelianGroup(orders)
-    except GroupError as exc:
-        raise ScenarioError(f"group.cyclic_orders: {exc}") from exc
+    for index, order in enumerate(orders):
+        if order < 1:
+            raise ScenarioError(f"group.cyclic_orders[{index}]: must be positive, got {order}")
+    group = FiniteAbelianGroup(orders)
     if group.exponent > MAX_GROUP_EXPONENT:
         raise ScenarioError(
             f"group.cyclic_orders: group exponent {group.exponent} exceeds the cap of "
@@ -371,57 +396,50 @@ def _build_group_block(
             f"{MAX_GROUP_ORDER}"
         )
 
-    generators = []
-    path = "group.invariant_generators"
-    for index, gen_spec in enumerate(_objects(spec.get("invariant_generators", []), path)):
-        name = _str(_need(gen_spec, "name", "invariant generator"), f"{path}[{index}].name")
+    generators: list[InvariantGeneratorDecl] = []
+    for index, gen_spec in enumerate(
+        _objects(spec.get("invariant_generators", []), "group.invariant_generators")
+    ):
+        path = f"group.invariant_generators[{index}]"
+        name = _need(gen_spec, f"{path}.name", _str)
         if any(gen.name == name for gen in generators):
-            raise ScenarioError(
-                f"{path}[{index}].name: invariant generator {name!r} declared twice"
-            )
-        s_degree = _int(
-            _need(gen_spec, "s_degree", f"generator {name!r}"), f"{path}[{index}].s_degree"
-        )
-        image = _expression(
-            _need(gen_spec, "image", f"generator {name!r}"), model, f"generator {name!r} image"
-        )
-        try:
-            generators.append(InvariantGeneratorDecl(name, s_degree, image))
-        except GroupError as exc:
-            raise ScenarioError(str(exc)) from exc
+            raise ScenarioError(f"{path}.name: invariant generator {name!r} declared twice")
+        s_degree = _need(gen_spec, f"{path}.s_degree", _int)
+        if s_degree < 1:
+            raise ScenarioError(f"{path}.s_degree: must be positive, got {s_degree}")
+        image = _need(gen_spec, f"{path}.image", _expression, model)
+        _homogeneous(image, f"{path}.image", 2 * s_degree)
+        generators.append(InvariantGeneratorDecl(name, s_degree, image))
 
-    system = None
-    entries = spec.get("weight_system", [])
-    if entries:
-        kind = _str(spec.get("weight_kind", "torus"), "group.weight_kind")
-        path = "group.weight_system"
-        weights = [
-            _int_list(_need(entry, "weight", "weight system entry"), f"{path}[{i}].weight")
-            for i, entry in enumerate(_objects(entries, path))
-        ]
-        rank = len(weights[0])
-        line_classes: list[CohClass | None] = [None] * rank
-        for entry, weight in zip(entries, weights):
-            if len(weight) != rank:
-                raise ScenarioError("weight system entries must share one arity")
-            hot = [i for i, w in enumerate(weight) if w != 0]
-            if len(hot) != 1 or weight[hot[0]] != 1:
-                raise ScenarioError(
-                    "weight system entries declare basis line classes: each weight "
-                    "must be a unit coordinate vector"
-                )
-            if line_classes[hot[0]] is not None:
-                raise ScenarioError(f"weight coordinate {hot[0]} declared twice")
-            line_classes[hot[0]] = _expression(
-                _need(entry, "line_class", "weight system entry"), model, "weight system"
+    kind = spec.get("weight_kind", "torus")
+    if kind not in ("torus", "su2"):
+        raise ScenarioError(f'group.weight_kind: expected "torus" or "su2", got {kind!r}')
+    path = "group.weight_system"
+    entries = _objects(spec.get("weight_system", []), path)
+    if not entries:
+        return group, generators, None
+    weights = [_need(entry, f"{path}[{i}].weight", _int_list) for i, entry in enumerate(entries)]
+    rank = len(weights[0])
+    if kind == "su2" and rank != 1:
+        raise ScenarioError(f"{path}: an su2 system takes exactly one line class, got {rank}")
+    line_classes: list[CohClass | None] = [None] * rank
+    for i, (entry, weight) in enumerate(zip(entries, weights)):
+        if len(weight) != rank:
+            raise ScenarioError(
+                f"{path}[{i}].weight: weight system entries must share one arity, got "
+                f"{len(weight)}, expected {rank}"
             )
-        if any(cls is None for cls in line_classes):
-            raise ScenarioError("weight system must declare every coordinate once")
-        try:
-            system = WeightSystem(kind, line_classes)  # type: ignore[arg-type]
-        except GroupError as exc:
-            raise ScenarioError(str(exc)) from exc
-    return group, generators, system
+        hot = [j for j, w in enumerate(weight) if w != 0]
+        if len(hot) != 1 or weight[hot[0]] != 1:
+            raise ScenarioError(f"{path}[{i}].weight: each weight must be a unit coordinate vector")
+        if line_classes[hot[0]] is not None:
+            raise ScenarioError(f"{path}[{i}].weight: weight coordinate {hot[0]} declared twice")
+        line_class = _need(entry, f"{path}[{i}].line_class", _expression, model)
+        line_classes[hot[0]] = _homogeneous(line_class, f"{path}[{i}].line_class", 2)
+    missing = [j for j, cls in enumerate(line_classes) if cls is None]
+    if missing:
+        raise ScenarioError(f"{path}: weight coordinate {missing[0]} is not declared")
+    return group, generators, WeightSystem(kind, line_classes)
 
 
 def _build_symbol(
@@ -429,26 +447,22 @@ def _build_symbol(
 ) -> SymbolData:
     components: dict[tuple[int, ...], CohClass] = {}
     for index, spec in enumerate(_objects(specs, "symbol")):
-        character = _int_list(
-            _need(spec, "character", "symbol component"), f"symbol[{index}].character"
-        )
+        path = f"symbol[{index}]"
+        character = _need(spec, f"{path}.character", _int_list)
         if not group.contains(character):
             raise ScenarioError(
-                f"symbol character {character} is outside the group's exponent ranges"
+                f"{path}.character: {list(character)} is outside the group's exponent ranges"
             )
-        cls = _expression(_need(spec, "class", "symbol component"), model, "symbol component")
         if character in components:
-            raise ScenarioError(f"symbol character {character} declared twice")
-        components[character] = cls
+            raise ScenarioError(f"{path}.character: {list(character)} declared twice")
+        components[character] = _need(spec, f"{path}.class", _expression, model)
     return SymbolData(group, components)
 
 
 def _check_gamma(scenario: Scenario, task: dict, path: str) -> None:
-    gamma = _need(task, "gamma", f"task {task['op']}")
-    if not scenario.group.contains(_int_list(gamma, f"{path}.gamma")):
-        raise ScenarioError(
-            f"task {task['op']}: gamma {gamma} is outside the group's exponent ranges"
-        )
+    gamma = _need(task, f"{path}.gamma", _int_list)
+    if not scenario.group.contains(gamma):
+        raise ScenarioError(f"{path}.gamma: {list(gamma)} is outside the group's exponent ranges")
 
 
 def _check_bound(scenario: Scenario, task: dict, path: str) -> None:
@@ -457,17 +471,22 @@ def _check_bound(scenario: Scenario, task: dict, path: str) -> None:
 
 
 def _check_tangent(scenario: Scenario, task: dict, path: str) -> None:
-    name = task.get("tangent", scenario.tangent_name)
-    if name is not None and not isinstance(name, str):
-        raise ScenarioError(f"{path}.tangent: expected a bundle name, got {name!r}")
-    if name is None:
-        raise ScenarioError(
-            "task projective_dirac needs tangent data: flag a bundle with "
-            '"tangent": true or name one in the task'
-        )
+    """A task's own tangent bundle; the flagged one was checked with the
+    bundles."""
+    path += ".tangent"
+    if "tangent" not in task:
+        if scenario.tangent_name is None:
+            raise ScenarioError(
+                f'{path}: missing, and no bundle is flagged "tangent": true; '
+                "task projective_dirac needs tangent data"
+            )
+        return
+    name = task["tangent"]
+    if not isinstance(name, str):
+        raise ScenarioError(f"{path}: expected a bundle name, got {name!r}")
     if name not in scenario.bundles:
-        raise ScenarioError(f"task projective_dirac: unknown bundle {name!r}")
-    _check_tangent_data(scenario.bundles, name)
+        raise ScenarioError(f"{path}: unknown bundle {name!r}")
+    _check_tangent_data(scenario.bundles[name], path)
 
 
 def _check_single_character(scenario: Scenario, task: dict, path: str) -> None:
@@ -480,10 +499,10 @@ def _check_single_character(scenario: Scenario, task: dict, path: str) -> None:
 
 def _check_label(scenario: Scenario, task: dict, path: str) -> None:
     if scenario.weight_system is None:
-        raise ScenarioError("task atiyah_pairing needs a weight_system declaration")
+        raise ScenarioError(f"{path}: task atiyah_pairing needs a group.weight_system declaration")
     if not scenario.group.is_trivial():
-        raise ScenarioError("task atiyah_pairing requires a trivial group")
-    label = _need(task, "lambda", "task atiyah_pairing")
+        raise ScenarioError(f"{path}: task atiyah_pairing requires a trivial group")
+    label = _need(task, f"{path}.lambda")
     (_int_list if isinstance(label, list) else _int)(label, f"{path}.lambda")
     if scenario.weight_system.kind == "torus":
         rank = scenario.weight_system.rank
@@ -561,25 +580,24 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
 
     name = _str(document.get("name", "unnamed"), "name")
-    model = _build_manifold(_need(document, "manifold", name))
+    model = _build_manifold(_need(document, "manifold"))
     bundles, tangent_name = _build_bundles(document.get("bundles", []), model)
     group, generators, weight_system = _build_group_block(document.get("group", {}), model)
     symbol = _build_symbol(document.get("symbol", []), model, group)
 
     tasks = _objects(document.get("tasks", []), "tasks")
     expect = document.get("expect")
-    if expect is not None:
-        if not isinstance(expect, list) or len(expect) != len(tasks):
-            raise ScenarioError(f"{name}: expect block must list one entry per task")
+    if expect is not None and (not isinstance(expect, list) or len(expect) != len(tasks)):
+        raise ScenarioError(f"expect: must list one entry per task, {len(tasks)} in all")
 
     scenario = Scenario(
         name, model, bundles, tangent_name, group, generators, weight_system,
         symbol, tasks, expect,
     )
     for index, task in enumerate(scenario.tasks):
-        op = task.get("op")
+        op = _need(task, f"tasks[{index}].op")
         if not isinstance(op, str) or op not in _OPS:
-            raise ScenarioError(f"{name}: unknown task op {op!r}")
+            raise ScenarioError(f"tasks[{index}].op: unknown task op {op!r}")
         checks, _ = _OPS[op]
         for check in checks:
             check(scenario, task, f"tasks[{index}]")

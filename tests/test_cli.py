@@ -116,7 +116,7 @@ def test_unreadable_scenario_exits_2(target, message, tmp_path, capsys):
         ("hopf_riemann_roch", '"lambda": 2', '"lambda": 2.5', "tasks[2].lambda: expected an int"),
         ("cp2_projective_dirac", '"rank": 3', '"rank": ' + "3" * 5000, "parse error: number of 5000"),
         ("cp2_projective_dirac", '"chern_roots": [\n' + '        "x",\n' * 2 + '        "x"\n      ],\n',
-         "", "bundles[0]: tangent bundle 'TM' declares none of chern_roots, chern, pontryagin"),
+         "", "bundles[0].tangent: tangent bundle 'TM' declares none of chern_roots, chern, pontryagin"),
         ("cp2_projective_dirac", '"x^2",\n      "1"\n', '"x^2",\n      "1e5000"\n',
          'manifold.fundamental[1]: expected an int or a "p" or "p/q" string'),
         ("cp2_projective_dirac", '"x^2",\n      "1"\n', '"x^2",\n      0.5\n',
@@ -166,7 +166,8 @@ def test_task_tangent_bundle_without_data_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "fracindex: bundles[1]: tangent bundle 'E0' declares none of chern_roots, chern, pontryagin\n"
+        "fracindex: tasks[3].tangent: tangent bundle 'E0' declares none of chern_roots, chern, "
+        "pontryagin\n"
     )
     document["tasks"][3].pop("tangent")
     path.write_text(json.dumps(document))

@@ -52,7 +52,7 @@ def cp2_dirac_problem():
 
 def k3_like_dirac_problem():
     model = build_model(4, [("q", 4)], [], ("q", 1))
-    tangent = BundleData("TK", 2, chern=[model.zero(), parse_expression("24*q", model)])
+    tangent = BundleData("TK", 2, chern=[model.zero(), parse_expression("24*q", model)], model=model)
     return model, dirac_problem(model, tangent)
 
 
@@ -229,7 +229,7 @@ def test_cp1_moments_vanish_past_dimension():
 
 def test_sphere_euler_style_generator():
     sphere = build_model(2, [("v", 2)], [("v^2", "0")], ("v", 1))
-    tangent = BundleData("TS", 1, pontryagin=[sphere.zero()])
+    tangent = BundleData("TS", 1, pontryagin=[sphere.zero()], model=sphere)
     gens = [
         InvariantGeneratorDecl("P1", 1, sphere.zero()),
         InvariantGeneratorDecl("E", 1, parse_expression("2*v", sphere)),
@@ -586,7 +586,7 @@ def test_problems_on_one_model_share_the_monomial_images(monkeypatch):
     )
     cp2, first = cp2_dirac_problem()
     chern = [parse_expression("3*x", cp2), parse_expression("3*x^2", cp2)]
-    tangent = BundleData("T", 3, chern=chern)
+    tangent = BundleData("T", 3, chern=chern, model=cp2)
     second = dirac_problem(cp2, tangent, first.generators)
     assert first.full_distribution() == second.full_distribution()
     assert calls == [2]

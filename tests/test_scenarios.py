@@ -157,18 +157,22 @@ def _rank_two_weights(d):
 _GAMMA4 = "gamma4_character_sum"
 
 #: One malformed document per check a document can reach: (id, built-in
-#: scenario, edit, message fragment).  Each check raises a ScenarioError
+#: scenario, edit, start of the message).  Each check raises a ScenarioError
 #: while the document is parsed, so running it, the engine, the model and
-#: the group layers may rely on what these checks enforce.
+#: the group layers may rely on what these checks enforce.  Every message
+#: but a JSON parse error starts with the path of the field at fault.
 _REJECTED_DOCUMENTS = [
     # document shape
     ("missing_key", _CP2, lambda d: d["manifold"].pop("dimension"),
-     "manifold: missing required key 'dimension'"),
+     "manifold.dimension: missing required key"),
     ("manifold_not_object", _CP2, lambda d: d.update(manifold=[4]), "manifold: expected an object"),
-    ("expect_length", _CP2, lambda d: d.update(expect=[]), "expect block must list one entry per task"),
-    ("unknown_op", _CP2, lambda d: d["tasks"][0].update(op="index"), "unknown task op 'index'"),
+    ("expect_length", _CP2, lambda d: d.update(expect=[]),
+     "expect: must list one entry per task, 4 in all"),
+    ("unknown_op", _CP2, lambda d: d["tasks"][0].update(op="index"),
+     "tasks[0].op: unknown task op 'index'"),
+    ("missing_op", _CP2, lambda d: d["tasks"][1].pop("op"), "tasks[1].op: missing required key"),
     ("class_not_string", _CP2, lambda d: d["symbol"][0].update({"class": 5}),
-     "symbol component: expected an expression string"),
+     "symbol[0].class: expected an expression string"),
     # json.dumps writes the constants NaN and Infinity, which JSON lacks;
     # an unknown task key would echo them into the machine output
     ("nan_constant", _CP2, lambda d: d["tasks"][0].update(extra=float("nan")),
@@ -176,116 +180,124 @@ _REJECTED_DOCUMENTS = [
     ("infinity_constant", _CP2, lambda d: d["tasks"][0].update(extra=-float("inf")),
      "parse error: '-Infinity' is not a finite number"),
     # manifold
-    ("odd_dimension", _CP2, lambda d: d["manifold"].update(dimension=3), "dimension must be even"),
+    ("odd_dimension", _CP2, lambda d: d["manifold"].update(dimension=3),
+     "manifold.dimension: must be even and nonnegative, got 3"),
     ("odd_generator", _CP2, lambda d: d["manifold"].update(generators=[["x", 3]]),
-     "generator 'x' must have even positive degree"),
+     "manifold.generators[0].degree: must be even and positive, got 3"),
     ("duplicate_generator", _CP2, lambda d: d["manifold"].update(generators=[["x", 2], ["x", 2]]),
-     "duplicate generator name 'x'"),
+     "manifold.generators[1].name: duplicate generator name 'x'"),
     ("lhs_two_terms", _CP2, lambda d: d["manifold"].update(relations=[["x^3 + x^2", "0"]]),
-     "must be a single monomial"),
+     "manifold.relations[0].lhs: must be a single monomial"),
     ("lhs_coefficient", _CP2, lambda d: d["manifold"].update(relations=[["2*x^3", "0"]]),
-     "must have coefficient 1"),
+     "manifold.relations[0].lhs: must have coefficient 1"),
     ("lhs_not_pure_power", _CP2,
      lambda d: (_cycle_model(d), d["manifold"].update(relations=[["x*y", "0"]])),
-     "must be a pure power of one generator"),
+     "manifold.relations[0].lhs: must be a pure power of one generator"),
     ("two_relations", _CP2, lambda d: d["manifold"].update(relations=[["x^3", "0"], ["x^2", "0"]]),
-     "generator 'x' has more than one relation"),
+     "manifold.relations[1].lhs: generator 'x' has more than one relation"),
     ("inhomogeneous_relation", _CP2, lambda d: d["manifold"].update(relations=[["x^3", "x"]]),
-     "not degree-homogeneous"),
-    ("rewrite_cycle", _CP2, _cycle_model, "rewrite system does not terminate"),
+     "manifold.relations[0].rhs: not degree-homogeneous"),
+    ("rewrite_cycle", _CP2, _cycle_model, "manifold.relations: rewrite system does not terminate"),
     ("no_fundamental", _CP2, lambda d: d["manifold"].pop("fundamental"),
-     "fundamental class is required"),
+     "manifold.fundamental: missing, and required"),
     ("fundamental_coefficient", _CP2,
      lambda d: d["manifold"].update(fundamental=["2*x^2", "1"]),
-     "fundamental class must be a single monomial with coefficient 1"),
+     "manifold.fundamental[0]: must be a single monomial with coefficient 1"),
     ("fundamental_degree", _CP2, lambda d: d["manifold"].update(fundamental=["x", "1"]),
-     "fundamental monomial degree must equal the model dimension"),
+     "manifold.fundamental[0]: degree 2 must equal the dimension 4"),
     ("fundamental_reducible", _CP2, lambda d: d["manifold"].update(relations=[["x^2", "0"]]),
-     "fundamental monomial must be irreducible"),
+     "manifold.fundamental[0]: must be irreducible, got 'x^2'"),
     ("orientation_zero", _CP2, lambda d: d["manifold"].update(fundamental=["x^2", "0"]),
-     "orientation value must be nonzero"),
+     "manifold.fundamental[1]: the orientation must be nonzero"),
     # expressions
-    ("unknown_name", _CP2, lambda d: d["symbol"][0].update({"class": "z"}), "unknown generator 'z'"),
+    ("unknown_name", _CP2, lambda d: d["symbol"][0].update({"class": "z"}),
+     "symbol[0].class: unknown generator 'z'"),
     ("stray_character", _CP2, lambda d: d["symbol"][0].update({"class": "x$"}),
-     "unexpected character '$'"),
+     "symbol[0].class: unexpected character '$'"),
     ("zero_denominator", _CP2, lambda d: d["symbol"][0].update({"class": "1/0"}),
-     "zero denominator"),
+     "symbol[0].class: zero denominator"),
     ("exponent_zero", _CP2, lambda d: d["symbol"][0].update({"class": "x^0"}),
-     "exponent must be a positive integer"),
+     "symbol[0].class: exponent must be a positive integer"),
     ("exponent_not_number", _CP2, lambda d: d["symbol"][0].update({"class": "x^x"}),
-     "expected number"),
+     "symbol[0].class: expected number"),
     ("denominator_not_number", _CP2, lambda d: d["symbol"][0].update({"class": "1/x"}),
-     "expected number"),
+     "symbol[0].class: expected number"),
     ("constant_power", _CP2, lambda d: d["symbol"][0].update({"class": "2^100000"}),
-     "is too large for the constant term 2"),
+     "symbol[0].class: exponent 100000 at position 2 is too large for the constant term 2"),
     ("dangling_operator", _CP2, lambda d: d["symbol"][0].update({"class": "x +"}),
-     "unexpected ''"),
+     "symbol[0].class: unexpected ''"),
     ("trailing_token", _CP2, lambda d: d["symbol"][0].update({"class": "x x"}),
-     "unexpected 'x'"),
+     "symbol[0].class: unexpected 'x'"),
     ("relation_over_bound", _CP2, lambda d: d["manifold"].update(relations=[["x^3", "x^4"]]),
-     "exceeds the degree bound 6"),
+     "manifold.relations[0].rhs: term x^4 of degree 8 exceeds the degree bound 6"),
     # bundles
     ("bundle_twice", _CP2, lambda d: d["bundles"].append(dict(d["bundles"][0], tangent=False)),
-     "bundle 'TM' declared twice"),
+     "bundles[1].name: bundle 'TM' declared twice"),
     ("two_tangents", _CP2, lambda d: d["bundles"].append(dict(d["bundles"][0], name="T2")),
-     "more than one bundle is flagged as tangent data"),
-    ("negative_rank", _CP2, lambda d: d["bundles"][0].update(rank=-1), "has negative rank"),
+     "bundles[1].tangent: more than one bundle is flagged as tangent data"),
+    ("negative_rank", _CP2, lambda d: d["bundles"][0].update(rank=-1),
+     "bundles[0].rank: negative rank -1"),
     ("root_count", _CP2, lambda d: d["bundles"][0].update(chern_roots=["x", "x"]),
-     "2 roots for rank 3"),
+     "bundles[0].chern_roots: 2 roots for rank 3"),
     ("root_degree", _CP2, lambda d: d["bundles"][0].update(chern_roots=["x", "x", "x^2"]),
-     "roots must be homogeneous of degree 2"),
+     "bundles[0].chern_roots[2]: must be homogeneous of degree 2"),
     ("chern_degree", _CP2, lambda d: d["bundles"][0].update(chern=["3*x", "x"]),
-     "c_2 must be homogeneous of degree 4"),
+     "bundles[0].chern[1]: must be homogeneous of degree 4"),
     ("pontryagin_degree", _CP2,
      lambda d: d["bundles"].append({"name": "E", "rank": 2, "pontryagin": ["x"]}),
-     "p_1 must be homogeneous of degree 4"),
+     "bundles[1].pontryagin[0]: must be homogeneous of degree 4"),
     ("roots_disagree", _CP2, lambda d: d["bundles"][0].update(chern=["2*x"]),
-     "declared c_1 disagrees with the roots"),
+     "bundles[0].chern[0]: declared c_1 disagrees with the roots"),
     ("tangent_without_data", _CP2, lambda d: d["bundles"][0].pop("chern_roots"),
-     "tangent bundle 'TM' declares none of"),
+     "bundles[0].tangent: tangent bundle 'TM' declares none of"),
     # group block
     ("cyclic_order_zero", _CP2, lambda d: d["group"].update(cyclic_orders=[0]),
-     "cyclic orders must be positive"),
+     "group.cyclic_orders[0]: must be positive, got 0"),
     ("s_degree_zero", _CP2, lambda d: d["group"]["invariant_generators"][0].update(s_degree=0),
-     "s_degree must be positive"),
+     "group.invariant_generators[0].s_degree: must be positive, got 0"),
     ("image_degree", _CP2, lambda d: d["group"]["invariant_generators"][0].update(image="x"),
-     "image must be homogeneous of degree 4"),
+     "group.invariant_generators[0].image: must be homogeneous of degree 4"),
     ("generator_twice", _CP2, lambda d: d["group"]["invariant_generators"][1].update(name="P1"),
-     "invariant generator 'P1' declared twice"),
+     "group.invariant_generators[1].name: invariant generator 'P1' declared twice"),
     ("weight_arity", _HOPF,
      lambda d: d["group"]["weight_system"].append({"weight": [0, 1], "line_class": "x"}),
-     "weight system entries must share one arity"),
+     "group.weight_system[1].weight: weight system entries must share one arity"),
     ("weight_not_unit", _HOPF, lambda d: d["group"]["weight_system"][0].update(weight=[2]),
-     "each weight must be a unit coordinate vector"),
+     "group.weight_system[0].weight: each weight must be a unit coordinate vector"),
     ("weight_twice", _HOPF,
      lambda d: d["group"]["weight_system"].append({"weight": [1], "line_class": "x"}),
-     "weight coordinate 0 declared twice"),
+     "group.weight_system[1].weight: weight coordinate 0 declared twice"),
     ("weight_missing_coordinate", _HOPF,
      lambda d: d["group"]["weight_system"][0].update(weight=[0, 1]),
-     "weight system must declare every coordinate once"),
+     "group.weight_system: weight coordinate 0 is not declared"),
     ("weight_kind", _HOPF, lambda d: d["group"].update(weight_kind="spin"),
-     "unknown weight-system kind 'spin'"),
+     "group.weight_kind: expected \"torus\" or \"su2\", got 'spin'"),
+    ("weight_kind_without_system", _CP2, lambda d: d["group"].update(weight_kind=5),
+     "group.weight_kind: expected \"torus\" or \"su2\", got 5"),
     ("line_class_degree", _HOPF, lambda d: d["group"]["weight_system"][0].update(line_class="1"),
-     "line classes must be homogeneous of degree 2"),
+     "group.weight_system[0].line_class: must be homogeneous of degree 2"),
     ("su2_two_lines", _HOPF, lambda d: (_rank_two_weights(d), d["group"].update(weight_kind="su2")),
-     "su2 weight systems take exactly one line class"),
+     "group.weight_system: an su2 system takes exactly one line class, got 2"),
     # symbol
     ("character_range", _CP2, lambda d: d["symbol"][0].update(character=[2]),
-     "symbol character (2,) is outside the group's exponent ranges"),
+     "symbol[0].character: [2] is outside the group's exponent ranges"),
     ("character_twice", _CP2, lambda d: d["symbol"].append(dict(d["symbol"][0])),
-     "symbol character (1,) declared twice"),
-    # tasks at parse time
+     "symbol[1].character: [1] declared twice"),
+    # tasks
     ("gamma_range", _CP2, lambda d: d["tasks"][0].update(gamma=[2]),
-     "gamma [2] is outside the group's exponent ranges"),
+     "tasks[0].gamma: [2] is outside the group's exponent ranges"),
     ("dirac_without_tangent", _CP2, lambda d: d["bundles"][0].pop("tangent"),
-     "task projective_dirac needs tangent data"),
+     "tasks[3].tangent: missing, and no bundle is flagged"),
     ("dirac_unknown_bundle", _CP2, lambda d: d["tasks"][3].update(tangent="T2"),
-     "task projective_dirac: unknown bundle 'T2'"),
+     "tasks[3].tangent: unknown bundle 'T2'"),
+    ("dirac_bundle_without_data", _CP2,
+     lambda d: d["bundles"].append({"name": "E0", "rank": 1}) or d["tasks"][3].update(tangent="E0"),
+     "tasks[3].tangent: tangent bundle 'E0' declares none of"),
     ("pairing_without_weights", _HOPF, lambda d: d["group"].pop("weight_system"),
-     "task atiyah_pairing needs a weight_system declaration"),
+     "tasks[0]: task atiyah_pairing needs a group.weight_system declaration"),
     ("pairing_on_nontrivial_group", _HOPF,
      lambda d: (d["group"].update(cyclic_orders=[2]), d["symbol"][0].update(character=[0])),
-     "task atiyah_pairing requires a trivial group"),
+     "tasks[0]: task atiyah_pairing requires a trivial group"),
     ("mms_two_components", _GAMMA4,
      lambda d: d["symbol"].append({"character": [0], "class": "x"}),
      "tasks[0]: task mms_projective requires a symbol concentrated on a single nonzero "
@@ -310,13 +322,82 @@ _REJECTED_DOCUMENTS = [
      "tasks[0].lambda: label [1, 2] has arity 2, expected 1"),
 ]
 
+#: The names a message gives the two entries of a declaration pair.
+_PAIR_FIELDS = {"manifold.generators": ("name", "degree"), "manifold.relations": ("lhs", "rhs")}
+_PATH = re.compile(r"[A-Za-z_]\w*(?:\.\w+|\[\d+\])*(?=: )")
+
+
+def _path_resolves(document, message: str) -> bool:
+    """Whether the message starts with a path that resolves in the document
+    by plain key and index lookups; `name`/`degree` of manifold.generators[i]
+    and `lhs`/`rhs` of manifold.relations[i] are its positions 0 and 1, and
+    the last key may be absent when the message says it is missing."""
+    match = _PATH.match(message)
+    if match is None:
+        return False
+    steps = re.findall(r"(\w+)|\[(\d+)\]", match[0])
+    value, keys = document, []
+    for position, (key, index) in enumerate(steps):
+        if index:
+            if not isinstance(value, list) or int(index) >= len(value):
+                return False
+            value = value[int(index)]
+        elif isinstance(value, list) and key in _PAIR_FIELDS.get(".".join(keys), ()):
+            value = value[_PAIR_FIELDS[".".join(keys)].index(key)]
+        elif isinstance(value, dict) and key in value:
+            value = value[key]
+            keys.append(key)
+        else:
+            return isinstance(value, dict) and position == len(steps) - 1 and "missing" in message
+    return True
+
 
 @pytest.mark.parametrize(
     "name,edit,message", [pytest.param(*case[1:], id=case[0]) for case in _REJECTED_DOCUMENTS]
 )
 def test_every_check_a_document_reaches_raises_scenario_error(name, edit, message):
-    with pytest.raises(ScenarioError, match=re.escape(message)):
-        parse_scenario(_builtin_with(edit, name))
+    document = json.loads(_builtin_with(edit, name))
+    with pytest.raises(ScenarioError) as refusal:
+        parse_scenario(json.dumps(document))
+    assert str(refusal.value).startswith(message)
+    if not message.startswith("parse error"):
+        assert _path_resolves(document, message)
+
+
+def _leaves(value, path=()):
+    """The path of every scalar and empty container in a JSON value."""
+    if isinstance(value, (dict, list)) and value:
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path
+
+
+_LEAVES = [
+    (name, path) for name in sorted(BUILTIN_SCENARIOS) for path in _leaves(BUILTIN_SCENARIOS[name])
+]
+_REPLACEMENTS = [
+    None, True, False, 0, 1, -1, 2, 3, -2, 7, 10**6, -(10**6), 1.5, -0.5, "", "x", "y", "1/0", "0",
+    "-1", "x^9", "torus", "su2", "TM", [], {}, [0], [1], [-1], [0, 0], ["x", 2], [[]], {"x": 1},
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_REPLACEMENTS))
+def test_a_document_with_one_leaf_replaced_parses_or_names_a_field(leaf, value):
+    # a refusal is a ScenarioError that names a field of the mutated
+    # document, or a JSON parse error; any other exception fails the test
+    name, path = leaf
+    document = json.loads(builtin_scenario_text(name))
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        parse_scenario(json.dumps(document))
+    except ScenarioError as exc:
+        message = str(exc)
+        assert message.startswith("parse error") or _path_resolves(document, message), message
 
 
 @settings(max_examples=120, deadline=None)
@@ -377,11 +458,12 @@ def test_max_degree_at_the_bound_runs():
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (lambda d: d["manifold"].update(relations=[["x^3", "1" * 5000 + "*x^3"]]), "manifold: "),
+        (lambda d: d["manifold"].update(relations=[["x^3", "1" * 5000 + "*x^3"]]),
+         "manifold.relations[0].rhs: "),
         (lambda d: d["bundles"][0].update(chern_roots=["1" * 5000 + "*x"] * 3),
-         "bundle 'TM' root: "),
+         "bundles[0].chern_roots[0]: "),
         (lambda d: d["bundles"][0].update(chern_roots=["x^" + "1" * 5000] * 3),
-         "bundle 'TM' root: "),
+         "bundles[0].chern_roots[0]: "),
         (lambda d: d["bundles"][0].update(rank="RANK"), "parse error: "),
     ],
 )
