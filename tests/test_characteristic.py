@@ -15,6 +15,7 @@ from fracindex import characteristic, scenarios
 
 from fracindex.characteristic import (
     BundleData,
+    BundleError,
     a_hat,
     a_hat_squared,
     newton_power_sums,
@@ -93,6 +94,11 @@ def test_a_hat_of_empty_characteristic_data_is_one(cp2):
     assert a_hat(BundleData("E", 2, chern=[], model=cp2)) == 1
     assert a_hat(BundleData("F", 4, pontryagin=[], model=cp2)) == 1
     assert a_hat(BundleData("G", 2, chern=[cp2.zero()], model=cp2)) == 1
+
+
+def test_a_hat_requires_data(cp2):
+    with pytest.raises(BundleError):
+        a_hat(BundleData("nothing", 2, model=cp2))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +292,24 @@ def test_a_hat_cp2_against_list_oracle(cp2):
 
 # ---------------------------------------------------------------------------
 # validation and cotangent reduction
+
+
+def test_bundle_rejects_wrong_root_count(cp2):
+    spec = {"name": "bad", "rank": 2, "chern_roots": ["x"]}
+    with pytest.raises(scenarios.ScenarioError, match=r"^bundles\[0\]\.chern_roots: .*roots"):
+        scenarios._build_bundles([spec], cp2)
+
+
+def test_bundle_rejects_inhomogeneous_root(cp2):
+    spec = {"name": "bad", "rank": 1, "chern_roots": ["1 + x"]}
+    with pytest.raises(scenarios.ScenarioError, match=r"^bundles\[0\]\.chern_roots\[0\]: .*homogeneous"):
+        scenarios._build_bundles([spec], cp2)
+
+
+def test_bundle_rejects_chern_root_mismatch(cp2):
+    spec = {"name": "bad", "rank": 2, "chern_roots": ["x", "x"], "chern": ["3*x"]}
+    with pytest.raises(scenarios.ScenarioError, match=r"^bundles\[0\]\.chern\[0\]: .*disagrees"):
+        scenarios._build_bundles([spec], cp2)
 
 
 def test_bundle_accepts_consistent_chern_and_roots(cp2):

@@ -20,6 +20,7 @@ from fracindex.groups import (
     graded_order,
 )
 from fracindex.scalars import Cyclotomic
+from fracindex.scenarios import ScenarioError, _build_group_block
 
 from oracles import bracket_exponent_by_reduction, projective_model
 
@@ -115,6 +116,24 @@ def test_bracket_orthogonality(orders):
 
 # ---------------------------------------------------------------------------
 # invariant generators and their curvature images
+
+
+def test_generator_validates_image_degree(cp2):
+    image = parse_expression("3*x^2", cp2)
+    gen = InvariantGeneratorDecl("P1", 2, image)
+    assert gen.image == image
+
+    def block(s_degree, text):
+        return {"invariant_generators": [{"name": "P", "s_degree": s_degree, "image": text}]}
+
+    # the parser holds the image degree and a positive s_degree
+    _, (parsed,), _ = _build_group_block(block(2, "3*x^2"), cp2)
+    assert parsed.image == image
+    path = r"^group\.invariant_generators\[0\]"
+    with pytest.raises(ScenarioError, match=path + r"\.image: .*homogeneous"):
+        _build_group_block(block(1, "3*x^2"), cp2)
+    with pytest.raises(ScenarioError, match=path + r"\.s_degree: "):
+        _build_group_block(block(0, "1"), cp2)
 
 
 def test_zero_image_is_allowed(cp2):
@@ -229,3 +248,22 @@ def test_rank_two_torus_weights():
     system = WeightSystem("torus", [parse_expression("x", prod), parse_expression("y", prod)])
     cls = character_jet(system, (1, 2))
     assert cls == parse_expression("(1 + x)*(1 + 2*y)", prod)
+
+
+def test_weight_system_validation(cp2):
+    def block(kind, *lines):
+        entries = [
+            {"weight": [int(i == j) for j in range(len(lines))], "line_class": line}
+            for i, line in enumerate(lines)
+        ]
+        return {"weight_kind": kind, "weight_system": entries}
+
+    # the parser holds one line class for su2, a known kind and degree-2 line classes
+    _, _, system = _build_group_block(block("su2", "x"), cp2)
+    assert system.line_classes == (parse_expression("x", cp2),)
+    with pytest.raises(ScenarioError, match=r"^group\.weight_system: "):
+        _build_group_block(block("su2", "x", "x"), cp2)
+    with pytest.raises(ScenarioError, match=r"^group\.weight_kind: "):
+        _build_group_block(block("spin", "x"), cp2)
+    with pytest.raises(ScenarioError, match=r"^group\.weight_system\[0\]\.line_class: "):
+        _build_group_block(block("torus", "1"), cp2)
