@@ -30,8 +30,8 @@ every full distribution computes both and compares them exactly:
   of length deg Phi_N, to which every bracket exponent k adds its column
   sum times the integer numerators of the bracket zeta_N^k.  The vector is
   compared with the direct moment times the column denominator: in
-  integers when the direct moment is rational, in field arithmetic
-  otherwise.
+  integers when the direct moment is rational, as a Cyclotomic difference
+  tested for zero otherwise.
 
 Rows and columns hold nonzero-image keys only: a zero-image key reads no
 product-table entry on either route, so it is the exact 0 in both.

@@ -7,12 +7,13 @@ stored as integer numerators over one positive denominator in lowest
 terms.  Phi_N is monic with integer coefficients, built by integer long
 division of t^N - 1 by Phi_d for every proper divisor d.  Roots of unity
 enter only through `power_residues`, whose integer row k is t^k modulo
-Phi_N, for every order N, N <= 2 (zeta = +-1) included.  Sums and
-products of cyclotomic scalars are integer work: t^k for k >= deg(Phi_N)
-folds in as row k of that table, and one gcd pass reduces each result.
+Phi_N, for every order N, N <= 2 (zeta = +-1) included.
 `root_of_unity_sum` takes integer weights over one denominator and adds
-rows of the same table; it builds no Cyclotomic when the sum is rational.
-No float ever enters or leaves this module.
+rows of that table; it builds no Cyclotomic when the sum is rational.  A
+Cyclotomic is a value the engine emits and compares, built from at most
+deg(Phi_N) integer numerators (nothing is folded); it has sums and
+rational multiples, each reduced by one gcd pass, and no product of two
+cyclotomic scalars.  No float ever enters or leaves this module.
 
 The one-root a-hat series (x/2)/sinh(x/2) and its log are read from two
 separate Bernoulli closed forms, neither derived from the other, so the
@@ -118,41 +119,37 @@ def root_of_unity_sum(order: int, weights: Mapping[int, int], denominator: int) 
 
 
 class Cyclotomic(Frozen):
-    """An element of the cyclotomic field of the given order: a residue
-    modulo the cyclotomic polynomial, stored as deg(Phi_order) integer
-    numerators over one positive denominator, in lowest terms (a zero
-    element has denominator 1), so equal elements have equal fields.
-    `coeffs` is the Fraction view.
+    """An element of the cyclotomic field of the given order, as a value:
+    a residue modulo Phi_order stored as deg(Phi_order) integer numerators
+    over one positive denominator, in lowest terms (a zero element has
+    denominator 1), so equal elements have equal fields.
 
-    The constructor takes int or Fraction coefficients of any length over
-    an optional positive integer denominator; t^k for k >= deg(Phi_order)
-    is folded in through row k of `power_residues`.  Both operands of
-    arithmetic live in one field: a rational operand is promoted into the
-    order, and an element of another order raises ValueError (every value
-    the engine emits lives in the field of the group exponent).  Zero
-    testing is exact; an element whose non-constant numerators all vanish
-    converts losslessly to a Fraction.
+    The constructor takes at most deg(Phi_order) int numerators (fewer are
+    padded with zeros) over an optional int denominator >= 1; a non-int
+    numerator raises TypeError, a longer list or another denominator
+    ValueError.  The class supports exactly what the engine's route
+    compare and the output need: `root_of_unity`, exact zero and
+    rationality tests, negation, sums and differences with an element of
+    the same order or a rational (promoted into the order; another order
+    raises ValueError), products with an int or a Fraction, equality and
+    repr.  Elements are not hashable, and there is no product of two
+    elements.
     """
 
     __slots__ = ("order", "numerators", "denominator")
 
-    def __init__(self, order: int, coeffs, denominator: int = 1) -> None:
-        poly = list(coeffs)
+    def __init__(self, order: int, numerators, denominator: int = 1) -> None:
+        poly = list(numerators)
         for c in poly:
             if type(c) is not int:
-                poly, scale = common_denominator(poly)
-                denominator *= scale
-                break
-        residues = power_residues(order)
-        deg = len(residues[0])
-        if len(poly) != deg:
-            # t^k for k >= deg adds row k % order of the residues
-            folded = poly[:deg] + [0] * (deg - len(poly))
-            for k in range(deg, len(poly)):
-                if poly[k]:
-                    for i, r in enumerate(residues[k % order]):
-                        folded[i] += r * poly[k]
-            poly = folded
+                raise TypeError(f"cyclotomic numerators must be ints, got {type(c).__name__}")
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError(f"cyclotomic denominator must be an int >= 1, got {denominator!r}")
+        deg = len(cyclotomic_polynomial(order)) - 1
+        if len(poly) > deg:
+            raise ValueError(f"order {order} takes at most {deg} numerators, got {len(poly)}")
+        if len(poly) < deg:
+            poly += [0] * (deg - len(poly))
         g = math.gcd(denominator, *poly)
         if g != 1:
             poly, denominator = [c // g for c in poly], denominator // g
@@ -165,26 +162,11 @@ class Cyclotomic(Frozen):
         """The primitive order-th root of unity raised to `exponent`."""
         return cls(order, power_residues(order)[exponent % order])
 
-    @classmethod
-    def from_rational(cls, value, order: int = 1) -> "Cyclotomic":
-        return cls(order, [Fraction(value)])
-
-    # -- conversions --------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(n, self.denominator) for n in self.numerators])
-
     def is_zero(self) -> bool:
         return not any(self.numerators)
 
     def is_rational(self) -> bool:
         return not any(self.numerators[1:])
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.numerators[0], self.denominator)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -192,7 +174,7 @@ class Cyclotomic(Frozen):
         """The other operand in this element's field: a rational is promoted
         into this order, and an element of another order is an error."""
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(other, self.order)
+            return Cyclotomic(self.order, [other.numerator], other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         if other.order != self.order:
@@ -215,23 +197,11 @@ class Cyclotomic(Frozen):
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            poly = [c * other.numerator for c in self.numerators]
-            return Cyclotomic(self.order, poly, self.denominator * other.denominator)
-        other = self._pair(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self.numerators, other.numerators
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Cyclotomic(self.order, out, self.denominator * other.denominator)
+        poly = [c * other.numerator for c in self.numerators]
+        return Cyclotomic(self.order, poly, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -241,13 +211,9 @@ class Cyclotomic(Frozen):
             return NotImplemented
         return self.numerators == other.numerators and self.denominator == other.denominator
 
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.to_rational())
-        return hash((self.order, self.numerators, self.denominator))
-
     def __repr__(self):
-        body = ", ".join(rational_to_string(c) for c in self.coeffs)
+        den = self.denominator
+        body = ", ".join(rational_to_string(Fraction(n, den)) for n in self.numerators)
         return f"Cyclotomic({self.order}, [{body}])"
 
 
@@ -255,7 +221,7 @@ def demote(value: Scalar) -> Scalar:
     """Convert a rational-valued Cyclotomic back to a Fraction; pass
     everything else through unchanged."""
     if isinstance(value, Cyclotomic) and value.is_rational():
-        return value.to_rational()
+        return Fraction(value.numerators[0], value.denominator)
     return value
 
 

@@ -1,9 +1,11 @@
 """Hand-rolled reference arithmetic used as independent oracles.
 
 Most of this works on plain coefficient lists (truncated series by long
-division, their product and their log) and stays deliberately separate
-from the package's closed-form series and CohClass code paths, so that
-agreement between the two is a real cross-check.  The Todd class, the
+division, their product and their log; cyclotomic values reduced modulo
+Phi_N by long division, never read from `power_residues`) and stays
+deliberately separate from the package's closed-form series, residue
+table and CohClass code paths, so that agreement between the two is a
+real cross-check.  The Todd class, the
 Chern character and the Pontryagin classes of a complex bundle are built
 from the package's class arithmetic instead: no scenario task computes
 them, and the tests use them as known characteristic classes.
@@ -18,6 +20,7 @@ from fractions import Fraction
 from fracindex.characteristic import BundleData
 from fracindex.cohomology import _MAX_POWER_BITS, ExpressionError, ManifoldModel, build_model
 from fracindex.cohomology import monomial_name, parse_expression
+from fracindex.scalars import cyclotomic_polynomial
 
 
 # -- models and tangent data through the public declarations -------------------
@@ -396,6 +399,25 @@ def cyclotomic_product(a: list[Fraction], b: list[Fraction], modulus: list[Fract
     return cyclotomic_residue(product, modulus)
 
 
+def root_sum_oracle(order: int, weights) -> list[Fraction]:
+    """sum_k weights[k] * t^k for exponents k >= 0, reduced modulo Phi_order
+    by long division: zeta_order^k is never read from a residue table."""
+    poly = [Fraction(0)] * (max(weights, default=0) + 1)
+    for k, w in weights.items():
+        poly[k] += w
+    return cyclotomic_residue(poly, list(cyclotomic_polynomial(order)))
+
+
+def scalar_coefficients(value, order: int) -> list[Fraction]:
+    """An emitted scalar as deg(Phi_order) coefficients: a Cyclotomic's
+    numerators each over its denominator, a Fraction as the constant
+    term."""
+    if isinstance(value, Fraction):
+        return [value] + [Fraction(0)] * (len(cyclotomic_polynomial(order)) - 2)
+    assert value.order == order
+    return [Fraction(n, value.denominator) for n in value.numerators]
+
+
 # -- characteristic classes no task computes -----------------------------------
 
 
@@ -486,17 +508,21 @@ def bracket_exponent_by_reduction(group, character, element) -> int:
     return sum(k * e * (n // order) for k, e, order in zip(chi, g, group.cyclic_orders)) % n
 
 
-def fractional_index_oracle(problem, gamma):
-    """The distribution at gamma paired against a unit bump: the integral
-    of the a-hat square times each symbol bucket, weighted by its root of
-    unity, summed in Cyclotomic field arithmetic."""
-    from fracindex.scalars import Cyclotomic
-
-    order, square = problem.group.exponent, problem.a_hat_squared
-    total = Cyclotomic.from_rational(0, order)
-    for k, bucket in problem.reduced_integrand(gamma).items():
-        total = total + Cyclotomic.root_of_unity(order, k) * (square * bucket).integrate()
-    return total
+def moment_oracle(problem, gamma, key=()) -> list[Fraction]:
+    """The moment at gamma against the generator monomial `key`, as
+    coefficients: sum over characters of zeta^k * int(a_hat^2 u_chi image),
+    k from `bracket_exponent_by_reduction`, summed by `root_sum_oracle`, so
+    no root of unity is read from `scalars`.  The empty key pairs the
+    distribution with a unit bump: the fractional index."""
+    image = problem.model.one()
+    for gen, e in zip(problem.generators, key):
+        image = image * gen.image**e
+    group = problem.group
+    weights: dict[int, Fraction] = {}
+    for chi, u_chi in problem.symbol.components.items():
+        k = bracket_exponent_by_reduction(group, chi, gamma)
+        weights[k] = weights.get(k, 0) + (problem.a_hat_squared * u_chi * image).integrate()
+    return root_sum_oracle(group.exponent, weights)
 
 
 # -- the recursive-descent expression parser over Fraction dicts -----------------

@@ -30,13 +30,13 @@ from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
 
 from oracles import (
     a_hat_series_oracle,
-    bracket_exponent_by_reduction,
     cpn_integral,
     cpn_mul,
     evaluate_series_at_x,
-    fractional_index_oracle,
+    moment_oracle,
     projective_model,
     projective_tangent,
+    scalar_coefficients,
     todd_class,
 )
 
@@ -168,11 +168,17 @@ def _index_problems(draw):
     return problem, gamma
 
 
+def _assert_matches_oracle(problem, gamma, key, value):
+    expected = moment_oracle(problem, gamma, key)
+    assert scalar_coefficients(value, problem.group.exponent) == expected
+    assert isinstance(value, Fraction) == (not any(expected[1:]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_index_problems())
 def test_fractional_index_matches_unit_bump_oracle(case):
     problem, gamma = case
-    assert problem.fractional_index(gamma) == fractional_index_oracle(problem, gamma)
+    _assert_matches_oracle(problem, gamma, (), problem.fractional_index(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -448,25 +454,6 @@ def _random_problem(cyclic_orders, seed):
     return IndexProblem(cp3, group, gens, SymbolData(group, components), genus * genus)
 
 
-def _oracle_moment(problem, gamma, key):
-    """sum over characters of bracket(chi, gamma) * int(a_hat^2 u_chi image)
-    in Cyclotomic arithmetic.  At a group exponent N <= 2 the bracket is the
-    sign (-1)^k, k from `bracket_exponent_by_reduction`, not a root of unity
-    read from `scalars`."""
-    image = problem.model.one()
-    for gen, e in zip(problem.generators, key):
-        image = image * gen.image**e
-    group = problem.group
-    total = Cyclotomic.from_rational(0, group.exponent)
-    for chi, u_chi in problem.symbol.components.items():
-        value = (problem.a_hat_squared * u_chi * image).integrate()
-        if group.exponent <= 2:
-            total = total + (-1) ** bracket_exponent_by_reduction(group, chi, gamma) * value
-        else:
-            total = total + bracket(group, chi, gamma) * value
-    return total
-
-
 @pytest.mark.parametrize(
     "cyclic_orders,seed",
     [
@@ -485,8 +472,7 @@ def test_full_distribution_matches_bracket_oracle(cyclic_orders, seed):
     for gamma, table in distribution.tables.items():
         assert sorted(table.values) == sorted(keys)
         for key, value in table.values.items():
-            assert value == _oracle_moment(problem, gamma, key)
-            assert isinstance(value, Fraction) == _oracle_moment(problem, gamma, key).is_rational()
+            _assert_matches_oracle(problem, gamma, key, value)
 
 
 def test_oracle_cases_reach_the_shapes_they_name():
@@ -513,9 +499,7 @@ def test_mms_projective_matches_bracket_oracle(cyclic_orders, character):
     assert list(distribution.tables) == group.elements()
     for gamma, table in distribution.tables.items():
         for key, value in table.values.items():
-            expected = _oracle_moment(problem, gamma, key)
-            assert value == expected
-            assert isinstance(value, Fraction) == expected.is_rational()
+            _assert_matches_oracle(problem, gamma, key, value)
 
 
 @pytest.mark.parametrize("cyclic_orders", [[5], [2]])

@@ -4,7 +4,8 @@ benchmark records in `perfbench/digests.json`, and of both formats for
 every built-in scenario, against digests recorded here.  The machine
 writer also equals an independent rendering: json.dumps(..., indent=2) of
 each result's `payload_json()`, on the same documents and on drawn
-payloads.
+payloads, and the workload outputs pass the benchmark's own checks
+(`workloads.make_check`).
 
 The benchmark files are read and executed here, never imported from or
 written to.  A change that is meant to alter the output re-records both:
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from fracindex.engine import IndexDistribution, MomentTable
 from fracindex.groups import FiniteAbelianGroup
-from fracindex.scalars import Cyclotomic
+from fracindex.scalars import Cyclotomic, cyclotomic_polynomial
 from fracindex.scenarios import (
     BUILTIN_SCENARIOS,
     TaskResult,
@@ -91,6 +92,17 @@ def test_workload_outputs_match_the_recorded_digests():
             assert _digest(text) == recorded[name][seed], f"{name} at seed {seed}"
 
 
+def test_workload_outputs_pass_the_benchmark_checks():
+    # the checks a benchmark run applies besides the digests: a run that
+    # fails them is refused, so they must hold on every recorded seed
+    workloads = _workloads()
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            doc = workloads.document(name, seed)
+            results = run(parse_scenario(json.dumps(doc)))
+            assert workloads.make_check(name, doc)(results) == [], f"{name} at seed {seed}"
+
+
 def test_every_builtin_has_a_recorded_digest():
     assert sorted(BUILTIN_DIGESTS) == sorted(BUILTIN_SCENARIOS)
 
@@ -123,11 +135,13 @@ def test_machine_output_matches_the_json_dumps_oracle():
 _SCALARS = st.one_of(
     st.sampled_from([Fraction(0), Fraction(-3), Fraction(7), Fraction(-5, 12)]),
     st.builds(Fraction, st.integers(-99, 99), st.integers(1, 30)),
-    st.builds(
-        Cyclotomic,
-        st.sampled_from([3, 4, 12]),
-        st.lists(st.integers(-5, 5), max_size=6),
-        st.integers(1, 6),
+    st.sampled_from([3, 4, 12]).flatmap(
+        lambda order: st.builds(
+            Cyclotomic,
+            st.just(order),
+            st.lists(st.integers(-5, 5), max_size=len(cyclotomic_polynomial(order)) - 1),
+            st.integers(1, 6),
+        )
     ),
 )
 
