@@ -141,6 +141,13 @@ def a_hat_squared(bundle: BundleData) -> CohClass:
 
 
 def _compute_a_hat(bundle: BundleData) -> CohClass:
+    """The a-hat class by the root route, else by the power-sum route from
+    Pontryagin or Chern classes.  A bundle with none of the three raises
+    BundleError.  No document reaches that raise (the parser refuses such
+    a bundle as tangent data), but it stays: `a_hat` takes any BundleData,
+    which may be built without data and would otherwise fail on an unbound
+    name, and the test oracles' Todd and Chern-character helpers raise the
+    same class for the same missing data."""
     model = bundle.model
     if bundle.roots is not None:
         return _genus_from_roots(bundle)

@@ -14,16 +14,21 @@ degree-zero entry of that table, the coefficient of the point mass.
 Every bracket is a power zeta_N^k of one primitive root of unity, N the
 exponent of the center, so every class stays rational.  Roots of unity
 enter only through `scalars.power_residues`, for every N, N <= 2 included,
-and only where a moment is emitted or compared.  `full_distribution` is
-the one distribution method, a projective symbol on one character included.
-Two independent routes lead to the table at a central element gamma, and
-every full distribution computes both and compares them exactly:
+and only where a moment is emitted or compared.  Each exponent k(chi,
+gamma) is computed once per problem, for both routes below; as k(chi,
+a*gamma) = a*k(chi, gamma) mod N, the table at a*gamma is sigma_a (zeta ->
+zeta^a) of the table at gamma for each unit a mod N.  `full_distribution`
+is the one distribution method, a projective symbol on one character
+included.  Two independent routes lead to the table at a central element
+gamma, and every full distribution computes both and compares them exactly:
 
-- direct, u * (a-hat^2 * image): the u_chi are summed into buckets U_k
-  by bracket exponent k, over one denominator per gamma, each dotted with
+- direct, u * (a-hat^2 * image), at the first element of each Galois orbit:
+  the u_chi are summed into buckets U_k by bracket exponent k, over one
+  denominator per gamma, each dotted with
   the integer moment rows r_key[m] = integral of (a-hat^2 * image_key) * m
   over the symbol's support monomials m, and each moment is converted
-  once from its integer pairings {k: w_k} to sum_k w_k zeta^k;
+  once from its integer pairings {k: w_k} to sum_k w_k zeta^k; every
+  other table of the orbit is sigma_a of those values;
 - recombined, (a-hat^2 * u) * image: the pairings of a-hat^2 * u_chi at
   the identity are kept as one integer column per key over one
   denominator, entry chi; per gamma, each key gathers one integer vector
@@ -38,9 +43,10 @@ product-table entry on either route, so it is the exact 0 in both.
 
 The routes associate the product differently and so read different
 entries of the model's product table: a disagreement catches a wrong
-bracket, bucket or root-of-unity conversion, and a wrong structure
-constant that only one route reads; what both share is left to the test
-oracles.  A mismatch can only be an arithmetic bug, never bad input data.
+bracket, bucket, root-of-unity conversion or sigma_a, and a wrong structure
+constant that only one route reads; what both share, the exponent table
+included, is left to the test oracles.  A mismatch can only be an
+arithmetic bug, never bad input data.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from fracindex.scalars import (
     Scalar,
     cyclotomic_polynomial,
     demote,
+    galois_conjugate,
     root_of_unity_sum,
 )
 
@@ -162,11 +169,13 @@ class IndexProblem(Frozen):
     the integral of each product of two basis monomials once per problem
     (a table per model would outlive a change to the model's product
     table); rows and columns skip zero-image keys, the exact 0 on both
-    routes.  Both routes carry integers over one denominator and
-    build a Fraction or Cyclotomic only where a moment is emitted or
-    compared.  The symbol is over `group`, every class lives on `model`,
-    and generator names are distinct: `scenarios.parse_scenario` reads a
-    run on one model and group and refuses a name declared twice."""
+    routes.  `_exponents` keeps the bracket exponents once per problem, a
+    list in character order per gamma as given, for both routes.  Both
+    routes carry integers over one denominator and build a Fraction or
+    Cyclotomic only where a moment is emitted or compared.  The symbol is
+    over `group`, every class lives on `model`, and generator names are
+    distinct: `scenarios.parse_scenario` reads a run on one model and group
+    and refuses a name declared twice."""
 
     __slots__ = (
         "model",
@@ -176,6 +185,7 @@ class IndexProblem(Frozen):
         "a_hat_squared",
         "_row_cache",
         "_duals",
+        "_exponents",
     )
 
     def __init__(
@@ -195,6 +205,7 @@ class IndexProblem(Frozen):
         object.__setattr__(self, "a_hat_squared", a_hat_squared)
         object.__setattr__(self, "_row_cache", {})
         object.__setattr__(self, "_duals", {})
+        object.__setattr__(self, "_exponents", {})
 
     @classmethod
     def with_tangent(
@@ -212,6 +223,18 @@ class IndexProblem(Frozen):
 
     # -- the core pairings ----------------------------------------------------
 
+    def _bracket_exponents(self, gamma: Sequence[int]) -> list[int]:
+        """k(chi, gamma) per symbol component, in character order, filled
+        on first use.  Both routes read it, so a wrong entry is left to the
+        test oracles (`bracket_exponent_by_reduction`)."""
+        key = tuple(gamma)
+        exponents = self._exponents.get(key)
+        if exponents is None:
+            exponents = self._exponents[key] = [
+                bracket_exponent(self.group, chi, gamma) for chi in self.symbol.components
+            ]
+        return exponents
+
     def reduced_integrand(self, gamma: Sequence[int]) -> dict[int, CohClass]:
         """The symbol buckets at a central element: bracket exponent k ->
         the sum U_k, in one integer accumulation, of the symbol components
@@ -220,8 +243,8 @@ class IndexProblem(Frozen):
         carry the a-hat square, u * (a-hat^2 * image), where the recombined
         route pairs (a-hat^2 * u) * image.  gamma need not be reduced."""
         members: dict[int, list[CohClass]] = {}
-        for chi, u_chi in self.symbol.components.items():
-            members.setdefault(bracket_exponent(self.group, chi, gamma), []).append(u_chi)
+        for k, u_chi in zip(self._bracket_exponents(gamma), self.symbol.components.values()):
+            members.setdefault(k, []).append(u_chi)
         return {k: class_sum(classes) for k, classes in members.items()}
 
     def fractional_index(self, gamma: Sequence[int]) -> Scalar:
@@ -357,30 +380,43 @@ class IndexProblem(Frozen):
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:
         """Moment tables at every central element.
 
-        Each table comes from the direct route (integer buckets dotted with
-        the moment rows) and is recomputed from the per-character columns at
-        the identity, read once per run: per moment key, one integer vector
-        of length deg Phi_N gathers, for each bracket exponent k, the column
-        sum s_k times the numerators of the bracket zeta_N^k (a root of
-        unity read from `power_residues`, denominator 1), for every N.  A
+        The direct route (integer buckets dotted with the moment rows) runs
+        at gamma, the first element of its Galois orbit {a*gamma : a a unit
+        mod N} in `group.elements()` order (the only unit is 1 when N <= 2),
+        and the table at a*gamma, reduced componentwise, is sigma_a of its
+        values.  Every table is recomputed from the per-character columns
+        at the identity, read once per run: per moment key, one integer
+        vector of length deg Phi_N gathers, for each bracket exponent k, the
+        column sum s_k times the numerators of the bracket zeta_N^k (a root
+        of unity read from `power_residues`, denominator 1), for every N.  A
         zero-image key has no column and is the exact 0 on both routes; one
-        vector per (gamma, column key) is compared with the direct moment
-        times the column denominator: in integers when the direct moment is
-        a Fraction, as a Cyclotomic difference tested for zero otherwise.
-        Disagreement raises InternalConsistencyError.
+        vector per (gamma, column key) is compared with the emitted moment
+        times the column denominator, at every gamma, so sigma_a is checked
+        too: in integers when that moment is a Fraction, as a Cyclotomic
+        difference tested for zero otherwise.  Disagreement raises
+        InternalConsistencyError.
         """
         if max_degree is None:
             max_degree = self.model.dimension // 2
         columns = self._character_columns(max_degree)
         characters = list(self.symbol.components)
-        order = self.group.exponent
+        order, orders = self.group.exponent, self.group.cyclic_orders
         width = len(cyclotomic_polynomial(order)) - 1
+        units = [a for a in range(2, order) if math.gcd(a, order) == 1]
+        conjugates: dict[Element, tuple[Element, int]] = {}
         tables: dict[Element, MomentTable] = {}
         for gamma in self.group.elements():
-            direct = self.moments(gamma, max_degree)
+            if gamma in conjugates:
+                first, a = conjugates[gamma]
+                values = {key: galois_conjugate(v, a) for key, v in tables[first].values.items()}
+                direct = MomentTable(gamma, tables[first].generator_names, values)
+            else:
+                direct = self.moments(gamma, max_degree)
+                for a in units:
+                    conjugates.setdefault(tuple(a * g % n for g, n in zip(gamma, orders)), (gamma, a))
             groups: dict[int, list[int]] = {}
-            for j, chi in enumerate(characters):
-                groups.setdefault(bracket_exponent(self.group, chi, gamma), []).append(j)
+            for j, k in enumerate(self._bracket_exponents(gamma)):
+                groups.setdefault(k, []).append(j)
             recombined = {key: [0] * width for key in columns}
             for members in groups.values():
                 # a root of unity: integer numerators over the denominator 1

@@ -9,7 +9,9 @@ division of t^N - 1 by Phi_d for every proper divisor d.  Roots of unity
 enter only through `power_residues`, whose integer row k is t^k modulo
 Phi_N, for every order N, N <= 2 (zeta = +-1) included.
 `root_of_unity_sum` takes integer weights over one denominator and adds
-rows of that table; it builds no Cyclotomic when the sum is rational.  A
+rows of that table; it builds no Cyclotomic when the sum is rational.
+Its other reader, `galois_conjugate` (sigma_a: zeta -> zeta^a, a a unit
+mod N), sends the coefficient of zeta^i to row a*i mod N through it.  A
 Cyclotomic is a value the engine emits and compares, built from at most
 deg(Phi_N) integer numerators (nothing is folded); it has sums and
 rational multiples, each reduced by one gcd pass, and no product of two
@@ -116,6 +118,16 @@ def root_of_unity_sum(order: int, weights: Mapping[int, int], denominator: int) 
     if not any(vector[1:]):
         return Fraction(vector[0], denominator)
     return Cyclotomic(order, vector, denominator)
+
+
+def galois_conjugate(value: Scalar, unit: int) -> Scalar:
+    """sigma_a(value) for a = `unit`, a unit mod the value's order N: zeta ->
+    zeta^a fixes a Fraction and sends the numerator c_i of zeta^i to c_i
+    times row a*i mod N, by `root_of_unity_sum` over the same denominator."""
+    if isinstance(value, Fraction):
+        return value
+    weights = {unit * i % value.order: c for i, c in enumerate(value.numerators)}
+    return root_of_unity_sum(value.order, weights, value.denominator)
 
 
 class Cyclotomic(Frozen):

@@ -777,21 +777,29 @@ def _write_json(out: list[str], value, indent: str) -> None:
 
 def _write_table(out: list[str], table: MomentTable, names: dict, indent: str) -> None:
     """One table straight to text: each key name quoted once per `names`,
-    a Fraction as its str(), a Cyclotomic through `scalar_to_json`."""
+    a Fraction as its str(), a Cyclotomic as the text of `scalar_to_json`'s
+    string or order and coefficient strings, which need no escaping."""
     inner, row, cell = indent + "  ", indent + "    ", indent + "      "
     out.append("{\n" + inner + '"gamma": ')
     _write_json(out, list(table.gamma), inner)
     out.append(",\n" + inner + '"moments": [')
     for key in table.values.keys() - names.keys():
         names[key] = encode_basestring_ascii(monomial_name(table.generator_names, key))
-    sep = "\n" + row + "[\n" + cell
+    sep, between = "\n" + row + "[\n" + cell, '",\n' + cell + '    "'
     for key, value in table.values.items():
         if isinstance(value, Fraction):
             out.append(sep + names[key] + ",\n" + cell + '"' + str(value) + '"\n' + row + "]")
         else:
-            out.append(sep + names[key] + ",\n" + cell)
-            _write_json(out, scalar_to_json(value), cell)
-            out.append("\n" + row + "]")
+            rendered = scalar_to_json(value)
+            if type(rendered) is str:
+                text = '"' + rendered + '"'
+            else:
+                text = (
+                    "{\n" + cell + '  "order": ' + str(rendered["order"]) + ",\n" + cell
+                    + '  "coefficients": [\n' + cell + '    "' + between.join(rendered["coefficients"])
+                    + '"\n' + cell + "  ]\n" + cell + "}"
+                )
+            out.append(sep + names[key] + ",\n" + cell + text + "\n" + row + "]")
         sep = ",\n" + row + "[\n" + cell
     out.append(("\n" + inner + "]" if table.values else "]") + "\n" + indent + "}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -734,3 +735,60 @@ def test_only_nonzero_image_keys_reach_the_root_of_unity_conversion(monkeypatch)
         assert len(table.values) == 153
         zero = [key for key in table.values if sum(key) > 8]
         assert len(zero) == 108 and all(table.values[key] == 0 for key in zero)
+
+
+# the direct route once per Galois orbit, the bracket exponents once per problem
+
+
+@pytest.mark.parametrize(
+    "cyclic_orders,orbits",
+    [([2], 2), ([5], 2), ([8], 4), ([12], 6), ([2, 2, 3], 8), ([6, 4], 12)],
+)
+def test_conjugated_tables_equal_the_direct_route(monkeypatch, cyclic_orders, orbits):
+    # the tables off each orbit's first element are sigma_a of its table;
+    # each must equal the direct route run at that element itself
+    problem = _random_problem(cyclic_orders, 21)
+    original = IndexProblem.moments
+    seen = []
+    monkeypatch.setattr(
+        IndexProblem, "moments", lambda self, gamma, *rest: seen.append(gamma) or original(self, gamma, *rest)
+    )
+    distribution = problem.full_distribution()
+    assert len(seen) == orbits
+    assert list(distribution.tables) == problem.group.elements()
+    for gamma, table in distribution.tables.items():
+        assert table == original(problem, gamma)
+
+
+@pytest.mark.parametrize("cyclic_orders", [[6, 4], [12]])
+def test_faulty_galois_conjugate_is_caught(monkeypatch, cyclic_orders):
+    # zeta -> zeta^(a+1) in place of zeta -> zeta^a must show in the route compare
+    import fracindex.engine as engine
+
+    original = engine.galois_conjugate
+    monkeypatch.setattr(engine, "galois_conjugate", lambda value, a: original(value, a + 1))
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        _random_problem(cyclic_orders, 22).full_distribution()
+
+
+def test_center_workload_runs_the_direct_route_once_per_orbit(monkeypatch):
+    # center_z6z4: 24 characters over Z/6 x Z/4, whose 24 elements form 12
+    # orbits under the units {1, 5, 7, 11} mod 12
+    import fracindex.engine as engine
+    from test_output_digests import _workloads
+
+    scenario = parse_scenario(json.dumps(_workloads().document("center_z6z4", 0)))
+    moments, exponents = IndexProblem.moments, engine.bracket_exponent
+    calls = {"moments": 0, "bracket_exponent": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(IndexProblem, "moments", counted("moments", moments))
+    monkeypatch.setattr(engine, "bracket_exponent", counted("bracket_exponent", exponents))
+    run(scenario)
+    assert calls == {"moments": 12, "bracket_exponent": 24 * 24}
