@@ -14,27 +14,25 @@ Every coefficient is rational, held as integer numerators over one
 positive denominator in lowest terms: class arithmetic is integer work
 with one gcd pass per result, and every sum, of classes or of parsed
 terms, is one integer accumulation over the lcm of the denominators.
-Every product goes through one kernel, a per-model table from a pair of
-monomials (m1, m2) to the normal form of m1 * m2 as integers over a
+Classes are keyed by a per-model monomial index, built lazily: a monomial
+gets the next int, and its degree a slot in an array, when the model first
+meets it, as a raw term or in a normal form.  Exponent tuples stay at the
+edges: `terms`, `to_expression`, the constructor and the parser.  Every
+product goes through one kernel, a per-model table from an index pair
+(i, j) to the normal form of e_i * e_j as integers on indices over a
 denominator (1 for integral relations), the multiplication table of the
 quotient algebra (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2
-section 4).  Each normal form is computed once, as the integer entry that
-every pair with that product shares.  The table is filled as pairs are
-first multiplied, never by walking the basis, and is keyed by pairs: the
-engine's two routes associate products differently, so its cross-check
-reads different entries.  Roots of unity never enter a class: the engine
-keeps one rational class per bracket exponent and converts only the values
-it emits.
+section 4).  Each normal form is computed once and shared by every pair
+with that product; a product that vanishes has a dead entry that the
+kernel skips.  The table is filled as pairs are first multiplied, never by
+walking the basis, and is keyed by ordered pairs: the engine's two routes
+associate products differently, so its cross-check reads different
+entries; a class is built from raw terms through the unit row.  Roots of
+unity never enter a class.
 
-Validation never walks the raw monomials.  Termination is decided on the
-one-step rewrite graph over the monomials of degree <= dimension built
-from the generators that some relation with a nonzero right side touches:
-every other exponent is constant along a rewrite chain, so dividing it out
-maps any cycle into that set, and a finite graph without a cycle admits no
-infinite chain.  Confluence then needs no check: with one pure-power
-relation per generator, rules i and j applied to g_i^k_i * g_j^k_j * M
-give r_i * r_j * M in either order, each in one step (Newman's lemma;
-Bergman's diamond lemma, Adv. Math. 29, 1978).
+Validation never walks the raw monomials: `_check_termination` searches
+the rewrite graph of the relations with a nonzero right side for a cycle,
+and without one a pure-power system is confluent (the argument is there).
 
 Expressions are read in one pass over the tokens of one regular
 expression; every sub-expression is integer numerators over one positive
@@ -61,7 +59,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -91,15 +89,6 @@ def monomial_name(names: Iterable[str], exponents: Iterable[int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _accumulate(table: dict, key, delta) -> None:
-    value = table.get(key)
-    value = delta if value is None else value + delta
-    if value:
-        table[key] = value
-    else:
-        table.pop(key, None)
-
-
 class ManifoldModel(Frozen):
     """A finite cohomology ring: generators, rewrite relations, and a
     fundamental class against which integration is defined.
@@ -111,6 +100,10 @@ class ManifoldModel(Frozen):
     each relation and the fundamental monomial and orientation, where the
     position of each declaration is known.  The constructor keeps the one
     check that needs the rewrite system as a whole, termination.
+
+    The monomial index (`_index`, its inverse `_monomials`, `_degrees`)
+    holds the unit at 0 and the fundamental monomial at `_fundamental` once
+    built; it and the product table `_products` grow on first use.
     """
 
     __slots__ = (
@@ -122,6 +115,10 @@ class ManifoldModel(Frozen):
         "_normal_cache",
         "_products",
         "_images",
+        "_index",
+        "_monomials",
+        "_degrees",
+        "_fundamental",
     )
 
     def __init__(
@@ -137,10 +134,13 @@ class ManifoldModel(Frozen):
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "fundamental_monomial", fundamental_monomial)
         object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "_normal_cache", {})
-        object.__setattr__(self, "_products", {})
-        object.__setattr__(self, "_images", {})  # moment images, kept by the engine
+        for name in ("_normal_cache", "_products", "_images", "_index"):
+            object.__setattr__(self, name, {})
+        object.__setattr__(self, "_monomials", [])
+        object.__setattr__(self, "_degrees", [])
         self._check_termination()
+        self._intern((0,) * len(generators))
+        object.__setattr__(self, "_fundamental", self._intern(fundamental_monomial))
 
     # -- basic structure -----------------------------------------------------
 
@@ -148,17 +148,22 @@ class ManifoldModel(Frozen):
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
-    def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * self.generators[i][1] for i, e in enumerate(mono))
+    def _degree(self, mono: Monomial) -> int:
+        return sum(map(mul, mono, map(itemgetter(1), self.generators)))
 
-    def zero_monomial(self) -> Monomial:
-        return (0,) * len(self.generators)
+    def _intern(self, mono: Monomial) -> int:
+        """The index of a monomial, the next one if it is new."""
+        if mono not in self._index:
+            self._index[mono] = len(self._monomials)
+            self._monomials.append(mono)
+            self._degrees.append(self._degree(mono))
+        return self._index[mono]
 
     def one(self) -> "CohClass":
-        return CohClass(self, {self.zero_monomial(): Fraction(1)})
+        return _class(self, {0: 1}, 1)
 
     def zero(self) -> "CohClass":
-        return CohClass(self, {})
+        return _class(self, {}, 1)
 
     def monomials_up_to(
         self, max_degree: int, support: Iterable[int] | None = None
@@ -171,59 +176,48 @@ class ManifoldModel(Frozen):
             out = [
                 m + (e,)
                 for m in out
-                for e in range((max_degree - self.monomial_degree(m)) // gdeg + 1 if i in free else 1)
+                for e in range((max_degree - self._degree(m)) // gdeg + 1 if i in free else 1)
             ]
-        out.sort(key=lambda m: (self.monomial_degree(m), m))
-        return out
+        return sorted(out, key=lambda m: (self._degree(m), m))
 
     # -- normal forms ---------------------------------------------------------
 
-    def _applicable(self, mono: Monomial) -> list[int]:
-        return [
-            i
-            for i, (power, _) in self.relations.items()
-            if mono[i] >= power
-        ]
-
     def _rewrite_once(self, mono: Monomial, i: int) -> dict[Monomial, Fraction]:
         power, rhs = self.relations[i]
-        rest = list(mono)
-        rest[i] -= power
-        out: dict[Monomial, Fraction] = {}
-        for rmono, rcoeff in rhs.items():
-            out[tuple(map(add, rest, rmono))] = rcoeff
-        return out
+        rest = mono[:i] + (mono[i] - power,) + mono[i + 1 :]
+        return {tuple(map(add, rest, rmono)): rcoeff for rmono, rcoeff in rhs.items()}
 
-    def normal_form(self, mono: Monomial) -> tuple[int, tuple[tuple[Monomial, int], ...]]:
+    def normal_form(self, mono: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Rewrite a raw monomial into a combination of basis monomials,
-        returned as (d, ((m, n), ...)) with integer n: the form is sum n * m
-        / d, and d is 1 when the form is integral.  Each form is computed
-        once per model, and every product-table entry it fills shares it."""
+        returned as (d, ((i, n), ...)) with monomial indices i and integer n:
+        the form is sum n * e_i / d, d = 1 when it is integral, and the zero
+        form is the dead (); each is computed once per model, and every
+        product-table entry it fills shares it."""
         entry = self._normal_cache.get(mono)
         if entry is not None:
             return entry
         # iterative worklist; validation has ruled out rewrite cycles, so it
-        # ends
-        pending: dict[Monomial, Fraction] = {mono: Fraction(1)}
-        done: dict[Monomial, Fraction] = {}
+        # ends, and relations are homogeneous, so every term keeps the degree
+        pending = {mono: Fraction(1)} if self._degrees[self._intern(mono)] <= self.dimension else {}
+        done: dict[int, Fraction] = {}
         while pending:
             current, coeff = pending.popitem()
-            if self.monomial_degree(current) > self.dimension:
-                continue
             cached = self._normal_cache.get(current)
             if cached is not None:
-                d, pairs = cached
-                for nmono, n in pairs:
-                    _accumulate(done, nmono, coeff * Fraction(n, d))
+                d, pairs = cached or (1, ())
+                for i, n in pairs:
+                    done[i] = done.get(i, 0) + coeff * Fraction(n, d)
                 continue
-            hits = self._applicable(current)
+            hits = [i for i, (power, _) in self.relations.items() if current[i] >= power]
             if not hits:
-                _accumulate(done, current, coeff)
+                i = self._intern(current)
+                done[i] = done[i] + coeff if i in done else coeff
                 continue
             for rmono, rcoeff in self._rewrite_once(current, hits[0]).items():
-                _accumulate(pending, rmono, coeff * rcoeff)
+                pending[rmono] = pending.get(rmono, 0) + coeff * rcoeff
+        done = {i: c for i, c in done.items() if c}
         numerators, d = common_denominator(list(done.values()))
-        entry = self._normal_cache[mono] = (d, tuple(zip(done, numerators)))
+        entry = self._normal_cache[mono] = (d, tuple(zip(done, numerators))) if done else ()
         return entry
 
     # -- validation ------------------------------------------------------------
@@ -289,11 +283,12 @@ class ManifoldModel(Frozen):
 
 
 class CohClass(Frozen):
-    """An element of a ManifoldModel in normal form: the sum over reduced
-    monomials m of numerators[m] * m / denominator, in lowest terms (no
-    zero numerator, a positive denominator, 1 for the zero class), so equal
-    classes have equal fields.  `terms` is the read-only Fraction view in
-    (degree, monomial) order.  The constructor takes int or Fraction
+    """An element of a ManifoldModel in normal form: the sum over indices i
+    of reduced monomials e_i of numerators[i] * e_i / denominator, in lowest
+    terms (no zero numerator, a positive denominator, 1 for the zero class),
+    so equal classes have equal fields; a constant hashes as its Fraction.
+    `terms` is the read-only Fraction view on exponent tuples in (degree,
+    monomial) order.  The constructor takes int or Fraction
     coefficients on raw monomials; any other coefficient raises TypeError."""
 
     __slots__ = ("model", "numerators", "denominator")
@@ -309,23 +304,24 @@ class CohClass(Frozen):
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        model, den = self.model, self.denominator
-        order = sorted(self.numerators, key=lambda m: (model.monomial_degree(m), m))
-        return MappingProxyType({m: Fraction(self.numerators[m], den) for m in order})
+        monomials, degrees, den = self.model._monomials, self.model._degrees, self.denominator
+        order = sorted(self.numerators, key=lambda i: (degrees[i], monomials[i]))
+        return MappingProxyType({monomials[i]: Fraction(self.numerators[i], den) for i in order})
 
     def is_zero(self) -> bool:
         return not self.numerators
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.numerators.get(self.model.zero_monomial(), 0), self.denominator)
+        return Fraction(self.numerators.get(0, 0), self.denominator)
 
     def degree_part(self, degree: int) -> "CohClass":
-        degree_of = self.model.monomial_degree
-        part = {m: c for m, c in self.numerators.items() if degree_of(m) == degree}
+        degrees = self.model._degrees
+        part = {i: c for i, c in self.numerators.items() if degrees[i] == degree}
         return _class(self.model, part, self.denominator)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(self.model.monomial_degree(m) == degree for m in self.numerators)
+        degrees = self.model._degrees
+        return all(degrees[i] == degree for i in self.numerators)
 
     # -- ring operations ---------------------------------------------------------
 
@@ -342,9 +338,7 @@ class CohClass(Frozen):
         return _class(self.model, {m: -c for m, c in self.numerators.items()}, self.denominator)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = scalar_class(self.model, other)
-        if not isinstance(other, CohClass):
+        if not isinstance(other, (int, Fraction, CohClass)):
             return NotImplemented
         return self + (-other)
 
@@ -366,7 +360,7 @@ class CohClass(Frozen):
         if n < 0:
             return self.inverse() ** (-n)
         model, base, den = self.model, self.numerators, self.denominator
-        out, out_den = {model.zero_monomial(): 1}, 1
+        out, out_den = {0: 1}, 1
         while n:
             if n & 1:
                 out, out_den = _times(model, out, out_den, base, den)
@@ -385,6 +379,8 @@ class CohClass(Frozen):
         )
 
     def __hash__(self):
+        if self.numerators.keys() <= {0}:  # a constant, equal to its Fraction
+            return hash(self.constant_term())
         return hash((id(self.model), self.denominator, frozenset(self.numerators.items())))
 
     # -- the operations the index formulas need ------------------------------------
@@ -408,7 +404,7 @@ class CohClass(Frozen):
     def integrate(self) -> Fraction:
         """Pair against the fundamental class: the coefficient of the
         fundamental monomial times the orientation value."""
-        coeff = self.numerators.get(self.model.fundamental_monomial, 0)
+        coeff = self.numerators.get(self.model._fundamental, 0)
         orientation = self.model.orientation
         return Fraction(coeff * orientation.numerator, self.denominator * orientation.denominator)
 
@@ -438,41 +434,47 @@ class CohClass(Frozen):
         return f"CohClass({self.to_expression()})"
 
 
-def _product(model: ManifoldModel, a: dict, b: dict) -> tuple[dict[Monomial, int], int]:
+def _product(model: ManifoldModel, a: dict, b: dict) -> tuple[dict[int, int], int]:
     """The one product kernel: the integer numerators a * b, none zero,
     reduced through the model's product table, and the extra denominator
     that rational structure constants bring (1 when they are integral).
-    The table maps m1 -> m2 -> the normal form of m1 * m2 and is filled on
-    first use."""
-    table = model._products
-    out: dict[Monomial, int] = {}
-    scale = 1
-    for m1, c1 in a.items():
-        row = table.setdefault(m1, {})
-        for m2, c2 in b.items():
-            d, pairs = row.get(m2) or row.setdefault(m2, model.normal_form(tuple(map(add, m1, m2))))
-            if scale % d:
-                grow = d // math.gcd(scale, d)
-                out = {m: v * grow for m, v in out.items()}
-                scale *= grow
-            c = c1 * c2 * (scale // d)
-            for m, n in pairs:
-                out[m] = out.get(m, 0) + c * n
+    Row i of the table maps j to the normal form of e_i * e_j, filled on
+    first use; a pair whose product vanishes, above the dimension or by
+    the relations, keeps the dead entry (), which the kernel skips."""
+    table, monomials, out, scale = model._products, model._monomials, {}, 1
+    for i, c1 in a.items():
+        row = table.get(i) or table.setdefault(i, {})
+        for j, c2 in b.items():
+            entry = row.get(j)
+            if entry is None:
+                entry = row[j] = model.normal_form(tuple(map(add, monomials[i], monomials[j])))
+            if entry:
+                d, pairs = entry
+                if scale % d:
+                    grow = d // math.gcd(scale, d)
+                    out = {m: v * grow for m, v in out.items()}
+                    scale *= grow
+                c = c1 * c2 * (scale // d)
+                for m, n in pairs:
+                    out[m] = out.get(m, 0) + c * n
     return {m: v for m, v in out.items() if v}, scale
 
 
 def _reduced(model: ManifoldModel, raw: dict, den: int, out: CohClass | None = None) -> CohClass:
     """The class of the integer terms raw / den (den > 0) on raw monomials,
-    in normal form, built into `out` or into a new class."""
-    num, scale = _product(model, {model.zero_monomial(): 1}, raw)
+    in normal form, built into `out` or into a new class: the unit times
+    the indexed raw terms, through the table's unit row."""
+    # a known monomial is read from the index (the unit, 0, goes through _intern)
+    raw = {model._index.get(m) or model._intern(m): c for m, c in raw.items()}
+    num, scale = _product(model, {0: 1}, raw)
     return _class(model, num, den * scale, out)
 
 
-def _sum(parts: Sequence[tuple[Mapping[Monomial, int], int]]) -> tuple[dict[Monomial, int], int]:
+def _sum(parts: Sequence[tuple[Mapping, int]]) -> tuple[dict, int]:
     """The one sum: integer terms num / den (den > 0) added over the lcm of
     the denominators in one pass, zeros dropped, not in lowest terms."""
     den = math.lcm(*[d for _, d in parts])
-    out: dict[Monomial, int] = {}
+    out: dict = {}
     for num, d in parts:
         scale = den // d
         for m, c in num.items():
@@ -508,7 +510,7 @@ def _class(model: ManifoldModel, num: dict, den: int, out: CohClass | None = Non
 
 
 def scalar_class(model: ManifoldModel, value: Fraction | int) -> CohClass:
-    return CohClass(model, {model.zero_monomial(): value})
+    return CohClass(model, {model._monomials[0]: value})
 
 
 def class_sum(classes: Sequence[CohClass]) -> CohClass:
@@ -524,7 +526,7 @@ def evaluate_series(coeffs: Sequence[Fraction | int], cls: CohClass) -> CohClass
     stops there or when the coefficients run out."""
     if cls.constant_term() != 0:
         raise ValueError("series evaluation requires a class with zero constant term")
-    power, den, parts = {cls.model.zero_monomial(): 1}, 1, []
+    power, den, parts = {0: 1}, 1, []
     for k, c in enumerate(coeffs):
         if k:
             power, den = _times(cls.model, power, den, cls.numerators, cls.denominator)
@@ -713,10 +715,10 @@ def parse_terms(
                 mono = tuple(map(add, m1, m2))
                 if d1 + d2 <= max_degree:
                     degree_of[mono] = d1 + d2
-                    _accumulate(out, mono, c1 * c2)
+                    out[mono] = out.get(mono, 0) + c1 * c2
                 elif not truncate:
                     raise over_bound(mono)
-        return _lowest(out, da * db)
+        return _lowest(out if all(out.values()) else {m: c for m, c in out.items() if c}, da * db)
 
     def expr(i: int, depth: int) -> tuple[dict, int, int]:
         negate = tokens[i][2] == "-"

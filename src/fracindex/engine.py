@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
-from fracindex.cohomology import CohClass, ManifoldModel, Monomial, class_sum, monomial_name
+from fracindex.cohomology import CohClass, ManifoldModel, _class, class_sum, monomial_name
 from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
@@ -164,18 +164,21 @@ class IndexDistribution(Frozen):
 class IndexProblem(Frozen):
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
-    square of the tangent a-hat class.  Monomial images are kept once per
-    model as integers, moment rows once per problem and degree bound, and
-    the integral of each product of two basis monomials once per problem
-    (a table per model would outlive a change to the model's product
-    table); rows and columns skip zero-image keys, the exact 0 on both
-    routes.  `_exponents` keeps the bracket exponents once per problem, a
-    list in character order per gamma as given, for both routes.  Both
-    routes carry integers over one denominator and build a Fraction or
-    Cyclotomic only where a moment is emitted or compared.  The symbol is
-    over `group`, every class lives on `model`, and generator names are
-    distinct: `scenarios.parse_scenario` reads a run on one model and group
-    and refuses a name declared twice."""
+    square of the tangent a-hat class, all on the model's lazily built
+    monomial index.  Monomial images are kept once per model, moment rows
+    once per problem and degree bound, and `_duals`, the integral of each
+    product of two basis monomials, once per problem by a product of two
+    classes built through the unit row: a table per model would outlive a
+    change to the product table, and the entry (m, n) alone misses the
+    unit-row corruptions behind 3 of the 17 catches on CP^6 and 1 of the
+    42 on CP^16.  Rows and columns skip zero-image keys, the exact 0 on
+    both routes.  `_exponents` keeps the bracket exponents once per
+    problem, a list in character order per gamma as given, for both
+    routes.  Both routes carry integers over one denominator and build a
+    Fraction or Cyclotomic only where a moment is emitted or compared.
+    The symbol is over `group`, every class lives on `model`, and
+    generator names are distinct: `scenarios.parse_scenario` reads a run
+    on one model and group and refuses a name declared twice."""
 
     __slots__ = (
         "model",
@@ -196,16 +199,13 @@ class IndexProblem(Frozen):
         symbol: SymbolData,
         a_hat_squared: CohClass | None = None,
     ) -> None:
-        if a_hat_squared is None:
-            a_hat_squared = model.one()
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "a_hat_squared", a_hat_squared)
-        object.__setattr__(self, "_row_cache", {})
-        object.__setattr__(self, "_duals", {})
-        object.__setattr__(self, "_exponents", {})
+        object.__setattr__(self, "a_hat_squared", a_hat_squared or model.one())
+        for name in ("_row_cache", "_duals", "_exponents"):
+            object.__setattr__(self, name, {})
 
     @classmethod
     def with_tangent(
@@ -228,12 +228,10 @@ class IndexProblem(Frozen):
         on first use.  Both routes read it, so a wrong entry is left to the
         test oracles (`bracket_exponent_by_reduction`)."""
         key = tuple(gamma)
-        exponents = self._exponents.get(key)
-        if exponents is None:
-            exponents = self._exponents[key] = [
-                bracket_exponent(self.group, chi, gamma) for chi in self.symbol.components
-            ]
-        return exponents
+        if key not in self._exponents:
+            group, characters = self.group, self.symbol.components
+            self._exponents[key] = [bracket_exponent(group, chi, gamma) for chi in characters]
+        return self._exponents[key]
 
     def reduced_integrand(self, gamma: Sequence[int]) -> dict[int, CohClass]:
         """The symbol buckets at a central element: bracket exponent k ->
@@ -254,7 +252,7 @@ class IndexProblem(Frozen):
 
     # -- moment tables ----------------------------------------------------------
 
-    def _monomial_images(self, max_degree: int) -> list[tuple[MomentKey, dict[Monomial, int], int]]:
+    def _monomial_images(self, max_degree: int) -> list[tuple[MomentKey, dict[int, int], int]]:
         """The image of every moment monomial, in graded order, as (key,
         numerators, denominator), from the model's table by generator
         images and bound (a class kept on its own model would be a
@@ -267,28 +265,27 @@ class IndexProblem(Frozen):
             table[key] = [(k, c.numerators, c.denominator) for k, c in images]
         return table[key]
 
-    def _moment_rows(self, max_degree: int) -> dict[MomentKey, tuple[dict[Monomial, int], int]]:
+    def _moment_rows(self, max_degree: int) -> dict[MomentKey, tuple[dict[int, int], int]]:
         """One integer row per nonzero-image key, in graded order: the
         integral of (a-hat^2 * image_key) * m for every monomial m of the
         symbol's support, as {m: numerator} without zeros over one
         denominator; a zero-image key has no row.  Each row combines the
-        integer columns of a-hat^2 * i paired with the support, one per
+        integer columns of a-hat^2 * e_i paired with the support, one per
         distinct image monomial i."""
         rows = self._row_cache.get(max_degree)
         if rows is not None:
             return rows
-        model = self.model
+        model, square = self.model, self.a_hat_squared
         support = sorted({m for u in self.symbol.components.values() for m in u.numerators})
         points = [{m: 1} for m in support]
-        columns: dict[Monomial, tuple[list[int], int]] = {}
+        columns: dict[int, tuple[list[int], int]] = {}
         rows = {}
         for key, image, image_den in self._monomial_images(max_degree):
             if not image:
                 continue
             for i in image:
-                if i not in columns:
-                    weighted = self.a_hat_squared * CohClass(model, {i: 1})
-                    columns[i] = self._pairings(weighted, points)
+                if i not in columns:  # a-hat^2 * e_i by one product, no normal form
+                    columns[i] = self._pairings(square * _class(model, {i: 1}, 1), points)
             den = math.lcm(*[columns[i][1] for i in image])
             values = [0] * len(support)
             for i, n in image.items():
@@ -301,10 +298,10 @@ class IndexProblem(Frozen):
         return rows
 
     def _pairings(
-        self, integrand: CohClass, targets: Sequence[Mapping[Monomial, int]]
+        self, integrand: CohClass, targets: Sequence[Mapping[int, int]]
     ) -> tuple[list[int], int]:
         """The integral of integrand * target for every target, given by its
-        integer numerators {monomial: n} (its denominator is the caller's),
+        integer numerators {index: n} (its denominator is the caller's),
         as one integer column over one denominator (`_column`).
 
         Relations are degree-homogeneous, so a target monomial m pairs only
@@ -312,19 +309,19 @@ class IndexProblem(Frozen):
         n contributes its numerator times the integral of m * n, read from
         the problem's table `_duals`, and the terms are summed over the lcm
         of those integrals' denominators."""
-        model, duals = self.model, self._duals
-        by_degree: dict[int, list[tuple[Monomial, int]]] = {}
+        model, duals, degrees = self.model, self._duals, self.model._degrees
+        by_degree: dict[int, list[tuple[int, int]]] = {}
         for mono, n in integrand.numerators.items():
-            degree = model.dimension - model.monomial_degree(mono)
-            by_degree.setdefault(degree, []).append((mono, n))
+            by_degree.setdefault(model.dimension - degrees[mono], []).append((mono, n))
         pairs = []
         for target in targets:
             num, den = 0, 1
             for m, t in target.items():
-                for mono, n in by_degree.get(model.monomial_degree(m), ()):
+                for mono, n in by_degree.get(degrees[m], ()):
                     dual = duals.get((m, mono))
                     if dual is None:
-                        product = CohClass(model, {m: 1}) * CohClass(model, {mono: 1})
+                        e_m, e_n = model._monomials[m], model._monomials[mono]
+                        product = CohClass(model, {e_m: 1}) * CohClass(model, {e_n: 1})
                         dual = duals[m, mono] = product.integrate()
                     q = dual.denominator
                     if den % q:
@@ -351,8 +348,7 @@ class IndexProblem(Frozen):
         buckets = [(k, u.numerators, u.denominator) for k, u in buckets]
         lcm = math.lcm(*[d for _, _, d in buckets])
         order = self.group.exponent
-        keys = [key for key, _, _ in self._monomial_images(max_degree)]
-        values = dict.fromkeys(keys, Fraction(0))
+        values = dict.fromkeys([k for k, _, _ in self._monomial_images(max_degree)], Fraction(0))
         for key, (row, den) in self._moment_rows(max_degree).items():
             weights = {
                 k: lcm // d * sum([r * num[m] for m, r in row.items() if m in num])
@@ -388,13 +384,13 @@ class IndexProblem(Frozen):
         at the identity, read once per run: per moment key, one integer
         vector of length deg Phi_N gathers, for each bracket exponent k, the
         column sum s_k times the numerators of the bracket zeta_N^k (a root
-        of unity read from `power_residues`, denominator 1), for every N.  A
-        zero-image key has no column and is the exact 0 on both routes; one
-        vector per (gamma, column key) is compared with the emitted moment
-        times the column denominator, at every gamma, so sigma_a is checked
-        too: in integers when that moment is a Fraction, as a Cyclotomic
-        difference tested for zero otherwise.  Disagreement raises
-        InternalConsistencyError.
+        of unity read from `power_residues`, denominator 1, by one `bracket`
+        call per k and run), for every N.  A zero-image key has no column
+        and is the exact 0 on both routes; one vector per (gamma, column
+        key) is compared with the emitted moment times the column
+        denominator, at every gamma, so sigma_a is checked too: in integers
+        when that moment is a Fraction, as a Cyclotomic difference tested
+        for zero otherwise.  Disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
             max_degree = self.model.dimension // 2
@@ -404,6 +400,7 @@ class IndexProblem(Frozen):
         width = len(cyclotomic_polynomial(order)) - 1
         units = [a for a in range(2, order) if math.gcd(a, order) == 1]
         conjugates: dict[Element, tuple[Element, int]] = {}
+        roots: dict[int, tuple[int, ...]] = {}  # exponent k -> numerators of zeta_N^k
         tables: dict[Element, MomentTable] = {}
         for gamma in self.group.elements():
             if gamma in conjugates:
@@ -418,14 +415,14 @@ class IndexProblem(Frozen):
             for j, k in enumerate(self._bracket_exponents(gamma)):
                 groups.setdefault(k, []).append(j)
             recombined = {key: [0] * width for key in columns}
-            for members in groups.values():
-                # a root of unity: integer numerators over the denominator 1
-                root = bracket(self.group, characters[members[0]], gamma).numerators
+            for k, members in groups.items():
+                if k not in roots:  # a root of unity: integer numerators over the denominator 1
+                    roots[k] = bracket(self.group, characters[members[0]], gamma).numerators
                 for key, (numerators, _) in columns.items():
                     total = sum([numerators[j] for j in members])
                     if total:
                         vector = recombined[key]
-                        for i, r in enumerate(root):
+                        for i, r in enumerate(roots[k]):
                             vector[i] += total * r
             for key, (_, den) in columns.items():
                 expected, vector = direct.values[key], recombined[key]

@@ -375,6 +375,21 @@ def oracle_integrate(decl, a: dict) -> Fraction:
     return a.get(tuple(fundamental), Fraction(0)) * orientation
 
 
+def declaration(model: ManifoldModel) -> tuple:
+    """A model's plain declaration, read from its declared fields alone:
+    neither its product table nor its monomial index."""
+    degrees = [degree for _, degree in model.generators]
+    return model.dimension, degrees, model.relations, model.fundamental_monomial, model.orientation
+
+
+def oracle_product(model: ManifoldModel, a: dict, b: dict) -> dict:
+    """The product of two Fraction-dict classes on raw exponent tuples of a
+    model: every pair of raw monomials is multiplied, and the sum is
+    reduced by the declared relations with a first-hit worklist, with no
+    product table and no index."""
+    return oracle_mul(declaration(model), a, b)
+
+
 # -- cyclotomic residues by long division ----------------------------------------
 
 

@@ -28,6 +28,7 @@ from fracindex.scalars import Cyclotomic
 from oracles import (
     cpn_integral,
     cpn_mul,
+    declaration,
     exhaustive_normal_forms,
     has_rewrite_cycle,
     oracle_add,
@@ -36,6 +37,7 @@ from oracles import (
     oracle_mul,
     oracle_newton_power_sums,
     oracle_pow,
+    oracle_product,
     oracle_reduce,
     parse_terms_oracle,
     projective_model,
@@ -410,8 +412,8 @@ def test_critical_pair_validation_matches_exhaustive_oracle(system):
     # oracle raises "not confluent" when two rewrite orders disagree
     forms = exhaustive_normal_forms(dimension, degrees, relations, step_cap=2_000)
     for mono, form in forms.items():
-        d, pairs = model.normal_form(mono)
-        assert {m: Fraction(n, d) for m, n in pairs} == form
+        d, pairs = model.normal_form(mono) or (1, ())  # () is the zero form
+        assert {model._monomials[i]: Fraction(n, d) for i, n in pairs} == form
 
 
 @st.composite
@@ -467,8 +469,9 @@ def _assert_lowest_terms(cls):
     assert math.gcd(cls.denominator, *cls.numerators.values()) == 1
     if cls.is_zero():
         assert cls.denominator == 1
-    order = sorted(cls.numerators, key=lambda m: (cls.model.monomial_degree(m), m))
-    assert list(cls.terms) == order
+    monomials, degrees = cls.model._monomials, cls.model._degrees
+    order = sorted(cls.numerators, key=lambda i: (degrees[i], monomials[i]))
+    assert list(cls.terms) == [monomials[i] for i in order]
 
 
 @settings(max_examples=200, deadline=None)
@@ -482,7 +485,7 @@ def test_integer_class_arithmetic_matches_fraction_oracle(case, n, series, max_k
     model, decl, (ta, tb) = case
     a, b = CohClass(model, ta), CohClass(model, tb)
     ra, rb = oracle_reduce(decl, ta), oracle_reduce(decl, tb)
-    unit = model.zero_monomial()
+    unit = model._monomials[0]
     q = Fraction(3, 2)
     u = a - a.constant_term() + q  # a unit: constant term q
     ru = oracle_add(decl, {m: c for m, c in ra.items() if m != unit}, {unit: q})
@@ -517,6 +520,62 @@ def test_integer_class_arithmetic_matches_fraction_oracle(case, n, series, max_k
     assert (a - a).denominator == 1 and (a - a).is_zero()
 
 
+# CP^n, (CP^1)^k, CP^2 x CP^1 and a model whose relations have nonzero,
+# rational right sides; built once, so later examples read table entries
+# and indices that earlier ones filled
+_ORACLE_MODELS = (
+    [projective_model(x=n) for n in range(1, 7)]
+    + [projective_model(**{f"x{i}": 1 for i in range(k)}) for k in range(1, 5)]
+    + [
+        projective_model(x=2, y=1),
+        build_model(4, [("x", 2), ("y", 2)], [("x^2", "1/2*x*y"), ("y^2", "1/3*x*y")], ("x*y", 1)),
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_class_product_and_integral_match_the_relation_oracle(data):
+    # raw monomials up to one generator step above the dimension, so
+    # reducible and vanishing terms enter both sides
+    model = data.draw(st.sampled_from(_ORACLE_MODELS))
+    monomials = model.monomials_up_to(model.dimension + 2)
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    ta, tb = [data.draw(st.dictionaries(st.sampled_from(monomials), coeff, max_size=6)) for _ in "ab"]
+    product = CohClass(model, ta) * CohClass(model, tb)
+    expected = oracle_product(model, ta, tb)
+    assert dict(product.terms) == expected
+    assert product.integrate() == oracle_integrate(declaration(model), expected)
+
+
+def test_constant_classes_hash_as_their_fractions(cp2):
+    # equal objects hash equal: a class with only a constant term equals
+    # its Fraction, so it hashes as that Fraction
+    half = scalar_class(cp2, Fraction(1, 2))
+    assert cp2.one() == 1 and len({cp2.one(), 1}) == 1
+    assert half == Fraction(1, 2) and len({half, Fraction(1, 2)}) == 1
+    assert cp2.zero() == 0 and len({cp2.zero(), 0, Fraction(0)}) == 1
+    assert len({cp2.one(), projective_model(x=1).one()}) == 2  # equal hashes, unequal classes
+    x = parse_expression("x", cp2)
+    assert len({x + 1, 1 + x, cp2.one()}) == 2
+
+
+def test_build_model_leaves_the_product_table_empty():
+    # (CP^1)^8 has 256 basis monomials; building it indexes the unit and the
+    # fundamental monomial and fills no table entry, and a product fills
+    # the entries it reads, not a row of the basis
+    names = [f"x{i}" for i in range(8)]
+    model = projective_model(**{name: 1 for name in names})
+    assert model._products == {} and model._normal_cache == {}
+    assert model._monomials == [(0,) * 8, (1,) * 8] and model._fundamental == 1
+    x0, x1 = parse_expression("x0", model), parse_expression("x1", model)
+    entries = sum(len(row) for row in model._products.values())
+    product = x0 * x1
+    assert sum(len(row) for row in model._products.values()) == entries + 1
+    assert len(model._monomials) == 5  # the unit, x0*...*x7, x0, x1 and x0*x1
+    assert product.terms == {(1, 1, 0, 0, 0, 0, 0, 0): 1}
+
+
 def test_product_merges_structure_constant_denominators():
     # x*x and y*y reduce over denominators 2 and 3, x*y is integral
     model = build_model(
@@ -525,7 +584,7 @@ def test_product_merges_structure_constant_denominators():
     s = parse_expression("x + y", model)
     square = s * s
     assert square == parse_expression("17/6*x*y", model)
-    assert (square.numerators, square.denominator) == ({(1, 1): 17}, 6)
+    assert (square.numerators, square.denominator) == ({model._index[(1, 1)]: 17}, 6)
     assert (s * 6) * (s * 6) == parse_expression("102*x*y", model)
 
 

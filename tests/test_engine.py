@@ -626,8 +626,9 @@ def test_corrupted_structure_constant_is_caught():
     genus = a_hat(projective_tangent(cp3))
     symbol, square = SymbolData(group, components), genus * genus
     IndexProblem(cp3, group, gens, symbol, square).full_distribution()
-    d, pairs = cp3._products[(3,)][(0,)]
-    cp3._products[(3,)][(0,)] = (d, tuple((m, 2 * n) for m, n in pairs))
+    row = cp3._products[cp3._index[(3,)]]
+    d, pairs = row[cp3._index[(0,)]]
+    row[cp3._index[(0,)]] = (d, tuple((m, 2 * n) for m, n in pairs))
     cp3._images.clear()  # the images are recomputed from the corrupted table
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         IndexProblem(cp3, group, gens, symbol, square).full_distribution()
@@ -659,11 +660,12 @@ def _caught_table_corruptions(problem):
     (entries, how many of them raise InternalConsistencyError)."""
     model = problem.model
     (top,) = model.fundamental_monomial
-    entries = [((a,), (b,)) for a in range(top + 1) for b in range(top + 1 - a)]
+    index = [model._index[(a,)] for a in range(top + 1)]
+    entries = [(a, b) for a in range(top + 1) for b in range(top + 1 - a)]
     caught = 0
-    for m1, m2 in entries:
-        row = model._products.setdefault(m1, {})
-        entry = row.get(m2) or model.normal_form((m1[0] + m2[0],))
+    for a, b in entries:
+        row, m2 = model._products.setdefault(index[a], {}), index[b]
+        entry = row.get(m2) or model.normal_form((a + b,))
         d, pairs = entry
         row[m2] = (d, tuple((m, 2 * n) for m, n in pairs))
         model._images.clear()  # the images are recomputed from the corrupted table
