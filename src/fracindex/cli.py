@@ -5,7 +5,8 @@
 
 Runs the tasks of one scenario document and writes the results to
 standard output.  --task T runs only the tasks whose op is T, or the one
-task at zero-based index T.  --max-degree D overrides the moment cutoff of
+task at zero-based index T; a T that selects no task is refused (exit 2,
+nothing run).  --max-degree D overrides the moment cutoff of
 every moment-producing task; D must lie in 0..dimension // 2.  With
 --check, the document's expect block is compared against the results and
 each mismatch is written to standard error.  The expect block holds each
@@ -15,8 +16,8 @@ the block was not recorded at.
 
 Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
 scenario cannot be read, parsed or written (a result too long to write
-included), when --max-degree is out of range, or when --check is combined
-with --max-degree.  A document that parses always runs: every refusal of
+included), when --task selects no task, when --max-degree is out of range,
+or when --check is combined with --max-degree.  A document that parses always runs: every refusal of
 its content happens at parse, and prints one line to standard error,
 `fracindex: <path>: <reason>`, where <path> names the field at fault (see
 `fracindex.scenarios`).

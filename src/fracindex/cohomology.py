@@ -192,13 +192,18 @@ class ManifoldModel(Frozen):
         returned as (d, ((i, n), ...)) with monomial indices i and integer n:
         the form is sum n * e_i / d, d = 1 when it is integral, and the zero
         form is the dead (); each is computed once per model, and every
-        product-table entry it fills shares it."""
+        product-table entry it fills shares it.  A monomial above the
+        dimension, or one whose exponent reaches a relation with an empty
+        right side, is dead without a rewrite and enters no index."""
         entry = self._normal_cache.get(mono)
         if entry is not None:
             return entry
+        alive = self._degree(mono) <= self.dimension and all(
+            mono[i] < power or rhs for i, (power, rhs) in self.relations.items()
+        )
         # iterative worklist; validation has ruled out rewrite cycles, so it
         # ends, and relations are homogeneous, so every term keeps the degree
-        pending = {mono: Fraction(1)} if self._degrees[self._intern(mono)] <= self.dimension else {}
+        pending = {mono: Fraction(1)} if alive else {}
         done: dict[int, Fraction] = {}
         while pending:
             current, coeff = pending.popitem()

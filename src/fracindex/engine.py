@@ -14,12 +14,13 @@ degree-zero entry of that table, the coefficient of the point mass.
 Every bracket is a power zeta_N^k of one primitive root of unity, N the
 exponent of the center, so every class stays rational.  Roots of unity
 enter only through `scalars.power_residues`, for every N, N <= 2 included,
-and only where a moment is emitted or compared.  Each exponent k(chi,
-gamma) is computed once per problem, for both routes below; as k(chi,
-a*gamma) = a*k(chi, gamma) mod N, the table at a*gamma is sigma_a (zeta ->
-zeta^a) of the table at gamma for each unit a mod N.  `full_distribution`
-is the one distribution method, a projective symbol on one character
-included.  Two independent routes lead to the table at a central element
+and only where a moment is emitted or compared.  The exponents k(chi,
+gamma) are one integer row per element, over the symbol's characters,
+computed once per problem by `groups.bracket_exponents` for both routes
+below; as k(chi, a*gamma) = a*k(chi, gamma) mod N, the table at a*gamma is
+sigma_a (zeta -> zeta^a) of the table at gamma for each unit a mod N.
+`full_distribution` is the one distribution method, a projective symbol on
+one character included.  Two independent routes lead to the table at a central element
 gamma, and every full distribution computes both and compares them exactly:
 
 - direct, u * (a-hat^2 * image), at the first element of each Galois orbit:
@@ -31,12 +32,13 @@ gamma, and every full distribution computes both and compares them exactly:
   other table of the orbit is sigma_a of those values;
 - recombined, (a-hat^2 * u) * image: the pairings of a-hat^2 * u_chi at
   the identity are kept as one integer column per key over one
-  denominator, entry chi; per gamma, each key gathers one integer vector
-  of length deg Phi_N, to which every bracket exponent k adds its column
-  sum times the integer numerators of the bracket zeta_N^k.  The vector is
-  compared with the direct moment times the column denominator: in
-  integers when the direct moment is rational, as a Cyclotomic difference
-  tested for zero otherwise.
+  denominator, entry chi; per gamma, the numerators of the brackets
+  zeta_N^k(chi, gamma) form deg Phi_N integer rows over the characters,
+  and each key's vector of length deg Phi_N is deg Phi_N dot products of
+  those rows with its column.  The vector is compared with the direct
+  moment times the column denominator: in integers when the direct moment
+  is rational, otherwise as one Cyclotomic sum tested for zero,
+  expected * -den + vector, three constructions.
 
 Rows and columns hold nonzero-image keys only: a zero-image key reads no
 product-table entry on either route, so it is the exact 0 in both.
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
@@ -64,7 +67,7 @@ from fracindex.groups import (
     MomentKey,
     WeightSystem,
     bracket,
-    bracket_exponent,
+    bracket_exponents,
     character_jet,
     chern_weil_eval,
 )
@@ -172,8 +175,8 @@ class IndexProblem(Frozen):
     change to the product table, and the entry (m, n) alone misses the
     unit-row corruptions behind 3 of the 17 catches on CP^6 and 1 of the
     42 on CP^16.  Rows and columns skip zero-image keys, the exact 0 on
-    both routes.  `_exponents` keeps the bracket exponents once per
-    problem, a list in character order per gamma as given, for both
+    both routes.  `_exponents` keeps the exponent row once per problem
+    and gamma as given, one int per character in character order, for both
     routes.  Both routes carry integers over one denominator and build a
     Fraction or Cyclotomic only where a moment is emitted or compared.
     The symbol is over `group`, every class lives on `model`, and
@@ -224,13 +227,12 @@ class IndexProblem(Frozen):
     # -- the core pairings ----------------------------------------------------
 
     def _bracket_exponents(self, gamma: Sequence[int]) -> list[int]:
-        """k(chi, gamma) per symbol component, in character order, filled
-        on first use.  Both routes read it, so a wrong entry is left to the
-        test oracles (`bracket_exponent_by_reduction`)."""
+        """The exponent row at gamma, k(chi, gamma) per symbol component in
+        character order, by one `bracket_exponents` call on first use; both
+        routes read it, so a wrong entry is left to the test oracles."""
         key = tuple(gamma)
         if key not in self._exponents:
-            group, characters = self.group, self.symbol.components
-            self._exponents[key] = [bracket_exponent(group, chi, gamma) for chi in characters]
+            self._exponents[key] = bracket_exponents(self.group, self.symbol.components, gamma)
         return self._exponents[key]
 
     def reduced_integrand(self, gamma: Sequence[int]) -> dict[int, CohClass]:
@@ -381,21 +383,21 @@ class IndexProblem(Frozen):
         mod N} in `group.elements()` order (the only unit is 1 when N <= 2),
         and the table at a*gamma, reduced componentwise, is sigma_a of its
         values.  Every table is recomputed from the per-character columns
-        at the identity, read once per run: per moment key, one integer
-        vector of length deg Phi_N gathers, for each bracket exponent k, the
-        column sum s_k times the numerators of the bracket zeta_N^k (a root
-        of unity read from `power_residues`, denominator 1, by one `bracket`
-        call per k and run), for every N.  A zero-image key has no column
-        and is the exact 0 on both routes; one vector per (gamma, column
-        key) is compared with the emitted moment times the column
-        denominator, at every gamma, so sigma_a is checked too: in integers
-        when that moment is a Fraction, as a Cyclotomic difference tested
-        for zero otherwise.  Disagreement raises InternalConsistencyError.
+        at the identity, read once per run: at gamma, entry j of row i is
+        numerator i of zeta_N^k, k the j-th entry of the exponent row (a
+        root of unity read from `power_residues`, denominator 1, by one
+        `bracket` call per k and run), for every N, and each key's vector is
+        deg Phi_N dot products of those rows with its column.  A zero-image
+        key has no column and is the exact 0 on both routes; one vector per
+        (gamma, column key) is compared with the emitted moment times the
+        column denominator, at every gamma, so sigma_a is checked too: in
+        integers when that moment is a Fraction, otherwise as the one
+        Cyclotomic sum expected * -den + vector tested for zero.
+        Disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
             max_degree = self.model.dimension // 2
         columns = self._character_columns(max_degree)
-        characters = list(self.symbol.components)
         order, orders = self.group.exponent, self.group.cyclic_orders
         width = len(cyclotomic_polynomial(order)) - 1
         units = [a for a in range(2, order) if math.gcd(a, order) == 1]
@@ -411,26 +413,19 @@ class IndexProblem(Frozen):
                 direct = self.moments(gamma, max_degree)
                 for a in units:
                     conjugates.setdefault(tuple(a * g % n for g, n in zip(gamma, orders)), (gamma, a))
-            groups: dict[int, list[int]] = {}
-            for j, k in enumerate(self._bracket_exponents(gamma)):
-                groups.setdefault(k, []).append(j)
-            recombined = {key: [0] * width for key in columns}
-            for k, members in groups.items():
+            exponents = self._bracket_exponents(gamma)
+            for k, chi in zip(exponents, self.symbol.components):
                 if k not in roots:  # a root of unity: integer numerators over the denominator 1
-                    roots[k] = bracket(self.group, characters[members[0]], gamma).numerators
-                for key, (numerators, _) in columns.items():
-                    total = sum([numerators[j] for j in members])
-                    if total:
-                        vector = recombined[key]
-                        for i, r in enumerate(roots[k]):
-                            vector[i] += total * r
-            for key, (_, den) in columns.items():
-                expected, vector = direct.values[key], recombined[key]
+                    roots[k] = bracket(self.group, chi, gamma).numerators
+            rows = [[roots[k][i] for k in exponents] for i in range(width)]
+            for key, (column, den) in columns.items():
+                expected = direct.values[key]
+                vector = [sum(map(mul, row, column)) for row in rows]
                 if isinstance(expected, Fraction):
                     p, q = expected.numerator, expected.denominator
                     agree = not any(vector[1:]) and vector[0] * q == p * den
                 else:
-                    agree = (Cyclotomic(order, vector) - expected * den).is_zero()
+                    agree = (expected * -den + Cyclotomic(order, vector)).is_zero()
                 if not agree:
                     raise InternalConsistencyError(
                         "distribution routes disagree at gamma="

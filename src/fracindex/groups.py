@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import mul
 from typing import Iterable, Sequence
 
 from fracindex.cohomology import CohClass, ManifoldModel, class_sum
@@ -66,22 +67,26 @@ class FiniteAbelianGroup(Frozen):
         return f"FiniteAbelianGroup({body})"
 
 
-def bracket_exponent(group: FiniteAbelianGroup, character: Sequence[int], element: Sequence[int]) -> int:
-    """The duality pairing between a character and a group element as an
-    exponent: the k in [0, N) with bracket = zeta_N^k, namely
-    sum_i k_i g_i N/n_i mod N with N the group exponent.  Each term
+def bracket_exponents(
+    group: FiniteAbelianGroup, characters: Iterable[Sequence[int]], element: Sequence[int]
+) -> list[int]:
+    """The duality pairing of each character with a group element as an
+    exponent row: the k in [0, N) with bracket = zeta_N^k, N the group
+    exponent.  The weights g_i N/n_i of the element are computed once, and
+    each k is one integer dot product with the character mod N.  Each term
     depends only on k_i g_i mod n_i, so the entries need not be reduced.
-    Both have one entry per factor: they pass `group.contains` in the
-    scenario parser, or come from `group.elements()`."""
-    n, orders = group.exponent, group.cyclic_orders
-    return sum(k * g * (n // order) for k, g, order in zip(character, element, orders)) % n
+    Each tuple has one entry per factor: it passes `group.contains` in the
+    scenario parser, or comes from `group.elements()`."""
+    n = group.exponent
+    weights = [g * (n // order) for g, order in zip(element, group.cyclic_orders)]
+    return [sum(map(mul, chi, weights)) % n for chi in characters]
 
 
 def bracket(group: FiniteAbelianGroup, character: Sequence[int], element: Sequence[int]) -> Cyclotomic:
     """The duality pairing between a character and a group element: the
-    exact root of unity zeta_N^bracket_exponent with N the group
-    exponent."""
-    return Cyclotomic.root_of_unity(group.exponent, bracket_exponent(group, character, element))
+    exact root of unity zeta_N^k, N the group exponent and k the one entry
+    of `bracket_exponents` for this character."""
+    return Cyclotomic.root_of_unity(group.exponent, *bracket_exponents(group, [character], element))
 
 
 class InvariantGeneratorDecl(Frozen):

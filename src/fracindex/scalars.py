@@ -14,8 +14,9 @@ Its other reader, `galois_conjugate` (sigma_a: zeta -> zeta^a, a a unit
 mod N), sends the coefficient of zeta^i to row a*i mod N through it.  A
 Cyclotomic is a value the engine emits and compares, built from at most
 deg(Phi_N) integer numerators (nothing is folded); it has sums and
-rational multiples, each reduced by one gcd pass, and no product of two
-cyclotomic scalars.  No float ever enters or leaves this module.
+rational multiples, each built by `_cyclotomic` (one gcd pass, none of the
+constructor's checks), and no product of two cyclotomic scalars.  No float
+ever enters or leaves this module.
 
 The one-root a-hat series (x/2)/sinh(x/2) and its log are read from two
 separate Bernoulli closed forms, neither derived from the other, so the
@@ -117,7 +118,7 @@ def root_of_unity_sum(order: int, weights: Mapping[int, int], denominator: int) 
             vector[i] += w * r
     if not any(vector[1:]):
         return Fraction(vector[0], denominator)
-    return Cyclotomic(order, vector, denominator)
+    return _cyclotomic(order, vector, denominator)
 
 
 def galois_conjugate(value: Scalar, unit: int) -> Scalar:
@@ -139,13 +140,13 @@ class Cyclotomic(Frozen):
     The constructor takes at most deg(Phi_order) int numerators (fewer are
     padded with zeros) over an optional int denominator >= 1; a non-int
     numerator raises TypeError, a longer list or another denominator
-    ValueError.  The class supports exactly what the engine's route
-    compare and the output need: `root_of_unity`, exact zero and
-    rationality tests, negation, sums and differences with an element of
-    the same order or a rational (promoted into the order; another order
-    raises ValueError), products with an int or a Fraction, equality and
-    repr.  Elements are not hashable, and there is no product of two
-    elements.
+    ValueError; the module's own results skip these checks.  The class
+    supports exactly what the engine's route compare and the output need:
+    `root_of_unity`, exact zero and rationality tests, negation, sums and
+    differences with an element of the same order or a rational (promoted
+    into the order; another order raises ValueError), products with an int
+    or a Fraction, equality and repr.  Elements are not hashable, and there
+    is no product of two elements.
     """
 
     __slots__ = ("order", "numerators", "denominator")
@@ -160,14 +161,7 @@ class Cyclotomic(Frozen):
         deg = len(cyclotomic_polynomial(order)) - 1
         if len(poly) > deg:
             raise ValueError(f"order {order} takes at most {deg} numerators, got {len(poly)}")
-        if len(poly) < deg:
-            poly += [0] * (deg - len(poly))
-        g = math.gcd(denominator, *poly)
-        if g != 1:
-            poly, denominator = [c // g for c in poly], denominator // g
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "numerators", tuple(poly))
-        object.__setattr__(self, "denominator", denominator)
+        _cyclotomic(order, poly + [0] * (deg - len(poly)), denominator, self)
 
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> "Cyclotomic":
@@ -199,12 +193,12 @@ class Cyclotomic(Frozen):
             return NotImplemented
         da, db = self.denominator, other.denominator
         poly = [x * db + y * da for x, y in zip(self.numerators, other.numerators)]
-        return Cyclotomic(self.order, poly, da * db)
+        return _cyclotomic(self.order, poly, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.numerators], self.denominator)
+        return _cyclotomic(self.order, [-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other):
         return self + (-other)
@@ -213,7 +207,7 @@ class Cyclotomic(Frozen):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         poly = [c * other.numerator for c in self.numerators]
-        return Cyclotomic(self.order, poly, self.denominator * other.denominator)
+        return _cyclotomic(self.order, poly, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -227,6 +221,21 @@ class Cyclotomic(Frozen):
         den = self.denominator
         body = ", ".join(rational_to_string(Fraction(n, den)) for n in self.numerators)
         return f"Cyclotomic({self.order}, [{body}])"
+
+
+def _cyclotomic(order: int, num: list, den: int, out: Cyclotomic | None = None) -> Cyclotomic:
+    """The element of deg(Phi_order) int numerators over an int den >= 1,
+    in lowest terms by one gcd pass, built into `out` or into a new element;
+    the constructor's checks are for values from outside the package."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    if out is None:
+        out = object.__new__(Cyclotomic)
+    object.__setattr__(out, "order", order)
+    object.__setattr__(out, "numerators", tuple(num))
+    object.__setattr__(out, "denominator", den)
+    return out
 
 
 def demote(value: Scalar) -> Scalar:

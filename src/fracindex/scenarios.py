@@ -628,22 +628,25 @@ def run(
     max_degree: int | None = None,
 ) -> list[TaskResult]:
     """Execute the scenario's tasks in order.  `task_filter` selects tasks
-    by op name or zero-based index; `max_degree` overrides the moment
-    cutoff of every moment-producing task, within the same bounds as a
-    task's own `max_degree`, and an override outside them is the one
-    ScenarioError raised here: `parse_scenario` has refused every document
-    a task could fail on."""
+    by op name or zero-based index (a decimal number); `max_degree`
+    overrides the moment cutoff of every moment-producing task, within the
+    same bounds as a task's own `max_degree`.  An override outside them,
+    and a filter that selects no task, are the two ScenarioErrors raised
+    here, before any task runs: `parse_scenario` has refused every
+    document a task could fail on."""
     if max_degree is not None:
         _check_max_degree(max_degree, "max_degree", scenario.model.dimension // 2)
+    tasks = [
+        (index, task)
+        for index, task in enumerate(scenario.tasks)
+        if task_filter is None
+        or (index == int(task_filter) if task_filter.isdecimal() else task["op"] == task_filter)
+    ]
+    if task_filter is not None and not tasks:
+        raise ScenarioError(f"task: no task has op or zero-based index {task_filter!r}")
     problem = scenario.problem()
     results: list[TaskResult] = []
-    for index, task in enumerate(scenario.tasks):
-        if task_filter is not None:
-            if task_filter.isdecimal():
-                if index != int(task_filter):
-                    continue
-            elif task.get("op") != task_filter:
-                continue
+    for index, task in tasks:
         _, handle = _OPS[task["op"]]
         bound = max_degree if max_degree is not None else task.get("max_degree")
         payload = handle(scenario, problem, task, bound)

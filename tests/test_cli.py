@@ -48,15 +48,35 @@ def test_task_selects_by_op_and_by_index(capsys):
 
 
 @pytest.mark.parametrize(
-    "task,out",
-    [("²", "\n"), ("٠", "scenario: point_trivial\n[0] fractional_index gamma=() = 1\n")],
+    "task,status,out",
+    [("²", 2, ""), ("٠", 0, "scenario: point_trivial\n[0] fractional_index gamma=() = 1\n")],
     ids=["superscript_two", "arabic_indic_zero"],
 )
-def test_task_index_is_a_decimal_number(task, out, capsys):
+def test_task_index_is_a_decimal_number(task, status, out, capsys):
     # "²" passes str.isdigit but int() cannot read it: it selects like an
-    # unknown op name, and runs nothing
-    assert main(["run", "builtin:point_trivial", "--task", task]) == 0
+    # unknown op name, which matches no task and is refused
+    assert main(["run", "builtin:point_trivial", "--task", task]) == status
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--task", "7"],
+        ["--task", "moments_typo", "--format", "machine"],
+        ["--task", "7", "--check"],
+        ["--task", "moments_typo", "--check"],
+    ],
+    ids=["index", "op_machine", "index_check", "op_check"],
+)
+def test_task_that_selects_nothing_exits_2(args, capsys):
+    # running no task would print an empty result and, under --check,
+    # pass having compared nothing
+    assert main(["run", "builtin:cp2_projective_dirac", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    task = args[1]
+    assert err == f"fracindex: task: no task has op or zero-based index {task!r}\n"
 
 
 @pytest.mark.parametrize("bound", ["3", "-1"])

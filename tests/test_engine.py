@@ -23,7 +23,6 @@ from fracindex.groups import (
     InvariantGeneratorDecl,
     WeightSystem,
     bracket,
-    bracket_exponent,
     chern_weil_eval,
 )
 from fracindex.scalars import Cyclotomic, demote
@@ -31,6 +30,7 @@ from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
 
 from oracles import (
     a_hat_series_oracle,
+    bracket_exponent_by_reduction,
     cpn_integral,
     cpn_mul,
     evaluate_series_at_x,
@@ -95,7 +95,7 @@ def test_reduced_integrand_buckets_components_by_bracket_exponent():
         buckets = problem.reduced_integrand(gamma)
         expected = {}
         for chi, u_chi in problem.symbol.components.items():
-            k = bracket_exponent(group, chi, gamma)
+            k = bracket_exponent_by_reduction(group, chi, gamma)
             expected[k] = expected.get(k, problem.model.zero()) + u_chi
         assert buckets == expected
 
@@ -646,7 +646,7 @@ def test_faulty_bracket_is_caught(monkeypatch, cyclic_orders):
         engine,
         "bracket",
         lambda group, chi, gamma: Cyclotomic.root_of_unity(
-            group.exponent, bracket_exponent(group, chi, gamma) + 1
+            group.exponent, bracket_exponent_by_reduction(group, chi, gamma) + 1
         ),
     )
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
@@ -720,6 +720,28 @@ def test_corrupted_product_table_entries_are_caught_on_cp16():
     assert caught >= 42
 
 
+def _cp1_power_dirac_problem():
+    """The projective Dirac problem on (CP^1)^4 with one generator of
+    s_degree 1 and image a + b + c + d."""
+    model = projective_model(a=1, b=1, c=1, d=1)
+    gens = [InvariantGeneratorDecl("L", 1, parse_expression("a + b + c + d", model))]
+    return dirac_problem(model, projective_tangent(model), gens)
+
+
+@pytest.mark.parametrize("make", [_cp16_dirac_problem, _cp1_power_dirac_problem])
+def test_only_basis_monomials_enter_the_index(make):
+    # a product above the dimension, or one that reaches a relation with
+    # a zero right side (x^17 on CP^16, a^2 * b on (CP^1)^4), is the dead
+    # form before any rewriting and never gets an index
+    problem = make()
+    problem.full_distribution()
+    model = problem.model
+    powers = {i: power for i, (power, _) in model.relations.items()}
+    for mono, i in model._index.items():
+        assert model._degrees[i] <= model.dimension
+        assert all(mono[g] < power for g, power in powers.items()), mono
+
+
 def test_only_nonzero_image_keys_reach_the_root_of_unity_conversion(monkeypatch):
     # of the 153 keys P1^a P2^b on CP^16, the 45 with a + b <= 8 have a
     # nonzero image c*x^(2(a+b)); each is converted once per element of Z/2,
@@ -780,8 +802,8 @@ def test_center_workload_runs_the_direct_route_once_per_orbit(monkeypatch):
     from test_output_digests import _workloads
 
     scenario = parse_scenario(json.dumps(_workloads().document("center_z6z4", 0)))
-    moments, exponents = IndexProblem.moments, engine.bracket_exponent
-    calls = {"moments": 0, "bracket_exponent": 0}
+    moments, exponents = IndexProblem.moments, engine.bracket_exponents
+    calls = {"moments": 0, "bracket_exponents": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -791,6 +813,19 @@ def test_center_workload_runs_the_direct_route_once_per_orbit(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(IndexProblem, "moments", counted("moments", moments))
-    monkeypatch.setattr(engine, "bracket_exponent", counted("bracket_exponent", exponents))
+    monkeypatch.setattr(engine, "bracket_exponents", counted("bracket_exponents", exponents))
     run(scenario)
-    assert calls == {"moments": 12, "bracket_exponent": 24 * 24}
+    # one exponent row per element, shared by both routes
+    assert calls == {"moments": 12, "bracket_exponents": 24}
+
+
+@pytest.mark.parametrize("cyclic_orders", [[2], [5], [12], [6, 4], [2, 2, 3]])
+def test_exponent_rows_match_the_reduction_oracle(cyclic_orders):
+    # a component on every character, so each row covers the character group
+    cp1 = projective_model(x=1)
+    group = FiniteAbelianGroup(cyclic_orders)
+    characters = group.elements()
+    problem = IndexProblem(cp1, group, (), SymbolData(group, {chi: cp1.one() for chi in characters}))
+    for gamma in group.elements():
+        row = problem._bracket_exponents(gamma)
+        assert row == [bracket_exponent_by_reduction(group, chi, gamma) for chi in characters]

@@ -14,7 +14,7 @@ from fracindex.groups import (
     InvariantGeneratorDecl,
     WeightSystem,
     bracket,
-    bracket_exponent,
+    bracket_exponents,
     character_jet,
     chern_weil_eval,
     graded_order,
@@ -56,7 +56,7 @@ def test_group_arithmetic():
     for raw, reduced in [((-1,), (3,)), ((9,), (1,))]:
         assert tuple(e % n for e, n in zip(raw, group.cyclic_orders)) == reduced
         assert group.contains(reduced) and not group.contains(raw)
-        assert bracket_exponent(group, (1,), raw) == bracket_exponent(group, (1,), reduced)
+        assert bracket_exponents(group, [(1,)], raw) == bracket_exponents(group, [(1,)], reduced)
 
 
 def test_bracket_identity_is_one():
@@ -209,9 +209,10 @@ def test_bracket_exponent_matches_reduced_formula(data):
     orders = data.draw(st.lists(st.integers(1, 12), max_size=3))
     group = FiniteAbelianGroup(orders)
     entry = st.integers(-50, 50)
-    chi = tuple(data.draw(entry) for _ in orders)
+    characters = data.draw(st.lists(st.tuples(*[entry for _ in orders]), max_size=4))
     g = tuple(data.draw(entry) for _ in orders)
-    assert bracket_exponent(group, chi, g) == bracket_exponent_by_reduction(group, chi, g)
+    expected = [bracket_exponent_by_reduction(group, chi, g) for chi in characters]
+    assert bracket_exponents(group, characters, g) == expected
 
 
 # ---------------------------------------------------------------------------

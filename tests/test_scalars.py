@@ -16,6 +16,7 @@ from fracindex.scalars import (
     bernoulli,
     cyclotomic_polynomial,
     demote,
+    galois_conjugate,
     power_residues,
     rational_to_string,
     root_of_unity_sum,
@@ -213,6 +214,39 @@ def test_integer_cyclotomic_arithmetic_matches_long_division(order, data):
     for value, expected in cases:
         assert _coefficients(value) == expected
         _assert_cyclotomic_lowest_terms(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(1, 24), data=st.data())
+def test_package_results_are_values_the_constructor_accepts(order, data):
+    # sums, differences, rational multiples, root-of-unity sums and Galois
+    # conjugates skip the constructor's checks; each must still be int
+    # numerators, deg(Phi_N) of them, over a denominator >= 1 in lowest
+    # terms, field by field the element the validated constructor builds
+    x, y = data.draw(_small_cyclotomics(order)), data.draw(_small_cyclotomics(order))
+    q = data.draw(_rationals)
+    weights = data.draw(st.dictionaries(st.integers(0, 2 * order), _entries, max_size=6))
+    denominator = data.draw(st.integers(1, 12))
+    unit = data.draw(st.sampled_from([a for a in range(1, order + 1) if math.gcd(a, order) == 1]))
+    values = [
+        x + y,
+        x - y,
+        -x,
+        x * q,
+        q * x,
+        x + q,
+        root_of_unity_sum(order, weights, denominator),
+        galois_conjugate(x, unit),
+    ]
+    for value in values:
+        if isinstance(value, Fraction):
+            continue  # a rational sum is returned as a Fraction
+        assert all(type(c) is int for c in value.numerators)
+        assert type(value.denominator) is int
+        _assert_cyclotomic_lowest_terms(value)
+        validated = Cyclotomic(order, list(value.numerators), value.denominator)
+        fields = (value.order, value.numerators, value.denominator)
+        assert (validated.order, validated.numerators, validated.denominator) == fields
 
 
 _entries = st.integers(-60, 60)
