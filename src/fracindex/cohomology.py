@@ -35,14 +35,16 @@ the rewrite graph of the relations with a nonzero right side for a cycle,
 and without one a pure-power system is confluent (the argument is there).
 
 Expressions are read in one pass over the tokens of one regular
-expression; every sub-expression is integer numerators over one positive
-denominator, and each product or sum takes one gcd pass.  The parser
-multiplies raw monomials itself, not through the product table: relations
-are parsed before any model exists, and a product in the free ring under a
-degree bound is not the quotient product.  A power of one monomial within
-the bound is one exponent scaling; every other power goes by repeated
-squaring, so "x^99999999" costs about 27 products and an over-bound error
-names the first square that leaves the bound.
+expression.  A term folds its numbers and its generator powers within the
+degree bound into one int coefficient over one denominator and one exponent
+list, with one gcd at its end; from a parenthesised factor on it is integer
+numerators over one denominator, and each later factor or sum is one gcd
+pass.  The parser multiplies raw monomials itself, not through the product
+table: relations are parsed before any model exists, and a product in the
+free ring under a degree bound is not the quotient product.  A power of a
+parenthesised factor goes by repeated squaring, so "(1+x)^99999999" costs
+about 27 products, and an over-bound error names the first square that
+leaves the bound, for a generator power too.
 
 Every power series in a class runs through one loop, `evaluate_series`:
 the exponential, the inverse (1/c0 times the alternating series in the
@@ -194,16 +196,19 @@ class ManifoldModel(Frozen):
         form is the dead (); each is computed once per model, and every
         product-table entry it fills shares it.  A monomial above the
         dimension, or one whose exponent reaches a relation with an empty
-        right side, is dead without a rewrite and enters no index."""
+        right side, is dead without a rewrite and enters no index; one that
+        reaches no relation is the basis monomial (1, ((i, 1),)) at once."""
         entry = self._normal_cache.get(mono)
         if entry is not None:
             return entry
-        alive = self._degree(mono) <= self.dimension and all(
-            mono[i] < power or rhs for i, (power, rhs) in self.relations.items()
-        )
+        reached = [rhs for i, (power, rhs) in self.relations.items() if mono[i] >= power]
+        dead = self._degree(mono) > self.dimension or not all(reached)
+        if dead or not reached:
+            entry = self._normal_cache[mono] = () if dead else (1, ((self._intern(mono), 1),))
+            return entry
         # iterative worklist; validation has ruled out rewrite cycles, so it
         # ends, and relations are homogeneous, so every term keeps the degree
-        pending = {mono: Fraction(1)} if alive else {}
+        pending = {mono: Fraction(1)}
         done: dict[int, Fraction] = {}
         while pending:
             current, coeff = pending.popitem()
@@ -556,10 +561,11 @@ def build_model(
 
     relations are (lhs, rhs) expression pairs where lhs must be a pure
     power of one generator; fundamental is (monomial expression,
-    orientation value).  No term of this text may have a degree above the
-    dimension plus the largest generator degree: the first power of a
-    generator above the dimension lies within that bound, and a relation
-    beyond it could never fire.
+    orientation value).  A generator name is one name token of the
+    expression grammar.  Each distinct text is parsed once, and no term of
+    it may have a degree above the dimension plus the largest generator
+    degree: the first power of a generator above the dimension lies within
+    that bound, and a relation beyond it could never fire.
 
     Every ModelError and ExpressionError raised here starts with the path
     of the declaration at fault, relative to the arguments: `dimension`,
@@ -575,17 +581,22 @@ def build_model(
     for i, (name, degree) in enumerate(generators):
         if degree <= 0 or degree % 2 != 0:
             raise ModelError(f"generators[{i}].degree: must be even and positive, got {degree}")
+        if not (name[:1].isalpha() or name[:1] == "_") or not _TOKEN.fullmatch(name):
+            raise ModelError(f"generators[{i}].name: not a name expressions can read, got {name!r}")
         if name in seen:
             raise ModelError(f"generators[{i}].name: duplicate generator name {name!r}")
         seen.add(name)
     bound = dimension + max(degrees, default=0)
+    parsed: dict[str, dict[Monomial, Fraction]] = {}  # each distinct text, parsed once
 
     def raw_terms(text: str, path: str) -> dict[Monomial, Fraction]:
-        try:
-            num, den = parse_terms(text, generators, bound, truncate=False)
-        except ExpressionError as exc:
-            raise ExpressionError(f"{path}: {exc}") from exc
-        return {m: Fraction(c, den) for m, c in num.items()}
+        if text not in parsed:
+            try:
+                num, den = parse_terms(text, generators, bound, truncate=False)
+            except ExpressionError as exc:
+                raise ExpressionError(f"{path}: {exc}") from exc
+            parsed[text] = {m: Fraction(c, den) for m, c in num.items()}
+        return parsed[text]
 
     relation_map: dict[int, tuple[int, dict[Monomial, Fraction]]] = {}
     for i, (lhs, rhs) in enumerate(relations):
@@ -666,13 +677,14 @@ def parse_terms(
         factor := atom ['^' INT]
         atom   := NUMBER ['/' NUMBER] | NAME | '(' expr ')'
 
-    The bound holds after every product (generator degrees are positive,
-    so a term above it stays above it in every later product), and
-    parentheses nest at most _MAX_NESTING deep."""
+    A term folds its numbers and generator powers within the bound into one
+    coefficient, denominator and exponent list, and is a dict of terms only
+    from a parenthesised factor on.  The bound holds after every product
+    (generator degrees are positive, so a term above it stays above it in
+    every later product), and parentheses nest at most _MAX_NESTING deep."""
     names = [name for name, _ in generators]
     degrees = [degree for _, degree in generators]
     unit = (0,) * len(names)
-    degree_of = {unit: 0}  # every monomial built so far
 
     def at(i: int) -> str:
         return f"at position {_positions(text)[i]}"
@@ -713,13 +725,12 @@ def parse_terms(
         if len(a) == 1 and unit in a:  # a constant keeps the other side's terms
             return _lowest({m: a[unit] * c for m, c in b.items()}, da * db)
         out: dict[Monomial, int] = {}
-        right = [(m2, c2, degree_of[m2]) for m2, c2 in b.items()]
+        right = [(m2, c2, sum(map(mul, m2, degrees))) for m2, c2 in b.items()]
         for m1, c1 in a.items():
-            d1 = degree_of[m1]
+            d1 = sum(map(mul, m1, degrees))
             for m2, c2, d2 in right:
                 mono = tuple(map(add, m1, m2))
                 if d1 + d2 <= max_degree:
-                    degree_of[mono] = d1 + d2
                     out[mono] = out.get(mono, 0) + c1 * c2
                 elif not truncate:
                     raise over_bound(mono)
@@ -737,65 +748,7 @@ def parse_terms(
             terms.append(({m: -c for m, c in num.items()} if minus else num, den))
         return (*_lowest(*_sum(terms)), i)
 
-    def term(i: int, depth: int) -> tuple[dict, int, int]:
-        num, den, i = factor(i, depth)
-        while tokens[i][2] == "*":
-            rhs, rden, i = factor(i + 1, depth)
-            num, den = product(num, den, rhs, rden)
-        return num, den, i
-
-    def factor(i: int, depth: int) -> tuple[dict, int, int]:
-        number, name, other = tokens[i]
-        if number:
-            n, den, i = integer(i), 1, i + 1
-            if tokens[i][2] == "/":
-                if not tokens[i + 1][0]:
-                    raise unexpected(i + 1, "number")
-                den = integer(i + 1)
-                if den == 0:
-                    raise ExpressionError(f"zero denominator {at(i + 1)}")
-                g = math.gcd(n, den)
-                n, den, i = n // g, den // g, i + 2
-            num = {unit: n} if n else {}
-        elif name:
-            if name not in names:
-                raise ExpressionError(f"unknown generator {name!r} {at(i)}")
-            index = names.index(name)
-            mono = unit[:index] + (1,) + unit[index + 1 :]
-            degree_of[mono] = degrees[index]
-            num, den, i = ({mono: 1} if degrees[index] <= max_degree else {}), 1, i + 1
-        elif other == "(":
-            if depth == _MAX_NESTING:
-                raise ExpressionError(f"parentheses nested more than {_MAX_NESTING} deep {at(i)}")
-            num, den, i = expr(i + 1, depth + 1)
-            if tokens[i][2] != ")":
-                raise unexpected(i, ")")
-            i += 1
-        else:
-            raise unexpected(i)
-        if tokens[i][2] != "^":
-            return num, den, i
-        if not tokens[i + 1][0]:
-            raise unexpected(i + 1, "number")
-        exponent = integer(i + 1)
-        if exponent < 1:
-            raise ExpressionError(f"exponent must be a positive integer {at(i + 1)}")
-        constant = num.get(unit, 0)
-        g = math.gcd(constant, den)
-        bits = max(abs(constant) // g, den // g).bit_length()
-        if bits > 1 and exponent * bits > _MAX_POWER_BITS:
-            raise ExpressionError(
-                f"exponent {exponent} {at(i + 1)} is too large "
-                f"for the constant term {Fraction(constant, den)}"
-            )
-        i += 2
-        if len(num) == 1:
-            ((mono, c),) = num.items()
-            degree = degree_of[mono] * exponent
-            if degree <= max_degree:
-                mono = tuple([e * exponent for e in mono])
-                degree_of[mono] = degree
-                return {mono: c**exponent}, den**exponent, i
+    def power(num: dict, den: int, exponent: int) -> tuple[dict, int]:
         out, out_den = {unit: 1}, 1
         while exponent:
             if exponent & 1:
@@ -803,16 +756,92 @@ def parse_terms(
             exponent >>= 1
             if exponent:
                 num, den = product(num, den, num, den)
-        return out, out_den, i
+        return out, out_den
+
+    def exponent_at(i: int, constant: int, den: int) -> tuple[int, int]:
+        """The exponent at token i, 1 without '^', and the token after it."""
+        if tokens[i][2] != "^":
+            return 1, i
+        if not tokens[i + 1][0]:
+            raise unexpected(i + 1, "number")
+        exponent = integer(i + 1)
+        if exponent < 1:
+            raise ExpressionError(f"exponent must be a positive integer {at(i + 1)}")
+        g = math.gcd(constant, den)
+        bits = max(abs(constant) // g, den // g).bit_length()
+        if bits > 1 and exponent * bits > _MAX_POWER_BITS:
+            raise ExpressionError(
+                f"exponent {exponent} {at(i + 1)} is too large "
+                f"for the constant term {Fraction(constant, den)}"
+            )
+        return exponent, i + 2
+
+    def term(i: int, depth: int) -> tuple[dict, int, int]:
+        # coeff / den * exps, of degree `degree`: the atoms since the last
+        # parenthesised factor; num / nden: the factors before them, if any
+        num, nden = None, 1
+        coeff, den, exps, degree = 1, 1, list(unit), 0
+        while True:
+            number, name, other = tokens[i]
+            inner = None
+            if number:
+                n, d, i = integer(i), 1, i + 1
+                if tokens[i][2] == "/":
+                    if not tokens[i + 1][0]:
+                        raise unexpected(i + 1, "number")
+                    d = integer(i + 1)
+                    if d == 0:
+                        raise ExpressionError(f"zero denominator {at(i + 1)}")
+                    g = math.gcd(n, d)
+                    n, d, i = n // g, d // g, i + 2
+                exponent, i = exponent_at(i, n, d)
+                coeff, den = coeff * n**exponent, den * d**exponent
+            elif name:
+                if name not in names:
+                    raise ExpressionError(f"unknown generator {name!r} {at(i)}")
+                index = names.index(name)
+                exponent, i = exponent_at(i + 1, 0, 1)
+                if degrees[index] * exponent > max_degree and not truncate:
+                    # raises at the first square that leaves the bound
+                    power({unit[:index] + (1,) + unit[index + 1 :]: 1}, 1, exponent)
+                exps[index] += exponent
+                degree += degrees[index] * exponent
+                if coeff and degree > max_degree:  # a zero term stays zero unchecked
+                    if not truncate:
+                        raise over_bound(tuple(exps))
+                    coeff = 0
+            elif other == "(":
+                if depth == _MAX_NESTING:
+                    raise ExpressionError(f"parentheses nested more than {_MAX_NESTING} deep {at(i)}")
+                inner, iden, i = expr(i + 1, depth + 1)
+                if tokens[i][2] != ")":
+                    raise unexpected(i, ")")
+                exponent, i = exponent_at(i + 1, inner.get(unit, 0), iden)
+                inner, iden = power(inner, iden, exponent) if exponent > 1 else (inner, iden)
+            else:
+                raise unexpected(i)
+            if num is not None or inner is not None:
+                single = ({tuple(exps): coeff} if coeff else {}), den
+                num, nden = single if num is None else product(num, nden, *single)
+                if inner is not None:
+                    num, nden = product(num, nden, inner, iden)
+                coeff, den, exps, degree = 1, 1, list(unit), 0
+            if tokens[i][2] != "*":
+                break
+            i += 1
+        if num is not None:
+            return num, nden, i
+        g = math.gcd(coeff, den)
+        return ({tuple(exps): coeff // g} if coeff else {}), den // g, i
 
     try:
         num, den, i = expr(0, 0)
         if tokens[i] is not _END:
             raise unexpected(i)
     finally:
-        # expr, term and factor reach one another through their cells, a
-        # reference cycle only the garbage collector would free
-        del expr, term, factor
+        # expr and term reach one another through their cells, a reference
+        # cycle only the garbage collector would free
+        del expr, term
     return num, den
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fracindex import cohomology
 from fracindex.cohomology import (
     CohClass,
     ExpressionError,
@@ -24,6 +25,7 @@ from fracindex.cohomology import (
 )
 from fracindex.characteristic import newton_power_sums
 from fracindex.scalars import Cyclotomic
+from fracindex.scenarios import BUILTIN_SCENARIOS
 
 from oracles import (
     cpn_integral,
@@ -42,6 +44,7 @@ from oracles import (
     parse_terms_oracle,
     projective_model,
 )
+from test_perfbench_spans import _load
 
 
 @pytest.fixture
@@ -346,6 +349,12 @@ def test_validation_rejects_duplicate_relation():
         )
 
 
+def test_an_accepted_generator_name_reads_back():
+    model = build_model(4, [("é", 2), ("_g1", 2)], [("é^2", "0"), ("_g1^2", "0")], ("é*_g1", 1))
+    cls = parse_expression("1 - 2*é + 3/2*é*_g1", model)
+    assert parse_expression(cls.to_expression(), model) == cls
+
+
 def test_confluent_multi_relation_model_loads():
     model = build_model(
         4,
@@ -576,6 +585,26 @@ def test_build_model_leaves_the_product_table_empty():
     assert product.terms == {(1, 1, 0, 0, 0, 0, 0, 0): 1}
 
 
+def test_an_irreducible_monomial_is_its_own_normal_form(monkeypatch):
+    # a raw product monomial within the dimension that reaches no relation
+    # is read off as (1, ((i, 1),)): no rewrite and no Fraction worklist
+    cp16, cp1x4 = projective_model(x=16), projective_model(a=1, b=1, c=1, d=1)
+    x = parse_expression("x", cp16)
+    a, b, c, d = (parse_expression(name, cp1x4) for name in "abcd")
+
+    def unreachable(*args):
+        raise AssertionError("the normal-form worklist ran")
+
+    monkeypatch.setattr(ManifoldModel, "_rewrite_once", unreachable)
+    monkeypatch.setattr(cohomology, "common_denominator", unreachable)
+    for i, j in [(1, 1), (1, 5), (3, 8), (7, 9), (15, 1)]:
+        product = x**i * x**j
+        assert product.terms == {(i + j,): 1}
+        assert cp16._normal_cache[(i + j,)] == (1, ((cp16._index[(i + j,)], 1),))
+    assert (a * b).terms == {(1, 1, 0, 0): 1} and (c * d).terms == {(0, 0, 1, 1): 1}
+    assert ((a * b) * (c * d)).integrate() == 1 and (a * c * b).terms == {(1, 1, 1, 0): 1}
+
+
 def test_product_merges_structure_constant_denominators():
     # x*x and y*y reduce over denominators 2 and 3, x*y is integral
     model = build_model(
@@ -601,11 +630,21 @@ def test_validation_work_depends_on_relations_not_on_monomials(monkeypatch):
         return original(self, mono)
 
     monkeypatch.setattr(ManifoldModel, "normal_form", counted)
+    # and each distinct declaration text is parsed once: 12 left sides, one
+    # "0" for the 12 right sides, and the fundamental
+    texts, parse = [], cohomology.parse_terms
+
+    def parse_counted(text, *args, **kwargs):
+        texts.append(text)
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "parse_terms", parse_counted)
     names = [f"x{i}" for i in range(1, 13)]
     model = build_model(
         24, [(n, 2) for n in names], [(f"{n}^2", "0") for n in names], ("*".join(names), 1)
     )
     assert len(calls) <= 1
+    assert len(texts) == 14 and texts.count("0") == 1
     assert parse_expression("*".join(names), model).integrate() == 1
 
 
@@ -686,6 +725,92 @@ def test_power_of_a_large_constant_is_rejected(cp2):
         parse_expression("3^99999999", cp2)
     with pytest.raises(ExpressionError, match="too large"):
         parse_expression("(1/2 + x)^99999999", cp2)
+
+
+_X, _XY = [("x", 2)], [("x", 2), ("y", 4)]
+#: Terms whose atoms fold into one coefficient and exponent list, and
+#: where that fold meets a zero, the degree bound, the constant guard or a
+#: parenthesised factor; the outcome is the oracle's, shown here.
+_FOLD_EDGES = [
+    ("0*x^3*x^3", _X, 6, False, {}),  # a zero coefficient is not checked against the bound
+    ("2*x^2*y*x*y", _XY, 8, False, "term x^3*y of degree 10 exceeds the degree bound 8"),
+    ("3*x*y*x^2", _XY, 8, False, "term x^3*y of degree 10 exceeds the degree bound 8"),
+    ("1 + 2*x^2*y*x*y - x", _XY, 8, True, {(0, 0): 1, (1, 0): -1}),
+    ("x^1", _X, 6, False, {(1,): 1}),
+    ("2^3*x", _X, 6, False, {(1,): 8}),
+    ("3^99999999*x", _X, 6, True, "exponent 99999999 at position 2 is too large"),
+    ("2*x*(1+y)*x", _XY, 10, False, {(2, 0): 2, (2, 1): 2}),
+    ("2*x*(1+y)*x", _XY, 6, False, "term x^2*y of degree 8 exceeds the degree bound 6"),
+    ("-3/4*x - 2/6", _X, 6, False, {(1,): Fraction(-3, 4), (0,): Fraction(-1, 3)}),
+    ("2*x*x^5*y", _XY, 6, False, "term x^4 of degree 8 exceeds the degree bound 6"),
+    ("1 + 2*x*x^5*y", _XY, 6, True, {(0, 0): 1}),
+]
+
+
+@pytest.mark.parametrize("text,generators,bound,truncate,outcome", _FOLD_EDGES)
+def test_folded_terms_match_the_oracle_at_their_edges(text, generators, bound, truncate, outcome):
+    case = (text, generators, bound, truncate)
+    got = _terms_or_message(parse_terms, *case)
+    assert got == _terms_or_message(parse_terms_oracle, *case)
+    assert got.startswith(outcome) if isinstance(outcome, str) else got == outcome
+
+
+def _flat_sums(k: int):
+    """A sum of products of c/d and generator powers over (CP^1)^k's
+    generators, as the product workload writes them, with products past
+    the bound; the bound is parse_expression's or build_model's, or any
+    other."""
+    generators = [(f"x{i}", 2) for i in range(1, k + 1)]
+    atoms = [f"{name}{power}" for name, _ in generators for power in ["", "^1", "^2", "^3"]]
+    atoms += [f"{c}/{d}" for c in (0, 1, 2, 3, 6) for d in (1, 2, 3, 9)]
+    atom = st.sampled_from(atoms)
+    signs = st.sampled_from(["-", " + ", " - "])
+    term = st.tuples(signs, st.lists(atom, min_size=1, max_size=k + 2))
+    text = st.lists(term, min_size=1, max_size=4).map(
+        lambda terms: "".join(sign + "*".join(atoms) for sign, atoms in terms).removeprefix(" + ")
+    )
+    bound = st.sampled_from([2 * k, 2 * k + 2]) | st.integers(2, 2 * k + 2)
+    return st.tuples(text, st.just(generators), bound, st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of([_flat_sums(k) for k in range(8, 13)]))
+def test_flat_sums_on_many_generators_match_the_oracle(case):
+    assert _terms_or_message(parse_terms, *case) == _terms_or_message(parse_terms_oracle, *case)
+
+
+def _declared_texts(document):
+    """(text, generators, bound, truncate) for every expression text of a
+    scenario document, as `build_model` and `parse_expression` parse it."""
+    manifold, group = document["manifold"], document.get("group", {})
+    generators = [tuple(g) for g in manifold["generators"]]
+    declared = [text for pair in manifold["relations"] for text in pair]
+    declared += manifold["fundamental"][:1] if "fundamental" in manifold else []
+    bound = manifold["dimension"] + max((d for _, d in generators), default=0)
+    classes = [
+        text
+        for bundle in document.get("bundles", [])
+        for key in ("chern_roots", "chern", "pontryagin")
+        for text in bundle.get(key, [])
+    ]
+    classes += [g["image"] for g in group.get("invariant_generators", [])]
+    classes += [w["line_class"] for w in group.get("weight_system", [])]
+    classes += [s["class"] for s in document.get("symbol", [])]
+    return [(t, generators, bound, False) for t in declared] + [
+        (t, generators, manifold["dimension"], True) for t in classes
+    ]
+
+
+def test_every_text_of_the_builtins_and_workloads_matches_the_oracle():
+    workloads = _load("workloads")
+    documents = list(BUILTIN_SCENARIOS.values()) + [
+        workloads.document(name, seed) for name in workloads.WORKLOADS for seed in range(4)
+    ]
+    cases = [case for document in documents for case in _declared_texts(document)]
+    assert len(cases) > 300
+    for case in cases:
+        terms = _terms_or_message(parse_terms, *case)
+        assert not isinstance(terms, str) and terms == _terms_or_message(parse_terms_oracle, *case)
 
 
 def test_declaration_text_is_bounded_by_dimension_plus_generator_degree():

@@ -186,6 +186,12 @@ _REJECTED_DOCUMENTS = [
      "manifold.generators[0].degree: must be even and positive, got 3"),
     ("duplicate_generator", _CP2, lambda d: d["manifold"].update(generators=[["x", 2], ["x", 2]]),
      "manifold.generators[1].name: duplicate generator name 'x'"),
+    # a generator no expression can name, and whose to_expression text would not parse back
+    *[(f"unreadable_generator_name_{label}", _CP2,
+       lambda d, name=name: d["manifold"].update(generators=[["x", 2], [name, 2]]),
+       f"manifold.generators[1].name: not a name expressions can read, got {name!r}")
+      for label, name in [("empty", ""), ("digit_first", "1y"), ("space", "y z"),
+                          ("operator", "+"), ("power", "y^2"), ("superscript", "²")]],
     ("lhs_two_terms", _CP2, lambda d: d["manifold"].update(relations=[["x^3 + x^2", "0"]]),
      "manifold.relations[0].lhs: must be a single monomial"),
     ("lhs_coefficient", _CP2, lambda d: d["manifold"].update(relations=[["2*x^3", "0"]]),
