@@ -47,7 +47,8 @@ class BundleData(Frozen):
     scenario parser holds the rank nonnegative, one root per unit of rank,
     roots of degree 2, c_i of degree 2i and p_i of degree 4i, and declared
     Chern classes equal to the elementary symmetric functions of declared
-    roots; the constructor stores what it is given.
+    roots.  Its own constructor takes `model` by keyword, as 33 test
+    calls pass it, and starts the a-hat caches.
     """
 
     __slots__ = (

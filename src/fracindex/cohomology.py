@@ -105,7 +105,8 @@ class ManifoldModel(Frozen):
 
     The monomial index (`_index`, its inverse `_monomials`, `_degrees`)
     holds the unit at 0 and the fundamental monomial at `_fundamental` once
-    built; it and the product table `_products` grow on first use.
+    built; it and the product table `_products` grow on first use, from
+    caches its own constructor starts.
     """
 
     __slots__ = (
@@ -298,7 +299,7 @@ class CohClass(Frozen):
     terms (no zero numerator, a positive denominator, 1 for the zero class),
     so equal classes have equal fields; a constant hashes as its Fraction.
     `terms` is the read-only Fraction view on exponent tuples in (degree,
-    monomial) order.  The constructor takes int or Fraction
+    monomial) order.  Its own constructor normalizes int or Fraction
     coefficients on raw monomials; any other coefficient raises TypeError."""
 
     __slots__ = ("model", "numerators", "denominator")
@@ -581,7 +582,7 @@ def build_model(
     for i, (name, degree) in enumerate(generators):
         if degree <= 0 or degree % 2 != 0:
             raise ModelError(f"generators[{i}].degree: must be even and positive, got {degree}")
-        if not (name[:1].isalpha() or name[:1] == "_") or not _TOKEN.fullmatch(name):
+        if not is_generator_name(name):
             raise ModelError(f"generators[{i}].name: not a name expressions can read, got {name!r}")
         if name in seen:
             raise ModelError(f"generators[{i}].name: duplicate generator name {name!r}")
@@ -656,6 +657,14 @@ _MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed in
 _TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
 _STRAY = re.compile(r"[^\s\w+\-*/^()]")  # in ASCII text, the only bad characters
 _END = ("", "", "")  # after the last token: no field set
+
+
+def is_generator_name(name: str) -> bool:
+    """Whether `name` is one name token of the expression grammar: a letter
+    or "_" and then word characters.  Model generators and invariant
+    generators are held to it, so a monomial written from their names, as
+    "P1^2*E", names one exponent tuple and no other."""
+    return (name[:1].isalpha() or name[:1] == "_") and _TOKEN.fullmatch(name) is not None
 
 
 def _positions(text: str) -> list[int]:

@@ -92,7 +92,8 @@ class SymbolData(Frozen):
     the finite center, in character order; a zero class is dropped.  Each
     character is reduced and named once, and every class lives on one
     model: `scenarios._build_symbol` checks `group.contains`, refuses a
-    repeated character, and parses each class on the scenario's model."""
+    repeated character, and parses each class on the scenario's model.
+    Its own constructor's zero filter and sort serve test-built symbols."""
 
     __slots__ = ("group", "components")
 
@@ -109,7 +110,9 @@ class MomentTable(Frozen):
     """Exact pairings of the invariant distribution at one central element
     against monomials in the declared generators, keyed by exponent tuple.
     The values are kept as given, and come in graded order: the engine
-    builds them by `chern_weil_eval`'s image order."""
+    builds them by `chern_weil_eval`'s image order.  Its own constructor
+    makes tuples: `test_output_digests` builds tables from lists, and the
+    writer keys a dict by `generator_names`."""
 
     __slots__ = ("gamma", "generator_names", "values")
 
@@ -151,10 +154,6 @@ class IndexDistribution(Frozen):
 
     __slots__ = ("group", "tables")
 
-    def __init__(self, group: FiniteAbelianGroup, tables: Mapping[Element, MomentTable]) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "tables", tables)
-
     def __eq__(self, other):
         if not isinstance(other, IndexDistribution):
             return NotImplemented
@@ -181,7 +180,8 @@ class IndexProblem(Frozen):
     Fraction or Cyclotomic only where a moment is emitted or compared.
     The symbol is over `group`, every class lives on `model`, and
     generator names are distinct: `scenarios.parse_scenario` reads a run
-    on one model and group and refuses a name declared twice."""
+    on one model and group and refuses a name declared twice.  Its own
+    constructor starts the caches."""
 
     __slots__ = (
         "model",

@@ -27,7 +27,7 @@ class FiniteAbelianGroup(Frozen):
     """A product of cyclic groups; elements are exponent tuples reduced
     modulo the cyclic orders, whose product is `order` and lcm `exponent`.
     The trivial group has no factors.  The scenario parser refuses an order
-    below 1; the constructor stores the orders as given."""
+    below 1; its own constructor derives `order` and `exponent`."""
 
     __slots__ = ("cyclic_orders", "order", "exponent")
 
@@ -98,11 +98,6 @@ class InvariantGeneratorDecl(Frozen):
 
     __slots__ = ("name", "s_degree", "image")
 
-    def __init__(self, name: str, s_degree: int, image: CohClass) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "s_degree", s_degree)
-        object.__setattr__(self, "image", image)
-
     def __repr__(self):
         return f"InvariantGeneratorDecl({self.name!r}, s_degree={self.s_degree})"
 
@@ -152,15 +147,10 @@ class WeightSystem(Frozen):
     declared line class.  The scenario parser builds a system only from a
     nonempty `weight_system` list and holds the kind to these two, an su2
     system to one line class and every line class homogeneous of degree 2;
-    `scenarios._check_label` holds every label to these forms.  The
-    constructor stores what it is given.
+    `scenarios._check_label` holds every label to these forms.
     """
 
     __slots__ = ("kind", "line_classes")
-
-    def __init__(self, kind: str, line_classes: Sequence[CohClass]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "line_classes", tuple(line_classes))
 
     @property
     def rank(self) -> int:

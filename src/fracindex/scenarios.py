@@ -23,7 +23,12 @@ float, a bool or a digit string is refused, never truncated or read.
 as true; every name, `group.weight_kind`, relation side and fundamental
 monomial takes a JSON string, never a value rendered with str().  The
 orientation `manifold.fundamental[1]` is a JSON integer or a string "p" or
-"p/q" of digits as expressions read numbers; a float is refused.  Bundles
+"p/q" of digits as expressions read numbers; a float is refused.  A
+generator name, `manifold.generators[i].name` or
+`group.invariant_generators[i].name`, is one name token of the expression
+grammar (`cohomology.is_generator_name`): a letter or "_", then word
+characters.  Moment keys are written from invariant generator names, so
+"E^2", which would print as a power of "E", and "" are refused.  Bundles
 used as tangent data must declare roots, Chern or Pontryagin classes.  An
 `mms_projective` task needs a symbol on exactly one nonzero character.
 An `atiyah_pairing` label under `group.weight_kind` "torus" is a list of
@@ -75,6 +80,7 @@ from fracindex.cohomology import (
     ManifoldModel,
     ModelError,
     build_model,
+    is_generator_name,
     monomial_name,
     parse_expression,
 )
@@ -119,30 +125,6 @@ class Scenario(Frozen):
         "expect",
     )
 
-    def __init__(
-        self,
-        name: str,
-        model: ManifoldModel,
-        bundles: Mapping[str, BundleData],
-        tangent_name: str | None,
-        group: FiniteAbelianGroup,
-        generators: Sequence[InvariantGeneratorDecl],
-        weight_system: WeightSystem | None,
-        symbol: SymbolData,
-        tasks: Sequence[Mapping[str, Any]],
-        expect: Sequence[Any] | None,
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "bundles", dict(bundles))
-        object.__setattr__(self, "tangent_name", tangent_name)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "weight_system", weight_system)
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "tasks", tuple(dict(t) for t in tasks))
-        object.__setattr__(self, "expect", list(expect) if expect is not None else None)
-
     def tangent_bundle(self) -> BundleData | None:
         return self.bundles.get(self.tangent_name) if self.tangent_name else None
 
@@ -159,12 +141,6 @@ class TaskResult(Frozen):
     """One task's exact outcome, with the request and scenario echoed."""
 
     __slots__ = ("scenario", "index", "request", "payload")
-
-    def __init__(self, scenario: str, index: int, request: Mapping[str, Any], payload) -> None:
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "request", dict(request))
-        object.__setattr__(self, "payload", payload)
 
     def payload_json(self):
         return _payload_to_json(self.payload)
@@ -377,7 +353,7 @@ def _check_tangent_data(bundle: BundleData, path: str) -> None:
 
 def _build_group_block(
     spec: Mapping[str, Any], model: ManifoldModel
-) -> tuple[FiniteAbelianGroup, list[InvariantGeneratorDecl], WeightSystem | None]:
+) -> tuple[FiniteAbelianGroup, tuple[InvariantGeneratorDecl, ...], WeightSystem | None]:
     if not isinstance(spec, dict):
         raise ScenarioError(f"group: expected an object, got {spec!r}")
     orders = _int_list(spec.get("cyclic_orders", []), "group.cyclic_orders")
@@ -402,6 +378,8 @@ def _build_group_block(
     ):
         path = f"group.invariant_generators[{index}]"
         name = _need(gen_spec, f"{path}.name", _str)
+        if not is_generator_name(name):
+            raise ScenarioError(f"{path}.name: not a name expressions can read, got {name!r}")
         if any(gen.name == name for gen in generators):
             raise ScenarioError(f"{path}.name: invariant generator {name!r} declared twice")
         s_degree = _need(gen_spec, f"{path}.s_degree", _int)
@@ -417,7 +395,7 @@ def _build_group_block(
     path = "group.weight_system"
     entries = _objects(spec.get("weight_system", []), path)
     if not entries:
-        return group, generators, None
+        return group, tuple(generators), None
     weights = [_need(entry, f"{path}[{i}].weight", _int_list) for i, entry in enumerate(entries)]
     rank = len(weights[0])
     if kind == "su2" and rank != 1:
@@ -439,7 +417,7 @@ def _build_group_block(
     missing = [j for j, cls in enumerate(line_classes) if cls is None]
     if missing:
         raise ScenarioError(f"{path}: weight coordinate {missing[0]} is not declared")
-    return group, generators, WeightSystem(kind, line_classes)
+    return group, tuple(generators), WeightSystem(kind, tuple(line_classes))
 
 
 def _build_symbol(
@@ -592,7 +570,7 @@ def parse_scenario(text: str) -> Scenario:
 
     scenario = Scenario(
         name, model, bundles, tangent_name, group, generators, weight_system,
-        symbol, tasks, expect,
+        symbol, tuple(tasks), expect,
     )
     for index, task in enumerate(scenario.tasks):
         op = _need(task, f"tasks[{index}].op")
@@ -650,7 +628,7 @@ def run(
         _, handle = _OPS[task["op"]]
         bound = max_degree if max_degree is not None else task.get("max_degree")
         payload = handle(scenario, problem, task, bound)
-        results.append(TaskResult(scenario.name, index, task, payload))
+        results.append(TaskResult(scenario.name, index, dict(task), payload))
     return results
 
 

@@ -37,6 +37,13 @@ def test_builtin_scenario_meets_expectations_and_round_trips(name):
     results = run(scenario)
     assert scenario.expect is not None
     assert check_expectations(scenario, results) == []
+    # the records store what the parser and `run` hand them
+    assert type(scenario.tasks) is tuple and type(scenario.generators) is tuple
+    if scenario.weight_system is not None:
+        assert type(scenario.weight_system.line_classes) is tuple
+    for result in results:
+        assert result.request == scenario.tasks[result.index]
+        assert result.request is not scenario.tasks[result.index]
 
 
 def _cp2_document(**overrides) -> str:
@@ -265,6 +272,10 @@ _REJECTED_DOCUMENTS = [
      "group.invariant_generators[0].image: must be homogeneous of degree 4"),
     ("generator_twice", _CP2, lambda d: d["group"]["invariant_generators"][1].update(name="P1"),
      "group.invariant_generators[1].name: invariant generator 'P1' declared twice"),
+    ("generator_name_power", _CP2, lambda d: d["group"]["invariant_generators"][0].update(name="E^2"),
+     "group.invariant_generators[0].name: not a name expressions can read, got 'E^2'"),
+    ("generator_name_empty", _CP2, lambda d: d["group"]["invariant_generators"][0].update(name=""),
+     "group.invariant_generators[0].name: not a name expressions can read, got ''"),
     ("weight_arity", _HOPF,
      lambda d: d["group"]["weight_system"].append({"weight": [0, 1], "line_class": "x"}),
      "group.weight_system[1].weight: weight system entries must share one arity"),
