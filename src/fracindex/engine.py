@@ -25,14 +25,16 @@ gamma, and every full distribution computes both and compares them exactly:
 
 - direct, u * (a-hat^2 * image), at the first element of each Galois orbit:
   the u_chi are summed into buckets U_k by bracket exponent k, over one
-  denominator per gamma, each dotted with
-  the integer moment rows r_key[m] = integral of (a-hat^2 * image_key) * m
-  over the symbol's support monomials m, and each moment is converted
-  once from its integer pairings {k: w_k} to sum_k w_k zeta^k; every
-  other table of the orbit is sigma_a of those values;
-- recombined, (a-hat^2 * u) * image: the pairings of a-hat^2 * u_chi at
-  the identity are kept as one integer column per key over one
-  denominator, entry chi; per gamma, the numerators of the brackets
+  denominator per gamma, and each U_k is dotted once with the integer
+  column c_i[m] = integral of (a-hat^2 * e_i) * m, over the symbol's
+  support monomials m, of each distinct image monomial e_i; a key's
+  pairings {k: w_k} are its image coefficients times those sums, converted
+  once to sum_k w_k zeta^k; every other table of the orbit is sigma_a of
+  those values;
+- recombined, (a-hat^2 * u) * image: each a-hat^2 * u_chi is paired at the
+  identity with each distinct image monomial, and each key's image
+  coefficients combine those pairings into one integer column per key over
+  one denominator, entry chi; per gamma, the numerators of the brackets
   zeta_N^k(chi, gamma) form deg Phi_N integer rows over the characters,
   and each key's vector of length deg Phi_N is deg Phi_N dot products of
   those rows with its column.  The vector is compared with the direct
@@ -40,8 +42,8 @@ gamma, and every full distribution computes both and compares them exactly:
   is rational, otherwise as one Cyclotomic sum tested for zero,
   expected * -den + vector, three constructions.
 
-Rows and columns hold nonzero-image keys only: a zero-image key reads no
-product-table entry on either route, so it is the exact 0 in both.
+A zero-image key is combined on neither route: it reads no product-table
+entry, so it is the exact 0 in both.
 
 The routes associate the product differently and so read different
 entries of the model's product table: a disagreement catches a wrong
@@ -59,7 +61,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
-from fracindex.cohomology import CohClass, ManifoldModel, _class, class_sum, monomial_name
+from fracindex.cohomology import CohClass, ManifoldModel, _class, _product, class_sum, monomial_name
 from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
@@ -167,17 +169,18 @@ class IndexProblem(Frozen):
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
     square of the tangent a-hat class, all on the model's lazily built
-    monomial index.  Monomial images are kept once per model, moment rows
-    once per problem and degree bound, and `_duals`, the integral of each
-    product of two basis monomials, once per problem by a product of two
-    classes built through the unit row: a table per model would outlive a
-    change to the product table, and the entry (m, n) alone misses the
-    unit-row corruptions behind 3 of the 17 catches on CP^6 and 1 of the
-    42 on CP^16.  Rows and columns skip zero-image keys, the exact 0 on
-    both routes.  `_exponents` keeps the exponent row once per problem
-    and gamma as given, one int per character in character order, for both
-    routes.  Both routes carry integers over one denominator and build a
-    Fraction or Cyclotomic only where a moment is emitted or compared.
+    monomial index.  Monomial images are kept once per model, the direct
+    route's image-monomial columns and scaled key images once per problem
+    and degree bound, and `_duals`, the integral of each product of two
+    basis monomials, once per problem by three `_product` calls, the unit
+    row for each monomial and then the pair: a table per model would
+    outlive a change to the product table, and the entry (m, n) alone
+    misses the unit-row corruptions behind 3 of the 17 catches on CP^6 and
+    1 of the 42 on CP^16.  `_exponents` keeps the exponent row once per
+    problem and gamma as given, one int per character in character order,
+    for both routes.  Both routes carry integers over one denominator and
+    build a Fraction or Cyclotomic only where a moment is emitted or
+    compared.
     The symbol is over `group`, every class lives on `model`, and
     generator names are distinct: `scenarios.parse_scenario` reads a run
     on one model and group and refuses a name declared twice.  Its own
@@ -236,16 +239,16 @@ class IndexProblem(Frozen):
         return self._exponents[key]
 
     def reduced_integrand(self, gamma: Sequence[int]) -> dict[int, CohClass]:
-        """The symbol buckets at a central element: bracket exponent k ->
-        the sum U_k, in one integer accumulation, of the symbol components
-        whose bracket with gamma is zeta_N^k.  The integrand is a-hat^2 *
-        sum_k zeta_N^k U_k; the direct route pairs U_k with moment rows that
-        carry the a-hat square, u * (a-hat^2 * image), where the recombined
-        route pairs (a-hat^2 * u) * image.  gamma need not be reduced."""
+        """The symbol buckets at gamma (need not be reduced): bracket exponent
+        k -> the sum U_k, in one integer accumulation (a lone member is its
+        own sum), of the symbol components whose bracket with gamma is
+        zeta_N^k.  The integrand is a-hat^2 * sum_k zeta_N^k U_k; the direct
+        route pairs U_k with columns carrying a-hat^2, u * (a-hat^2 * image),
+        where the recombined route pairs (a-hat^2 * u) * image."""
         members: dict[int, list[CohClass]] = {}
         for k, u_chi in zip(self._bracket_exponents(gamma), self.symbol.components.values()):
             members.setdefault(k, []).append(u_chi)
-        return {k: class_sum(classes) for k, classes in members.items()}
+        return {k: c[0] if len(c) == 1 else class_sum(c) for k, c in members.items()}
 
     def fractional_index(self, gamma: Sequence[int]) -> Scalar:
         """The degree-zero moment at gamma: the point-mass coefficient, and
@@ -267,44 +270,37 @@ class IndexProblem(Frozen):
             table[key] = [(k, c.numerators, c.denominator) for k, c in images]
         return table[key]
 
-    def _moment_rows(self, max_degree: int) -> dict[MomentKey, tuple[dict[int, int], int]]:
-        """One integer row per nonzero-image key, in graded order: the
-        integral of (a-hat^2 * image_key) * m for every monomial m of the
-        symbol's support, as {m: numerator} without zeros over one
-        denominator; a zero-image key has no row.  Each row combines the
-        integer columns of a-hat^2 * e_i paired with the support, one per
-        distinct image monomial i."""
-        rows = self._row_cache.get(max_degree)
-        if rows is not None:
-            return rows
+    def _moment_rows(self, max_degree: int) -> tuple[dict[int, tuple[dict, int]], list[tuple]]:
+        """The direct route's pairings, once per problem and bound: one
+        integer column per distinct image monomial i, the integral of
+        (a-hat^2 * e_i) * m for every monomial m of the symbol's support, as
+        {m: numerator} over one denominator; and per nonzero-image key, in
+        graded order, its image as pairs (i, n), each n scaled to the lcm of
+        its columns' denominators, and its denominator, that lcm times the
+        image's."""
+        cached = self._row_cache.get(max_degree)
+        if cached is not None:
+            return cached
         model, square = self.model, self.a_hat_squared
         support = sorted({m for u in self.symbol.components.values() for m in u.numerators})
-        points = [{m: 1} for m in support]
-        columns: dict[int, tuple[list[int], int]] = {}
-        rows = {}
+        columns: dict[int, tuple[dict[int, int], int]] = {}
+        keys = []
         for key, image, image_den in self._monomial_images(max_degree):
             if not image:
                 continue
             for i in image:
                 if i not in columns:  # a-hat^2 * e_i by one product, no normal form
-                    columns[i] = self._pairings(square * _class(model, {i: 1}, 1), points)
+                    column, d = self._pairings(square * _class(model, {i: 1}, 1), support)
+                    columns[i] = {m: r for m, r in zip(support, column) if r}, d
             den = math.lcm(*[columns[i][1] for i in image])
-            values = [0] * len(support)
-            for i, n in image.items():
-                column, d = columns[i]
-                scale = n * (den // d)
-                values = [v + scale * w for v, w in zip(values, column)]
-            row = {m: r for m, r in zip(support, values) if r}
-            rows[key] = (row, den * image_den)
-        self._row_cache[max_degree] = rows
-        return rows
+            scaled = [(i, n * (den // columns[i][1])) for i, n in image.items()]
+            keys.append((key, scaled, den * image_den))
+        cached = self._row_cache[max_degree] = columns, keys
+        return cached
 
-    def _pairings(
-        self, integrand: CohClass, targets: Sequence[Mapping[int, int]]
-    ) -> tuple[list[int], int]:
-        """The integral of integrand * target for every target, given by its
-        integer numerators {index: n} (its denominator is the caller's),
-        as one integer column over one denominator (`_column`).
+    def _pairings(self, integrand: CohClass, targets: Sequence[int]) -> tuple[list[int], int]:
+        """The integral of integrand * e_m for every target monomial index
+        m, as one integer column over one denominator (`_column`).
 
         Relations are degree-homogeneous, so a target monomial m pairs only
         with the integrand terms of the complementary degree; each such term
@@ -316,69 +312,76 @@ class IndexProblem(Frozen):
         for mono, n in integrand.numerators.items():
             by_degree.setdefault(model.dimension - degrees[mono], []).append((mono, n))
         pairs = []
-        for target in targets:
+        for m in targets:
             num, den = 0, 1
-            for m, t in target.items():
-                for mono, n in by_degree.get(degrees[m], ()):
-                    dual = duals.get((m, mono))
-                    if dual is None:
-                        e_m, e_n = model._monomials[m], model._monomials[mono]
-                        product = CohClass(model, {e_m: 1}) * CohClass(model, {e_n: 1})
-                        dual = duals[m, mono] = product.integrate()
-                    q = dual.denominator
-                    if den % q:
-                        grow = q // math.gcd(den, q)
-                        num, den = num * grow, den * grow
-                    num += t * n * dual.numerator * (den // q)
+            for mono, n in by_degree.get(degrees[m], ()):
+                dual = duals.get((m, mono))
+                if dual is None:  # both monomials through the unit row, then the pair
+                    a, da = _product(model, {0: 1}, {m: 1})
+                    b, db = _product(model, {0: 1}, {mono: 1})
+                    ab, scale = _product(model, a, b)
+                    dual = duals[m, mono] = _class(model, ab, da * db * scale).integrate()
+                q = dual.denominator
+                if den % q:
+                    grow = q // math.gcd(den, q)
+                    num, den = num * grow, den * grow
+                num += n * dual.numerator * (den // q)
             pairs.append((num, den * integrand.denominator))
         return _column(pairs)
 
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
         """The moment table at gamma: pairings against all generator
         monomials of total degree up to the bound (default: half the model
-        dimension; higher monomials pair to zero by truncation), from
-        integer dot products of each bucket U_k, over the lcm of their
-        denominators, with the moment rows, and one conversion to the
-        cyclotomic field per row; a zero-image key is the exact 0.  gamma is
-        a group element as the table records it: `scenarios._check_gamma`
-        holds a task's gamma to the group's exponent ranges, and
-        `scenarios._check_max_degree` keeps every bound a task or run names
-        nonnegative."""
+        dimension; higher monomials pair to zero by truncation).  Each
+        bucket U_k, over the lcm of their denominators, is dotted once with
+        each column of `_moment_rows`; a key's weight at k is its scaled
+        image coefficients times those sums, converted once per key; a
+        zero-image key is the exact 0.  gamma is a group element as the
+        table records it: `scenarios._check_gamma` holds a task's gamma to
+        the group's exponent ranges, and `scenarios._check_max_degree` keeps
+        every bound a task or run names nonnegative."""
         if max_degree is None:
             max_degree = self.model.dimension // 2
-        buckets = self.reduced_integrand(gamma).items()
-        buckets = [(k, u.numerators, u.denominator) for k, u in buckets]
-        lcm = math.lcm(*[d for _, _, d in buckets])
+        buckets = self.reduced_integrand(gamma)
+        lcm = math.lcm(*[u.denominator for u in buckets.values()])
+        scaled = [(u.numerators, lcm // u.denominator) for u in buckets.values()]
+        columns, keys = self._moment_rows(max_degree)
+        sums = {  # one integer pairing per (image monomial, bucket), over lcm
+            i: [s * sum([r * num[m] for m, r in column.items() if m in num]) for num, s in scaled]
+            for i, (column, _) in columns.items()
+        }
         order = self.group.exponent
         values = dict.fromkeys([k for k, _, _ in self._monomial_images(max_degree)], Fraction(0))
-        for key, (row, den) in self._moment_rows(max_degree).items():
-            weights = {
-                k: lcm // d * sum([r * num[m] for m, r in row.items() if m in num])
-                for k, num, d in buckets
-            }
-            values[key] = root_of_unity_sum(order, weights, den * lcm)
+        for key, ((i, n), *image), den in keys:
+            weights = [n * s for s in sums[i]]
+            for i, n in image:
+                weights = [w + n * s for w, s in zip(weights, sums[i])]
+            values[key] = root_of_unity_sum(order, dict(zip(buckets, weights)), den * lcm)
         return MomentTable(gamma, [g.name for g in self.generators], values)
 
     def _character_columns(self, max_degree: int) -> dict[MomentKey, tuple[list[int], int]]:
-        """The identity-route pairings of a-hat^2 * u_chi against every
-        nonzero moment image: one integer column per such key, in graded
-        order, with entry j for the j-th symbol component, over one
+        """The identity-route pairings: each a-hat^2 * u_chi paired once with
+        each distinct image monomial, and one integer column per nonzero-
+        image key, in graded order, whose entry j is the key's image
+        coefficients times the j-th component's pairings, over one
         denominator in lowest terms.  All rational."""
-        images = [entry for entry in self._monomial_images(max_degree) if entry[1]]
-        targets = [image for _, image, _ in images]
-        pairings = [
-            self._pairings(self.a_hat_squared * u_chi, targets)
-            for u_chi in self.symbol.components.values()
-        ]
-        return {
-            key: _column([(column[j], d * image_den) for column, d in pairings])
-            for j, (key, _, image_den) in enumerate(images)
-        }
+        images = [(k, list(im.items()), d) for k, im, d in self._monomial_images(max_degree) if im]
+        targets = list(dict.fromkeys([i for _, image, _ in images for i, _ in image]))
+        square, components = self.a_hat_squared, self.symbol.components.values()
+        pairings = [self._pairings(square * u_chi, targets) for u_chi in components]
+        by_target = {i: [p[j] for p, _ in pairings] for j, i in enumerate(targets)}
+        columns = {}
+        for key, ((i, n), *image), image_den in images:
+            column = [n * p for p in by_target[i]]
+            for i, n in image:
+                column = [c + n * p for c, p in zip(column, by_target[i])]
+            columns[key] = _column([(c, d * image_den) for c, (_, d) in zip(column, pairings)])
+        return columns
 
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:
         """Moment tables at every central element.
 
-        The direct route (integer buckets dotted with the moment rows) runs
+        The direct route (integer buckets dotted with the image columns) runs
         at gamma, the first element of its Galois orbit {a*gamma : a a unit
         mod N} in `group.elements()` order (the only unit is 1 when N <= 2),
         and the table at a*gamma, reduced componentwise, is sigma_a of its

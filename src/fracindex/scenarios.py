@@ -712,11 +712,11 @@ def _json_text(value) -> str:
     use json's C quoting, other scalars and empty containers json.dumps; a
     TaskResult is written as its machine-format object."""
     out: list[str] = []
-    _write_json(out, value, "")
+    _write_json(out, value, "", {})
     return "".join(out)
 
 
-def _write_json(out: list[str], value, indent: str) -> None:
+def _write_json(out: list[str], value, indent: str, heads: dict) -> None:
     if type(value) is str:
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, dict) and value:
@@ -724,7 +724,7 @@ def _write_json(out: list[str], value, indent: str) -> None:
         sep = "{\n" + inner
         for key, item in value.items():
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(out, item, inner)
+            _write_json(out, item, inner, heads)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(value, (list, tuple)) and value:
@@ -732,7 +732,7 @@ def _write_json(out: list[str], value, indent: str) -> None:
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
-            _write_json(out, item, inner)
+            _write_json(out, item, inner, heads)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(value, TaskResult):
@@ -740,36 +740,41 @@ def _write_json(out: list[str], value, indent: str) -> None:
         try:
             if not isinstance(payload, (MomentTable, IndexDistribution)):
                 payload = {"value": scalar_to_json(payload)}
-            _write_json(out, {"index": value.index, "task": value.request, "result": payload}, indent)
+            item = {"index": value.index, "task": value.request, "result": payload}
+            _write_json(out, item, indent, heads)
         except ValueError:
             raise _too_long(value) from None
     elif isinstance(value, MomentTable):
-        _write_table(out, value, {}, indent)
+        _write_table(out, value, heads, indent)
     elif isinstance(value, IndexDistribution):
-        inner, names = indent + "    ", {}
+        inner = indent + "    "
         out.append("{\n" + indent + '  "distribution": [')
         for position, table in enumerate(value.tables.values()):
             out.append(("\n" if position == 0 else ",\n") + inner)
-            _write_table(out, table, names.setdefault(table.generator_names, {}), inner)
+            _write_table(out, table, heads, inner)
         out.append(("\n" + indent + "  ]" if value.tables else "]") + "\n" + indent + "}")
     else:
         out.append(json.dumps(value))
 
 
-def _write_table(out: list[str], table: MomentTable, names: dict, indent: str) -> None:
-    """One table straight to text: each key name quoted once per `names`,
-    a Fraction as its str(), a Cyclotomic as the text of `scalar_to_json`'s
+def _write_table(out: list[str], table: MomentTable, heads: dict, indent: str) -> None:
+    """One table straight to text, one append per row, each row head (comma,
+    bracket, quoted key name) built once per generator names and indent in
+    `heads`; a Fraction as its str(), a Cyclotomic as `scalar_to_json`'s
     string or order and coefficient strings, which need no escaping."""
     inner, row, cell = indent + "  ", indent + "    ", indent + "      "
     out.append("{\n" + inner + '"gamma": ')
-    _write_json(out, list(table.gamma), inner)
+    _write_json(out, list(table.gamma), inner, heads)
     out.append(",\n" + inner + '"moments": [')
+    names = heads.setdefault((table.generator_names, indent), {})
     for key in table.values.keys() - names.keys():
-        names[key] = encode_basestring_ascii(monomial_name(table.generator_names, key))
-    sep, between = "\n" + row + "[\n" + cell, '",\n' + cell + '    "'
+        name = encode_basestring_ascii(monomial_name(table.generator_names, key))
+        names[key] = ",\n" + row + "[\n" + cell + name + ",\n" + cell
+    end, between = "\n" + row + "]", '",\n' + cell + '    "'
+    first = len(out)
     for key, value in table.values.items():
         if isinstance(value, Fraction):
-            out.append(sep + names[key] + ",\n" + cell + '"' + str(value) + '"\n' + row + "]")
+            out.append(names[key] + '"' + str(value) + '"' + end)
         else:
             rendered = scalar_to_json(value)
             if type(rendered) is str:
@@ -780,8 +785,9 @@ def _write_table(out: list[str], table: MomentTable, names: dict, indent: str) -
                     + '  "coefficients": [\n' + cell + '    "' + between.join(rendered["coefficients"])
                     + '"\n' + cell + "  ]\n" + cell + "}"
                 )
-            out.append(sep + names[key] + ",\n" + cell + text + "\n" + row + "]")
-        sep = ",\n" + row + "[\n" + cell
+            out.append(names[key] + text + end)
+    if table.values:
+        out[first] = out[first][1:]
     out.append(("\n" + inner + "]" if table.values else "]") + "\n" + indent + "}")
 
 

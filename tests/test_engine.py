@@ -683,7 +683,7 @@ def test_corrupted_product_table_entries_are_caught():
     # CP^6 over Z/6 x Z/4 with a four-term symbol component on every
     # character (1, x, x^3, x^6), one generator L with image c*x and the
     # a-hat square.  The routes read different entries, so a corruption
-    # only one of them reads is caught; 17 of the 28 are
+    # only one of them reads is caught; exactly 17 of the 28 are
     cp6 = projective_model(x=6)
     group = FiniteAbelianGroup([6, 4])
     rng = random.Random(14)
@@ -699,7 +699,7 @@ def test_corrupted_product_table_entries_are_caught():
     problem = IndexProblem(cp6, group, gens, SymbolData(group, components), genus * genus)
     entries, caught = _caught_table_corruptions(problem)
     assert entries == 28
-    assert caught >= 17
+    assert caught == 17
 
 
 def _cp16_dirac_problem():
@@ -714,10 +714,10 @@ def _cp16_dirac_problem():
 
 
 def test_corrupted_product_table_entries_are_caught_on_cp16():
-    # 42 of the 153 corruptions are caught
+    # exactly 42 of the 153 corruptions are caught
     entries, caught = _caught_table_corruptions(_cp16_dirac_problem())
     assert entries == 153
-    assert caught >= 42
+    assert caught == 42
 
 
 def _cp1_power_dirac_problem():
@@ -759,6 +759,44 @@ def test_only_nonzero_image_keys_reach_the_root_of_unity_conversion(monkeypatch)
         assert len(table.values) == 153
         zero = [key for key in table.values if sum(key) > 8]
         assert len(zero) == 108 and all(table.values[key] == 0 for key in zero)
+
+
+def test_both_routes_pair_once_per_image_monomial(monkeypatch):
+    # the 45 nonzero-image keys P1^a P2^b on CP^16 share 9 image monomials
+    # x^(2(a+b)), a + b <= 8: the recombined route pairs the one symbol
+    # component with those 9, not with the 45 key images, and the direct
+    # route pairs a-hat^2 * e_i with the support once for each of the 9
+    problem = _cp16_dirac_problem()
+    original = IndexProblem._pairings
+    targets = []
+    monkeypatch.setattr(
+        IndexProblem,
+        "_pairings",
+        lambda self, integrand, t: targets.append(list(t)) or original(self, integrand, t),
+    )
+    columns = problem._character_columns(8)
+    assert len(columns) == 45
+    assert len(targets) == 1
+    monomials = sorted(problem.model._monomials[i] for i in targets[0])
+    assert monomials == [(2 * d,) for d in range(9)]
+    columns, keys = problem._moment_rows(8)
+    assert sorted(columns) == sorted(targets[0])
+    assert len(keys) == 45 and len(targets) == 1 + 9
+
+
+def test_full_distribution_builds_no_class_by_the_validating_constructor(monkeypatch):
+    # each dual goes through the unit row by the product kernel, not through
+    # two CohClass(...) calls and a class product; the unit-row catches stay
+    # (test_corrupted_product_table_entries_are_caught*)
+    problem = _cp16_dirac_problem()
+    built = []
+    original = CohClass.__init__
+    monkeypatch.setattr(
+        CohClass, "__init__", lambda self, *args: built.append(args) or original(self, *args)
+    )
+    problem.full_distribution()
+    assert problem._duals
+    assert built == []
 
 
 # the direct route once per Galois orbit, the bracket exponents once per problem

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracindex.engine import IndexDistribution, MomentTable
@@ -150,13 +150,19 @@ _SCALARS = st.one_of(
 def _results(draw):
     """TaskResults of two interleaved scenarios with drawn payloads: moment
     tables (empty ones and generator-free keys included), distributions
-    and scalars."""
-    names = draw(st.lists(st.sampled_from(["P1", "E", "x_2", "\u03b1"]), max_size=3, unique=True))
-    keys = st.tuples(*[st.integers(0, 3)] * len(names))
+    and scalars.  Tables take one of two drawn generator-name tuples of one
+    length and keys from a few drawn exponent tuples, at the top level and
+    inside distributions, so one key meets other names at one indent and
+    the same names at another."""
+    size = draw(st.integers(0, 3))
+    pool = st.sampled_from(["P1", "E", "x_2", "\u03b1"])
+    two = [draw(st.lists(pool, min_size=size, max_size=size, unique=True)) for _ in range(2)]
+    exponents = st.tuples(*[st.integers(0, 3)] * size)
+    keys = st.sampled_from(draw(st.lists(exponents, min_size=1, max_size=3)))
     tables = st.builds(
         MomentTable,
         st.lists(st.integers(0, 5), max_size=2),
-        st.just(names),
+        st.sampled_from(two),
         st.dictionaries(keys, _SCALARS, max_size=6),
     )
     group = FiniteAbelianGroup([2])
@@ -169,14 +175,32 @@ def _results(draw):
         ),
         _SCALARS,
     )
-    drawn = draw(st.lists(st.tuples(st.sampled_from(["a", "b\u00e9"]), payloads), max_size=4))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(["a", "b\u00e9"]), payloads), max_size=6))
     return [
         TaskResult(scenario, index, {"op": "moments", "gamma": [index]}, payload)
         for index, (scenario, payload) in enumerate(drawn)
     ]
 
 
+def _moments(index, payload):
+    return TaskResult("a", index, {"op": "moments", "gamma": [index]}, payload)
+
+
+# the key (1,) named E and P1 at one indent, and P1 at another
+_SHARED_KEYS = [
+    _moments(0, MomentTable([0], ["P1"], {(1,): Fraction(1)})),
+    _moments(1, MomentTable([1], ["E"], {(1,): Fraction(2)})),
+    _moments(
+        2,
+        IndexDistribution(
+            FiniteAbelianGroup([2]), {(0,): MomentTable([0], ["P1"], {(1,): Fraction(3)})}
+        ),
+    ),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_results())
+@example(_SHARED_KEYS)
 def test_machine_writer_matches_the_json_dumps_oracle_on_drawn_payloads(results):
     assert emit(results, "machine") == _machine_oracle(results)
