@@ -297,10 +297,12 @@ class CohClass(Frozen):
     """An element of a ManifoldModel in normal form: the sum over indices i
     of reduced monomials e_i of numerators[i] * e_i / denominator, in lowest
     terms (no zero numerator, a positive denominator, 1 for the zero class),
-    so equal classes have equal fields; a constant hashes as its Fraction.
-    `terms` is the read-only Fraction view on exponent tuples in (degree,
-    monomial) order.  Its own constructor normalizes int or Fraction
-    coefficients on raw monomials; any other coefficient raises TypeError."""
+    so equal classes have equal fields.  `terms` is the read-only Fraction
+    view on exponent tuples in (degree, monomial) order.  Its own
+    constructor normalizes int or Fraction coefficients on raw monomials;
+    any other coefficient raises TypeError.  A rational enters a sum or a
+    product on the right only, there is no negation or difference (add
+    cls * -1), and a class never equals a number."""
 
     __slots__ = ("model", "numerators", "denominator")
 
@@ -338,23 +340,10 @@ class CohClass(Frozen):
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = scalar_class(self.model, other)
+            other = CohClass(self.model, {self.model._monomials[0]: other})
         if not isinstance(other, CohClass):
             return NotImplemented
         return class_sum([self, other])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _class(self.model, {m: -c for m, c in self.numerators.items()}, self.denominator)
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, CohClass)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -364,8 +353,6 @@ class CohClass(Frozen):
             return NotImplemented
         num, scale = _product(self.model, self.numerators, other.numerators)
         return _class(self.model, num, self.denominator * other.denominator * scale)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CohClass":
         if n < 0:
@@ -381,8 +368,6 @@ class CohClass(Frozen):
         return _class(model, out, out_den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = scalar_class(self.model, other)
         if not isinstance(other, CohClass):
             return NotImplemented
         return self.model is other.model and (self.numerators, self.denominator) == (
@@ -390,8 +375,6 @@ class CohClass(Frozen):
         )
 
     def __hash__(self):
-        if self.numerators.keys() <= {0}:  # a constant, equal to its Fraction
-            return hash(self.constant_term())
         return hash((id(self.model), self.denominator, frozenset(self.numerators.items())))
 
     # -- the operations the index formulas need ------------------------------------
@@ -410,7 +393,7 @@ class CohClass(Frozen):
             raise ValueError("class with zero constant term is not invertible")
         c0_inv = 1 / c0
         signs = [(-1) ** k for k in range(self.model.dimension // 2 + 1)]
-        return evaluate_series(signs, self * c0_inv - 1) * c0_inv
+        return evaluate_series(signs, self * c0_inv + -1) * c0_inv
 
     def integrate(self) -> Fraction:
         """Pair against the fundamental class: the coefficient of the
@@ -518,10 +501,6 @@ def _class(model: ManifoldModel, num: dict, den: int, out: CohClass | None = Non
     object.__setattr__(out, "numerators", num)
     object.__setattr__(out, "denominator", den)
     return out
-
-
-def scalar_class(model: ManifoldModel, value: Fraction | int) -> CohClass:
-    return CohClass(model, {model._monomials[0]: value})
 
 
 def class_sum(classes: Sequence[CohClass]) -> CohClass:

@@ -95,7 +95,8 @@ class SymbolData(Frozen):
     character is reduced and named once, and every class lives on one
     model: `scenarios._build_symbol` checks `group.contains`, refuses a
     repeated character, and parses each class on the scenario's model.
-    Its own constructor's zero filter and sort serve test-built symbols."""
+    Its constructor sorts and drops zero classes, a document's too: "x - x"
+    is not the one component `mms_projective` allows."""
 
     __slots__ = ("group", "components")
 

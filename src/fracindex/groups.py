@@ -57,9 +57,6 @@ class FiniteAbelianGroup(Frozen):
             return NotImplemented
         return self.cyclic_orders == other.cyclic_orders
 
-    def __hash__(self):
-        return hash(self.cyclic_orders)
-
     def __repr__(self):
         if not self.cyclic_orders:
             return "FiniteAbelianGroup(trivial)"

@@ -157,11 +157,12 @@ class Cyclotomic(Frozen):
     numerator raises TypeError, a longer list or another denominator
     ValueError; the module's own results skip these checks.  The class
     supports exactly what the engine's route compare and the output need:
-    `root_of_unity`, exact zero and rationality tests, negation, sums and
-    differences with an element of the same order or a rational (promoted
-    into the order; another order raises ValueError), products with an int
-    or a Fraction, equality and repr.  Elements are not hashable, and there
-    is no product of two elements.  Its own constructor checks and pads.
+    `root_of_unity`, exact zero and rationality tests, sums with an element
+    of the same order or a rational on either side (promoted into the
+    order; another order raises ValueError), the element times an int or a
+    Fraction, equality and repr.  Elements are not hashable, and there is
+    no product of two elements and no negation or difference (multiply by
+    -1).  Its own constructor checks and pads.
     """
 
     __slots__ = ("order", "numerators", "denominator")
@@ -212,19 +213,11 @@ class Cyclotomic(Frozen):
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _cyclotomic(self.order, [-c for c in self.numerators], self.denominator)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         poly = [c * other.numerator for c in self.numerators]
         return _cyclotomic(self.order, poly, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         other = self._pair(other)

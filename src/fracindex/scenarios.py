@@ -30,10 +30,10 @@ grammar (`cohomology.is_generator_name`): a letter or "_", then word
 characters.  Moment keys are written from invariant generator names, so
 "E^2", which would print as a power of "E", and "" are refused.  Bundles
 used as tangent data must declare roots, Chern or Pontryagin classes.  An
-`mms_projective` task needs a symbol on exactly one nonzero character.
-An `atiyah_pairing` label under `group.weight_kind` "torus" is a list of
-as many ints as the weight system has coordinates, or an int when it has
-one.
+`mms_projective` task needs a symbol on exactly one character with a
+nonzero class, the trivial one included.  An `atiyah_pairing` label under
+`group.weight_kind` "torus" is a list of as many ints as the weight system
+has coordinates, or an int when it has one.
 
 Four caps keep every document's run bounded:
 
@@ -55,8 +55,9 @@ Four caps keep every document's run bounded:
 - An `atiyah_pairing` label under `group.weight_kind` "su2" is a
   nonnegative integer, capped at MAX_SU2_LABEL (5000): highest weight
   lambda has lambda + 1 weights, each one exponential of the line class,
-  so time grows linearly with the label; at the cap a pairing on CP^16
-  takes about 1.3 s (Intel Xeon, one core), and CP^1 about 0.25 s.
+  so time grows linearly with the label; at the cap, `run` of one pairing
+  with line class 1/2*x took 0.39-0.69 s on CP^16 and 0.08-0.10 s on CP^1
+  (nine runs each; Intel Xeon, one core, whose speed drifts by up to 2x).
 
 A scenario file must be UTF-8 text; other bytes raise a ScenarioError
 naming the file and the offset of the first byte that does not decode.
@@ -668,13 +669,13 @@ def emit(results: Sequence[TaskResult], format: str = "human") -> str:
         blocks = [{"scenario": name, "results": items} for name, items in by_scenario.items()]
         return _json_text({"scenarios": blocks}) + "\n"
     lines: list[str] = []
-    current = None
+    current, names = None, {}
     for result in results:
         if result.scenario != current:
             current = result.scenario
             lines.append(f"scenario: {current}")
         try:
-            lines.extend(_result_lines(result))
+            lines.extend(_result_lines(result, names))
         except ValueError:  # str(int) past the interpreter's digit limit
             raise _too_long(result) from None
     return "\n".join(lines) + "\n"
@@ -687,13 +688,15 @@ def _too_long(result: TaskResult) -> ScenarioError:
     )
 
 
-def _result_lines(result: TaskResult) -> list[str]:
+def _result_lines(result: TaskResult, names: dict) -> list[str]:
+    """The human lines of one result; `names` is shared by every result."""
     label = f"[{result.index}] {result.request.get('op')}"
     payload = result.payload
     if isinstance(payload, MomentTable):
-        return [f"{label} gamma={_gamma_str(payload.gamma)}", *_table_lines(payload, {})]
+        table_names = names.setdefault(payload.generator_names, {})
+        return [f"{label} gamma={_gamma_str(payload.gamma)}", *_table_lines(payload, table_names)]
     if isinstance(payload, IndexDistribution):
-        lines, names = [label], {}
+        lines = [label]
         for gamma, table in payload.tables.items():
             lines.append(f"  gamma={_gamma_str(gamma)}")
             lines.extend(_table_lines(table, names.setdefault(table.generator_names, {}), indent=4))

@@ -493,18 +493,17 @@ def chern_character(bundle):
     """rank + sum over roots of (e^root - 1), equivalently
     rank + sum_k s_k/k! from the Chern classes."""
     from fracindex.characteristic import BundleError, newton_power_sums
-    from fracindex.cohomology import scalar_class
 
     model = bundle.model
     if bundle.roots is not None:
-        out = scalar_class(model, Fraction(0))
+        out = model.zero()
         for root, multiplicity in Counter(bundle.roots).items():
             out = out + root.exponential() * multiplicity
         return out
     if bundle.chern is not None:
         order = model.dimension // 2
         sums = newton_power_sums(bundle.chern, order) if order else []
-        out = scalar_class(model, Fraction(bundle.rank))
+        out = model.one() * Fraction(bundle.rank)
         for k, cls in enumerate(sums, start=1):
             out = out + cls * Fraction(1, math.factorial(k))
         return out

@@ -221,7 +221,7 @@ def test_bracket_exponent_matches_reduced_formula(data):
 
 def test_trivial_representation_has_rank_one(cp2):
     system = WeightSystem("torus", [parse_expression("x", cp2)])
-    assert character_jet(system, 0) == 1
+    assert character_jet(system, 0) == cp2.one()
 
 
 def test_u1_weight_on_cp1():

@@ -1,20 +1,35 @@
 """No API exists only for its own tests: every function, method and class
-of the package is used by the package, the benchmark or the console script.
+of the package is used by the package, the benchmark or the console script,
+and every arithmetic, equality or hash operator of a package class is
+called when the package does its own work.
 
-The check is by name over the syntax trees: a definition is used when its
-name is loaded, read as an attribute or imported in `src/fracindex/` or
-`perfbench/*.py`, is a string in `perfbench/*.py` (the tracer patches
-attributes by name), or is a `[project.scripts]` entry point.  Dunders and
-the names in `fracindex.__all__` are exempt.
+Definitions are checked by name over the syntax trees: a definition is
+used when its name is loaded, read as an attribute or imported in
+`src/fracindex/` or `perfbench/*.py`, is a string in `perfbench/*.py` (the
+tracer patches attributes by name), or is a `[project.scripts]` entry
+point.  Dunders and the names in `fracindex.__all__` are exempt there.
+
+Operators are checked at run time instead, since `a + b` names no
+attribute: each of OPERATORS that a package class defines in its own
+namespace (so an alias such as `__radd__ = __add__` counts on its own) is
+wrapped with a counter, and the built-in scenarios, the benchmark
+workloads with their checks, and one document declaring its tangent
+bundle by both roots and Chern classes must call every one.  The benchmark
+files are read and executed here, never imported from or written to.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 import re
+import types
+from collections import Counter
 from pathlib import Path
 
 import fracindex
+from fracindex import scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fracindex"
@@ -59,3 +74,74 @@ def test_every_definition_is_used_outside_the_tests():
         if not (name.startswith("__") and name.endswith("__")) and name not in used
     ]
     assert not unused, f"defined in src/fracindex/ but used only by tests: {unused}"
+
+
+OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+    "__rmul__", "__neg__", "__pow__", "__eq__", "__hash__",
+)
+
+
+def _package_classes() -> list[type]:
+    modules = [
+        importlib.import_module(f"fracindex.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"  # it defines no class
+    ]
+    return [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+
+
+def _counting(counts: Counter, key: str, function):
+    def counted(*args):
+        counts[key] += 1
+        return function(*args)
+
+    return counted
+
+
+def _load_workloads() -> types.ModuleType:
+    path = ROOT / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _run_checked(text: str) -> None:
+    scenario = scenarios.parse_scenario(text)
+    results = scenarios.run(scenario)
+    scenarios.emit(results, "machine")
+    scenarios.emit(results, "human")
+    assert scenarios.check_expectations(scenario, results) == []
+
+
+def test_every_operator_is_reached_outside_the_tests(monkeypatch):
+    counts: Counter = Counter()
+    wrapped = []
+    for cls in _package_classes():
+        for name in OPERATORS:
+            function = vars(cls).get(name)
+            if function is not None:  # __hash__ is None beside an __eq__ alone
+                key = f"{cls.__name__}.{name}"
+                monkeypatch.setattr(cls, name, _counting(counts, key, function))
+                wrapped.append(key)
+    assert wrapped
+
+    for name in scenarios.BUILTIN_SCENARIOS:
+        _run_checked(scenarios.builtin_scenario_text(name))
+    workloads = _load_workloads()
+    for name in workloads.WORKLOADS:
+        document = workloads.document(name, 0)
+        check = workloads.make_check(name, document)
+        assert check(scenarios.run(scenarios.parse_scenario(json.dumps(document)))) == []
+    both = json.loads(scenarios.builtin_scenario_text("cp2_projective_dirac"))
+    both["bundles"][0]["chern"] = ["3*x", "3*x^2"]
+    _run_checked(json.dumps(both))
+
+    unreached = [key for key in wrapped if not counts[key]]
+    assert not unreached, f"operators of src/fracindex/ that no package run calls: {unreached}"

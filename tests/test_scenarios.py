@@ -381,6 +381,27 @@ def test_every_check_a_document_reaches_raises_scenario_error(name, edit, messag
         assert _path_resolves(document, message)
 
 
+def test_a_zero_symbol_component_is_dropped_before_the_single_character_check():
+    # "x - x" parses to the zero class, which SymbolData drops: the
+    # document is the built-in's own, and mms_projective accepts it
+    text = _builtin_with(lambda d: d["symbol"].append({"character": [2], "class": "x - x"}), _GAMMA4)
+    scenario = parse_scenario(text)
+    results = run(scenario)
+    builtin = run(parse_scenario(builtin_scenario_text(_GAMMA4)))
+    assert emit(results, "machine") == emit(builtin, "machine")
+    assert check_expectations(scenario, results) == []
+
+
+def test_mms_projective_accepts_a_symbol_on_the_trivial_character_alone():
+    # the trivial character brackets to 1 with every element of Z/4, so
+    # each of the four tables reads the integral of x^2
+    scenario = parse_scenario(_builtin_with(lambda d: d["symbol"][0].update(character=[0]), _GAMMA4))
+    (result,) = run(scenario)
+    assert result.payload_json() == {
+        "distribution": [{"gamma": [g], "moments": [["1", "1"]]} for g in range(4)]
+    }
+
+
 def _leaves(value, path=()):
     """The path of every scalar and empty container in a JSON value."""
     if isinstance(value, (dict, list)) and value:
@@ -742,16 +763,35 @@ def test_parsing_and_emitting_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_the_human_format_writes_rational_moments_without_demote(monkeypatch):
-    # every moment of the dirac_cp16 benchmark document is a Fraction
-    import fracindex.scalars as scalars
-
+def _dirac_cp16_results():
+    # the benchmark file is read and executed, never imported
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     workloads = types.ModuleType("perfbench_workloads")
     workloads.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
-    results = run(parse_scenario(json.dumps(workloads.document("dirac_cp16", 0))))
+    return run(parse_scenario(json.dumps(workloads.document("dirac_cp16", 0))))
+
+
+def test_the_human_format_writes_rational_moments_without_demote(monkeypatch):
+    # every moment of the dirac_cp16 benchmark document is a Fraction
+    import fracindex.scalars as scalars
+
+    results = _dirac_cp16_results()
     original, calls = scalars.demote, []
     monkeypatch.setattr(scalars, "demote", lambda value: calls.append(value) or original(value))
     emit(results, "human")
     assert calls == []
+
+
+def test_the_human_format_names_each_key_once_per_emit(monkeypatch):
+    # dirac_cp16 has one distribution of two tables on the same 153 keys:
+    # both formats name each key once, not once per table
+    import fracindex.scenarios as scenarios
+
+    results = _dirac_cp16_results()
+    original, calls = scenarios.monomial_name, []
+    monkeypatch.setattr(
+        scenarios, "monomial_name", lambda names, key: calls.append(key) or original(names, key)
+    )
+    emit(results, "human")
+    assert len(calls) == len(set(calls)) == 153
