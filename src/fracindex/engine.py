@@ -24,11 +24,11 @@ one character included.  Two independent routes lead to the table at a central e
 gamma, and every full distribution computes both and compares them exactly:
 
 - direct, u * (a-hat^2 * image), at the first element of each Galois orbit:
-  the u_chi are summed into buckets U_k by bracket exponent k, over one
-  denominator per gamma, and each U_k is dotted once with the integer
-  column c_i[m] = integral of (a-hat^2 * e_i) * m, over the symbol's
-  support monomials m, of each distinct image monomial e_i; a key's
-  pairings {k: w_k} are its image coefficients times those sums, converted
+  the integer matrix M[i][chi], the integral of u_chi * (a-hat^2 * e_i)
+  over one denominator for each distinct image monomial e_i and symbol
+  component, is built once per problem and degree bound; per gamma each
+  row of M is summed into buckets by bracket exponent k, a key's pairings
+  {k: w_k} are its image coefficients times those bucket sums, converted
   once to sum_k w_k zeta^k; every other table of the orbit is sigma_a of
   those values;
 - recombined, (a-hat^2 * u) * image: each a-hat^2 * u_chi is paired at the
@@ -61,7 +61,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
-from fracindex.cohomology import CohClass, ManifoldModel, _class, _product, class_sum, monomial_name
+from fracindex.cohomology import CohClass, ManifoldModel, _class, _product, monomial_name
 from fracindex.groups import (
     Element,
     FiniteAbelianGroup,
@@ -171,8 +171,8 @@ class IndexProblem(Frozen):
     finite center, the declared invariant generators, the symbol, and the
     square of the tangent a-hat class, all on the model's lazily built
     monomial index.  Monomial images are kept once per model, the direct
-    route's image-monomial columns and scaled key images once per problem
-    and degree bound, and `_duals`, the integral of each product of two
+    route's integer pairing matrix M (`_moment_rows`) once per problem and
+    degree bound, and `_duals`, the integral of each product of two
     basis monomials, once per problem by three `_product` calls, the unit
     row for each monomial and then the pair: a table per model would
     outlive a change to the product table, and the entry (m, n) alone
@@ -239,17 +239,21 @@ class IndexProblem(Frozen):
             self._exponents[key] = bracket_exponents(self.group, self.symbol.components, gamma)
         return self._exponents[key]
 
-    def reduced_integrand(self, gamma: Sequence[int]) -> dict[int, CohClass]:
-        """The symbol buckets at gamma (need not be reduced): bracket exponent
-        k -> the sum U_k, in one integer accumulation (a lone member is its
-        own sum), of the symbol components whose bracket with gamma is
-        zeta_N^k.  The integrand is a-hat^2 * sum_k zeta_N^k U_k; the direct
-        route pairs U_k with columns carrying a-hat^2, u * (a-hat^2 * image),
-        where the recombined route pairs (a-hat^2 * u) * image."""
-        members: dict[int, list[CohClass]] = {}
-        for k, u_chi in zip(self._bracket_exponents(gamma), self.symbol.components.values()):
-            members.setdefault(k, []).append(u_chi)
-        return {k: c[0] if len(c) == 1 else class_sum(c) for k, c in members.items()}
+    def reduced_integrand(self, gamma: Sequence[int], max_degree: int) -> dict[int, dict[int, int]]:
+        """The direct route's pairings at gamma (need not be reduced): each
+        row i of the matrix M of `_moment_rows` summed in integers, over M's
+        denominator, into buckets by bracket exponent in order of first
+        character, {k: the sum of M[i][chi] over the chi whose bracket with
+        gamma is zeta_N^k}.  Bucket k of row i is the integral of U_k *
+        (a-hat^2 * e_i), U_k the sum of the components in bucket k; no class
+        is built or summed per gamma."""
+        exponents = self._bracket_exponents(gamma)
+        buckets = {}
+        for i, row in self._moment_rows(max_degree)[0].items():
+            sums = buckets[i] = dict.fromkeys(exponents, 0)
+            for k, n in zip(exponents, row):
+                sums[k] += n
+        return buckets
 
     def fractional_index(self, gamma: Sequence[int]) -> Scalar:
         """The degree-zero moment at gamma: the point-mass coefficient, and
@@ -271,32 +275,31 @@ class IndexProblem(Frozen):
             table[key] = [(k, c.numerators, c.denominator) for k, c in images]
         return table[key]
 
-    def _moment_rows(self, max_degree: int) -> tuple[dict[int, tuple[dict, int]], list[tuple]]:
-        """The direct route's pairings, once per problem and bound: one
-        integer column per distinct image monomial i, the integral of
-        (a-hat^2 * e_i) * m for every monomial m of the symbol's support, as
-        {m: numerator} over one denominator; and per nonzero-image key, in
-        graded order, its image as pairs (i, n), each n scaled to the lcm of
-        its columns' denominators, and its denominator, that lcm times the
-        image's."""
+    def _moment_rows(self, max_degree: int) -> tuple[dict[int, list[int]], int]:
+        """The direct route's pairings, once per problem and bound: the
+        integer matrix M over one denominator, one row per distinct image
+        monomial e_i in order of first use, entry chi the integral of u_chi *
+        (a-hat^2 * e_i) in character order.  Row i is one `_pairings` column
+        of a-hat^2 * e_i against the symbol's support monomials, over its d_i,
+        dotted with each component's numerators over the lcm of the
+        component denominators; M's denominator is that lcm times lcm(d_i)."""
         cached = self._row_cache.get(max_degree)
         if cached is not None:
             return cached
-        model, square = self.model, self.a_hat_squared
-        support = sorted({m for u in self.symbol.components.values() for m in u.numerators})
-        columns: dict[int, tuple[dict[int, int], int]] = {}
-        keys = []
-        for key, image, image_den in self._monomial_images(max_degree):
-            if not image:
-                continue
+        model, square, components = self.model, self.a_hat_squared, self.symbol.components.values()
+        scale = math.lcm(*[u.denominator for u in components])
+        symbol = [(u.numerators, scale // u.denominator) for u in components]
+        support = sorted({m for num, _ in symbol for m in num})
+        rows, dens = {}, {}
+        for _, image, _ in self._monomial_images(max_degree):
             for i in image:
-                if i not in columns:  # a-hat^2 * e_i by one product, no normal form
-                    column, d = self._pairings(square * _class(model, {i: 1}, 1), support)
-                    columns[i] = {m: r for m, r in zip(support, column) if r}, d
-            den = math.lcm(*[columns[i][1] for i in image])
-            scaled = [(i, n * (den // columns[i][1])) for i, n in image.items()]
-            keys.append((key, scaled, den * image_den))
-        cached = self._row_cache[max_degree] = columns, keys
+                if i not in rows:  # a-hat^2 * e_i by one product, no normal form
+                    column, dens[i] = self._pairings(square * _class(model, {i: 1}, 1), support)
+                    pairs = [(m, r) for m, r in zip(support, column) if r]
+                    rows[i] = [s * sum([r * num.get(m, 0) for m, r in pairs]) for num, s in symbol]
+        den = math.lcm(*dens.values())
+        rows = {i: [n * (den // dens[i]) for n in row] for i, row in rows.items()}
+        cached = self._row_cache[max_degree] = rows, den * scale
         return cached
 
     def _pairings(self, integrand: CohClass, targets: Sequence[int]) -> tuple[list[int], int]:
@@ -333,31 +336,26 @@ class IndexProblem(Frozen):
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
         """The moment table at gamma: pairings against all generator
         monomials of total degree up to the bound (default: half the model
-        dimension; higher monomials pair to zero by truncation).  Each
-        bucket U_k, over the lcm of their denominators, is dotted once with
-        each column of `_moment_rows`; a key's weight at k is its scaled
-        image coefficients times those sums, converted once per key; a
-        zero-image key is the exact 0.  gamma is a group element as the
-        table records it: `scenarios._check_gamma` holds a task's gamma to
-        the group's exponent ranges, and `scenarios._check_max_degree` keeps
-        every bound a task or run names nonnegative."""
+        dimension; higher monomials pair to zero by truncation).  A key's
+        weight at k is its image coefficients times bucket k of their rows
+        in `reduced_integrand`, over the image denominator times M's,
+        converted once per key; a zero-image key is the exact 0.  gamma is
+        a group element as the table records it: `scenarios._check_gamma`
+        holds a task's gamma to the group's exponent ranges, and
+        `scenarios._check_max_degree` keeps every bound a task or run names
+        nonnegative."""
         if max_degree is None:
             max_degree = self.model.dimension // 2
-        buckets = self.reduced_integrand(gamma)
-        lcm = math.lcm(*[u.denominator for u in buckets.values()])
-        scaled = [(u.numerators, lcm // u.denominator) for u in buckets.values()]
-        columns, keys = self._moment_rows(max_degree)
-        sums = {  # one integer pairing per (image monomial, bucket), over lcm
-            i: [s * sum([r * num[m] for m, r in column.items() if m in num]) for num, s in scaled]
-            for i, (column, _) in columns.items()
-        }
-        order = self.group.exponent
+        buckets, den = self.reduced_integrand(gamma, max_degree), self._moment_rows(max_degree)[1]
         values = dict.fromkeys([k for k, _, _ in self._monomial_images(max_degree)], Fraction(0))
-        for key, ((i, n), *image), den in keys:
-            weights = [n * s for s in sums[i]]
-            for i, n in image:
-                weights = [w + n * s for w, s in zip(weights, sums[i])]
-            values[key] = root_of_unity_sum(order, dict(zip(buckets, weights)), den * lcm)
+        for key, image, image_den in self._monomial_images(max_degree):
+            if image:
+                (i, n), *rest = image.items()
+                weights = {k: n * s for k, s in buckets[i].items()}
+                for i, n in rest:
+                    for k, s in buckets[i].items():
+                        weights[k] += n * s
+                values[key] = root_of_unity_sum(self.group.exponent, weights, image_den * den)
         return MomentTable(gamma, [g.name for g in self.generators], values)
 
     def _character_columns(self, max_degree: int) -> dict[MomentKey, tuple[list[int], int]]:
@@ -382,7 +380,7 @@ class IndexProblem(Frozen):
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:
         """Moment tables at every central element.
 
-        The direct route (integer buckets dotted with the image columns) runs
+        The direct route (the rows of M bucketed by bracket exponent) runs
         at gamma, the first element of its Galois orbit {a*gamma : a a unit
         mod N} in `group.elements()` order (the only unit is 1 when N <= 2),
         and the table at a*gamma, reduced componentwise, is sigma_a of its
@@ -421,11 +419,11 @@ class IndexProblem(Frozen):
             for k, chi in zip(exponents, self.symbol.components):
                 if k not in roots:  # a root of unity: integer numerators over the denominator 1
                     roots[k] = bracket(self.group, chi, gamma).numerators
-            rows = [[roots[k][i] for k in exponents] for i in range(width)]
+            rows = list(zip(*[roots[k] for k in exponents])) or [()] * width  # no component
             for key, (column, den) in columns.items():
                 expected = direct.values[key]
                 vector = [sum(map(mul, row, column)) for row in rows]
-                if isinstance(expected, Fraction):
+                if type(expected) is Fraction:
                     p, q = expected.numerator, expected.denominator
                     agree = not any(vector[1:]) and vector[0] * q == p * den
                 else:

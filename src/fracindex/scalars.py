@@ -140,7 +140,7 @@ def galois_conjugate(value: Scalar, unit: int) -> Scalar:
     """sigma_a(value) for a = `unit`, a unit mod the value's order N: zeta ->
     zeta^a fixes a Fraction and sends the numerator c_i of zeta^i to c_i
     times row a*i mod N, by `root_of_unity_sum` over the same denominator."""
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
     weights = {unit * i % value.order: c for i, c in enumerate(value.numerators)}
     return root_of_unity_sum(value.order, weights, value.denominator)
@@ -259,7 +259,7 @@ def scalar_to_json(value: Scalar):
     as {"order": N, "coefficients": [...]}, each coefficient its numerator
     over the denominator in lowest terms, by one gcd."""
     value = demote(value)
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return rational_to_string(value)
     den = value.denominator
     coefficients = []

@@ -776,7 +776,7 @@ def _write_table(out: list[str], table: MomentTable, heads: dict, indent: str) -
     end, between = "\n" + row + "]", '",\n' + cell + '    "'
     first = len(out)
     for key, value in table.values.items():
-        if isinstance(value, Fraction):
+        if type(value) is Fraction:
             out.append(names[key] + '"' + str(value) + '"' + end)
         else:
             rendered = scalar_to_json(value)

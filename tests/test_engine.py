@@ -58,46 +58,83 @@ def k3_like_dirac_problem():
 
 
 # ---------------------------------------------------------------------------
-# reduced integrands
+# reduced integrands: the rows of the direct route's matrix, bucketed per gamma
+
+
+def _bucket_pairings(problem, gamma, max_degree):
+    """`reduced_integrand` at gamma as Fractions over the denominator of
+    `_moment_rows`: image monomial index i -> {bracket exponent k: sum}."""
+    den = problem._moment_rows(max_degree)[1]
+    buckets = problem.reduced_integrand(gamma, max_degree)
+    return {i: {k: Fraction(s, den) for k, s in row.items()} for i, row in buckets.items()}
+
+
+def _image_monomial(model, i):
+    return CohClass(model, {model._monomials[i]: 1})
+
+
+def _bucket_oracle(problem, gamma, max_degree):
+    """The same by class arithmetic: for each distinct monomial e_i of the
+    nonzero generator images up to the bound, bracket exponent k -> the
+    integral of U_k * (a-hat^2 * e_i), U_k the class sum of the components
+    whose exponent by `bracket_exponent_by_reduction` is k."""
+    model, group = problem.model, problem.group
+    members = {}
+    for chi, u_chi in problem.symbol.components.items():
+        k = bracket_exponent_by_reduction(group, chi, gamma)
+        members[k] = members.get(k, model.zero()) + u_chi
+    images = chern_weil_eval(problem.generators, max_degree, model).values()
+    out = {}
+    for i in dict.fromkeys([i for image in images for i in image.numerators]):
+        column = problem.a_hat_squared * _image_monomial(model, i)
+        out[i] = {k: (u * column).integrate() for k, u in members.items()}
+    return out
 
 
 def test_reduced_integrand_trivial_symbol():
+    # no generators: the one image monomial is the unit, paired with a-hat^2
+    # in bucket 0 at both elements
     cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([2])
     tangent = projective_tangent(cp2)
     genus = a_hat(tangent)
     symbol = SymbolData(group, {(0,): cp2.one()})
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
-    assert problem.reduced_integrand((0,)) == {0: cp2.one()}
-    assert problem.reduced_integrand((1,)) == {0: cp2.one()}
+    for gamma in [(0,), (1,)]:
+        assert _bucket_pairings(problem, gamma, 2) == {0: {0: (genus * genus).integrate()}}
+        assert _bucket_pairings(problem, gamma, 2) == _bucket_oracle(problem, gamma, 2)
 
 
 def test_reduced_integrand_dirac_identity_is_a_hat():
-    # the bucket is the inverse a-hat class; with the a-hat square it is a-hat
+    # the one bucket holds the inverse a-hat class; with the a-hat square
+    # each row pairs a-hat with the image monomial, 1 and x^2 on CP^2
     cp2, problem = cp2_dirac_problem()
     genus = a_hat(projective_tangent(cp2))
-    assert problem.reduced_integrand((0,)) == {0: genus.inverse()}
-    assert problem.a_hat_squared * problem.reduced_integrand((0,))[0] == genus
+    pairings = _bucket_pairings(problem, (0,), 2)
+    assert sorted(cp2._monomials[i] for i in pairings) == [(0,), (2,)]
+    assert pairings == {i: {0: (genus * _image_monomial(cp2, i)).integrate()} for i in pairings}
+    assert pairings == _bucket_oracle(problem, (0,), 2)
 
 
 def test_reduced_integrand_dirac_flips_sign():
-    # the inverse a-hat class sits in the bucket of zeta_2^1 = -1
+    # the inverse a-hat class sits in the bucket of zeta_2^1 = -1: every
+    # row lands in bucket 1 with the identity's pairings
     cp2, problem = cp2_dirac_problem()
-    genus = a_hat(projective_tangent(cp2))
-    assert problem.reduced_integrand((1,)) == {1: genus.inverse()}
-    assert problem.a_hat_squared * problem.reduced_integrand((1,))[1] == genus
+    identity = _bucket_pairings(problem, (0,), 2)
+    assert _bucket_pairings(problem, (1,), 2) == {i: {1: row[0]} for i, row in identity.items()}
+    assert _bucket_pairings(problem, (1,), 2) == _bucket_oracle(problem, (1,), 2)
 
 
 def test_reduced_integrand_buckets_components_by_bracket_exponent():
     problem = _random_problem([6, 4], 10)
     group = problem.group
     for gamma in group.elements():
-        buckets = problem.reduced_integrand(gamma)
-        expected = {}
-        for chi, u_chi in problem.symbol.components.items():
-            k = bracket_exponent_by_reduction(group, chi, gamma)
-            expected[k] = expected.get(k, problem.model.zero()) + u_chi
-        assert buckets == expected
+        characters = problem.symbol.components
+        exponents = [bracket_exponent_by_reduction(group, chi, gamma) for chi in characters]
+        buckets = problem.reduced_integrand(gamma, 3)
+        # every row has the buckets of the oracle's exponents, in order of first character
+        assert all(list(row) == list(dict.fromkeys(exponents)) for row in buckets.values())
+        assert _bucket_pairings(problem, gamma, 3) == _bucket_oracle(problem, gamma, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +176,13 @@ def test_unit_bump_pairing_equals_mass():
 
 def test_high_weight_jet_pairs_to_zero():
     cp2, problem = cp2_dirac_problem()
-    # P1^2 has cohomological weight 8 > 4
+    # P1^2 has cohomological weight 8 > 4: its image is zero, so it meets
+    # no row of the matrix and pairs to zero with every bucket
     image = chern_weil_eval(problem.generators, 2, cp2)[(2, 0)]
-    for bucket in problem.reduced_integrand((0,)).values():
-        assert (bucket * image).integrate() == 0
+    buckets = problem.reduced_integrand((0,), 2)
+    for k in {k for row in buckets.values() for k in row}:
+        assert sum(n * buckets[i][k] for i, n in image.numerators.items()) == 0
+    assert not set(image.numerators) & set(buckets)
     assert problem.moments((0,), 2).values[(2, 0)] == 0
 
 
@@ -481,9 +521,10 @@ def test_oracle_cases_reach_the_shapes_they_name():
     coprime = _random_problem([12], "coprime").symbol.components.values()
     assert sorted(u.denominator for u in coprime) == list(_PRIMES)
     # the cancelling pair shares bucket 0 at gamma = 2 in Z/12 and sums to zero there
-    buckets = _random_problem([12], "cancel").reduced_integrand((2,))
-    assert buckets[0].is_zero() and not buckets[2].is_zero()
-    assert _random_problem([2], "cancel").reduced_integrand((0,))[0].is_zero()
+    buckets = _random_problem([12], "cancel").reduced_integrand((2,), 3).values()
+    assert all(row[0] == 0 for row in buckets) and any(row[2] for row in buckets)
+    buckets = _random_problem([2], "cancel").reduced_integrand((0,), 3).values()
+    assert buckets and all(row == {0: 0} for row in buckets)
     assert not _random_problem([12], "empty").symbol.components
 
 
@@ -537,6 +578,24 @@ def test_perturbed_per_character_table_is_caught_in_an_mms_projective_task(monke
     scenario = parse_scenario(builtin_scenario_text("gamma4_character_sum"))
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         run(scenario)
+
+
+@pytest.mark.parametrize("cyclic_orders", [[2], [5], [6, 4]])
+def test_perturbed_direct_matrix_is_caught(monkeypatch, cyclic_orders):
+    # only the direct route reads the matrix M of `_moment_rows`
+    problem = _random_problem(cyclic_orders, 7)
+    assert problem.symbol.components
+    original = IndexProblem._moment_rows
+
+    def perturbed(self, max_degree):
+        # the first character's entry of the first row, plus 1 over M's denominator
+        rows, den = original(self, max_degree)
+        first, row = next(iter(rows.items()))
+        return {**rows, first: [row[0] + 1, *row[1:]]}, den
+
+    monkeypatch.setattr(IndexProblem, "_moment_rows", perturbed)
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        problem.full_distribution()
 
 
 def test_faulty_root_conversion_is_caught(monkeypatch):
@@ -765,7 +824,8 @@ def test_both_routes_pair_once_per_image_monomial(monkeypatch):
     # the 45 nonzero-image keys P1^a P2^b on CP^16 share 9 image monomials
     # x^(2(a+b)), a + b <= 8: the recombined route pairs the one symbol
     # component with those 9, not with the 45 key images, and the direct
-    # route pairs a-hat^2 * e_i with the support once for each of the 9
+    # route pairs a-hat^2 * e_i with the support once for each of the 9,
+    # one row of its matrix each, one entry for the one component
     problem = _cp16_dirac_problem()
     original = IndexProblem._pairings
     targets = []
@@ -779,9 +839,9 @@ def test_both_routes_pair_once_per_image_monomial(monkeypatch):
     assert len(targets) == 1
     monomials = sorted(problem.model._monomials[i] for i in targets[0])
     assert monomials == [(2 * d,) for d in range(9)]
-    columns, keys = problem._moment_rows(8)
-    assert sorted(columns) == sorted(targets[0])
-    assert len(keys) == 45 and len(targets) == 1 + 9
+    rows, _ = problem._moment_rows(8)
+    assert sorted(rows) == sorted(targets[0])
+    assert all(len(row) == 1 for row in rows.values()) and len(targets) == 1 + 9
 
 
 def test_full_distribution_builds_no_class_by_the_validating_constructor(monkeypatch):
@@ -797,6 +857,33 @@ def test_full_distribution_builds_no_class_by_the_validating_constructor(monkeyp
     problem.full_distribution()
     assert problem._duals
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: _random_problem([6, 4], 5), _cp16_dirac_problem], ids=["z6z4", "cp16"]
+)
+def test_moments_builds_no_class_per_gamma(monkeypatch, make):
+    # with the matrix M built, a moment table only buckets integers: no
+    # class is built, summed or paired at any element
+    import fracindex.cohomology as cohomology
+    import fracindex.engine as engine
+
+    problem = make()
+    max_degree = problem.model.dimension // 2
+    problem._moment_rows(max_degree)
+    calls = []
+
+    def counted(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    # engine imports `_class` by name, so both names are counted
+    for owner in (cohomology, engine):
+        monkeypatch.setattr(owner, "_class", counted("_class", owner._class))
+    monkeypatch.setattr(cohomology, "class_sum", counted("class_sum", cohomology.class_sum))
+    monkeypatch.setattr(IndexProblem, "_pairings", counted("_pairings", IndexProblem._pairings))
+    for gamma in problem.group.elements():
+        problem.moments(gamma)
+    assert calls == []
 
 
 # the direct route once per Galois orbit, the bracket exponents once per problem
