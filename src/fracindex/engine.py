@@ -14,23 +14,25 @@ degree-zero entry of that table, the coefficient of the point mass.
 Every bracket is a power zeta_N^k of one primitive root of unity, N the
 exponent of the center, so every class stays rational.  Roots of unity
 enter only through `scalars.power_residues`, for every N, N <= 2 included,
-and only where a moment is emitted or compared.  The exponents k(chi,
-gamma) are one integer row per element, over the symbol's characters,
-computed once per problem by `groups.bracket_exponents` for both routes
-below; as k(chi, a*gamma) = a*k(chi, gamma) mod N, the table at a*gamma is
-sigma_a (zeta -> zeta^a) of the table at gamma for each unit a mod N.
+as integer rows; a scalar is built only per emitted or compared moment.
+The exponents k(chi, gamma) are one integer row per element, over the
+symbol's characters, computed once per problem by
+`groups.bracket_exponents` for both routes below; as k(chi, a*gamma) =
+a*k(chi, gamma) mod N, the table at a*gamma is sigma_a (zeta -> zeta^a)
+of the table at gamma for each unit a mod N.
 `full_distribution` is the one distribution method, a projective symbol on
-one character included.  Two independent routes lead to the table at a central element
-gamma, and every full distribution computes both and compares them exactly:
+one character included.  Two independent routes lead to the table at a
+central element gamma, and every full distribution computes both and
+compares them exactly:
 
 - direct, u * (a-hat^2 * image), at the first element of each Galois orbit:
   the integer matrix M[i][chi], the integral of u_chi * (a-hat^2 * e_i)
   over one denominator for each distinct image monomial e_i and symbol
   component, is built once per problem and degree bound; per gamma each
-  row of M is summed into buckets by bracket exponent k, a key's pairings
-  {k: w_k} are its image coefficients times those bucket sums, converted
-  once to sum_k w_k zeta^k; every other table of the orbit is sigma_a of
-  those values;
+  row i becomes the deg Phi_N numerators of sum_chi M[i][chi] *
+  zeta^k(chi, gamma), and a key's image coefficients combine those rows
+  into one scalar; every other table of the orbit is sigma_a of those
+  values;
 - recombined, (a-hat^2 * u) * image: each a-hat^2 * u_chi is paired at the
   identity with each distinct image monomial, and each key's image
   coefficients combine those pairings into one integer column per key over
@@ -47,7 +49,7 @@ entry, so it is the exact 0 in both.
 
 The routes associate the product differently and so read different
 entries of the model's product table: a disagreement catches a wrong
-bracket, bucket, root-of-unity conversion or sigma_a, and a wrong structure
+bracket, root-of-unity conversion or sigma_a, and a wrong structure
 constant that only one route reads; what both share, the exponent table
 included, is left to the test oracles.  A mismatch can only be an
 arithmetic bug, never bad input data.
@@ -73,15 +75,8 @@ from fracindex.groups import (
     character_jet,
     chern_weil_eval,
 )
-from fracindex.scalars import (
-    Cyclotomic,
-    Frozen,
-    Scalar,
-    cyclotomic_polynomial,
-    demote,
-    galois_conjugate,
-    root_of_unity_sum,
-)
+from fracindex.scalars import Cyclotomic, Frozen, Scalar, cyclotomic_polynomial, demote
+from fracindex.scalars import galois_conjugate, power_residues, residue_scalar
 
 
 class InternalConsistencyError(RuntimeError):
@@ -170,18 +165,17 @@ class IndexProblem(Frozen):
     """Everything a distribution computation needs: the manifold model, the
     finite center, the declared invariant generators, the symbol, and the
     square of the tangent a-hat class, all on the model's lazily built
-    monomial index.  Monomial images are kept once per model, the direct
-    route's integer pairing matrix M (`_moment_rows`) once per problem and
-    degree bound, and `_duals`, the integral of each product of two
-    basis monomials, once per problem by three `_product` calls, the unit
-    row for each monomial and then the pair: a table per model would
-    outlive a change to the product table, and the entry (m, n) alone
-    misses the unit-row corruptions behind 3 of the 17 catches on CP^6 and
-    1 of the 42 on CP^16.  `_exponents` keeps the exponent row once per
-    problem and gamma as given, one int per character in character order,
-    for both routes.  Both routes carry integers over one denominator and
-    build a Fraction or Cyclotomic only where a moment is emitted or
-    compared.
+    monomial index.  Monomial images are kept once per model; per problem,
+    the direct route's integer matrix M (`_moment_rows`) once per degree
+    bound, `_exponents` the exponent row once per gamma (one int per
+    character in character order, read by both routes), and `_duals`, the
+    integral of each product of two basis monomials, by three `_product`
+    calls, the unit row for each monomial and then the pair: a table per
+    model would outlive a change to the product table, and the entry
+    (m, n) alone misses the unit-row corruptions behind 3 of the 17 catches
+    on CP^6 and 1 of the 42 on CP^16.  Both routes stay in integers over
+    one denominator up to the moment emitted or compared, the direct one
+    from M to `scalars.residue_scalar`.
     The symbol is over `group`, every class lives on `model`, and
     generator names are distinct: `scenarios.parse_scenario` reads a run
     on one model and group and refuses a name declared twice.  Its own
@@ -239,21 +233,17 @@ class IndexProblem(Frozen):
             self._exponents[key] = bracket_exponents(self.group, self.symbol.components, gamma)
         return self._exponents[key]
 
-    def reduced_integrand(self, gamma: Sequence[int], max_degree: int) -> dict[int, dict[int, int]]:
-        """The direct route's pairings at gamma (need not be reduced): each
-        row i of the matrix M of `_moment_rows` summed in integers, over M's
-        denominator, into buckets by bracket exponent in order of first
-        character, {k: the sum of M[i][chi] over the chi whose bracket with
-        gamma is zeta_N^k}.  Bucket k of row i is the integral of U_k *
-        (a-hat^2 * e_i), U_k the sum of the components in bucket k; no class
-        is built or summed per gamma."""
-        exponents = self._bracket_exponents(gamma)
-        buckets = {}
-        for i, row in self._moment_rows(max_degree)[0].items():
-            sums = buckets[i] = dict.fromkeys(exponents, 0)
-            for k, n in zip(exponents, row):
-                sums[k] += n
-        return buckets
+    def reduced_integrand(self, gamma: Sequence[int], max_degree: int) -> dict[int, list[int]]:
+        """The direct route at gamma (need not be reduced): for each row i of
+        M (`_moment_rows`), the deg Phi_N integer numerators over M's
+        denominator of sum_chi M[i][chi] * zeta_N^k(chi, gamma), the integral
+        of (sum_chi <chi, gamma> u_chi) * (a-hat^2 * e_i).  Numerator j is one
+        dot product of the row with numerator j of the `power_residues` rows
+        of the exponent row; no class is built or summed per gamma."""
+        residues, rows = power_residues(self.group.exponent), self._moment_rows(max_degree)[0]
+        roots = list(zip(*[residues[k] for k in self._bracket_exponents(gamma)]))
+        roots = roots or [()] * len(residues[0])  # no component
+        return {i: [sum(map(mul, root, row)) for root in roots] for i, row in rows.items()}
 
     def fractional_index(self, gamma: Sequence[int]) -> Scalar:
         """The degree-zero moment at gamma: the point-mass coefficient, and
@@ -337,25 +327,25 @@ class IndexProblem(Frozen):
         """The moment table at gamma: pairings against all generator
         monomials of total degree up to the bound (default: half the model
         dimension; higher monomials pair to zero by truncation).  A key's
-        weight at k is its image coefficients times bucket k of their rows
-        in `reduced_integrand`, over the image denominator times M's,
-        converted once per key; a zero-image key is the exact 0.  gamma is
-        a group element as the table records it: `scenarios._check_gamma`
+        deg Phi_N numerators are its image coefficients times the rows of
+        `reduced_integrand`, over the image denominator times M's, made one
+        scalar by `residue_scalar`; a zero-image key is the exact 0.  gamma
+        is a group element as the table records it: `scenarios._check_gamma`
         holds a task's gamma to the group's exponent ranges, and
         `scenarios._check_max_degree` keeps every bound a task or run names
         nonnegative."""
         if max_degree is None:
             max_degree = self.model.dimension // 2
-        buckets, den = self.reduced_integrand(gamma, max_degree), self._moment_rows(max_degree)[1]
-        values = dict.fromkeys([k for k, _, _ in self._monomial_images(max_degree)], Fraction(0))
-        for key, image, image_den in self._monomial_images(max_degree):
+        vectors, den = self.reduced_integrand(gamma, max_degree), self._moment_rows(max_degree)[1]
+        order, images = self.group.exponent, self._monomial_images(max_degree)
+        values = dict.fromkeys([k for k, _, _ in images], Fraction(0))
+        for key, image, image_den in images:
             if image:
                 (i, n), *rest = image.items()
-                weights = {k: n * s for k, s in buckets[i].items()}
+                vector = [n * v for v in vectors[i]]
                 for i, n in rest:
-                    for k, s in buckets[i].items():
-                        weights[k] += n * s
-                values[key] = root_of_unity_sum(self.group.exponent, weights, image_den * den)
+                    vector = [c + n * v for c, v in zip(vector, vectors[i])]
+                values[key] = residue_scalar(order, vector, image_den * den)
         return MomentTable(gamma, [g.name for g in self.generators], values)
 
     def _character_columns(self, max_degree: int) -> dict[MomentKey, tuple[list[int], int]]:
@@ -380,8 +370,8 @@ class IndexProblem(Frozen):
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:
         """Moment tables at every central element.
 
-        The direct route (the rows of M bucketed by bracket exponent) runs
-        at gamma, the first element of its Galois orbit {a*gamma : a a unit
+        The direct route (`reduced_integrand`, then `moments`) runs at
+        gamma, the first element of its Galois orbit {a*gamma : a a unit
         mod N} in `group.elements()` order (the only unit is 1 when N <= 2),
         and the table at a*gamma, reduced componentwise, is sigma_a of its
         values.  Every table is recomputed from the per-character columns

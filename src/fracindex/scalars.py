@@ -8,11 +8,11 @@ terms.  Phi_N is monic with integer coefficients, built by integer long
 division of t^N - 1 by Phi_d for every proper divisor d.  Roots of unity
 enter only through `power_residues`, whose integer row k is t^k modulo
 Phi_N, for every order N, N <= 2 (zeta = +-1) included.
-`root_of_unity_sum` takes integer weights over one denominator and adds
-rows of that table; it builds no Cyclotomic when the sum is rational.
-Its other reader, `galois_conjugate` (sigma_a: zeta -> zeta^a, a a unit
-mod N), sends the coefficient of zeta^i to row a*i mod N through it.  A
-Cyclotomic is a value the engine emits and compares, built from at most
+`residue_scalar` turns deg(Phi_N) integer numerators over one denominator
+into an emitted scalar, building no Cyclotomic when it is rational, and
+`galois_conjugate` (sigma_a: zeta -> zeta^a, a a unit mod N) sends the
+coefficient of zeta^i to row a*i mod N by deg(Phi_N) integer dot products.
+A Cyclotomic is a value the engine emits and compares, built from at most
 deg(Phi_N) integer numerators (nothing is folded); it has sums and
 rational multiples, each built by `_cyclotomic` (one gcd pass, none of the
 constructor's checks), and no product of two cyclotomic scalars.  No float
@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from operator import mul
+from typing import Union
 
 Scalar = Union[Fraction, "Cyclotomic"]
 
@@ -121,29 +122,31 @@ def power_residues(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def root_of_unity_sum(order: int, weights: Mapping[int, int], denominator: int) -> Scalar:
-    """sum_k weights[k] * zeta^k / denominator for zeta a primitive order-th
-    root of unity: int weights, as `IndexProblem.moments` passes them, times
-    row k % order of `power_residues`, over the positive int `denominator`.
-    A rational sum is returned as a Fraction without building a Cyclotomic."""
+def residue_scalar(order: int, numerators: list[int], denominator: int) -> Scalar:
+    """sum_i numerators[i] * zeta^i / denominator, zeta = zeta_order: deg(Phi_N)
+    int numerators over a positive int denominator, as a Fraction when only
+    the constant term is nonzero (no Cyclotomic is built), else `_cyclotomic`."""
+    if not any(numerators[1:]):
+        return Fraction(numerators[0], denominator)
+    return _cyclotomic(order, numerators, denominator)
+
+
+@lru_cache(maxsize=None)
+def _conjugation(order: int, unit: int) -> tuple[tuple[int, ...], ...]:
+    """sigma_a on numerators, a = `unit`: row j holds numerator j of each
+    row a*i mod N of `power_residues`, i < deg(Phi_N)."""
     residues = power_residues(order)
-    vector = [0] * len(residues[0])
-    for k, w in weights.items():
-        for i, r in enumerate(residues[k % order]):
-            vector[i] += w * r
-    if not any(vector[1:]):
-        return Fraction(vector[0], denominator)
-    return _cyclotomic(order, vector, denominator)
+    return tuple(zip(*[residues[unit * i % order] for i in range(len(residues[0]))]))
 
 
 def galois_conjugate(value: Scalar, unit: int) -> Scalar:
     """sigma_a(value) for a = `unit`, a unit mod the value's order N: zeta ->
     zeta^a fixes a Fraction and sends the numerator c_i of zeta^i to c_i
-    times row a*i mod N, by `root_of_unity_sum` over the same denominator."""
+    times row a*i mod N: one dot product per row of `_conjugation`."""
     if type(value) is Fraction:
         return value
-    weights = {unit * i % value.order: c for i, c in enumerate(value.numerators)}
-    return root_of_unity_sum(value.order, weights, value.denominator)
+    vector = [sum(map(mul, row, value.numerators)) for row in _conjugation(value.order, unit)]
+    return residue_scalar(value.order, vector, value.denominator)
 
 
 class Cyclotomic(Frozen):
@@ -232,18 +235,23 @@ class Cyclotomic(Frozen):
 
 
 def _cyclotomic(order: int, num: list, den: int, out: Cyclotomic | None = None) -> Cyclotomic:
-    """The element of deg(Phi_order) int numerators over an int den >= 1,
-    in lowest terms by one gcd pass, built into `out` or into a new element;
+    """The element of deg(Phi_order) int numerators over an int den >= 1, in
+    lowest terms by one gcd pass, its slots set in `out` or a new element;
     the constructor's checks are for values from outside the package."""
     g = math.gcd(den, *num)
     if g != 1:
         num, den = [c // g for c in num], den // g
     if out is None:
         out = object.__new__(Cyclotomic)
-    object.__setattr__(out, "order", order)
-    object.__setattr__(out, "numerators", tuple(num))
-    object.__setattr__(out, "denominator", den)
+    _set_order(out, order)
+    _set_numerators(out, tuple(num))
+    _set_denominator(out, den)
     return out
+
+
+_set_order, _set_numerators, _set_denominator = (
+    Cyclotomic.order.__set__, Cyclotomic.numerators.__set__, Cyclotomic.denominator.__set__
+)
 
 
 def demote(value: Scalar) -> Scalar:

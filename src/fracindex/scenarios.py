@@ -143,29 +143,8 @@ class TaskResult(Frozen):
 
     __slots__ = ("scenario", "index", "request", "payload")
 
-    def payload_json(self):
-        return _payload_to_json(self.payload)
-
     def __repr__(self):
         return f"TaskResult({self.scenario!r}[{self.index}], {self.request.get('op')})"
-
-
-def _payload_to_json(payload):
-    if isinstance(payload, MomentTable):
-        return {
-            "gamma": list(payload.gamma),
-            "moments": [
-                [monomial_name(payload.generator_names, key), scalar_to_json(value)]
-                for key, value in payload.values.items()
-            ],
-        }
-    if isinstance(payload, IndexDistribution):
-        return {
-            "distribution": [
-                _payload_to_json(table) for table in payload.tables.values()
-            ]
-        }
-    return {"value": scalar_to_json(payload)}
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +614,11 @@ def run(
 
 def check_expectations(scenario: Scenario, results: Sequence[TaskResult]) -> list[str]:
     """Compare results against the scenario's expect block; returns a list
-    of human-readable mismatch descriptions (empty when all pass)."""
+    of human-readable mismatch descriptions (empty when all pass).  Each
+    expect entry is compared with the "result" object of that result's
+    machine text, read back by `json.loads`, so what is checked is what
+    `emit` prints; a result with an integer too long to write raises
+    `emit`'s ScenarioError."""
     if scenario.expect is None:
         return []
     mismatches = []
@@ -643,7 +626,7 @@ def check_expectations(scenario: Scenario, results: Sequence[TaskResult]) -> lis
         expected = scenario.expect[result.index]
         if expected is None:
             continue
-        actual = result.payload_json()
+        actual = json.loads(_json_text(result))["result"]
         if actual != expected:
             mismatches.append(
                 f"{scenario.name}: task {result.index} ({result.request.get('op')}): "
@@ -657,8 +640,11 @@ def check_expectations(scenario: Scenario, results: Sequence[TaskResult]) -> lis
 
 
 def emit(results: Sequence[TaskResult], format: str = "human") -> str:
-    """Render results: "machine" is json.dumps(..., indent=2) of each
-    `payload_json()` with its task; "human" is an aligned plain-text table.
+    """Render results: "machine" is the text json.dumps(..., indent=2)
+    gives for {"scenarios": [{"scenario", "results"}]}, each result an
+    {"index", "task", "result"} object, written straight by `_json_text`
+    (the "result" is {"value"}, a table's {"gamma", "moments"} or
+    {"distribution"}); "human" is an aligned plain-text table.
     Identical inputs produce byte-identical output.  A result with an
     integer longer than the interpreter writes (`sys.get_int_max_str_digits`)
     raises a ScenarioError that names its task.  `format` is one of the two."""

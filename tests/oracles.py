@@ -20,7 +20,8 @@ from fractions import Fraction
 from fracindex.characteristic import BundleData
 from fracindex.cohomology import _MAX_POWER_BITS, ExpressionError, ManifoldModel, build_model
 from fracindex.cohomology import monomial_name, parse_expression
-from fracindex.scalars import cyclotomic_polynomial
+from fracindex.engine import IndexDistribution, MomentTable
+from fracindex.scalars import cyclotomic_polynomial, scalar_to_json
 
 
 # -- models and tangent data through the public declarations -------------------
@@ -731,3 +732,23 @@ def parse_terms_oracle(text: str, generators, max_degree: int, truncate: bool) -
     """Raw Fraction terms of an expression, by the recursive-descent parser;
     a bare 0 may leave a zero entry."""
     return _OracleParser(text, generators, max_degree, truncate).parse()
+
+
+# -- machine output as JSON objects ----------------------------------------------
+
+
+def payload_to_json(payload):
+    """A task result as the "result" object of the machine format, built as
+    nested dicts and lists for json.dumps: a table's gamma and its named
+    moments, a distribution's tables, or a scalar's {"value"}."""
+    if isinstance(payload, MomentTable):
+        return {
+            "gamma": list(payload.gamma),
+            "moments": [
+                [monomial_name(payload.generator_names, key), scalar_to_json(value)]
+                for key, value in payload.values.items()
+            ],
+        }
+    if isinstance(payload, IndexDistribution):
+        return {"distribution": [payload_to_json(table) for table in payload.tables.values()]}
+    return {"value": scalar_to_json(payload)}

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import fracindex
+from fracindex import scenarios
 from fracindex.cli import main
 from fracindex.scenarios import (
     BUILTIN_SCENARIOS,
@@ -106,6 +107,24 @@ def test_expectation_mismatch_exits_1(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
     assert main(["run", str(path), "--check"]) == 1
     assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("format", ["human", "machine"])
+def test_check_fails_on_a_fault_in_the_table_writer(format, monkeypatch, capsys):
+    # --check compares the expect block with the printed machine text: a
+    # table writer that drops every minus sign fails it, though every
+    # computed value is right and the scalar results are written elsewhere
+    original = scenarios._write_table
+
+    def unsigned(out, table, heads, indent):
+        start = len(out)
+        original(out, table, heads, indent)
+        out[start:] = [piece.replace('"-', '"') for piece in out[start:]]
+
+    monkeypatch.setattr(scenarios, "_write_table", unsigned)
+    assert main(["run", "builtin:cp2_projective_dirac", "--format", format, "--check"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in err] == [" task 2 (moments)", " task 3 (projective_dirac)"]
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from oracles import (
     moment_oracle,
     projective_model,
     projective_tangent,
+    root_sum_oracle,
     scalar_coefficients,
     todd_class,
 )
@@ -58,15 +59,16 @@ def k3_like_dirac_problem():
 
 
 # ---------------------------------------------------------------------------
-# reduced integrands: the rows of the direct route's matrix, bucketed per gamma
+# reduced integrands: the rows of the direct route's matrix as root-of-unity
+# numerators per gamma
 
 
-def _bucket_pairings(problem, gamma, max_degree):
+def _row_numerators(problem, gamma, max_degree):
     """`reduced_integrand` at gamma as Fractions over the denominator of
-    `_moment_rows`: image monomial index i -> {bracket exponent k: sum}."""
+    `_moment_rows`: image monomial index i -> deg(Phi_N) coefficients."""
     den = problem._moment_rows(max_degree)[1]
-    buckets = problem.reduced_integrand(gamma, max_degree)
-    return {i: {k: Fraction(s, den) for k, s in row.items()} for i, row in buckets.items()}
+    rows = problem.reduced_integrand(gamma, max_degree)
+    return {i: [Fraction(n, den) for n in row] for i, row in rows.items()}
 
 
 def _image_monomial(model, i):
@@ -74,10 +76,10 @@ def _image_monomial(model, i):
 
 
 def _bucket_oracle(problem, gamma, max_degree):
-    """The same by class arithmetic: for each distinct monomial e_i of the
-    nonzero generator images up to the bound, bracket exponent k -> the
-    integral of U_k * (a-hat^2 * e_i), U_k the class sum of the components
-    whose exponent by `bracket_exponent_by_reduction` is k."""
+    """The same pairings by class arithmetic: for each distinct monomial e_i
+    of the nonzero generator images up to the bound, bracket exponent k ->
+    the integral of U_k * (a-hat^2 * e_i), U_k the class sum of the
+    components whose exponent by `bracket_exponent_by_reduction` is k."""
     model, group = problem.model, problem.group
     members = {}
     for chi, u_chi in problem.symbol.components.items():
@@ -91,9 +93,17 @@ def _bucket_oracle(problem, gamma, max_degree):
     return out
 
 
+def _numerator_oracle(problem, gamma, max_degree):
+    """`_bucket_oracle` with each row's sum_k w_k zeta^k reduced modulo
+    Phi_N by long division (`root_sum_oracle`), never by `power_residues`."""
+    order = problem.group.exponent
+    buckets = _bucket_oracle(problem, gamma, max_degree)
+    return {i: root_sum_oracle(order, row) for i, row in buckets.items()}
+
+
 def test_reduced_integrand_trivial_symbol():
     # no generators: the one image monomial is the unit, paired with a-hat^2
-    # in bucket 0 at both elements
+    # in bucket 0 at both elements, a rational row
     cp2 = projective_model(x=2)
     group = FiniteAbelianGroup([2])
     tangent = projective_tangent(cp2)
@@ -101,40 +111,43 @@ def test_reduced_integrand_trivial_symbol():
     symbol = SymbolData(group, {(0,): cp2.one()})
     problem = IndexProblem(cp2, group, (), symbol, genus * genus)
     for gamma in [(0,), (1,)]:
-        assert _bucket_pairings(problem, gamma, 2) == {0: {0: (genus * genus).integrate()}}
-        assert _bucket_pairings(problem, gamma, 2) == _bucket_oracle(problem, gamma, 2)
+        assert _row_numerators(problem, gamma, 2) == {0: [(genus * genus).integrate()]}
+        assert _row_numerators(problem, gamma, 2) == _numerator_oracle(problem, gamma, 2)
+        assert _bucket_oracle(problem, gamma, 2) == {0: {0: (genus * genus).integrate()}}
 
 
 def test_reduced_integrand_dirac_identity_is_a_hat():
-    # the one bucket holds the inverse a-hat class; with the a-hat square
+    # the one component is the inverse a-hat class; with the a-hat square
     # each row pairs a-hat with the image monomial, 1 and x^2 on CP^2
     cp2, problem = cp2_dirac_problem()
     genus = a_hat(projective_tangent(cp2))
-    pairings = _bucket_pairings(problem, (0,), 2)
-    assert sorted(cp2._monomials[i] for i in pairings) == [(0,), (2,)]
-    assert pairings == {i: {0: (genus * _image_monomial(cp2, i)).integrate()} for i in pairings}
-    assert pairings == _bucket_oracle(problem, (0,), 2)
+    rows = _row_numerators(problem, (0,), 2)
+    assert sorted(cp2._monomials[i] for i in rows) == [(0,), (2,)]
+    assert rows == {i: [(genus * _image_monomial(cp2, i)).integrate()] for i in rows}
+    assert rows == _numerator_oracle(problem, (0,), 2)
 
 
 def test_reduced_integrand_dirac_flips_sign():
     # the inverse a-hat class sits in the bucket of zeta_2^1 = -1: every
-    # row lands in bucket 1 with the identity's pairings
+    # row at gamma = 1 is minus the identity's
     cp2, problem = cp2_dirac_problem()
-    identity = _bucket_pairings(problem, (0,), 2)
-    assert _bucket_pairings(problem, (1,), 2) == {i: {1: row[0]} for i, row in identity.items()}
-    assert _bucket_pairings(problem, (1,), 2) == _bucket_oracle(problem, (1,), 2)
+    identity = _row_numerators(problem, (0,), 2)
+    assert all(list(row) == [1] for row in _bucket_oracle(problem, (1,), 2).values())
+    assert _row_numerators(problem, (1,), 2) == {i: [-row[0]] for i, row in identity.items()}
+    assert _row_numerators(problem, (1,), 2) == _numerator_oracle(problem, (1,), 2)
 
 
 def test_reduced_integrand_buckets_components_by_bracket_exponent():
+    # at every element of Z/6 x Z/4, each row is deg(Phi_12) = 4 numerators,
+    # the oracle's bucket sums times zeta_12^k by long division; the
+    # elements reach several buckets per row
     problem = _random_problem([6, 4], 10)
     group = problem.group
     for gamma in group.elements():
-        characters = problem.symbol.components
-        exponents = [bracket_exponent_by_reduction(group, chi, gamma) for chi in characters]
-        buckets = problem.reduced_integrand(gamma, 3)
-        # every row has the buckets of the oracle's exponents, in order of first character
-        assert all(list(row) == list(dict.fromkeys(exponents)) for row in buckets.values())
-        assert _bucket_pairings(problem, gamma, 3) == _bucket_oracle(problem, gamma, 3)
+        rows = problem.reduced_integrand(gamma, 3)
+        assert all(len(row) == 4 and all(type(n) is int for n in row) for row in rows.values())
+        assert _row_numerators(problem, gamma, 3) == _numerator_oracle(problem, gamma, 3)
+    assert max(len(row) for row in _bucket_oracle(problem, (1, 1), 3).values()) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +190,11 @@ def test_unit_bump_pairing_equals_mass():
 def test_high_weight_jet_pairs_to_zero():
     cp2, problem = cp2_dirac_problem()
     # P1^2 has cohomological weight 8 > 4: its image is zero, so it meets
-    # no row of the matrix and pairs to zero with every bucket
+    # no row of the matrix and pairs to zero with every numerator
     image = chern_weil_eval(problem.generators, 2, cp2)[(2, 0)]
-    buckets = problem.reduced_integrand((0,), 2)
-    for k in {k for row in buckets.values() for k in row}:
-        assert sum(n * buckets[i][k] for i, n in image.numerators.items()) == 0
-    assert not set(image.numerators) & set(buckets)
+    rows = problem.reduced_integrand((0,), 2)
+    assert sum(n * rows[i][0] for i, n in image.numerators.items()) == 0
+    assert not set(image.numerators) & set(rows)
     assert problem.moments((0,), 2).values[(2, 0)] == 0
 
 
@@ -516,16 +528,56 @@ def test_full_distribution_matches_bracket_oracle(cyclic_orders, seed):
             _assert_matches_oracle(problem, gamma, key, value)
 
 
+@pytest.mark.parametrize("cyclic_orders", [[2], [5], [6, 4]])
+def test_multi_term_images_match_bracket_oracle(cyclic_orders):
+    # on CP^2 x CP^1 the images of L = x + y and Q = x^2 - 3xy have several
+    # monomials, so a key's numerators combine several rows of M
+    model = projective_model(x=2, y=1)
+    group = FiniteAbelianGroup(cyclic_orders)
+    rng = random.Random(23)
+    monomials = model.monomials_up_to(model.dimension)
+    components = {
+        chi: CohClass(model, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in monomials})
+        for chi in group.elements()[:3]
+    }
+    gens = [
+        InvariantGeneratorDecl("L", 1, parse_expression("x + y", model)),
+        InvariantGeneratorDecl("Q", 2, parse_expression("x^2 - 3*x*y", model)),
+    ]
+    genus = a_hat(projective_tangent(model))
+    problem = IndexProblem(model, group, gens, SymbolData(group, components), genus * genus)
+    assert max(len(image) for _, image, _ in problem._monomial_images(3)) >= 2
+    for gamma, table in problem.full_distribution().tables.items():
+        for key, value in table.values.items():
+            _assert_matches_oracle(problem, gamma, key, value)
+
+
 def test_oracle_cases_reach_the_shapes_they_name():
     # pairwise coprime denominators: every character keeps its own prime
     coprime = _random_problem([12], "coprime").symbol.components.values()
     assert sorted(u.denominator for u in coprime) == list(_PRIMES)
-    # the cancelling pair shares bucket 0 at gamma = 2 in Z/12 and sums to zero there
-    buckets = _random_problem([12], "cancel").reduced_integrand((2,), 3).values()
+    # the cancelling pair shares bucket 0 at gamma = 2 in Z/12 and sums to
+    # zero there, so each row is the one of character 1 (bucket 2) alone
+    problem = _random_problem([12], "cancel")
+    buckets = _bucket_oracle(problem, (2,), 3).values()
     assert all(row[0] == 0 for row in buckets) and any(row[2] for row in buckets)
-    buckets = _random_problem([2], "cancel").reduced_integrand((0,), 3).values()
-    assert buckets and all(row == {0: 0} for row in buckets)
-    assert not _random_problem([12], "empty").symbol.components
+    rows = _row_numerators(problem, (2,), 3)
+    assert rows == _numerator_oracle(problem, (2,), 3)
+    alone = SymbolData(problem.group, {(1,): problem.symbol.components[(1,)]})
+    alone = IndexProblem(
+        problem.model, problem.group, problem.generators, alone, problem.a_hat_squared
+    )
+    assert rows == _row_numerators(alone, (2,), 3) and any(any(row) for row in rows.values())
+    problem = _random_problem([2], "cancel")
+    rows = problem.reduced_integrand((0,), 3)
+    assert rows and all(row == [0] for row in rows.values())
+    assert _row_numerators(problem, (0,), 3) == _numerator_oracle(problem, (0,), 3)
+    # no component: every row is deg(Phi_12) zeros
+    problem = _random_problem([12], "empty")
+    assert not problem.symbol.components
+    rows = problem.reduced_integrand((5,), 3)
+    assert rows and all(row == [0] * 4 for row in rows.values())
+    assert _row_numerators(problem, (5,), 3) == _numerator_oracle(problem, (5,), 3)
 
 
 @pytest.mark.parametrize("cyclic_orders,character", [([3], (1,)), ([12], (5,)), ([6, 4], (1, 3))])
@@ -598,16 +650,19 @@ def test_perturbed_direct_matrix_is_caught(monkeypatch, cyclic_orders):
         problem.full_distribution()
 
 
-def test_faulty_root_conversion_is_caught(monkeypatch):
+@pytest.mark.parametrize("cyclic_orders", [[2], [5], [6, 4]])
+def test_faulty_root_conversion_is_caught(monkeypatch, cyclic_orders):
+    # the direct route reads zeta^(k+1) where it should read zeta^k
     import fracindex.engine as engine
 
-    problem = _random_problem([5], 8)
-    original = engine.root_of_unity_sum
-    monkeypatch.setattr(
-        engine,
-        "root_of_unity_sum",
-        lambda order, weights, *rest: original(order, {k + 1: w for k, w in weights.items()}, *rest),
-    )
+    problem = _random_problem(cyclic_orders, 8)
+    original = engine.power_residues
+
+    def shifted(order):
+        rows = original(order)
+        return (*rows[1:], rows[0])
+
+    monkeypatch.setattr(engine, "power_residues", shifted)
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         problem.full_distribution()
 
@@ -803,17 +858,17 @@ def test_only_basis_monomials_enter_the_index(make):
 
 def test_only_nonzero_image_keys_reach_the_root_of_unity_conversion(monkeypatch):
     # of the 153 keys P1^a P2^b on CP^16, the 45 with a + b <= 8 have a
-    # nonzero image c*x^(2(a+b)); each is converted once per element of Z/2,
-    # and the other 108 are the exact 0 without a conversion
+    # nonzero image c*x^(2(a+b)); each is made a scalar once per element of
+    # Z/2, and the other 108 are the exact 0 without a conversion
     import fracindex.engine as engine
 
     calls = []
-    original = engine.root_of_unity_sum
+    original = engine.residue_scalar
     monkeypatch.setattr(
-        engine, "root_of_unity_sum", lambda *args: calls.append(args[0]) or original(*args)
+        engine, "residue_scalar", lambda *args: calls.append(args[0]) or original(*args)
     )
     distribution = _cp16_dirac_problem().full_distribution()
-    assert len(calls) == 90
+    assert calls == [2] * 90
     for table in distribution.tables.values():
         assert len(table.values) == 153
         zero = [key for key in table.values if sum(key) > 8]
@@ -863,7 +918,7 @@ def test_full_distribution_builds_no_class_by_the_validating_constructor(monkeyp
     "make", [lambda: _random_problem([6, 4], 5), _cp16_dirac_problem], ids=["z6z4", "cp16"]
 )
 def test_moments_builds_no_class_per_gamma(monkeypatch, make):
-    # with the matrix M built, a moment table only buckets integers: no
+    # with the matrix M built, a moment table only combines integers: no
     # class is built, summed or paired at any element
     import fracindex.cohomology as cohomology
     import fracindex.engine as engine

@@ -3,7 +3,7 @@ the benchmark workloads at their first seeds, against the digests the
 benchmark records in `perfbench/digests.json`, and of both formats for
 every built-in scenario, against digests recorded here.  The machine
 writer also equals an independent rendering: json.dumps(..., indent=2) of
-each result's `payload_json()`, on the same documents and on drawn
+each result's `oracles.payload_to_json`, on the same documents and on drawn
 payloads, and the workload outputs pass the benchmark's own checks
 (`workloads.make_check`).
 
@@ -38,6 +38,8 @@ from fracindex.scenarios import (
     run,
 )
 
+from oracles import payload_to_json
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = range(4)
 
@@ -65,11 +67,11 @@ def _digest(text: str, format: str = "machine") -> str:
 
 
 def _machine_oracle(results) -> str:
-    """The machine format by json.dumps of each result's payload_json()."""
+    """The machine format by json.dumps of each result's `payload_to_json`."""
     by_scenario: dict[str, list] = {}
     for result in results:
         by_scenario.setdefault(result.scenario, []).append(
-            {"index": result.index, "task": result.request, "result": result.payload_json()}
+            {"index": result.index, "task": result.request, "result": payload_to_json(result.payload)}
         )
     blocks = [{"scenario": name, "results": items} for name, items in by_scenario.items()]
     return json.dumps({"scenarios": blocks}, indent=2) + "\n"

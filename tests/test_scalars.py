@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from fracindex.scalars import (
     galois_conjugate,
     power_residues,
     rational_to_string,
-    root_of_unity_sum,
+    residue_scalar,
     scalar_to_json,
 )
 
@@ -219,7 +220,7 @@ def test_integer_cyclotomic_arithmetic_matches_long_division(order, data):
 @settings(max_examples=200, deadline=None)
 @given(order=st.integers(1, 24), data=st.data())
 def test_package_results_are_values_the_constructor_accepts(order, data):
-    # sums, int and rational multiples, root-of-unity sums and Galois
+    # sums, int and rational multiples, residue scalars and Galois
     # conjugates skip the constructor's checks; each must still be int
     # numerators, deg(Phi_N) of them, over a denominator >= 1 in lowest
     # terms, field by field the element the validated constructor builds
@@ -234,7 +235,7 @@ def test_package_results_are_values_the_constructor_accepts(order, data):
         x * -1,
         x * q,
         x + q,
-        root_of_unity_sum(order, weights, denominator),
+        residue_scalar(order, _residue_numerators(order, weights), denominator),
         galois_conjugate(x, unit),
     ]
     for value in values:
@@ -313,6 +314,13 @@ def test_power_residues_match_long_division(order):
         assert list(row) == _remainder_by_long_division(k, modulus)
 
 
+def _residue_numerators(order, weights):
+    """sum_k weights[k] * row k mod N of `power_residues`: the numerators
+    the engine hands `residue_scalar` for root-of-unity weights."""
+    rows = power_residues(order)
+    return [sum(w * rows[k % order][j] for k, w in weights.items()) for j in range(len(rows[0]))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.integers(1, 36).flatmap(
@@ -323,26 +331,26 @@ def test_power_residues_match_long_division(order):
     ),
     denominator=st.integers(1, 12),
 )
-def test_root_of_unity_sum_matches_field_arithmetic(data, denominator):
+def test_residue_scalar_matches_field_arithmetic(data, denominator):
     # integer weights over a positive denominator are the engine's form;
     # exponents up to 2N reduce by long division, not by the table
     order, weights = data
     expected = [c / denominator for c in root_sum_oracle(order, weights)]
-    value = root_of_unity_sum(order, weights, denominator)
+    value = residue_scalar(order, _residue_numerators(order, weights), denominator)
     assert scalar_coefficients(value, order) == expected
     assert isinstance(value, Fraction) == (not any(expected[1:]))
 
 
 @pytest.mark.parametrize("order", range(1, 37))
-def test_root_of_unity_sum_rational_values_are_fractions(order):
-    every_root = root_of_unity_sum(order, {k: 3 for k in range(order)}, 2)
+def test_residue_scalar_rational_values_are_fractions(order):
+    every_root = residue_scalar(order, _residue_numerators(order, {k: 3 for k in range(order)}), 2)
     assert every_root == (Fraction(3, 2) if order == 1 else 0)
     assert type(every_root) is Fraction
     if order % 2 == 0:
-        value = root_of_unity_sum(order, {0: 3, order // 2: 1}, 3)
+        value = residue_scalar(order, _residue_numerators(order, {0: 3, order // 2: 1}), 3)
         assert value == Fraction(2, 3) and type(value) is Fraction
     if order > 2:
-        assert isinstance(root_of_unity_sum(order, {1: 1}, 1), Cyclotomic)
+        assert isinstance(residue_scalar(order, _residue_numerators(order, {1: 1}), 1), Cyclotomic)
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,13 +359,38 @@ def test_root_of_unity_sum_rational_values_are_fractions(order):
     weights=st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6),
     denominator=st.integers(1, 9),
 )
-def test_root_of_unity_sum_over_q_is_the_sum_over_power_residue_rows(order, weights, denominator):
+def test_residue_scalar_over_q_is_the_sum_over_power_residue_rows(order, weights, denominator):
     """zeta = +-1 at orders 1 and 2: the signed sum equals the weights times
     the one-entry rows of `power_residues`, and it is a Fraction."""
     rows = power_residues(order)
-    value = root_of_unity_sum(order, weights, denominator)
+    value = residue_scalar(order, _residue_numerators(order, weights), denominator)
     assert value == Fraction(sum(w * rows[k % order][0] for k, w in weights.items()), denominator)
     assert type(value) is Fraction
+
+
+@pytest.mark.parametrize("order", range(1, 31))
+def test_galois_conjugate_matches_long_division_for_every_unit(order):
+    # sigma_a sends the numerator c_i of zeta^i to zeta^(a*i), reduced by
+    # long division with the unreduced exponent a*i; it fixes a Fraction,
+    # keeps a value irrational, and sigma_a(sigma_b(x)) = sigma_ab(x)
+    rng = random.Random(order)
+    deg = len(cyclotomic_polynomial(order)) - 1
+    units = [a for a in range(1, order + 1) if math.gcd(a, order) == 1]
+    values = [
+        Cyclotomic(order, [rng.randint(-9, 9) for _ in range(deg)], rng.randint(1, 12))
+        for _ in range(3)
+    ]
+    for a in units:
+        half = Fraction(1, 2)
+        assert galois_conjugate(half, a) is half
+        for x in values:
+            weights = {a * i: n for i, n in enumerate(x.numerators)}
+            expected = [c / x.denominator for c in root_sum_oracle(order, weights)]
+            value = galois_conjugate(x, a)
+            assert scalar_coefficients(value, order) == expected
+            assert isinstance(value, Fraction) == x.is_rational()
+            b = units[-1]
+            assert galois_conjugate(galois_conjugate(x, b), a) == galois_conjugate(x, a * b % order)
 
 
 def test_rational_field_axioms_sample():

@@ -30,6 +30,8 @@ from fracindex.scenarios import (
     run,
 )
 
+from oracles import payload_to_json
+
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_builtin_scenario_meets_expectations_and_round_trips(name):
@@ -392,12 +394,21 @@ def test_a_zero_symbol_component_is_dropped_before_the_single_character_check():
     assert check_expectations(scenario, results) == []
 
 
+def test_check_expectations_raises_scenario_error_on_a_result_too_long_to_write():
+    # the check reads the machine text, so a result emit cannot write is
+    # emit's ScenarioError naming the task, not the ValueError of str(int)
+    text = builtin_scenario_text("cp2_projective_dirac").replace("1 + 1/8*x^2", "2^16000*x^2")
+    scenario = parse_scenario(text)
+    with pytest.raises(ScenarioError, match=r"task 0 \(fractional_index\): a result has an integer"):
+        check_expectations(scenario, run(scenario))
+
+
 def test_mms_projective_accepts_a_symbol_on_the_trivial_character_alone():
     # the trivial character brackets to 1 with every element of Z/4, so
     # each of the four tables reads the integral of x^2
     scenario = parse_scenario(_builtin_with(lambda d: d["symbol"][0].update(character=[0]), _GAMMA4))
     (result,) = run(scenario)
-    assert result.payload_json() == {
+    assert payload_to_json(result.payload) == {
         "distribution": [{"gamma": [g], "moments": [["1", "1"]]} for g in range(4)]
     }
 
@@ -630,8 +641,9 @@ _ROUTE_DOCUMENTS = [
 def test_documents_reach_the_presentation_genus_and_label_routes(name, edit, reference):
     results = run(parse_scenario(_builtin_with(edit, name)))
     if callable(reference):
-        reference = [r.payload_json() for r in run(parse_scenario(_builtin_with(reference, name)))]
-    assert [result.payload_json() for result in results] == reference
+        reference = run(parse_scenario(_builtin_with(reference, name)))
+        reference = [payload_to_json(r.payload) for r in reference]
+    assert [payload_to_json(result.payload) for result in results] == reference
 
 
 def test_deeply_nested_parentheses_in_a_class_raise_scenario_error():
