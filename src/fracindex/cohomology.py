@@ -65,7 +65,7 @@ from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from fracindex.scalars import Frozen, common_denominator, rational_to_string
+from fracindex.scalars import Frozen, common_denominator
 
 #: Monomials are exponent tuples aligned with the model's generator order.
 Monomial = tuple[int, ...]
@@ -412,13 +412,13 @@ class CohClass(Frozen):
         for mono, coeff in self.terms.items():
             mono_name = monomial_name(self.model.names, mono)
             if mono_name == "1":
-                parts.append(rational_to_string(coeff))
+                parts.append(str(coeff))
             elif coeff == 1:
                 parts.append(mono_name)
             elif coeff == -1:
                 parts.append("-" + mono_name)
             else:
-                parts.append(rational_to_string(coeff) + "*" + mono_name)
+                parts.append(str(coeff) + "*" + mono_name)
         out = parts[0]
         for part in parts[1:]:
             out += " - " + part[1:] if part.startswith("-") else " + " + part

@@ -108,21 +108,11 @@ class MomentTable(Frozen):
     """Exact pairings of the invariant distribution at one central element
     against monomials in the declared generators, keyed by exponent tuple.
     The values are kept as given, and come in graded order: the engine
-    builds them by `chern_weil_eval`'s image order.  Its own constructor
-    makes tuples: `test_output_digests` builds tables from lists, and the
-    writer keys a dict by `generator_names`."""
+    builds them by `chern_weil_eval`'s image order.  `gamma` and
+    `generator_names` are tuples: the writer keys a dict by
+    `generator_names`."""
 
     __slots__ = ("gamma", "generator_names", "values")
-
-    def __init__(
-        self,
-        gamma: Element,
-        generator_names: Sequence[str],
-        values: Mapping[MomentKey, Scalar],
-    ) -> None:
-        object.__setattr__(self, "gamma", tuple(gamma))
-        object.__setattr__(self, "generator_names", tuple(generator_names))
-        object.__setattr__(self, "values", values)
 
     def mass(self) -> Scalar:
         """The degree-zero moment: the coefficient of the point mass."""
@@ -346,7 +336,7 @@ class IndexProblem(Frozen):
                 for i, n in rest:
                     vector = [c + n * v for c, v in zip(vector, vectors[i])]
                 values[key] = residue_scalar(order, vector, image_den * den)
-        return MomentTable(gamma, [g.name for g in self.generators], values)
+        return MomentTable(tuple(gamma), tuple(g.name for g in self.generators), values)
 
     def _character_columns(self, max_degree: int) -> dict[MomentKey, tuple[list[int], int]]:
         """The identity-route pairings: each a-hat^2 * u_chi paired once with

@@ -63,13 +63,6 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def rational_to_string(q: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of rational values (ints or Fractions) over their
     least common denominator; gcd(numerators, denominator) is 1."""
@@ -230,7 +223,7 @@ class Cyclotomic(Frozen):
 
     def __repr__(self):
         den = self.denominator
-        body = ", ".join(rational_to_string(Fraction(n, den)) for n in self.numerators)
+        body = ", ".join(str(Fraction(n, den)) for n in self.numerators)
         return f"Cyclotomic({self.order}, [{body}])"
 
 
@@ -268,7 +261,7 @@ def scalar_to_json(value: Scalar):
     over the denominator in lowest terms, by one gcd."""
     value = demote(value)
     if type(value) is Fraction:
-        return rational_to_string(value)
+        return str(value)
     den = value.denominator
     coefficients = []
     for n in value.numerators:

@@ -4,7 +4,9 @@ of task requests.  Parsing validates every declared invariant up front,
 and is the one place a document value is checked or converted: every
 refusal of a document happens at parse, and the layers below store the
 parsed values as they are.  Running produces exact, deterministically
-ordered results.
+ordered results.  `emit` prints them from one writer: the human format is
+rendered from the machine text read back, so `--check`, which compares
+that text with the expect block, vouches for both formats.
 
 Every ScenarioError a document causes starts with the path of the field at
 fault, then ": " and the reason, as in `bundles[0].rank: negative rank -1`.
@@ -97,7 +99,7 @@ from fracindex.groups import (
     InvariantGeneratorDecl,
     WeightSystem,
 )
-from fracindex.scalars import Frozen, Scalar, scalar_to_json
+from fracindex.scalars import Frozen, scalar_to_json
 
 #: The largest accepted group exponent and group order (see the module
 #: docstring).
@@ -594,12 +596,15 @@ def run(
     document a task could fail on."""
     if max_degree is not None:
         _check_max_degree(max_degree, "max_degree", scenario.model.dimension // 2)
-    tasks = [
-        (index, task)
-        for index, task in enumerate(scenario.tasks)
-        if task_filter is None
-        or (index == int(task_filter) if task_filter.isdecimal() else task["op"] == task_filter)
-    ]
+    try:
+        tasks = [
+            (index, task)
+            for index, task in enumerate(scenario.tasks)
+            if task_filter is None
+            or (index == int(task_filter) if task_filter.isdecimal() else task["op"] == task_filter)
+        ]
+    except ValueError:  # a decimal past int()'s digit limit names no index int() reads
+        tasks = []
     if task_filter is not None and not tasks:
         raise ScenarioError(f"task: no task has op or zero-based index {task_filter!r}")
     problem = scenario.problem()
@@ -644,55 +649,53 @@ def emit(results: Sequence[TaskResult], format: str = "human") -> str:
     gives for {"scenarios": [{"scenario", "results"}]}, each result an
     {"index", "task", "result"} object, written straight by `_json_text`
     (the "result" is {"value"}, a table's {"gamma", "moments"} or
-    {"distribution"}); "human" is an aligned plain-text table.
+    {"distribution"}); "human" is an aligned plain-text table rendered
+    from those objects, read back from one `_json_text` pass, so
+    `--check`, which reads the machine text, vouches for both formats.
     Identical inputs produce byte-identical output.  A result with an
     integer longer than the interpreter writes (`sys.get_int_max_str_digits`)
-    raises a ScenarioError that names its task.  `format` is one of the two."""
+    raises a ScenarioError that names its task; a `format` other than the
+    two raises one that starts "format:"."""
     if format == "machine":
         by_scenario: dict[str, list[TaskResult]] = {}
         for result in results:
             by_scenario.setdefault(result.scenario, []).append(result)
         blocks = [{"scenario": name, "results": items} for name, items in by_scenario.items()]
         return _json_text({"scenarios": blocks}) + "\n"
+    if format != "human":
+        raise ScenarioError(f"format: expected 'human' or 'machine', got {format!r}")
     lines: list[str] = []
-    current, names = None, {}
-    for result in results:
+    current = None
+    for result, item in zip(results, json.loads(_json_text(list(results)))):
         if result.scenario != current:
             current = result.scenario
             lines.append(f"scenario: {current}")
-        try:
-            lines.extend(_result_lines(result, names))
-        except ValueError:  # str(int) past the interpreter's digit limit
-            raise _too_long(result) from None
+        lines.extend(_result_lines(item))
     return "\n".join(lines) + "\n"
 
 
-def _too_long(result: TaskResult) -> ScenarioError:
-    return ScenarioError(
-        f"{result.scenario}: task {result.index} ({result.request.get('op')}): "
-        f"a result has an integer of more than {sys.get_int_max_str_digits()} digits"
-    )
-
-
-def _result_lines(result: TaskResult, names: dict) -> list[str]:
-    """The human lines of one result; `names` is shared by every result."""
-    label = f"[{result.index}] {result.request.get('op')}"
-    payload = result.payload
-    if isinstance(payload, MomentTable):
-        table_names = names.setdefault(payload.generator_names, {})
-        return [f"{label} gamma={_gamma_str(payload.gamma)}", *_table_lines(payload, table_names)]
-    if isinstance(payload, IndexDistribution):
-        lines = [label]
-        for gamma, table in payload.tables.items():
-            lines.append(f"  gamma={_gamma_str(gamma)}")
-            lines.extend(_table_lines(table, names.setdefault(table.generator_names, {}), indent=4))
-        return lines
-    suffix = ""
-    if "gamma" in result.request:
-        suffix = f" gamma={_gamma_str(tuple(result.request['gamma']))}"
-    if "lambda" in result.request:
-        suffix = f" lambda={result.request['lambda']}"
-    return [f"{label}{suffix} = {_scalar_str(payload)}"]
+def _result_lines(item: dict) -> list[str]:
+    """The human lines of one machine-format result object: a scalar on
+    its label's line, after its task's lambda or else its gamma; a header
+    and one aligned line per moment for each table."""
+    task, result = item["task"], item["result"]
+    label = f"[{item['index']}] {task.get('op')}"
+    if "value" in result:
+        suffix = ""
+        if "lambda" in task:
+            suffix = f" lambda={task['lambda']}"
+        elif "gamma" in task:
+            suffix = f" gamma={_gamma_str(task['gamma'])}"
+        return [f"{label}{suffix} = {_value_str(result['value'])}"]
+    if "moments" in result:
+        lines, tables, head, pad = [], [result], label + " ", "  "
+    else:
+        lines, tables, head, pad = [label], result["distribution"], "  ", "    "
+    for table in tables:
+        width = max((len(name) for name, _ in table["moments"]), default=1)
+        lines.append(f"{head}gamma={_gamma_str(table['gamma'])}")
+        lines.extend(f"{pad}{name.ljust(width)}  {_value_str(v)}" for name, v in table["moments"])
+    return lines
 
 
 def _json_text(value) -> str:
@@ -731,8 +734,11 @@ def _write_json(out: list[str], value, indent: str, heads: dict) -> None:
                 payload = {"value": scalar_to_json(payload)}
             item = {"index": value.index, "task": value.request, "result": payload}
             _write_json(out, item, indent, heads)
-        except ValueError:
-            raise _too_long(value) from None
+        except ValueError:  # str(int) past the interpreter's digit limit
+            raise ScenarioError(
+                f"{value.scenario}: task {value.index} ({value.request.get('op')}): "
+                f"a result has an integer of more than {sys.get_int_max_str_digits()} digits"
+            ) from None
     elif isinstance(value, MomentTable):
         _write_table(out, value, heads, indent)
     elif isinstance(value, IndexDistribution):
@@ -780,32 +786,15 @@ def _write_table(out: list[str], table: MomentTable, heads: dict, indent: str) -
     out.append(("\n" + inner + "]" if table.values else "]") + "\n" + indent + "}")
 
 
-def _gamma_str(gamma: tuple[int, ...]) -> str:
+def _gamma_str(gamma: list) -> str:
     return "(" + ",".join(str(g) for g in gamma) + ")"
 
 
-def _scalar_str(value: Scalar) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    rendered = scalar_to_json(value)
-    if isinstance(rendered, str):
-        return rendered
-    return "cyclotomic(order=%d, [%s])" % (
-        rendered["order"],
-        ", ".join(rendered["coefficients"]),
-    )
-
-
-def _table_lines(table: MomentTable, names: dict, indent: int = 2) -> list[str]:
-    """One line per moment, each key named once per `names`."""
-    for key in table.values.keys() - names.keys():
-        names[key] = monomial_name(table.generator_names, key)
-    pad = " " * indent
-    width = max((len(names[key]) for key in table.values), default=1)
-    return [
-        f"{pad}{names[key].ljust(width)}  {_scalar_str(value)}"
-        for key, value in table.values.items()
-    ]
+def _value_str(value) -> str:
+    """A machine-format scalar: its string, or a Cyclotomic's object."""
+    if isinstance(value, str):
+        return value
+    return f"cyclotomic(order={value['order']}, [{', '.join(value['coefficients'])}])"
 
 
 # ---------------------------------------------------------------------------

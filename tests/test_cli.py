@@ -67,8 +67,9 @@ def test_task_index_is_a_decimal_number(task, status, out, capsys):
         ["--task", "moments_typo", "--format", "machine"],
         ["--task", "7", "--check"],
         ["--task", "moments_typo", "--check"],
+        ["--task", "1" * 5000],
     ],
-    ids=["index", "op_machine", "index_check", "op_check"],
+    ids=["index", "op_machine", "index_check", "op_check", "index_past_the_int_digit_limit"],
 )
 def test_task_that_selects_nothing_exits_2(args, capsys):
     # running no task would print an empty result and, under --check,
@@ -113,7 +114,8 @@ def test_expectation_mismatch_exits_1(tmp_path, capsys):
 def test_check_fails_on_a_fault_in_the_table_writer(format, monkeypatch, capsys):
     # --check compares the expect block with the printed machine text: a
     # table writer that drops every minus sign fails it, though every
-    # computed value is right and the scalar results are written elsewhere
+    # computed value is right and the scalar results are written elsewhere;
+    # the human format is read back from that text, so it prints the fault
     original = scenarios._write_table
 
     def unsigned(out, table, heads, indent):
@@ -123,8 +125,11 @@ def test_check_fails_on_a_fault_in_the_table_writer(format, monkeypatch, capsys)
 
     monkeypatch.setattr(scenarios, "_write_table", unsigned)
     assert main(["run", "builtin:cp2_projective_dirac", "--format", format, "--check"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert [line.split(":")[1] for line in err] == [" task 2 (moments)", " task 3 (projective_dirac)"]
+    out, err = capsys.readouterr()
+    assert out.count("-1/8") == 1  # task 0's scalar; both tables lost theirs
+    assert [line.split(":")[1] for line in err.splitlines()] == [
+        " task 2 (moments)", " task 3 (projective_dirac)"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Output stays byte-identical: the SHA-256 of `emit(..., "machine")` for
 the benchmark workloads at their first seeds, against the digests the
 benchmark records in `perfbench/digests.json`, and of both formats for
-every built-in scenario, against digests recorded here.  The machine
+every built-in scenario and of the human format for the workloads at their
+first seed, against digests recorded here.  The machine
 writer also equals an independent rendering: json.dumps(..., indent=2) of
 each result's `oracles.payload_to_json`, on the same documents and on drawn
 payloads, and the workload outputs pass the benchmark's own checks
@@ -11,7 +12,8 @@ The benchmark files are read and executed here, never imported from or
 written to.  A change that is meant to alter the output re-records both:
 `perfbench/record_digests.py` for the workloads, and the tables below
 from `fracindex run builtin:NAME --format machine | sha256sum` (and
-`--format human`).
+`--format human`, and `emit(..., "human")` of each workload document at
+seed 0).
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ HUMAN_DIGESTS = {
 }
 
 
+# emit(..., "human") of each benchmark workload document at seed 0
+WORKLOAD_HUMAN_DIGESTS = {
+    "dirac_cp16": "ad25fe70fdf1974875091f50da241527ad124bc84974a7262b3dd85e78d41816",
+    "product_cp1x8": "b1dadcf6427bd15520d41cebaa6b3bd2628ca554b734cafac92435220670f581",
+    "center_z6z4": "0ed0c4925fe63dc8cf7417b493deebbd1a8ca834d8138826466d65077377d412",
+}
+
+
 def _digest(text: str, format: str = "machine") -> str:
     output = emit(run(parse_scenario(text)), format)
     return hashlib.sha256(output.encode("utf-8")).hexdigest()
@@ -92,6 +102,13 @@ def test_workload_outputs_match_the_recorded_digests():
         for seed in SEEDS:
             text = json.dumps(workloads.document(name, seed))
             assert _digest(text) == recorded[name][seed], f"{name} at seed {seed}"
+
+
+def test_workload_human_outputs_match_the_recorded_digests():
+    workloads = _workloads()
+    assert sorted(WORKLOAD_HUMAN_DIGESTS) == sorted(workloads.WORKLOADS)
+    for name, digest in WORKLOAD_HUMAN_DIGESTS.items():
+        assert _digest(json.dumps(workloads.document(name, 0)), "human") == digest, name
 
 
 def test_workload_outputs_pass_the_benchmark_checks():
@@ -158,12 +175,12 @@ def _results(draw):
     the same names at another."""
     size = draw(st.integers(0, 3))
     pool = st.sampled_from(["P1", "E", "x_2", "\u03b1"])
-    two = [draw(st.lists(pool, min_size=size, max_size=size, unique=True)) for _ in range(2)]
+    two = [tuple(draw(st.lists(pool, min_size=size, max_size=size, unique=True))) for _ in range(2)]
     exponents = st.tuples(*[st.integers(0, 3)] * size)
     keys = st.sampled_from(draw(st.lists(exponents, min_size=1, max_size=3)))
     tables = st.builds(
         MomentTable,
-        st.lists(st.integers(0, 5), max_size=2),
+        st.lists(st.integers(0, 5), max_size=2).map(tuple),
         st.sampled_from(two),
         st.dictionaries(keys, _SCALARS, max_size=6),
     )
@@ -190,12 +207,12 @@ def _moments(index, payload):
 
 # the key (1,) named E and P1 at one indent, and P1 at another
 _SHARED_KEYS = [
-    _moments(0, MomentTable([0], ["P1"], {(1,): Fraction(1)})),
-    _moments(1, MomentTable([1], ["E"], {(1,): Fraction(2)})),
+    _moments(0, MomentTable((0,), ("P1",), {(1,): Fraction(1)})),
+    _moments(1, MomentTable((1,), ("E",), {(1,): Fraction(2)})),
     _moments(
         2,
         IndexDistribution(
-            FiniteAbelianGroup([2]), {(0,): MomentTable([0], ["P1"], {(1,): Fraction(3)})}
+            FiniteAbelianGroup([2]), {(0,): MomentTable((0,), ("P1",), {(1,): Fraction(3)})}
         ),
     ),
 ]

@@ -19,7 +19,6 @@ from fracindex.scalars import (
     demote,
     galois_conjugate,
     power_residues,
-    rational_to_string,
     residue_scalar,
     scalar_to_json,
 )
@@ -486,11 +485,6 @@ def test_a_hat_series_log_closed_form():
     f_prime = [k * f[k] for k in range(1, order + 1)]
     log_prime = [k * log_f[k] for k in range(1, order + 1)]
     assert series_mul(list(f), log_prime, order - 1) == f_prime
-
-
-def test_rational_to_string():
-    assert rational_to_string(Fraction(-1, 8)) == "-1/8"
-    assert rational_to_string(Fraction(4, 2)) == "2"
 
 
 # ---------------------------------------------------------------------------
