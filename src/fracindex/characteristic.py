@@ -47,8 +47,8 @@ class BundleData(Frozen):
     scenario parser holds the rank nonnegative, one root per unit of rank,
     roots of degree 2, c_i of degree 2i and p_i of degree 4i, and declared
     Chern classes equal to the elementary symmetric functions of declared
-    roots.  Its own constructor takes `model` by keyword, as 33 test
-    calls pass it, and starts the a-hat caches.
+    roots, and passes each declared list as a tuple.  Its own constructor
+    takes the classes and `model` by keyword and starts the a-hat caches.
     """
 
     __slots__ = (
@@ -65,16 +65,7 @@ class BundleData(Frozen):
         *,
         model: ManifoldModel,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "roots", tuple(roots) if roots is not None else None)
-        object.__setattr__(self, "chern", tuple(chern) if chern is not None else None)
-        object.__setattr__(
-            self, "pontryagin", tuple(pontryagin) if pontryagin is not None else None
-        )
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "_a_hat", None)
-        object.__setattr__(self, "_a_hat_squared", None)
+        super().__init__(name, rank, roots, chern, pontryagin, model, None, None)
 
     def __repr__(self):
         return f"BundleData({self.name!r}, rank={self.rank})"

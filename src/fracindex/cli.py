@@ -6,19 +6,21 @@
 Runs the tasks of one scenario document and writes the results to
 standard output.  --task T runs only the tasks whose op is T, or the one
 task at zero-based index T; a T that selects no task is refused (exit 2,
-nothing run).  --max-degree D overrides the moment cutoff of
-every moment-producing task; D must lie in 0..dimension // 2.  With
---check, the document's expect block is compared against the results and
-each mismatch is written to standard error.  The expect block holds each
-task's result at the task's own cutoff, so --check and --max-degree are
-refused together (exit 2, nothing run) rather than compared at a cutoff
-the block was not recorded at.
+nothing run).  --max-degree D overrides the moment cutoff of every
+moment-producing task; D must lie in 0..dimension // 2.  With --check,
+the document's expect block is compared against the results and each
+mismatch is written to standard error; a document without an expect
+block, where nothing would be compared, is refused (exit 2, nothing run).
+The expect block holds each task's result at the task's own cutoff, so
+--check and --max-degree are refused together (exit 2, nothing run)
+rather than compared at a cutoff the block was not recorded at.
 
 Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
 scenario cannot be read, parsed or written (a result too long to write
 included), when --task selects no task, when --max-degree is out of range,
-or when --check is combined with --max-degree.  A document that parses always runs: every refusal of
-its content happens at parse, and prints one line to standard error,
+when --check is combined with --max-degree, or when --check meets a
+document without an expect block.  Every other refusal of a document
+happens at parse, and prints one line to standard error,
 `fracindex: <path>: <reason>`, where <path> names the field at fault (see
 `fracindex.scenarios`).
 """
@@ -72,6 +74,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             scenario = parse_scenario(builtin_scenario_text(args.scenario[len(BUILTIN_PREFIX) :]))
         else:
             scenario = load_scenario(args.scenario)
+        if args.check and scenario.expect is None:
+            raise ScenarioError("expect: missing, and --check needs it")
         results = run(scenario, args.task, args.max_degree)
         text = emit(results, args.format)
     except (ScenarioError, OSError) as exc:

@@ -104,16 +104,15 @@ class ManifoldModel(Frozen):
     check that needs the rewrite system as a whole, termination.
 
     The monomial index (`_index`, its inverse `_monomials`, `_degrees`)
-    holds the unit at 0 and the fundamental monomial at `_fundamental` once
-    built; it and the product table `_products` grow on first use, from
-    caches its own constructor starts.
+    holds the unit at 0 and the fundamental monomial, which the model keeps
+    only as its index `_fundamental`; the index and the product table
+    `_products` grow on first use, from caches its own constructor starts.
     """
 
     __slots__ = (
         "dimension",
         "generators",
         "relations",
-        "fundamental_monomial",
         "orientation",
         "_normal_cache",
         "_products",
@@ -132,15 +131,8 @@ class ManifoldModel(Frozen):
         fundamental_monomial: Monomial,
         orientation: Fraction,
     ) -> None:
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "fundamental_monomial", fundamental_monomial)
-        object.__setattr__(self, "orientation", orientation)
-        for name in ("_normal_cache", "_products", "_images", "_index"):
-            object.__setattr__(self, name, {})
-        object.__setattr__(self, "_monomials", [])
-        object.__setattr__(self, "_degrees", [])
+        # the caches start empty, and `_fundamental` is set once interned
+        super().__init__(dimension, generators, relations, orientation, {}, {}, {}, {}, [], [], None)
         self._check_termination()
         self._intern((0,) * len(generators))
         object.__setattr__(self, "_fundamental", self._intern(fundamental_monomial))

@@ -16,7 +16,7 @@ exponent of the center, so every class stays rational.  Roots of unity
 enter only through `scalars.power_residues`, for every N, N <= 2 included,
 as integer rows; a scalar is built only per emitted or compared moment.
 The exponents k(chi, gamma) are one integer row per element, over the
-symbol's characters, computed once per problem by
+symbol's components in their own order, computed once per problem by
 `groups.bracket_exponents` for both routes below; as k(chi, a*gamma) =
 a*k(chi, gamma) mod N, the table at a*gamma is sigma_a (zeta -> zeta^a)
 of the table at gamma for each unit a mod N.
@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
 from fracindex.cohomology import CohClass, ManifoldModel, _class, _product, monomial_name
@@ -85,20 +85,15 @@ class InternalConsistencyError(RuntimeError):
 
 
 class SymbolData(Frozen):
-    """A symbol presented by its base-reduced classes, one per character of
-    the finite center, in character order; a zero class is dropped.  Each
-    character is reduced and named once, and every class lives on one
-    model: `scenarios._build_symbol` checks `group.contains`, refuses a
-    repeated character, and parses each class on the scenario's model.
-    Its constructor sorts and drops zero classes, a document's too: "x - x"
-    is not the one component `mms_projective` allows."""
+    """A symbol presented by its base-reduced classes: `components` maps a
+    character of the finite center to its class, every class on one model.
+    `scenarios._build_symbol` checks `group.contains`, refuses a repeated
+    character, parses each class on the scenario's model, and drops a zero
+    class, so "x - x" is not the one component `mms_projective` allows.
+    The engine needs neither an order nor the dropped zeros: its sums over
+    the components are exact."""
 
-    __slots__ = ("group", "components")
-
-    def __init__(self, group: FiniteAbelianGroup, components: Mapping[Element, CohClass]) -> None:
-        nonzero = {chi: cls for chi, cls in sorted(components.items()) if not cls.is_zero()}
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "components", nonzero)
+    __slots__ = ("components",)
 
     def __repr__(self):
         return f"SymbolData({len(self.components)} components)"
@@ -137,18 +132,18 @@ class MomentTable(Frozen):
 
 class IndexDistribution(Frozen):
     """The index distribution: one moment table per element of the finite
-    center.  The tables are kept as given, and come in lexicographic
-    exponent order: the engine builds them by `group.elements()`."""
+    center, keyed by that element and kept as given; the engine builds
+    them in lexicographic exponent order, by `group.elements()`."""
 
-    __slots__ = ("group", "tables")
+    __slots__ = ("tables",)
 
     def __eq__(self, other):
         if not isinstance(other, IndexDistribution):
             return NotImplemented
-        return self.group == other.group and self.tables == other.tables
+        return self.tables == other.tables
 
     def __repr__(self):
-        return f"IndexDistribution(over {self.group!r}, {len(self.tables)} tables)"
+        return f"IndexDistribution({len(self.tables)} tables)"
 
 
 class IndexProblem(Frozen):
@@ -157,19 +152,19 @@ class IndexProblem(Frozen):
     square of the tangent a-hat class, all on the model's lazily built
     monomial index.  Monomial images are kept once per model; per problem,
     the direct route's integer matrix M (`_moment_rows`) once per degree
-    bound, `_exponents` the exponent row once per gamma (one int per
-    character in character order, read by both routes), and `_duals`, the
-    integral of each product of two basis monomials, by three `_product`
-    calls, the unit row for each monomial and then the pair: a table per
-    model would outlive a change to the product table, and the entry
-    (m, n) alone misses the unit-row corruptions behind 3 of the 17 catches
-    on CP^6 and 1 of the 42 on CP^16.  Both routes stay in integers over
-    one denominator up to the moment emitted or compared, the direct one
-    from M to `scalars.residue_scalar`.
+    bound, `_exponents` the exponent row once per gamma (one int per symbol
+    component, in the symbol's order, read by both routes), and `_duals`,
+    the integral of each product of two basis monomials, by three
+    `_product` calls, the unit row for each monomial and then the pair: a
+    table per model would outlive a change to the product table, and the
+    entry (m, n) alone misses the unit-row corruptions behind 3 of the 17
+    catches on CP^6 and 1 of the 42 on CP^16.  Both routes stay in integers
+    over one denominator up to the moment emitted or compared, the direct
+    one from M to `scalars.residue_scalar`.
     The symbol is over `group`, every class lives on `model`, and
     generator names are distinct: `scenarios.parse_scenario` reads a run
     on one model and group and refuses a name declared twice.  Its own
-    constructor starts the caches."""
+    constructor starts the caches, and reads no a-hat square as 1."""
 
     __slots__ = (
         "model",
@@ -190,13 +185,7 @@ class IndexProblem(Frozen):
         symbol: SymbolData,
         a_hat_squared: CohClass | None = None,
     ) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "a_hat_squared", a_hat_squared or model.one())
-        for name in ("_row_cache", "_duals", "_exponents"):
-            object.__setattr__(self, name, {})
+        super().__init__(model, group, generators, symbol, a_hat_squared or model.one(), {}, {}, {})
 
     @classmethod
     def with_tangent(
@@ -216,7 +205,7 @@ class IndexProblem(Frozen):
 
     def _bracket_exponents(self, gamma: Sequence[int]) -> list[int]:
         """The exponent row at gamma, k(chi, gamma) per symbol component in
-        character order, by one `bracket_exponents` call on first use; both
+        the symbol's order, by one `bracket_exponents` call on first use; both
         routes read it, so a wrong entry is left to the test oracles."""
         key = tuple(gamma)
         if key not in self._exponents:
@@ -259,7 +248,7 @@ class IndexProblem(Frozen):
         """The direct route's pairings, once per problem and bound: the
         integer matrix M over one denominator, one row per distinct image
         monomial e_i in order of first use, entry chi the integral of u_chi *
-        (a-hat^2 * e_i) in character order.  Row i is one `_pairings` column
+        (a-hat^2 * e_i) in the symbol's order.  Row i is one `_pairings` column
         of a-hat^2 * e_i against the symbol's support monomials, over its d_i,
         dotted with each component's numerators over the lcm of the
         component denominators; M's denominator is that lcm times lcm(d_i)."""
@@ -416,7 +405,7 @@ class IndexProblem(Frozen):
                         f"{demote(Cyclotomic(order, vector, den))!r}"
                     )
             tables[gamma] = direct
-        return IndexDistribution(self.group, tables)
+        return IndexDistribution(tables)
 
     def atiyah_pairing(self, system: WeightSystem, label) -> Fraction:
         """With a trivial center, the pairing of the index distribution
@@ -448,7 +437,6 @@ def dirac_problem(
     dimensional manifold: center of order two, symbol concentrated on the
     nontrivial character with base reduction the inverse a-hat class, so
     the net integrand at the identity is the a-hat class itself."""
-    group = FiniteAbelianGroup([2])
-    symbol = SymbolData(group, {(1,): a_hat(tangent).inverse()})
-    return IndexProblem(model, group, generators, symbol, a_hat_squared(tangent))
+    symbol = SymbolData({(1,): a_hat(tangent).inverse()})
+    return IndexProblem(model, FiniteAbelianGroup((2,)), generators, symbol, a_hat_squared(tangent))
 

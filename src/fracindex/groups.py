@@ -27,15 +27,13 @@ class FiniteAbelianGroup(Frozen):
     """A product of cyclic groups; elements are exponent tuples reduced
     modulo the cyclic orders, whose product is `order` and lcm `exponent`.
     The trivial group has no factors.  The scenario parser refuses an order
-    below 1; its own constructor derives `order` and `exponent`."""
+    below 1; its own constructor derives `order` and `exponent`, and keeps
+    the orders as given."""
 
     __slots__ = ("cyclic_orders", "order", "exponent")
 
-    def __init__(self, cyclic_orders: Iterable[int]) -> None:
-        orders = tuple(cyclic_orders)
-        object.__setattr__(self, "cyclic_orders", orders)
-        object.__setattr__(self, "order", math.prod(orders))
-        object.__setattr__(self, "exponent", math.lcm(*orders))
+    def __init__(self, cyclic_orders: Sequence[int]) -> None:
+        super().__init__(cyclic_orders, math.prod(cyclic_orders), math.lcm(*cyclic_orders))
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -51,11 +49,6 @@ class FiniteAbelianGroup(Frozen):
     def elements(self) -> list[Element]:
         """All elements in lexicographic exponent order."""
         return list(itertools.product(*(range(n) for n in self.cyclic_orders)))
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteAbelianGroup):
-            return NotImplemented
-        return self.cyclic_orders == other.cyclic_orders
 
     def __repr__(self):
         if not self.cyclic_orders:

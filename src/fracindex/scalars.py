@@ -41,8 +41,9 @@ class Frozen:
     """Base of the package's immutable value classes.  A record lists its
     fields in `__slots__` and writes no __init__: this one stores one
     argument per slot, in order and as given (the caller converts), and
-    raises TypeError on the wrong count.  A class that derives, filters or
-    caches writes its own and says why.  Assignment and deletion raise
+    raises TypeError on the wrong count.  A class that derives or caches
+    writes its own, says why, and computes only those values before one
+    call of this one stores every field.  Assignment and deletion raise
     AttributeError.  Records are not dataclasses: importing them loads
     `inspect` (+0.95 MiB peak RSS per benchmark run), and on Python 3.11 a
     frozen slotted dataclass raises TypeError when a non-field is set."""

@@ -19,7 +19,9 @@ JSON value that is not an object.
 
 The same document shape is used for the built-in scenarios, for user
 files, and for the optional "expect" blocks that turn any scenario into a
-regression check.  Every integer field takes a JSON integer only: a
+regression check.  An object holds only the keys the parser reads (a
+task those of its op): any other key, a misspelt one included, is
+refused, not ignored.  Every integer field takes a JSON integer only: a
 float, a bool or a digit string is refused, never truncated or read.
 `bundles[i].tangent` takes a JSON bool, so "false" is refused, not read
 as true; every name, `group.weight_kind`, relation side and fundamental
@@ -31,11 +33,12 @@ generator name, `manifold.generators[i].name` or
 grammar (`cohomology.is_generator_name`): a letter or "_", then word
 characters.  Moment keys are written from invariant generator names, so
 "E^2", which would print as a power of "E", and "" are refused.  Bundles
-used as tangent data must declare roots, Chern or Pontryagin classes.  An
-`mms_projective` task needs a symbol on exactly one character with a
-nonzero class, the trivial one included.  An `atiyah_pairing` label under
-`group.weight_kind` "torus" is a list of as many ints as the weight system
-has coordinates, or an int when it has one.
+used as tangent data must declare roots, Chern or Pontryagin classes.  A
+symbol class that parses to zero is dropped, the rest kept in character
+order, and an `mms_projective` task needs a symbol on exactly one
+character with a nonzero class, the trivial one included.  An
+`atiyah_pairing` label under `group.weight_kind` "torus" is a list of as
+many ints as the weight system has coordinates, or an int when it has one.
 
 Four caps keep every document's run bounded:
 
@@ -213,6 +216,16 @@ def _pairs(value: Any, path: str, shape: str) -> list[list]:
     return value
 
 
+def _known(spec: Mapping[str, Any], path: str, keys: Sequence[str]) -> None:
+    """Refuse the first key of the object at `path` ("" for the document)
+    that the parser does not read: a misspelt key would otherwise be
+    ignored, and the value it meant to set left at its default."""
+    for key in spec:
+        if key not in keys:
+            field = f"{path}.{key}" if path else key
+            raise ScenarioError(f"{field}: unknown key; the keys read here are {', '.join(keys)}")
+
+
 def _objects(value: Any, path: str) -> list[dict]:
     for index, item in enumerate(_list(value, path)):
         if not isinstance(item, dict):
@@ -244,6 +257,7 @@ def _homogeneous(cls: CohClass, path: str, degree: int) -> CohClass:
 def _build_manifold(spec: Mapping[str, Any]) -> ManifoldModel:
     if not isinstance(spec, dict):
         raise ScenarioError(f"manifold: expected an object, got {spec!r}")
+    _known(spec, "manifold", ("dimension", "generators", "relations", "fundamental"))
     dimension = _need(spec, "manifold.dimension", _int)
     path = "manifold.generators"
     generators = [
@@ -284,21 +298,23 @@ def _build_bundles(
     parsed: dict[str, CohClass] = {}  # each distinct root or class text, parsed once
     for index, spec in enumerate(_objects(specs, "bundles")):
         path = f"bundles[{index}]"
+        _known(spec, path, ("name", "rank", "chern_roots", "chern", "pontryagin", "tangent"))
         name = _need(spec, f"{path}.name", _str)
         if name in bundles:
             raise ScenarioError(f"{path}.name: bundle {name!r} declared twice")
         rank = _need(spec, f"{path}.rank", _int)
         if rank < 0:
             raise ScenarioError(f"{path}.rank: negative rank {rank}")
-        data: dict[str, list[CohClass]] = {}
+        data: dict[str, tuple[CohClass, ...]] = {}
         for key, first, step in _BUNDLE_CLASSES:
             if key in spec:
-                data[key] = []
+                classes = []
                 for j, text in enumerate(_list(spec[key], f"{path}.{key}")):
                     field = f"{path}.{key}[{j}]"
                     if not isinstance(text, str) or text not in parsed:
                         parsed[text] = _expression(text, field, model)
-                    data[key].append(_homogeneous(parsed[text], field, first + step * j))
+                    classes.append(_homogeneous(parsed[text], field, first + step * j))
+                data[key] = tuple(classes)
         roots, chern = data.get("chern_roots"), data.get("chern")
         if roots is not None and len(roots) != rank:
             raise ScenarioError(f"{path}.chern_roots: {len(roots)} roots for rank {rank}")
@@ -338,6 +354,7 @@ def _build_group_block(
 ) -> tuple[FiniteAbelianGroup, tuple[InvariantGeneratorDecl, ...], WeightSystem | None]:
     if not isinstance(spec, dict):
         raise ScenarioError(f"group: expected an object, got {spec!r}")
+    _known(spec, "group", ("cyclic_orders", "invariant_generators", "weight_kind", "weight_system"))
     orders = _int_list(spec.get("cyclic_orders", []), "group.cyclic_orders")
     for index, order in enumerate(orders):
         if order < 1:
@@ -359,6 +376,7 @@ def _build_group_block(
         _objects(spec.get("invariant_generators", []), "group.invariant_generators")
     ):
         path = f"group.invariant_generators[{index}]"
+        _known(gen_spec, path, ("name", "s_degree", "image"))
         name = _need(gen_spec, f"{path}.name", _str)
         if not is_generator_name(name):
             raise ScenarioError(f"{path}.name: not a name expressions can read, got {name!r}")
@@ -376,6 +394,8 @@ def _build_group_block(
         raise ScenarioError(f'group.weight_kind: expected "torus" or "su2", got {kind!r}')
     path = "group.weight_system"
     entries = _objects(spec.get("weight_system", []), path)
+    for i, entry in enumerate(entries):
+        _known(entry, f"{path}[{i}]", ("weight", "line_class"))
     if not entries:
         return group, tuple(generators), None
     weights = [_need(entry, f"{path}[{i}].weight", _int_list) for i, entry in enumerate(entries)]
@@ -408,6 +428,7 @@ def _build_symbol(
     components: dict[tuple[int, ...], CohClass] = {}
     for index, spec in enumerate(_objects(specs, "symbol")):
         path = f"symbol[{index}]"
+        _known(spec, path, ("character", "class"))
         character = _need(spec, f"{path}.character", _int_list)
         if not group.contains(character):
             raise ScenarioError(
@@ -416,7 +437,7 @@ def _build_symbol(
         if character in components:
             raise ScenarioError(f"{path}.character: {list(character)} declared twice")
         components[character] = _need(spec, f"{path}.class", _expression, model)
-    return SymbolData(group, components)
+    return SymbolData({chi: u for chi, u in sorted(components.items()) if not u.is_zero()})
 
 
 def _check_gamma(scenario: Scenario, task: dict, path: str) -> None:
@@ -499,6 +520,9 @@ _OPS: dict[str, tuple[tuple[Callable, ...], Callable]] = {
         (_check_label,), lambda s, p, task, b: p.atiyah_pairing(s.weight_system, task["lambda"])
     ),
 }
+#: The task key each check reads: a task holds "op" and its checks' keys.
+_KEYS = {_check_gamma: "gamma", _check_bound: "max_degree",
+         _check_tangent: "tangent", _check_label: "lambda"}
 
 
 def _check_max_degree(value: Any, path: str, cap: int) -> None:
@@ -538,6 +562,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("parse error: the document is nested too deeply") from None
     if not isinstance(document, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _known(document, "", ("name", "manifold", "bundles", "group", "symbol", "tasks", "expect"))
 
     name = _str(document.get("name", "unnamed"), "name")
     model = _build_manifold(_need(document, "manifold"))
@@ -555,12 +580,14 @@ def parse_scenario(text: str) -> Scenario:
         symbol, tuple(tasks), expect,
     )
     for index, task in enumerate(scenario.tasks):
-        op = _need(task, f"tasks[{index}].op")
+        path = f"tasks[{index}]"
+        op = _need(task, f"{path}.op")
         if not isinstance(op, str) or op not in _OPS:
-            raise ScenarioError(f"tasks[{index}].op: unknown task op {op!r}")
+            raise ScenarioError(f"{path}.op: unknown task op {op!r}")
         checks, _ = _OPS[op]
+        _known(task, path, ("op", *[_KEYS[check] for check in checks if check in _KEYS]))
         for check in checks:
-            check(scenario, task, f"tasks[{index}]")
+            check(scenario, task, path)
     return scenario
 
 

@@ -45,7 +45,7 @@ def projective_tangent(model: ManifoldModel) -> BundleData:
     equal to the generator of each CP^n factor."""
     roots = [
         parse_expression(name, model)
-        for name, n in zip(model.names, model.fundamental_monomial)
+        for name, n in zip(model.names, model._monomials[model._fundamental])
         for _ in range(n + 1)
     ]
     return BundleData("T", len(roots), roots=roots, model=model)
@@ -377,10 +377,12 @@ def oracle_integrate(decl, a: dict) -> Fraction:
 
 
 def declaration(model: ManifoldModel) -> tuple:
-    """A model's plain declaration, read from its declared fields alone:
-    neither its product table nor its monomial index."""
+    """A model's plain declaration, read from its declared fields and the
+    fundamental monomial its constructor interns: neither its product
+    table nor its normal forms."""
     degrees = [degree for _, degree in model.generators]
-    return model.dimension, degrees, model.relations, model.fundamental_monomial, model.orientation
+    fundamental = model._monomials[model._fundamental]
+    return model.dimension, degrees, model.relations, fundamental, model.orientation
 
 
 def oracle_product(model: ManifoldModel, a: dict, b: dict) -> dict:

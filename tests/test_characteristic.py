@@ -315,7 +315,7 @@ def test_bundle_rejects_chern_root_mismatch(cp2):
 
 def test_bundle_accepts_consistent_chern_and_roots(cp2):
     x = parse_expression("x", cp2)
-    bundle = BundleData("ok", 2, roots=[x, x], chern=[x * 2, x * x], model=cp2)
+    bundle = BundleData("ok", 2, roots=(x, x), chern=(x * 2, x * x), model=cp2)
     assert bundle.chern == (x * 2, x * x)
 
 

@@ -110,6 +110,17 @@ def test_expectation_mismatch_exits_1(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+def test_check_without_an_expect_block_exits_2(tmp_path, capsys):
+    # with no block to compare, --check once printed the results and passed
+    document = json.loads(builtin_scenario_text("point_trivial"))
+    del document["expect"]
+    path = tmp_path / "unchecked.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", str(path), "--check"]) == 2
+    assert capsys.readouterr() == ("", "fracindex: expect: missing, and --check needs it\n")
+    assert main(["run", str(path)]) == 0
+
+
 @pytest.mark.parametrize("format", ["human", "machine"])
 def test_check_fails_on_a_fault_in_the_table_writer(format, monkeypatch, capsys):
     # --check compares the expect block with the printed machine text: a

@@ -812,7 +812,7 @@ def test_declaration_text_is_bounded_by_dimension_plus_generator_degree():
 
 def test_a_zero_term_is_no_term_of_a_declaration():
     model = build_model(4, [("x", 2)], [("0 + x^3", "0")], ("0 + x^2", 1))
-    assert model.relations == {0: (3, {})} and model.fundamental_monomial == (2,)
+    assert model.relations == {0: (3, {})} and model._monomials[model._fundamental] == (2,)
     with pytest.raises(ModelError, match=r"relations\[0\]\.lhs: must be a single monomial, got '0'"):
         build_model(4, [("x", 2)], [("0", "0")], ("x^2", 1))
 

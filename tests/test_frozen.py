@@ -14,6 +14,7 @@ from fracindex.cohomology import parse_expression
 from fracindex.groups import InvariantGeneratorDecl, WeightSystem
 from fracindex.scalars import Cyclotomic, Frozen
 from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
+from test_no_test_only_api import _package_classes
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +40,16 @@ def instances() -> dict[str, object]:
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "BundleData", "CohClass", "Cyclotomic", "FiniteAbelianGroup", "IndexDistribution",
-        "IndexProblem", "InvariantGeneratorDecl", "ManifoldModel", "MomentTable",
-        "Scenario", "SymbolData", "TaskResult", "WeightSystem",
-    ],
+#: Every Frozen subclass the package defines: a new one fails below until
+#: the fixture holds an instance of it.
+FROZEN_CLASSES = sorted(
+    cls.__name__ for cls in _package_classes() if issubclass(cls, Frozen) and cls is not Frozen
 )
+
+
+@pytest.mark.parametrize("name", FROZEN_CLASSES)
 def test_value_class_rejects_assignment(instances, name):
+    assert name in instances, f"the instances fixture has no {name}"
     value = instances[name]
     assert type(value).__name__ == name
     assert isinstance(value, Frozen)

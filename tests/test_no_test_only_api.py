@@ -1,7 +1,8 @@
 """No API exists only for its own tests: every function, method and class
 of the package is used by the package, the benchmark or the console script,
-and every arithmetic, equality or hash operator of a package class is
-called when the package does its own work.
+every arithmetic, equality or hash operator of a package class is called
+when the package does its own work, and every field of a package class is
+read then or shown by its class's own __repr__.
 
 Definitions are checked by name over the syntax trees: a definition is
 used when its name is loaded, read as an attribute or imported in
@@ -14,8 +15,12 @@ attribute: each of OPERATORS that a package class defines in its own
 namespace (so an alias such as `__radd__ = __add__` counts on its own) is
 wrapped with a counter, and the built-in scenarios, the benchmark
 workloads with their checks, and one document declaring its tangent
-bundle by both roots and Chern classes must call every one.  The benchmark
-files are read and executed here, never imported from or written to.
+bundle by both roots and Chern classes must call every one.  Fields are
+checked over the same runs: each `__slots__` entry of a package class is
+replaced by a descriptor that counts reads and passes reads and writes to
+the slot, and a field no run reads must be an attribute of self that the
+class's own __repr__ reads.  The benchmark files are read and executed
+here, never imported from or written to.
 """
 
 from __future__ import annotations
@@ -120,18 +125,10 @@ def _run_checked(text: str) -> None:
     assert scenarios.check_expectations(scenario, results) == []
 
 
-def test_every_operator_is_reached_outside_the_tests(monkeypatch):
-    counts: Counter = Counter()
-    wrapped = []
-    for cls in _package_classes():
-        for name in OPERATORS:
-            function = vars(cls).get(name)
-            if function is not None:  # __hash__ is None beside an __eq__ alone
-                key = f"{cls.__name__}.{name}"
-                monkeypatch.setattr(cls, name, _counting(counts, key, function))
-                wrapped.append(key)
-    assert wrapped
-
+def _run_the_package() -> None:
+    """The runs both guards watch: the built-in scenarios, the benchmark
+    workloads with their checks, and one document declaring its tangent
+    bundle by both roots and Chern classes, so both genus routes run."""
     for name in scenarios.BUILTIN_SCENARIOS:
         _run_checked(scenarios.builtin_scenario_text(name))
     workloads = _load_workloads()
@@ -143,5 +140,66 @@ def test_every_operator_is_reached_outside_the_tests(monkeypatch):
     both["bundles"][0]["chern"] = ["3*x", "3*x^2"]
     _run_checked(json.dumps(both))
 
+
+def test_every_operator_is_reached_outside_the_tests(monkeypatch):
+    counts: Counter = Counter()
+    wrapped = []
+    for cls in _package_classes():
+        for name in OPERATORS:
+            function = vars(cls).get(name)
+            if function is not None:  # __hash__ is None beside an __eq__ alone
+                key = f"{cls.__name__}.{name}"
+                monkeypatch.setattr(cls, name, _counting(counts, key, function))
+                wrapped.append(key)
+    assert wrapped
+    _run_the_package()
     unreached = [key for key in wrapped if not counts[key]]
     assert not unreached, f"operators of src/fracindex/ that no package run calls: {unreached}"
+
+
+class _CountedSlot:
+    """A slot descriptor that counts reads and passes them and writes to the
+    slot it wraps; a setter bound before the wrap writes the slot itself."""
+
+    def __init__(self, slot, counts: Counter, key: str) -> None:
+        self.slot, self.counts, self.key = slot, counts, key
+
+    def __get__(self, obj, owner=None):
+        if obj is not None:
+            self.counts[self.key] += 1
+        return self.slot.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        self.slot.__set__(obj, value)
+
+
+def _repr_fields() -> set[str]:
+    """"Class.field" for each attribute of self that a class's own
+    __repr__ reads."""
+    shown = set()
+    for _, tree in _trees(PACKAGE):
+        for cls in [node for node in tree.body if isinstance(node, ast.ClassDef)]:
+            for function in cls.body:
+                if isinstance(function, ast.FunctionDef) and function.name == "__repr__":
+                    shown.update(
+                        f"{cls.name}.{node.attr}"
+                        for node in ast.walk(function)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    )
+    return shown
+
+
+def test_every_field_is_read_outside_the_tests(monkeypatch):
+    counts: Counter = Counter()
+    fields = []
+    for cls in _package_classes():
+        for name in vars(cls).get("__slots__", ()):
+            key = f"{cls.__name__}.{name}"
+            monkeypatch.setattr(cls, name, _CountedSlot(vars(cls)[name], counts, key))
+            fields.append(key)
+    assert fields
+    _run_the_package()
+    unread = [key for key in fields if not counts[key] and key not in _repr_fields()]
+    assert not unread, f"fields of src/fracindex/ that no package run reads: {unread}"

@@ -189,7 +189,6 @@ def _results(draw):
         tables,
         st.builds(
             IndexDistribution,
-            st.just(group),
             st.dictionaries(st.sampled_from(group.elements()), tables, max_size=2),
         ),
         _SCALARS,
@@ -211,9 +210,7 @@ _SHARED_KEYS = [
     _moments(1, MomentTable((1,), ("E",), {(1,): Fraction(2)})),
     _moments(
         2,
-        IndexDistribution(
-            FiniteAbelianGroup([2]), {(0,): MomentTable((0,), ("P1",), {(1,): Fraction(3)})}
-        ),
+        IndexDistribution({(0,): MomentTable((0,), ("P1",), {(1,): Fraction(3)})}),
     ),
 ]
 

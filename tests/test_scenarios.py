@@ -183,11 +183,35 @@ _REJECTED_DOCUMENTS = [
     ("class_not_string", _CP2, lambda d: d["symbol"][0].update({"class": 5}),
      "symbol[0].class: expected an expression string"),
     # json.dumps writes the constants NaN and Infinity, which JSON lacks;
-    # an unknown task key would echo them into the machine output
+    # the JSON reader refuses them before any key is read
     ("nan_constant", _CP2, lambda d: d["tasks"][0].update(extra=float("nan")),
      "parse error: 'NaN' is not a finite number"),
     ("infinity_constant", _CP2, lambda d: d["tasks"][0].update(extra=-float("inf")),
      "parse error: '-Infinity' is not a finite number"),
+    # a key the parser does not read, at each level of the document
+    ("unknown_document_key", _CP2, lambda d: d.update(expected=d.pop("expect")),
+     "expected: unknown key; the keys read here are name, manifold, bundles, group, symbol, "
+     "tasks, expect"),
+    ("unknown_manifold_key", _CP2, lambda d: d["manifold"].update(relation=d["manifold"].pop("relations")),
+     "manifold.relation: unknown key; the keys read here are dimension, generators, relations, "
+     "fundamental"),
+    ("unknown_bundle_key", _CP2, lambda d: d["bundles"][0].update(rnak=3),
+     "bundles[0].rnak: unknown key; the keys read here are name, rank, chern_roots, chern, "
+     "pontryagin, tangent"),
+    ("unknown_group_key", _CP2, lambda d: d["group"].update(weight_knd="su2"),
+     "group.weight_knd: unknown key; the keys read here are cyclic_orders, invariant_generators, "
+     "weight_kind, weight_system"),
+    ("unknown_generator_key", _CP2, lambda d: d["group"]["invariant_generators"][1].update(sdegree=2),
+     "group.invariant_generators[1].sdegree: unknown key; the keys read here are name, s_degree, "
+     "image"),
+    ("unknown_weight_key", _HOPF, lambda d: d["group"]["weight_system"][0].update(line_clas="x"),
+     "group.weight_system[0].line_clas: unknown key; the keys read here are weight, line_class"),
+    ("unknown_symbol_key", _CP2, lambda d: d["symbol"][0].update(characters=[1]),
+     "symbol[0].characters: unknown key; the keys read here are character, class"),
+    ("unknown_task_key", _CP2, lambda d: d["tasks"][2].update(max_degre=0),
+     "tasks[2].max_degre: unknown key; the keys read here are op, gamma, max_degree"),
+    ("misspelt_tangent", _CP2, lambda d: d["tasks"][3].update(tangnet="TM"),
+     "tasks[3].tangnet: unknown key; the keys read here are op, max_degree, tangent"),
     # manifold
     ("odd_dimension", _CP2, lambda d: d["manifold"].update(dimension=3),
      "manifold.dimension: must be even and nonnegative, got 3"),
@@ -384,7 +408,7 @@ def test_every_check_a_document_reaches_raises_scenario_error(name, edit, messag
 
 
 def test_a_zero_symbol_component_is_dropped_before_the_single_character_check():
-    # "x - x" parses to the zero class, which SymbolData drops: the
+    # "x - x" parses to the zero class, which the parser drops: the
     # document is the built-in's own, and mms_projective accepts it
     text = _builtin_with(lambda d: d["symbol"].append({"character": [2], "class": "x - x"}), _GAMMA4)
     scenario = parse_scenario(text)
@@ -817,19 +841,18 @@ def _with_tasks(name, tasks):
 
 
 def test_the_human_format_writes_cyclotomic_scalars_and_the_label_suffix():
-    # a scalar result is suffixed by its task's gamma, or by its lambda
-    # when the task has both
+    # a scalar result is suffixed by its task's gamma, or by its lambda on
+    # atiyah_pairing; a task with both holds a key its op does not read,
+    # which parse refuses, so no label can name a value the op never used
     results = _with_tasks(
         "gamma4_character_sum",
         [
             {"op": "fractional_index", "gamma": [1]},
             {"op": "fractional_index", "gamma": [3]},
             {"op": "moments", "gamma": [2]},
-            {"op": "fractional_index", "gamma": [1], "lambda": "x"},
         ],
     ) + _with_tasks(
-        "hopf_riemann_roch",
-        [{"op": "atiyah_pairing", "lambda": [2]}, {"op": "atiyah_pairing", "lambda": 1, "gamma": []}],
+        "hopf_riemann_roch", [{"op": "atiyah_pairing", "lambda": [2]}, {"op": "atiyah_pairing", "lambda": 1}]
     )
     assert emit(results, "human").splitlines() == [
         "scenario: gamma4_character_sum",
@@ -837,11 +860,12 @@ def test_the_human_format_writes_cyclotomic_scalars_and_the_label_suffix():
         "[1] fractional_index gamma=(3) = cyclotomic(order=4, [0, -1])",
         "[2] moments gamma=(2)",
         "  1  -1",
-        "[3] fractional_index lambda=x = cyclotomic(order=4, [0, 1])",
         "scenario: hopf_riemann_roch",
         "[0] atiyah_pairing lambda=[2] = 3",
         "[1] atiyah_pairing lambda=1 = 2",
     ]
+    with pytest.raises(ScenarioError, match=r"^tasks\[0\]\.lambda: unknown key"):
+        _with_tasks("gamma4_character_sum", [{"op": "fractional_index", "gamma": [1], "lambda": "x"}])
 
 
 @pytest.mark.parametrize("format", ["Machine", "json", ""])
@@ -852,11 +876,10 @@ def test_emit_refuses_a_format_other_than_human_or_machine(format):
         emit(results, format)
 
 
-def test_the_human_format_reads_no_gamma_a_lambda_overrides():
-    # atiyah_pairing reads no gamma, so parse leaves an extra one unchecked;
-    # rendering it anyway once raised TypeError on an int
-    results = _with_tasks("hopf_riemann_roch", [{"op": "atiyah_pairing", "lambda": 0, "gamma": 5}])
-    assert emit(results, "human").splitlines() == [
-        "scenario: hopf_riemann_roch",
-        "[0] atiyah_pairing lambda=0 = 1",
-    ]
+def test_an_extra_gamma_on_atiyah_pairing_is_refused_at_parse():
+    # atiyah_pairing reads no gamma; an extra int one once reached the human
+    # renderer unchecked and raised TypeError there
+    with pytest.raises(
+        ScenarioError, match=r"^tasks\[0\]\.gamma: unknown key; the keys read here are op, lambda$"
+    ):
+        _with_tasks("hopf_riemann_roch", [{"op": "atiyah_pairing", "lambda": 0, "gamma": 5}])
