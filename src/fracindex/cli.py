@@ -10,7 +10,8 @@ nothing run).  --max-degree D overrides the moment cutoff of every
 moment-producing task; D must lie in 0..dimension // 2.  With --check,
 the document's expect block is compared against the results and each
 mismatch is written to standard error; a document without an expect
-block, where nothing would be compared, is refused (exit 2, nothing run).
+block, or whose every expect entry is null, where nothing would be
+compared, is refused (exit 2, nothing run).
 The expect block holds each task's result at the task's own cutoff, so
 --check and --max-degree are refused together (exit 2, nothing run)
 rather than compared at a cutoff the block was not recorded at.
@@ -19,10 +20,10 @@ Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
 scenario cannot be read, parsed or written (a result too long to write
 included), when --task selects no task, when --max-degree is out of range,
 when --check is combined with --max-degree, or when --check meets a
-document without an expect block.  Every other refusal of a document
-happens at parse, and prints one line to standard error,
-`fracindex: <path>: <reason>`, where <path> names the field at fault (see
-`fracindex.scenarios`).
+document without an expect block or with every expect entry null.  Every
+other refusal of a document happens at parse, and prints one line to
+standard error, `fracindex: <path>: <reason>`, where <path> names the
+field at fault (see `fracindex.scenarios`).
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             scenario = load_scenario(args.scenario)
         if args.check and scenario.expect is None:
             raise ScenarioError("expect: missing, and --check needs it")
+        if args.check and all(entry is None for entry in scenario.expect):
+            raise ScenarioError("expect: every entry is null, so --check has nothing to compare")
         results = run(scenario, args.task, args.max_degree)
         text = emit(results, args.format)
     except (ScenarioError, OSError) as exc:

@@ -24,11 +24,13 @@ denominator (1 for integral relations), the multiplication table of the
 quotient algebra (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2
 section 4).  Each normal form is computed once and shared by every pair
 with that product; a product that vanishes has a dead entry that the
-kernel skips.  The table is filled as pairs are first multiplied, never by
-walking the basis, and is keyed by ordered pairs: the engine's two routes
-associate products differently, so its cross-check reads different
-entries; a class is built from raw terms through the unit row.  Roots of
-unity never enter a class.
+kernel skips, an integral entry (d = 1) adds its numerators with no
+rescale, and a result is filtered for zeros only when a sum cancelled.
+The table is filled as pairs are first multiplied, never by walking the
+basis, and is keyed by ordered pairs: the engine's two routes associate
+products differently, so its cross-check reads different entries; a class
+is built from raw terms through the unit row.  Roots of unity never enter
+a class.
 
 Validation never walks the raw monomials: `_check_termination` searches
 the rewrite graph of the relations with a nonzero right side for a cycle,
@@ -426,7 +428,9 @@ def _product(model: ManifoldModel, a: dict, b: dict) -> tuple[dict[int, int], in
     that rational structure constants bring (1 when they are integral).
     Row i of the table maps j to the normal form of e_i * e_j, filled on
     first use; a pair whose product vanishes, above the dimension or by
-    the relations, keeps the dead entry (), which the kernel skips."""
+    the relations, keeps the dead entry (), which the kernel skips.  An
+    integral entry needs no rescale of the sum so far, and the zeros of
+    cancelled sums are dropped in one pass only when there are any."""
     table, monomials, out, scale = model._products, model._monomials, {}, 1
     for i, c1 in a.items():
         row = table.get(i) or table.setdefault(i, {})
@@ -436,14 +440,14 @@ def _product(model: ManifoldModel, a: dict, b: dict) -> tuple[dict[int, int], in
                 entry = row[j] = model.normal_form(tuple(map(add, monomials[i], monomials[j])))
             if entry:
                 d, pairs = entry
-                if scale % d:
+                if d != 1 and scale % d:
                     grow = d // math.gcd(scale, d)
                     out = {m: v * grow for m, v in out.items()}
                     scale *= grow
-                c = c1 * c2 * (scale // d)
+                c = c1 * c2 * (scale if d == 1 else scale // d)
                 for m, n in pairs:
                     out[m] = out.get(m, 0) + c * n
-    return {m: v for m, v in out.items() if v}, scale
+    return (out if all(out.values()) else {m: v for m, v in out.items() if v}), scale
 
 
 def _reduced(model: ManifoldModel, raw: dict, den: int, out: CohClass | None = None) -> CohClass:
@@ -489,10 +493,15 @@ def _class(model: ManifoldModel, num: dict, den: int, out: CohClass | None = Non
     num, den = _lowest(num, den)
     if out is None:
         out = object.__new__(CohClass)
-    object.__setattr__(out, "model", model)
-    object.__setattr__(out, "numerators", num)
-    object.__setattr__(out, "denominator", den)
+    _set_model(out, model)
+    _set_numerators(out, num)
+    _set_denominator(out, den)
     return out
+
+
+_set_model, _set_numerators, _set_denominator = (
+    CohClass.model.__set__, CohClass.numerators.__set__, CohClass.denominator.__set__
+)
 
 
 def class_sum(classes: Sequence[CohClass]) -> CohClass:

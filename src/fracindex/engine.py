@@ -34,15 +34,17 @@ compares them exactly:
   into one scalar; every other table of the orbit is sigma_a of those
   values;
 - recombined, (a-hat^2 * u) * image: each a-hat^2 * u_chi is paired at the
-  identity with each distinct image monomial, and each key's image
-  coefficients combine those pairings into one integer column per key over
-  one denominator, entry chi; per gamma, the numerators of the brackets
-  zeta_N^k(chi, gamma) form deg Phi_N integer rows over the characters,
-  and each key's vector of length deg Phi_N is deg Phi_N dot products of
-  those rows with its column.  The vector is compared with the direct
-  moment times the column denominator: in integers when the direct moment
-  is rational, otherwise as one Cyclotomic sum tested for zero,
-  expected * -den + vector, three constructions.
+  identity with each distinct image monomial, one reduced integer column
+  per image monomial, entry chi; a key's image coefficients scale those
+  columns, and combine them over a common denominator only for an image of
+  several terms, into one column per key in lowest terms, by one gcd; per
+  gamma, the numerators of the brackets zeta_N^k(chi, gamma) form deg
+  Phi_N integer rows over the characters, and each key's vector of length
+  deg Phi_N is deg Phi_N dot products of those rows with its column.  The
+  vector is compared with the direct moment times the column denominator:
+  in integers when the direct moment is rational, otherwise as one
+  Cyclotomic sum tested for zero, expected * -den + vector, three
+  constructions.
 
 A zero-image key is combined on neither route: it reads no product-table
 entry, so it is the exact 0 in both.
@@ -329,21 +331,29 @@ class IndexProblem(Frozen):
 
     def _character_columns(self, max_degree: int) -> dict[MomentKey, tuple[list[int], int]]:
         """The identity-route pairings: each a-hat^2 * u_chi paired once with
-        each distinct image monomial, and one integer column per nonzero-
-        image key, in graded order, whose entry j is the key's image
-        coefficients times the j-th component's pairings, over one
-        denominator in lowest terms.  All rational."""
+        each distinct image monomial, entry j of that monomial's column the
+        j-th component's pairing, reduced once per monomial, and one integer
+        column per nonzero-image key, in graded order, over one denominator
+        in lowest terms: the monomial's column times n over den * image_den
+        for an image n * e_i, else the image's columns summed over the lcm
+        of their denominators.  All rational."""
         images = [(k, list(im.items()), d) for k, im, d in self._monomial_images(max_degree) if im]
         targets = list(dict.fromkeys([i for _, image, _ in images for i, _ in image]))
         square, components = self.a_hat_squared, self.symbol.components.values()
         pairings = [self._pairings(square * u_chi, targets) for u_chi in components]
-        by_target = {i: [p[j] for p, _ in pairings] for j, i in enumerate(targets)}
+        by_target = {i: _column([(p[j], d) for p, d in pairings]) for j, i in enumerate(targets)}
         columns = {}
         for key, ((i, n), *image), image_den in images:
-            column = [n * p for p in by_target[i]]
+            column, den = by_target[i]
+            column = [n * p for p in column]
             for i, n in image:
-                column = [c + n * p for c, p in zip(column, by_target[i])]
-            columns[key] = _column([(c, d * image_den) for c, (_, d) in zip(column, pairings)])
+                target, d = by_target[i]
+                lcm = math.lcm(den, d)
+                a, b = lcm // den, n * (lcm // d)
+                column, den = [a * c + b * p for c, p in zip(column, target)], lcm
+            den *= image_den
+            g = math.gcd(den, *column)
+            columns[key] = ([c // g for c in column], den // g) if g != 1 else (column, den)
         return columns
 
     def full_distribution(self, max_degree: int | None = None) -> IndexDistribution:

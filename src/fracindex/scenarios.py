@@ -10,7 +10,8 @@ that text with the expect block, vouches for both formats.
 
 Every ScenarioError a document causes starts with the path of the field at
 fault, then ": " and the reason, as in `bundles[0].rank: negative rank -1`.
-A path is the document's keys joined by "." with list positions as [i];
+A path is the document's keys joined by "." with list positions as [i],
+and an unknown key that is not one name token quoted, as ["relations.x"];
 the two entries of a pair are named, `manifold.generators[i].name` and
 `.degree`, `manifold.relations[i].lhs` and `.rhs`.  A path may end in a
 key the document lacks only when the reason says it is missing.  Two
@@ -219,10 +220,15 @@ def _pairs(value: Any, path: str, shape: str) -> list[list]:
 def _known(spec: Mapping[str, Any], path: str, keys: Sequence[str]) -> None:
     """Refuse the first key of the object at `path` ("" for the document)
     that the parser does not read: a misspelt key would otherwise be
-    ignored, and the value it meant to set left at its default."""
+    ignored, and the value it meant to set left at its default.  A key
+    that is not one name token (`is_generator_name`) is quoted, as in
+    manifold["relations.x"], so the path names no field that is not there."""
     for key in spec:
         if key not in keys:
-            field = f"{path}.{key}" if path else key
+            if is_generator_name(key):
+                field = f"{path}.{key}" if path else key
+            else:
+                field = f"{path}[{encode_basestring_ascii(key)}]"
             raise ScenarioError(f"{field}: unknown key; the keys read here are {', '.join(keys)}")
 
 

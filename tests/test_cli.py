@@ -121,6 +121,19 @@ def test_check_without_an_expect_block_exits_2(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
 
 
+def test_check_with_every_expect_entry_null_exits_2(tmp_path, capsys):
+    # a block of nulls compares nothing, so --check once passed it
+    document = json.loads(builtin_scenario_text("point_trivial"))
+    document["expect"] = [None] * len(document["tasks"])
+    path = tmp_path / "all_null.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", str(path), "--check"]) == 2
+    assert capsys.readouterr() == (
+        "", "fracindex: expect: every entry is null, so --check has nothing to compare\n"
+    )
+    assert main(["run", str(path)]) == 0
+
+
 @pytest.mark.parametrize("format", ["human", "machine"])
 def test_check_fails_on_a_fault_in_the_table_writer(format, monkeypatch, capsys):
     # --check compares the expect block with the printed machine text: a

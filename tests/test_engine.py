@@ -16,6 +16,7 @@ from fracindex.engine import (
     IndexProblem,
     InternalConsistencyError,
     SymbolData,
+    _column,
     dirac_problem,
 )
 from fracindex.groups import (
@@ -528,25 +529,49 @@ def test_full_distribution_matches_bracket_oracle(cyclic_orders, seed):
             _assert_matches_oracle(problem, gamma, key, value)
 
 
-@pytest.mark.parametrize("cyclic_orders", [[2], [5], [6, 4]])
-def test_multi_term_images_match_bracket_oracle(cyclic_orders):
-    # on CP^2 x CP^1 the images of L = x + y and Q = x^2 - 3xy have several
-    # monomials, so a key's numerators combine several rows of M
+def _multi_term_problem(cyclic_orders, images, seed=23):
+    """CP^2 x CP^1 with its a-hat square, generators L and Q of s_degrees 1
+    and 2 with the given image texts, and random rational components on
+    the first three elements of the group."""
     model = projective_model(x=2, y=1)
     group = FiniteAbelianGroup(cyclic_orders)
-    rng = random.Random(23)
+    rng = random.Random(seed)
     monomials = model.monomials_up_to(model.dimension)
     components = {
         chi: CohClass(model, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in monomials})
         for chi in group.elements()[:3]
     }
     gens = [
-        InvariantGeneratorDecl("L", 1, parse_expression("x + y", model)),
-        InvariantGeneratorDecl("Q", 2, parse_expression("x^2 - 3*x*y", model)),
+        InvariantGeneratorDecl(name, degree, parse_expression(text, model))
+        for name, degree, text in zip("LQ", (1, 2), images)
     ]
     genus = a_hat(projective_tangent(model))
-    problem = IndexProblem(model, group, gens, SymbolData(components), genus * genus)
+    return IndexProblem(model, group, gens, SymbolData(components), genus * genus)
+
+
+_MULTI_TERM_IMAGES = [
+    ("x + y", "x^2 - 3*x*y"),
+    ("1/2*x + 1/3*y", "1/4*x^2 - 3/5*x*y"),
+    ("x + 1/3*y", "7/6*x^2 + y*x"),
+]
+
+
+@pytest.mark.parametrize(
+    "cyclic_orders,images",
+    [
+        pytest.param(orders, images, id=f"cyclic_orders{k}{suffix}")
+        for k, orders in enumerate([[2], [5], [6, 4]])
+        for images, suffix in zip(_MULTI_TERM_IMAGES, ["", "-fractional", "-mixed"])
+    ],
+)
+def test_multi_term_images_match_bracket_oracle(cyclic_orders, images):
+    # on CP^2 x CP^1 the images of L and Q have several monomials, so a
+    # key's numerators combine several rows of M and several columns of
+    # the recombined route, over the image denominator when it is not 1
+    problem = _multi_term_problem(cyclic_orders, images)
     assert max(len(image) for _, image, _ in problem._monomial_images(3)) >= 2
+    dens = {den for _, image, den in problem._monomial_images(3) if len(image) >= 2}
+    assert (dens == {1}) == (images == _MULTI_TERM_IMAGES[0])
     for gamma, table in problem.full_distribution().tables.items():
         for key, value in table.values.items():
             _assert_matches_oracle(problem, gamma, key, value)
@@ -880,7 +905,11 @@ def test_both_routes_pair_once_per_image_monomial(monkeypatch):
     # x^(2(a+b)), a + b <= 8: the recombined route pairs the one symbol
     # component with those 9, not with the 45 key images, and the direct
     # route pairs a-hat^2 * e_i with the support once for each of the 9,
-    # one row of its matrix each, one entry for the one component
+    # one row of its matrix each, one entry for the one component; the
+    # recombined route reduces one column per image monomial, 9, and one in
+    # its `_pairings` call, where one per key would make 46
+    import fracindex.engine as engine
+
     problem = _cp16_dirac_problem()
     original = IndexProblem._pairings
     targets = []
@@ -889,14 +918,43 @@ def test_both_routes_pair_once_per_image_monomial(monkeypatch):
         "_pairings",
         lambda self, integrand, t: targets.append(list(t)) or original(self, integrand, t),
     )
+    column, reduced = engine._column, []
+    monkeypatch.setattr(engine, "_column", lambda pairs: reduced.append(pairs) or column(pairs))
     columns = problem._character_columns(8)
     assert len(columns) == 45
-    assert len(targets) == 1
+    assert len(targets) == 1 and len(reduced) == 10
     monomials = sorted(problem.model._monomials[i] for i in targets[0])
     assert monomials == [(2 * d,) for d in range(9)]
     rows, _ = problem._moment_rows(8)
     assert sorted(rows) == sorted(targets[0])
     assert all(len(row) == 1 for row in rows.values()) and len(targets) == 1 + 9
+
+
+@pytest.mark.parametrize(
+    "make,cyclic_orders,arg",
+    [
+        (_random_problem, [5], 1),
+        (_random_problem, [12], "coprime"),
+        (_random_problem, [6, 4], 5),
+        (_random_problem, [2], "empty"),
+        *[(_multi_term_problem, [6, 4], images) for images in _MULTI_TERM_IMAGES],
+    ],
+    ids=["z5", "coprime", "z6z4", "empty", "integral", "fractional", "mixed"],
+)
+def test_recombined_columns_match_a_per_key_oracle(make, cyclic_orders, arg):
+    # each key's column is the pairings of a-hat^2 * u_chi * image by class
+    # arithmetic, one Fraction per component, put over one denominator in
+    # lowest terms; the route compare would also accept an unreduced column
+    problem = make(cyclic_orders, arg)
+    model, square = problem.model, problem.a_hat_squared
+    columns = problem._character_columns(3)
+    expected = {}
+    for key, image, den in problem._monomial_images(3):
+        if image:
+            image = CohClass(model, {model._monomials[i]: Fraction(n, den) for i, n in image.items()})
+            values = [(square * u * image).integrate() for u in problem.symbol.components.values()]
+            expected[key] = _column([(v.numerator, v.denominator) for v in values])
+    assert columns == expected
 
 
 def test_full_distribution_builds_no_class_by_the_validating_constructor(monkeypatch):

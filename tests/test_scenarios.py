@@ -212,6 +212,18 @@ _REJECTED_DOCUMENTS = [
      "tasks[2].max_degre: unknown key; the keys read here are op, gamma, max_degree"),
     ("misspelt_tangent", _CP2, lambda d: d["tasks"][3].update(tangnet="TM"),
      "tasks[3].tangnet: unknown key; the keys read here are op, max_degree, tangent"),
+    # a key that is not one name token is quoted, so it names no deeper field
+    ("dotted_manifold_key", _CP2, lambda d: d["manifold"].update({"relations.x": []}),
+     'manifold["relations.x"]: unknown key; the keys read here are dimension, generators, '
+     "relations, fundamental"),
+    ("bracketed_bundle_key", _CP2, lambda d: d["bundles"][0].update({"chern[0]": "x"}),
+     'bundles[0]["chern[0]"]: unknown key; the keys read here are name, rank, chern_roots, '
+     "chern, pontryagin, tangent"),
+    ("dotted_document_key", _CP2, lambda d: d.update({"manifold.dimension": 4}),
+     '["manifold.dimension"]: unknown key; the keys read here are name, manifold, bundles, '
+     "group, symbol, tasks, expect"),
+    ("quoted_task_key", _CP2, lambda d: d["tasks"][0].update({'a "b"': 0}),
+     'tasks[0]["a \\"b\\""]: unknown key; the keys read here are op, gamma'),
     # manifold
     ("odd_dimension", _CP2, lambda d: d["manifold"].update(dimension=3),
      "manifold.dimension: must be even and nonnegative, got 3"),
@@ -367,7 +379,8 @@ _REJECTED_DOCUMENTS = [
 
 #: The names a message gives the two entries of a declaration pair.
 _PAIR_FIELDS = {"manifold.generators": ("name", "degree"), "manifold.relations": ("lhs", "rhs")}
-_PATH = re.compile(r"[A-Za-z_]\w*(?:\.\w+|\[\d+\])*(?=: )")
+_KEY = r'\[("(?:[^"\\]|\\.)*")\]'  # a quoted key, ["relations.x"]
+_PATH = re.compile(rf"(?:[A-Za-z_]\w*|{_KEY})(?:\.\w+|\[\d+\]|{_KEY})*(?=: )")
 
 
 def _path_resolves(document, message: str) -> bool:
@@ -378,9 +391,10 @@ def _path_resolves(document, message: str) -> bool:
     match = _PATH.match(message)
     if match is None:
         return False
-    steps = re.findall(r"(\w+)|\[(\d+)\]", match[0])
+    steps = re.findall(rf"(\w+)|\[(\d+)\]|{_KEY}", match[0])
     value, keys = document, []
-    for position, (key, index) in enumerate(steps):
+    for position, (key, index, quoted) in enumerate(steps):
+        key = json.loads(quoted) if quoted else key
         if index:
             if not isinstance(value, list) or int(index) >= len(value):
                 return False
