@@ -10,8 +10,9 @@ agree exactly only when both closed forms are right.
 The root route works on the distinct roots with their multiplicities: a
 genus is the product of f(root)^count and the total Chern class the
 product of (1 + root)^count.  CP^n has n+1 equal tangent roots, so the
-one-root series is evaluated once.  Series, powers and Newton power sums
-run on integer numerators, one class per result (`cohomology`).
+one-root series is evaluated once.  Series, powers, Newton power sums
+and the log terms of the power-sum route run on integer numerators, one
+class per result (`cohomology`), their parts never reduced one by one.
 
 The a-hat series is even, so its power-sum route needs only the power sums
 of the squared roots, and s_k(roots^2) = s_2k(roots): from Chern classes
@@ -26,10 +27,12 @@ them.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
-from fracindex.cohomology import CohClass, ManifoldModel, class_sum, evaluate_series
-from fracindex.cohomology import _class, _lowest, _sum, _times
+from fracindex.cohomology import CohClass, ManifoldModel, evaluate_series
+from fracindex.cohomology import _class, _lowest, _product, _sum
 from fracindex.scalars import Frozen, a_hat_log_series, a_hat_series
 
 
@@ -84,7 +87,8 @@ def _elementary_symmetric(
 def newton_power_sums(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
     """Power sums s_1..s_max_k of the Chern roots from the Chern classes,
     via Newton's identities s_k = c_1 s_(k-1) - c_2 s_(k-2) + ... -+ k c_k,
-    on integer numerators, with a class only for each result.  At least one
+    on integer numerators: each product is left unreduced over da*db*scale,
+    and each s_k is one `_sum` in lowest terms, then a class.  At least one
     class is given, to fix the model: `_compute_a_hat` returns the unit
     class before it would pass none."""
     model = chern[0].model
@@ -95,19 +99,19 @@ def newton_power_sums(chern: Sequence[CohClass], max_k: int) -> list[CohClass]:
     ]
     sums: list[tuple[dict, int]] = []
     for k in range(1, max_k + 1):
-        parts = [_times(model, *signed[i], *sums[k - i - 2]) for i in range(min(k - 1, len(signed)))]
+        parts = []
+        for (a, da), (b, db) in zip(signed, sums[::-1]):  # (-1)^i c_(i+1) s_(k-i-1)
+            num, scale = _product(model, a, b)
+            parts.append((num, da * db * scale))
         parts += [({m: v * k for m, v in num.items()}, den) for num, den in signed[k - 1 : k]]
         sums.append(_lowest(*_sum(parts)))
     return [_class(model, *s) for s in sums]
 
 
 def _genus_from_roots(bundle: BundleData) -> CohClass:
-    model = bundle.model
-    series = a_hat_series(model.dimension // 2)
-    out = model.one()
-    for root, multiplicity in Counter(bundle.roots).items():
-        out = out * evaluate_series(series, root) ** multiplicity
-    return out
+    series = a_hat_series(bundle.model.dimension // 2)
+    factors = [evaluate_series(series, root) ** n for root, n in Counter(bundle.roots).items()]
+    return reduce(mul, factors) if factors else bundle.model.one()
 
 
 def a_hat(bundle: BundleData) -> CohClass:
@@ -158,7 +162,10 @@ def _compute_a_hat(bundle: BundleData) -> CohClass:
             f"bundle {bundle.name!r} needs roots, Chern or Pontryagin data for the a-hat genus"
         )
     log_series = a_hat_log_series(model.dimension // 2)
-    # even series: only the even log coefficients appear
-    terms = [cls * log_series[2 * k] for k, cls in enumerate(square_sums, start=1)]
-    return class_sum(terms).exponential()
+    # even series: only the even log coefficients appear, each nonzero
+    terms = [
+        ({m: v * c.numerator for m, v in cls.numerators.items()}, cls.denominator * c.denominator)
+        for cls, c in zip(square_sums, log_series[2::2])
+    ]
+    return _class(model, *_sum(terms)).exponential()
 

@@ -8,10 +8,10 @@ standard output.  --task T runs only the tasks whose op is T, or the one
 task at zero-based index T; a T that selects no task is refused (exit 2,
 nothing run).  --max-degree D overrides the moment cutoff of every
 moment-producing task; D must lie in 0..dimension // 2.  With --check,
-the document's expect block is compared against the results and each
-mismatch is written to standard error; a document without an expect
-block, or whose every expect entry is null, where nothing would be
-compared, is refused (exit 2, nothing run).
+the expect entries of the selected tasks are compared with their results,
+each mismatch and then "checked N of M tasks" (N compared, M run) going to
+standard error; a document without an expect block, or with a null entry
+for every selected task, is refused (exit 2, nothing run).
 The expect block holds each task's result at the task's own cutoff, so
 --check and --max-degree are refused together (exit 2, nothing run)
 rather than compared at a cutoff the block was not recorded at.
@@ -20,7 +20,7 @@ Exit status: 0 on success, 1 when --check finds a mismatch, 2 when the
 scenario cannot be read, parsed or written (a result too long to write
 included), when --task selects no task, when --max-degree is out of range,
 when --check is combined with --max-degree, or when --check meets a
-document without an expect block or with every expect entry null.  Every
+document with no non-null expect entry for a selected task.  Every
 other refusal of a document happens at parse, and prints one line to
 standard error, `fracindex: <path>: <reason>`, where <path> names the
 field at fault (see `fracindex.scenarios`).
@@ -40,6 +40,7 @@ from fracindex.scenarios import (
     load_scenario,
     parse_scenario,
     run,
+    select_tasks,
 )
 
 BUILTIN_PREFIX = "builtin:"
@@ -75,10 +76,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             scenario = parse_scenario(builtin_scenario_text(args.scenario[len(BUILTIN_PREFIX) :]))
         else:
             scenario = load_scenario(args.scenario)
-        if args.check and scenario.expect is None:
-            raise ScenarioError("expect: missing, and --check needs it")
-        if args.check and all(entry is None for entry in scenario.expect):
-            raise ScenarioError("expect: every entry is null, so --check has nothing to compare")
+        if args.check:
+            if scenario.expect is None:
+                raise ScenarioError("expect: missing, and --check needs it")
+            checked = sum(scenario.expect[i] is not None for i, _ in select_tasks(scenario, args.task))
+            if not checked:
+                scope = "" if args.task is None else f"of the tasks --task {args.task!r} selects "
+                raise ScenarioError(
+                    f"expect: every entry {scope}is null, so --check has nothing to compare"
+                )
         results = run(scenario, args.task, args.max_degree)
         text = emit(results, args.format)
     except (ScenarioError, OSError) as exc:
@@ -89,6 +95,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         mismatches = check_expectations(scenario, results)
         for line in mismatches:
             print(line, file=sys.stderr)
+        print(f"checked {checked} of {len(results)} tasks", file=sys.stderr)
         if mismatches:
             return 1
     return 0

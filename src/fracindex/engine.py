@@ -153,7 +153,8 @@ class IndexProblem(Frozen):
     finite center, the declared invariant generators, the symbol, and the
     square of the tangent a-hat class, all on the model's lazily built
     monomial index.  Monomial images are kept once per model; per problem,
-    the direct route's integer matrix M (`_moment_rows`) once per degree
+    the key order and the nonzero-image entries (`_live_images`) and the
+    direct route's integer matrix M (`_moment_rows`) once per degree
     bound, `_exponents` the exponent row once per gamma (one int per symbol
     component, in the symbol's order, read by both routes), and `_duals`,
     the integral of each product of two basis monomials, by three
@@ -175,6 +176,7 @@ class IndexProblem(Frozen):
         "symbol",
         "a_hat_squared",
         "_row_cache",
+        "_live",
         "_duals",
         "_exponents",
     )
@@ -187,7 +189,7 @@ class IndexProblem(Frozen):
         symbol: SymbolData,
         a_hat_squared: CohClass | None = None,
     ) -> None:
-        super().__init__(model, group, generators, symbol, a_hat_squared or model.one(), {}, {}, {})
+        super().__init__(model, group, generators, symbol, a_hat_squared or model.one(), {}, {}, {}, {})
 
     @classmethod
     def with_tangent(
@@ -235,16 +237,23 @@ class IndexProblem(Frozen):
 
     def _monomial_images(self, max_degree: int) -> list[tuple[MomentKey, dict[int, int], int]]:
         """The image of every moment monomial, in graded order, as (key,
-        numerators, denominator), from the model's table by generator
-        images and bound (a class kept on its own model would be a
-        reference cycle).  Image terms enter the key sorted, so equal
-        images built in another term order share one entry."""
+        numerators, denominator), from the model's table by generator images
+        and bound (a class kept on its own model would be a reference cycle);
+        a vanished key has no numerators.  Terms enter the key sorted, so
+        equal images built in another term order share one entry."""
         table, gens = self.model._images, self.generators
         key = (max_degree, *[(g.image.denominator, *sorted(g.image.numerators.items())) for g in gens])
         if key not in table:
             images = chern_weil_eval(gens, max_degree, self.model).items()
             table[key] = [(k, c.numerators, c.denominator) for k, c in images]
         return table[key]
+
+    def _live_images(self, max_degree: int) -> tuple[list[MomentKey], list]:
+        """The keys of `_monomial_images` and its nonzero-image entries, per bound."""
+        if max_degree not in self._live:
+            images = self._monomial_images(max_degree)
+            self._live[max_degree] = [k for k, _, _ in images], [e for e in images if e[1]]
+        return self._live[max_degree]
 
     def _moment_rows(self, max_degree: int) -> tuple[dict[int, list[int]], int]:
         """The direct route's pairings, once per problem and bound: the
@@ -262,7 +271,7 @@ class IndexProblem(Frozen):
         symbol = [(u.numerators, scale // u.denominator) for u in components]
         support = sorted({m for num, _ in symbol for m in num})
         rows, dens = {}, {}
-        for _, image, _ in self._monomial_images(max_degree):
+        for _, image, _ in self._live_images(max_degree)[1]:
             for i in image:
                 if i not in rows:  # a-hat^2 * e_i by one product, no normal form
                     column, dens[i] = self._pairings(square * _class(model, {i: 1}, 1), support)
@@ -307,26 +316,25 @@ class IndexProblem(Frozen):
     def moments(self, gamma: Sequence[int], max_degree: int | None = None) -> MomentTable:
         """The moment table at gamma: pairings against all generator
         monomials of total degree up to the bound (default: half the model
-        dimension; higher monomials pair to zero by truncation).  A key's
-        deg Phi_N numerators are its image coefficients times the rows of
-        `reduced_integrand`, over the image denominator times M's, made one
-        scalar by `residue_scalar`; a zero-image key is the exact 0.  gamma
-        is a group element as the table records it: `scenarios._check_gamma`
+        dimension; higher monomials pair to zero by truncation).  A live
+        key's deg Phi_N numerators are its image coefficients times the rows
+        of `reduced_integrand`, over the image denominator times M's, made
+        one scalar by `residue_scalar`; a key not in `_live_images` is the exact 0.
+        gamma is a group element as the table records it: `scenarios._check_gamma`
         holds a task's gamma to the group's exponent ranges, and
         `scenarios._check_max_degree` keeps every bound a task or run names
         nonnegative."""
         if max_degree is None:
             max_degree = self.model.dimension // 2
         vectors, den = self.reduced_integrand(gamma, max_degree), self._moment_rows(max_degree)[1]
-        order, images = self.group.exponent, self._monomial_images(max_degree)
-        values = dict.fromkeys([k for k, _, _ in images], Fraction(0))
-        for key, image, image_den in images:
-            if image:
-                (i, n), *rest = image.items()
-                vector = [n * v for v in vectors[i]]
-                for i, n in rest:
-                    vector = [c + n * v for c, v in zip(vector, vectors[i])]
-                values[key] = residue_scalar(order, vector, image_den * den)
+        order, (keys, live) = self.group.exponent, self._live_images(max_degree)
+        values = dict.fromkeys(keys, Fraction(0))
+        for key, image, image_den in live:
+            (i, n), *rest = image.items()
+            vector = [n * v for v in vectors[i]]
+            for i, n in rest:
+                vector = [c + n * v for c, v in zip(vector, vectors[i])]
+            values[key] = residue_scalar(order, vector, image_den * den)
         return MomentTable(tuple(gamma), tuple(g.name for g in self.generators), values)
 
     def _character_columns(self, max_degree: int) -> dict[MomentKey, tuple[list[int], int]]:
@@ -337,7 +345,7 @@ class IndexProblem(Frozen):
         in lowest terms: the monomial's column times n over den * image_den
         for an image n * e_i, else the image's columns summed over the lcm
         of their denominators.  All rational."""
-        images = [(k, list(im.items()), d) for k, im, d in self._monomial_images(max_degree) if im]
+        images = [(k, list(im.items()), d) for k, im, d in self._live_images(max_degree)[1]]
         targets = list(dict.fromkeys([i for _, image, _ in images for i, _ in image]))
         square, components = self.a_hat_squared, self.symbol.components.values()
         pairings = [self._pairings(square * u_chi, targets) for u_chi in components]

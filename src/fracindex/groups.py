@@ -110,18 +110,27 @@ def chern_weil_eval(
     degree up to max_degree: each generator is replaced by its declared
     image class.  Keys are exponent tuples over the generator order, in
     graded order, so each image is one product away from the image of a
-    lower key, or zero with it; the unit key () or (0, ..., 0) maps to 1."""
+    lower key; the unit key () or (0, ..., 0) maps to 1.  A key vanishes by
+    degree, with no product, when its degree weighted by each image's
+    lowest term degree (the dimension + 1 for a zero image) exceeds the
+    dimension: relations are homogeneous, every monomial above the
+    dimension is dead, and each term of a product has at least the sum of
+    its factors' lowest term degrees.  The weight is exact for the parser's
+    homogeneous images; the zero class is built only if a key vanishes."""
+    degrees, top = model._degrees, model.dimension
+    weights = [min([degrees[i] for i in g.image.numerators], default=top + 1) for g in generators]
     keys: list[MomentKey] = [()]
     for _ in generators:
         keys = [key + (e,) for key in keys for e in range(max_degree - sum(key) + 1)]
     images: dict[MomentKey, CohClass] = {}
+    zero = None
     for key in graded_order(keys):
-        i = next((i for i, e in enumerate(key) if e), None)
-        if i is None:
+        if sum(map(mul, key, weights)) > top:
+            images[key] = zero = zero or model.zero()
+        elif (i := next((i for i, e in enumerate(key) if e), None)) is None:
             images[key] = model.one()
         else:
-            lower = images[key[:i] + (key[i] - 1,) + key[i + 1 :]]
-            images[key] = lower if lower.is_zero() else lower * generators[i].image
+            images[key] = images[key[:i] + (key[i] - 1,) + key[i + 1 :]] * generators[i].image
     return images
 
 

@@ -299,23 +299,24 @@ def bernoulli(n: int) -> Fraction:
 
 
 def a_hat_series(order: int) -> tuple[Fraction, ...]:
-    """Coefficients of x^0 .. x^order of (x/2)/sinh(x/2): the x^2k
-    coefficient is (2^(1-2k) - 1) B_2k / (2k)!, and the odd ones vanish."""
+    """Coefficients of x^0 .. x^order of (x/2)/sinh(x/2), the odd ones 0: the
+    x^2k one is (2^(1-2k) - 1) B_2k / (2k)!, one Fraction from B_2k's parts."""
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    return tuple(
-        (Fraction(2) ** (1 - n) - 1) * bernoulli(n) / math.factorial(n)
-        if n % 2 == 0 else Fraction(0)
-        for n in range(order + 1)
-    )
+    coefficients = [Fraction(0)] * (order + 1)
+    for n in range(0, order + 1, 2):
+        b = bernoulli(n)
+        coefficients[n] = Fraction((2 - 2**n) * b.numerator, 2**n * b.denominator * math.factorial(n))
+    return tuple(coefficients)
 
 
 def a_hat_log_series(order: int) -> tuple[Fraction, ...]:
-    """Coefficients of x^0 .. x^order of log((x/2)/sinh(x/2)): the x^2k
-    coefficient, k >= 1, is -B_2k / (2k (2k)!), and all others vanish."""
+    """Coefficients of x^0 .. x^order of log((x/2)/sinh(x/2)), 0 but at x^2k,
+    k >= 1: -B_2k / (2k (2k)!), one Fraction from B_2k's parts."""
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    return tuple(
-        -bernoulli(n) / (n * math.factorial(n)) if n and n % 2 == 0 else Fraction(0)
-        for n in range(order + 1)
-    )
+    coefficients = [Fraction(0)] * (order + 1)
+    for n in range(2, order + 1, 2):
+        b = bernoulli(n)
+        coefficients[n] = Fraction(-b.numerator, b.denominator * n * math.factorial(n))
+    return tuple(coefficients)

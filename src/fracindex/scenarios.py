@@ -55,9 +55,9 @@ Four caps keep every document's run bounded:
   higher total degree has an image above the dimension and pairs to zero,
   while the number of monomials grows without bound.  Below the cap, a key
   whose weighted degree sum_i s_degree_i * e_i exceeds half the dimension
-  has a zero image: it costs one output entry and no pairing.  The output
-  still grows as C(D + g, g) keys per table for g generators at bound D,
-  which no cap bounds yet.
+  has a zero image, decided by degree with no product or engine step and
+  written from a cached row.  The output still grows as C(D + g, g) keys
+  per table for g generators at bound D, which no cap bounds yet.
 - An `atiyah_pairing` label under `group.weight_kind` "su2" is a
   nonnegative integer, capped at MAX_SU2_LABEL (5000): highest weight
   lambda has lambda + 1 weights, each one exponential of the line class,
@@ -615,6 +615,22 @@ def load_scenario(path: str) -> Scenario:
 # running
 
 
+def select_tasks(scenario: Scenario, task_filter: str | None = None) -> list[tuple[int, dict]]:
+    """The (index, task) pairs `run` runs for `task_filter`, in order."""
+    try:
+        tasks = [
+            (index, task)
+            for index, task in enumerate(scenario.tasks)
+            if task_filter is None
+            or (index == int(task_filter) if task_filter.isdecimal() else task["op"] == task_filter)
+        ]
+    except ValueError:  # a decimal past int()'s digit limit names no index int() reads
+        tasks = []
+    if task_filter is not None and not tasks:
+        raise ScenarioError(f"task: no task has op or zero-based index {task_filter!r}")
+    return tasks
+
+
 def run(
     scenario: Scenario,
     task_filter: str | None = None,
@@ -629,17 +645,7 @@ def run(
     document a task could fail on."""
     if max_degree is not None:
         _check_max_degree(max_degree, "max_degree", scenario.model.dimension // 2)
-    try:
-        tasks = [
-            (index, task)
-            for index, task in enumerate(scenario.tasks)
-            if task_filter is None
-            or (index == int(task_filter) if task_filter.isdecimal() else task["op"] == task_filter)
-        ]
-    except ValueError:  # a decimal past int()'s digit limit names no index int() reads
-        tasks = []
-    if task_filter is not None and not tasks:
-        raise ScenarioError(f"task: no task has op or zero-based index {task_filter!r}")
+    tasks = select_tasks(scenario, task_filter)
     problem = scenario.problem()
     results: list[TaskResult] = []
     for index, task in tasks:
@@ -787,22 +793,24 @@ def _write_json(out: list[str], value, indent: str, heads: dict) -> None:
 
 def _write_table(out: list[str], table: MomentTable, heads: dict, indent: str) -> None:
     """One table straight to text, one append per row, each row head (comma,
-    bracket, quoted key name) built once per generator names and indent in
-    `heads`; a Fraction as its str(), a Cyclotomic as `scalar_to_json`'s
-    string or order and coefficient strings, which need no escaping."""
+    bracket, quoted key name) and zero row built once per generator names and
+    indent in `heads`; any other Fraction's str() (not its slower format())
+    in one f-string, a Cyclotomic as `scalar_to_json`'s string or order and
+    coefficient strings, which need no escaping."""
     inner, row, cell = indent + "  ", indent + "    ", indent + "      "
     out.append("{\n" + inner + '"gamma": ')
     _write_json(out, list(table.gamma), inner, heads)
     out.append(",\n" + inner + '"moments": [')
-    names = heads.setdefault((table.generator_names, indent), {})
+    end, between = "\n" + row + "]", '",\n' + cell + '    "'
+    names, zeros = heads.setdefault((table.generator_names, indent), ({}, {}))
     for key in table.values.keys() - names.keys():
         name = encode_basestring_ascii(monomial_name(table.generator_names, key))
         names[key] = ",\n" + row + "[\n" + cell + name + ",\n" + cell
-    end, between = "\n" + row + "]", '",\n' + cell + '    "'
+        zeros[key] = names[key] + '"0"' + end
     first = len(out)
     for key, value in table.values.items():
         if type(value) is Fraction:
-            out.append(names[key] + '"' + str(value) + '"' + end)
+            out.append(f'{names[key]}"{str(value)}"{end}' if value else zeros[key])
         else:
             rendered = scalar_to_json(value)
             if type(rendered) is str:

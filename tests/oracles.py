@@ -13,6 +13,7 @@ them, and the tests use them as known characteristic classes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -49,6 +50,42 @@ def projective_tangent(model: ManifoldModel) -> BundleData:
         for _ in range(n + 1)
     ]
     return BundleData("T", len(roots), roots=roots, model=model)
+
+
+def _flag_monomial(exponents: Counter) -> str:
+    return "*".join(f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in sorted(exponents.items()))
+
+
+def flag_manifold(n: int) -> dict:
+    """The `manifold` block of the complete flag manifold Fl(n) = U(n)/T:
+    generators x1..xn of degree 2 and, for k = 1..n, the relation
+    h_k(x_k, ..., x_n) = 0 written as x_k^k -> x_k^k - h_k, h_k the complete
+    homogeneous polynomial.  These are the lex Groebner basis of the ideal
+    of symmetric polynomials, with pure-power leading terms, so the basis
+    has n! monomials; rule k brings in only x_j with j > k, so the system
+    terminates.  Fundamental monomial x2*x3^2*...*xn^(n-1), orientation 1
+    (Fulton, Young Tableaux, ch. 10)."""
+    relations = []
+    for k in range(1, n + 1):
+        lead = Counter({k: k})
+        rest = [
+            Counter(c)
+            for c in itertools.combinations_with_replacement(range(k, n + 1), k)
+            if Counter(c) != lead
+        ]
+        rhs = "-" + " - ".join(map(_flag_monomial, rest)) if rest else "0"
+        relations.append([_flag_monomial(lead), rhs])
+    return {
+        "dimension": n * (n - 1),
+        "generators": [[f"x{j}", 2] for j in range(1, n + 1)],
+        "relations": relations,
+        "fundamental": [_flag_monomial(Counter({j: j - 1 for j in range(2, n + 1)})), "1"],
+    }
+
+
+def flag_roots(n: int) -> list[str]:
+    """The tangent Chern roots of Fl(n), x_j - x_i for i < j, as text."""
+    return [f"x{j} - x{i}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:

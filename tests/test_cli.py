@@ -27,7 +27,10 @@ def test_builtin_scenarios_pass_check(name, capsys):
     assert main(["run", f"builtin:{name}", "--check"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith(f"scenario: {name}\n")
-    assert err == ""
+    count = len(BUILTIN_SCENARIOS[name]["tasks"])
+    assert err == f"checked {count} of {count} tasks\n"
+    assert main(["run", f"builtin:{name}"]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_machine_format_matches_emit(capsys):
@@ -134,6 +137,37 @@ def test_check_with_every_expect_entry_null_exits_2(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
 
 
+@pytest.mark.parametrize("task", ["0", "fractional_index"])
+def test_check_refuses_a_selection_with_every_expect_entry_null(task, tmp_path, capsys):
+    # --task 0 with expect[0] null once printed the result and exited 0,
+    # having compared nothing; the entries of other tasks do not count
+    document = json.loads(builtin_scenario_text("cp2_projective_dirac"))
+    document["expect"][:2] = [None, None]
+    path = tmp_path / "selected_null.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", str(path), "--task", task, "--check"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"fracindex: expect: every entry of the tasks --task {task!r} selects is null, "
+        "so --check has nothing to compare\n"
+    ))
+    assert main(["run", str(path), "--task", task]) == 0
+
+
+def test_check_says_how_many_tasks_it_compared(tmp_path, capsys):
+    # a null entry is not compared; the count says so on standard error,
+    # and standard output is the same as without --check
+    document = json.loads(builtin_scenario_text("cp2_projective_dirac"))
+    document["expect"][0] = None
+    path = tmp_path / "one_null.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", str(path), "--format", "machine"]) == 0
+    out, _ = capsys.readouterr()
+    assert main(["run", str(path), "--format", "machine", "--check"]) == 0
+    assert capsys.readouterr() == (out, "checked 3 of 4 tasks\n")
+    assert main(["run", str(path), "--task", "fractional_index", "--check"]) == 0
+    assert capsys.readouterr().err == "checked 1 of 2 tasks\n"
+
+
 @pytest.mark.parametrize("format", ["human", "machine"])
 def test_check_fails_on_a_fault_in_the_table_writer(format, monkeypatch, capsys):
     # --check compares the expect block with the printed machine text: a
@@ -151,9 +185,9 @@ def test_check_fails_on_a_fault_in_the_table_writer(format, monkeypatch, capsys)
     assert main(["run", "builtin:cp2_projective_dirac", "--format", format, "--check"]) == 1
     out, err = capsys.readouterr()
     assert out.count("-1/8") == 1  # task 0's scalar; both tables lost theirs
-    assert [line.split(":")[1] for line in err.splitlines()] == [
-        " task 2 (moments)", " task 3 (projective_dirac)"
-    ]
+    *lines, summary = err.splitlines()
+    assert [line.split(":")[1] for line in lines] == [" task 2 (moments)", " task 3 (projective_dirac)"]
+    assert summary == "checked 4 of 4 tasks"
 
 
 @pytest.mark.parametrize(

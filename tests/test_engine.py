@@ -852,6 +852,27 @@ def _cp16_dirac_problem():
     return dirac_problem(cp16, projective_tangent(cp16), gens)
 
 
+def test_chern_weil_eval_multiplies_only_keys_within_the_dimension_on_cp16(monkeypatch):
+    # P1^a * P2^b has an image of degree 4(a + b): the 45 keys with a + b <= 8
+    # are live, each but the unit one class product from a lower key, and
+    # the other 108 of the 153 vanish by degree with no product
+    problem = _cp16_dirac_problem()
+    products = []
+    multiply = CohClass.__mul__
+
+    def counting(self, other):
+        if isinstance(other, CohClass):
+            products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(CohClass, "__mul__", counting)
+    images = chern_weil_eval(problem.generators, 16, problem.model)
+    assert len(images) == 153 and len(products) == 44
+    assert [key for key, image in images.items() if not image.is_zero()] == [
+        key for key in images if sum(key) <= 8
+    ]
+
+
 def test_corrupted_product_table_entries_are_caught_on_cp16():
     # exactly 42 of the 153 corruptions are caught
     entries, caught = _caught_table_corruptions(_cp16_dirac_problem())

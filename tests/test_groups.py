@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracindex.cohomology import parse_expression
+from fracindex.cohomology import CohClass, parse_expression
 from fracindex.groups import (
     FiniteAbelianGroup,
     InvariantGeneratorDecl,
@@ -20,9 +21,14 @@ from fracindex.groups import (
     graded_order,
 )
 from fracindex.scalars import Cyclotomic, cyclotomic_polynomial
-from fracindex.scenarios import ScenarioError, _build_group_block
+from fracindex.scenarios import ScenarioError, _build_group_block, parse_scenario
 
-from oracles import bracket_exponent_by_reduction, cyclotomic_product, projective_model
+from oracles import (
+    bracket_exponent_by_reduction,
+    cyclotomic_product,
+    flag_manifold,
+    projective_model,
+)
 
 
 @pytest.fixture
@@ -197,6 +203,54 @@ def test_chern_weil_eval_is_ring_homomorphism(cp2):
             key = tuple(x + y for x, y in zip(a, b))
             if key in images:
                 assert images[key] == images[a] * images[b]
+
+
+_IMAGE_MODELS = {
+    **{f"CP{n}": projective_model(x=n) for n in range(1, 7)},
+    "Fl3": parse_scenario(json.dumps({"manifold": flag_manifold(3)})).model,
+}
+
+
+@st.composite
+def _image_cases(draw):
+    """A model, generators with images drawn homogeneous, of mixed degree
+    or zero (as raw terms, with any s_degree: the constructor checks
+    neither), and a bound up to half the dimension."""
+    name = draw(st.sampled_from(sorted(_IMAGE_MODELS)))
+    model = _IMAGE_MODELS[name]
+    monomials = model.monomials_up_to(model.dimension)
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["homogeneous", "mixed", "zero"]))
+        if kind == "homogeneous":
+            degree = draw(st.sampled_from(sorted({model._degree(m) for m in monomials} - {0})))
+            terms = [m for m in monomials if model._degree(m) == degree]
+        else:
+            terms = [] if kind == "zero" else monomials
+        chosen = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+        coefficients = {m: draw(st.integers(-3, 3)) for m in chosen}
+        specs.append((draw(st.integers(1, 3)), coefficients))
+    return name, specs, draw(st.integers(0, model.dimension // 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_image_cases())
+@example(("CP2", [(2, {(1,): 1, (2,): 1})], 2))  # s_degree 2 with image x + x^2
+def test_chern_weil_eval_is_the_product_of_image_powers(case):
+    # a key is decided by the lowest term degree of each image, never by
+    # its s_degree: the table equals the image powers by class arithmetic
+    name, specs, bound = case
+    model = _IMAGE_MODELS[name]
+    gens = [
+        InvariantGeneratorDecl(f"G{i}", s_degree, CohClass(model, terms))
+        for i, (s_degree, terms) in enumerate(specs)
+    ]
+    images = chern_weil_eval(gens, bound, model)
+    for key, image in images.items():
+        expected = model.one()
+        for gen, e in zip(gens, key):
+            expected = expected * gen.image**e
+        assert image == expected, key
 
 
 # ---------------------------------------------------------------------------
