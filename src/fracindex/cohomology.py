@@ -32,21 +32,20 @@ products differently, so its cross-check reads different entries; a class
 is built from raw terms through the unit row.  Roots of unity never enter
 a class.
 
-Validation never walks the raw monomials: `_check_termination` searches
-the rewrite graph of the relations with a nonzero right side for a cycle,
-and without one a pure-power system is confluent (the argument is there).
+Validation never walks the raw monomials: `_check_termination` accepts a
+system whose generator graph is acyclic at once, else searches the rewrite
+graph for a cycle, and without one a pure-power system is confluent (the
+arguments are there).
 
-Expressions are read in one pass over the tokens of one regular
-expression.  A term folds its numbers and its generator powers within the
-degree bound into one int coefficient over one denominator and one exponent
-list, with one gcd at its end; from a parenthesised factor on it is integer
-numerators over one denominator, and each later factor or sum is one gcd
-pass.  The parser multiplies raw monomials itself, not through the product
-table: relations are parsed before any model exists, and a product in the
-free ring under a degree bound is not the quotient product.  A power of a
-parenthesised factor goes by repeated squaring, so "(1+x)^99999999" costs
-about 27 products, and an over-bound error names the first square that
-leaves the bound, for a generator power too.
+Expressions are read in one scan over the matches of one pattern, an
+optional joiner and one factor each, with a stack for parentheses.  A term
+folds its numbers and generator powers within the degree bound into one int
+coefficient over one denominator and one exponent list, with one gcd at its
+end, and is integer numerators over one denominator from a parenthesised
+factor on.  The parser multiplies raw monomials itself: relations are parsed
+before any model exists.  A power of a parenthesised factor goes by
+repeated squaring, so "(1+x)^99999999" costs about 27 products, and an
+over-bound error names the first square that leaves the bound.
 
 Every power series in a class runs through one loop, `evaluate_series`:
 the exponential, the inverse (1/c0 times the alternating series in the
@@ -62,7 +61,9 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -230,11 +231,16 @@ class ManifoldModel(Frozen):
     def _check_termination(self) -> None:
         """Reject a rewrite cycle among the monomials of degree <= dimension.
 
-        Only relations with a nonzero right side make edges, and they change
-        only the exponents of the generators they touch; any cycle therefore
-        divides down to one among the monomials in those generators alone,
-        which is the graph searched here (depth first).  A relation whose
-        left side lies above the dimension never fires there.
+        Only relations with a nonzero right side firing within the dimension
+        make edges.  Let each right-side term of rule i have a lower exponent
+        of g_i than the left side (for homogeneous relations: no right side
+        holds its left side), and the graph with an edge i -> j for each other
+        g_j in a right side of rule i be acyclic.  Then a rewrite by rule i
+        lowers the exponent of g_i and changes only generators after i in a
+        topological order, so it lowers the monomial in the lexicographic
+        order by that order, a well-order, and the system terminates.  Else
+        any cycle divides down to one among the monomials in the generators
+        the rules touch, which are searched depth first.
 
         Without a cycle the system is also confluent.  Where rules i and j
         both apply, to g_i^k_i * g_j^k_j * M, rewriting by i and then each
@@ -243,17 +249,17 @@ class ManifoldModel(Frozen):
         Relations are homogeneous, so truncation drops both sides alike.
         Termination and this one-step join give confluence (Newman's lemma;
         Bergman's diamond lemma, Adv. Math. 29, 1978)."""
-        active = [
-            i
+        active = {
+            i: rhs
             for i, (power, rhs) in self.relations.items()
             if rhs and power * self.generators[i][1] <= self.dimension
-        ]
-        if not active:
-            return
-        touched = set(active)
-        for i in active:
-            for mono in self.relations[i][1]:
-                touched.update(g for g, e in enumerate(mono) if e)
+        }
+        graph = {i: {j for m in rhs for j, e in enumerate(m) if e} - {i} for i, rhs in active.items()}
+        with suppress(CycleError):
+            if all(m[i] < self.relations[i][0] for i, rhs in active.items() for m in rhs):
+                TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+                return
+        touched = set(active).union(*graph.values())
 
         def successors(mono: Monomial):
             for i in active:
@@ -632,11 +638,14 @@ def build_model(
 
 _MAX_POWER_BITS = 1 << 16  # a power of a constant term may not outgrow this
 _MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed into
-#: One (number, name, other) tuple per token, two fields empty; a number is
-#: what int() reads (decimal digits of any script).
-_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
-_STRAY = re.compile(r"[^\s\w+\-*/^()]")  # in ASCII text, the only bad characters
-_END = ("", "", "")  # after the last token: no field set
+#: Groups: joiner, number (what int() reads), denominator, name, ")", exponent
+#: ("" for a "/" or "^" with no digits), "(", and one other character ("" at
+#: the end).  No match fails, as the last alternative matches where the
+#: others do not, and only an optional "/" or "^" part backtracks, over the
+#: space it read: the scan takes linear time.
+_FACTOR = re.compile(
+    r"\s*(?:([-+*])\s*)?(?:(?:(\d+)(?:\s*/\s*(\d*))?|(\w+)|(\)))(?:\s*\^\s*(\d*))?|(\()|(\S?))"
+)
 
 
 def is_generator_name(name: str) -> bool:
@@ -644,12 +653,83 @@ def is_generator_name(name: str) -> bool:
     or "_" and then word characters.  Model generators and invariant
     generators are held to it, so a monomial written from their names, as
     "P1^2*E", names one exponent tuple and no other."""
-    return (name[:1].isalpha() or name[:1] == "_") and _TOKEN.fullmatch(name) is not None
+    return (name[:1].isalpha() or name[:1] == "_") and re.fullmatch(r"\w+", name) is not None
 
 
-def _positions(text: str) -> list[int]:
-    """The position of each token of the text and of its end."""
-    return [match.start() for match in _TOKEN.finditer(text)] + [len(text)]
+def _unexpected(text: str, match: re.Match, wanted: str = "", groups=(1, 2, 4, 5, 7, 8)):
+    """The error at the first token of the match in these groups ("" is the end)."""
+    group = next(g for g in groups if match[g] is not None)
+    got, where = match[group], f"at position {match.start(group)} in {text!r}"
+    said = f"expected {wanted} {where}, got {got!r}" if wanted else f"unexpected {got!r} {where}"
+    return ExpressionError(said)
+
+
+def _integer(text: str, match: re.Match, group: int) -> int:
+    if not match[group]:  # a "/" or "^" with no number after it
+        raise _unexpected(text, _FACTOR.match(text, match.end(group)), "number")
+    try:
+        return int(match[group])
+    except ValueError:  # longer than the interpreter's int() digit limit
+        raise ExpressionError(
+            f"number of {len(match[group])} digits at position {match.start(group)} is too long"
+        ) from None
+
+
+def _exponent(text: str, match: re.Match, constant: int, den: int) -> int:
+    """The exponent of a factor whose constant term is constant / den."""
+    exponent, position = _integer(text, match, 6), match.start(6)
+    if exponent < 1:
+        raise ExpressionError(f"exponent must be a positive integer at position {position}")
+    g = math.gcd(constant, den)
+    bits = max(abs(constant) // g, den // g).bit_length()
+    if bits > 1 and exponent * bits > _MAX_POWER_BITS:
+        raise ExpressionError(
+            f"exponent {exponent} at position {position} is too large "
+            f"for the constant term {Fraction(constant, den)}"
+        )
+    return exponent
+
+
+def _over_bound(mono: Monomial, bound: tuple) -> ExpressionError:
+    names, degrees, max_degree, _, text = bound
+    return ExpressionError(
+        f"term {monomial_name(names, mono)} of degree {sum(map(mul, mono, degrees))} exceeds "
+        f"the degree bound {max_degree} in {text!r}"
+    )
+
+
+def _raw_product(a: dict, da: int, b: dict, db: int, bound: tuple) -> tuple[dict, int]:
+    """(a / da) * (b / db) on raw monomials in lowest terms; a term above the bound
+    (names, degrees, max_degree, truncate, text) is dropped when truncating, else refused."""
+    _, degrees, max_degree, truncate, _ = bound
+    unit = (0,) * len(degrees)
+    if len(b) == 1 and unit in b:
+        a, b = b, a
+    if len(a) == 1 and unit in a:  # a constant keeps the other side's terms
+        return _lowest({m: a[unit] * c for m, c in b.items()}, da * db)
+    out: dict[Monomial, int] = {}
+    right = [(m2, c2, sum(map(mul, m2, degrees))) for m2, c2 in b.items()]
+    for m1, c1 in a.items():
+        d1 = sum(map(mul, m1, degrees))
+        for m2, c2, d2 in right:
+            mono = tuple(map(add, m1, m2))
+            if d1 + d2 <= max_degree:
+                out[mono] = out.get(mono, 0) + c1 * c2
+            elif not truncate:
+                raise _over_bound(mono, bound)
+    return _lowest(out if all(out.values()) else {m: c for m, c in out.items() if c}, da * db)
+
+
+def _raw_power(num: dict, den: int, exponent: int, bound: tuple) -> tuple[dict, int]:
+    """(num / den) ** exponent by repeated squaring, within the bound."""
+    out, out_den = {(0,) * len(bound[1]): 1}, 1
+    while exponent:
+        if exponent & 1:
+            out, out_den = _raw_product(out, out_den, num, den, bound)
+        exponent >>= 1
+        if exponent:
+            num, den = _raw_product(num, den, num, den, bound)
+    return out, out_den
 
 
 def parse_terms(
@@ -666,172 +746,92 @@ def parse_terms(
         factor := atom ['^' INT]
         atom   := NUMBER ['/' NUMBER] | NAME | '(' expr ')'
 
-    A term folds its numbers and generator powers within the bound into one
-    coefficient, denominator and exponent list, and is a dict of terms only
-    from a parenthesised factor on.  The bound holds after every product
-    (generator degrees are positive, so a term above it stays above it in
-    every later product), and parentheses nest at most _MAX_NESTING deep."""
+    One scan over the matches of `_FACTOR`, a joiner and a factor each, reads
+    the text in linear time (the pattern's comment says why); "(" pushes the
+    term around it on a stack, at most _MAX_NESTING deep.  An error's position
+    is a match group's offset, and a token starting with a character no rule
+    reads is reported first, as by a tokenizer reading the whole text before
+    parsing.  The bound holds after every product: degrees are positive."""
     names = [name for name, _ in generators]
     degrees = [degree for _, degree in generators]
+    bound = (names, degrees, max_degree, truncate, text)
     unit = (0,) * len(names)
-
-    def at(i: int) -> str:
-        return f"at position {_positions(text)[i]}"
-
-    # a name starts with a letter or "_", not with a digit like "²"; in ASCII
-    # text only a stray character can break a rule
-    tokens = _TOKEN.findall(text)
-    if not text.isascii() or _STRAY.search(text):
-        for index, (_, name, other) in enumerate(tokens):
-            first = name[:1] or other
-            if first and not (first.isalpha() or first == "_" or first in "+-*/^()"):
-                raise ExpressionError(f"unexpected character {first!r} {at(index)}")
-    tokens.append(_END)
-
-    def unexpected(i: int, wanted: str = "") -> ExpressionError:
-        got = "".join(tokens[i])
-        if wanted:
-            return ExpressionError(f"expected {wanted} {at(i)} in {text!r}, got {got!r}")
-        return ExpressionError(f"unexpected {got!r} {at(i)} in {text!r}")
-
-    def over_bound(mono: Monomial) -> ExpressionError:
-        degree = sum(map(mul, mono, degrees))
-        return ExpressionError(
-            f"term {monomial_name(names, mono)} of degree {degree} exceeds the degree "
-            f"bound {max_degree} in {text!r}"
-        )
-
-    def integer(i: int) -> int:
-        digits = tokens[i][0]
-        try:
-            return int(digits)
-        except ValueError:  # longer than the interpreter's int() digit limit
-            raise ExpressionError(f"number of {len(digits)} digits {at(i)} is too long") from None
-
-    def product(a: dict, da: int, b: dict, db: int) -> tuple[dict, int]:
-        if len(b) == 1 and unit in b:
-            a, b = b, a
-        if len(a) == 1 and unit in a:  # a constant keeps the other side's terms
-            return _lowest({m: a[unit] * c for m, c in b.items()}, da * db)
-        out: dict[Monomial, int] = {}
-        right = [(m2, c2, sum(map(mul, m2, degrees))) for m2, c2 in b.items()]
-        for m1, c1 in a.items():
-            d1 = sum(map(mul, m1, degrees))
-            for m2, c2, d2 in right:
-                mono = tuple(map(add, m1, m2))
-                if d1 + d2 <= max_degree:
-                    out[mono] = out.get(mono, 0) + c1 * c2
-                elif not truncate:
-                    raise over_bound(mono)
-        return _lowest(out if all(out.values()) else {m: c for m, c in out.items() if c}, da * db)
-
-    def expr(i: int, depth: int) -> tuple[dict, int, int]:
-        negate = tokens[i][2] == "-"
-        num, den, i = term(i + negate, depth)
-        if not negate and tokens[i][2] not in ("+", "-"):
-            return num, den, i
-        terms = [({m: -c for m, c in num.items()} if negate else num, den)]
-        while tokens[i][2] in ("+", "-"):
-            minus = tokens[i][2] == "-"
-            num, den, i = term(i + 1, depth)
-            terms.append(({m: -c for m, c in num.items()} if minus else num, den))
-        return (*_lowest(*_sum(terms)), i)
-
-    def power(num: dict, den: int, exponent: int) -> tuple[dict, int]:
-        out, out_den = {unit: 1}, 1
-        while exponent:
-            if exponent & 1:
-                out, out_den = product(out, out_den, num, den)
-            exponent >>= 1
-            if exponent:
-                num, den = product(num, den, num, den)
-        return out, out_den
-
-    def exponent_at(i: int, constant: int, den: int) -> tuple[int, int]:
-        """The exponent at token i, 1 without '^', and the token after it."""
-        if tokens[i][2] != "^":
-            return 1, i
-        if not tokens[i + 1][0]:
-            raise unexpected(i + 1, "number")
-        exponent = integer(i + 1)
-        if exponent < 1:
-            raise ExpressionError(f"exponent must be a positive integer {at(i + 1)}")
-        g = math.gcd(constant, den)
-        bits = max(abs(constant) // g, den // g).bit_length()
-        if bits > 1 and exponent * bits > _MAX_POWER_BITS:
-            raise ExpressionError(
-                f"exponent {exponent} {at(i + 1)} is too large "
-                f"for the constant term {Fraction(constant, den)}"
-            )
-        return exponent, i + 2
-
-    def term(i: int, depth: int) -> tuple[dict, int, int]:
-        # coeff / den * exps, of degree `degree`: the atoms since the last
-        # parenthesised factor; num / nden: the factors before them, if any
-        num, nden = None, 1
-        coeff, den, exps, degree = 1, 1, list(unit), 0
-        while True:
-            number, name, other = tokens[i]
-            inner = None
-            if number:
-                n, d, i = integer(i), 1, i + 1
-                if tokens[i][2] == "/":
-                    if not tokens[i + 1][0]:
-                        raise unexpected(i + 1, "number")
-                    d = integer(i + 1)
-                    if d == 0:
-                        raise ExpressionError(f"zero denominator {at(i + 1)}")
+    terms, stack = [], []  # the innermost expression's read terms; per "(", the state outside
+    num, nden, coeff, den, exps, degree = None, 1, 1, 1, list(unit), 0  # coeff -1 after "-"
+    start = True  # where an expression starts, a "-" or a factor comes
+    try:
+        for m in _FACTOR.finditer(text):  # the last match is the end, other == ""
+            joiner, number, over, name, close, exponent, opening, other = m.groups()
+            if start:
+                if joiner is not None and joiner != "-":
+                    raise _unexpected(text, m)
+                coeff = -1 if joiner else 1
+            elif joiner != "*":  # "+", "-", or no joiner: only ")" or the end may come
+                if joiner is None and not (close and stack or other == "" and not stack):
+                    raise _unexpected(text, m, ")" if stack else "")
+                if num is None:  # the term is its fold, in lowest terms
+                    g = math.gcd(coeff, den)
+                    num, nden = ({tuple(exps): coeff // g} if coeff else {}), den // g
+                terms.append((num, nden))
+                num, nden, coeff, den, exps, degree = None, 1, -1 if joiner == "-" else 1, 1, list(unit), 0
+                if joiner is None:  # the expression is done
+                    inner, iden = terms[0] if len(terms) == 1 else _lowest(*_sum(terms))
+                    if not stack:
+                        return inner, iden
+                    terms, num, nden = stack.pop()
+                    if exponent is not None:
+                        e = _exponent(text, m, inner.get(unit, 0), iden)
+                        inner, iden = _raw_power(inner, iden, e, bound)
+                    num, nden = _raw_product(num, nden, inner, iden, bound)
+                    continue
+            if number is not None:
+                n, d = _integer(text, m, 2), 1
+                if over is not None:
+                    if (d := _integer(text, m, 3)) == 0:
+                        raise ExpressionError(f"zero denominator at position {m.start(3)}")
                     g = math.gcd(n, d)
-                    n, d, i = n // g, d // g, i + 2
-                exponent, i = exponent_at(i, n, d)
-                coeff, den = coeff * n**exponent, den * d**exponent
-            elif name:
+                    n, d = n // g, d // g
+                if exponent is not None:
+                    e = _exponent(text, m, n, d)
+                    n, d = n**e, d**e
+                coeff, den = coeff * n, den * d
+            elif name is not None:
                 if name not in names:
-                    raise ExpressionError(f"unknown generator {name!r} {at(i)}")
+                    raise ExpressionError(f"unknown generator {name!r} at position {m.start(4)}")
                 index = names.index(name)
-                exponent, i = exponent_at(i + 1, 0, 1)
-                if degrees[index] * exponent > max_degree and not truncate:
+                e = 1 if exponent is None else _exponent(text, m, 0, 1)
+                if degrees[index] * e > max_degree and not truncate:
                     # raises at the first square that leaves the bound
-                    power({unit[:index] + (1,) + unit[index + 1 :]: 1}, 1, exponent)
-                exps[index] += exponent
-                degree += degrees[index] * exponent
+                    _raw_power({unit[:index] + (1,) + unit[index + 1 :]: 1}, 1, e, bound)
+                exps[index] += e
+                degree += degrees[index] * e
                 if coeff and degree > max_degree:  # a zero term stays zero unchecked
                     if not truncate:
-                        raise over_bound(tuple(exps))
+                        raise _over_bound(tuple(exps), bound)
                     coeff = 0
-            elif other == "(":
-                if depth == _MAX_NESTING:
-                    raise ExpressionError(f"parentheses nested more than {_MAX_NESTING} deep {at(i)}")
-                inner, iden, i = expr(i + 1, depth + 1)
-                if tokens[i][2] != ")":
-                    raise unexpected(i, ")")
-                exponent, i = exponent_at(i + 1, inner.get(unit, 0), iden)
-                inner, iden = power(inner, iden, exponent) if exponent > 1 else (inner, iden)
-            else:
-                raise unexpected(i)
-            if num is not None or inner is not None:
-                single = ({tuple(exps): coeff} if coeff else {}), den
-                num, nden = single if num is None else product(num, nden, *single)
-                if inner is not None:
-                    num, nden = product(num, nden, inner, iden)
+            elif opening is not None:
+                if len(stack) == _MAX_NESTING:
+                    raise ExpressionError(
+                        f"parentheses nested more than {_MAX_NESTING} deep at position {m.start(7)}"
+                    )
+                if num is None:  # the term is a dict from here on
+                    num, nden = ({tuple(exps): coeff} if coeff else {}), den
+                stack.append((terms, num, nden))
+                terms, num, nden, coeff, den, exps, degree = [], None, 1, 1, 1, list(unit), 0
+                start = True
+                continue
+            else:  # a factor must come here
+                raise _unexpected(text, m, groups=(5, 8))
+            if num is not None:  # after a parenthesised factor each factor multiplies in
+                num, nden = _raw_product(num, nden, {tuple(exps): coeff} if coeff else {}, den, bound)
                 coeff, den, exps, degree = 1, 1, list(unit), 0
-            if tokens[i][2] != "*":
-                break
-            i += 1
-        if num is not None:
-            return num, nden, i
-        g = math.gcd(coeff, den)
-        return ({tuple(exps): coeff // g} if coeff else {}), den // g, i
-
-    try:
-        num, den, i = expr(0, 0)
-        if tokens[i] is not _END:
-            raise unexpected(i)
-    finally:
-        # expr and term reach one another through their cells, a reference
-        # cycle only the garbage collector would free
-        del expr, term
-    return num, den
+            start = False
+    except ExpressionError:  # unless a token starts with a character no rule reads
+        for m in _FACTOR.finditer(text):  # a name's first character, or another one
+            for c, at in ((m[4] or "_")[0], m.start(4)), (m[8] or "+", m.start(8)):
+                if not (c.isalpha() or c in "_+-*/^()"):
+                    raise ExpressionError(f"unexpected character {c!r} at position {at}") from None
+        raise
 
 
 def parse_expression(text: str, model: ManifoldModel) -> CohClass:

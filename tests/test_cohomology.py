@@ -5,6 +5,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+import time
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -425,6 +428,52 @@ def test_critical_pair_validation_matches_exhaustive_oracle(system):
 
 
 @st.composite
+def _ordered_rewrite_systems(draw):
+    """Two to four generators of degree 2 or 4 and one relation each that
+    fires within the dimension; a relation either keeps to the shape the
+    generator-graph shortcut accepts (lower exponent of its own generator,
+    other generators only after it in a drawn order) or draws any right side
+    of its degree, the left side and cycles included."""
+    count = draw(st.integers(2, 4))
+    degrees = [draw(st.sampled_from([2, 4])) for _ in range(count)]
+    dimension = draw(st.sampled_from([4, 6, 8]))
+    order = draw(st.permutations(range(count)))
+    relations = {}
+    for i in range(count):
+        power = draw(st.integers(1, dimension // degrees[i]))
+        target, later, free = power * degrees[i], order[order.index(i) + 1 :], draw(st.booleans())
+        candidates = [
+            m
+            for m in itertools.product(*(range(target // d + 1) for d in degrees))
+            if sum(e * d for e, d in zip(m, degrees)) == target
+            and (free or m[i] < power and all(j == i or j in later for j, e in enumerate(m) if e))
+        ]
+        chosen = draw(st.lists(st.sampled_from(candidates), max_size=3, unique=True)) if candidates else []
+        relations[i] = (power, {m: Fraction(draw(st.integers(-2, 2).filter(bool))) for m in chosen})
+    return dimension, degrees, relations
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ordered_rewrite_systems())
+def test_a_model_the_generator_graph_accepts_terminates_with_the_oracle_normal_forms(system):
+    """A model built with the cycle search disabled was accepted by the
+    generator graph alone: it has no rewrite cycle, and its normal forms are
+    those of every rewrite order."""
+    dimension, degrees, relations = system
+    generators = [(f"g{i}", d) for i, d in enumerate(degrees)]
+    with mock.patch.object(ManifoldModel, "monomials_up_to", side_effect=LookupError):
+        try:
+            model = ManifoldModel(dimension, generators, relations, (0,) * len(degrees), Fraction(1))
+        except LookupError:  # the graph shortcut declined and the search began
+            return
+    assert not has_rewrite_cycle(dimension, degrees, relations)
+    forms = exhaustive_normal_forms(dimension, degrees, relations, step_cap=2_000)
+    for mono, form in forms.items():
+        d, pairs = model.normal_form(mono) or (1, ())  # () is the zero form
+        assert {model._monomials[i]: Fraction(n, d) for i, n in pairs} == form
+
+
+@st.composite
 def _one_relation_systems(draw):
     """Two or three generators of degree 2 or 4 and one relation g0^k ->
     rational combination of monomials with lower g0 exponent, which fires
@@ -719,7 +768,9 @@ def test_power_of_a_large_constant_is_rejected(cp2):
 _X, _XY = [("x", 2)], [("x", 2), ("y", 4)]
 #: Terms whose atoms fold into one coefficient and exponent list, and
 #: where that fold meets a zero, the degree bound, the constant guard or a
-#: parenthesised factor; the outcome is the oracle's, shown here.
+#: parenthesised factor; then texts where a scan that reads one factor per
+#: match could split otherwise than a token loop.  The outcome is the
+#: oracle's, shown here.
 _FOLD_EDGES = [
     ("0*x^3*x^3", _X, 6, False, {}),  # a zero coefficient is not checked against the bound
     ("2*x^2*y*x*y", _XY, 8, False, "term x^3*y of degree 10 exceeds the degree bound 8"),
@@ -733,6 +784,39 @@ _FOLD_EDGES = [
     ("-3/4*x - 2/6", _X, 6, False, {(1,): Fraction(-3, 4), (0,): Fraction(-1, 3)}),
     ("2*x*x^5*y", _XY, 6, False, "term x^4 of degree 8 exceeds the degree bound 6"),
     ("1 + 2*x*x^5*y", _XY, 6, True, {(0, 0): 1}),
+    ("3 / 4*x", _XY, 8, False, {(1, 0): Fraction(3, 4)}),
+    ("x ^ 2", _XY, 8, False, {(2, 0): 1}),
+    ("( x )", _XY, 8, False, {(1, 0): 1}),
+    ("-(x)", _XY, 8, False, {(1, 0): -1}),
+    ("2*(x)^2*3", _XY, 8, False, {(2, 0): 6}),
+    ("3/ x", _XY, 8, False, "expected number at position 3 in '3/ x', got 'x'"),
+    ("2/x", _XY, 8, False, "expected number at position 2 in '2/x', got 'x'"),
+    ("x^(2)", _XY, 8, False, "expected number at position 2 in 'x^(2)', got '('"),
+    ("x^ ", _XY, 8, False, "expected number at position 3 in 'x^ ', got ''"),
+    ("x^-1", _XY, 8, False, "expected number at position 2 in 'x^-1', got '-'"),
+    ("(1+x)^", _XY, 8, False, "expected number at position 6 in '(1+x)^', got ''"),
+    ("2x", _XY, 8, False, "unexpected 'x' at position 1 in '2x'"),
+    ("x y", _XY, 8, False, "unexpected 'y' at position 2 in 'x y'"),
+    ("(x y)", _XY, 8, False, "expected ) at position 3 in '(x y)', got 'y'"),
+    ("(1+x)(1+y)", _XY, 8, False, "unexpected '(' at position 5 in '(1+x)(1+y)'"),
+    ("x^2^3", _XY, 8, False, "unexpected '^' at position 3 in 'x^2^3'"),
+    ("(x)^2^2", _XY, 8, False, "unexpected '^' at position 5 in '(x)^2^2'"),
+    ("--x", _XY, 8, False, "unexpected '-' at position 1 in '--x'"),
+    ("+x", _XY, 8, False, "unexpected '+' at position 0 in '+x'"),
+    ("x*", _XY, 8, False, "unexpected '' at position 2 in 'x*'"),
+    ("*x", _XY, 8, False, "unexpected '*' at position 0 in '*x'"),
+    ("x**2", _XY, 8, False, "unexpected '*' at position 2 in 'x**2'"),
+    ("1/2/3", _XY, 8, False, "unexpected '/' at position 3 in '1/2/3'"),
+    ("(1/2/3)", _XY, 8, False, "expected ) at position 4 in '(1/2/3)', got '/'"),
+    ("x/2", _XY, 8, False, "unexpected '/' at position 1 in 'x/2'"),
+    ("(x", _XY, 8, False, "expected ) at position 2 in '(x', got ''"),
+    ("", _XY, 8, False, "unexpected '' at position 0 in ''"),
+    (" ", _XY, 8, False, "unexpected '' at position 1 in ' '"),
+    ("1/0", _XY, 8, False, "zero denominator at position 2"),
+    ("x^0", _XY, 8, False, "exponent must be a positive integer at position 2"),
+    ("0^0", _XY, 8, False, "exponent must be a positive integer at position 2"),
+    ("1/٣*x", _XY, 8, False, {(1, 0): Fraction(1, 3)}),
+    ("x^1٢", _X, 24, False, {(12,): 1}),
 ]
 
 
@@ -848,7 +932,16 @@ def _expressions(generators):
         )
 
     expressions = st.recursive(atoms, extend, max_leaves=10)
-    return st.tuples(st.sampled_from(["", "-", "- "]), expressions).map("".join)
+    return st.tuples(st.sampled_from(["", "-", "- "]), expressions).map("".join).flatmap(_spaced)
+
+
+def _spaced(text: str):
+    """The text with optional space drawn between each pair of its tokens,
+    inside a factor too, as in "3 / 4" or "( x ) ^ 2"."""
+    tokens = re.findall(r"\d+|\w+|\S", text)
+    count = len(tokens) - 1
+    gaps = st.lists(st.sampled_from(["", "", " ", "  "]), min_size=count, max_size=count)
+    return gaps.map(lambda gaps: tokens[0] + "".join(map("".join, zip(gaps, tokens[1:]))))
 
 
 def _bounds(generators, cap):
@@ -889,6 +982,23 @@ def test_parse_terms_matches_the_fraction_oracle(case):
     and without truncation, as the recursive-descent parser over Fraction
     dicts."""
     assert _terms_or_message(parse_terms, *case) == _terms_or_message(parse_terms_oracle, *case)
+
+
+def test_a_flat_sum_of_20000_terms_is_read_in_linear_time():
+    # one pass over the text: a parser that slices the rest of the text at
+    # each token copies about 10^10 characters here
+    text = " + ".join(f"{k % 7 + 1}/{k % 5 + 1}*x^{k % 4 + 1}*y" for k in range(20_000))
+    expected = {}
+    for k in range(20_000):
+        if k % 4 + 1 <= 2:
+            mono = (k % 4 + 1, 1)
+            expected[mono] = expected.get(mono, 0) + Fraction(k % 7 + 1, k % 5 + 1)
+    start = time.perf_counter()
+    assert _terms_or_message(parse_terms, text, _XY, 8, True) == expected
+    assert _terms_or_message(parse_terms, text + " +", _XY, 8, True) == (
+        f"unexpected '' at position {len(text) + 2} in {text + ' +'!r}"
+    )
+    assert time.perf_counter() - start < 3
 
 
 _TEXT_GENERATORS = [("x", 2), ("y", 4), ("é", 2)]

@@ -6,20 +6,24 @@ roots; Fl(n) has a-hat genus 0, so the projective Dirac distribution has
 mass 0 at both elements of its Z/2 center.  The Dirac documents declare
 one invariant generator of s_degree 2 and one of s_degree 1, so some
 moment keys vanish by degree on these models.  Their machine output is
-pinned by digest.
+pinned by digest.  Borel-Weil-Bott gives the pairing of the Todd class
+with the line bundle of weight lambda as the Weyl dimension at -lambda.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import time
+from fractions import Fraction
 
 import pytest
 
 from fracindex.scenarios import emit, parse_scenario, run
 
-from oracles import flag_manifold, flag_roots
+from oracles import flag_manifold, flag_roots, genus_root_by_root
 
 FLAG_DIRAC_DIGESTS = {
     3: "7b64ad5df64794d7eac32571c3090d0c31903e765e0532f9d95ab1d51f0ff267",
@@ -76,3 +80,46 @@ def test_flag_manifold_projective_dirac_has_mass_zero(n):
     assert dead and all(table.values[key] == 0 for table in tables.values() for key in dead)
     text = emit(results, "machine")
     assert hashlib.sha256(text.encode()).hexdigest() == FLAG_DIRAC_DIGESTS[n]
+
+
+def test_flag_manifold_pairings_are_weyl_dimensions():
+    # the index of the Dolbeault operator twisted by the line bundle of
+    # weight lambda is, by Borel-Weil-Bott, the dimension of the irreducible
+    # representation of highest weight mu = -lambda (Bott, Ann. of Math. 66,
+    # 1957): prod_{i<j} (mu_i - mu_j + j - i) / (j - i), an integer
+    n = 3
+    document = {
+        "name": f"flag{n}_borel_weil",
+        "manifold": flag_manifold(n),
+        "bundles": [{"name": "TM", "rank": 3, "chern_roots": flag_roots(n), "tangent": True}],
+        "group": {
+            "cyclic_orders": [],
+            "weight_kind": "torus",
+            "weight_system": [
+                {"weight": [int(i == j) for j in range(n)], "line_class": f"x{i + 1}"}
+                for i in range(n)
+            ],
+        },
+    }
+    tangent = parse_scenario(json.dumps(document)).bundles["TM"]
+    todd = genus_root_by_root("todd", tangent).to_expression()
+    labels = list(itertools.product(range(-2, 3), repeat=n))
+    document["symbol"] = [{"character": [], "class": todd}]
+    document["tasks"] = [{"op": "atiyah_pairing", "lambda": list(label)} for label in labels]
+    scenario = parse_scenario(json.dumps(document))
+    assert scenario.problem().a_hat_squared == scenario.model.one()  # Fl(n) has a-hat 1
+    for result, label in zip(run(scenario), labels, strict=True):
+        weyl = math.prod(
+            Fraction(label[j] - label[i] + j - i, j - i) for i in range(n) for j in range(i + 1, n)
+        )
+        assert weyl.denominator == 1 and result.payload == weyl
+
+
+def test_an_acyclic_flag_manifold_document_parses_without_the_cycle_search():
+    # each rule of Fl(7) brings in only later generators, so the generator
+    # graph proves termination; a search over the C(28, 7) monomials up to
+    # the dimension would take most of a minute
+    start = time.perf_counter()
+    scenario = parse_scenario(json.dumps(_dirac_document(7)))
+    assert time.perf_counter() - start < 1
+    assert scenario.model.dimension == 42 and len(scenario.bundles["TM"].roots) == 21

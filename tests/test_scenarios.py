@@ -793,8 +793,9 @@ def test_json_writer_matches_json_dumps_when_deeply_nested():
 
 def test_parsing_and_emitting_leave_no_reference_cycles():
     # nothing a solve builds should wait for the cyclic garbage collector:
-    # the parser's mutually recursive closures and the recursive JSON
-    # writer once left cycles behind on every call
+    # the expression parser keeps its state in locals and a stack of its
+    # own, and the JSON writer recurses through a module-level function, so
+    # neither builds a closure that could refer back to itself
     cp2 = parse_scenario(builtin_scenario_text("cp2_projective_dirac")).model
     results = run(parse_scenario(builtin_scenario_text("gamma4_character_sum")))
     gc.collect()
