@@ -22,10 +22,11 @@ product goes through one kernel, a per-model table from an index pair
 (i, j) to the normal form of e_i * e_j as integers on indices over a
 denominator (1 for integral relations), the multiplication table of the
 quotient algebra (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2
-section 4).  Each normal form is computed once and shared by every pair
-with that product; a product that vanishes has a dead entry that the
-kernel skips, an integral entry (d = 1) adds its numerators with no
-rescale, and a result is filtered for zeros only when a sum cancelled.
+section 4).  Each normal form, as that of every monomial a rewrite reaches,
+is computed once and shared by every pair with that product; a product
+that vanishes has a dead entry that the kernel skips, an integral entry
+(d = 1) adds its numerators with no rescale, and a result is filtered for
+zeros only when a sum cancelled.
 The table is filled as pairs are first multiplied, never by walking the
 basis, and is keyed by ordered pairs: the engine's two routes associate
 products differently, so its cross-check reads different entries; a class
@@ -37,15 +38,19 @@ system whose generator graph is acyclic at once, else searches the rewrite
 graph for a cycle, and without one a pure-power system is confluent (the
 arguments are there).
 
-Expressions are read in one scan over the matches of one pattern, an
-optional joiner and one factor each, with a stack for parentheses.  A term
-folds its numbers and generator powers within the degree bound into one int
-coefficient over one denominator and one exponent list, with one gcd at its
-end, and is integer numerators over one denominator from a parenthesised
-factor on.  The parser multiplies raw monomials itself: relations are parsed
-before any model exists.  A power of a parenthesised factor goes by
-repeated squaring, so "(1+x)^99999999" costs about 27 products, and an
-over-bound error names the first square that leaves the bound.
+Expressions are read in one `findall` pass of one pattern, a tuple of an
+optional joiner and one factor each, with a stack for parentheses; a name
+is looked up in a name -> (position, degree) map that each model, and each
+`build_model` call, builds once.  A term folds its numbers and generator
+powers within the degree bound into one int coefficient over one
+denominator and one exponent list, and is integer numerators over one
+denominator from a parenthesised factor on; an expression adds its terms
+into one sum over a running denominator, with one gcd at its end.  An error
+rebuilds its match from the tuple's index.  The parser multiplies raw
+monomials itself: relations are parsed before any model exists.  A power
+of a parenthesised factor goes by repeated squaring, so "(1+x)^99999999"
+costs about 27 products, and an over-bound error names the first square
+that leaves the bound.
 
 Every power series in a class runs through one loop, `evaluate_series`:
 the exponential, the inverse (1/c0 times the alternating series in the
@@ -64,6 +69,7 @@ import re
 from contextlib import suppress
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
+from itertools import islice
 from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -117,6 +123,7 @@ class ManifoldModel(Frozen):
         "generators",
         "relations",
         "orientation",
+        "_name_index",
         "_normal_cache",
         "_products",
         "_images",
@@ -135,7 +142,10 @@ class ManifoldModel(Frozen):
         orientation: Fraction,
     ) -> None:
         # the caches start empty, and `_fundamental` is set once interned
-        super().__init__(dimension, generators, relations, orientation, {}, {}, {}, {}, [], [], None)
+        super().__init__(
+            dimension, generators, relations, orientation, name_index(generators),
+            {}, {}, {}, {}, [], [], None,
+        )
         self._check_termination()
         self._intern((0,) * len(generators))
         object.__setattr__(self, "_fundamental", self._intern(fundamental_monomial))
@@ -189,42 +199,42 @@ class ManifoldModel(Frozen):
         """Rewrite a raw monomial into a combination of basis monomials,
         returned as (d, ((i, n), ...)) with monomial indices i and integer n:
         the form is sum n * e_i / d, d = 1 when it is integral, and the zero
-        form is the dead (); each is computed once per model, and every
-        product-table entry it fills shares it.  A monomial above the
-        dimension, or one whose exponent reaches a relation with an empty
-        right side, is dead without a rewrite and enters no index; one that
-        reaches no relation is the basis monomial (1, ((i, 1),)) at once."""
-        entry = self._normal_cache.get(mono)
+        form is the dead ().  A monomial above the dimension, or one whose
+        exponent reaches a relation with an empty right side, is dead and
+        enters no index; one that reaches no relation is the basis monomial
+        (1, ((i, 1),)).  Any other sums the forms of its terms under its first
+        relation, so every monomial a rewrite reaches gets one entry per model,
+        shared by every product-table entry it fills.  The walk is depth first
+        on an explicit stack, as rewrite chains can be long; validation rules
+        out cycles, and relations are homogeneous, so the degree stays."""
+        cache = self._normal_cache
+        entry = cache.get(mono)
         if entry is not None:
             return entry
-        reached = [rhs for i, (power, rhs) in self.relations.items() if mono[i] >= power]
-        dead = self._degree(mono) > self.dimension or not all(reached)
-        if dead or not reached:
-            entry = self._normal_cache[mono] = () if dead else (1, ((self._intern(mono), 1),))
-            return entry
-        # iterative worklist; validation has ruled out rewrite cycles, so it
-        # ends, and relations are homogeneous, so every term keeps the degree
-        pending = {mono: Fraction(1)}
-        done: dict[int, Fraction] = {}
-        while pending:
-            current, coeff = pending.popitem()
-            cached = self._normal_cache.get(current)
-            if cached is not None:
-                d, pairs = cached or (1, ())
-                for i, n in pairs:
-                    done[i] = done.get(i, 0) + coeff * Fraction(n, d)
+        if self._degree(mono) > self.dimension:
+            cache[mono] = ()
+            return ()
+        stack = [mono]
+        while stack:
+            current = stack.pop()
+            if current in cache:
                 continue
-            hits = [i for i, (power, _) in self.relations.items() if current[i] >= power]
-            if not hits:
-                i = self._intern(current)
-                done[i] = done[i] + coeff if i in done else coeff
+            reached = [i for i, (power, _) in self.relations.items() if current[i] >= power]
+            if not reached or not all(self.relations[i][1] for i in reached):
+                cache[current] = () if reached else (1, ((self._intern(current), 1),))
                 continue
-            for rmono, rcoeff in self._rewrite_once(current, hits[0]).items():
-                pending[rmono] = pending.get(rmono, 0) + coeff * rcoeff
-        done = {i: c for i, c in done.items() if c}
-        numerators, d = common_denominator(list(done.values()))
-        entry = self._normal_cache[mono] = (d, tuple(zip(done, numerators))) if done else ()
-        return entry
+            image = self._rewrite_once(current, reached[0])
+            missing = [m for m in image if m not in cache]
+            if missing:  # their forms first, then this one again
+                stack += [current, *missing]
+                continue
+            parts = []  # each term's form times its coefficient, in integers
+            for m, coeff in image.items():
+                d, pairs = cache[m] or (1, ())
+                parts.append(({i: coeff.numerator * n for i, n in pairs}, coeff.denominator * d))
+            num, d = _lowest(*_sum(parts))
+            cache[current] = (d, tuple(num.items())) if num else ()
+        return cache[mono]
 
     # -- validation ------------------------------------------------------------
 
@@ -564,6 +574,7 @@ def build_model(
         raise ModelError(f"dimension: must be even and nonnegative, got {dimension}")
     names = [n for n, _ in generators]
     degrees = [d for _, d in generators]
+    lookup = name_index(generators)
     seen: set[str] = set()
     for i, (name, degree) in enumerate(generators):
         if degree <= 0 or degree % 2 != 0:
@@ -579,7 +590,7 @@ def build_model(
     def raw_terms(text: str, path: str) -> dict[Monomial, Fraction]:
         if text not in parsed:
             try:
-                num, den = parse_terms(text, generators, bound, truncate=False)
+                num, den = parse_terms(text, lookup, bound, truncate=False)
             except ExpressionError as exc:
                 raise ExpressionError(f"{path}: {exc}") from exc
             parsed[text] = {m: Fraction(c, den) for m, c in num.items()}
@@ -638,13 +649,14 @@ def build_model(
 
 _MAX_POWER_BITS = 1 << 16  # a power of a constant term may not outgrow this
 _MAX_NESTING = 100  # parentheses deeper than this are rejected, not recursed into
-#: Groups: joiner, number (what int() reads), denominator, name, ")", exponent
-#: ("" for a "/" or "^" with no digits), "(", and one other character ("" at
-#: the end).  No match fails, as the last alternative matches where the
-#: others do not, and only an optional "/" or "^" part backtracks, over the
-#: space it read: the scan takes linear time.
+#: Groups: joiner, number (what int() reads), "/", denominator, name, ")",
+#: "^", exponent ("" after a "/" or "^" with no digits), "(", and one other
+#: character ("" at the end); `findall` gives "" for a group that took no
+#: part.  No match fails, as the last alternative matches where the others
+#: do not, and only an optional "/" or "^" part backtracks, over the space
+#: it read: the scan takes linear time.
 _FACTOR = re.compile(
-    r"\s*(?:([-+*])\s*)?(?:(?:(\d+)(?:\s*/\s*(\d*))?|(\w+)|(\)))(?:\s*\^\s*(\d*))?|(\()|(\S?))"
+    r"\s*(?:([-+*])\s*)?(?:(?:(\d+)(?:\s*(/)\s*(\d*))?|(\w+)|(\)))(?:\s*(\^)\s*(\d*))?|(\()|(\S?))"
 )
 
 
@@ -656,7 +668,18 @@ def is_generator_name(name: str) -> bool:
     return (name[:1].isalpha() or name[:1] == "_") and re.fullmatch(r"\w+", name) is not None
 
 
-def _unexpected(text: str, match: re.Match, wanted: str = "", groups=(1, 2, 4, 5, 7, 8)):
+def name_index(generators: Iterable[tuple[str, int]]) -> dict[str, tuple[int, int]]:
+    """Each generator name's position and degree, in generator order: what
+    the parser reads names through, built once per model."""
+    return {name: (i, degree) for i, (name, degree) in enumerate(generators)}
+
+
+def _match(text: str, k: int) -> re.Match:
+    """The k-th match of the scan, rebuilt for an error."""
+    return next(islice(_FACTOR.finditer(text), k, None))
+
+
+def _unexpected(text: str, match: re.Match, wanted: str = "", groups=(1, 2, 5, 6, 9, 10)):
     """The error at the first token of the match in these groups ("" is the end)."""
     group = next(g for g in groups if match[g] is not None)
     got, where = match[group], f"at position {match.start(group)} in {text!r}"
@@ -664,44 +687,45 @@ def _unexpected(text: str, match: re.Match, wanted: str = "", groups=(1, 2, 4, 5
     return ExpressionError(said)
 
 
-def _integer(text: str, match: re.Match, group: int) -> int:
-    if not match[group]:  # a "/" or "^" with no number after it
-        raise _unexpected(text, _FACTOR.match(text, match.end(group)), "number")
-    try:
-        return int(match[group])
-    except ValueError:  # longer than the interpreter's int() digit limit
-        raise ExpressionError(
-            f"number of {len(match[group])} digits at position {match.start(group)} is too long"
-        ) from None
-
-
-def _exponent(text: str, match: re.Match, constant: int, den: int) -> int:
-    """The exponent of a factor whose constant term is constant / den."""
-    exponent, position = _integer(text, match, 6), match.start(6)
+def _exponent(text: str, k: int, digits: str, constant: int = 0, den: int = 1) -> int:
+    """The exponent of the k-th match's factor, whose constant term is constant / den."""
+    exponent = int(digits)
     if exponent < 1:
-        raise ExpressionError(f"exponent must be a positive integer at position {position}")
+        raise ExpressionError(
+            f"exponent must be a positive integer at position {_match(text, k).start(8)}"
+        )
     g = math.gcd(constant, den)
     bits = max(abs(constant) // g, den // g).bit_length()
     if bits > 1 and exponent * bits > _MAX_POWER_BITS:
+        said = f"a constant term of {bits} bits"
+        with suppress(ValueError):  # str() refuses ints past int()'s digit limit too
+            said = f"the constant term {Fraction(constant, den)}"
         raise ExpressionError(
-            f"exponent {exponent} at position {position} is too large "
-            f"for the constant term {Fraction(constant, den)}"
+            f"exponent {exponent} at position {_match(text, k).start(8)} is too large for {said}"
         )
     return exponent
 
 
 def _over_bound(mono: Monomial, bound: tuple) -> ExpressionError:
-    names, degrees, max_degree, _, text = bound
+    index, max_degree, _, text = bound
+    degree = sum(e * d for e, (_, d) in zip(mono, index.values()))
     return ExpressionError(
-        f"term {monomial_name(names, mono)} of degree {sum(map(mul, mono, degrees))} exceeds "
+        f"term {monomial_name(index, mono)} of degree {degree} exceeds "
         f"the degree bound {max_degree} in {text!r}"
     )
 
 
+def _rescaled(acc: dict, den: int, d: int) -> tuple[dict, int]:
+    """Integer terms acc / den over the lcm of den and d."""
+    g = d // math.gcd(den, d)
+    return ({m: c * g for m, c in acc.items()} if acc else acc), den * g
+
+
 def _raw_product(a: dict, da: int, b: dict, db: int, bound: tuple) -> tuple[dict, int]:
     """(a / da) * (b / db) on raw monomials in lowest terms; a term above the bound
-    (names, degrees, max_degree, truncate, text) is dropped when truncating, else refused."""
-    _, degrees, max_degree, truncate, _ = bound
+    (name index, max_degree, truncate, text) is dropped when truncating, else refused."""
+    index, max_degree, truncate, _ = bound
+    degrees = [d for _, d in index.values()]
     unit = (0,) * len(degrees)
     if len(b) == 1 and unit in b:
         a, b = b, a
@@ -722,7 +746,7 @@ def _raw_product(a: dict, da: int, b: dict, db: int, bound: tuple) -> tuple[dict
 
 def _raw_power(num: dict, den: int, exponent: int, bound: tuple) -> tuple[dict, int]:
     """(num / den) ** exponent by repeated squaring, within the bound."""
-    out, out_den = {(0,) * len(bound[1]): 1}, 1
+    out, out_den = {(0,) * len(bound[0]): 1}, 1
     while exponent:
         if exponent & 1:
             out, out_den = _raw_product(out, out_den, num, den, bound)
@@ -733,110 +757,143 @@ def _raw_power(num: dict, den: int, exponent: int, bound: tuple) -> tuple[dict, 
 
 
 def parse_terms(
-    text: str, generators: Iterable[tuple[str, int]], max_degree: int, truncate: bool
+    text: str, index: Mapping[str, tuple[int, int]], max_degree: int, truncate: bool
 ) -> tuple[dict[Monomial, int], int]:
     """Parse an expression into raw (unreduced) monomial terms of degree at
     most max_degree: integer numerators, none zero, over one positive
     denominator in lowest terms.  Terms above the bound are dropped when
     `truncate` and raise ExpressionError otherwise; without `truncate` the
     bound is at least every generator's degree, as `build_model`'s is.
+    Names are read through `index`, the `name_index` of the generators,
+    which `build_model` and each model build once.
 
         expr   := ['-'] term (('+'|'-') term)*
         term   := factor ('*' factor)*
         factor := atom ['^' INT]
         atom   := NUMBER ['/' NUMBER] | NAME | '(' expr ')'
 
-    One scan over the matches of `_FACTOR`, a joiner and a factor each, reads
-    the text in linear time (the pattern's comment says why); "(" pushes the
-    term around it on a stack, at most _MAX_NESTING deep.  An error's position
-    is a match group's offset, and a token starting with a character no rule
-    reads is reported first, as by a tokenizer reading the whole text before
-    parsing.  The bound holds after every product: degrees are positive."""
-    names = [name for name, _ in generators]
-    degrees = [degree for _, degree in generators]
-    bound = (names, degrees, max_degree, truncate, text)
-    unit = (0,) * len(names)
-    terms, stack = [], []  # the innermost expression's read terms; per "(", the state outside
-    num, nden, coeff, den, exps, degree = None, 1, 1, 1, list(unit), 0  # coeff -1 after "-"
+    One `findall` pass of `_FACTOR` reads a joiner and a factor per tuple.
+    A term folds its numbers, converted inline, and its generator powers,
+    each name looked up in the index, into one int over one denominator and
+    one exponent list, and is integer numerators over one denominator from
+    a parenthesised factor on.  Each expression is one sum over a running
+    denominator, moved to the lcm only when a term's does not divide it,
+    with one gcd at its end; "(" pushes the sum and term around it on a
+    stack, at most _MAX_NESTING deep.  An error rebuilds its match from the
+    tuple's index, and a token starting with a character no rule reads is
+    reported first, as by a tokenizer reading the whole text first.  The
+    bound holds after every product: degrees are positive."""
+    bound, width = (index, max_degree, truncate, text), len(index)
+    acc, aden, stack = {}, 1, []  # the innermost expression's sum; per "(", the state outside
+    num, nden, coeff, den, exps, degree = None, 1, 1, 1, [0] * width, 0  # coeff -1 after "-"
     start = True  # where an expression starts, a "-" or a factor comes
     try:
-        for m in _FACTOR.finditer(text):  # the last match is the end, other == ""
-            joiner, number, over, name, close, exponent, opening, other = m.groups()
+        for k, (joiner, number, slash, over, name, close, caret, exponent, opening, other) in (
+            enumerate(_FACTOR.findall(text))  # the last tuple is the end, all ""
+        ):
             if start:
-                if joiner is not None and joiner != "-":
-                    raise _unexpected(text, m)
+                if joiner and joiner != "-":
+                    raise _unexpected(text, _match(text, k))
                 coeff = -1 if joiner else 1
             elif joiner != "*":  # "+", "-", or no joiner: only ")" or the end may come
-                if joiner is None and not (close and stack or other == "" and not stack):
-                    raise _unexpected(text, m, ")" if stack else "")
-                if num is None:  # the term is its fold, in lowest terms
-                    g = math.gcd(coeff, den)
-                    num, nden = ({tuple(exps): coeff // g} if coeff else {}), den // g
-                terms.append((num, nden))
-                num, nden, coeff, den, exps, degree = None, 1, -1 if joiner == "-" else 1, 1, list(unit), 0
-                if joiner is None:  # the expression is done
-                    inner, iden = terms[0] if len(terms) == 1 else _lowest(*_sum(terms))
+                if not joiner and not (
+                    close and stack or not (stack or number or name or close or opening or other)
+                ):
+                    raise _unexpected(text, _match(text, k), ")" if stack else "")
+                if num is None:  # the term joins the sum, moved to the lcm of the denominators
+                    if coeff:
+                        if aden % den:
+                            acc, aden = _rescaled(acc, aden, den)
+                        mono = tuple(exps)
+                        acc[mono] = acc.get(mono, 0) + coeff * (aden // den)
+                else:
+                    if aden % nden:
+                        acc, aden = _rescaled(acc, aden, nden)
+                    for mono, c in num.items():
+                        acc[mono] = acc.get(mono, 0) + c * (aden // nden)
+                num, den, exps, degree = None, 1, [0] * width, 0
+                coeff = -1 if joiner == "-" else 1
+                if not joiner:  # the expression is done
+                    inner, iden = _lowest(
+                        acc if all(acc.values()) else {m: c for m, c in acc.items() if c}, aden
+                    )
                     if not stack:
                         return inner, iden
-                    terms, num, nden = stack.pop()
-                    if exponent is not None:
-                        e = _exponent(text, m, inner.get(unit, 0), iden)
+                    acc, aden, num, nden = stack.pop()
+                    if caret:
+                        e = _exponent(text, k, exponent, inner.get((0,) * width, 0), iden)
                         inner, iden = _raw_power(inner, iden, e, bound)
                     num, nden = _raw_product(num, nden, inner, iden, bound)
                     continue
-            if number is not None:
-                n, d = _integer(text, m, 2), 1
-                if over is not None:
-                    if (d := _integer(text, m, 3)) == 0:
-                        raise ExpressionError(f"zero denominator at position {m.start(3)}")
+            if name:
+                entry = index.get(name)
+                if entry is None:
+                    raise ExpressionError(
+                        f"unknown generator {name!r} at position {_match(text, k).start(5)}"
+                    )
+                i, gdeg = entry
+                e = int(exponent) if caret else 1
+                if not e:  # "^0", which _exponent refuses
+                    _exponent(text, k, exponent)
+                exps[i] += e
+                degree += gdeg * e
+                if degree > max_degree:
+                    if truncate:
+                        coeff = 0
+                    elif gdeg * e > max_degree:  # raises at the first square that leaves the bound
+                        _raw_power({(0,) * i + (1,) + (0,) * (width - i - 1): 1}, 1, e, bound)
+                    elif coeff:  # a zero term stays zero unchecked
+                        raise _over_bound(tuple(exps), bound)
+            elif number:
+                n, d = int(number), int(over) if slash else 1
+                if not d:
+                    raise ExpressionError(f"zero denominator at position {_match(text, k).start(4)}")
+                if caret:
                     g = math.gcd(n, d)
                     n, d = n // g, d // g
-                if exponent is not None:
-                    e = _exponent(text, m, n, d)
+                    e = _exponent(text, k, exponent, n, d)
                     n, d = n**e, d**e
                 coeff, den = coeff * n, den * d
-            elif name is not None:
-                if name not in names:
-                    raise ExpressionError(f"unknown generator {name!r} at position {m.start(4)}")
-                index = names.index(name)
-                e = 1 if exponent is None else _exponent(text, m, 0, 1)
-                if degrees[index] * e > max_degree and not truncate:
-                    # raises at the first square that leaves the bound
-                    _raw_power({unit[:index] + (1,) + unit[index + 1 :]: 1}, 1, e, bound)
-                exps[index] += e
-                degree += degrees[index] * e
-                if coeff and degree > max_degree:  # a zero term stays zero unchecked
-                    if not truncate:
-                        raise _over_bound(tuple(exps), bound)
-                    coeff = 0
-            elif opening is not None:
+            elif opening:
                 if len(stack) == _MAX_NESTING:
                     raise ExpressionError(
-                        f"parentheses nested more than {_MAX_NESTING} deep at position {m.start(7)}"
+                        f"parentheses nested more than {_MAX_NESTING} deep "
+                        f"at position {_match(text, k).start(9)}"
                     )
                 if num is None:  # the term is a dict from here on
                     num, nden = ({tuple(exps): coeff} if coeff else {}), den
-                stack.append((terms, num, nden))
-                terms, num, nden, coeff, den, exps, degree = [], None, 1, 1, 1, list(unit), 0
+                stack.append((acc, aden, num, nden))
+                acc, aden, num, coeff, den, exps, degree = {}, 1, None, 1, 1, [0] * width, 0
                 start = True
                 continue
             else:  # a factor must come here
-                raise _unexpected(text, m, groups=(5, 8))
+                raise _unexpected(text, _match(text, k), groups=(6, 10))
             if num is not None:  # after a parenthesised factor each factor multiplies in
                 num, nden = _raw_product(num, nden, {tuple(exps): coeff} if coeff else {}, den, bound)
-                coeff, den, exps, degree = 1, 1, list(unit), 0
+                coeff, den, exps, degree = 1, 1, [0] * width, 0
             start = False
-    except ExpressionError:  # unless a token starts with a character no rule reads
-        for m in _FACTOR.finditer(text):  # a name's first character, or another one
-            for c, at in ((m[4] or "_")[0], m.start(4)), (m[8] or "+", m.start(8)):
+    except ValueError as exc:  # an ExpressionError, or int() refusing a number
+        for m in _FACTOR.finditer(text):  # unless a token starts with a character no rule reads
+            for c, at in ((m[5] or "_")[0], m.start(5)), (m[10] or "+", m.start(10)):
                 if not (c.isalpha() or c in "_+-*/^()"):
                     raise ExpressionError(f"unexpected character {c!r} at position {at}") from None
-        raise
+        if isinstance(exc, ExpressionError):
+            raise
+        m = _match(text, k)  # int() refused the first of its numbers that it refuses
+        for group in 2, 4, 8:
+            if m[group] == "":  # no digits after a "/" or "^"
+                raise _unexpected(text, _FACTOR.match(text, m.end(group)), "number") from None
+            with suppress(ValueError):  # else more digits than int() reads
+                int(m[group] or 0)
+                continue
+            raise ExpressionError(
+                f"number of {len(m[group])} digits at position {m.start(group)} is too long"
+            ) from None
 
 
 def parse_expression(text: str, model: ManifoldModel) -> CohClass:
     """Parse a polynomial expression in the model's generators and reduce
     it to normal form.  Terms above the model dimension are dropped while
     parsing, as they vanish in the model."""
-    num, den = parse_terms(text, model.generators, model.dimension, truncate=True)
+    num, den = parse_terms(text, model._name_index, model.dimension, truncate=True)
     return _reduced(model, num, den)

@@ -21,6 +21,7 @@ from fracindex.cohomology import (
     ManifoldModel,
     ModelError,
     build_model,
+    name_index,
     parse_expression,
     parse_terms,
     evaluate_series,
@@ -765,12 +766,27 @@ def test_power_of_a_large_constant_is_rejected(cp2):
         parse_expression("(1/2 + x)^99999999", cp2)
 
 
+def test_power_of_a_constant_too_long_to_print_is_rejected(cp2):
+    # the constant has about 6,000 digits, more than str() writes by default,
+    # so the error names its size
+    with pytest.raises(
+        ExpressionError,
+        match="^exponent 99 at position 6004 is too large for a constant term of 19932 bits$",
+    ):
+        parse_expression(f"({'9' * 3000}*{'9' * 3000})^99", cp2)
+
+
 _X, _XY = [("x", 2)], [("x", 2), ("y", 4)]
+#: 120 terms, each of three factors, and a "-" after the last: an error in
+#: the term after it lies past the 360th match of the scan.
+_LATE = "".join(f"{k % 9 + 1}/{k % 4 + 1}*x^{k % 3 + 1}*y - " for k in range(120))
+_AFTER = len(_LATE)
 #: Terms whose atoms fold into one coefficient and exponent list, and
 #: where that fold meets a zero, the degree bound, the constant guard or a
 #: parenthesised factor; then texts where a scan that reads one factor per
-#: match could split otherwise than a token loop.  The outcome is the
-#: oracle's, shown here.
+#: match could split otherwise than a token loop; then errors late in a
+#: long text, whose match the parser rebuilds from its index.  The outcome
+#: is the oracle's, shown here.
 _FOLD_EDGES = [
     ("0*x^3*x^3", _X, 6, False, {}),  # a zero coefficient is not checked against the bound
     ("2*x^2*y*x*y", _XY, 8, False, "term x^3*y of degree 10 exceeds the degree bound 8"),
@@ -817,6 +833,29 @@ _FOLD_EDGES = [
     ("0^0", _XY, 8, False, "exponent must be a positive integer at position 2"),
     ("1/٣*x", _XY, 8, False, {(1, 0): Fraction(1, 3)}),
     ("x^1٢", _X, 24, False, {(12,): 1}),
+    pytest.param(
+        _LATE + "2/0*x", _XY, 10, False, f"zero denominator at position {_AFTER + 2}", id="late-1/0"
+    ),
+    pytest.param(
+        _LATE + "2/ x", _XY, 10, False, f"expected number at position {_AFTER + 3} in ", id="late-2/"
+    ),
+    pytest.param(
+        _LATE + "(x)^", _XY, 10, False, f"expected number at position {_AFTER + 4} in ", id="late-^"
+    ),
+    pytest.param(
+        _LATE + "x*zz", _XY, 10, False, f"unknown generator 'zz' at position {_AFTER + 2}", id="late-zz"
+    ),
+    pytest.param(
+        _LATE + "x^" + "1" * 5000,
+        _XY,
+        10,
+        False,
+        f"number of 5000 digits at position {_AFTER + 2} is too long",
+        id="late-5000-digits",
+    ),
+    pytest.param(
+        _LATE + "x*$", _XY, 10, False, f"unexpected character '$' at position {_AFTER + 2}", id="late-$"
+    ),
 ]
 
 
@@ -964,6 +1003,8 @@ _EXPRESSION_CASES = st.one_of(
 
 def _terms_or_message(parse, text, generators, max_degree, truncate):
     """Nonzero Fraction terms, or the message of the ExpressionError."""
+    if parse is parse_terms:
+        generators = name_index(generators)
     try:
         terms = parse(text, generators, max_degree, truncate)
     except ExpressionError as exc:
@@ -999,6 +1040,16 @@ def test_a_flat_sum_of_20000_terms_is_read_in_linear_time():
         f"unexpected '' at position {len(text) + 2} in {text + ' +'!r}"
     )
     assert time.perf_counter() - start < 3
+
+
+def test_a_product_of_8000_generator_names_reads_each_name_once():
+    # each name is looked up in a name -> (position, degree) map, built once;
+    # a scan of the name list per name is quadratic, about 1 s at this size
+    generators = [(f"g{i}", 2) for i in range(8_000)]
+    text = "*".join(name for name, _ in generators)
+    start = time.perf_counter()
+    assert parse_terms(text, name_index(generators), 16_000, False) == ({(1,) * 8_000: 1}, 1)
+    assert time.perf_counter() - start < 0.25
 
 
 _TEXT_GENERATORS = [("x", 2), ("y", 4), ("é", 2)]

@@ -8,6 +8,8 @@ one invariant generator of s_degree 2 and one of s_degree 1, so some
 moment keys vanish by degree on these models.  Their machine output is
 pinned by digest.  Borel-Weil-Bott gives the pairing of the Todd class
 with the line bundle of weight lambda as the Weyl dimension at -lambda.
+The rewrite reaches monomials that many products share, and each is
+normalised once, so an Fl(6) solve takes well under a second.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from oracles import flag_manifold, flag_roots, genus_root_by_root
 FLAG_DIRAC_DIGESTS = {
     3: "7b64ad5df64794d7eac32571c3090d0c31903e765e0532f9d95ab1d51f0ff267",
     4: "001a471cf0f945da9cb17fb88a869918e6f0d65ae48a7ca6444d7eacb79268a3",
+    5: "c5c59ba87f54670cbd5052bfffb56e98b12ecb324f9a3aaee3e80d8149ef81db",
+    6: "11edf94c2556d36bc8a004bd71daacc25675e596a2cf5e8ddf6e4925b954d97f",
 }
 
 
@@ -49,7 +53,7 @@ def _dirac_document(n: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_flag_manifold_euler_characteristic_is_n_factorial(n):
     # no tangent data: the fractional index at the identity is the integral
     # of the symbol class, here the product of the tangent roots
@@ -65,7 +69,7 @@ def test_flag_manifold_euler_characteristic_is_n_factorial(n):
     assert result.payload == math.factorial(n)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_flag_manifold_projective_dirac_has_mass_zero(n):
     scenario = parse_scenario(json.dumps(_dirac_document(n)))
     model = scenario.model
@@ -82,16 +86,18 @@ def test_flag_manifold_projective_dirac_has_mass_zero(n):
     assert hashlib.sha256(text.encode()).hexdigest() == FLAG_DIRAC_DIGESTS[n]
 
 
-def test_flag_manifold_pairings_are_weyl_dimensions():
+@pytest.mark.parametrize("n", [3, 4])
+def test_flag_manifold_pairings_are_weyl_dimensions(n):
     # the index of the Dolbeault operator twisted by the line bundle of
     # weight lambda is, by Borel-Weil-Bott, the dimension of the irreducible
     # representation of highest weight mu = -lambda (Bott, Ann. of Math. 66,
-    # 1957): prod_{i<j} (mu_i - mu_j + j - i) / (j - i), an integer
-    n = 3
+    # 1957): prod_{i<j} (mu_i - mu_j + j - i) / (j - i), an integer; every
+    # lambda in [-2, 2]^n, 625 pairings on Fl(4)
+    rank = n * (n - 1) // 2
     document = {
         "name": f"flag{n}_borel_weil",
         "manifold": flag_manifold(n),
-        "bundles": [{"name": "TM", "rank": 3, "chern_roots": flag_roots(n), "tangent": True}],
+        "bundles": [{"name": "TM", "rank": rank, "chern_roots": flag_roots(n), "tangent": True}],
         "group": {
             "cyclic_orders": [],
             "weight_kind": "torus",
@@ -113,6 +119,20 @@ def test_flag_manifold_pairings_are_weyl_dimensions():
             Fraction(label[j] - label[i] + j - i, j - i) for i in range(n) for j in range(i + 1, n)
         )
         assert weyl.denominator == 1 and result.payload == weyl
+
+
+def test_flag6_projective_dirac_normalises_each_monomial_once():
+    # an Fl(6) solve asks for about 47,000 normal forms whose rewrites pass
+    # through shared monomials; unless each of those is normalised once,
+    # they take 12.8 million one-step rewrites, about 100 s
+    start = time.perf_counter()
+    scenario = parse_scenario(json.dumps(_dirac_document(6)))
+    results = run(scenario)
+    (result,) = results
+    assert time.perf_counter() - start < 5
+    assert [table.mass() for table in result.payload.tables.values()] == [0, 0]
+    text = emit(results, "machine")
+    assert hashlib.sha256(text.encode()).hexdigest() == FLAG_DIRAC_DIGESTS[6]
 
 
 def test_an_acyclic_flag_manifold_document_parses_without_the_cycle_search():

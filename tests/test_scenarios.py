@@ -794,8 +794,9 @@ def test_json_writer_matches_json_dumps_when_deeply_nested():
 def test_parsing_and_emitting_leave_no_reference_cycles():
     # nothing a solve builds should wait for the cyclic garbage collector:
     # the expression parser keeps its state in locals and a stack of its
-    # own, and the JSON writer recurses through a module-level function, so
-    # neither builds a closure that could refer back to itself
+    # own, and holds no error it raises in a local, and the JSON writer
+    # recurses through a module-level function, so neither builds a
+    # closure that could refer back to itself
     cp2 = parse_scenario(builtin_scenario_text("cp2_projective_dirac")).model
     results = run(parse_scenario(builtin_scenario_text("gamma4_character_sum")))
     gc.collect()
@@ -808,6 +809,8 @@ def test_parsing_and_emitting_leave_no_reference_cycles():
         assert gc.collect() == 0
         with pytest.raises(ExpressionError):
             parse_expression("1 + (2*x", cp2)
+        with pytest.raises(ExpressionError):  # int() refused "", the error is built after
+            parse_expression("1 + x^", cp2)
         emit(run(parse_scenario(builtin_scenario_text("cp2_projective_dirac"))), "machine")
         assert gc.collect() == 0
     finally:
