@@ -40,11 +40,17 @@ compares them exactly:
   several terms, into one column per key in lowest terms, by one gcd; per
   gamma, the numerators of the brackets zeta_N^k(chi, gamma) form deg
   Phi_N integer rows over the characters, and each key's vector of length
-  deg Phi_N is deg Phi_N dot products of those rows with its column.  The
-  vector is compared with the direct moment times the column denominator:
-  in integers when the direct moment is rational, otherwise as one
-  Cyclotomic sum tested for zero, expected * -den + vector, three
-  constructions.
+  deg Phi_N holds the dot products of those rows with its column, read
+  from one dot product per row: by Kronecker substitution, entry chi of
+  every key column is packed once per call into one integer, key s as its
+  signed base-2^w digit s, w the bit length of the largest |entry| of
+  `power_residues` times the largest sum of |entries| of a column, plus a
+  sign bit.  No dot product exceeds that bound in size, so every digit is
+  read back exactly; the direct route does not pack, so a packing fault
+  shows in the compare.  The vector is compared with the direct moment
+  times the column denominator: in integers when the direct moment is
+  rational, otherwise as one Cyclotomic sum tested for zero, expected *
+  -den + vector, three constructions.
 
 A zero-image key is combined on neither route: it reads no product-table
 entry, so it is the exact 0 in both.
@@ -62,7 +68,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from fracindex.characteristic import BundleData, a_hat, a_hat_squared
 from fracindex.cohomology import CohClass, ManifoldModel, _class, _product, monomial_name
@@ -376,12 +382,14 @@ class IndexProblem(Frozen):
         numerator i of zeta_N^k, k the j-th entry of the exponent row (a
         root of unity read from `power_residues`, denominator 1, by one
         `bracket` call per k and run), for every N, and each key's vector is
-        deg Phi_N dot products of those rows with its column.  A zero-image
-        key has no column and is the exact 0 on both routes; one vector per
-        (gamma, column key) is compared with the emitted moment times the
-        column denominator, at every gamma, so sigma_a is checked too: in
-        integers when that moment is a Fraction, otherwise as the one
-        Cyclotomic sum expected * -den + vector tested for zero.
+        the dot products of those rows with its column, read from one dot
+        product per row with the packed columns (`_packed_products`, exact
+        by the bound of `_slot_width`; the direct route does not pack).  A
+        zero-image key has no column and is the exact 0 on both routes; one
+        vector per (gamma, column key) is compared with the emitted moment
+        times the column denominator, at every gamma, so sigma_a is checked
+        too: in integers when that moment is a Fraction, otherwise as the
+        one Cyclotomic sum expected * -den + vector tested for zero.
         Disagreement raises InternalConsistencyError.
         """
         if max_degree is None:
@@ -389,6 +397,7 @@ class IndexProblem(Frozen):
         columns = self._character_columns(max_degree)
         order, orders = self.group.exponent, self.group.cyclic_orders
         width = len(cyclotomic_polynomial(order)) - 1
+        products = _packed_products([column for column, _ in columns.values()], power_residues(order))
         units = [a for a in range(2, order) if math.gcd(a, order) == 1]
         conjugates: dict[Element, tuple[Element, int]] = {}
         roots: dict[int, tuple[int, ...]] = {}  # exponent k -> numerators of zeta_N^k
@@ -407,9 +416,8 @@ class IndexProblem(Frozen):
                 if k not in roots:  # a root of unity: integer numerators over the denominator 1
                     roots[k] = bracket(self.group, chi, gamma).numerators
             rows = list(zip(*[roots[k] for k in exponents])) or [()] * width  # no component
-            for key, (column, den) in columns.items():
+            for (key, (_, den)), vector in zip(columns.items(), products(rows)):
                 expected = direct.values[key]
-                vector = [sum(map(mul, row, column)) for row in rows]
                 if type(expected) is Fraction:
                     p, q = expected.numerator, expected.denominator
                     agree = not any(vector[1:]) and vector[0] * q == p * den
@@ -444,6 +452,36 @@ def _column(pairings: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     if g == 1:
         return column, den
     return [n // g for n in column], den // g
+
+
+def _slot_width(columns: Sequence[Sequence[int]], residues: Sequence[Sequence[int]]) -> int:
+    """Bits per packed slot: a column dotted with a row of `residues` entries
+    is at most the largest |entry| times the column's sum of |entries| in
+    size, and that bound's bit length plus a sign bit holds it."""
+    largest = max(max(map(abs, row)) for row in residues)
+    return (largest * max([sum(map(abs, c)) for c in columns], default=0)).bit_length() + 1
+
+
+def _packed_products(columns: Sequence[Sequence[int]], residues: Sequence[Sequence[int]]):
+    """Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 8.4): entry j of every column packed into one integer, column s
+    as its signed base-2^w digit s, w from `_slot_width`.  The function
+    returned takes rows of `residues` entries and gives, per column, its dot
+    products with the rows: one dot product per row with the packed entries,
+    then 2^(w-1) added to every digit and digit s read by a shift and a mask.
+    Exact: each dot product lies in [-2^(w-1), 2^(w-1)), so every shifted
+    digit lies in [0, 2^w) and the base-2^w expansion reads it back."""
+    width = _slot_width(columns, residues)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, len(columns) * width, width)
+    packed = [sum([c << s for c, s in zip(entries, shifts)]) for entries in zip(*columns)]
+    offset = half * ((1 << len(columns) * width) - 1) // mask  # 2^(w-1) in every digit
+
+    def products(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+        totals = [sum(map(mul, row, packed)) + offset for row in rows]
+        return zip(*[[(t >> s & mask) - half for s in shifts] for t in totals])
+
+    return products
 
 
 def dirac_problem(

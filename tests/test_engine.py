@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracindex.characteristic import BundleData, a_hat
@@ -17,6 +18,7 @@ from fracindex.engine import (
     InternalConsistencyError,
     SymbolData,
     _column,
+    _packed_products,
     dirac_problem,
 )
 from fracindex.groups import (
@@ -26,7 +28,7 @@ from fracindex.groups import (
     bracket,
     chern_weil_eval,
 )
-from fracindex.scalars import Cyclotomic, demote
+from fracindex.scalars import Cyclotomic, demote, power_residues
 from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
 
 from oracles import (
@@ -1052,6 +1054,89 @@ def test_faulty_galois_conjugate_is_caught(monkeypatch, cyclic_orders):
     monkeypatch.setattr(engine, "galois_conjugate", lambda value, a: original(value, a + 1))
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         _random_problem(cyclic_orders, 22).full_distribution()
+
+
+# the recombined route's packed dot products
+
+
+_PACKING_ORDERS = (1, 2, 3, 4, 12, 105, 385)
+
+
+def _large_residue_exponents(order):
+    """The exponents k whose `power_residues` row has an entry of the largest
+    size: 1 up to N = 104, 2 from N = 105, 3 at N = 385."""
+    rows = power_residues(order)
+    largest = max(max(map(abs, row)) for row in rows)
+    return [k for k, row in enumerate(rows) if largest in map(abs, row)]
+
+
+def _residue_rows(order, exponents):
+    """The rows the recombined route dots with its columns at an element of
+    this exponent row: row i holds numerator i of zeta_N^k for each k, and
+    with no component there are deg Phi_N empty rows."""
+    residues = power_residues(order)
+    return list(zip(*[residues[k] for k in exponents])) or [()] * len(residues[0])
+
+
+@st.composite
+def _packing_cases(draw):
+    """An order N, the rows at a drawn exponent row of 0..5 characters
+    (exponents with the largest residue entry drawn often), and 1..4 columns
+    of that length: entries up to 10^40 in size, all zero, or signed entries
+    whose sizes sum to exactly a power of two."""
+    order = draw(st.sampled_from(_PACKING_ORDERS))
+    count = draw(st.integers(0, 5))
+    exponent = st.one_of(
+        st.sampled_from(_large_residue_exponents(order)), st.integers(0, order - 1)
+    )
+    rows = _residue_rows(order, draw(st.lists(exponent, min_size=count, max_size=count)))
+    entries = st.lists(st.integers(-(10**40), 10**40), min_size=count, max_size=count)
+    columns = []
+    for shape in draw(st.lists(st.sampled_from(["any", "zero", "power"]), min_size=1, max_size=4)):
+        if shape == "any":
+            columns.append(draw(entries))
+        elif shape == "zero" or not count:
+            columns.append([0] * count)
+        else:  # 2^m cut into count parts, each with a sign
+            total = 1 << draw(st.integers(0, 140))
+            cuts = sorted(draw(st.lists(st.integers(0, total), min_size=count - 1, max_size=count - 1)))
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            columns.append([draw(st.sampled_from((1, -1))) * part for part in parts])
+    return order, rows, columns
+
+
+@given(_packing_cases())
+@settings(max_examples=150, deadline=None)
+# 3 * (2^20 - 1) = 3,145,725 needs two bits more than 2^20 - 1, and a sign bit
+@example((385, _residue_rows(385, [_large_residue_exponents(385)[0]]), [[2**20 - 1]]))
+@example((105, _residue_rows(105, _large_residue_exponents(105)[:2]), [[2**40, -(2**40)], [0, 0]]))
+@example((12, _residue_rows(12, []), [[], []]))  # no component
+@example((4, _residue_rows(4, [1, 3]), [[2**70, 0]]))  # one column, its sizes sum to 2^70
+def test_packed_products_equal_plain_dot_products(case):
+    order, rows, columns = case
+    plain = [[sum(map(mul, row, column)) for row in rows] for column in columns]
+    assert list(map(list, _packed_products(columns, power_residues(order))(rows))) == plain
+
+
+def test_packed_slot_one_bit_too_narrow_is_caught(monkeypatch):
+    # times 17, the largest sum of |entries| over the columns is 4,056,421,
+    # near the top of its binade, and one dot product is 2,157,793: a slot of
+    # 22 bits, one narrower than `_slot_width`, holds only [-2^21, 2^21), so
+    # it overflows and the recombined vector is wrong; only that route packs
+    import fracindex.engine as engine
+
+    problem = _random_problem([6, 4], 13)
+    components = {chi: u * 17 for chi, u in problem.symbol.components.items()}
+    problem = IndexProblem(
+        problem.model, problem.group, problem.generators, SymbolData(components),
+        problem.a_hat_squared,
+    )
+    original = engine._slot_width
+    monkeypatch.setattr(engine, "_slot_width", lambda *args: original(*args) - 1)
+    with pytest.raises(InternalConsistencyError, match="routes disagree"):
+        problem.full_distribution()
+    monkeypatch.setattr(engine, "_slot_width", original)
+    problem.full_distribution()
 
 
 def test_center_workload_runs_the_direct_route_once_per_orbit(monkeypatch):

@@ -9,7 +9,9 @@ moment keys vanish by degree on these models.  Their machine output is
 pinned by digest.  Borel-Weil-Bott gives the pairing of the Todd class
 with the line bundle of weight lambda as the Weyl dimension at -lambda.
 The rewrite reaches monomials that many products share, and each is
-normalised once, so an Fl(6) solve takes well under a second.
+normalised once, so an Fl(6) solve takes well under a second.  On Fl(4),
+one term of each multi-term product-table entry is corrupted in turn, and
+the number of corruptions the route compare catches is pinned.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from fracindex.engine import IndexProblem, InternalConsistencyError, dirac_problem
 from fracindex.scenarios import emit, parse_scenario, run
 
 from oracles import flag_manifold, flag_roots, genus_root_by_root
@@ -143,3 +147,85 @@ def test_an_acyclic_flag_manifold_document_parses_without_the_cycle_search():
     scenario = parse_scenario(json.dumps(_dirac_document(7)))
     assert time.perf_counter() - start < 1
     assert scenario.model.dimension == 42 and len(scenario.bundles["TM"].roots) == 21
+
+
+def _flag4_center_document() -> dict:
+    """Fl(4) with the Dirac document's generators over Z/6 x Z/4, one
+    six-term component per character, seeded, and one full_distribution.
+    Fl(4) has a-hat 1, so the tangent data are a bundle E with roots x1..x4,
+    x1 + x2 and x3 - x4 instead: its a-hat square has four terms, and the
+    routes multiply it with different monomials."""
+    rng = random.Random(4)
+    terms = ["x1", "x2*x3", "x2*x3^2", "x1*x2*x3", "x2*x3^2*x4^3"]
+
+    def coefficient():
+        return f"{rng.choice((1, -1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}"
+
+    document = _dirac_document(4)
+    document["name"] = "flag4_center"
+    roots = ["x1", "x2", "x3", "x4", "x1 + x2", "x3 - x4"]
+    document["bundles"] = [{"name": "E", "rank": 6, "chern_roots": roots, "tangent": True}]
+    document["group"]["cyclic_orders"] = [6, 4]
+    document["symbol"] = [
+        {
+            "character": [a, b],
+            "class": " + ".join([coefficient(), *[f"{coefficient()}*{t}" for t in terms]])
+            .replace("+ -", "- "),
+        }
+        for a in range(6)
+        for b in range(4)
+    ]
+    document["tasks"] = [{"op": "full_distribution"}]
+    return document
+
+
+def _caught_multi_term_corruptions(problem):
+    """Fill the product table for every ordered pair of basis monomials
+    within the dimension, then double the first coefficient of each entry
+    of several terms in turn and run the distribution on a fresh problem
+    from the same classes: (entries, how many raise InternalConsistencyError)."""
+    model = problem.model
+    basis = []
+    for mono in model.monomials_up_to(model.dimension):
+        form = model.normal_form(mono)
+        if form == (1, ((model._index.get(mono), 1),)):
+            basis.append(model._index[mono])
+    entries, monomials = [], model._monomials
+    for i in basis:
+        row = model._products.setdefault(i, {})
+        for j in basis:
+            if model._degrees[i] + model._degrees[j] <= model.dimension:
+                if j not in row:
+                    row[j] = model.normal_form(tuple(map(sum, zip(monomials[i], monomials[j]))))
+                if row[j] and len(row[j][1]) > 1:
+                    entries.append((row, j))
+    caught = 0
+    for row, j in entries:
+        entry = d, ((m, n), *rest) = row[j]
+        row[j] = (d, ((m, 2 * n), *rest))
+        model._images.clear()  # the images are recomputed from the corrupted table
+        try:
+            IndexProblem(
+                model, problem.group, problem.generators, problem.symbol, problem.a_hat_squared
+            ).full_distribution()
+        except InternalConsistencyError:
+            caught += 1
+        row[j] = entry
+    model._images.clear()
+    return len(basis), len(entries), caught
+
+
+def test_flag4_multi_term_corruptions_are_caught():
+    # Fl(4): 24 basis monomials and 45 multi-term entries among their
+    # products.  With a-hat 1, both routes read products of the top degree
+    # only, each a multiple of the fundamental monomial, after the shared
+    # generator images: the Dirac document catches none of the 45.  With
+    # the four-term a-hat square of E, the direct route multiplies it by the
+    # image monomials and the recombined route by the symbol's terms: 3 of
+    # the 45 are caught there
+    scenario = parse_scenario(json.dumps(_dirac_document(4)))
+    problem = dirac_problem(scenario.model, scenario.bundles["TM"], scenario.generators)
+    assert _caught_multi_term_corruptions(problem) == (24, 45, 0)
+    problem = parse_scenario(json.dumps(_flag4_center_document())).problem()
+    assert len(problem.symbol.components) == 24
+    assert _caught_multi_term_corruptions(problem) == (24, 45, 3)

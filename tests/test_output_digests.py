@@ -1,8 +1,9 @@
 """Output stays byte-identical: the SHA-256 of `emit(..., "machine")` for
 the benchmark workloads at their first seeds, against the digests the
 benchmark records in `perfbench/digests.json`, and of both formats for
-every built-in scenario and of the human format for the workloads at their
-first seed, against digests recorded here.  The machine
+every built-in scenario, of the machine format for six edge documents over
+Z/12, and of the human format for the workloads at their first seed,
+against digests recorded here.  The machine
 writer also equals an independent rendering: json.dumps(..., indent=2) of
 each result's `oracles.payload_to_json`, on the same documents and on drawn
 payloads, and the workload outputs pass the benchmark's own checks
@@ -138,6 +139,69 @@ def test_every_builtin_has_a_recorded_human_digest():
 @pytest.mark.parametrize("name", sorted(HUMAN_DIGESTS))
 def test_builtin_human_outputs_match_the_recorded_digests(name):
     assert _digest(builtin_scenario_text(name), "human") == HUMAN_DIGESTS[name]
+
+
+# edge documents over Z/12 (CP^2 with its tangent roots, generators L and Q,
+# four components and one full_distribution), each with one part taken
+# away or degenerate; `emit(..., "machine")` digests
+_EDGE_BASE = {
+    "name": "z12_edge",
+    "manifold": {
+        "dimension": 4,
+        "generators": [["x", 2]],
+        "relations": [["x^3", "0"]],
+        "fundamental": ["x^2", "1"],
+    },
+    "bundles": [{"name": "TM", "rank": 3, "chern_roots": ["x", "x", "x"], "tangent": True}],
+    "group": {
+        "cyclic_orders": [12],
+        "invariant_generators": [
+            {"name": "L", "s_degree": 1, "image": "2/3*x"},
+            {"name": "Q", "s_degree": 2, "image": "-5*x^2"},
+        ],
+    },
+    "symbol": [
+        {"character": [1], "class": "1/2 - 3*x + 7/5*x^2"},
+        {"character": [5], "class": "-4 + 1/3*x"},
+        {"character": [6], "class": "2*x - 9/4*x^2"},
+        {"character": [11], "class": "5/6 + x^2"},
+    ],
+    "tasks": [{"op": "full_distribution"}],
+}
+
+EDGE_DIGESTS = {
+    "no_component": "46db3250f33244f0964efb37dc110f1d5cb7cc6a695a1d89008caacfbbc0202c",
+    "zero_class": "279cc2604e04bfe0ce1e497b09eb3088f2a0e45e215bd0cc244f0130f430ef21",
+    "zero_image": "34d30d29871174a51cc4325494ce3f9a3c7527d7230d83c53dc433f396eb57c5",
+    "no_generators": "c6bf942eb6973c1e3e53be039a103fcc38da82445afa2f62babc1e8827509aa2",
+    "max_degree_0": "e29bd803fb5d059605033f43c10b218aac2df860244618fb1c5085e12ba45ff3",
+    "trivial_group": "1da77a9905d538c37ddba17731506c58d58d5524fab7a78d1e24100d0789d84b",
+}
+
+
+def _edge_document(name: str) -> dict:
+    document = json.loads(json.dumps(_EDGE_BASE))
+    document["name"] = f"z12_{name}"
+    group, symbol = document["group"], document["symbol"]
+    if name == "no_component":
+        document["symbol"] = []
+    elif name == "zero_class":  # parsed to zero and dropped
+        symbol[1]["class"] = "x - x"
+    elif name == "zero_image":  # every key with Q has the zero image
+        group["invariant_generators"][1]["image"] = "0"
+    elif name == "no_generators":
+        group["invariant_generators"] = []
+    elif name == "max_degree_0":
+        document["tasks"] = [{"op": "full_distribution", "max_degree": 0}]
+    else:  # the first component on the trivial group
+        group["cyclic_orders"] = []
+        document["symbol"] = [{"character": [], "class": symbol[0]["class"]}]
+    return document
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DIGESTS))
+def test_edge_document_outputs_match_the_recorded_digests(name):
+    assert _digest(json.dumps(_edge_document(name))) == EDGE_DIGESTS[name]
 
 
 def test_machine_output_matches_the_json_dumps_oracle():
