@@ -43,14 +43,16 @@ compares them exactly:
   deg Phi_N holds the dot products of those rows with its column, read
   from one dot product per row: by Kronecker substitution, entry chi of
   every key column is packed once per call into one integer, key s as its
-  signed base-2^w digit s, w the bit length of the largest |entry| of
-  `power_residues` times the largest sum of |entries| of a column, plus a
-  sign bit.  No dot product exceeds that bound in size, so every digit is
-  read back exactly; the direct route does not pack, so a packing fault
-  shows in the compare.  The vector is compared with the direct moment
-  times the column denominator: in integers when the direct moment is
-  rational, otherwise as one Cyclotomic sum tested for zero, expected *
-  -den + vector, three constructions.
+  signed base-2^w digit s from the top, w the bit length of the largest
+  |entry| of `power_residues` times the largest sum of |entries| of a
+  column, plus a sign bit, rounded up to whole bytes; each product is
+  written out by one `to_bytes` and key s read from its w/8 bytes.  No dot
+  product exceeds that bound in size, so every digit is read back exactly;
+  the direct route does not pack, so a packing fault shows in the compare.
+  The vector is compared with the direct moment times the column
+  denominator: in integers when the direct moment is rational, otherwise
+  as one Cyclotomic sum tested for zero, expected * -den + vector, three
+  constructions.
 
 A zero-image key is combined on neither route: it reads no product-table
 entry, so it is the exact 0 in both.
@@ -465,21 +467,27 @@ def _slot_width(columns: Sequence[Sequence[int]], residues: Sequence[Sequence[in
 def _packed_products(columns: Sequence[Sequence[int]], residues: Sequence[Sequence[int]]):
     """Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
     Algebra, 8.4): entry j of every column packed into one integer, column s
-    as its signed base-2^w digit s, w from `_slot_width`.  The function
-    returned takes rows of `residues` entries and gives, per column, its dot
-    products with the rows: one dot product per row with the packed entries,
-    then 2^(w-1) added to every digit and digit s read by a shift and a mask.
-    Exact: each dot product lies in [-2^(w-1), 2^(w-1)), so every shifted
-    digit lies in [0, 2^w) and the base-2^w expansion reads it back."""
-    width = _slot_width(columns, residues)
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    shifts = range(0, len(columns) * width, width)
-    packed = [sum([c << s for c, s in zip(entries, shifts)]) for entries in zip(*columns)]
-    offset = half * ((1 << len(columns) * width) - 1) // mask  # 2^(w-1) in every digit
+    as its signed base-2^w digit s from the top, w the bits of `_slot_width`
+    rounded up to whole bytes.  The function returned takes rows of
+    `residues` entries and gives, per column, its dot products with the
+    rows: one dot product per row with the packed entries, plus 2^(w-1) in
+    every digit, written out by one `to_bytes` and digit s read from its
+    w/8 bytes.  Exact: each dot product lies in [-2^(w-1), 2^(w-1)), so
+    every shifted digit lies in [0, 2^w) and the base-2^w expansion reads
+    it back.  Packing and reading go through bytes, so both take time
+    linear in the packed size, whatever the number of columns."""
+    size = -(-_slot_width(columns, residues) // 8)  # bytes per slot
+    half, total = 1 << (8 * size - 1), len(columns) * size
+    offset = int.from_bytes(half.to_bytes(size) * len(columns))
+    packed = [
+        int.from_bytes(b"".join([(c + half).to_bytes(size) for c in entries])) - offset
+        for entries in zip(*columns)
+    ]
+    starts, from_bytes = range(0, total, size), int.from_bytes
 
     def products(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-        totals = [sum(map(mul, row, packed)) + offset for row in rows]
-        return zip(*[[(t >> s & mask) - half for s in shifts] for t in totals])
+        digits = [(sum(map(mul, row, packed)) + offset).to_bytes(total) for row in rows]
+        return zip(*[[from_bytes(d[i : i + size]) - half for i in starts] for d in digits])
 
     return products
 

@@ -8,7 +8,9 @@ table and CohClass code paths, so that agreement between the two is a
 real cross-check.  The Todd class, the
 Chern character and the Pontryagin classes of a complex bundle are built
 from the package's class arithmetic instead: no scenario task computes
-them, and the tests use them as known characteristic classes.
+them, and the tests use them as known characteristic classes.  The last
+section corrupts product-table entries one at a time and counts the
+corruptions the route compare of `full_distribution` catches.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from fracindex.characteristic import BundleData
 from fracindex.cohomology import _MAX_POWER_BITS, ExpressionError, ManifoldModel, build_model
 from fracindex.cohomology import monomial_name, parse_expression
-from fracindex.engine import IndexDistribution, MomentTable
+from fracindex.engine import IndexDistribution, IndexProblem, InternalConsistencyError, MomentTable
 from fracindex.scalars import cyclotomic_polynomial, scalar_to_json
 
 
@@ -791,3 +793,28 @@ def payload_to_json(payload):
     if isinstance(payload, IndexDistribution):
         return {"distribution": [payload_to_json(table) for table in payload.tables.values()]}
     return {"value": scalar_to_json(payload)}
+
+
+# -- product-table corruptions the route compare catches -------------------------
+
+
+def caught_corruptions(problem, entries, corrupt) -> int:
+    """For each (row, key) of `entries`, a row of the problem's product
+    table and a key present in it, replace the entry by `corrupt(entry)` in
+    turn, after the problem's classes are built, and run the distribution
+    on a fresh problem from the same classes; restore the entry.  How many
+    of the corruptions raise InternalConsistencyError."""
+    model, caught = problem.model, 0
+    for row, key in entries:
+        entry = row[key]
+        row[key] = corrupt(entry)
+        model._images.clear()  # the images are recomputed from the corrupted table
+        try:
+            IndexProblem(
+                model, problem.group, problem.generators, problem.symbol, problem.a_hat_squared
+            ).full_distribution()
+        except InternalConsistencyError:
+            caught += 1
+        row[key] = entry
+    model._images.clear()
+    return caught

@@ -34,6 +34,7 @@ from fracindex.scenarios import builtin_scenario_text, parse_scenario, run
 from oracles import (
     a_hat_series_oracle,
     bracket_exponent_by_reduction,
+    caught_corruptions,
     cpn_integral,
     cpn_mul,
     evaluate_series_at_x,
@@ -796,28 +797,23 @@ def test_faulty_bracket_is_caught(monkeypatch, cyclic_orders):
 
 def _caught_table_corruptions(problem):
     """Double each product-table entry (m1, m2) of the problem's CP^n,
-    deg m1 + deg m2 <= 2n, in turn after the problem's classes are built,
-    and run the distribution on a fresh problem from the same classes:
-    (entries, how many of them raise InternalConsistencyError)."""
+    deg m1 + deg m2 <= 2n, in turn (`caught_corruptions`): (entries, how
+    many of them raise InternalConsistencyError)."""
     model = problem.model
     (top,) = model._monomials[model._fundamental]
     index = [model._index[(a,)] for a in range(top + 1)]
-    entries = [(a, b) for a in range(top + 1) for b in range(top + 1 - a)]
-    caught = 0
-    for a, b in entries:
-        row, m2 = model._products.setdefault(index[a], {}), index[b]
-        entry = row.get(m2) or model.normal_form((a + b,))
+    entries = []
+    for a in range(top + 1):
+        row = model._products.setdefault(index[a], {})
+        for b in range(top + 1 - a):
+            row.setdefault(index[b], model.normal_form((a + b,)))
+            entries.append((row, index[b]))
+
+    def doubled(entry):
         d, pairs = entry
-        row[m2] = (d, tuple((m, 2 * n) for m, n in pairs))
-        model._images.clear()  # the images are recomputed from the corrupted table
-        try:
-            IndexProblem(
-                model, problem.group, problem.generators, problem.symbol, problem.a_hat_squared
-            ).full_distribution()
-        except InternalConsistencyError:
-            caught += 1
-        row[m2] = entry
-    return len(entries), caught
+        return d, tuple((m, 2 * n) for m, n in pairs)
+
+    return len(entries), caught_corruptions(problem, entries, doubled)
 
 
 def test_corrupted_product_table_entries_are_caught():
@@ -1081,7 +1077,7 @@ def _residue_rows(order, exponents):
 @st.composite
 def _packing_cases(draw):
     """An order N, the rows at a drawn exponent row of 0..5 characters
-    (exponents with the largest residue entry drawn often), and 1..4 columns
+    (exponents with the largest residue entry drawn often), and 1..16 columns
     of that length: entries up to 10^40 in size, all zero, or signed entries
     whose sizes sum to exactly a power of two."""
     order = draw(st.sampled_from(_PACKING_ORDERS))
@@ -1092,7 +1088,7 @@ def _packing_cases(draw):
     rows = _residue_rows(order, draw(st.lists(exponent, min_size=count, max_size=count)))
     entries = st.lists(st.integers(-(10**40), 10**40), min_size=count, max_size=count)
     columns = []
-    for shape in draw(st.lists(st.sampled_from(["any", "zero", "power"]), min_size=1, max_size=4)):
+    for shape in draw(st.lists(st.sampled_from(["any", "zero", "power"]), min_size=1, max_size=16)):
         if shape == "any":
             columns.append(draw(entries))
         elif shape == "zero" or not count:
@@ -1107,8 +1103,10 @@ def _packing_cases(draw):
 
 @given(_packing_cases())
 @settings(max_examples=150, deadline=None)
-# 3 * (2^20 - 1) = 3,145,725 needs two bits more than 2^20 - 1, and a sign bit
-@example((385, _residue_rows(385, [_large_residue_exponents(385)[0]]), [[2**20 - 1]]))
+# 3 * (2^22 - 1) = 12,582,909 needs two bits more than 2^22 - 1 and a sign
+# bit: 25 bits, 4-byte slots; the column sum's 22 bits plus 2 would give
+# 3-byte slots, and the last slot would overflow into the one above
+@example((385, _residue_rows(385, [_large_residue_exponents(385)[0]]), [[0], [2**22 - 1]]))
 @example((105, _residue_rows(105, _large_residue_exponents(105)[:2]), [[2**40, -(2**40)], [0, 0]]))
 @example((12, _residue_rows(12, []), [[], []]))  # no component
 @example((4, _residue_rows(4, [1, 3]), [[2**70, 0]]))  # one column, its sizes sum to 2^70
@@ -1119,22 +1117,29 @@ def test_packed_products_equal_plain_dot_products(case):
 
 
 def test_packed_slot_one_bit_too_narrow_is_caught(monkeypatch):
-    # times 17, the largest sum of |entries| over the columns is 4,056,421,
-    # near the top of its binade, and one dot product is 2,157,793: a slot of
-    # 22 bits, one narrower than `_slot_width`, holds only [-2^21, 2^21), so
-    # it overflows and the recombined vector is wrong; only that route packs
+    # times 185, the bound of `_slot_width` is 25 bits, so slots take 4
+    # bytes; one bit less rounds to 3 bytes, which hold only [-2^23, 2^23),
+    # and one dot product is 9,529,165 (no entry reaches 2^23): that slot
+    # overflows into the one above and the recombined vector is wrong, while
+    # the direct route, which does not pack, is right
     import fracindex.engine as engine
 
     problem = _random_problem([6, 4], 13)
-    components = {chi: u * 17 for chi, u in problem.symbol.components.items()}
+    components = {chi: u * 185 for chi, u in problem.symbol.components.items()}
     problem = IndexProblem(
         problem.model, problem.group, problem.generators, SymbolData(components),
         problem.a_hat_squared,
     )
-    original = engine._slot_width
-    monkeypatch.setattr(engine, "_slot_width", lambda *args: original(*args) - 1)
+    original, widths = engine._slot_width, []
+
+    def narrow(*args):
+        widths.append(original(*args))
+        return widths[-1] - 1
+
+    monkeypatch.setattr(engine, "_slot_width", narrow)
     with pytest.raises(InternalConsistencyError, match="routes disagree"):
         problem.full_distribution()
+    assert widths == [25]
     monkeypatch.setattr(engine, "_slot_width", original)
     problem.full_distribution()
 

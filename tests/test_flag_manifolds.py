@@ -26,10 +26,10 @@ from fractions import Fraction
 
 import pytest
 
-from fracindex.engine import IndexProblem, InternalConsistencyError, dirac_problem
+from fracindex.engine import dirac_problem
 from fracindex.scenarios import emit, parse_scenario, run
 
-from oracles import flag_manifold, flag_roots, genus_root_by_root
+from oracles import caught_corruptions, flag_manifold, flag_roots, genus_root_by_root
 
 FLAG_DIRAC_DIGESTS = {
     3: "7b64ad5df64794d7eac32571c3090d0c31903e765e0532f9d95ab1d51f0ff267",
@@ -182,8 +182,8 @@ def _flag4_center_document() -> dict:
 def _caught_multi_term_corruptions(problem):
     """Fill the product table for every ordered pair of basis monomials
     within the dimension, then double the first coefficient of each entry
-    of several terms in turn and run the distribution on a fresh problem
-    from the same classes: (entries, how many raise InternalConsistencyError)."""
+    of several terms in turn (`caught_corruptions`): (basis monomials,
+    entries, how many raise InternalConsistencyError)."""
     model = problem.model
     basis = []
     for mono in model.monomials_up_to(model.dimension):
@@ -199,20 +199,12 @@ def _caught_multi_term_corruptions(problem):
                     row[j] = model.normal_form(tuple(map(sum, zip(monomials[i], monomials[j]))))
                 if row[j] and len(row[j][1]) > 1:
                     entries.append((row, j))
-    caught = 0
-    for row, j in entries:
-        entry = d, ((m, n), *rest) = row[j]
-        row[j] = (d, ((m, 2 * n), *rest))
-        model._images.clear()  # the images are recomputed from the corrupted table
-        try:
-            IndexProblem(
-                model, problem.group, problem.generators, problem.symbol, problem.a_hat_squared
-            ).full_distribution()
-        except InternalConsistencyError:
-            caught += 1
-        row[j] = entry
-    model._images.clear()
-    return len(basis), len(entries), caught
+
+    def first_doubled(entry):
+        d, ((m, n), *rest) = entry
+        return d, ((m, 2 * n), *rest)
+
+    return len(basis), len(entries), caught_corruptions(problem, entries, first_doubled)
 
 
 def test_flag4_multi_term_corruptions_are_caught():
